@@ -204,15 +204,12 @@ def dephased_reference(
             group_of[j] = g
     in_s = np.isin(group_of, list(s))
     same_group = group_of[:, None] == group_of[None, :]
-    diff = dec.eigenvalues[None, :] - dec.eigenvalues[:, None]
-    phi = walk.characteristic(dist, diff)
-    phi[np.abs(diff) <= part.tol_degen] = 1.0
-
+    phi = walk._phi_matrix(dist, dec.eigenvalues, part.tol_degen)
     weight = np.where(same_group, 1.0, 0.0).astype(np.complex128)
     both_out = ~in_s[:, None] & ~in_s[None, :]
     weight[both_out] = phi[both_out]
     out = v @ (rho_eig * weight) @ v.conj().T
-    return walk.density_operator(out)
+    return walk._computed_density(out)
 
 
 def residual_bound(

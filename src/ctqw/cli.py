@@ -27,14 +27,8 @@ import numpy as np
 
 from . import bounds, gluedtrees, markov, records, search, spectral, walk
 from ._version import __version__
-from .errors import (
-    AssertionFailure,
-    ConfigError,
-    CtqwError,
-    InconsistencyError,
-    ValidationError,
-)
-from .rng import rng_stream
+from .errors import AssertionFailure, ConfigError, CtqwError, ValidationError
+from .rng import rng_stream, task_seed
 from .walk import TimeDistribution
 
 __all__ = ["main"]
@@ -135,8 +129,7 @@ def _finite_or_none(value: float):
 
 
 def _gluedtrees_row(task: tuple) -> dict:
-    two_n, seed, mc_runs, k_schedule = task
-    sub = gluedtrees.subspace_S(two_n)
+    two_n, mc_seed, mc_runs, k_schedule = task
     n = two_n // 2
     T, k, reps = gluedtrees.default_schedule(two_n, k_schedule)
     h = gluedtrees.column_hamiltonian(two_n)
@@ -146,10 +139,11 @@ def _gluedtrees_row(task: tuple) -> dict:
     p_shot = walk.avg_probability_exact(h, psi0, y, TimeDistribution(T=T, k=k), dec=dec)
     floor = 1.0 / (20 * n)
     taus = gluedtrees.certified_hitting_times(two_n)
+    sub = taus["subspace"]
     t_lo = 2.0 / sub.delta_e_s
     grid = walk.geometric_grid(t_lo, 64.0 * t_lo)
     exact = walk.hitting_time_estimate(h, psi0, y, grid, k=k, dec=dec)
-    stats = gluedtrees.traversal_success_stats(two_n, seed, mc_runs, k_schedule)
+    stats = gluedtrees.traversal_success_stats(two_n, mc_seed, mc_runs, k_schedule)
     check_flags = [v for v in sub.checks.values() if isinstance(v, bool)]
     holds = all(check_flags) and p_shot >= floor - 1e-12
     return {
@@ -194,7 +188,9 @@ def _cmd_gluedtrees(args) -> int:
     if k_schedule not in ("log", "linear"):
         raise ConfigError(f"config field 'k_schedule' must be 'log' or 'linear', got {k_schedule!r}")
 
-    tasks = [(two_n, seed + two_n, mc_runs, k_schedule) for two_n in sorted(sizes)]
+    tasks = [
+        (two_n, task_seed(seed, idx), mc_runs, k_schedule) for idx, two_n in enumerate(sorted(sizes))
+    ]
     rows = _run_tasks(_gluedtrees_row, tasks, args.jobs)
 
     xs = np.log([row["n"] // 2 for row in rows])
@@ -233,16 +229,16 @@ def _cmd_gluedtrees(args) -> int:
 
 
 def _search_row(task: tuple) -> dict:
-    family, n, marked, epsilon, child_seed, shots, time_factor, payload = task
+    family, n, marked, epsilon, chain_seed, mc_seed, shots, time_factor, payload = task
     if payload is not None:
         chain, marked = markov.chain_from_payload(payload)
     else:
-        chain = markov.chain_family(family, n, seed=child_seed)
+        chain = markov.chain_family(family, n, seed=chain_seed)
     rec = search.run_search(
         chain,
         marked,
         epsilon,
-        child_seed,
+        mc_seed,
         family=family,
         shots=shots,
         time_factor=time_factor,
@@ -338,10 +334,12 @@ def _cmd_search(args) -> int:
     if not specs:
         raise ConfigError("search config needs 'families' + 'N', or 'chains'")
 
+    # one chain per spec, shared by its epsilon rows; one MC stream per row
     tasks = []
     for idx, (family, n, mk, payload) in enumerate(specs):
-        for eps in sorted(epsilons, reverse=True):
-            tasks.append((family, n, mk, float(eps), seed + 37 * idx + len(tasks), shots, time_factor, payload))
+        chain_seed = task_seed(seed, idx)
+        for j, eps in enumerate(sorted(epsilons, reverse=True)):
+            tasks.append((family, n, mk, float(eps), chain_seed, task_seed(seed, idx, j), shots, time_factor, payload))
     rows = _run_tasks(_search_row, tasks, args.jobs)
 
     fits = []
@@ -555,19 +553,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValidationError as exc:
+    except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except AssertionFailure as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 2
-    except InconsistencyError as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return 4
-    except CtqwError as exc:
+    except CtqwError as exc:  # InconsistencyError and every other internal failure
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 4
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from . import spectral, walk
+from . import bounds, spectral, walk
 from .errors import InconsistencyError, InvalidLabelError, ValidationError
 from .rng import rng_stream
 from .spectral import EigenspacePartition
@@ -163,25 +163,14 @@ def solve_momenta(two_n: int) -> MomentaReport:
         e = 2.0 * math.cosh(hyperbolic_q)
         hyp_energies = (-e, e)
 
-    minus = tuple(
-        MomentumSolution(
-            p=p,
-            branch=-1,
-            ell=i + 1,
-            energy=2.0 * math.cos(p),
-            alpha_p=math.sqrt(alpha_sq(two_n, p)),
+    minus, plus = (
+        tuple(
+            MomentumSolution(
+                p=p, branch=sign, ell=i + 1, energy=2.0 * math.cos(p), alpha_p=math.sqrt(alpha_sq(two_n, p))
+            )
+            for i, p in enumerate(sols[sign])
         )
-        for i, p in enumerate(sols[-1])
-    )
-    plus = tuple(
-        MomentumSolution(
-            p=p,
-            branch=+1,
-            ell=i + 1,
-            energy=2.0 * math.cos(p),
-            alpha_p=math.sqrt(alpha_sq(two_n, p)),
-        )
-        for i, p in enumerate(sols[+1])
+        for sign in (-1, +1)
     )
     # the two branches must strictly alternate along the momentum axis
     merged = sorted(minus + plus, key=lambda s: s.p)
@@ -308,15 +297,9 @@ def subspace_S(two_n: int, partition: EigenspacePartition | None = None) -> Subs
         raise InconsistencyError("two band members mapped to one eigenspace")
 
     gap_report = spectral.gaps(partition, subset=group_indices)
-    dec = partition.decomposition
     e_in = walk.basis_state(two_n, 0)
     e_out = walk.basis_state(two_n, two_n - 1)
-    first_term = 0.0
-    for g in group_indices:
-        idx = list(partition.groups[g])
-        v = dec.eigenvectors[:, idx]
-        amp = np.sum(np.conj(v.conj().T @ e_out.amplitudes) * (v.conj().T @ e_in.amplitudes))
-        first_term += float(np.abs(amp) ** 2)
+    first_term = sum(bounds._group_overlap(partition, e_in, e_out, g) for g in group_indices)
     a4 = sum(s.alpha_p**4 for s in members)
 
     within_floor = math.pi / (16 * n)
@@ -605,17 +588,16 @@ def certified_hitting_times(two_n: int, grid_points: int = 25) -> dict:
     spanning the scale where its floor is positive:
 
     - mixing route, one uniform time: T in [1.5, 48] x 2/(p_inf delta_e_min)
-    - single-eigenspace route (middle band state), one uniform time:
-      T in [5, 30] / delta_e_star
+    - single-eigenspace route (middle band state ell = ceil(n/2), a member
+      of S), one uniform time: T in [5, 30] / delta_e_star
     - subset route with ceil(log2 5n) summed uniforms: T in [1, 64] x
       2/delta_e_s, which brackets the optimum of a - sqrt(3) (2/(T d))^k
 
     Floors come from the bounds module; grid points with nonpositive floors
     are skipped. The subset route keeps k pinned to the log schedule rather
-    than optimizing it.
+    than optimizing it. The subspace_S report the routes rest on is returned
+    under "subspace".
     """
-    from . import bounds  # local import: bounds pulls walk/spectral only
-
     n = two_n // 2
     h = column_hamiltonian(two_n)
     dec = spectral.decompose(h)
@@ -625,15 +607,10 @@ def certified_hitting_times(two_n: int, grid_points: int = 25) -> dict:
     y = walk.basis_state(two_n, two_n - 1)
     p_inf = walk.limiting_probability(h, psi0, y, partition=part)
 
-    report = solve_momenta(two_n)
-    middle = next(s for s in report.minus if s.ell == math.ceil(n / 2))
-    diffs = np.abs(part.energies - middle.energy)
-    g_mid = int(np.argmin(diffs))
-    if diffs[g_mid] > 1e-9:
-        raise InconsistencyError("middle band state matches no eigenspace")
+    sub = subspace_S(two_n, part)
+    g_mid = sub.group_indices[sub.ells.index(math.ceil(n / 2))]
     de_star = gap_report.delta_e_star[g_mid]
 
-    sub = subspace_S(two_n)
     k3 = math.ceil(math.log2(5 * n))
 
     def best(grid, k, floor_at):
@@ -681,6 +658,7 @@ def certified_hitting_times(two_n: int, grid_points: int = 25) -> dict:
         "p_inf": float(p_inf),
         "delta_e_min": float(gap_report.delta_e_min),
         "delta_e_s": float(sub.delta_e_s),
+        "subspace": sub,
     }
 
 
@@ -767,28 +745,21 @@ def run_traversal(
     floor = 1.0 / (20 * n)
     certified = bool(p_shot >= floor - 1e-12)
 
-    rng = rng_stream(rng_seed, 11)
-    ts = rng.random((max_repetitions, k)).sum(axis=1) * T
-    c = dec.eigenvectors.conj().T @ psi0.amplitudes
-    amps = (np.exp(-1j * np.outer(ts, dec.eigenvalues)) * c) @ dec.eigenvectors.T
-    probs = np.abs(amps) ** 2
-    probs /= probs.sum(axis=1, keepdims=True)
-    u = rng.random(max_repetitions)
-    outcomes = (probs.cumsum(axis=1) >= u[:, None]).argmax(axis=1)
+    # full mode measures every vertex and asks the oracle; column mode only the exit
+    rows = dec.eigenvectors if mode == "full" else dec.eigenvectors[exit_index : exit_index + 1]
+    ts, outcomes = walk._sample(dec, psi0, rows, dist, rng_stream(rng_seed, 11), max_repetitions)
 
     success = False
     reps_used = max_repetitions
     outcome_name = ""
-    for r in range(max_repetitions):
-        idx = int(outcomes[r])
+    for r, idx in enumerate(outcomes.tolist()):
+        if idx == rows.shape[0]:
+            continue  # none of the measured rows
         if mode == "full":
-            lab = labels[idx]
-            nbrs = oracle_neighbors(target, lab)
-            hit = len(nbrs) == 2 and lab != target.entrance
-            name = lab
+            name = labels[idx]
+            hit = len(oracle_neighbors(target, name)) == 2 and name != target.entrance
         else:
-            hit = idx == exit_index
-            name = f"col{idx + 1}"
+            name, hit = f"col{two_n}", True
         if hit:
             success = True
             reps_used = r + 1
@@ -819,25 +790,20 @@ def traversal_success_stats(
 ) -> dict:
     """Monte Carlo success statistics for the column-mode traversal.
 
-    Vectorized over runs x repetitions; deterministic for a fixed seed.
+    Draws runs x max_repetitions shots through the chunked sampler, measuring
+    only the exit column, so memory stays O(runs x repetitions) whatever the
+    size; deterministic for a fixed seed.
     """
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
-    h = column_hamiltonian(two_n)
     n = two_n // 2
     T, k, reps = default_schedule(two_n, k_schedule)
-    dec = spectral.decompose(h)
+    dec = spectral.decompose(column_hamiltonian(two_n))
     psi0 = walk.basis_state(two_n, 0)
-    c = dec.eigenvectors.conj().T @ psi0.amplitudes
-    rng = rng_stream(rng_seed, 13)
-    total = runs * reps
-    ts = rng.random((total, k)).sum(axis=1) * T
-    amps = (np.exp(-1j * np.outer(ts, dec.eigenvalues)) * c) @ dec.eigenvectors.T
-    probs = np.abs(amps) ** 2
-    probs /= probs.sum(axis=1, keepdims=True)
-    u = rng.random(total)
-    outcomes = (probs.cumsum(axis=1) >= u[:, None]).argmax(axis=1).reshape(runs, reps)
-    hits = outcomes == (two_n - 1)
+    exit_row = dec.eigenvectors[two_n - 1 : two_n]
+    dist = TimeDistribution(T=T, k=k)
+    _, outcomes = walk._sample(dec, psi0, exit_row, dist, rng_stream(rng_seed, 13), runs * reps)
+    hits = outcomes.reshape(runs, reps) == 0
     any_hit = hits.any(axis=1)
     first = np.where(any_hit, hits.argmax(axis=1) + 1, reps)
     return {

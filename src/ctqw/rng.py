@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rng_stream", "RNG_NAME"]
+__all__ = ["rng_stream", "task_seed", "RNG_NAME"]
 
 RNG_NAME = "philox"
 
@@ -29,3 +29,13 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
             raise ValueError(f"stream path components must be integers, got {p!r}")
     ss = np.random.SeedSequence((int(seed),) + tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def task_seed(seed: int, *path: int) -> int:
+    """Integer seed for the task at path, for APIs that take an integer seed.
+
+    Drawn from its own Philox stream keyed by the path and its length, so
+    distinct paths (including (s, 0) and (s, 0, 0), which rng_stream maps to
+    one stream) give unrelated seeds, and nearby base seeds share none.
+    """
+    return int(rng_stream(seed, len(path), *path).integers(0, 2**63))

@@ -432,19 +432,9 @@ def run_search(
     mc_freq = mc_err = None
     within = None
     if shots > 0:
-        rng = rng_stream(rng_seed, 23)
-        c_eig = dec.eigenvectors.conj().T @ psi0.amplitudes
         rows = dec.eigenvectors[marked * n : (marked + 1) * n, :]
-        hits = 0
-        done = 0
-        chunk = 5000
-        while done < shots:
-            m = min(chunk, shots - done)
-            ts = rng.random((m, k)).sum(axis=1) * T
-            amps = (np.exp(-1j * np.outer(ts, dec.eigenvalues)) * c_eig) @ rows.T
-            q = np.clip(np.sum(np.abs(amps) ** 2, axis=1), 0.0, 1.0)
-            hits += int(np.sum(rng.random(m) < q))
-            done += m
+        _, outcomes = walk._sample(dec, psi0, rows, dist, rng_stream(rng_seed, 23), shots)
+        hits = int(np.count_nonzero(outcomes < n))
         mc_freq = hits / float(shots)
         mc_err = math.sqrt(max(mc_freq * (1.0 - mc_freq), 1e-12) / shots)
         sigma_exact = math.sqrt(max(p_exact * (1.0 - p_exact), 1e-12) / shots)

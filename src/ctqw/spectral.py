@@ -12,7 +12,7 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import (
     AmbiguousDegeneracyError,
     EmptyOperatorError,
     GapUndefinedError,
+    InconsistencyError,
     NonHermitianError,
     ValidationError,
 )
@@ -152,12 +153,12 @@ def _check_reconstruction(dec: SpectralDecomposition) -> None:
     gram = v.conj().T @ v
     ortho_err = np.max(np.abs(gram - np.eye(dec.dim)))
     if ortho_err > 1e-10:
-        raise ValidationError(f"eigenvectors not orthonormal: error {ortho_err:.3g}")
+        raise InconsistencyError(f"eigenvectors not orthonormal: error {ortho_err:.3g}")
     recon = (v * e) @ v.conj().T
     scale = max(np.linalg.norm(dec.operator.entries), 1.0)
     err = np.linalg.norm(recon - dec.operator.entries) / scale
     if err > TOL_RECON:
-        raise ValidationError(f"spectral reconstruction error {err:.3g} exceeds {TOL_RECON:g}")
+        raise InconsistencyError(f"spectral reconstruction error {err:.3g} exceeds {TOL_RECON:g}")
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,6 @@ class GapReport:
     delta_e_s: float | None = None
     within_subset_gap: float | None = None
     cross_subset_gap: float | None = None
-    _energies: np.ndarray = field(default=None, repr=False)
 
 
 def gaps(partition: EigenspacePartition, subset=None) -> GapReport:
@@ -275,7 +275,7 @@ def gaps(partition: EigenspacePartition, subset=None) -> GapReport:
         others[g] = np.inf
         star.append(float(np.min(others)))
     if subset is None:
-        return GapReport(delta_e_min=delta_e_min, delta_e_star=tuple(star), _energies=energies)
+        return GapReport(delta_e_min=delta_e_min, delta_e_star=tuple(star))
 
     s = tuple(sorted(set(int(i) for i in subset)))
     if len(s) == 0:
@@ -300,5 +300,4 @@ def gaps(partition: EigenspacePartition, subset=None) -> GapReport:
         delta_e_s=delta_e_s,
         within_subset_gap=within,
         cross_subset_gap=cross,
-        _energies=energies,
     )

@@ -6,7 +6,8 @@ averaged over that draw. Everything here is exact in the eigenbasis: the
 average of exp(-i(E_j - E_k)t) is the characteristic function of the time
 law evaluated at the gap, so averaged probabilities and averaged density
 operators are finite sums, no numerical integration involved. A quadrature
-fallback exists purely as an independent oracle.
+fallback exists purely as an independent oracle. Every Monte Carlo
+measurement goes through one chunked sampler, _sample.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ import numpy as np
 from scipy import integrate
 
 from . import spectral
-from .errors import DegenerateProbabilityError, ValidationError
+from .errors import DegenerateProbabilityError, InconsistencyError, ValidationError
 from .rng import rng_stream
-from .spectral import EigenspacePartition, HermitianOperator, SpectralDecomposition
+from .spectral import EigenspacePartition, SpectralDecomposition
 
 __all__ = [
     "PureState",
@@ -46,6 +47,8 @@ TOL_PSD = 1e-9
 SERIES_THRESHOLD = 1e-8
 #: probabilities must land in [-TOL_PROB, 1 + TOL_PROB]
 TOL_PROB = 1e-9
+#: Monte Carlo shots per chunk: bounds the chunk x dim phase matrix
+SAMPLE_CHUNK = 5000
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,15 @@ def density_operator(matrix: np.ndarray) -> DensityOperator:
     if lo < -TOL_PSD:
         raise ValidationError(f"matrix is not PSD: lowest eigenvalue {lo:.3g}")
     return DensityOperator(entries=op.entries)
+
+
+def _computed_density(matrix: np.ndarray) -> DensityOperator:
+    """density_operator for a computed result: a failed invariant is an
+    internal inconsistency, not bad input."""
+    try:
+        return density_operator(matrix)
+    except ValidationError as exc:
+        raise InconsistencyError(f"computed density operator is invalid: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -151,7 +163,7 @@ def _resolve(h, dec: SpectralDecomposition | None) -> SpectralDecomposition:
 
 def _check_probability(p: float, what: str) -> float:
     if p < -TOL_PROB or p > 1.0 + TOL_PROB:
-        raise ValidationError(f"{what} = {p:.12g} outside [0,1] beyond tolerance {TOL_PROB:g}")
+        raise InconsistencyError(f"{what} = {p:.12g} outside [0,1] beyond tolerance {TOL_PROB:g}")
     return float(p)
 
 
@@ -260,7 +272,7 @@ def time_averaged_density(
     phi = _phi_matrix(dist, dec.eigenvalues, tol_degen)
     damped = rho_eig * phi
     out = v @ damped @ v.conj().T
-    return density_operator(out)
+    return _computed_density(out)
 
 
 def limiting_probability(
@@ -286,6 +298,40 @@ def limiting_probability(
     return _check_probability(total, "limiting probability")
 
 
+def _sample(
+    dec: SpectralDecomposition,
+    psi0: PureState,
+    rows: np.ndarray,
+    dist: TimeDistribution,
+    rng: np.random.Generator,
+    shots: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo: draw a time, evolve, measure; one outcome per shot.
+
+    rows[r, j] = <b_r|E_j> for the measured basis vectors b_r. Each chunk of
+    SAMPLE_CHUNK shots draws its times, then one uniform u per shot; the
+    outcome is the first r whose cumulative probability exceeds u, or
+    len(rows) ("none of them") when u reaches their total. Only the chunk x
+    dim phases and chunk x len(rows) probabilities are ever held. Returns
+    (times, outcomes).
+    """
+    c = dec.eigenvectors.conj().T @ psi0.amplitudes
+    last = rows.shape[0]
+    times = np.empty(shots)
+    outcomes = np.empty(shots, dtype=np.int64)
+    for lo in range(0, shots, SAMPLE_CHUNK):
+        m = min(SAMPLE_CHUNK, shots - lo)
+        ts = rng.random((m, dist.k)).sum(axis=1) * dist.T
+        amps = (np.exp(-1j * np.outer(ts, dec.eigenvalues)) * c) @ rows.T
+        probs = np.abs(amps) ** 2
+        total = np.clip(np.sum(probs, axis=1), 0.0, 1.0)
+        u = rng.random(m)
+        first = np.minimum((probs.cumsum(axis=1) <= u[:, None]).sum(axis=1), last - 1)
+        times[lo : lo + m] = ts
+        outcomes[lo : lo + m] = np.where(u < total, first, last)
+    return times, outcomes
+
+
 def sample_walk(
     h,
     psi0: PureState,
@@ -303,31 +349,16 @@ def sample_walk(
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     dec = _resolve(h, dec)
-    v = dec.eigenvectors
-    e = dec.eigenvalues
-    c = v.conj().T @ psi0.amplitudes
-    if measurement_basis is None:
-        w = v
-    else:
+    _check_state_dim(psi0, dec.dim)
+    rows = dec.eigenvectors
+    if measurement_basis is not None:
         b = np.asarray(measurement_basis, dtype=np.complex128)
-        if b.shape != (dec.dim, dec.dim):
-            raise ValidationError(f"measurement basis shape {b.shape} != {(dec.dim, dec.dim)}")
-        w = b.conj().T @ v
-    rng = rng_stream(rng_seed)
-    counts = np.zeros(dec.dim, dtype=np.int64)
-    chunk = 20000
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        ts = rng.random((m, dist.k)).sum(axis=1) * dist.T
-        amps = (np.exp(-1j * np.outer(ts, e)) * c) @ w.T
-        probs = np.abs(amps) ** 2
-        probs /= probs.sum(axis=1, keepdims=True)
-        u = rng.random(m)
-        outcomes = (probs.cumsum(axis=1) >= u[:, None]).argmax(axis=1)
-        counts += np.bincount(outcomes, minlength=dec.dim)
-        done += m
-    return counts / float(trials)
+        if b.shape != (dec.dim, dec.dim) or np.max(np.abs(b.conj().T @ b - np.eye(dec.dim))) > 1e-10:
+            raise ValidationError(f"measurement basis must be {dec.dim} x {dec.dim} with orthonormal columns")
+        rows = b.conj().T @ rows
+    _, outcomes = _sample(dec, psi0, rows, dist, rng_stream(rng_seed), trials)
+    # a complete basis leaves only rounding for "none of them"; it is dropped
+    return np.bincount(outcomes, minlength=dec.dim + 1)[: dec.dim] / float(trials)
 
 
 def geometric_grid(t_lo: float, t_hi: float, per_decade: int = 40) -> np.ndarray:

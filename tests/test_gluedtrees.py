@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -295,6 +296,20 @@ def test_traversal_success_stats():
     assert stats["success_fraction"] >= 0.5
     assert 1.0 <= stats["mean_repetitions"] <= stats["max_repetitions"]
     assert stats["k"] == 5
+
+
+def test_traversal_success_stats_memory_is_chunked():
+    # 200 runs x 1280 repetitions: holding every shot's 128 amplitudes
+    # would take over 500 MB
+    tracemalloc.start()
+    try:
+        stats = gluedtrees.traversal_success_stats(128, rng_seed=1, runs=200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats["runs"] == 200
+    assert stats["max_repetitions"] == 1280
+    assert peak < 64 * 2**20
 
 
 def test_linear_schedule_runnable():

@@ -1,5 +1,9 @@
 """Serialization invariants and the in-process CLI contract."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,3 +271,66 @@ def test_cli_inconsistency_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_bounds", boom)
     cfg = write_cfg(tmp_path / "b.json", {"instances": 2, "seed": 1})
     assert cli.main(["bounds", "--config", cfg]) == 4
+
+
+def test_cli_numerical_postcondition_exits_4(tmp_path, monkeypatch):
+    # a broken eigendecomposition is an internal failure, not bad input
+    eigh = np.linalg.eigh
+
+    def broken_eigh(a):
+        w, v = eigh(a)
+        return w, 2.0 * v
+
+    monkeypatch.setattr(np.linalg, "eigh", broken_eigh)
+    cfg = write_cfg(tmp_path / "b.json", {"instances": 2, "seed": 1})
+    assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 4
+
+
+def test_module_entry_point_imports_cli_once():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ctqw.cli", "--version"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ctqw ")
+
+
+# ---------------------------------------------------------------------------
+# CLI: per-task random streams
+
+
+def search_rows(tmp_path, payload) -> list:
+    tmp_path.mkdir(exist_ok=True)
+    cfg = write_cfg(tmp_path / "s.json", payload)
+    assert cli.main(["search", "--config", cfg, "--out", str(tmp_path)]) == 0
+    return json.loads((tmp_path / "search.json").read_text())["rows"]
+
+
+def test_cli_search_epsilon_rows_share_one_chain(tmp_path):
+    # the total-time fit regresses over epsilon, so every row of a
+    # (family, N) group must be the same chain
+    rows = search_rows(
+        tmp_path,
+        {"families": ["random-reversible"], "N": [6, 7], "epsilons": [0.2, 0.1, 0.05], "shots": 100, "seed": 7},
+    )
+    for n in (6, 7):
+        group = [row for row in rows if row["N"] == n]
+        assert len(group) == 3
+        assert len({row["ht"] for row in group}) == 1
+    assert len({row["ht"] for row in rows}) == 2
+    assert len({row["rng_seed"] for row in rows}) == len(rows)
+
+
+def test_cli_search_nearby_seeds_share_no_stream(tmp_path):
+    payload = {"families": ["complete"], "N": [4], "epsilons": [0.2, 0.1], "shots": 100}
+    streams = [
+        {row["rng_seed"] for row in search_rows(tmp_path / str(seed), {**payload, "seed": seed})}
+        for seed in (7, 8)
+    ]
+    assert len(streams[0]) == len(streams[1]) == 2
+    assert not streams[0] & streams[1]

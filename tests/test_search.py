@@ -244,3 +244,5 @@ def test_run_search_deterministic():
     a = search.run_search(markov.complete_chain(6), 1, 0.1, rng_seed=42, shots=5000)
     b = search.run_search(markov.complete_chain(6), 1, 0.1, rng_seed=42, shots=5000)
     assert a == b
+    # pinned: the sampler draws per 5000-shot chunk the times, then the uniforms
+    assert a.mc_freq == 0.6886
