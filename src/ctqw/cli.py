@@ -46,6 +46,7 @@ SEARCH_COLUMNS = [
     "p_exact",
     "mc_freq",
     "floor_holds",
+    "walk_dim",
 ]
 BOUNDS_COLUMNS = [
     "instance",
@@ -266,6 +267,7 @@ def _search_row(task: tuple) -> dict:
         "mc_shots": rec.mc_shots,
         "time_factor": rec.time_factor,
         "rng_seed": rec.rng_seed,
+        "walk_dim": rec.walk_dim,
     }
 
 

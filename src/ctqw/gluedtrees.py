@@ -747,7 +747,8 @@ def run_traversal(
 
     # full mode measures every vertex and asks the oracle; column mode only the exit
     rows = dec.eigenvectors if mode == "full" else dec.eigenvectors[exit_index : exit_index + 1]
-    ts, outcomes = walk._sample(dec, psi0, rows, dist, rng_stream(rng_seed, 11), max_repetitions)
+    c = dec.eigenvectors.conj().T @ psi0.amplitudes
+    ts, outcomes = walk._sample(dec.eigenvalues, c, rows, dist, rng_stream(rng_seed, 11), max_repetitions)
 
     success = False
     reps_used = max_repetitions
@@ -800,9 +801,10 @@ def traversal_success_stats(
     T, k, reps = default_schedule(two_n, k_schedule)
     dec = spectral.decompose(column_hamiltonian(two_n))
     psi0 = walk.basis_state(two_n, 0)
+    c = dec.eigenvectors.conj().T @ psi0.amplitudes
     exit_row = dec.eigenvectors[two_n - 1 : two_n]
     dist = TimeDistribution(T=T, k=k)
-    _, outcomes = walk._sample(dec, psi0, exit_row, dist, rng_stream(rng_seed, 13), runs * reps)
+    _, outcomes = walk._sample(dec.eigenvalues, c, exit_row, dist, rng_stream(rng_seed, 13), runs * reps)
     hits = outcomes.reshape(runs, reps) == 0
     any_hit = hits.any(axis=1)
     first = np.where(any_hit, hits.argmax(axis=1) + 1, reps)

@@ -352,9 +352,12 @@ def sample_hitting_time(
 ) -> dict:
     """Monte Carlo hitting-time estimate from stationary starts.
 
-    Simulates all walks in lockstep, retiring each on arrival. The step cap
-    defaults to a large multiple of the exact value; hitting it raises
-    InconsistencyError rather than truncating the estimate.
+    Simulates all walks in lockstep, retiring each on arrival. Each step
+    draws one uniform u per running walk, in walk order, and moves it to the
+    first supported column whose cumulative row probability reaches u, or
+    to the row's last supported column when rounding leaves the row total
+    below u. The step cap defaults to a large multiple of the exact value;
+    hitting it raises InconsistencyError rather than truncating the estimate.
     """
     if walks < 1:
         raise ValidationError(f"walks must be >= 1, got {walks}")
@@ -362,23 +365,35 @@ def sample_hitting_time(
     if max_steps is None:
         max_steps = int(200 * exact + 200 * math.log(max(walks, 2)) + 1000)
     rng = rng_stream(rng_seed, 17)
-    cum = np.cumsum(chain.P, axis=1)
+    # supported entries row by row (CSR order) with their cumulative row sums
+    row_of, cols = np.nonzero(chain.P)
+    cum = np.cumsum(chain.P, axis=1)[row_of, cols]
+    start = np.searchsorted(row_of, np.arange(chain.n))
+    nnz = np.bincount(row_of, minlength=chain.n)
+    depth = int(nnz.max() - 1).bit_length()
     cum_pi = np.cumsum(chain.pi)
     pos = np.searchsorted(cum_pi, rng.random(walks), side="right").astype(np.int64)
     pos = np.minimum(pos, chain.n - 1)
     steps = np.zeros(walks, dtype=np.int64)
-    active = pos != marked
+    running = np.flatnonzero(pos != marked)
+    pos = pos[running]
     t = 0
-    while np.any(active):
+    while running.size:
         t += 1
         if t > max_steps:
-            raise InconsistencyError(f"{int(active.sum())} walks still running after {max_steps} steps")
-        idx = np.nonzero(active)[0]
-        u = rng.random(idx.size)
-        nxt = (cum[pos[idx]] >= u[:, None]).argmax(axis=1)
-        pos[idx] = nxt
-        steps[idx] = t
-        active[idx] = nxt != marked
+            raise InconsistencyError(f"{running.size} walks still running after {max_steps} steps")
+        u = rng.random(running.size)
+        # branchless binary search of each walk's row; the answer (the first
+        # entry with cum >= u, else the row's last) stays in [base, base + width)
+        base, width = start[pos], nnz[pos]
+        for _ in range(depth):
+            half = width >> 1
+            base += (cum[base + half - 1] < u) * half
+            width -= half
+        pos = cols[base]
+        arrived = pos == marked
+        steps[running[arrived]] = t
+        running, pos = running[~arrived], pos[~arrived]
     mean = float(steps.mean())
     stderr = float(steps.std(ddof=1) / math.sqrt(walks)) if walks > 1 else float("inf")
     return {

@@ -115,8 +115,7 @@ def canonical_json(obj) -> str:
 class ExperimentRecord:
     """One experiment run: config echo, per-row results, summary stats.
 
-    wall_clock_s stays None by default; byte-identical reruns are part of
-    the contract and a timing field would break them.
+    It carries no timing: byte-identical reruns are part of the contract.
     """
 
     kind: str
@@ -126,7 +125,6 @@ class ExperimentRecord:
     summary: dict
     version: str = __version__
     rng: str = "philox"
-    wall_clock_s: float | None = None
 
     def to_json(self) -> str:
         return canonical_json(
@@ -138,7 +136,6 @@ class ExperimentRecord:
                 "config": self.config,
                 "rows": list(self.rows),
                 "summary": self.summary,
-                "wall_clock_s": self.wall_clock_s,
             }
         )
 
@@ -160,7 +157,6 @@ def record_from_json(text: str) -> ExperimentRecord:
         summary=data["summary"],
         version=data["version"],
         rng=data["rng"],
-        wall_clock_s=data.get("wall_clock_s"),
     )
 
 

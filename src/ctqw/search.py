@@ -1,16 +1,32 @@
 """Quantum spatial search built from a reversible chain.
 
-The walk lives on the doubled register space (dimension n^2, basis |x, y>).
-A block reflection V(s) prepares each row distribution of the interpolated
-chain, an edge swap S exchanges the registers on supported pairs, and
-A = V^T S V is a real symmetric involution whose |x,0> block reproduces the
-discriminant of the interpolated chain. The search generator
-H = i(A P0 - P0 A) has a zero eigenspace of dimension (n-1)^2 + 1 for lazy
-chains plus paired energies +-sqrt(1 - lambda^2), one pair per discriminant
-eigenvalue below the top; the spectral gap is thus quadratically amplified
+The search walk is defined on the doubled register space (dimension n^2,
+basis |x, y>). A block reflection V(s) prepares each row distribution of the
+interpolated chain P_s, an edge swap S exchanges the registers on supported
+pairs, and A = V^T S V is a real symmetric involution whose |x,0> block is
+the discriminant D = sqrt(P_s o P_s^T). The search generator is
+H = i(A P0 - P0 A), with P0 the projector onto the |x,0> states.
+
+run_search evaluates the walk in the H-invariant span of {|x,0>, A|x,0>},
+which holds the start |pi,0> and has dimension at most 2n. Write
+D = sum_j lambda_j v_j v_j^T. For |lambda_j| < 1, with
+s_j = sqrt(1 - lambda_j^2) and |w_j> = (A - lambda_j)|v_j,0> / s_j, H maps
+|v_j,0> to i s_j |w_j> and |w_j> to -i s_j |v_j,0>, so
+(|v_j,0> +- i|w_j>)/sqrt(2) are eigenvectors with energies +-s_j. A unit
+eigenvalue leaves |v_j,0> alone at energy 0. The start amplitudes are
+<v_j|sqrt(pi)>, and the marked-register rows of these eigenvectors follow
+from row and column m of P_s, whatever completion V uses. So the exact
+average and the Monte Carlo need only the n x n discriminant: O(n^3) time
+and O(n^2) memory, where the edge space costs O(n^6) and O(n^4).
+
+Outside that span H vanishes: its zero eigenspace has dimension
+(n-1)^2 + 1 for lazy chains, and the spectral gap is quadratically amplified
 relative to the classical one. Evolving the stationary start for a random
 time of scale sqrt(hitting time) leaves at least 1/4 - epsilon of the
-averaged population on the marked rows.
+averaged population on the marked rows. The dense edge-space operators
+(block_reflection, swap_operator, search_operators, start_state,
+marked_subspace_basis, spectrum_report) are kept as the small-n oracle that
+the reduction is tested against.
 """
 from __future__ import annotations
 
@@ -49,6 +65,10 @@ SEARCH_TIME_FACTOR = 1.0
 
 INVOLUTION_TOL = 1e-12
 ZERO_ENERGY_TOL = 1e-8
+#: a discriminant eigenvalue with |lambda| >= 1 - UNIT_EIGENVALUE_TOL has energy 0
+UNIT_EIGENVALUE_TOL = 1e-12
+#: certificates of the reduced walk: start-amplitude norm, marked-row Gram spectrum
+REDUCED_TOL = 1e-12
 
 
 def _householder_column(w: np.ndarray) -> np.ndarray:
@@ -227,7 +247,7 @@ def spectrum_report(
     lam, vecs = np.linalg.eigh(disc)
     nonzero_pred = []
     for l in lam:
-        if abs(float(l)) >= 1.0 - 1e-12:
+        if abs(float(l)) >= 1.0 - UNIT_EIGENVALUE_TOL:
             continue  # magnitude-1 eigenvalue: contributes an exact zero energy
         val = math.sqrt(max(0.0, 1.0 - float(l) ** 2))
         if val > ZERO_ENERGY_TOL:
@@ -248,7 +268,7 @@ def spectrum_report(
     eig_resid = 0.0
     for idx in range(lam.shape[0]):
         l = float(lam[idx])
-        if abs(l) >= 1.0 - 1e-12:
+        if abs(l) >= 1.0 - UNIT_EIGENVALUE_TOL:
             continue
         amp = math.sqrt(max(0.0, 1.0 - l * l))
         if amp <= ZERO_ENERGY_TOL:
@@ -288,6 +308,51 @@ def spectrum_report(
         amplification_ratio=ratio,
         ratio_in_range=in_range,
     )
+
+
+def _discriminant_walk(
+    inter: InterpolatedChain, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The search walk in its invariant subspace, built from D(P_s) alone.
+
+    start holds the first-register amplitudes of the start state |start, 0>.
+    Returns (energies, amplitudes, rows): the energies ascending, one per
+    reduced eigenvector psi_k; amplitudes[k] = <psi_k|start, 0>; and
+    rows[y, k] = <marked, y|V|psi_k>, the marked rows in edge coordinates.
+
+    Certified: D's decomposition reconstructs D; the amplitudes have unit
+    norm, so the start lies inside the subspace; rows^dagger rows, the
+    marked projector on the subspace, has its spectrum in [0, 1]. Each holds
+    within REDUCED_TOL, else InconsistencyError.
+    """
+    p_s, m = inter.P_s, inter.marked
+    dec = spectral.decompose(spectral.hermitian(markov.discriminant(p_s)))
+    lam, v = dec.eigenvalues, dec.eigenvectors
+    c = v.conj().T @ start
+    row_v = np.sqrt(p_s[m])[:, None] * v[m]  # V|v_j,0> on the marked block
+    row_av = np.sqrt(p_s[:, m])[:, None] * v  # V A|v_j,0> = S V|v_j,0> on it
+    unit = np.abs(lam) >= 1.0 - UNIT_EIGENVALUE_TOL
+    pair = ~unit
+    s = np.sqrt(1.0 - lam[pair] ** 2)
+    half_v = row_v[:, pair] / math.sqrt(2.0)
+    half_iw = 1j * (row_av[:, pair] - lam[pair] * row_v[:, pair]) / (s * math.sqrt(2.0))
+    half_c = c[pair] / math.sqrt(2.0)
+    energies = np.concatenate([-s, np.zeros(int(unit.sum())), s])
+    amplitudes = np.concatenate([half_c, c[unit], half_c])
+    rows = np.hstack([half_v - half_iw, row_v[:, unit], half_v + half_iw])
+    order = np.argsort(energies, kind="stable")
+    energies, amplitudes, rows = energies[order], amplitudes[order], rows[:, order]
+
+    norm_err = abs(float(np.linalg.norm(amplitudes)) - 1.0)
+    if norm_err > REDUCED_TOL:
+        raise InconsistencyError(f"start state leaves the reduced subspace: norm off 1 by {norm_err:.3g}")
+    # rows rows^dagger (n x n) has the nonzero spectrum of rows^dagger rows
+    gram = np.linalg.eigvalsh(rows @ rows.conj().T)
+    if gram[0] < -REDUCED_TOL or gram[-1] > 1.0 + REDUCED_TOL:
+        raise InconsistencyError(
+            f"marked projector on the reduced subspace has spectrum [{gram[0]:.17g}, {gram[-1]:.17g}]"
+        )
+    return energies, amplitudes, rows
 
 
 @dataclass(frozen=True)
@@ -368,6 +433,7 @@ class SearchRecord:
     mc_std_error: float | None
     mc_within_3sigma: bool | None
     rng_seed: int
+    walk_dim: int  # reduced eigenvectors evaluated: 2n - 1 when D's top eigenvalue is simple
 
 
 def run_search(
@@ -379,7 +445,6 @@ def run_search(
     shots: int = 100000,
     lazify_first: bool = True,
     time_factor: float | None = None,
-    completion: str = "householder",
     enforce_floor: bool = True,
 ) -> SearchRecord:
     """Search for the marked vertex by the randomized-time averaged walk.
@@ -387,11 +452,13 @@ def run_search(
     Pipeline: lazify (default), interpolate to s* where the marked
     stationary weight is 1/2, evolve |pi, 0> under the search generator for
     t summed from k = ceil(log2(1/epsilon)) uniforms on [0, T] with
-    T = time_factor sqrt(HT), and measure the first register. The exact
-    averaged success probability is certified against the 1/4 - epsilon
-    floor (AssertionFailure when enforce_floor; calibration sweeps disable
-    it and read floor_holds off the record instead); shots > 0 adds a
-    Bernoulli Monte Carlo estimate of the same number (shots = 0 skips it).
+    T = time_factor sqrt(HT), and measure the first register. The walk is
+    evaluated in the discriminant's invariant subspace (see the module
+    docstring); no edge-space array is built. The exact averaged success
+    probability is certified against the 1/4 - epsilon floor
+    (AssertionFailure when enforce_floor; calibration sweeps disable it and
+    read floor_holds off the record instead); shots > 0 adds a Bernoulli
+    Monte Carlo estimate of the same number (shots = 0 skips it).
     """
     if isinstance(chain_or_matrix, ReversibleChain):
         base = chain_or_matrix
@@ -414,11 +481,10 @@ def run_search(
     k = max(1, math.ceil(math.log2(1.0 / epsilon)))
     dist = TimeDistribution(T=T, k=k)
 
-    ops = search_operators(work, marked, sstar, completion, rng_seed if completion == "randomized" else None)
-    dec = spectral.decompose(spectral.hermitian(ops.H))
-    psi0 = start_state(work)
-    basis = marked_subspace_basis(n, marked)
-    p_exact = walk.avg_projector_probability_exact(ops.H, psi0, basis, dist, dec=dec)
+    inter = markov.interpolate(work, marked, sstar)
+    energies, amplitudes, rows = _discriminant_walk(inter, np.sqrt(work.pi))
+    tol_degen = spectral.degeneracy_tol(float(energies[-1] - energies[0]))
+    p_exact = walk._rows_probability(energies, amplitudes, rows, dist, tol_degen)
     floor = 0.25 - epsilon
     holds = bool(p_exact >= floor - 1e-9)
     if enforce_floor and not holds:
@@ -427,13 +493,12 @@ def run_search(
             f" (family={family or '?'}, n={n}, T={T:.6g}, k={k})"
         )
 
-    ov = overlap_preconditions(ops.interpolated)
+    ov = overlap_preconditions(inter)
 
     mc_freq = mc_err = None
     within = None
     if shots > 0:
-        rows = dec.eigenvectors[marked * n : (marked + 1) * n, :]
-        _, outcomes = walk._sample(dec, psi0, rows, dist, rng_stream(rng_seed, 23), shots)
+        _, outcomes = walk._sample(energies, amplitudes, rows, dist, rng_stream(rng_seed, 23), shots)
         hits = int(np.count_nonzero(outcomes < n))
         mc_freq = hits / float(shots)
         mc_err = math.sqrt(max(mc_freq * (1.0 - mc_freq), 1e-12) / shots)
@@ -463,4 +528,5 @@ def run_search(
         mc_std_error=mc_err,
         mc_within_3sigma=within,
         rng_seed=int(rng_seed),
+        walk_dim=int(energies.shape[0]),
     )

@@ -34,6 +34,7 @@ __all__ = [
     "decompose",
     "group_eigenspaces",
     "gaps",
+    "degeneracy_tol",
     "default_degeneracy_tol",
 ]
 
@@ -190,9 +191,14 @@ class EigenspacePartition:
         raise IndexError(f"eigen index {eigen_index} out of range")
 
 
-def default_degeneracy_tol(dec: SpectralDecomposition) -> float:
+def degeneracy_tol(spectral_range: float) -> float:
     """1e-8 times the spectral range (absolute floor 1e-12 for flat spectra)."""
-    return max(1e-8 * dec.spectral_range, 1e-12)
+    return max(1e-8 * spectral_range, 1e-12)
+
+
+def default_degeneracy_tol(dec: SpectralDecomposition) -> float:
+    """degeneracy_tol of the decomposition's spectral range."""
+    return degeneracy_tol(dec.spectral_range)
 
 
 def group_eigenspaces(dec: SpectralDecomposition, tol_degen: float | None = None) -> EigenspacePartition:

@@ -224,10 +224,21 @@ def avg_projector_probability_exact(
     if tol_degen is None:
         tol_degen = spectral.default_degeneracy_tol(dec)
     v = dec.eigenvectors
-    c = v.conj().T @ psi0.amplitudes
-    bt = v.conj().T @ b
-    m = bt @ bt.conj().T
-    phi = _phi_matrix(dist, dec.eigenvalues, tol_degen)
+    return _rows_probability(dec.eigenvalues, v.conj().T @ psi0.amplitudes, b.conj().T @ v, dist, tol_degen)
+
+
+def _rows_probability(
+    energies: np.ndarray, c: np.ndarray, rows: np.ndarray, dist: TimeDistribution, tol_degen: float
+) -> float:
+    """Time-averaged probability of the measured rows, in an eigenbasis.
+
+    c[j] = <E_j|psi0> and rows[r, j] = <b_r|E_j> for orthonormal measured
+    vectors b_r; the eigenvectors E_j need only span an invariant subspace
+    that holds psi0. The result is sum_{jk} conj(c_k) c_j M_kj Phi(E_k - E_j)
+    with M = rows^dagger rows.
+    """
+    m = rows.conj().T @ rows
+    phi = _phi_matrix(dist, energies, tol_degen)
     p = np.real(np.einsum("k,j,kj,jk->", np.conj(c), c, m, phi))
     return _check_probability(p, "time-averaged subspace probability")
 
@@ -299,8 +310,8 @@ def limiting_probability(
 
 
 def _sample(
-    dec: SpectralDecomposition,
-    psi0: PureState,
+    energies: np.ndarray,
+    c: np.ndarray,
     rows: np.ndarray,
     dist: TimeDistribution,
     rng: np.random.Generator,
@@ -308,21 +319,22 @@ def _sample(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo: draw a time, evolve, measure; one outcome per shot.
 
-    rows[r, j] = <b_r|E_j> for the measured basis vectors b_r. Each chunk of
+    c[j] = <E_j|psi0> and rows[r, j] = <b_r|E_j> for the measured basis
+    vectors b_r, with the eigenvectors E_j spanning an invariant subspace
+    that holds psi0 (the whole space, or a reduction of it). Each chunk of
     SAMPLE_CHUNK shots draws its times, then one uniform u per shot; the
     outcome is the first r whose cumulative probability exceeds u, or
     len(rows) ("none of them") when u reaches their total. Only the chunk x
     dim phases and chunk x len(rows) probabilities are ever held. Returns
     (times, outcomes).
     """
-    c = dec.eigenvectors.conj().T @ psi0.amplitudes
     last = rows.shape[0]
     times = np.empty(shots)
     outcomes = np.empty(shots, dtype=np.int64)
     for lo in range(0, shots, SAMPLE_CHUNK):
         m = min(SAMPLE_CHUNK, shots - lo)
         ts = rng.random((m, dist.k)).sum(axis=1) * dist.T
-        amps = (np.exp(-1j * np.outer(ts, dec.eigenvalues)) * c) @ rows.T
+        amps = (np.exp(-1j * np.outer(ts, energies)) * c) @ rows.T
         probs = np.abs(amps) ** 2
         total = np.clip(np.sum(probs, axis=1), 0.0, 1.0)
         u = rng.random(m)
@@ -356,7 +368,8 @@ def sample_walk(
         if b.shape != (dec.dim, dec.dim) or np.max(np.abs(b.conj().T @ b - np.eye(dec.dim))) > 1e-10:
             raise ValidationError(f"measurement basis must be {dec.dim} x {dec.dim} with orthonormal columns")
         rows = b.conj().T @ rows
-    _, outcomes = _sample(dec, psi0, rows, dist, rng_stream(rng_seed), trials)
+    c = dec.eigenvectors.conj().T @ psi0.amplitudes
+    _, outcomes = _sample(dec.eigenvalues, c, rows, dist, rng_stream(rng_seed), trials)
     # a complete basis leaves only rounding for "none of them"; it is dropped
     return np.bincount(outcomes, minlength=dec.dim + 1)[: dec.dim] / float(trials)
 

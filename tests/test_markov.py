@@ -1,4 +1,5 @@
 """Reversible-chain layer: validation, interpolation, hitting times."""
+import dataclasses
 import math
 
 import numpy as np
@@ -192,6 +193,36 @@ def test_sample_hitting_time_three_sigma():
         out = markov.sample_hitting_time(chain, marked, rng_seed=31, walks=20000)
         assert abs(out["mean"] - out["exact"]) <= 3.0 * out["std_error"]
         assert out["walks"] == 20000
+
+
+class ScriptedRng:
+    """Stands in for a generator: hands out fixed uniforms, call by call."""
+
+    def __init__(self, *draws):
+        self.draws = [np.asarray(d, dtype=float) for d in draws]
+
+    def random(self, size):
+        draw = self.draws.pop(0)
+        assert draw.shape == (size,)
+        return draw
+
+
+def test_sample_hitting_time_row_cumsum_below_one(monkeypatch):
+    # row 1 of this chain sums, in floats, to 2^-52 below 1; the largest
+    # uniform, 1 - 2^-53, lies above it. The walk must take the row's last
+    # supported column (vertex 2), not jump to vertex 0, the marked one.
+    p = np.full((3, 3), 0.25) + 0.25 * np.eye(3)
+    chain = markov.validate_chain(p)
+    short = p.copy()
+    short[1, 2] = 0.25 - 2.0**-52
+    assert np.cumsum(short[1])[-1] == 1.0 - 2.0**-52
+    short_chain = dataclasses.replace(chain, P=short)
+    # start at vertex 1, draw the largest uniform, then step 2 -> 0
+    draws = ScriptedRng([0.5], [1.0 - 2.0**-53], [0.1])
+    monkeypatch.setattr(markov, "rng_stream", lambda *path: draws)
+    out = markov.sample_hitting_time(short_chain, 0, rng_seed=1, walks=1)
+    assert out["mean"] == 2.0
+    assert not draws.draws
 
 
 def test_gap_hitting_time_floor():

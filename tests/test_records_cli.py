@@ -92,7 +92,7 @@ def test_experiment_record_round_trip():
     back = records.record_from_json(rec.to_json())
     assert back.kind == "demo" and back.seed == 5
     assert back.rows == ({"x": 1.5, "ok": True},)
-    assert back.wall_clock_s is None
+    assert "wall_clock_s" not in json.loads(rec.to_json())  # timings stay out of records
     with pytest.raises(ValidationError):
         records.record_from_json('{"kind": "demo"}')
 
@@ -161,6 +161,10 @@ def test_cli_search_small(tmp_path):
     assert [row["epsilon"] for row in data["rows"]] == [0.2, 0.1]
     fits = data["summary"]["total_time_fits"]
     assert fits[0]["slope"] > 0
+    # the reduced walk dimension, 2N - 1, is the last CSV column
+    assert [row["walk_dim"] for row in data["rows"]] == [11, 11]
+    header = (tmp_path / "search.csv").read_text().splitlines()[1]
+    assert header.endswith(",floor_holds,walk_dim")
 
     other = tmp_path / "again"
     assert cli.main(["search", "--config", cfg, "--out", str(other)]) == 0

@@ -1,16 +1,30 @@
-"""Edge-space search generator: structure, spectrum, success floors."""
+"""Search walk: the discriminant reduction against the edge-space oracle,
+spectrum structure, success floors."""
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ctqw import markov, search, spectral, walk
-from ctqw.errors import MarkedWeightError, ValidationError
+from ctqw.errors import InconsistencyError, MarkedWeightError, ValidationError
+from ctqw.rng import rng_stream
 from ctqw.walk import TimeDistribution
 
 
 def lazy_family(name: str, n: int, seed: int = 6) -> markov.ReversibleChain:
     return markov.lazify(markov.chain_family(name, n, seed=seed))
+
+
+def reduced_walk(chain, marked, s):
+    return search._discriminant_walk(markov.interpolate(chain, marked, s), np.sqrt(chain.pi))
+
+
+def reduced_probability(chain, marked, s, dist):
+    energies, amplitudes, rows = reduced_walk(chain, marked, s)
+    tol = spectral.degeneracy_tol(energies[-1] - energies[0])
+    return walk._rows_probability(energies, amplitudes, rows, dist, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +120,66 @@ def test_completion_invariance():
         pa = walk.avg_projector_probability_exact(a.H, psi0, basis, dist)
         pb = walk.avg_projector_probability_exact(b.H, psi0, basis, dist)
         assert pa == pytest.approx(pb, abs=1e-10)
-    ra = search.run_search(chain, marked, 0.1, rng_seed=3, shots=0)
-    rb = search.run_search(chain, marked, 0.1, rng_seed=3, shots=0, completion="randomized")
-    assert ra.p_exact == pytest.approx(rb.p_exact, abs=1e-10)
+        pr = reduced_probability(chain, marked, s, dist)
+        assert pr == pytest.approx(pa, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the discriminant reduction against the dense edge-space oracle
+
+
+@pytest.mark.parametrize("family,n", [("complete", 16), ("cycle", 9), ("random-reversible", 12)])
+def test_reduced_walk_matches_dense_oracle(family, n):
+    chain = lazy_family(family, n)
+    marked = 1
+    dist = TimeDistribution(T=3.7, k=3)
+    shots = 2 * walk.SAMPLE_CHUNK + 1
+    psi0 = search.start_state(chain)
+    basis = search.marked_subspace_basis(n, marked)
+    block = slice(marked * n, (marked + 1) * n)
+    for s in (0.0, markov.s_star(chain, marked), 0.7):
+        energies, amplitudes, rows = reduced_walk(chain, marked, s)
+        assert energies.shape[0] == 2 * n - 1  # the top eigenvalue of D is simple
+        p_reduced = reduced_probability(chain, marked, s, dist)
+        _, reduced = walk._sample(energies, amplitudes, rows, dist, rng_stream(5, 23), shots)
+        for completion in ("householder", "randomized"):
+            ops = search.search_operators(chain, marked, s, completion, completion_seed=17)
+            dec = spectral.decompose(ops.H)
+            p_dense = walk.avg_projector_probability_exact(ops.H, psi0, basis, dist, dec=dec)
+            assert abs(p_reduced - p_dense) <= 1e-10, (s, completion)
+            # the dense rows sit before V; its marked block maps them to edge coordinates
+            dense_rows = ops.V[block, block] @ dec.eigenvectors[block]
+            c = dec.eigenvectors.conj().T @ psi0.amplitudes
+            _, dense = walk._sample(dec.eigenvalues, c, dense_rows, dist, rng_stream(5, 23), shots)
+            assert np.array_equal(reduced, dense), (s, completion)
+
+
+def test_reduced_walk_certificates():
+    chain = lazy_family("random-reversible", 6)
+    inter = markov.interpolate(chain, 2, markov.s_star(chain, 2))
+    # a start outside the unit sphere cannot be a state of the subspace
+    with pytest.raises(InconsistencyError):
+        search._discriminant_walk(inter, 1.001 * np.sqrt(chain.pi))
+    # rows from a matrix that is not stochastic give a marked "projector" above 1
+    inflated = dataclasses.replace(inter, P_s=4.0 * inter.P_s)
+    with pytest.raises(InconsistencyError):
+        search._discriminant_walk(inflated, np.sqrt(chain.pi))
+
+
+def test_run_search_scales_past_the_edge_space():
+    # the edge space of cycle-256 has dimension 65536: a dense generator
+    # would take 256^4 * 16 B, about 69 GB
+    tracemalloc.start()
+    try:
+        rec = search.run_search(markov.cycle_chain(256), 0, 0.1, rng_seed=1, shots=20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
+    assert rec.walk_dim == 2 * 256 - 1
+    assert rec.floor_holds
+    sigma = math.sqrt(rec.p_exact * (1.0 - rec.p_exact) / rec.mc_shots)
+    assert abs(rec.mc_freq - rec.p_exact) <= 4.0 * sigma
 
 
 # ---------------------------------------------------------------------------

@@ -290,14 +290,15 @@ def test_sampler_partial_chunk_counts_and_frequency():
     dist = TimeDistribution(T=64.0 * n, k=math.ceil(math.log2(5 * n)))
     exact = walk.avg_probability_exact(h, psi0, walk.basis_state(two_n, two_n - 1), dist, dec=dec)
     exit_row = dec.eigenvectors[two_n - 1 : two_n]
+    c = dec.eigenvectors.conj().T @ psi0.amplitudes
     shots = 2 * walk.SAMPLE_CHUNK + 1
-    times, outcomes = walk._sample(dec, psi0, exit_row, dist, rng_stream(3), shots)
+    times, outcomes = walk._sample(dec.eigenvalues, c, exit_row, dist, rng_stream(3), shots)
     assert times.shape == outcomes.shape == (shots,)
     assert set(np.unique(outcomes)) <= {0, 1}
     freq = np.count_nonzero(outcomes == 0) / shots
     assert abs(freq - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / shots)
     # chunks draw in a fixed order, so a shorter run is a prefix of a longer one
-    head_t, head = walk._sample(dec, psi0, exit_row, dist, rng_stream(3), walk.SAMPLE_CHUNK)
+    head_t, head = walk._sample(dec.eigenvalues, c, exit_row, dist, rng_stream(3), walk.SAMPLE_CHUNK)
     assert np.array_equal(head, outcomes[: walk.SAMPLE_CHUNK])
     assert np.array_equal(head_t, times[: walk.SAMPLE_CHUNK])
 
