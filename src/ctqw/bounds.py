@@ -1,7 +1,10 @@
 """Lower bounds on time-averaged measurement probabilities.
 
-Three bounds of increasing selectivity, each certified against the exact
-averaged probability:
+Three bounds of increasing selectivity on the walk held by a SpectralWalk.
+Each *_floor function is the pure floor, read off the evaluator's limiting
+probability, overlaps and gaps without any exact average, so a search over
+T costs nothing per point; each *_bound certifies its floor against the
+exact averaged probability at one time law:
 
 * mixing_bound: keep every eigenspace, pay 2/(T * smallest gap);
 * eigenspace_bound: keep one eigenspace, pay its own overlap times
@@ -22,14 +25,17 @@ import numpy as np
 
 from . import spectral, walk
 from .errors import ValidationError
-from .spectral import EigenspacePartition, SpectralDecomposition
-from .walk import DensityOperator, PureState, TimeDistribution
+from .spectral import EigenspacePartition
+from .walk import DensityOperator, SpectralWalk, TimeDistribution
 
 __all__ = [
     "BoundReport",
     "ComparisonReport",
+    "mixing_floor",
     "mixing_bound",
+    "eigenspace_floor",
     "eigenspace_bound",
+    "subset_floor",
     "subset_bound",
     "residual_bound",
     "dephased_reference",
@@ -62,136 +68,84 @@ class BoundReport:
         )
 
 
-def _prep(h, dec, partition, tol_degen):
-    if partition is not None:
-        return partition.decomposition, partition
-    dec = dec if dec is not None else spectral.decompose(h)
-    return dec, spectral.group_eigenspaces(dec, tol_degen)
+def _certify(w: SpectralWalk, dist: TimeDistribution, floor: tuple[float, dict]) -> BoundReport:
+    bound, inputs = floor
+    return BoundReport.build(bound, w.probability(dist), inputs)
 
 
-def mixing_bound(
-    h,
-    psi0: PureState,
-    y: PureState,
-    T: float,
-    dec: SpectralDecomposition | None = None,
-    partition: EigenspacePartition | None = None,
-    tol_degen: float | None = None,
-) -> BoundReport:
-    """Averaged probability >= limiting probability - 2/(T * delta_e_min)."""
+def mixing_floor(w: SpectralWalk, T: float) -> tuple[float, dict]:
+    """limiting probability - 2/(T * delta_e_min), with its inputs."""
     if not T > 0:
         raise ValidationError(f"T must be positive, got {T}")
-    dec, part = _prep(h, dec, partition, tol_degen)
-    report = spectral.gaps(part)
-    p_inf = walk.limiting_probability(h, psi0, y, partition=part)
+    report = w.gap_report
+    p_inf = w.limiting_probability
     bound = p_inf - 2.0 / (T * report.delta_e_min)
-    actual = walk.avg_probability_exact(
-        h, psi0, y, TimeDistribution(T=T, k=1), dec=dec, tol_degen=part.tol_degen
-    )
-    return BoundReport.build(
-        bound,
-        actual,
-        {
-            "kind": "mixing",
-            "T": T,
-            "limiting_probability": p_inf,
-            "delta_e_min": report.delta_e_min,
-        },
-    )
+    return bound, {
+        "kind": "mixing",
+        "T": T,
+        "limiting_probability": p_inf,
+        "delta_e_min": report.delta_e_min,
+    }
 
 
-def _group_overlap(part: EigenspacePartition, psi0: PureState, y: PureState, g: int) -> float:
-    v = part.decomposition.eigenvectors
-    idx = list(part.groups[g])
-    ybar = v[:, idx].conj().T @ y.amplitudes
-    c = v[:, idx].conj().T @ psi0.amplitudes
-    return float(np.abs(np.sum(np.conj(ybar) * c)) ** 2)
+def mixing_bound(w: SpectralWalk, T: float) -> BoundReport:
+    """Averaged probability >= limiting probability - 2/(T * delta_e_min)."""
+    return _certify(w, TimeDistribution(T=T, k=1), mixing_floor(w, T))
 
 
-def eigenspace_bound(
-    h,
-    psi0: PureState,
-    y: PureState,
-    T: float,
-    group: int,
-    dec: SpectralDecomposition | None = None,
-    partition: EigenspacePartition | None = None,
-    tol_degen: float | None = None,
-) -> BoundReport:
-    """Averaged probability >= |<y|P_g|psi0>|^2 * (1 - 4/(T * delta_e_star_g))."""
+def eigenspace_floor(w: SpectralWalk, T: float, group: int) -> tuple[float, dict]:
+    """|<y|P_g|psi0>|^2 * (1 - 4/(T * delta_e_star_g)), with its inputs."""
     if not T > 0:
         raise ValidationError(f"T must be positive, got {T}")
-    dec, part = _prep(h, dec, partition, tol_degen)
-    report = spectral.gaps(part)
-    if not 0 <= group < part.n_groups:
-        raise ValidationError(f"group {group} outside 0..{part.n_groups - 1}")
-    overlap = _group_overlap(part, psi0, y, group)
+    report = w.gap_report
+    n_groups = len(report.delta_e_star)
+    if not 0 <= group < n_groups:
+        raise ValidationError(f"group {group} outside 0..{n_groups - 1}")
+    overlap = w.overlaps[group]
     star = report.delta_e_star[group]
     bound = overlap * (1.0 - 4.0 / (T * star))
-    actual = walk.avg_probability_exact(
-        h, psi0, y, TimeDistribution(T=T, k=1), dec=dec, tol_degen=part.tol_degen
-    )
-    return BoundReport.build(
-        bound,
-        actual,
-        {
-            "kind": "eigenspace",
-            "T": T,
-            "group": group,
-            "overlap": overlap,
-            "delta_e_star": star,
-        },
-    )
+    return bound, {
+        "kind": "eigenspace",
+        "T": T,
+        "group": group,
+        "overlap": overlap,
+        "delta_e_star": star,
+    }
 
 
-def subset_bound(
-    h,
-    psi0: PureState,
-    y: PureState,
-    dist: TimeDistribution,
-    subset,
-    dec: SpectralDecomposition | None = None,
-    partition: EigenspacePartition | None = None,
-    tol_degen: float | None = None,
-) -> BoundReport:
+def eigenspace_bound(w: SpectralWalk, T: float, group: int) -> BoundReport:
+    """Averaged probability >= |<y|P_g|psi0>|^2 * (1 - 4/(T * delta_e_star_g))."""
+    return _certify(w, TimeDistribution(T=T, k=1), eigenspace_floor(w, T, group))
+
+
+def subset_floor(w: SpectralWalk, dist: TimeDistribution, subset) -> tuple[float, dict]:
+    """sum_{g in S} |<y|P_g|psi0>|^2 - sqrt(3) * (2/(T * delta_e_s))^k, with its inputs."""
+    s, delta_e_s = w.gap_report.subset_gap(subset)
+    overlap = sum(w.overlaps[g] for g in s)
+    err = math.sqrt(3.0) * (2.0 / (dist.T * delta_e_s)) ** dist.k
+    return overlap - err, {
+        "kind": "subset",
+        "T": dist.T,
+        "k": dist.k,
+        "subset": list(s),
+        "overlap": overlap,
+        "delta_e_s": delta_e_s,
+        "error_term": err,
+    }
+
+
+def subset_bound(w: SpectralWalk, dist: TimeDistribution, subset) -> BoundReport:
     """Averaged probability over k summed uniform times
     >= sum_{g in S} |<y|P_g|psi0>|^2 - sqrt(3) * (2/(T * delta_e_s))^k."""
-    dec, part = _prep(h, dec, partition, tol_degen)
-    report = spectral.gaps(part, subset=subset)
-    s = report.subset
-    overlap = sum(_group_overlap(part, psi0, y, g) for g in s)
-    err = math.sqrt(3.0) * (2.0 / (dist.T * report.delta_e_s)) ** dist.k
-    bound = overlap - err
-    actual = walk.avg_probability_exact(h, psi0, y, dist, dec=dec, tol_degen=part.tol_degen)
-    return BoundReport.build(
-        bound,
-        actual,
-        {
-            "kind": "subset",
-            "T": dist.T,
-            "k": dist.k,
-            "subset": list(s),
-            "overlap": overlap,
-            "delta_e_s": report.delta_e_s,
-            "error_term": err,
-        },
-    )
+    return _certify(w, dist, subset_floor(w, dist, subset))
 
 
-def dephased_reference(
-    h,
-    rho0: DensityOperator,
-    subset,
-    dist: TimeDistribution,
-    dec: SpectralDecomposition | None = None,
-    partition: EigenspacePartition | None = None,
-    tol_degen: float | None = None,
-) -> DensityOperator:
+def dephased_reference(partition: EigenspacePartition, rho0: DensityOperator, subset, dist: TimeDistribution) -> DensityOperator:
     """Reference state: inside S keep only same-energy matrix elements,
     between S and its complement drop everything, outside S keep the fully
     damped block (characteristic function applied per gap)."""
-    dec, part = _prep(h, dec, partition, tol_degen)
-    m = part.n_groups
+    dec = partition.decomposition
+    m = partition.n_groups
     s = set(int(i) for i in subset)
     for i in s:
         if not 0 <= i < m:
@@ -199,12 +153,12 @@ def dephased_reference(
     v = dec.eigenvectors
     rho_eig = v.conj().T @ rho0.entries @ v
     group_of = np.empty(dec.dim, dtype=np.int64)
-    for g, members in enumerate(part.groups):
+    for g, members in enumerate(partition.groups):
         for j in members:
             group_of[j] = g
     in_s = np.isin(group_of, list(s))
     same_group = group_of[:, None] == group_of[None, :]
-    phi = walk._phi_matrix(dist, dec.eigenvalues, part.tol_degen)
+    phi = walk._phi_matrix(dist, dec.eigenvalues, partition.tol_degen)
     weight = np.where(same_group, 1.0, 0.0).astype(np.complex128)
     both_out = ~in_s[:, None] & ~in_s[None, :]
     weight[both_out] = phi[both_out]
@@ -212,25 +166,16 @@ def dephased_reference(
     return walk._computed_density(out)
 
 
-def residual_bound(
-    h,
-    rho0: DensityOperator,
-    subset,
-    dist: TimeDistribution,
-    dec: SpectralDecomposition | None = None,
-    partition: EigenspacePartition | None = None,
-    tol_degen: float | None = None,
-) -> BoundReport:
+def residual_bound(partition: EigenspacePartition, rho0: DensityOperator, subset, dist: TimeDistribution) -> BoundReport:
     """Frobenius distance between the true time-averaged state and the
     dephased reference is at most sqrt(3) * (2/(T * delta_e_s))^k.
 
     Reported with bound/actual roles flipped into BoundReport form:
     holds <=> distance <= cap (slack = cap - distance >= -SLACK_TOL).
     """
-    dec, part = _prep(h, dec, partition, tol_degen)
-    report = spectral.gaps(part, subset=subset)
-    avg = walk.time_averaged_density(h, rho0, dist, dec=dec, tol_degen=part.tol_degen)
-    ref = dephased_reference(h, rho0, subset, dist, dec=dec, partition=part)
+    report = spectral.gaps(partition, subset=subset)
+    avg = walk._averaged_density(partition.decomposition, rho0, dist, partition.tol_degen)
+    ref = dephased_reference(partition, rho0, subset, dist)
     distance = float(np.linalg.norm(avg.entries - ref.entries))
     cap = math.sqrt(3.0) * (2.0 / (dist.T * report.delta_e_s)) ** dist.k
     slack = cap - distance
@@ -280,31 +225,19 @@ class ComparisonReport:
     eigenspace_bound_better: bool
 
 
-def bound_comparison(
-    h,
-    psi0: PureState,
-    y: PureState,
-    T: float,
-    group: int,
-    dec: SpectralDecomposition | None = None,
-    partition: EigenspacePartition | None = None,
-    tol_degen: float | None = None,
-) -> ComparisonReport:
+def bound_comparison(w: SpectralWalk, T: float, group: int) -> ComparisonReport:
     """Evaluate the selectivity trade-off at time T for one eigenspace."""
-    dec, part = _prep(h, dec, partition, tol_degen)
-    report = spectral.gaps(part)
+    report = w.gap_report
     star = report.delta_e_star[group]
     dmin = report.delta_e_min
-    p_inf = walk.limiting_probability(h, psi0, y, partition=part)
-    p_avg = walk.avg_probability_exact(
-        h, psi0, y, TimeDistribution(T=T, k=1), dec=dec, tol_degen=part.tol_degen
-    )
+    p_inf = w.limiting_probability
+    p_avg = w.probability(TimeDistribution(T=T, k=1))
     condition = p_avg > (star / dmin) * p_inf
     tau_sel = T / p_avg if p_avg > 0 else math.inf
     tau_mix = (star / dmin) * T / p_inf if p_inf > 0 else math.inf
     beats = tau_sel < tau_mix
-    b2 = eigenspace_bound(h, psi0, y, T, group, dec=dec, partition=part)
-    b1 = mixing_bound(h, psi0, y, T, dec=dec, partition=part)
+    b2, _ = eigenspace_floor(w, T, group)
+    b1, _ = mixing_floor(w, T)
     return ComparisonReport(
         T=float(T),
         avg_probability=p_avg,
@@ -316,7 +249,7 @@ def bound_comparison(
         tau_mixing_scale=float(tau_mix),
         selective_beats_mixing=bool(beats),
         implication_ok=bool(beats or not condition),
-        eigenspace_bound_value=b2.bound_value,
-        mixing_bound_value=b1.bound_value,
-        eigenspace_bound_better=bool(b2.bound_value > b1.bound_value),
+        eigenspace_bound_value=b2,
+        mixing_bound_value=b1,
+        eigenspace_bound_better=bool(b2 > b1),
     )

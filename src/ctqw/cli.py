@@ -133,20 +133,21 @@ def _gluedtrees_row(task: tuple) -> dict:
     two_n, mc_seed, mc_runs, k_schedule = task
     n = two_n // 2
     T, k, reps = gluedtrees.default_schedule(two_n, k_schedule)
-    h = gluedtrees.column_hamiltonian(two_n)
-    dec = spectral.decompose(h)
-    psi0 = walk.basis_state(two_n, 0)
-    y = walk.basis_state(two_n, two_n - 1)
-    p_shot = walk.avg_probability_exact(h, psi0, y, TimeDistribution(T=T, k=k), dec=dec)
-    floor = 1.0 / (20 * n)
     taus = gluedtrees.certified_hitting_times(two_n)
+    column = taus["walk"]
     sub = taus["subspace"]
+    p_shot = column.probability(TimeDistribution(T=T, k=k))
+    floor = 1.0 / (20 * n)
     t_lo = 2.0 / sub.delta_e_s
-    grid = walk.geometric_grid(t_lo, 64.0 * t_lo)
-    exact = walk.hitting_time_estimate(h, psi0, y, grid, k=k, dec=dec)
+    exact = column.hitting_time(walk.geometric_grid(t_lo, 64.0 * t_lo), k)
     stats = gluedtrees.traversal_success_stats(two_n, mc_seed, mc_runs, k_schedule)
+    slacks = [taus[f"slack_l{i}"] for i in (1, 2, 3)]
     check_flags = [v for v in sub.checks.values() if isinstance(v, bool)]
-    holds = all(check_flags) and p_shot >= floor - 1e-12
+    holds = (
+        all(check_flags)
+        and p_shot >= floor - 1e-12
+        and all(slack >= -bounds.SLACK_TOL for slack in slacks)
+    )
     return {
         "n": two_n,
         "delta_e_s": sub.delta_e_s,
@@ -158,6 +159,9 @@ def _gluedtrees_row(task: tuple) -> dict:
         "tau_l1": taus["tau_l1"],
         "tau_l2": taus["tau_l2"],
         "tau_l3": taus["tau_l3"],
+        "slack_l1": slacks[0],
+        "slack_l2": slacks[1],
+        "slack_l3": slacks[2],
         "tau_exact": float(exact.tau),
         "tau_exact_argmin_T": float(exact.argmin_T),
         "delta_e_min": taus["delta_e_min"],
@@ -402,8 +406,8 @@ def _bounds_instance(task: tuple) -> list:
     psi0, y = state(), state()
     T = float(np.exp(rng.uniform(math.log(t_lo), math.log(t_hi))))
     k = int(k_values[int(rng.integers(0, len(k_values)))])
-    dec = spectral.decompose(h)
-    part = spectral.group_eigenspaces(dec)
+    w = walk.spectral_walk(h, psi0, y)
+    part = w.partition
     rows = []
 
     def add(report, kind: str, k_used: int):
@@ -421,18 +425,18 @@ def _bounds_instance(task: tuple) -> list:
             }
         )
 
-    add(bounds.mixing_bound(h, psi0, y, T, dec=dec, partition=part), "mixing", 1)
+    add(bounds.mixing_bound(w, T), "mixing", 1)
     for g in range(part.n_groups):
-        add(bounds.eigenspace_bound(h, psi0, y, T, g, dec=dec, partition=part), "eigenspace", 1)
+        add(bounds.eigenspace_bound(w, T, g), "eigenspace", 1)
     size = int(rng.integers(1, part.n_groups + 1))
     subset = sorted(int(i) for i in rng.choice(part.n_groups, size=size, replace=False))
     dist = TimeDistribution(T=T, k=k)
-    add(bounds.subset_bound(h, psi0, y, dist, subset, dec=dec, partition=part), "subset", k)
+    add(bounds.subset_bound(w, dist, subset), "subset", k)
     rho0 = walk.density_operator(np.outer(psi0.amplitudes, psi0.amplitudes.conj()))
-    add(bounds.residual_bound(h, rho0, subset, dist, dec=dec, partition=part), "residual", k)
+    add(bounds.residual_bound(part, rho0, subset, dist), "residual", k)
 
     g = int(rng.integers(0, part.n_groups))
-    comp = bounds.bound_comparison(h, psi0, y, T, g, dec=dec, partition=part)
+    comp = bounds.bound_comparison(w, T, g)
     rows.append(
         {
             "instance": idx,

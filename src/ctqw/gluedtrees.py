@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -21,7 +21,6 @@ from scipy.optimize import brentq
 from . import bounds, spectral, walk
 from .errors import InconsistencyError, InvalidLabelError, ValidationError
 from .rng import rng_stream
-from .spectral import EigenspacePartition
 from .walk import TimeDistribution
 
 __all__ = [
@@ -70,6 +69,13 @@ def column_hamiltonian(two_n: int) -> np.ndarray:
     for j in range(two_n - 1):
         h[j, j + 1] = h[j + 1, j] = SQRT2 if j == n - 1 else 1.0
     return h
+
+
+def _column_walk(two_n: int) -> walk.SpectralWalk:
+    """The column-space walk from the entrance column towards the exit column."""
+    return walk.spectral_walk(
+        column_hamiltonian(two_n), walk.basis_state(two_n, 0), walk.basis_state(two_n, two_n - 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -266,12 +272,13 @@ class SubspaceReport:
     checks: dict
 
 
-def subspace_S(two_n: int, partition: EigenspacePartition | None = None) -> SubspaceReport:
+def subspace_S(two_n: int, column_walk: walk.SpectralWalk | None = None) -> SubspaceReport:
     """Minus-branch solutions with ceil(n/4) <= ell <= ceil(3n/4).
 
     Members are mapped onto eigenspace groups of the column operator; the
     report carries the subset gap (certified >= pi/(16n)), both sub-minima
-    with their analytic floors, and the band overlap masses.
+    with their analytic floors, and the band overlap masses. column_walk is
+    the entrance-to-exit column walk, passed when the caller already has it.
     """
     if two_n < 8:
         raise ValidationError(f"subspace requires two_n >= 8, got {two_n}")
@@ -282,8 +289,9 @@ def subspace_S(two_n: int, partition: EigenspacePartition | None = None) -> Subs
     if not members:
         raise InconsistencyError(f"empty band subset for two_n={two_n}")
 
-    if partition is None:
-        partition = spectral.group_eigenspaces(spectral.decompose(column_hamiltonian(two_n)))
+    if column_walk is None:
+        column_walk = _column_walk(two_n)
+    partition = column_walk.partition
     group_indices = []
     for s in members:
         diffs = np.abs(partition.energies - s.energy)
@@ -297,9 +305,7 @@ def subspace_S(two_n: int, partition: EigenspacePartition | None = None) -> Subs
         raise InconsistencyError("two band members mapped to one eigenspace")
 
     gap_report = spectral.gaps(partition, subset=group_indices)
-    e_in = walk.basis_state(two_n, 0)
-    e_out = walk.basis_state(two_n, two_n - 1)
-    first_term = sum(bounds._group_overlap(partition, e_in, e_out, g) for g in group_indices)
+    first_term = sum(column_walk.overlaps[g] for g in group_indices)
     a4 = sum(s.alpha_p**4 for s in members)
 
     within_floor = math.pi / (16 * n)
@@ -544,22 +550,18 @@ def full_vs_column_equivalence(
         raise ValidationError(f"trials must be >= 1, got {trials}")
     h_full, labels = full_hamiltonian(inst)
     m = len(labels)
-    psi0 = walk.basis_state(m, labels.index(inst.entrance))
-    y = walk.basis_state(m, labels.index(inst.exit))
-    dec_full = spectral.decompose(h_full)
-
+    full = walk.spectral_walk(
+        h_full, walk.basis_state(m, labels.index(inst.entrance)), walk.basis_state(m, labels.index(inst.exit))
+    )
     two_n = 2 * (inst.depth + 1)
-    h_col = column_hamiltonian(two_n)
-    dec_col = spectral.decompose(h_col)
-    col0 = walk.basis_state(two_n, 0)
-    col_last = walk.basis_state(two_n, two_n - 1)
+    column = _column_walk(two_n)
 
     p_full = p_col = 0.0
     worst = 0.0
     for j in range(1, trials + 1):
         dist = TimeDistribution(T=float(T) * j, k=k)
-        pf = walk.avg_probability_exact(h_full, psi0, y, dist, dec=dec_full)
-        pc = walk.avg_probability_exact(h_col, col0, col_last, dist, dec=dec_col)
+        pf = full.probability(dist)
+        pc = column.probability(dist)
         if j == 1:
             p_full, p_col = pf, pc
         worst = max(worst, abs(pf - pc))
@@ -593,21 +595,19 @@ def certified_hitting_times(two_n: int, grid_points: int = 25) -> dict:
     - subset route with ceil(log2 5n) summed uniforms: T in [1, 64] x
       2/delta_e_s, which brackets the optimum of a - sqrt(3) (2/(T d))^k
 
-    Floors come from the bounds module; grid points with nonpositive floors
-    are skipped. The subset route keeps k pinned to the log schedule rather
-    than optimizing it. The subspace_S report the routes rest on is returned
-    under "subspace".
+    The grids read the pure floors of the bounds module; grid points with
+    nonpositive floors are skipped. Each route's floor is then certified
+    once, at its argmin T, against the exact averaged probability, and the
+    slack is returned as slack_l1..3. The subset route keeps k pinned to the
+    log schedule rather than optimizing it. The subspace_S report the routes
+    rest on is returned under "subspace", the column walk under "walk".
     """
     n = two_n // 2
-    h = column_hamiltonian(two_n)
-    dec = spectral.decompose(h)
-    part = spectral.group_eigenspaces(dec)
-    gap_report = spectral.gaps(part)
-    psi0 = walk.basis_state(two_n, 0)
-    y = walk.basis_state(two_n, two_n - 1)
-    p_inf = walk.limiting_probability(h, psi0, y, partition=part)
+    w = _column_walk(two_n)
+    gap_report = w.gap_report
+    p_inf = w.limiting_probability
 
-    sub = subspace_S(two_n, part)
+    sub = subspace_S(two_n, w)
     g_mid = sub.group_indices[sub.ells.index(math.ceil(n / 2))]
     de_star = gap_report.delta_e_star[g_mid]
 
@@ -628,22 +628,18 @@ def certified_hitting_times(two_n: int, grid_points: int = 25) -> dict:
 
     t1 = 2.0 / (p_inf * gap_report.delta_e_min)
     tau1, t_at_1 = best(
-        np.geomspace(1.5 * t1, 48.0 * t1, grid_points),
-        1,
-        lambda t: bounds.mixing_bound(h, psi0, y, t, partition=part).bound_value,
+        np.geomspace(1.5 * t1, 48.0 * t1, grid_points), 1, lambda t: bounds.mixing_floor(w, t)[0]
     )
     tau2, t_at_2 = best(
         np.geomspace(5.0 / de_star, 30.0 / de_star, grid_points),
         1,
-        lambda t: bounds.eigenspace_bound(h, psi0, y, t, g_mid, partition=part).bound_value,
+        lambda t: bounds.eigenspace_floor(w, t, g_mid)[0],
     )
     t3 = 2.0 / sub.delta_e_s
     tau3, t_at_3 = best(
         np.geomspace(t3, 64.0 * t3, grid_points + 8),
         k3,
-        lambda t: bounds.subset_bound(
-            h, psi0, y, TimeDistribution(T=t, k=k3), sub.group_indices, partition=part
-        ).bound_value,
+        lambda t: bounds.subset_floor(w, TimeDistribution(T=t, k=k3), sub.group_indices)[0],
     )
     return {
         "tau_l1": float(tau1),
@@ -655,10 +651,14 @@ def certified_hitting_times(two_n: int, grid_points: int = 25) -> dict:
         "tau_l3": float(tau3),
         "T_l3": t_at_3,
         "k_l3": int(k3),
+        "slack_l1": bounds.mixing_bound(w, t_at_1).slack,
+        "slack_l2": bounds.eigenspace_bound(w, t_at_2, g_mid).slack,
+        "slack_l3": bounds.subset_bound(w, TimeDistribution(T=t_at_3, k=k3), sub.group_indices).slack,
         "p_inf": float(p_inf),
         "delta_e_min": float(gap_report.delta_e_min),
         "delta_e_s": float(sub.delta_e_s),
         "subspace": sub,
+        "walk": w,
     }
 
 
@@ -703,12 +703,7 @@ class TraversalRecord:
 
 
 def run_traversal(
-    target,
-    rng_seed: int,
-    k_schedule: str = "log",
-    T: float | None = None,
-    k: int | None = None,
-    max_repetitions: int | None = None,
+    target, rng_seed: int, k_schedule: str = "log", max_repetitions: int | None = None
 ) -> TraversalRecord:
     """One traversal experiment: repeat the randomized-time walk from the
     entrance until the exit is measured or the repetition budget runs out.
@@ -732,29 +727,25 @@ def run_traversal(
         labels = None
         start, exit_index, dim = 0, two_n - 1, two_n
     n = two_n // 2
-    t_def, k_def, reps_def = default_schedule(two_n, k_schedule)
-    T = t_def if T is None else float(T)
-    k = k_def if k is None else int(k)
+    T, k, reps_def = default_schedule(two_n, k_schedule)
     max_repetitions = reps_def if max_repetitions is None else int(max_repetitions)
 
-    dec = spectral.decompose(h)
-    psi0 = walk.basis_state(dim, start)
-    y = walk.basis_state(dim, exit_index)
+    w = walk.spectral_walk(h, walk.basis_state(dim, start), walk.basis_state(dim, exit_index))
     dist = TimeDistribution(T=T, k=k)
-    p_shot = walk.avg_probability_exact(h, psi0, y, dist, dec=dec)
+    p_shot = w.probability(dist)
     floor = 1.0 / (20 * n)
     certified = bool(p_shot >= floor - 1e-12)
 
     # full mode measures every vertex and asks the oracle; column mode only the exit
-    rows = dec.eigenvectors if mode == "full" else dec.eigenvectors[exit_index : exit_index + 1]
-    c = dec.eigenvectors.conj().T @ psi0.amplitudes
-    ts, outcomes = walk._sample(dec.eigenvalues, c, rows, dist, rng_stream(rng_seed, 11), max_repetitions)
+    if mode == "full":
+        w = replace(w, rows=w.decomposition.eigenvectors)
+    ts, outcomes = w.sample(dist, rng_stream(rng_seed, 11), max_repetitions)
 
     success = False
     reps_used = max_repetitions
     outcome_name = ""
     for r, idx in enumerate(outcomes.tolist()):
-        if idx == rows.shape[0]:
+        if idx == w.rows.shape[0]:
             continue  # none of the measured rows
         if mode == "full":
             name = labels[idx]
@@ -799,12 +790,8 @@ def traversal_success_stats(
         raise ValidationError(f"runs must be >= 1, got {runs}")
     n = two_n // 2
     T, k, reps = default_schedule(two_n, k_schedule)
-    dec = spectral.decompose(column_hamiltonian(two_n))
-    psi0 = walk.basis_state(two_n, 0)
-    c = dec.eigenvectors.conj().T @ psi0.amplitudes
-    exit_row = dec.eigenvectors[two_n - 1 : two_n]
     dist = TimeDistribution(T=T, k=k)
-    _, outcomes = walk._sample(dec.eigenvalues, c, exit_row, dist, rng_stream(rng_seed, 13), runs * reps)
+    _, outcomes = _column_walk(two_n).sample(dist, rng_stream(rng_seed, 13), runs * reps)
     hits = outcomes.reshape(runs, reps) == 0
     any_hit = hits.any(axis=1)
     first = np.where(any_hit, hits.argmax(axis=1) + 1, reps)

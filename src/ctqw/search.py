@@ -69,6 +69,8 @@ ZERO_ENERGY_TOL = 1e-8
 UNIT_EIGENVALUE_TOL = 1e-12
 #: certificates of the reduced walk: start-amplitude norm, marked-row Gram spectrum
 REDUCED_TOL = 1e-12
+#: the overlap preconditions: start overlap >= 1/2 - tol, marked overlap 1/2 +- tol
+OVERLAP_TOL = 1e-9
 
 
 def _householder_column(w: np.ndarray) -> np.ndarray:
@@ -312,13 +314,14 @@ def spectrum_report(
 
 def _discriminant_walk(
     inter: InterpolatedChain, start: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[walk.SpectralWalk, spectral.SpectralDecomposition]:
     """The search walk in its invariant subspace, built from D(P_s) alone.
 
     start holds the first-register amplitudes of the start state |start, 0>.
-    Returns (energies, amplitudes, rows): the energies ascending, one per
-    reduced eigenvector psi_k; amplitudes[k] = <psi_k|start, 0>; and
-    rows[y, k] = <marked, y|V|psi_k>, the marked rows in edge coordinates.
+    Returns the reduced walk and D's decomposition. The walk's energies are
+    ascending, one per reduced eigenvector psi_k; its start amplitudes are
+    <psi_k|start, 0>; its rows[y, k] = <marked, y|V|psi_k> are the marked
+    rows in edge coordinates.
 
     Certified: D's decomposition reconstructs D; the amplitudes have unit
     norm, so the start lies inside the subspace; rows^dagger rows, the
@@ -352,7 +355,7 @@ def _discriminant_walk(
         raise InconsistencyError(
             f"marked projector on the reduced subspace has spectrum [{gram[0]:.17g}, {gram[-1]:.17g}]"
         )
-    return energies, amplitudes, rows
+    return walk.SpectralWalk(energies, amplitudes, rows, None), dec
 
 
 @dataclass(frozen=True)
@@ -368,7 +371,7 @@ class OverlapReport:
     closed_form_residual: float  # top eigvec vs entrywise sqrt(pi_s)
 
 
-def overlap_preconditions(ic: InterpolatedChain, tol: float = 1e-9) -> OverlapReport:
+def overlap_preconditions(ic: InterpolatedChain, tol: float = OVERLAP_TOL) -> OverlapReport:
     """Certify the two overlap conditions the success floor rests on.
 
     At s*, the top discriminant eigenvector (computed numerically, then
@@ -377,13 +380,18 @@ def overlap_preconditions(ic: InterpolatedChain, tol: float = 1e-9) -> OverlapRe
     Violations raise AssertionFailure; a closed-form mismatch raises
     InconsistencyError.
     """
+    return _overlap_report(ic, *np.linalg.eigh(markov.discriminant(ic.P_s)), tol)
+
+
+def _overlap_report(ic: InterpolatedChain, lam: np.ndarray, vecs: np.ndarray, tol: float) -> OverlapReport:
+    """overlap_preconditions on an eigendecomposition (lam ascending, vecs
+    as columns) of the discriminant D(P_s) already at hand."""
     pv = float(ic.pi_s[ic.marked])
     if abs(pv - 0.5) > 1e-9:
         raise ValidationError(
             f"overlap preconditions hold at the half-weight point; marked weight is {pv:.12g}"
         )
-    lam, vecs = np.linalg.eigh(markov.discriminant(ic.P_s))
-    u = vecs[:, -1]
+    u = vecs[:, -1].real
     if u.sum() < 0:
         u = -u
     resid = float(np.max(np.abs(u - np.sqrt(ic.pi_s))))
@@ -475,16 +483,16 @@ def run_search(
     n = work.n
     sstar = markov.s_star(work, marked)
     ht = markov.classical_hitting_time(work, marked)
-    gap = markov.interpolated_gap(work, marked, sstar)
     c = SEARCH_TIME_FACTOR if time_factor is None else float(time_factor)
     T = c * math.sqrt(ht)
     k = max(1, math.ceil(math.log2(1.0 / epsilon)))
     dist = TimeDistribution(T=T, k=k)
 
     inter = markov.interpolate(work, marked, sstar)
-    energies, amplitudes, rows = _discriminant_walk(inter, np.sqrt(work.pi))
-    tol_degen = spectral.degeneracy_tol(float(energies[-1] - energies[0]))
-    p_exact = walk._rows_probability(energies, amplitudes, rows, dist, tol_degen)
+    reduced, d_dec = _discriminant_walk(inter, np.sqrt(work.pi))
+    # 1 - lambda_2 of D(P_s*), as markov.interpolated_gap, off the same decomposition
+    gap = 1.0 - d_dec.eigenvalues[-2]
+    p_exact = reduced.probability(dist)
     floor = 0.25 - epsilon
     holds = bool(p_exact >= floor - 1e-9)
     if enforce_floor and not holds:
@@ -493,12 +501,12 @@ def run_search(
             f" (family={family or '?'}, n={n}, T={T:.6g}, k={k})"
         )
 
-    ov = overlap_preconditions(inter)
+    ov = _overlap_report(inter, d_dec.eigenvalues, d_dec.eigenvectors, OVERLAP_TOL)
 
     mc_freq = mc_err = None
     within = None
     if shots > 0:
-        _, outcomes = walk._sample(energies, amplitudes, rows, dist, rng_stream(rng_seed, 23), shots)
+        _, outcomes = reduced.sample(dist, rng_stream(rng_seed, 23), shots)
         hits = int(np.count_nonzero(outcomes < n))
         mc_freq = hits / float(shots)
         mc_err = math.sqrt(max(mc_freq * (1.0 - mc_freq), 1e-12) / shots)
@@ -528,5 +536,5 @@ def run_search(
         mc_std_error=mc_err,
         mc_within_3sigma=within,
         rng_seed=int(rng_seed),
-        walk_dim=int(energies.shape[0]),
+        walk_dim=int(reduced.energies.shape[0]),
     )

@@ -12,7 +12,7 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,12 +184,6 @@ class EigenspacePartition:
         cols = self.decomposition.eigenvectors[:, list(self.groups[g])]
         return cols @ cols.conj().T
 
-    def group_of(self, eigen_index: int) -> int:
-        for g, members in enumerate(self.groups):
-            if eigen_index in members:
-                return g
-        raise IndexError(f"eigen index {eigen_index} out of range")
-
 
 def degeneracy_tol(spectral_range: float) -> float:
     """1e-8 times the spectral range (absolute floor 1e-12 for flat spectra)."""
@@ -261,6 +255,21 @@ class GapReport:
     within_subset_gap: float | None = None
     cross_subset_gap: float | None = None
 
+    def subset_gap(self, subset) -> tuple[tuple[int, ...], float]:
+        """(sorted subset, delta_e_s) for a non-empty subset of group indices.
+
+        The smallest gap over pairs with an endpoint in S is the smallest
+        delta_e_star over S, so no second pass over the energies is needed.
+        """
+        m = len(self.delta_e_star)
+        s = tuple(sorted(set(int(i) for i in subset)))
+        if len(s) == 0:
+            raise ValidationError("subset must be non-empty")
+        for i in s:
+            if i < 0 or i >= m:
+                raise ValidationError(f"subset index {i} outside group range 0..{m - 1}")
+        return s, min(self.delta_e_star[i] for i in s)
+
 
 def gaps(partition: EigenspacePartition, subset=None) -> GapReport:
     """Gap report for a partition, optionally focused on a subset of groups.
@@ -280,15 +289,11 @@ def gaps(partition: EigenspacePartition, subset=None) -> GapReport:
         others = np.abs(energies - energies[g])
         others[g] = np.inf
         star.append(float(np.min(others)))
+    report = GapReport(delta_e_min=delta_e_min, delta_e_star=tuple(star))
     if subset is None:
-        return GapReport(delta_e_min=delta_e_min, delta_e_star=tuple(star))
+        return report
 
-    s = tuple(sorted(set(int(i) for i in subset)))
-    if len(s) == 0:
-        raise ValidationError("subset must be non-empty")
-    for i in s:
-        if i < 0 or i >= m:
-            raise ValidationError(f"subset index {i} outside group range 0..{m - 1}")
+    s, delta_e_s = report.subset_gap(subset)
     within = None
     if len(s) >= 2:
         es = energies[list(s)]
@@ -297,13 +302,10 @@ def gaps(partition: EigenspacePartition, subset=None) -> GapReport:
     cross = None
     if comp:
         cross = float(np.min(np.abs(energies[list(s)][:, None] - energies[comp][None, :])))
-    candidates = [x for x in (within, cross) if x is not None]
-    delta_e_s = float(min(candidates))
-    return GapReport(
-        delta_e_min=delta_e_min,
-        delta_e_star=tuple(star),
+    return replace(
+        report,
         subset=s,
-        delta_e_s=delta_e_s,
+        delta_e_s=float(delta_e_s),
         within_subset_gap=within,
         cross_subset_gap=cross,
     )

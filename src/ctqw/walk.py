@@ -6,12 +6,18 @@ averaged over that draw. Everything here is exact in the eigenbasis: the
 average of exp(-i(E_j - E_k)t) is the characteristic function of the time
 law evaluated at the gap, so averaged probabilities and averaged density
 operators are finite sums, no numerical integration involved. A quadrature
-fallback exists purely as an independent oracle. Every Monte Carlo
-measurement goes through one chunked sampler, _sample.
+fallback exists purely as an independent oracle.
+
+A SpectralWalk holds one walk read off one eigenbasis: the energies, the
+start amplitudes and the target rows. Every exact average, limiting
+probability, gap report and Monte Carlo measurement is a method of it, so a
+spectrum is decomposed, grouped and gapped once however many times T it is
+evaluated at. The one-shot functions below each build one and ask it once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate
@@ -19,13 +25,15 @@ from scipy import integrate
 from . import spectral
 from .errors import DegenerateProbabilityError, InconsistencyError, ValidationError
 from .rng import rng_stream
-from .spectral import EigenspacePartition, SpectralDecomposition
+from .spectral import EigenspacePartition, GapReport, SpectralDecomposition
 
 __all__ = [
     "PureState",
     "DensityOperator",
     "TimeDistribution",
     "HittingTimeEstimate",
+    "SpectralWalk",
+    "spectral_walk",
     "pure_state",
     "density_operator",
     "basis_state",
@@ -155,12 +163,6 @@ def _phi_matrix(dist: TimeDistribution, energies: np.ndarray, tol_degen: float) 
     return phi
 
 
-def _resolve(h, dec: SpectralDecomposition | None) -> SpectralDecomposition:
-    if dec is not None:
-        return dec
-    return spectral.decompose(h)
-
-
 def _check_probability(p: float, what: str) -> float:
     if p < -TOL_PROB or p > 1.0 + TOL_PROB:
         raise InconsistencyError(f"{what} = {p:.12g} outside [0,1] beyond tolerance {TOL_PROB:g}")
@@ -172,75 +174,179 @@ def _check_state_dim(state: PureState, dim: int) -> None:
         raise ValidationError(f"state dimension {state.dim} != operator dimension {dim}")
 
 
-def avg_probability_exact(
-    h,
-    psi0: PureState,
-    y: PureState,
-    dist: TimeDistribution,
-    dec: SpectralDecomposition | None = None,
-    tol_degen: float | None = None,
-) -> float:
+@dataclass(frozen=True, eq=False)
+class SpectralWalk:
+    """A walk from one start towards one target, in one eigenbasis.
+
+    energies[j] are the ascending eigenvalues E_j, c[j] = <E_j|psi0> and
+    rows[r, j] = <b_r|E_j> for the orthonormal target vectors b_r. The
+    eigenvectors E_j need only span an invariant subspace that holds psi0
+    (the whole space, or a reduction of it). decomposition is the full
+    eigendecomposition the walk was read from, None for a reduced walk;
+    only the eigenspace partition, and what is derived from it, needs it.
+
+    The degeneracy tolerance, the partition, the group overlaps, the
+    limiting probability and the gap report are worked out on first use;
+    each exact average is kept per time law, so one (T, k) is evaluated
+    once however many bounds are certified against it.
+    """
+
+    energies: np.ndarray
+    c: np.ndarray
+    rows: np.ndarray
+    decomposition: SpectralDecomposition | None
+    _exact: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def tol_degen(self) -> float:
+        """Energies this close count as degenerate: 1e-8 of the spectral range."""
+        return spectral.degeneracy_tol(float(self.energies[-1] - self.energies[0]))
+
+    @cached_property
+    def _amplitudes(self) -> np.ndarray:
+        # a[r, j] = <b_r|E_j><E_j|psi0>
+        return self.rows * self.c
+
+    def probability(self, dist: TimeDistribution) -> float:
+        """Exact time-averaged probability of the target.
+
+        sum_r sum_{jk} a_rj conj(a_rk) Phi(E_k - E_j): one
+        characteristic-function matrix per time law, O(len(rows) dim^2).
+        """
+        p = self._exact.get(dist)
+        if p is None:
+            a = self._amplitudes
+            phi = _phi_matrix(dist, self.energies, self.tol_degen)
+            p = np.real(np.einsum("rj,rk,jk->", a, np.conj(a), phi))
+            p = self._exact[dist] = _check_probability(p, "time-averaged probability")
+        return p
+
+    def probabilities(self, T_grid, k: int) -> np.ndarray:
+        """probability at every T of the grid with k summed uniforms; one
+        dim x dim matrix at a time, never one per grid point at once."""
+        return np.array([self.probability(TimeDistribution(T=float(t), k=k)) for t in T_grid])
+
+    def hitting_time(self, T_grid, k: int) -> HittingTimeEstimate:
+        """Minimize total evolution time k T over averaged success probability.
+
+        Raises DegenerateProbabilityError if every grid probability is below
+        1e-15.
+        """
+        grid = np.asarray(T_grid, dtype=np.float64)
+        if grid.ndim != 1 or grid.shape[0] == 0 or np.any(grid <= 0):
+            raise ValidationError("T_grid must be a non-empty 1-d array of positive times")
+        k = int(k)
+        probs = self.probabilities(grid, k)
+        floor = 1e-15
+        above = probs > floor
+        if not above.any():
+            raise DegenerateProbabilityError(
+                f"all {grid.shape[0]} grid probabilities below {floor:g}; target unreachable"
+            )
+        ratios = np.where(above, k * grid / np.where(above, probs, 1.0), np.inf)
+        best = int(np.argmin(ratios))
+        return HittingTimeEstimate(
+            tau=float(ratios[best]),
+            argmin_T=float(grid[best]),
+            probability_at_argmin=float(probs[best]),
+            k_at_argmin=k,
+            grid_description=f"geometric[{grid[0]:.6g},{grid[-1]:.6g}]x{grid.shape[0]}",
+        )
+
+    @cached_property
+    def partition(self) -> EigenspacePartition:
+        """Eigenspace groups of the full decomposition at tol_degen."""
+        if self.decomposition is None:
+            raise ValidationError("a reduced walk has no full eigendecomposition to group")
+        return spectral.group_eigenspaces(self.decomposition, self.tol_degen)
+
+    @cached_property
+    def gap_report(self) -> GapReport:
+        return spectral.gaps(self.partition)
+
+    @cached_property
+    def overlaps(self) -> tuple[float, ...]:
+        """Per eigenspace group g, the target weight of P_g psi0:
+        |<y|P_g|psi0>|^2 for a state target."""
+        return tuple(
+            sum(float(np.abs(np.sum(row[idx] * self.c[idx])) ** 2) for row in self.rows)
+            for idx in (list(members) for members in self.partition.groups)
+        )
+
+    @cached_property
+    def limiting_probability(self) -> float:
+        """T -> infinity limit of the averaged probability: the summed overlaps."""
+        return _check_probability(sum(self.overlaps), "limiting probability")
+
+    def sample(
+        self, dist: TimeDistribution, rng: np.random.Generator, shots: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Monte Carlo: draw a time, evolve, measure; one outcome per shot.
+
+        Each chunk of SAMPLE_CHUNK shots draws its times, then one uniform u
+        per shot; the outcome is the first row r whose cumulative
+        probability exceeds u, or len(rows) ("none of them") when u reaches
+        their total. Only the chunk x dim phases and chunk x len(rows)
+        probabilities are ever held. Returns (times, outcomes).
+        """
+        last = self.rows.shape[0]
+        times = np.empty(shots)
+        outcomes = np.empty(shots, dtype=np.int64)
+        for lo in range(0, shots, SAMPLE_CHUNK):
+            m = min(SAMPLE_CHUNK, shots - lo)
+            ts = rng.random((m, dist.k)).sum(axis=1) * dist.T
+            amps = (np.exp(-1j * np.outer(ts, self.energies)) * self.c) @ self.rows.T
+            probs = np.abs(amps) ** 2
+            total = np.clip(np.sum(probs, axis=1), 0.0, 1.0)
+            u = rng.random(m)
+            first = np.minimum((probs.cumsum(axis=1) <= u[:, None]).sum(axis=1), last - 1)
+            times[lo : lo + m] = ts
+            outcomes[lo : lo + m] = np.where(u < total, first, last)
+        return times, outcomes
+
+
+def spectral_walk(h, psi0: PureState, target) -> SpectralWalk:
+    """Decompose h once and read off the walk from psi0 towards target.
+
+    target is a PureState y, or a matrix whose orthonormal columns span the
+    measured subspace.
+    """
+    dec = spectral.decompose(h)
+    _check_state_dim(psi0, dec.dim)
+    v = dec.eigenvectors
+    if isinstance(target, PureState):
+        _check_state_dim(target, dec.dim)
+        rows = np.conj(v.conj().T @ target.amplitudes)[None, :]
+    else:
+        b = np.asarray(target, dtype=np.complex128)
+        if b.ndim != 2 or b.shape[0] == 0 or b.shape[1] == 0:
+            raise ValidationError(f"target basis must be a non-empty matrix, got shape {b.shape}")
+        if np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) > 1e-10:
+            raise ValidationError("target basis columns are not orthonormal")
+        if b.shape[0] != dec.dim:
+            raise ValidationError(f"target basis dimension {b.shape[0]} != operator dimension {dec.dim}")
+        rows = b.conj().T @ v
+    return SpectralWalk(dec.eigenvalues, v.conj().T @ psi0.amplitudes, rows, dec)
+
+
+def avg_probability_exact(h, psi0: PureState, y: PureState, dist: TimeDistribution) -> float:
     """Closed-form time-averaged probability of measuring y.
 
     Sum over eigenpairs of a_j conj(a_k) Phi(E_k - E_j) with
     a_j = <y|E_j><E_j|psi0>; cost one eigendecomposition plus O(dim^2).
     """
-    dec = _resolve(h, dec)
-    _check_state_dim(psi0, dec.dim)
-    _check_state_dim(y, dec.dim)
-    if tol_degen is None:
-        tol_degen = spectral.default_degeneracy_tol(dec)
-    v = dec.eigenvectors
-    a = np.conj(v.conj().T @ y.amplitudes) * (v.conj().T @ psi0.amplitudes)
-    phi = _phi_matrix(dist, dec.eigenvalues, tol_degen)
-    p = np.real(np.einsum("j,k,jk->", a, np.conj(a), phi))
-    return _check_probability(p, "time-averaged probability")
+    return spectral_walk(h, psi0, y).probability(dist)
 
 
 def avg_projector_probability_exact(
-    h,
-    psi0: PureState,
-    target_basis: np.ndarray,
-    dist: TimeDistribution,
-    dec: SpectralDecomposition | None = None,
-    tol_degen: float | None = None,
+    h, psi0: PureState, target_basis: np.ndarray, dist: TimeDistribution
 ) -> float:
     """Time-averaged probability of landing in a subspace.
 
     target_basis holds orthonormal columns spanning the measured subspace;
-    the averaged projector expectation is sum_{jk} conj(c_k) c_j M_kj
-    Phi(E_k - E_j) with M the projector in the eigenbasis. Reduces to
-    avg_probability_exact when the subspace is one-dimensional.
+    reduces to avg_probability_exact when the subspace is one-dimensional.
     """
-    b = np.asarray(target_basis, dtype=np.complex128)
-    if b.ndim != 2 or b.shape[0] == 0 or b.shape[1] == 0:
-        raise ValidationError(f"target basis must be a non-empty matrix, got shape {b.shape}")
-    gram = b.conj().T @ b
-    if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-10:
-        raise ValidationError("target basis columns are not orthonormal")
-    dec = _resolve(h, dec)
-    if b.shape[0] != dec.dim:
-        raise ValidationError(f"target basis dimension {b.shape[0]} != operator dimension {dec.dim}")
-    if tol_degen is None:
-        tol_degen = spectral.default_degeneracy_tol(dec)
-    v = dec.eigenvectors
-    return _rows_probability(dec.eigenvalues, v.conj().T @ psi0.amplitudes, b.conj().T @ v, dist, tol_degen)
-
-
-def _rows_probability(
-    energies: np.ndarray, c: np.ndarray, rows: np.ndarray, dist: TimeDistribution, tol_degen: float
-) -> float:
-    """Time-averaged probability of the measured rows, in an eigenbasis.
-
-    c[j] = <E_j|psi0> and rows[r, j] = <b_r|E_j> for orthonormal measured
-    vectors b_r; the eigenvectors E_j need only span an invariant subspace
-    that holds psi0. The result is sum_{jk} conj(c_k) c_j M_kj Phi(E_k - E_j)
-    with M = rows^dagger rows.
-    """
-    m = rows.conj().T @ rows
-    phi = _phi_matrix(dist, energies, tol_degen)
-    p = np.real(np.einsum("k,j,kj,jk->", np.conj(c), c, m, phi))
-    return _check_probability(p, "time-averaged subspace probability")
+    return spectral_walk(h, psi0, np.asarray(target_basis)).probability(dist)
 
 
 def avg_probability_quadrature(h, psi0: PureState, y: PureState, T: float) -> float:
@@ -263,85 +369,29 @@ def avg_probability_quadrature(h, psi0: PureState, y: PureState, T: float) -> fl
     return _check_probability(val / T, "quadrature probability")
 
 
-def time_averaged_density(
-    h,
-    rho0: DensityOperator,
-    dist: TimeDistribution,
-    dec: SpectralDecomposition | None = None,
-    tol_degen: float | None = None,
-) -> DensityOperator:
+def time_averaged_density(h, rho0: DensityOperator, dist: TimeDistribution) -> DensityOperator:
     """Average of exp(-iHt) rho0 exp(iHt) over the time law.
 
     In the eigenbasis the element (j, k) picks up Phi(E_k - E_j);
     near-degenerate pairs are left untouched (coherences survive).
     """
-    dec = _resolve(h, dec)
-    if tol_degen is None:
-        tol_degen = spectral.default_degeneracy_tol(dec)
+    dec = spectral.decompose(h)
+    return _averaged_density(dec, rho0, dist, spectral.default_degeneracy_tol(dec))
+
+
+def _averaged_density(dec: SpectralDecomposition, rho0: DensityOperator, dist: TimeDistribution, tol: float) -> DensityOperator:
+    """time_averaged_density on a decomposition at hand, degeneracy tolerance tol."""
     v = dec.eigenvectors
     rho_eig = v.conj().T @ rho0.entries @ v
-    phi = _phi_matrix(dist, dec.eigenvalues, tol_degen)
+    phi = _phi_matrix(dist, dec.eigenvalues, tol)
     damped = rho_eig * phi
     out = v @ damped @ v.conj().T
     return _computed_density(out)
 
 
-def limiting_probability(
-    h,
-    psi0: PureState,
-    y: PureState,
-    partition: EigenspacePartition | None = None,
-    tol_degen: float | None = None,
-) -> float:
+def limiting_probability(h, psi0: PureState, y: PureState) -> float:
     """T -> infinity limit: sum over eigenspace groups of |<y|P_g|psi0>|^2."""
-    if partition is None:
-        dec = spectral.decompose(h)
-        partition = spectral.group_eigenspaces(dec, tol_degen)
-    _check_state_dim(psi0, partition.decomposition.dim)
-    _check_state_dim(y, partition.decomposition.dim)
-    v = partition.decomposition.eigenvectors
-    ybar = v.conj().T @ y.amplitudes
-    c = v.conj().T @ psi0.amplitudes
-    total = 0.0
-    for members in partition.groups:
-        idx = list(members)
-        total += float(np.abs(np.sum(np.conj(ybar[idx]) * c[idx])) ** 2)
-    return _check_probability(total, "limiting probability")
-
-
-def _sample(
-    energies: np.ndarray,
-    c: np.ndarray,
-    rows: np.ndarray,
-    dist: TimeDistribution,
-    rng: np.random.Generator,
-    shots: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo: draw a time, evolve, measure; one outcome per shot.
-
-    c[j] = <E_j|psi0> and rows[r, j] = <b_r|E_j> for the measured basis
-    vectors b_r, with the eigenvectors E_j spanning an invariant subspace
-    that holds psi0 (the whole space, or a reduction of it). Each chunk of
-    SAMPLE_CHUNK shots draws its times, then one uniform u per shot; the
-    outcome is the first r whose cumulative probability exceeds u, or
-    len(rows) ("none of them") when u reaches their total. Only the chunk x
-    dim phases and chunk x len(rows) probabilities are ever held. Returns
-    (times, outcomes).
-    """
-    last = rows.shape[0]
-    times = np.empty(shots)
-    outcomes = np.empty(shots, dtype=np.int64)
-    for lo in range(0, shots, SAMPLE_CHUNK):
-        m = min(SAMPLE_CHUNK, shots - lo)
-        ts = rng.random((m, dist.k)).sum(axis=1) * dist.T
-        amps = (np.exp(-1j * np.outer(ts, energies)) * c) @ rows.T
-        probs = np.abs(amps) ** 2
-        total = np.clip(np.sum(probs, axis=1), 0.0, 1.0)
-        u = rng.random(m)
-        first = np.minimum((probs.cumsum(axis=1) <= u[:, None]).sum(axis=1), last - 1)
-        times[lo : lo + m] = ts
-        outcomes[lo : lo + m] = np.where(u < total, first, last)
-    return times, outcomes
+    return spectral_walk(h, psi0, y).limiting_probability
 
 
 def sample_walk(
@@ -351,7 +401,6 @@ def sample_walk(
     rng_seed: int,
     trials: int,
     measurement_basis: np.ndarray | None = None,
-    dec: SpectralDecomposition | None = None,
 ) -> np.ndarray:
     """Monte Carlo: draw times, evolve, measure; returns empirical frequencies.
 
@@ -360,18 +409,13 @@ def sample_walk(
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    dec = _resolve(h, dec)
-    _check_state_dim(psi0, dec.dim)
-    rows = dec.eigenvectors
-    if measurement_basis is not None:
-        b = np.asarray(measurement_basis, dtype=np.complex128)
-        if b.shape != (dec.dim, dec.dim) or np.max(np.abs(b.conj().T @ b - np.eye(dec.dim))) > 1e-10:
-            raise ValidationError(f"measurement basis must be {dec.dim} x {dec.dim} with orthonormal columns")
-        rows = b.conj().T @ rows
-    c = dec.eigenvectors.conj().T @ psi0.amplitudes
-    _, outcomes = _sample(dec.eigenvalues, c, rows, dist, rng_stream(rng_seed), trials)
+    dim = psi0.dim
+    basis = np.eye(dim) if measurement_basis is None else np.asarray(measurement_basis)
+    if basis.shape != (dim, dim):
+        raise ValidationError(f"measurement basis must be {dim} x {dim} with orthonormal columns")
+    _, outcomes = spectral_walk(h, psi0, basis).sample(dist, rng_stream(rng_seed), trials)
     # a complete basis leaves only rounding for "none of them"; it is dropped
-    return np.bincount(outcomes, minlength=dec.dim + 1)[: dec.dim] / float(trials)
+    return np.bincount(outcomes, minlength=dim + 1)[:dim] / float(trials)
 
 
 def geometric_grid(t_lo: float, t_hi: float, per_decade: int = 40) -> np.ndarray:
@@ -399,46 +443,8 @@ class HittingTimeEstimate:
 
 
 def hitting_time_estimate(
-    h,
-    psi0: PureState,
-    y: PureState,
-    T_grid: np.ndarray,
-    k: int | object = 1,
-    dec: SpectralDecomposition | None = None,
-    tol_degen: float | None = None,
+    h, psi0: PureState, y: PureState, T_grid: np.ndarray, k: int = 1
 ) -> HittingTimeEstimate:
-    """Minimize total evolution time over averaged success probability.
-
-    k may be an integer or a callable T -> int (schedules where the segment
-    count grows with the scale). Raises DegenerateProbabilityError if every
-    grid probability is below 1e-15.
-    """
-    grid = np.asarray(T_grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.shape[0] == 0 or np.any(grid <= 0):
-        raise ValidationError("T_grid must be a non-empty 1-d array of positive times")
-    dec = _resolve(h, dec)
-    best = None
-    floor = 1e-15
-    any_above = False
-    for t in grid:
-        kk = int(k(t)) if callable(k) else int(k)
-        p = avg_probability_exact(h, psi0, y, TimeDistribution(T=float(t), k=kk), dec=dec, tol_degen=tol_degen)
-        if p <= floor:
-            continue
-        any_above = True
-        ratio = kk * float(t) / p
-        if best is None or ratio < best[0]:
-            best = (ratio, float(t), p, kk)
-    if not any_above:
-        raise DegenerateProbabilityError(
-            f"all {grid.shape[0]} grid probabilities below {floor:g}; target unreachable"
-        )
-    tau, argmin_t, p_at, k_at = best
-    desc = f"geometric[{grid[0]:.6g},{grid[-1]:.6g}]x{grid.shape[0]}"
-    return HittingTimeEstimate(
-        tau=float(tau),
-        argmin_T=argmin_t,
-        probability_at_argmin=p_at,
-        k_at_argmin=k_at,
-        grid_description=desc,
-    )
+    """Minimize total evolution time over averaged success probability
+    (SpectralWalk.hitting_time on the walk from psi0 towards y)."""
+    return spectral_walk(h, psi0, y).hitting_time(T_grid, k)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from ctqw import bounds, cli, gluedtrees, markov, search, spectral, walk
+from ctqw import bounds, cli, gluedtrees, markov, search, walk
 from ctqw.walk import TimeDistribution
 
 from conftest import instance_stream
@@ -81,15 +81,15 @@ def test_criterion_04_traversal_floor_and_scaling():
     for two_n in sizes:
         n = two_n // 2
         h = gluedtrees.column_hamiltonian(two_n)
-        dec = spectral.decompose(h)
         psi0 = walk.basis_state(two_n, 0)
         y = walk.basis_state(two_n, two_n - 1)
+        w = walk.spectral_walk(h, psi0, y)
         k = math.ceil(math.log2(5 * n))
-        p_shot = walk.avg_probability_exact(h, psi0, y, TimeDistribution(T=64.0 * n, k=k), dec=dec)
+        p_shot = w.probability(TimeDistribution(T=64.0 * n, k=k))
         assert p_shot >= 1.0 / (4 * n) - 1.0 / (5 * n)
         sub = gluedtrees.subspace_S(two_n)
         t_lo = 2.0 / sub.delta_e_s
-        est = walk.hitting_time_estimate(h, psi0, y, walk.geometric_grid(t_lo, 64.0 * t_lo), k=k, dec=dec)
+        est = w.hitting_time(walk.geometric_grid(t_lo, 64.0 * t_lo), k)
         taus.append(est.tau)
         print(f"criterion 4: 2n={two_n} p_shot={p_shot:.4f} tau_exact={est.tau:.1f}")
     slope = loglog_slope([s // 2 for s in sizes], taus)

@@ -9,6 +9,7 @@ import pytest
 
 from ctqw import gluedtrees, spectral, walk
 from ctqw.errors import InconsistencyError, InvalidLabelError, ValidationError
+from ctqw.walk import TimeDistribution
 
 SQRT2 = math.sqrt(2.0)
 
@@ -327,3 +328,18 @@ def test_certified_hitting_times_smoke():
     assert out["k_l3"] == 5
     assert out["p_inf"] > 0
     assert out["delta_e_min"] <= out["delta_e_s"]
+
+
+def test_certified_hitting_times_certifies_each_route_once(monkeypatch):
+    calls = []
+    phi = walk._phi_matrix
+    monkeypatch.setattr(walk, "_phi_matrix", lambda *args: calls.append(args[0]) or phi(*args))
+    out = gluedtrees.certified_hitting_times(32)
+    # one exact average per route, at its argmin T; the grids read floors only
+    assert calls == [
+        TimeDistribution(T=out["T_l1"], k=1),
+        TimeDistribution(T=out["T_l2"], k=1),
+        TimeDistribution(T=out["T_l3"], k=out["k_l3"]),
+    ]
+    assert min(out[f"slack_l{i}"] for i in (1, 2, 3)) >= 0.0
+    assert out["walk"].limiting_probability == out["p_inf"]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctqw import cli, records
+from ctqw import cli, gluedtrees, records, spectral
 from ctqw.errors import InconsistencyError, ValidationError
 
 
@@ -338,3 +338,43 @@ def test_cli_search_nearby_seeds_share_no_stream(tmp_path):
     ]
     assert len(streams[0]) == len(streams[1]) == 2
     assert not streams[0] & streams[1]
+
+
+def count_calls(monkeypatch, module, names) -> dict:
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        orig = getattr(module, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_bounds_instance_decomposes_once(monkeypatch):
+    counts = count_calls(monkeypatch, spectral, ["decompose", "gaps"])
+    for idx in range(20):
+        counts.update(decompose=0, gaps=0)
+        rows = cli._bounds_instance((idx, 7, 10, 0.1, 1000.0, (1, 2, 3, 4)))
+        assert all(row["holds"] for row in rows)
+        assert counts["decompose"] == 1
+        assert counts["gaps"] <= 2
+
+
+def test_gluedtrees_row_decomposes_the_column_generator_twice(monkeypatch):
+    counts = count_calls(monkeypatch, spectral, ["decompose"])
+    row = cli._gluedtrees_row((16, 5, 20, "log"))
+    # certified_hitting_times' column walk, and the Monte Carlo's own
+    assert counts["decompose"] == 2
+    assert row["holds"]
+    assert min(row[f"slack_l{i}"] for i in (1, 2, 3)) > 0
+
+
+def test_gluedtrees_row_holds_requires_certified_slack(monkeypatch):
+    certified = gluedtrees.certified_hitting_times
+    monkeypatch.setattr(
+        gluedtrees, "certified_hitting_times", lambda two_n: {**certified(two_n), "slack_l2": -1e-3}
+    )
+    assert not cli._gluedtrees_row((16, 5, 20, "log"))["holds"]

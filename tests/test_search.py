@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ctqw import markov, search, spectral, walk
+from ctqw import markov, search, walk
 from ctqw.errors import InconsistencyError, MarkedWeightError, ValidationError
 from ctqw.rng import rng_stream
 from ctqw.walk import TimeDistribution
@@ -18,13 +18,11 @@ def lazy_family(name: str, n: int, seed: int = 6) -> markov.ReversibleChain:
 
 
 def reduced_walk(chain, marked, s):
-    return search._discriminant_walk(markov.interpolate(chain, marked, s), np.sqrt(chain.pi))
+    return search._discriminant_walk(markov.interpolate(chain, marked, s), np.sqrt(chain.pi))[0]
 
 
 def reduced_probability(chain, marked, s, dist):
-    energies, amplitudes, rows = reduced_walk(chain, marked, s)
-    tol = spectral.degeneracy_tol(energies[-1] - energies[0])
-    return walk._rows_probability(energies, amplitudes, rows, dist, tol)
+    return reduced_walk(chain, marked, s).probability(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -138,20 +136,32 @@ def test_reduced_walk_matches_dense_oracle(family, n):
     basis = search.marked_subspace_basis(n, marked)
     block = slice(marked * n, (marked + 1) * n)
     for s in (0.0, markov.s_star(chain, marked), 0.7):
-        energies, amplitudes, rows = reduced_walk(chain, marked, s)
-        assert energies.shape[0] == 2 * n - 1  # the top eigenvalue of D is simple
-        p_reduced = reduced_probability(chain, marked, s, dist)
-        _, reduced = walk._sample(energies, amplitudes, rows, dist, rng_stream(5, 23), shots)
+        w = reduced_walk(chain, marked, s)
+        assert w.energies.shape[0] == 2 * n - 1  # the top eigenvalue of D is simple
+        p_reduced = w.probability(dist)
+        _, reduced = w.sample(dist, rng_stream(5, 23), shots)
         for completion in ("householder", "randomized"):
             ops = search.search_operators(chain, marked, s, completion, completion_seed=17)
-            dec = spectral.decompose(ops.H)
-            p_dense = walk.avg_projector_probability_exact(ops.H, psi0, basis, dist, dec=dec)
+            dense_walk = walk.spectral_walk(ops.H, psi0, basis)
+            p_dense = dense_walk.probability(dist)
             assert abs(p_reduced - p_dense) <= 1e-10, (s, completion)
             # the dense rows sit before V; its marked block maps them to edge coordinates
-            dense_rows = ops.V[block, block] @ dec.eigenvectors[block]
-            c = dec.eigenvectors.conj().T @ psi0.amplitudes
-            _, dense = walk._sample(dec.eigenvalues, c, dense_rows, dist, rng_stream(5, 23), shots)
+            dense_rows = ops.V[block, block] @ dense_walk.rows
+            _, dense = dataclasses.replace(dense_walk, rows=dense_rows).sample(dist, rng_stream(5, 23), shots)
             assert np.array_equal(reduced, dense), (s, completion)
+
+
+def test_run_search_decomposes_the_discriminant_once(monkeypatch):
+    chain = markov.complete_chain(16)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, _orig=orig, _name=name, **kw: calls.append(_name) or _orig(*a, **kw)
+        )
+    search.run_search(chain, 0, 0.1, rng_seed=3, shots=0)
+    # lazify's validate_chain, D(P_s*) itself, and the marked-row Gram certificate
+    assert calls == ["eigh", "eigh", "eigvalsh"]
 
 
 def test_reduced_walk_certificates():

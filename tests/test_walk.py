@@ -285,20 +285,17 @@ def test_sample_walk_two_level_within_3_sigma():
 def test_sampler_partial_chunk_counts_and_frequency():
     two_n, n = 8, 4
     h = gluedtrees.column_hamiltonian(two_n)
-    dec = spectral.decompose(h)
-    psi0 = walk.basis_state(two_n, 0)
+    w = walk.spectral_walk(h, walk.basis_state(two_n, 0), walk.basis_state(two_n, two_n - 1))
     dist = TimeDistribution(T=64.0 * n, k=math.ceil(math.log2(5 * n)))
-    exact = walk.avg_probability_exact(h, psi0, walk.basis_state(two_n, two_n - 1), dist, dec=dec)
-    exit_row = dec.eigenvectors[two_n - 1 : two_n]
-    c = dec.eigenvectors.conj().T @ psi0.amplitudes
+    exact = w.probability(dist)
     shots = 2 * walk.SAMPLE_CHUNK + 1
-    times, outcomes = walk._sample(dec.eigenvalues, c, exit_row, dist, rng_stream(3), shots)
+    times, outcomes = w.sample(dist, rng_stream(3), shots)
     assert times.shape == outcomes.shape == (shots,)
     assert set(np.unique(outcomes)) <= {0, 1}
     freq = np.count_nonzero(outcomes == 0) / shots
     assert abs(freq - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / shots)
     # chunks draw in a fixed order, so a shorter run is a prefix of a longer one
-    head_t, head = walk._sample(dec.eigenvalues, c, exit_row, dist, rng_stream(3), walk.SAMPLE_CHUNK)
+    head_t, head = w.sample(dist, rng_stream(3), walk.SAMPLE_CHUNK)
     assert np.array_equal(head, outcomes[: walk.SAMPLE_CHUNK])
     assert np.array_equal(head_t, times[: walk.SAMPLE_CHUNK])
 
@@ -306,6 +303,52 @@ def test_sampler_partial_chunk_counts_and_frequency():
 def test_sample_walk_rejects_bad_trials():
     with pytest.raises(ValidationError):
         walk.sample_walk(np.eye(2), walk.basis_state(2, 0), TimeDistribution(T=1.0, k=1), rng_seed=1, trials=0)
+
+
+def test_spectral_walk_grid_equals_single_points_and_quadrature():
+    rng = rng_stream(28, 0)
+    h = random_hermitian(rng, 6)
+    psi0, y = random_state(rng, 6), random_state(rng, 6)
+    grid = walk.geometric_grid(0.3, 30.0, per_decade=5)
+    w = walk.spectral_walk(h, psi0, y)
+    for k in (1, 3):
+        probs = w.probabilities(grid, k)
+        # a fresh evaluator per T shares no kept value with w
+        single = [walk.spectral_walk(h, psi0, y).probability(TimeDistribution(T=float(t), k=k)) for t in grid]
+        assert np.max(np.abs(probs - np.array(single))) <= 1e-15
+    quad = [walk.avg_probability_quadrature(h, psi0, y, float(t)) for t in grid]
+    assert np.max(np.abs(w.probabilities(grid, 1) - np.array(quad))) <= 1e-8
+
+
+def test_spectral_walk_state_target_equals_one_column_basis():
+    rng = rng_stream(28, 1)
+    h = random_hermitian(rng, 5)
+    psi0, y = random_state(rng, 5), random_state(rng, 5)
+    dist = TimeDistribution(T=4.0, k=2)
+    as_state = walk.spectral_walk(h, psi0, y)
+    as_basis = walk.spectral_walk(h, psi0, y.amplitudes[:, None])
+    assert as_state.probability(dist) == pytest.approx(as_basis.probability(dist), abs=1e-14)
+    assert as_state.limiting_probability == pytest.approx(as_basis.limiting_probability, abs=1e-14)
+
+
+def test_spectral_walk_evaluates_each_time_law_once(monkeypatch):
+    rng = rng_stream(28, 2)
+    h = random_hermitian(rng, 4)
+    w = walk.spectral_walk(h, random_state(rng, 4), random_state(rng, 4))
+    calls = []
+    phi = walk._phi_matrix
+    monkeypatch.setattr(walk, "_phi_matrix", lambda *args: calls.append(args[0]) or phi(*args))
+    first = w.probability(TimeDistribution(T=3.0, k=2))
+    assert w.probability(TimeDistribution(T=3.0, k=2)) == first
+    w.probability(TimeDistribution(T=3.0, k=1))
+    assert calls == [TimeDistribution(T=3.0, k=2), TimeDistribution(T=3.0, k=1)]
+
+
+def test_reduced_walk_has_no_partition():
+    w = walk.SpectralWalk(np.array([-1.0, 1.0]), np.ones(2) / math.sqrt(2), np.eye(2), None)
+    assert w.probability(TimeDistribution(T=1.0, k=1)) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValidationError):
+        w.partition
 
 
 # ---------------------------------------------------------------------------
