@@ -174,6 +174,7 @@ def _gluedtrees_row(task: tuple) -> dict:
         "mc_success": stats["success_fraction"],
         "mc_runs": stats["runs"],
         "mc_mean_repetitions": stats["mean_repetitions"],
+        "mc_shots": stats["shots"],
         "holds": bool(holds),
     }
 

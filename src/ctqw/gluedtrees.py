@@ -112,13 +112,11 @@ def _scan_roots(f, lo: float, hi: float, points: int) -> list[float]:
     """All roots of f on (lo, hi) via dense sign scan plus bracketed refinement."""
     xs = np.linspace(lo, hi, points)
     ys = f(xs)
-    roots = []
-    for i in range(points - 1):
-        a, b = ys[i], ys[i + 1]
-        if a == 0.0:
-            roots.append(float(xs[i]))
-        elif a * b < 0:
-            roots.append(float(brentq(lambda x: float(f(np.array([x]))[0]), xs[i], xs[i + 1], xtol=1e-15, rtol=8.9e-16)))
+    g = lambda x: float(f(np.array([x]))[0])
+    roots = [
+        float(xs[i]) if ys[i] == 0.0 else float(brentq(g, xs[i], xs[i + 1], xtol=1e-15, rtol=8.9e-16))
+        for i in np.flatnonzero((ys[:-1] == 0.0) | (ys[:-1] * ys[1:] < 0))
+    ]
     if ys[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
@@ -702,6 +700,39 @@ class TraversalRecord:
     rng_seed: int
 
 
+def _first_hits(
+    w: walk.SpectralWalk, dist: TimeDistribution, rng: np.random.Generator, runs: int, reps: int, hit
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Repeat the randomized-time walk in each of `runs` runs until its first hit.
+
+    Round r = 1..reps draws one shot for every run still active through
+    w.sample; hit maps the round's outcomes to a boolean mask, and the runs
+    that hit stop. Each run draws min(G, reps) shots, G geometric in the
+    per-shot hit probability. Returns (used, outcome, elapsed) per run: the
+    shots drawn, the outcome of the hit (-1 if it never hit), and the summed
+    times of the shots drawn.
+    """
+    used = np.full(runs, reps, dtype=np.int64)
+    outcome = np.full(runs, -1, dtype=np.int64)
+    elapsed = np.zeros(runs)
+    active = np.arange(runs)
+    for r in range(1, reps + 1):
+        if active.size == 0:
+            break
+        ts, outs = w.sample(dist, rng, active.size)
+        elapsed[active] += ts
+        hits = hit(outs)
+        used[active[hits]] = r
+        outcome[active[hits]] = outs[hits]
+        active = active[~hits]
+    return used, outcome, elapsed
+
+
+def _exit_column_hit(outcomes: np.ndarray) -> np.ndarray:
+    """Column mode measures the exit column only: outcome 0 is the exit."""
+    return outcomes == 0
+
+
 def run_traversal(
     target, rng_seed: int, k_schedule: str = "log", max_repetitions: int | None = None
 ) -> TraversalRecord:
@@ -711,7 +742,8 @@ def run_traversal(
     target is either an even integer (column-space mode) or a
     GluedTreesInstance (full-graph mode; the generator is built through
     oracle queries and success is recognized by the degree-2 test on the
-    measured label, never by peeking at the exit's identity).
+    measured label, never by peeking at the exit's identity). No shot is
+    drawn past the first hit.
     """
     if isinstance(target, GluedTreesInstance):
         mode = "full"
@@ -739,25 +771,23 @@ def run_traversal(
     # full mode measures every vertex and asks the oracle; column mode only the exit
     if mode == "full":
         w = replace(w, rows=w.decomposition.eigenvectors)
-    ts, outcomes = w.sample(dist, rng_stream(rng_seed, 11), max_repetitions)
 
-    success = False
-    reps_used = max_repetitions
+        def hit(outcomes: np.ndarray) -> np.ndarray:
+            return np.array(
+                [
+                    i < dim and len(oracle_neighbors(target, labels[i])) == 2 and labels[i] != target.entrance
+                    for i in outcomes.tolist()
+                ],
+                dtype=bool,
+            )
+    else:
+        hit = _exit_column_hit
+    used, outcome, elapsed = _first_hits(w, dist, rng_stream(rng_seed, 11), 1, max_repetitions, hit)
+
+    success = bool(outcome[0] >= 0)
     outcome_name = ""
-    for r, idx in enumerate(outcomes.tolist()):
-        if idx == w.rows.shape[0]:
-            continue  # none of the measured rows
-        if mode == "full":
-            name = labels[idx]
-            hit = len(oracle_neighbors(target, name)) == 2 and name != target.entrance
-        else:
-            name, hit = f"col{two_n}", True
-        if hit:
-            success = True
-            reps_used = r + 1
-            outcome_name = name
-            break
-    total_time = float(ts[:reps_used].sum())
+    if success:
+        outcome_name = labels[outcome[0]] if mode == "full" else f"col{two_n}"
     return TraversalRecord(
         mode=mode,
         two_n=two_n,
@@ -766,12 +796,12 @@ def run_traversal(
         k_schedule=k_schedule,
         max_repetitions=max_repetitions,
         success=success,
-        repetitions_used=reps_used,
+        repetitions_used=int(used[0]),
         outcome=outcome_name,
         per_shot_probability=p_shot,
         per_shot_floor=floor,
         certified=certified,
-        total_evolved_time=total_time,
+        total_evolved_time=float(elapsed[0]),
         time_budget=float(max_repetitions) * k * T,
         rng_seed=rng_seed,
     )
@@ -782,23 +812,24 @@ def traversal_success_stats(
 ) -> dict:
     """Monte Carlo success statistics for the column-mode traversal.
 
-    Draws runs x max_repetitions shots through the chunked sampler, measuring
-    only the exit column, so memory stays O(runs x repetitions) whatever the
-    size; deterministic for a fixed seed.
+    Each run repeats the walk until its first exit hit, within
+    max_repetitions; all runs draw their shots together, one round at a
+    time, measuring only the exit column. That costs about runs / p_shot
+    shots, returned as "shots"; deterministic for a fixed seed.
     """
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
     n = two_n // 2
     T, k, reps = default_schedule(two_n, k_schedule)
     dist = TimeDistribution(T=T, k=k)
-    _, outcomes = _column_walk(two_n).sample(dist, rng_stream(rng_seed, 13), runs * reps)
-    hits = outcomes.reshape(runs, reps) == 0
-    any_hit = hits.any(axis=1)
-    first = np.where(any_hit, hits.argmax(axis=1) + 1, reps)
+    used, outcome, _ = _first_hits(
+        _column_walk(two_n), dist, rng_stream(rng_seed, 13), runs, reps, _exit_column_hit
+    )
     return {
         "runs": int(runs),
-        "success_fraction": float(any_hit.mean()),
-        "mean_repetitions": float(first.mean()),
+        "success_fraction": float(np.mean(outcome >= 0)),
+        "mean_repetitions": float(used.mean()),
+        "shots": int(used.sum()),
         "T": float(T),
         "k": int(k),
         "max_repetitions": int(reps),

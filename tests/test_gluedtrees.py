@@ -6,6 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ctqw import gluedtrees, spectral, walk
 from ctqw.errors import InconsistencyError, InvalidLabelError, ValidationError
@@ -60,6 +61,37 @@ def test_smallest_size_has_no_hyperbolic_pair():
 def test_spectrum_matches_dense_across_sizes():
     for two_n in (4, 8, 12, 16, 24, 32):
         assert gluedtrees.column_spectrum_check(two_n) <= 1e-9
+
+
+def loop_scan_roots(f, lo, hi, points):
+    # the element-by-element sign scan that _scan_roots vectorizes
+    xs = np.linspace(lo, hi, points)
+    ys = f(xs)
+    roots = []
+    for i in range(points - 1):
+        a, b = ys[i], ys[i + 1]
+        if a == 0.0:
+            roots.append(float(xs[i]))
+        elif a * b < 0:
+            roots.append(float(brentq(lambda x: float(f(np.array([x]))[0]), xs[i], xs[i + 1], xtol=1e-15, rtol=8.9e-16)))
+    if ys[-1] == 0.0:
+        roots.append(float(xs[-1]))
+    return roots
+
+
+def test_scan_roots_matches_loop_scan():
+    for two_n in (8, 32, 128):
+        n = two_n // 2
+        points = max(4001, 40 * n * n)
+        for sign in (+1, -1):
+            f = lambda p, s=sign: np.sin((n + 1) * p) - s * SQRT2 * np.sin(n * p)
+            assert gluedtrees._scan_roots(f, 0.0, math.pi, points) == loop_scan_roots(f, 0.0, math.pi, points)
+
+
+def test_scan_roots_keeps_exact_zeros():
+    # grid points that are roots, including both ends, are reported as is
+    f = lambda x: x * (x - 1.0) * (x - 2.0)
+    assert gluedtrees._scan_roots(f, 0.0, 2.0, 5) == loop_scan_roots(f, 0.0, 2.0, 5) == [0.0, 1.0, 2.0]
 
 
 def test_lowest_momentum_asymptote():
@@ -311,6 +343,84 @@ def test_traversal_success_stats_memory_is_chunked():
     assert stats["runs"] == 200
     assert stats["max_repetitions"] == 1280
     assert peak < 64 * 2**20
+
+
+class ScriptedWalk:
+    """Stands in for the column walk: run i hits the exit first at round
+    hit_rounds[i] (None: never), and every other shot misses."""
+
+    def __init__(self, hit_rounds):
+        self.pending = list(enumerate(hit_rounds))
+        self.round = 0
+
+    def sample(self, dist, rng, shots):
+        self.round += 1
+        assert shots == len(self.pending) > 0
+        hit = np.array([r == self.round for _, r in self.pending])
+        self.pending = [run for run, h in zip(self.pending, hit) if not h]
+        # round r's shots all take time r
+        return np.full(shots, float(self.round)), np.where(hit, 0, 1)
+
+
+def test_traversal_success_stats_stops_each_run_at_first_hit(monkeypatch):
+    # two_n = 4: max_repetitions = 40
+    scripted = ScriptedWalk([1, 40, None, 7])
+    monkeypatch.setattr(gluedtrees, "_column_walk", lambda two_n: scripted)
+    stats = gluedtrees.traversal_success_stats(4, rng_seed=1, runs=4)
+    assert stats["max_repetitions"] == 40
+    assert stats["success_fraction"] == 0.75  # a hit at the last repetition still counts
+    assert stats["mean_repetitions"] == (1 + 40 + 40 + 7) / 4  # a miss costs the budget
+    assert stats["shots"] == 1 + 40 + 40 + 7
+    assert scripted.round == 40
+
+
+def test_traversal_success_stats_stops_when_every_run_hit(monkeypatch):
+    scripted = ScriptedWalk([3, 1, 2])
+    monkeypatch.setattr(gluedtrees, "_column_walk", lambda two_n: scripted)
+    stats = gluedtrees.traversal_success_stats(4, rng_seed=1, runs=3)
+    assert stats["success_fraction"] == 1.0
+    assert stats["shots"] == 6
+    assert scripted.round == 3  # no round is drawn once every run has hit
+
+
+def test_first_hits_sums_the_times_drawn():
+    used, outcome, elapsed = gluedtrees._first_hits(
+        ScriptedWalk([2, None, 5]), TimeDistribution(T=1.0, k=1), None, 3, 6, gluedtrees._exit_column_hit
+    )
+    assert used.tolist() == [2, 6, 5]
+    assert outcome.tolist() == [0, -1, 0]
+    assert elapsed.tolist() == [1 + 2, 21, 15]  # sum of 1..used
+
+
+def truncated_geometric(p, cap):
+    """Mean and variance of min(G, cap), G geometric with success p."""
+    q = 1.0 - p
+    mean = (1.0 - q**cap) / p
+    second = sum((2 * r - 1) * q ** (r - 1) for r in range(1, cap + 1))
+    return mean, second - mean * mean
+
+
+def test_traversal_success_stats_first_hit_law():
+    runs = 400
+    for two_n in (16, 32):
+        T, k, reps = gluedtrees.default_schedule(two_n)
+        assert reps == 10 * two_n
+        p = gluedtrees._column_walk(two_n).probability(TimeDistribution(T=T, k=k))
+        mean, var = truncated_geometric(p, reps)
+        for seed in (1, 2, 3):
+            stats = gluedtrees.traversal_success_stats(two_n, rng_seed=seed, runs=runs)
+            assert abs(stats["mean_repetitions"] - mean) <= 4.0 * math.sqrt(var / runs)
+            assert stats["shots"] == round(runs * stats["mean_repetitions"])
+
+
+def test_run_traversal_stops_at_first_hit():
+    for seed in range(5):
+        rec = gluedtrees.run_traversal(12, rng_seed=seed)
+        assert rec.success
+        assert rec.outcome == "col12"
+        # every shot's time is a sum of k uniforms on [0, T]
+        assert 0.0 < rec.total_evolved_time <= rec.repetitions_used * rec.k * rec.T
+        assert rec.repetitions_used < rec.max_repetitions
 
 
 def test_linear_schedule_runnable():

@@ -1,5 +1,6 @@
 """The traced benchmark against the package: every function perfbench/layers.py
-wraps must still exist, and a traced bounds run must finish cleanly.
+wraps must still exist, and traced bounds and gluedtrees runs must finish
+cleanly.
 
 The traced run goes through perfbench/child.py in a subprocess, because
 Tracer.install replaces functions in every loaded ctqw module.
@@ -38,12 +39,12 @@ def test_every_traced_name_resolves():
             assert callable(owner), f"{layer}: ctqw.{modname}.{name} is not callable"
 
 
-def test_traced_bounds_run_exits_zero(tmp_path):
-    cfg = tmp_path / "bounds.json"
-    cfg.write_text(json.dumps({"instances": 20, "seed": 7}), encoding="utf-8")
+def traced_run(tmp_path, command: str, config: dict) -> dict:
+    cfg = tmp_path / f"{command}.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
     result = tmp_path / "result.json"
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "child.py"), str(ROOT), "bounds", str(cfg), str(tmp_path / "out"), str(result), "trace"],
+        [sys.executable, str(PERFBENCH / "child.py"), str(ROOT), command, str(cfg), str(tmp_path / "out"), str(result), "trace"],
         capture_output=True,
         text=True,
         timeout=300,
@@ -51,4 +52,15 @@ def test_traced_bounds_run_exits_zero(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(result.read_text(encoding="utf-8"))
     assert report["exit"] == 0
+    return report
+
+
+def test_traced_bounds_run_exits_zero(tmp_path):
+    report = traced_run(tmp_path, "bounds", {"instances": 20, "seed": 7})
     assert report["trace"]["bounds.calls"] > 0
+
+
+def test_traced_gluedtrees_run_exits_zero(tmp_path):
+    # the gluedtrees.mc counters read the traversal_success_stats dict
+    report = traced_run(tmp_path, "gluedtrees", {"n": [8, 12], "mc_runs": 20, "seed": 7})
+    assert report["trace"]["gluedtrees.mc.calls"] == 2

@@ -117,6 +117,9 @@ def test_cli_gluedtrees_small(tmp_path, capsys):
     assert data["seed"] == 9
     assert data["summary"]["all_hold"] is True
     assert data["rows"][0]["n"] == 8
+    row = data["rows"][0]
+    assert row["mc_shots"] == round(row["mc_runs"] * row["mc_mean_repetitions"])
+    assert row["mc_shots"] <= row["mc_runs"] * row["max_repetitions"]
     csv_lines = (tmp_path / "gluedtrees.csv").read_text().splitlines()
     assert csv_lines[0].startswith("#")
     assert csv_lines[1].split(",") == cli.GLUEDTREES_COLUMNS
