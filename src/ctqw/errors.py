@@ -55,7 +55,7 @@ class InvalidLabelError(CtqwError, KeyError):
 
 
 class NonErgodicError(ValidationError):
-    """Chain is not ergodic; message names the violating component or period."""
+    """Chain is not ergodic; message names a vertex cut off from vertex 0, or the period."""
 
 
 class IrreversibleChainError(ValidationError):

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import bounds, spectral, walk
 from .errors import InconsistencyError, InvalidLabelError, ValidationError
@@ -54,6 +53,10 @@ __all__ = [
 SQRT2 = math.sqrt(2.0)
 #: residual tolerance for momentum solutions, |sin((n+1)p)/sin(np) -+ sqrt2|
 MOMENTUM_RESIDUAL_TOL = 1e-10
+#: root refinement tolerances: |x - root| <= (BRENT_XTOL + BRENT_RTOL |x|) / 2
+BRENT_XTOL = 1e-15
+BRENT_RTOL = 8.9e-16
+BRENT_MAXITER = 100
 
 
 def column_hamiltonian(two_n: int) -> np.ndarray:
@@ -108,13 +111,69 @@ def alpha_sq(two_n: int, p: float) -> float:
     return 1.0 / (2.0 * s)
 
 
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of f in the sign-change bracket [xa, xb] by Brent's method.
+
+    Step for step the classic brentq (interpolation, inverse quadratic
+    extrapolation or bisection, whichever is safe), with the same arithmetic
+    in the same order, so the roots match that routine's bit for bit. A
+    bracket without a sign change, or no convergence within BRENT_MAXITER
+    steps, raises InconsistencyError: the brackets come from the package's
+    own sign scans.
+    """
+    xtol, rtol = BRENT_XTOL, BRENT_RTOL
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise InconsistencyError(f"no sign change on [{xpre!r}, {xcur!r}]: f = {fpre:.3g}, {fcur:.3g}")
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise InconsistencyError(f"root refinement did not converge in {BRENT_MAXITER} steps near {xcur!r}")
+
+
 def _scan_roots(f, lo: float, hi: float, points: int) -> list[float]:
     """All roots of f on (lo, hi) via dense sign scan plus bracketed refinement."""
     xs = np.linspace(lo, hi, points)
     ys = f(xs)
     g = lambda x: float(f(np.array([x]))[0])
     roots = [
-        float(xs[i]) if ys[i] == 0.0 else float(brentq(g, xs[i], xs[i + 1], xtol=1e-15, rtol=8.9e-16))
+        float(xs[i]) if ys[i] == 0.0 else _brentq(g, xs[i], xs[i + 1])
         for i in np.flatnonzero((ys[:-1] == 0.0) | (ys[:-1] * ys[1:] < 0))
     ]
     if ys[-1] == 0.0:
@@ -163,7 +222,7 @@ def solve_momenta(two_n: int) -> MomentaReport:
     if missing == 2:
         g = lambda q: math.sinh((n + 1) * q) - SQRT2 * math.sinh(n * q)
         # g < 0 just above 0 (slope (n+1) - sqrt(2) n), g > 0 by q = 1
-        hyperbolic_q = float(brentq(g, 1e-12, 1.0, xtol=1e-15, rtol=8.9e-16))
+        hyperbolic_q = _brentq(g, 1e-12, 1.0)
         e = 2.0 * math.cosh(hyperbolic_q)
         hyp_energies = (-e, e)
 

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     AssertionFailure,
@@ -99,25 +97,38 @@ def _stationary(p: np.ndarray) -> np.ndarray:
     return pi
 
 
-def _period(p: np.ndarray) -> int:
-    """Period of a strongly connected chain: gcd of level[u] + 1 - level[v]
-    over directed edges, with levels from a breadth-first sweep."""
-    n = p.shape[0]
-    level = np.full(n, -1)
+def _levels(support: np.ndarray) -> np.ndarray:
+    """Breadth-first distance from vertex 0 along the edges u -> v with
+    support[u, v]; -1 marks the vertices that are not reached."""
+    level = np.full(support.shape[0], -1)
     level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(p[u] > 0)[0]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    rows, cols = np.nonzero(p > 0)
-    for u, v in zip(rows, cols):
-        g = math.gcd(g, int(level[u] + 1 - level[v]))
+    frontier, depth = np.array([0]), 0
+    while frontier.size:
+        depth += 1
+        frontier = np.flatnonzero(support[frontier].any(axis=0) & (level < 0))
+        level[frontier] = depth
+    return level
+
+
+def _connected_levels(support: np.ndarray) -> np.ndarray:
+    """Levels from vertex 0 of a strongly connected support.
+
+    Strongly connected means every vertex is reached from vertex 0 and
+    reaches it; otherwise NonErgodicError names the first vertex that fails.
+    """
+    level = _levels(support)
+    for levels, how in ((level, "is not reached from"), (_levels(support.T), "does not reach")):
+        missed = np.flatnonzero(levels < 0)
+        if missed.size:
+            raise NonErgodicError(f"chain is not strongly connected: vertex {missed[0]} {how} vertex 0")
+    return level
+
+
+def _period(support: np.ndarray, level: np.ndarray) -> int:
+    """Period of a strongly connected chain: gcd of level[u] + 1 - level[v]
+    over the directed edges u -> v, with the breadth-first levels from 0."""
+    rows, cols = np.nonzero(support)
+    g = int(np.gcd.reduce(level[rows] + 1 - level[cols]))
     return g if g > 0 else 1
 
 
@@ -144,9 +155,8 @@ def validate_chain(matrix, require_aperiodic: bool = True) -> ReversibleChain:
         raise ValidationError(f"row {worst} sums to {sums[worst]:.17g}, not 1")
     p = p / sums[:, None]
 
-    n_comp, _ = connected_components(csr_matrix(p > 0), directed=True, connection="strong")
-    if n_comp != 1:
-        raise NonErgodicError(f"chain is not strongly connected ({n_comp} components)")
+    support = p > 0
+    level = _connected_levels(support)
 
     pi = _stationary(p)
     flow = pi[:, None] * p
@@ -169,7 +179,7 @@ def validate_chain(matrix, require_aperiodic: bool = True) -> ReversibleChain:
             f"stationary solve disagrees with discriminant eigenvector by {cross:.3g}"
         )
 
-    aperiodic = _period(p) == 1
+    aperiodic = _period(support, level) == 1
     if require_aperiodic and not aperiodic:
         raise NonErgodicError("chain is periodic; lazify it or pass require_aperiodic=False")
     return ReversibleChain(P=p, pi=pi, detailed_balance_residual=resid, aperiodic=aperiodic)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from . import spectral
 from .errors import DegenerateProbabilityError, InconsistencyError, ValidationError
@@ -351,7 +350,10 @@ def avg_projector_probability_exact(
 
 def avg_probability_quadrature(h, psi0: PureState, y: PureState, T: float) -> float:
     """Oracle: (1/T) integral_0^T |<y|exp(-iHt)|psi0>|^2 dt by adaptive
-    quadrature (k = 1 only), absolute tolerance 1e-8."""
+    quadrature (k = 1 only), absolute tolerance 1e-8. Needs scipy, which
+    nothing else in the package imports."""
+    from scipy import integrate
+
     if not T > 0:
         raise ValidationError(f"T must be positive, got {T}")
     dec = spectral.decompose(h)

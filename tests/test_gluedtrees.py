@@ -94,6 +94,50 @@ def test_scan_roots_keeps_exact_zeros():
     assert gluedtrees._scan_roots(f, 0.0, 2.0, 5) == loop_scan_roots(f, 0.0, 2.0, 5) == [0.0, 1.0, 2.0]
 
 
+def test_brentq_matches_scipy_bit_for_bit():
+    # every bracket the momentum scan refines, both branches
+    for two_n in (8, 32, 128):
+        n = two_n // 2
+        xs = np.linspace(0.0, math.pi, max(4001, 40 * n * n))
+        for sign in (+1, -1):
+            f = lambda p, s=sign: np.sin((n + 1) * p) - s * SQRT2 * np.sin(n * p)
+            g = lambda x: float(f(np.array([x]))[0])
+            ys = f(xs)
+            brackets = np.flatnonzero(ys[:-1] * ys[1:] < 0)
+            assert brackets.size >= n - 1
+            for i in brackets:
+                a, b = float(xs[i]), float(xs[i + 1])
+                assert gluedtrees._brentq(g, a, b) == brentq(g, a, b, xtol=1e-15, rtol=8.9e-16)
+    # the hyperbolic root, on the bracket solve_momenta uses
+    for two_n in (8, 64, 256):
+        n = two_n // 2
+        g = lambda q: math.sinh((n + 1) * q) - SQRT2 * math.sinh(n * q)
+        q = gluedtrees._brentq(g, 1e-12, 1.0)
+        assert q == brentq(g, 1e-12, 1.0, xtol=1e-15, rtol=8.9e-16)
+        assert q == gluedtrees.solve_momenta(two_n).hyperbolic_q
+
+
+def test_brentq_returns_a_root_endpoint():
+    assert gluedtrees._brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+    assert gluedtrees._brentq(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+
+
+def test_brentq_without_sign_change_is_inconsistent():
+    with pytest.raises(InconsistencyError, match="no sign change"):
+        gluedtrees._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+
+
+def test_brentq_without_convergence_is_inconsistent():
+    # a unit step on a huge bracket: about a thousand halvings are needed
+    step = lambda x: -1.0 if x < 0.3 else 1.0
+    with pytest.raises(InconsistencyError, match="did not converge in 100 steps"):
+        gluedtrees._brentq(step, -1e300, 1e300)
+    with pytest.raises(RuntimeError):
+        brentq(step, -1e300, 1e300, xtol=1e-15, rtol=8.9e-16)
+
+
 def test_lowest_momentum_asymptote():
     # p_1 = pi/n - pi/((1+sqrt(2)) n^2) + O(1/n^3), measured constant ~0.54
     for two_n in (8, 16, 24, 32):

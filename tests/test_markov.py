@@ -2,8 +2,12 @@
 import dataclasses
 import math
 
+import re
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ctqw import markov
 from ctqw.errors import (
@@ -76,6 +80,77 @@ def test_periodic_chain_needs_flag():
         markov.validate_chain(p)
     chain = markov.validate_chain(p, require_aperiodic=False)
     assert not chain.aperiodic
+
+
+def test_disconnected_chain_names_a_cut_off_vertex():
+    p = np.eye(3)
+    p[0] = [0.5, 0.5, 0.0]  # 0 -> 1 is one way; 2 is isolated
+    with pytest.raises(NonErgodicError, match="vertex 2 is not reached from vertex 0"):
+        markov.validate_chain(p)
+    p[0] = [0.4, 0.3, 0.3]
+    p[2] = [0.5, 0.0, 0.5]  # 0 and 2 reach each other; 1 can only be entered
+    with pytest.raises(NonErgodicError, match="vertex 1 does not reach vertex 0"):
+        markov.validate_chain(p)
+
+
+def test_connectivity_matches_strong_components():
+    rng = np.random.default_rng(2024)
+    outcomes = {True: 0, False: 0}
+    for case in range(200):
+        n = 1 if case % 25 == 0 else int(rng.integers(2, 41))
+        support = rng.random((n, n)) < rng.uniform(0.3, 3.0) * math.log(n + 1) / n
+        j = int(rng.integers(n))
+        if case % 4 == 1:
+            support[:, j] = False  # j can only be left
+        elif case % 4 == 2:
+            support[j, :] = False  # j can only be entered
+        n_comp, label = connected_components(csr_matrix(support), directed=True, connection="strong")
+        outcomes[n_comp == 1] += 1
+        if n_comp == 1:
+            assert np.all(markov._connected_levels(support) >= 0)
+        else:
+            with pytest.raises(NonErgodicError) as exc:
+                markov._connected_levels(support)
+            v = int(re.search(r"vertex (\d+) ", str(exc.value)).group(1))
+            assert label[v] != label[0]
+    assert min(outcomes.values()) >= 40
+
+
+def loop_period(p):
+    # the per-edge gcd loop over a vertex-by-vertex sweep that _period vectorizes
+    n = p.shape[0]
+    level = np.full(n, -1)
+    level[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in np.nonzero(p[u] > 0)[0]:
+                if level[v] < 0:
+                    level[v] = level[u] + 1
+                    nxt.append(int(v))
+        frontier = nxt
+    g = 0
+    rows, cols = np.nonzero(p > 0)
+    for u, v in zip(rows, cols):
+        g = math.gcd(g, int(level[u] + 1 - level[v]))
+    return g if g > 0 else 1
+
+
+def test_period_matches_loop():
+    chains = [markov.cycle_chain(n) for n in range(3, 12)]
+    chains += [markov.lazify(c) for c in chains[:4]]
+    chains += [markov.complete_chain(n) for n in (2, 3, 5, 16)]
+    chains += [markov.random_reversible_chain(n, seed) for n, seed in ((2, 0), (7, 1), (30, 2))]
+    periods = []
+    for chain in chains:
+        support = chain.P > 0
+        period = markov._period(support, markov._connected_levels(support))
+        assert period == loop_period(chain.P)
+        assert chain.aperiodic == (period == 1)
+        periods.append(period)
+    assert periods[:9] == [1, 2, 1, 2, 1, 2, 1, 2, 1]  # odd and even cycles
+    assert set(periods[9:]) == {1, 2}  # only complete_chain(2) is periodic
 
 
 # ---------------------------------------------------------------------------

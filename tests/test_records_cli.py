@@ -133,6 +133,18 @@ def test_cli_gluedtrees_small(tmp_path, capsys):
     assert (other / "gluedtrees.csv").read_bytes() == (tmp_path / "gluedtrees.csv").read_bytes()
 
 
+@pytest.mark.parametrize("failure", ["no sign change", "did not converge"])
+def test_cli_gluedtrees_root_refinement_failure_exits_4(tmp_path, monkeypatch, capsys, failure):
+    # a failed momentum refinement is an internal failure, not a traceback
+    if failure == "no sign change":
+        monkeypatch.setattr(gluedtrees, "SQRT2", 10.0)  # sinh((n+1)q) - 10 sinh(nq) < 0 on [1e-12, 1]
+    else:
+        monkeypatch.setattr(gluedtrees, "BRENT_MAXITER", 1)
+    cfg = write_cfg(tmp_path / "g.json", {"n": [8], "seed": 9, "mc_runs": 4})
+    assert cli.main(["gluedtrees", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert failure in capsys.readouterr().err
+
+
 def test_cli_gluedtrees_rejects_bad_size(tmp_path):
     cfg = write_cfg(tmp_path / "g.json", {"n": [3], "seed": 1})
     assert cli.main(["gluedtrees", "--config", cfg, "--out", str(tmp_path)]) == 3
@@ -293,18 +305,32 @@ def test_cli_numerical_postcondition_exits_4(tmp_path, monkeypatch):
     assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 4
 
 
-def test_module_entry_point_imports_cli_once():
+def run_python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with this checkout's ctqw first on PYTHONPATH."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ctqw.cli", "--version"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point_imports_cli_once():
+    proc = run_python("-W", "error::RuntimeWarning", "-m", "ctqw.cli", "--version")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ctqw ")
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the quadrature oracle; importing it would dominate start-up
+    code = (
+        "import sys\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import ctqw\n"
+        "print(scipy())\n"
+        "import ctqw.cli\n"
+        "print(scipy())\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 # ---------------------------------------------------------------------------
