@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +62,30 @@ BOUNDS_COLUMNS = [
 ]
 
 
+#: kind -> (CSV columns, CSV comment line) of the bundle the subcommand writes
+BUNDLES = {
+    "gluedtrees": (
+        GLUEDTREES_COLUMNS,
+        "glued-trees sweep: subset gap, per-shot probability, certified hitting times, MC success",
+    ),
+    "search": (
+        SEARCH_COLUMNS,
+        "spatial search sweep: interpolation point, spectral gap, hitting time, schedule, success",
+    ),
+    "bounds": (BOUNDS_COLUMNS, "averaged-probability bound corpus: one row per certified inequality"),
+}
+
+
 # ---------------------------------------------------------------------------
-# config plumbing
+# shared plumbing
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _load_config(path: str) -> dict:
@@ -90,34 +113,46 @@ def _resolve_out(args, cfg: dict) -> Path:
         out = Path(cfg["out"])
     else:
         out = Path(".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     return out
-
-
-def _effective_seed(args, cfg: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = cfg.get("seed")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("a seed is required: set 'seed' in the config or pass --seed")
-    return seed
 
 
 def _as_int(cfg: dict, key: str, default=None, minimum=None):
     value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ConfigError(f"config field '{key}' must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"config field '{key}' must be >= {minimum}, got {value}")
     return value
 
 
-def _run_tasks(worker, tasks, jobs: int):
-    if jobs <= 1:
-        return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        # pool.map preserves task order, so collection stays deterministic
-        return list(pool.map(worker, tasks))
+def _run_tasks(worker, tasks, jobs: int) -> list:
+    """Run worker on every task and concatenate the row lists, in task order."""
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        chunks = map(worker, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # pool.map preserves task order, so collection stays deterministic
+            chunks = list(pool.map(worker, tasks))
+    return [row for chunk in chunks for row in chunk]
+
+
+def _write_bundle(out: Path, kind: str, seed: int, config, rows, summary, failure, success) -> int:
+    """Write <kind>.json and <kind>.csv; exit code 2 when failure names a failed assertion."""
+    columns, comment = BUNDLES[kind]
+    record = records.ExperimentRecord(kind=kind, config=config, seed=seed, rows=tuple(rows), summary=summary)
+    record.write(out / f"{kind}.json")
+    records.write_csv(out / f"{kind}.csv", columns, rows, comment)
+    print(f"{kind}: wrote {out / f'{kind}.csv'} and {out / f'{kind}.json'}")
+    if failure:
+        print(f"{kind}: {failure}", file=sys.stderr)
+        return 2
+    print(f"{kind}: {success}")
+    return 0
 
 
 def _finite_or_none(value: float):
@@ -129,7 +164,7 @@ def _finite_or_none(value: float):
 # gluedtrees subcommand
 
 
-def _gluedtrees_row(task: tuple) -> dict:
+def _gluedtrees_row(task: tuple) -> list:
     two_n, mc_seed, mc_runs, k_schedule = task
     n = two_n // 2
     T, k, reps = gluedtrees.default_schedule(two_n, k_schedule)
@@ -148,7 +183,7 @@ def _gluedtrees_row(task: tuple) -> dict:
         and p_shot >= floor - 1e-12
         and all(slack >= -bounds.SLACK_TOL for slack in slacks)
     )
-    return {
+    row = {
         "n": two_n,
         "delta_e_s": sub.delta_e_s,
         "p_shot": float(p_shot),
@@ -177,17 +212,15 @@ def _gluedtrees_row(task: tuple) -> dict:
         "mc_shots": stats["shots"],
         "holds": bool(holds),
     }
+    return [row]
 
 
-def _cmd_gluedtrees(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _effective_seed(args, cfg)
-    out = _resolve_out(args, cfg)
+def _cmd_gluedtrees(cfg: dict, seed: int, jobs: int) -> tuple:
     sizes = cfg.get("n")
     if not isinstance(sizes, list) or not sizes:
         raise ConfigError("config field 'n' must be a nonempty list of even sizes >= 8")
     for value in sizes:
-        if isinstance(value, bool) or not isinstance(value, int) or value < 8 or value % 2:
+        if not _is_int(value) or value < 8 or value % 2:
             raise ConfigError(f"size {value!r} is invalid: sizes must be even integers >= 8")
     mc_runs = _as_int(cfg, "mc_runs", default=200, minimum=1)
     k_schedule = cfg.get("k_schedule", "log")
@@ -197,7 +230,7 @@ def _cmd_gluedtrees(args) -> int:
     tasks = [
         (two_n, task_seed(seed, idx), mc_runs, k_schedule) for idx, two_n in enumerate(sorted(sizes))
     ]
-    rows = _run_tasks(_gluedtrees_row, tasks, args.jobs)
+    rows = _run_tasks(_gluedtrees_row, tasks, jobs)
 
     xs = np.log([row["n"] // 2 for row in rows])
     slope = None
@@ -210,70 +243,39 @@ def _cmd_gluedtrees(args) -> int:
         "tau_l1_over_l2": [row["tau_l1"] / row["tau_l2"] for row in rows],
         "tau_l2_over_l3": [row["tau_l2"] / row["tau_l3"] for row in rows],
     }
-    config_echo = {"n": sorted(sizes), "mc_runs": mc_runs, "k_schedule": k_schedule}
-    record = records.ExperimentRecord(
-        kind="gluedtrees", config=config_echo, seed=seed, rows=tuple(rows), summary=summary
-    )
-    record.write(out / "gluedtrees.json")
-    records.write_csv(
-        out / "gluedtrees.csv",
-        GLUEDTREES_COLUMNS,
-        rows,
-        "glued-trees sweep: subset gap, per-shot probability, certified hitting times, MC success",
-    )
-    print(f"gluedtrees: wrote {out / 'gluedtrees.csv'} and {out / 'gluedtrees.json'}")
-    if not summary["all_hold"]:
-        bad = [row["n"] for row in rows if not row["holds"]]
-        print(f"gluedtrees: assertion failed for sizes {bad}", file=sys.stderr)
-        return 2
-    print(f"gluedtrees: all {len(rows)} sizes certified")
-    return 0
+    config = {"n": sorted(sizes), "mc_runs": mc_runs, "k_schedule": k_schedule}
+    bad = [row["n"] for row in rows if not row["holds"]]
+    failure = f"assertion failed for sizes {bad}" if bad else None
+    return config, rows, summary, failure, f"all {len(rows)} sizes certified"
 
 
 # ---------------------------------------------------------------------------
 # search subcommand
 
 
-def _search_row(task: tuple) -> dict:
-    family, n, marked, epsilon, chain_seed, mc_seed, shots, time_factor, payload = task
+def _search_rows(task: tuple) -> list:
+    # one chain, shared by every epsilon row; one MC stream per row
+    family, n, marked, payload, seed, idx, epsilons, shots, time_factor = task
     if payload is not None:
         chain, marked = markov.chain_from_payload(payload)
     else:
-        chain = markov.chain_family(family, n, seed=chain_seed)
-    rec = search.run_search(
-        chain,
-        marked,
-        epsilon,
-        mc_seed,
-        family=family,
-        shots=shots,
-        time_factor=time_factor,
-        enforce_floor=False,
-    )
-    return {
-        "family": rec.family,
-        "N": rec.n,
-        "epsilon": rec.epsilon,
-        "marked": rec.marked,
-        "s_star": rec.s_star,
-        "gap_s_star": rec.gap_s_star,
-        "ht": rec.hitting_time,
-        "T": rec.T,
-        "k": rec.k,
-        "total_time": rec.total_time,
-        "p_exact": rec.p_exact,
-        "success_floor": rec.success_floor,
-        "floor_holds": rec.floor_holds,
-        "overlap_start": rec.overlap_start,
-        "overlap_marked": rec.overlap_marked,
-        "mc_freq": rec.mc_freq,
-        "mc_std_error": rec.mc_std_error,
-        "mc_within_3sigma": rec.mc_within_3sigma,
-        "mc_shots": rec.mc_shots,
-        "time_factor": rec.time_factor,
-        "rng_seed": rec.rng_seed,
-        "walk_dim": rec.walk_dim,
-    }
+        chain = markov.chain_family(family, n, seed=task_seed(seed, idx))
+    rows = []
+    for j, eps in enumerate(epsilons):
+        rec = search.run_search(
+            chain,
+            marked,
+            eps,
+            task_seed(seed, idx, j),
+            family=family,
+            shots=shots,
+            time_factor=time_factor,
+            enforce_floor=False,
+        )
+        row = asdict(rec)
+        row["N"], row["ht"] = row.pop("n"), row.pop("hitting_time")
+        rows.append(row)
+    return rows
 
 
 def _linear_fit(xs: list, ys: list) -> dict:
@@ -288,22 +290,19 @@ def _linear_fit(xs: list, ys: list) -> dict:
     return {"slope": float(slope), "intercept": float(intercept), "r_squared": float(r2)}
 
 
-def _cmd_search(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _effective_seed(args, cfg)
-    out = _resolve_out(args, cfg)
-
+def _cmd_search(cfg: dict, seed: int, jobs: int) -> tuple:
     epsilons = cfg.get("epsilons")
     if not isinstance(epsilons, list) or not epsilons:
         raise ConfigError("config field 'epsilons' must be a nonempty list")
     for eps in epsilons:
-        if not isinstance(eps, (int, float)) or isinstance(eps, bool) or not 0.0 < eps < 0.25:
+        if not _is_real(eps) or not 0.0 < eps < 0.25:
             raise ConfigError(f"epsilon {eps!r} is invalid: must lie strictly in (0, 1/4)")
+    epsilons = sorted(epsilons, reverse=True)
     shots = _as_int(cfg, "shots", default=100000, minimum=1)
     marked = _as_int(cfg, "marked", default=0, minimum=0)
     time_factor = cfg.get("time_factor")
     if time_factor is not None:
-        if not isinstance(time_factor, (int, float)) or isinstance(time_factor, bool) or time_factor <= 0:
+        if not _is_real(time_factor) or time_factor <= 0:
             raise ConfigError(f"config field 'time_factor' must be a positive number, got {time_factor!r}")
         time_factor = float(time_factor)
 
@@ -319,13 +318,11 @@ def _cmd_search(args) -> int:
             if family not in markov.CHAIN_FAMILIES:
                 raise ConfigError(f"unknown chain family {family!r}; known: {markov.CHAIN_FAMILIES}")
         for n in sizes:
-            if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+            if not _is_int(n) or n < 2:
                 raise ConfigError(f"chain size {n!r} is invalid: must be an integer >= 2")
             if marked >= n:
                 raise ConfigError(f"marked vertex {marked} is out of range for size {n}")
-        for family in families:
-            for n in sizes:
-                specs.append((str(family), int(n), marked, None))
+        specs += [(str(family), n, marked, None) for family in families for n in sizes]
     chain_paths = cfg.get("chains", [])
     if chain_paths:
         if not isinstance(chain_paths, list):
@@ -341,13 +338,8 @@ def _cmd_search(args) -> int:
     if not specs:
         raise ConfigError("search config needs 'families' + 'N', or 'chains'")
 
-    # one chain per spec, shared by its epsilon rows; one MC stream per row
-    tasks = []
-    for idx, (family, n, mk, payload) in enumerate(specs):
-        chain_seed = task_seed(seed, idx)
-        for j, eps in enumerate(sorted(epsilons, reverse=True)):
-            tasks.append((family, n, mk, float(eps), chain_seed, task_seed(seed, idx, j), shots, time_factor, payload))
-    rows = _run_tasks(_search_row, tasks, args.jobs)
+    tasks = [(*spec, seed, idx, epsilons, shots, time_factor) for idx, spec in enumerate(specs)]
+    rows = _run_tasks(_search_rows, tasks, jobs)
 
     fits = []
     for family, n in sorted({(row["family"], row["N"]) for row in rows}):
@@ -361,32 +353,18 @@ def _cmd_search(args) -> int:
         "all_floor_holds": bool(all(row["floor_holds"] for row in rows)),
         "total_time_fits": fits,
     }
-    config_echo = {
+    config = {
         "families": families,
         "N": sizes,
-        "epsilons": sorted(epsilons, reverse=True),
+        "epsilons": epsilons,
         "marked": marked,
         "shots": shots,
         "time_factor": time_factor,
         "chains": chain_paths,
     }
-    record = records.ExperimentRecord(
-        kind="search", config=config_echo, seed=seed, rows=tuple(rows), summary=summary
-    )
-    record.write(out / "search.json")
-    records.write_csv(
-        out / "search.csv",
-        SEARCH_COLUMNS,
-        rows,
-        "spatial search sweep: interpolation point, spectral gap, hitting time, schedule, success",
-    )
-    print(f"search: wrote {out / 'search.csv'} and {out / 'search.json'}")
-    if not summary["all_floor_holds"]:
-        bad = [(row["family"], row["N"], row["epsilon"]) for row in rows if not row["floor_holds"]]
-        print(f"search: success floor violated for {bad}", file=sys.stderr)
-        return 2
-    print(f"search: all {len(rows)} runs meet the 1/4 - epsilon floor")
-    return 0
+    bad = [(row["family"], row["N"], row["epsilon"]) for row in rows if not row["floor_holds"]]
+    failure = f"success floor violated for {bad}" if bad else None
+    return config, rows, summary, failure, f"all {len(rows)} runs meet the 1/4 - epsilon floor"
 
 
 # ---------------------------------------------------------------------------
@@ -409,69 +387,49 @@ def _bounds_instance(task: tuple) -> list:
     k = int(k_values[int(rng.integers(0, len(k_values)))])
     w = walk.spectral_walk(h, psi0, y)
     part = w.partition
-    rows = []
-
-    def add(report, kind: str, k_used: int):
-        rows.append(
-            {
-                "instance": idx,
-                "dim": dim,
-                "T": T,
-                "k": k_used,
-                "kind": kind,
-                "bound_value": _finite_or_none(report.bound_value),
-                "actual_value": _finite_or_none(report.actual_value),
-                "slack": float(report.slack),
-                "holds": bool(report.holds),
-            }
-        )
-
-    add(bounds.mixing_bound(w, T), "mixing", 1)
-    for g in range(part.n_groups):
-        add(bounds.eigenspace_bound(w, T, g), "eigenspace", 1)
+    reports = [("mixing", 1, bounds.mixing_bound(w, T))]
+    reports += [("eigenspace", 1, bounds.eigenspace_bound(w, T, g)) for g in range(part.n_groups)]
     size = int(rng.integers(1, part.n_groups + 1))
     subset = sorted(int(i) for i in rng.choice(part.n_groups, size=size, replace=False))
     dist = TimeDistribution(T=T, k=k)
-    add(bounds.subset_bound(w, dist, subset), "subset", k)
+    reports.append(("subset", k, bounds.subset_bound(w, dist, subset)))
     rho0 = walk.density_operator(np.outer(psi0.amplitudes, psi0.amplitudes.conj()))
-    add(bounds.residual_bound(part, rho0, subset, dist), "residual", k)
+    reports.append(("residual", k, bounds.residual_bound(part, rho0, subset, dist)))
 
     g = int(rng.integers(0, part.n_groups))
     comp = bounds.bound_comparison(w, T, g)
-    rows.append(
+    ok = comp.implication_ok
+    values = [(kind, k_used, r.bound_value, r.actual_value, r.slack, r.holds) for kind, k_used, r in reports]
+    values.append(("comparison", 1, comp.tau_mixing_scale, comp.tau_selective, 0.0 if ok else -1.0, ok))
+    return [
         {
             "instance": idx,
             "dim": dim,
             "T": T,
-            "k": 1,
-            "kind": "comparison",
-            "bound_value": _finite_or_none(comp.tau_mixing_scale),
-            "actual_value": _finite_or_none(comp.tau_selective),
-            "slack": 0.0 if comp.implication_ok else -1.0,
-            "holds": bool(comp.implication_ok),
+            "k": k_used,
+            "kind": kind,
+            "bound_value": _finite_or_none(bound_value),
+            "actual_value": _finite_or_none(actual_value),
+            "slack": float(slack),
+            "holds": bool(holds),
         }
-    )
-    return rows
+        for kind, k_used, bound_value, actual_value, slack, holds in values
+    ]
 
 
-def _cmd_bounds(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _effective_seed(args, cfg)
-    out = _resolve_out(args, cfg)
+def _cmd_bounds(cfg: dict, seed: int, jobs: int) -> tuple:
     instances = _as_int(cfg, "instances", default=200, minimum=1)
     dim_max = _as_int(cfg, "dim_max", default=10, minimum=2)
     t_range = cfg.get("t_range", [0.1, 1000.0])
     if (
         not isinstance(t_range, list)
         or len(t_range) != 2
-        or not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in t_range)
+        or not all(_is_real(t) for t in t_range)
         or not 0 < t_range[0] < t_range[1]
     ):
         raise ConfigError(f"config field 't_range' must be [t_lo, t_hi] with 0 < t_lo < t_hi, got {t_range!r}")
     k_values = cfg.get("k_values", [1, 2, 3, 4])
-    if not isinstance(k_values, list) or not k_values or any(
-        isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in k_values
-    ):
+    if not isinstance(k_values, list) or not k_values or any(not _is_int(k) or k < 1 for k in k_values):
         raise ConfigError(f"config field 'k_values' must be a list of integers >= 1, got {k_values!r}")
     inject_fault = cfg.get("inject_fault", False)
     if not isinstance(inject_fault, bool):
@@ -481,7 +439,7 @@ def _cmd_bounds(args) -> int:
         (idx, seed, dim_max, float(t_range[0]), float(t_range[1]), tuple(k_values))
         for idx in range(instances)
     ]
-    rows = [row for chunk in _run_tasks(_bounds_instance, tasks, args.jobs) for row in chunk]
+    rows = _run_tasks(_bounds_instance, tasks, jobs)
 
     if inject_fault:
         # self-test of the failure path: shift every slack down by 1e-3 and
@@ -489,7 +447,7 @@ def _cmd_bounds(args) -> int:
         # row per instance must trip
         for row in rows:
             row["slack"] = row["slack"] - 1e-3
-            row["holds"] = bool(row["holds"] and row["slack"] >= -1e-9)
+            row["holds"] = bool(row["holds"] and row["slack"] >= -bounds.SLACK_TOL)
 
     min_slack = {}
     for kind in ("mixing", "eigenspace", "subset", "residual"):
@@ -505,38 +463,31 @@ def _cmd_bounds(args) -> int:
         "all_hold": bool(all(row["holds"] for row in rows)),
         "fault_injected": inject_fault,
     }
-    config_echo = {
+    config = {
         "instances": instances,
         "dim_max": dim_max,
         "t_range": [float(t_range[0]), float(t_range[1])],
         "k_values": list(k_values),
         "inject_fault": inject_fault,
     }
-    record = records.ExperimentRecord(
-        kind="bounds", config=config_echo, seed=seed, rows=tuple(rows), summary=summary
-    )
-    record.write(out / "bounds.json")
-    records.write_csv(
-        out / "bounds.csv",
-        BOUNDS_COLUMNS,
-        rows,
-        "averaged-probability bound corpus: one row per certified inequality",
-    )
-    print(f"bounds: wrote {out / 'bounds.csv'} and {out / 'bounds.json'}")
-    if not summary["all_hold"]:
-        failed = sum(1 for row in rows if not row["holds"])
-        print(f"bounds: {failed} of {len(rows)} inequality rows failed", file=sys.stderr)
-        return 2
-    print(f"bounds: all {len(rows)} inequality rows hold")
-    return 0
+    failed = sum(1 for row in rows if not row["holds"])
+    failure = f"{failed} of {len(rows)} inequality rows failed" if failed else None
+    return config, rows, summary, failure, f"all {len(rows)} inequality rows hold"
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as bad input (exit 3); subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctqw",
         description="deterministic experiments for averaged quantum-walk hitting bounds",
     )
@@ -556,10 +507,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Shared setup, then one subcommand: it validates its own config fields, runs
+    its tasks and returns (config echo, rows, summary, failure or None, success)."""
+    cfg = _load_config(args.config)
+    seed = cfg.get("seed") if args.seed is None else args.seed
+    if not _is_int(seed):
+        raise ConfigError("a seed is required: set 'seed' in the config or pass --seed")
+    out = _resolve_out(args, cfg)
+    return _write_bundle(out, args.command, seed, *args.fn(cfg, seed, args.jobs))
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return _run(_build_parser().parse_args(argv))
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

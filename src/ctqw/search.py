@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import markov, spectral, walk
-from .errors import AssertionFailure, InconsistencyError, NonErgodicError, ValidationError
+from .errors import AssertionFailure, InconsistencyError, ValidationError
 from .markov import InterpolatedChain, ReversibleChain
 from .rng import rng_stream
 from .walk import TimeDistribution
@@ -423,7 +423,6 @@ class SearchRecord:
     n: int
     marked: int
     epsilon: float
-    lazified: bool
     s_star: float
     gap_s_star: float
     hitting_time: float
@@ -451,13 +450,12 @@ def run_search(
     rng_seed: int,
     family: str = "",
     shots: int = 100000,
-    lazify_first: bool = True,
     time_factor: float | None = None,
     enforce_floor: bool = True,
 ) -> SearchRecord:
     """Search for the marked vertex by the randomized-time averaged walk.
 
-    Pipeline: lazify (default), interpolate to s* where the marked
+    Pipeline: lazify, interpolate to s* where the marked
     stationary weight is 1/2, evolve |pi, 0> under the search generator for
     t summed from k = ceil(log2(1/epsilon)) uniforms on [0, T] with
     T = time_factor sqrt(HT), and measure the first register. The walk is
@@ -468,17 +466,11 @@ def run_search(
     read floor_holds off the record instead); shots > 0 adds a Bernoulli
     Monte Carlo estimate of the same number (shots = 0 skips it).
     """
-    if isinstance(chain_or_matrix, ReversibleChain):
-        base = chain_or_matrix
-    else:
-        base = markov.validate_chain(chain_or_matrix, require_aperiodic=False)
+    work = markov.lazify(chain_or_matrix)
     if not 0.0 < epsilon < 0.25:
         raise ValidationError(f"epsilon must lie in (0, 1/4), got {epsilon}")
     if shots < 0:
         raise ValidationError(f"shots must be >= 0, got {shots}")
-    work = markov.lazify(base) if lazify_first else base
-    if not work.aperiodic:
-        raise NonErgodicError("search requires an aperiodic chain; enable lazify_first")
 
     n = work.n
     sstar = markov.s_star(work, marked)
@@ -518,7 +510,6 @@ def run_search(
         n=n,
         marked=int(marked),
         epsilon=float(epsilon),
-        lazified=bool(lazify_first),
         s_star=float(sstar),
         gap_s_star=float(gap),
         hitting_time=float(ht),

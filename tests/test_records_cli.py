@@ -258,6 +258,47 @@ def test_cli_bounds_jobs_parallel_identical(tmp_path):
     assert (one / "bounds.csv").read_bytes() == (two / "bounds.csv").read_bytes()
 
 
+def test_cli_search_jobs_parallel_identical(tmp_path):
+    cfg = write_cfg(
+        tmp_path / "s.json",
+        {"families": ["complete", "random-reversible"], "N": [5], "epsilons": [0.2, 0.1], "shots": 300, "seed": 3},
+    )
+    one = tmp_path / "one"
+    two = tmp_path / "two"
+    assert cli.main(["search", "--config", cfg, "--out", str(one), "--jobs", "1"]) == 0
+    assert cli.main(["search", "--config", cfg, "--out", str(two), "--jobs", "2"]) == 0
+    assert (one / "search.json").read_bytes() == (two / "search.json").read_bytes()
+    assert (one / "search.csv").read_bytes() == (two / "search.csv").read_bytes()
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, workers", [("64", [3]), ("1", []), ("0", [])])
+def test_cli_jobs_capped_at_task_count(tmp_path, monkeypatch, jobs, workers):
+    monkeypatch.setattr(SerialPool, "max_workers", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    cfg = write_cfg(tmp_path / "b.json", {"instances": 3, "seed": 12})
+    assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path), "--jobs", jobs]) == 0
+    assert SerialPool.max_workers == workers
+    assert json.loads((tmp_path / "bounds.json").read_text())["summary"]["instances"] == 3
+
+
 # ---------------------------------------------------------------------------
 # CLI: shared plumbing
 
@@ -278,13 +319,42 @@ def test_cli_seed_flag_overrides_config(tmp_path):
     assert data["seed"] == 77
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "required: command"),
+        (["walk"], "invalid choice: 'walk'"),
+        (["bounds"], "required: --config"),
+        (["bounds", "--config", "b.json", "--jobs", "x"], "--jobs: invalid int value: 'x'"),
+    ],
+)
+def test_cli_usage_error_exits_3(argv, message, capsys):
+    assert cli.main(argv) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def test_cli_uncreatable_out_dir_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    cfg = write_cfg(tmp_path / "b.json", {"instances": 2, "seed": 1})
+    assert cli.main(["bounds", "--config", cfg, "--out", str(blocker / "sub")]) == 3
+    assert f"cannot create output directory {blocker / 'sub'}" in capsys.readouterr().err
+
+
 def test_cli_seed_required(tmp_path):
     cfg = write_cfg(tmp_path / "b.json", {"instances": 2})
     assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
 def test_cli_inconsistency_exit_code(tmp_path, monkeypatch):
-    def boom(args):
+    def boom(cfg, seed, jobs):
         raise InconsistencyError("synthetic")
 
     monkeypatch.setattr(cli, "_cmd_bounds", boom)
@@ -394,7 +464,7 @@ def test_bounds_instance_decomposes_once(monkeypatch):
 
 def test_gluedtrees_row_decomposes_the_column_generator_twice(monkeypatch):
     counts = count_calls(monkeypatch, spectral, ["decompose"])
-    row = cli._gluedtrees_row((16, 5, 20, "log"))
+    row = cli._gluedtrees_row((16, 5, 20, "log"))[0]
     # certified_hitting_times' column walk, and the Monte Carlo's own
     assert counts["decompose"] == 2
     assert row["holds"]
@@ -406,4 +476,4 @@ def test_gluedtrees_row_holds_requires_certified_slack(monkeypatch):
     monkeypatch.setattr(
         gluedtrees, "certified_hitting_times", lambda two_n: {**certified(two_n), "slack_l2": -1e-3}
     )
-    assert not cli._gluedtrees_row((16, 5, 20, "log"))["holds"]
+    assert not cli._gluedtrees_row((16, 5, 20, "log"))[0]["holds"]
