@@ -103,16 +103,16 @@ def _load_config(path: str) -> dict:
 
 
 def _resolve_out(args, cfg: dict) -> Path:
+    if not isinstance(cfg.get("out", ""), str):
+        raise ConfigError(f"config field 'out' must be a string path, got {cfg['out']!r}")
     # precedence: environment > flag > config > working directory
     env = os.environ.get("CTQW_OUT")
     if env:
         out = Path(env)
     elif args.out is not None:
         out = Path(args.out)
-    elif isinstance(cfg.get("out"), str):
-        out = Path(cfg["out"])
     else:
-        out = Path(".")
+        out = Path(cfg.get("out", "."))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -270,7 +270,6 @@ def _search_rows(task: tuple) -> list:
             family=family,
             shots=shots,
             time_factor=time_factor,
-            enforce_floor=False,
         )
         row = asdict(rec)
         row["N"], row["ht"] = row.pop("n"), row.pop("hitting_time")

@@ -57,6 +57,11 @@ MOMENTUM_RESIDUAL_TOL = 1e-10
 BRENT_XTOL = 1e-15
 BRENT_RTOL = 8.9e-16
 BRENT_MAXITER = 100
+#: check tolerances of column_spectrum_check and full_vs_column_equivalence
+SPECTRUM_ATOL = 1e-9
+EQUIVALENCE_TOL = 1e-8
+#: time-grid points per route in certified_hitting_times (the subset route adds 8)
+CERTIFY_GRID_POINTS = 25
 
 
 def column_hamiltonian(two_n: int) -> np.ndarray:
@@ -256,10 +261,10 @@ def solve_momenta(two_n: int) -> MomentaReport:
     )
 
 
-def column_spectrum_check(two_n: int, atol: float = 1e-9) -> float:
+def column_spectrum_check(two_n: int) -> float:
     """Max deviation between the transcendental spectrum and dense eigenvalues.
 
-    Raises InconsistencyError beyond atol; returns the deviation otherwise.
+    Raises InconsistencyError beyond SPECTRUM_ATOL; returns the deviation otherwise.
     """
     report = solve_momenta(two_n)
     dense = np.linalg.eigvalsh(column_hamiltonian(two_n))
@@ -268,8 +273,8 @@ def column_spectrum_check(two_n: int, atol: float = 1e-9) -> float:
             f"momentum solutions count {report.all_energies.shape[0]} != dim {dense.shape[0]}"
         )
     dev = float(np.max(np.abs(report.all_energies - dense)))
-    if dev > atol:
-        raise InconsistencyError(f"spectrum deviation {dev:.3g} exceeds {atol:g}")
+    if dev > SPECTRUM_ATOL:
+        raise InconsistencyError(f"spectrum deviation {dev:.3g} exceeds {SPECTRUM_ATOL:g}")
     return dev
 
 
@@ -420,7 +425,6 @@ class GluedTreesInstance:
     entrance: str
     exit: str
     adjacency: dict
-    seed: int | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -482,7 +486,6 @@ def generate_instance(depth: int, seed: int) -> GluedTreesInstance:
         entrance=labels[0],
         exit=labels[tree_size],
         adjacency=shuffled,
-        seed=seed,
     )
     validate_instance(inst)
     return inst
@@ -589,7 +592,7 @@ class EquivalenceRecord:
 
 
 def full_vs_column_equivalence(
-    inst: GluedTreesInstance, T: float, k: int = 1, trials: int = 1, tolerance: float = 1e-8
+    inst: GluedTreesInstance, T: float, k: int = 1, trials: int = 1
 ) -> EquivalenceRecord:
     """Exit probability computed on the full graph equals the column-space
     value for the same time law (the column subspace is invariant).
@@ -631,8 +634,8 @@ def full_vs_column_equivalence(
         p_full=p_full,
         p_column=p_col,
         difference=float(worst),
-        tolerance=float(tolerance),
-        passes=bool(worst <= tolerance),
+        tolerance=EQUIVALENCE_TOL,
+        passes=bool(worst <= EQUIVALENCE_TOL),
     )
 
 
@@ -640,7 +643,7 @@ def full_vs_column_equivalence(
 # certified hitting-time estimates
 
 
-def certified_hitting_times(two_n: int, grid_points: int = 25) -> dict:
+def certified_hitting_times(two_n: int) -> dict:
     """Hitting-time figures certified by the three lower-bound routes.
 
     Each route minimizes (segments * T) / floor(T) over a geometric time grid
@@ -685,16 +688,16 @@ def certified_hitting_times(two_n: int, grid_points: int = 25) -> dict:
 
     t1 = 2.0 / (p_inf * gap_report.delta_e_min)
     tau1, t_at_1 = best(
-        np.geomspace(1.5 * t1, 48.0 * t1, grid_points), 1, lambda t: bounds.mixing_floor(w, t)[0]
+        np.geomspace(1.5 * t1, 48.0 * t1, CERTIFY_GRID_POINTS), 1, lambda t: bounds.mixing_floor(w, t)[0]
     )
     tau2, t_at_2 = best(
-        np.geomspace(5.0 / de_star, 30.0 / de_star, grid_points),
+        np.geomspace(5.0 / de_star, 30.0 / de_star, CERTIFY_GRID_POINTS),
         1,
         lambda t: bounds.eigenspace_floor(w, t, g_mid)[0],
     )
     t3 = 2.0 / sub.delta_e_s
     tau3, t_at_3 = best(
-        np.geomspace(t3, 64.0 * t3, grid_points + 8),
+        np.geomspace(t3, 64.0 * t3, CERTIFY_GRID_POINTS + 8),
         k3,
         lambda t: bounds.subset_floor(w, TimeDistribution(T=t, k=k3), sub.group_indices)[0],
     )

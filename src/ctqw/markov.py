@@ -185,15 +185,10 @@ def validate_chain(matrix, require_aperiodic: bool = True) -> ReversibleChain:
     return ReversibleChain(P=p, pi=pi, detailed_balance_residual=resid, aperiodic=aperiodic)
 
 
-def lazify(chain_or_matrix) -> ReversibleChain:
+def lazify(chain: ReversibleChain) -> ReversibleChain:
     """Lazy version (I + P) / 2: same stationary distribution, aperiodic by
-    construction, classical hitting times exactly doubled. Accepts either a
-    validated chain or a raw matrix (validated with aperiodicity waived)."""
-    if isinstance(chain_or_matrix, ReversibleChain):
-        base = chain_or_matrix
-    else:
-        base = validate_chain(chain_or_matrix, require_aperiodic=False)
-    lazy = 0.5 * (np.eye(base.n) + base.P)
+    construction, classical hitting times exactly doubled."""
+    lazy = 0.5 * (np.eye(chain.n) + chain.P)
     out = validate_chain(lazy, require_aperiodic=True)
     return replace(out, lazified=True)
 
@@ -318,20 +313,16 @@ def gap_vs_hitting_time(
     )
 
 
-def interpolation_sweep(
-    chain: ReversibleChain, marked: int, points: int = 101, s_values=None
-) -> list[tuple[float, float, float]]:
+def interpolation_sweep(chain: ReversibleChain, marked: int, points: int = 101) -> list[tuple[float, float, float]]:
     """Rows (s, gap(s), pi_marked(s)) over a uniform grid on [0, 1].
 
     Plot-ready sweep of the interpolated discriminant gap and the marked
-    vertex's stationary weight; pass s_values to override the grid.
+    vertex's stationary weight.
     """
-    if s_values is None:
-        if points < 2:
-            raise ValidationError(f"points must be >= 2, got {points}")
-        s_values = np.linspace(0.0, 1.0, points)
+    if points < 2:
+        raise ValidationError(f"points must be >= 2, got {points}")
     rows = []
-    for s in s_values:
+    for s in np.linspace(0.0, 1.0, points):
         ic = interpolate(chain, marked, float(s))
         eigs = np.linalg.eigvalsh(discriminant(ic.P_s))
         rows.append((float(s), float(1.0 - eigs[-2]), float(ic.pi_s[marked])))
@@ -510,6 +501,8 @@ def chain_from_payload(payload: dict) -> tuple[ReversibleChain, int]:
         elif arr.ndim == 2 and arr.shape[1] == 3:
             w = np.zeros((n, n))
             for i, j, wt in arr:
+                if not (i.is_integer() and j.is_integer()):
+                    raise ValidationError(f"edge ({i:g}, {j:g}) needs whole-number vertex indices")
                 a, b = int(i), int(j)
                 if not (0 <= a < n and 0 <= b < n):
                     raise ValidationError(f"edge ({a}, {b}) out of range for n={n}")

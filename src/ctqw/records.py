@@ -19,6 +19,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ValidationError
+from .rng import RNG_NAME
 
 __all__ = [
     "ExperimentRecord",
@@ -46,31 +47,25 @@ def format_float(value: float) -> str:
     return text
 
 
-def _coerce(obj):
-    # numpy scalars and arrays sneak into rows easily; normalize up front
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
-    return obj
+def _scalar(value) -> str | None:
+    """JSON and CSV text of a bool, int or float (numpy scalars too); None otherwise."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format_float(value)
+    return None
 
 
 def _emit(obj, indent: int, out: list) -> None:
-    obj = _coerce(obj)
-    if obj is None:
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    text = _scalar(obj)
+    if text is not None:
+        out.append(text)
+    elif obj is None:
         out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, (list, tuple)):
@@ -124,7 +119,7 @@ class ExperimentRecord:
     rows: tuple
     summary: dict
     version: str = __version__
-    rng: str = "philox"
+    rng: str = RNG_NAME
 
     def to_json(self) -> str:
         return canonical_json(
@@ -161,20 +156,14 @@ def record_from_json(text: str) -> ExperimentRecord:
 
 
 def _cell(value) -> str:
-    value = _coerce(value)
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
     if isinstance(value, str):
         if any(ch in value for ch in ',"\n\r'):
             raise ValidationError(f"CSV cell may not contain commas or newlines: {value!r}")
         return value
-    raise ValidationError(f"unsupported CSV cell type: {type(value).__name__}")
+    text = "" if value is None else _scalar(value)
+    if text is None:
+        raise ValidationError(f"unsupported CSV cell type: {type(value).__name__}")
+    return text
 
 
 def render_csv(columns: list, rows, comment: str = "") -> str:

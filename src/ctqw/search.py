@@ -227,20 +227,14 @@ class SearchSpectrumReport:
     ratio_in_range: bool  # within [1, sqrt(2)]
 
 
-def spectrum_report(
-    chain: ReversibleChain,
-    marked: int,
-    s: float,
-    completion: str = "householder",
-    completion_seed: int | None = None,
-) -> SearchSpectrumReport:
+def spectrum_report(chain: ReversibleChain, marked: int, s: float) -> SearchSpectrumReport:
     """Measure the spectral structure of H against the discriminant's.
 
     Checks performed: paired +-energies, zero multiplicity, agreement of the
     nonzero energies with +-sqrt(1 - lambda^2), explicit eigenvector pairs
     (|v,0> +- i |w>)/sqrt(2), and the quadratic gap amplification ratio.
     """
-    ops = search_operators(chain, marked, s, completion, completion_seed)
+    ops = search_operators(chain, marked, s)
     n = ops.n
     dec = spectral.decompose(spectral.hermitian(ops.H))
     energies = dec.eigenvalues
@@ -371,7 +365,7 @@ class OverlapReport:
     closed_form_residual: float  # top eigvec vs entrywise sqrt(pi_s)
 
 
-def overlap_preconditions(ic: InterpolatedChain, tol: float = OVERLAP_TOL) -> OverlapReport:
+def overlap_preconditions(ic: InterpolatedChain) -> OverlapReport:
     """Certify the two overlap conditions the success floor rests on.
 
     At s*, the top discriminant eigenvector (computed numerically, then
@@ -380,10 +374,10 @@ def overlap_preconditions(ic: InterpolatedChain, tol: float = OVERLAP_TOL) -> Ov
     Violations raise AssertionFailure; a closed-form mismatch raises
     InconsistencyError.
     """
-    return _overlap_report(ic, *np.linalg.eigh(markov.discriminant(ic.P_s)), tol)
+    return _overlap_report(ic, *np.linalg.eigh(markov.discriminant(ic.P_s)))
 
 
-def _overlap_report(ic: InterpolatedChain, lam: np.ndarray, vecs: np.ndarray, tol: float) -> OverlapReport:
+def _overlap_report(ic: InterpolatedChain, lam: np.ndarray, vecs: np.ndarray) -> OverlapReport:
     """overlap_preconditions on an eigendecomposition (lam ascending, vecs
     as columns) of the discriminant D(P_s) already at hand."""
     pv = float(ic.pi_s[ic.marked])
@@ -401,9 +395,9 @@ def _overlap_report(ic: InterpolatedChain, lam: np.ndarray, vecs: np.ndarray, to
         )
     overlap_start = float((u @ np.sqrt(ic.base.pi)) ** 2)
     overlap_marked = float(u[ic.marked] ** 2)
-    if overlap_start < 0.5 - tol:
+    if overlap_start < 0.5 - OVERLAP_TOL:
         raise AssertionFailure(f"start overlap {overlap_start:.12g} fell below 1/2")
-    if abs(overlap_marked - 0.5) > tol:
+    if abs(overlap_marked - 0.5) > OVERLAP_TOL:
         raise AssertionFailure(f"marked overlap {overlap_marked:.12g} is not 1/2")
     return OverlapReport(
         n=ic.base.n,
@@ -444,14 +438,13 @@ class SearchRecord:
 
 
 def run_search(
-    chain_or_matrix,
+    chain: ReversibleChain,
     marked: int,
     epsilon: float,
     rng_seed: int,
     family: str = "",
     shots: int = 100000,
     time_factor: float | None = None,
-    enforce_floor: bool = True,
 ) -> SearchRecord:
     """Search for the marked vertex by the randomized-time averaged walk.
 
@@ -461,12 +454,11 @@ def run_search(
     T = time_factor sqrt(HT), and measure the first register. The walk is
     evaluated in the discriminant's invariant subspace (see the module
     docstring); no edge-space array is built. The exact averaged success
-    probability is certified against the 1/4 - epsilon floor
-    (AssertionFailure when enforce_floor; calibration sweeps disable it and
-    read floor_holds off the record instead); shots > 0 adds a Bernoulli
-    Monte Carlo estimate of the same number (shots = 0 skips it).
+    probability is compared with the 1/4 - epsilon floor as floor_holds,
+    never raised on; shots > 0 adds a Bernoulli Monte Carlo estimate of
+    the same number (shots = 0 skips it).
     """
-    work = markov.lazify(chain_or_matrix)
+    work = markov.lazify(chain)
     if not 0.0 < epsilon < 0.25:
         raise ValidationError(f"epsilon must lie in (0, 1/4), got {epsilon}")
     if shots < 0:
@@ -487,13 +479,7 @@ def run_search(
     p_exact = reduced.probability(dist)
     floor = 0.25 - epsilon
     holds = bool(p_exact >= floor - 1e-9)
-    if enforce_floor and not holds:
-        raise AssertionFailure(
-            f"averaged success {p_exact:.12g} fell below the floor 1/4 - epsilon = {floor:.12g}"
-            f" (family={family or '?'}, n={n}, T={T:.6g}, k={k})"
-        )
-
-    ov = _overlap_report(inter, d_dec.eigenvalues, d_dec.eigenvectors, OVERLAP_TOL)
+    ov = _overlap_report(inter, d_dec.eigenvalues, d_dec.eigenvectors)
 
     mc_freq = mc_err = None
     within = None

@@ -284,12 +284,9 @@ def gaps(partition: EigenspacePartition, subset=None) -> GapReport:
         )
     adjacent = np.diff(energies)
     delta_e_min = float(np.min(adjacent))
-    star = []
-    for g in range(m):
-        others = np.abs(energies - energies[g])
-        others[g] = np.inf
-        star.append(float(np.min(others)))
-    report = GapReport(delta_e_min=delta_e_min, delta_e_star=tuple(star))
+    # energies ascend, so each group's nearest other group is a neighbour
+    star = np.minimum(np.append(np.inf, adjacent), np.append(adjacent, np.inf))
+    report = GapReport(delta_e_min=delta_e_min, delta_e_star=tuple(float(x) for x in star))
     if subset is None:
         return report
 

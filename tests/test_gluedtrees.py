@@ -477,7 +477,7 @@ def test_linear_schedule_runnable():
 
 
 def test_certified_hitting_times_smoke():
-    out = gluedtrees.certified_hitting_times(8, grid_points=12)
+    out = gluedtrees.certified_hitting_times(8)
     assert out["tau_l1"] > out["tau_l2"] > 0
     assert out["k_l3"] == 5
     assert out["p_inf"] > 0

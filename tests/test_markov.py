@@ -364,6 +364,17 @@ def test_payload_weighted_graph():
     assert np.allclose(chain.P, w / w.sum(axis=1, keepdims=True), atol=1e-14)
 
 
+def test_payload_weighted_graph_indices_must_be_whole_numbers():
+    payload = {"n": 3, "format": "weighted-graph", "marked": 1}
+    for bad in ([0, 1.7, 1.0], [0.5, 1, 1.0], [float("nan"), 1, 1.0]):
+        with pytest.raises(ValidationError, match="whole-number vertex indices"):
+            markov.chain_from_payload({**payload, "data": [[0, 1, 1.0], bad, [0, 2, 1.0]]})
+    # whole-number floats, as JSON may carry them, name the same edges as ints
+    floats, _ = markov.chain_from_payload({**payload, "data": [[0.0, 1.0, 1.0], [1.0, 2.0, 1.0], [2, 0, 1.0]]})
+    ints, _ = markov.chain_from_payload({**payload, "data": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0]]})
+    assert np.array_equal(floats.P, ints.P)
+
+
 def test_payload_bad_format_rejected():
     with pytest.raises(ValidationError):
         markov.chain_from_payload({"n": 2, "format": "sparse", "data": [], "marked": 0})

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctqw import cli, gluedtrees, records, spectral
+from ctqw import cli, gluedtrees, records, rng, spectral
 from ctqw.errors import InconsistencyError, ValidationError
 
 
@@ -91,6 +91,7 @@ def test_experiment_record_round_trip():
     )
     back = records.record_from_json(rec.to_json())
     assert back.kind == "demo" and back.seed == 5
+    assert back.rng == rec.rng == rng.RNG_NAME
     assert back.rows == ({"x": 1.5, "ok": True},)
     assert "wall_clock_s" not in json.loads(rec.to_json())  # timings stay out of records
     with pytest.raises(ValidationError):
@@ -203,6 +204,26 @@ def test_cli_search_chain_file(tmp_path):
         tmp_path / "s.json", {"chains": [str(chain_file)], "epsilons": [0.1], "shots": 500, "seed": 2}
     )
     assert cli.main(["search", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+def test_cli_search_fractional_vertex_index_exits_3(tmp_path, capsys):
+    chain_file = tmp_path / "chain.json"
+    payload = {"n": 3, "format": "weighted-graph", "data": [[0, 1.7, 1.0], [1, 2, 1.0]], "marked": 1}
+    chain_file.write_text(json.dumps(payload), encoding="utf-8")
+    cfg = write_cfg(tmp_path / "s.json", {"chains": [str(chain_file)], "epsilons": [0.1], "seed": 2})
+    assert cli.main(["search", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "whole-number vertex indices" in capsys.readouterr().err
+
+
+def test_cli_search_failed_floor_exits_2(tmp_path, capsys):
+    payload = {"families": ["complete"], "N": [8], "epsilons": [0.1], "time_factor": 0.01, "shots": 500, "seed": 3}
+    cfg = write_cfg(tmp_path / "s.json", payload)
+    assert cli.main(["search", "--config", cfg, "--out", str(tmp_path)]) == 2
+    data = json.loads((tmp_path / "search.json").read_text())
+    assert data["summary"]["all_floor_holds"] is False
+    assert [row["floor_holds"] for row in data["rows"]] == [False]
+    assert (tmp_path / "search.csv").exists()
+    assert "success floor violated" in capsys.readouterr().err
 
 
 def test_cli_search_irreversible_chain_file(tmp_path):
@@ -346,6 +367,16 @@ def test_cli_uncreatable_out_dir_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "b.json", {"instances": 2, "seed": 1})
     assert cli.main(["bounds", "--config", cfg, "--out", str(blocker / "sub")]) == 3
     assert f"cannot create output directory {blocker / 'sub'}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", [5, None, ["d"], {"path": "d"}])
+def test_cli_non_string_config_out_exits_3(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.delenv("CTQW_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path / "b.json", {"instances": 2, "seed": 1, "out": out})
+    assert cli.main(["bounds", "--config", cfg]) == 3
+    assert "config field 'out' must be a string" in capsys.readouterr().err
+    assert not (tmp_path / "bounds.csv").exists()
 
 
 def test_cli_seed_required(tmp_path):

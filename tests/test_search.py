@@ -310,7 +310,14 @@ def test_run_search_overweight_marked_vertex():
     w[0, 0] = 10.0
     p = w / w.sum(axis=1, keepdims=True)
     with pytest.raises(MarkedWeightError):
-        search.run_search(p, 0, 0.1, rng_seed=1, shots=0)
+        search.run_search(markov.validate_chain(p, require_aperiodic=False), 0, 0.1, rng_seed=1, shots=0)
+
+
+def test_run_search_reports_a_missed_floor_without_raising():
+    # T = 0.01 sqrt(HT) is far too short for the walk to reach the marked vertex
+    rec = search.run_search(markov.complete_chain(8), 0, 0.1, rng_seed=1, shots=0, time_factor=0.01)
+    assert rec.p_exact < rec.success_floor == 0.25 - 0.1
+    assert rec.floor_holds is False
 
 
 def test_run_search_validation():

@@ -136,6 +136,32 @@ def test_subset_gap_monotone_under_enlargement():
     assert large.delta_e_s <= small.delta_e_s + 1e-15
 
 
+def all_pairs_delta_e_star(energies) -> tuple:
+    """delta_e_star by the O(m^2) scan over every other group."""
+    star = []
+    for g in range(energies.shape[0]):
+        others = np.abs(energies - energies[g])
+        others[g] = np.inf
+        star.append(float(np.min(others)))
+    return tuple(star)
+
+
+def test_delta_e_star_from_neighbours_matches_all_pairs():
+    partitions = []
+    for i in range(50):
+        rng = rng_stream(58, i)
+        # repeat up to two eigenvalues, so some groups hold several of them
+        x = rng.standard_normal(int(rng.integers(2, 11)))
+        evals = np.concatenate([x, x[: i % 3]])
+        q, _ = np.linalg.qr(random_hermitian(rng, evals.shape[0]))
+        partitions.append(spectral.group_eigenspaces(spectral.decompose((q * evals) @ q.conj().T)))
+    for two_n in (8, 16, 32, 64):
+        partitions.append(spectral.group_eigenspaces(spectral.decompose(gluedtrees.column_hamiltonian(two_n))))
+    assert sum(part.n_groups < part.decomposition.dim for part in partitions) >= 30
+    for part in partitions:
+        assert spectral.gaps(part).delta_e_star == all_pairs_delta_e_star(part.energies)
+
+
 def test_gaps_rejects_bad_subset():
     part = spectral.group_eigenspaces(spectral.decompose(np.diag([0.0, 1.0, 3.0])))
     with pytest.raises(ValidationError):
