@@ -53,10 +53,6 @@ __all__ = [
 SQRT2 = math.sqrt(2.0)
 #: residual tolerance for momentum solutions, |sin((n+1)p)/sin(np) -+ sqrt2|
 MOMENTUM_RESIDUAL_TOL = 1e-10
-#: root refinement tolerances: |x - root| <= (BRENT_XTOL + BRENT_RTOL |x|) / 2
-BRENT_XTOL = 1e-15
-BRENT_RTOL = 8.9e-16
-BRENT_MAXITER = 100
 #: check tolerances of column_spectrum_check and full_vs_column_equivalence
 SPECTRUM_ATOL = 1e-9
 EQUIVALENCE_TOL = 1e-8
@@ -110,107 +106,59 @@ class MomentaReport:
 
 def alpha_sq(two_n: int, p: float) -> float:
     """Normalization weight 1 / (2 sum_{j<=n} sin^2(p j)); the squared
-    entrance-column amplitude of the band eigenvector is alpha_sq * sin^2 p."""
-    n = two_n // 2
-    s = sum(math.sin(p * j) ** 2 for j in range(1, n + 1))
-    return 1.0 / (2.0 * s)
+    entrance-column amplitude of the band eigenvector is alpha_sq * sin^2 p.
 
-
-def _brentq(f, xa: float, xb: float) -> float:
-    """Root of f in the sign-change bracket [xa, xb] by Brent's method.
-
-    Step for step the classic brentq (interpolation, inverse quadratic
-    extrapolation or bisection, whichever is safe), with the same arithmetic
-    in the same order, so the roots match that routine's bit for bit. A
-    bracket without a sign change, or no convergence within BRENT_MAXITER
-    steps, raises InconsistencyError: the brackets come from the package's
-    own sign scans.
+    Closed form: sum_{j<=n} sin^2(p j) = n/2 - sin(np) cos((n+1)p) / (2 sin p).
     """
-    xtol, rtol = BRENT_XTOL, BRENT_RTOL
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise InconsistencyError(f"no sign change on [{xpre!r}, {xcur!r}]: f = {fpre:.3g}, {fcur:.3g}")
-    for _ in range(BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-    raise InconsistencyError(f"root refinement did not converge in {BRENT_MAXITER} steps near {xcur!r}")
+    n = two_n // 2
+    return 1.0 / (n - math.sin(n * p) * math.cos((n + 1) * p) / math.sin(p))
 
 
-def _scan_roots(f, lo: float, hi: float, points: int) -> list[float]:
-    """All roots of f on (lo, hi) via dense sign scan plus bracketed refinement."""
-    xs = np.linspace(lo, hi, points)
-    ys = f(xs)
-    g = lambda x: float(f(np.array([x]))[0])
-    roots = [
-        float(xs[i]) if ys[i] == 0.0 else _brentq(g, xs[i], xs[i + 1])
-        for i in np.flatnonzero((ys[:-1] == 0.0) | (ys[:-1] * ys[1:] < 0))
-    ]
-    if ys[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return roots
+def _bisect(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of the decreasing f, one per bracket (lo, hi), and their |f|.
+
+    Bisects every bracket at once until no double lies strictly inside it,
+    then keeps whichever end has the smaller |f|. The initial ends may be
+    poles: f is evaluated only at midpoints and at the final ends.
+    """
+    while True:
+        mid = lo + (hi - lo) / 2
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            break
+        right = f(mid) > 0
+        lo = np.where(inside & right, mid, lo)
+        hi = np.where(inside & ~right, mid, hi)
+    r_lo, r_hi = np.abs(f(lo)), np.abs(f(hi))
+    take_lo = r_lo <= r_hi
+    return np.where(take_lo, lo, hi), np.where(take_lo, r_lo, r_hi)
 
 
 def solve_momenta(two_n: int) -> MomentaReport:
     """Solve sin((n+1)p)/sin(np) = +-sqrt(2) on (0, pi), plus the hyperbolic pair.
 
-    Sign-scans the pole-free forms sin((n+1)p) -+ sqrt(2) sin(np); each root is
-    refined to machine precision and its ratio residual certified below
+    g(p) = sin((n+1)p)/sin(np) falls strictly from +inf to -inf between the
+    poles pi j/n (from 1 + 1/n at 0+, and to -1 - 1/n at pi-), so each branch
+    has one root per pole interval (the first and last intervals only when
+    the branch value lies within reach). All roots are bisected at once, and
+    each ratio residual, the hyperbolic one included, is certified below
     MOMENTUM_RESIDUAL_TOL. Counts are cross-checked against the 2n dimension;
     a mismatch raises InconsistencyError.
     """
     if two_n < 4 or two_n % 2 != 0:
         raise ValidationError(f"two_n must be an even integer >= 4, got {two_n}")
     n = two_n // 2
-    # adjacent roots near the band edge close up as ~1/n^2; step ~ pi/(40 n^2)
-    points = max(4001, 40 * n * n)
+    poles = np.arange(n + 1) * math.pi / n
     sols: dict[int, list[float]] = {}
-    for sign in (+1, -1):
-        f = lambda p, s=sign: np.sin((n + 1) * p) - s * SQRT2 * np.sin(n * p)
-        raw = _scan_roots(f, 0.0, math.pi, points)
-        roots = [p for p in raw if 1e-9 < p < math.pi - 1e-9]
-        sols[sign] = sorted(roots)
-
     max_resid = 0.0
     for sign in (+1, -1):
-        for p in sols[sign]:
-            resid = abs(math.sin((n + 1) * p) / math.sin(n * p) - sign * SQRT2)
-            max_resid = max(max_resid, resid)
+        c = sign * SQRT2
+        first, last = int(c > 1.0 + 1.0 / n), n - int(c < -1.0 - 1.0 / n)
+        roots, resid = _bisect(
+            lambda p: np.sin((n + 1) * p) / np.sin(n * p) - c, poles[first:last], poles[first + 1 : last + 1]
+        )
+        sols[sign] = roots.tolist()
+        max_resid = max(max_resid, float(resid.max()))
     if max_resid > MOMENTUM_RESIDUAL_TOL:
         raise InconsistencyError(
             f"momentum residual {max_resid:.3g} exceeds {MOMENTUM_RESIDUAL_TOL:g}"
@@ -225,9 +173,15 @@ def solve_momenta(two_n: int) -> MomentaReport:
     hyperbolic_q = None
     hyp_energies: tuple[float, ...] = ()
     if missing == 2:
-        g = lambda q: math.sinh((n + 1) * q) - SQRT2 * math.sinh(n * q)
-        # g < 0 just above 0 (slope (n+1) - sqrt(2) n), g > 0 by q = 1
-        hyperbolic_q = _brentq(g, 1e-12, 1.0)
+        # sinh((n+1)q)/sinh(nq) = cosh q + sinh q coth(nq) rises from 1 + 1/n at 0+
+        g = lambda q: SQRT2 - np.cosh(q) - np.sinh(q) / np.tanh(n * q)
+        q, resid = _bisect(g, np.array([0.0]), np.array([1.0]))
+        if resid[0] > MOMENTUM_RESIDUAL_TOL:
+            raise InconsistencyError(
+                f"hyperbolic momentum residual {resid[0]:.3g} exceeds {MOMENTUM_RESIDUAL_TOL:g}"
+            )
+        hyperbolic_q = float(q[0])
+        max_resid = max(max_resid, float(resid[0]))
         e = 2.0 * math.cosh(hyperbolic_q)
         hyp_energies = (-e, e)
 

@@ -481,12 +481,17 @@ def chain_from_payload(payload: dict) -> tuple[ReversibleChain, int]:
     here; callers lazify when they need it.
     """
     try:
-        n = int(payload["n"])
-        fmt = payload["format"]
-        data = payload["data"]
-        marked = int(payload["marked"])
+        n, marked, fmt, data = (payload[key] for key in ("n", "marked", "format", "data"))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"chain payload missing or malformed field: {exc}") from None
+    for key, value in (("n", n), ("marked", marked)):
+        # 3, or 3.0 as JSON may carry it; no bools, fractions, NaN or strings
+        whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        if isinstance(value, bool) or not whole:
+            raise ValidationError(f"chain payload field {key!r} must be a whole number, got {value!r}")
+    n, marked = int(n), int(marked)
+    if n < 1:
+        raise ValidationError(f"chain payload needs n >= 1, got {n}")
     if fmt == "dense":
         p = np.asarray(data, dtype=float)
         if p.shape != (n, n):

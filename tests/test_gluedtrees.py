@@ -63,79 +63,59 @@ def test_spectrum_matches_dense_across_sizes():
         assert gluedtrees.column_spectrum_check(two_n) <= 1e-9
 
 
-def loop_scan_roots(f, lo, hi, points):
-    # the element-by-element sign scan that _scan_roots vectorizes
-    xs = np.linspace(lo, hi, points)
-    ys = f(xs)
-    roots = []
-    for i in range(points - 1):
-        a, b = ys[i], ys[i + 1]
-        if a == 0.0:
-            roots.append(float(xs[i]))
-        elif a * b < 0:
-            roots.append(float(brentq(lambda x: float(f(np.array([x]))[0]), xs[i], xs[i + 1], xtol=1e-15, rtol=8.9e-16)))
-    if ys[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return roots
-
-
-def test_scan_roots_matches_loop_scan():
-    for two_n in (8, 32, 128):
+def test_momenta_one_per_interlacing_bracket():
+    # each root sits alone between consecutive poles pi j/n of the ratio and
+    # agrees with brentq on the pole-free form over that bracket
+    for two_n in (4, 6, 8, 32, 128, 512):
         n = two_n // 2
-        points = max(4001, 40 * n * n)
-        for sign in (+1, -1):
-            f = lambda p, s=sign: np.sin((n + 1) * p) - s * SQRT2 * np.sin(n * p)
-            assert gluedtrees._scan_roots(f, 0.0, math.pi, points) == loop_scan_roots(f, 0.0, math.pi, points)
+        rep = gluedtrees.solve_momenta(two_n)
+        for sign, sols in ((+1, rep.plus), (-1, rep.minus)):
+            f = lambda p, s=sign: math.sin((n + 1) * p) - s * SQRT2 * math.sin(n * p)
+            brackets = [math.floor(sol.p * n / math.pi) for sol in sols]
+            assert brackets == sorted(set(brackets))
+            for sol, j in zip(sols, brackets):
+                lo, hi = math.pi * j / n, math.pi * (j + 1) / n
+                assert lo < sol.p < hi
+                # ends nudged off the poles, where the pole-free form vanishes at 0 and pi
+                shrink = 1e-6 * (hi - lo)
+                root = brentq(f, lo + shrink, hi - shrink, xtol=1e-15, rtol=8.9e-16)
+                assert abs(sol.p - root) <= 1e-13
 
 
-def test_scan_roots_keeps_exact_zeros():
-    # grid points that are roots, including both ends, are reported as is
-    f = lambda x: x * (x - 1.0) * (x - 2.0)
-    assert gluedtrees._scan_roots(f, 0.0, 2.0, 5) == loop_scan_roots(f, 0.0, 2.0, 5) == [0.0, 1.0, 2.0]
-
-
-def test_brentq_matches_scipy_bit_for_bit():
-    # every bracket the momentum scan refines, both branches
-    for two_n in (8, 32, 128):
-        n = two_n // 2
-        xs = np.linspace(0.0, math.pi, max(4001, 40 * n * n))
-        for sign in (+1, -1):
-            f = lambda p, s=sign: np.sin((n + 1) * p) - s * SQRT2 * np.sin(n * p)
-            g = lambda x: float(f(np.array([x]))[0])
-            ys = f(xs)
-            brackets = np.flatnonzero(ys[:-1] * ys[1:] < 0)
-            assert brackets.size >= n - 1
-            for i in brackets:
-                a, b = float(xs[i]), float(xs[i + 1])
-                assert gluedtrees._brentq(g, a, b) == brentq(g, a, b, xtol=1e-15, rtol=8.9e-16)
-    # the hyperbolic root, on the bracket solve_momenta uses
-    for two_n in (8, 64, 256):
+def test_hyperbolic_root_matches_brentq_and_large_n_limit():
+    for two_n in (6, 8, 64, 256):
         n = two_n // 2
         g = lambda q: math.sinh((n + 1) * q) - SQRT2 * math.sinh(n * q)
-        q = gluedtrees._brentq(g, 1e-12, 1.0)
-        assert q == brentq(g, 1e-12, 1.0, xtol=1e-15, rtol=8.9e-16)
-        assert q == gluedtrees.solve_momenta(two_n).hyperbolic_q
+        assert abs(gluedtrees.solve_momenta(two_n).hyperbolic_q - brentq(g, 1e-12, 1.0, xtol=1e-15)) <= 1e-13
+    # sinh((n+1)q) overflows at q = 1 once n > 709; the coth form does not,
+    # and coth(nq) -> 1 leaves cosh q + sinh q = e^q = sqrt(2)
+    assert gluedtrees.solve_momenta(1024).hyperbolic_q == pytest.approx(0.5 * math.log(2.0), abs=1e-15)
 
 
-def test_brentq_returns_a_root_endpoint():
-    assert gluedtrees._brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
-    assert gluedtrees._brentq(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+def test_alpha_sq_closed_form_matches_sum():
+    for two_n in (4, 6, 8, 16, 64, 256, 1024):
+        n = two_n // 2
+        rep = gluedtrees.solve_momenta(two_n)
+        for sol in rep.minus + rep.plus:
+            direct = 1.0 / (2.0 * sum(math.sin(sol.p * j) ** 2 for j in range(1, n + 1)))
+            assert gluedtrees.alpha_sq(two_n, sol.p) == pytest.approx(direct, rel=1e-13, abs=0.0)
 
 
-def test_brentq_without_sign_change_is_inconsistent():
-    with pytest.raises(InconsistencyError, match="no sign change"):
-        gluedtrees._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+def test_momenta_certified_at_two_n_550():
+    rep = gluedtrees.solve_momenta(550)
+    assert rep.max_residual <= gluedtrees.MOMENTUM_RESIDUAL_TOL
+    assert len(rep.minus) + len(rep.plus) + len(rep.hyperbolic_energies) == 550
+    assert gluedtrees.column_spectrum_check(550) <= gluedtrees.SPECTRUM_ATOL
 
 
-def test_brentq_without_convergence_is_inconsistent():
-    # a unit step on a huge bracket: about a thousand halvings are needed
-    step = lambda x: -1.0 if x < 0.3 else 1.0
-    with pytest.raises(InconsistencyError, match="did not converge in 100 steps"):
-        gluedtrees._brentq(step, -1e300, 1e300)
-    with pytest.raises(RuntimeError):
-        brentq(step, -1e300, 1e300, xtol=1e-15, rtol=8.9e-16)
+def test_solve_momenta_memory_is_linear():
+    tracemalloc.start()
+    try:
+        gluedtrees.solve_momenta(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_lowest_momentum_asymptote():

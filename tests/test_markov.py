@@ -375,6 +375,21 @@ def test_payload_weighted_graph_indices_must_be_whole_numbers():
     assert np.array_equal(floats.P, ints.P)
 
 
+def test_payload_size_and_marked_must_be_whole_numbers():
+    payload = {"n": 3, "format": "weighted-graph", "data": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]], "marked": 1}
+    for field, bad in [
+        ("marked", 1.7), ("marked", True), ("marked", float("nan")), ("marked", "1"),
+        ("n", 3.9), ("n", False), ("n", float("inf")), ("n", "3"),
+    ]:
+        with pytest.raises(ValidationError, match=f"'{field}' must be a whole number"):
+            markov.chain_from_payload({**payload, field: bad})
+    with pytest.raises(ValidationError, match="n >= 1"):
+        markov.chain_from_payload({**payload, "n": -1})
+    # whole-number floats, as JSON may carry them, read as ints
+    chain, marked = markov.chain_from_payload({**payload, "n": 3.0, "marked": 2.0})
+    assert marked == 2 and chain.P.shape == (3, 3)
+
+
 def test_payload_bad_format_rejected():
     with pytest.raises(ValidationError):
         markov.chain_from_payload({"n": 2, "format": "sparse", "data": [], "marked": 0})

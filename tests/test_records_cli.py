@@ -134,16 +134,12 @@ def test_cli_gluedtrees_small(tmp_path, capsys):
     assert (other / "gluedtrees.csv").read_bytes() == (tmp_path / "gluedtrees.csv").read_bytes()
 
 
-@pytest.mark.parametrize("failure", ["no sign change", "did not converge"])
-def test_cli_gluedtrees_root_refinement_failure_exits_4(tmp_path, monkeypatch, capsys, failure):
-    # a failed momentum refinement is an internal failure, not a traceback
-    if failure == "no sign change":
-        monkeypatch.setattr(gluedtrees, "SQRT2", 10.0)  # sinh((n+1)q) - 10 sinh(nq) < 0 on [1e-12, 1]
-    else:
-        monkeypatch.setattr(gluedtrees, "BRENT_MAXITER", 1)
+def test_cli_gluedtrees_root_refinement_failure_exits_4(tmp_path, monkeypatch, capsys):
+    # a failed momentum certificate is an internal failure, not a traceback
+    monkeypatch.setattr(gluedtrees, "SQRT2", 10.0)  # sinh((n+1)q) / sinh(nq) < 10 on (0, 1]
     cfg = write_cfg(tmp_path / "g.json", {"n": [8], "seed": 9, "mc_runs": 4})
     assert cli.main(["gluedtrees", "--config", cfg, "--out", str(tmp_path)]) == 4
-    assert failure in capsys.readouterr().err
+    assert "hyperbolic momentum residual" in capsys.readouterr().err
 
 
 def test_cli_gluedtrees_rejects_bad_size(tmp_path):
@@ -213,6 +209,16 @@ def test_cli_search_fractional_vertex_index_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "s.json", {"chains": [str(chain_file)], "epsilons": [0.1], "seed": 2})
     assert cli.main(["search", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert "whole-number vertex indices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("marked", 1.7), ("marked", True), ("n", 3.9), ("marked", "1")])
+def test_cli_search_fractional_payload_field_exits_3(tmp_path, capsys, field, value):
+    chain_file = tmp_path / "chain.json"
+    payload = {"n": 3, "format": "weighted-graph", "data": [[0, 1, 1.0], [1, 2, 1.0]], "marked": 1}
+    chain_file.write_text(json.dumps({**payload, field: value}), encoding="utf-8")
+    cfg = write_cfg(tmp_path / "s.json", {"chains": [str(chain_file)], "epsilons": [0.1], "seed": 2})
+    assert cli.main(["search", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert f"field '{field}' must be a whole number" in capsys.readouterr().err
 
 
 def test_cli_search_failed_floor_exits_2(tmp_path, capsys):
