@@ -85,7 +85,8 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A number that is a finite float: no bool, NaN, infinity or int beyond the float range."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _load_config(path: str) -> dict:
@@ -165,17 +166,15 @@ def _finite_or_none(value: float):
 
 
 def _gluedtrees_row(task: tuple) -> list:
-    two_n, mc_seed, mc_runs, k_schedule = task
-    n = two_n // 2
-    T, k, reps = gluedtrees.default_schedule(two_n, k_schedule)
+    two_n, mc_seed, mc_runs = task
     taus = gluedtrees.certified_hitting_times(two_n)
+    stats = gluedtrees.traversal_success_stats(two_n, mc_seed, mc_runs)
     column = taus["walk"]
     sub = taus["subspace"]
-    p_shot = column.probability(TimeDistribution(T=T, k=k))
-    floor = 1.0 / (20 * n)
+    p_shot = column.probability(TimeDistribution(T=stats["T"], k=stats["k"]))
+    floor = stats["per_shot_floor"]
     t_lo = 2.0 / sub.delta_e_s
-    exact = column.hitting_time(walk.geometric_grid(t_lo, 64.0 * t_lo), k)
-    stats = gluedtrees.traversal_success_stats(two_n, mc_seed, mc_runs, k_schedule)
+    exact = column.hitting_time(walk.geometric_grid(t_lo, 64.0 * t_lo), stats["k"])
     slacks = [taus[f"slack_l{i}"] for i in (1, 2, 3)]
     check_flags = [v for v in sub.checks.values() if isinstance(v, bool)]
     holds = (
@@ -188,9 +187,9 @@ def _gluedtrees_row(task: tuple) -> list:
         "delta_e_s": sub.delta_e_s,
         "p_shot": float(p_shot),
         "p_shot_floor": floor,
-        "T": float(T),
-        "k": int(k),
-        "max_repetitions": int(reps),
+        "T": stats["T"],
+        "k": stats["k"],
+        "max_repetitions": stats["max_repetitions"],
         "tau_l1": taus["tau_l1"],
         "tau_l2": taus["tau_l2"],
         "tau_l3": taus["tau_l3"],
@@ -223,13 +222,8 @@ def _cmd_gluedtrees(cfg: dict, seed: int, jobs: int) -> tuple:
         if not _is_int(value) or value < 8 or value % 2:
             raise ConfigError(f"size {value!r} is invalid: sizes must be even integers >= 8")
     mc_runs = _as_int(cfg, "mc_runs", default=200, minimum=1)
-    k_schedule = cfg.get("k_schedule", "log")
-    if k_schedule not in ("log", "linear"):
-        raise ConfigError(f"config field 'k_schedule' must be 'log' or 'linear', got {k_schedule!r}")
 
-    tasks = [
-        (two_n, task_seed(seed, idx), mc_runs, k_schedule) for idx, two_n in enumerate(sorted(sizes))
-    ]
+    tasks = [(two_n, task_seed(seed, idx), mc_runs) for idx, two_n in enumerate(sorted(sizes))]
     rows = _run_tasks(_gluedtrees_row, tasks, jobs)
 
     xs = np.log([row["n"] // 2 for row in rows])
@@ -243,7 +237,7 @@ def _cmd_gluedtrees(cfg: dict, seed: int, jobs: int) -> tuple:
         "tau_l1_over_l2": [row["tau_l1"] / row["tau_l2"] for row in rows],
         "tau_l2_over_l3": [row["tau_l2"] / row["tau_l3"] for row in rows],
     }
-    config = {"n": sorted(sizes), "mc_runs": mc_runs, "k_schedule": k_schedule}
+    config = {"n": sorted(sizes), "mc_runs": mc_runs}
     bad = [row["n"] for row in rows if not row["holds"]]
     failure = f"assertion failed for sizes {bad}" if bad else None
     return config, rows, summary, failure, f"all {len(rows)} sizes certified"
@@ -511,8 +505,8 @@ def _run(args) -> int:
     its tasks and returns (config echo, rows, summary, failure or None, success)."""
     cfg = _load_config(args.config)
     seed = cfg.get("seed") if args.seed is None else args.seed
-    if not _is_int(seed):
-        raise ConfigError("a seed is required: set 'seed' in the config or pass --seed")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"a seed >= 0 is required: set 'seed' in the config or pass --seed, got {seed!r}")
     out = _resolve_out(args, cfg)
     return _write_bundle(out, args.command, seed, *args.fn(cfg, seed, args.jobs))
 

@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
-#: residual tolerance for momentum solutions, |sin((n+1)p)/sin(np) -+ sqrt2|
+#: bound on each momentum certificate: a band root's Newton step, the hyperbolic ratio residual
 MOMENTUM_RESIDUAL_TOL = 1e-10
 #: check tolerances of column_spectrum_check and full_vs_column_equivalence
 SPECTRUM_ATOL = 1e-9
@@ -101,6 +101,8 @@ class MomentaReport:
     hyperbolic_q: float | None
     hyperbolic_energies: tuple[float, ...]
     all_energies: np.ndarray
+    #: largest certificate: the Newton step |F(p)/F'(p)| of a band root, with
+    #: F(p) = sin((n+1)p) -+ sqrt(2) sin(np), or the hyperbolic ratio residual
     max_residual: float
 
 
@@ -140,10 +142,12 @@ def solve_momenta(two_n: int) -> MomentaReport:
     g(p) = sin((n+1)p)/sin(np) falls strictly from +inf to -inf between the
     poles pi j/n (from 1 + 1/n at 0+, and to -1 - 1/n at pi-), so each branch
     has one root per pole interval (the first and last intervals only when
-    the branch value lies within reach). All roots are bisected at once, and
-    each ratio residual, the hyperbolic one included, is certified below
-    MOMENTUM_RESIDUAL_TOL. Counts are cross-checked against the 2n dimension;
-    a mismatch raises InconsistencyError.
+    the branch value lies within reach). All roots are bisected at once. Each
+    band root is certified by the Newton step |F/F'| of the pole-free form
+    F(p) = sin((n+1)p) -+ sqrt(2) sin(np), whose rounding floor, unlike the
+    ratio's, does not grow with n; the hyperbolic root by its ratio residual.
+    Both must stay below MOMENTUM_RESIDUAL_TOL. Counts are cross-checked
+    against the 2n dimension; a mismatch raises InconsistencyError.
     """
     if two_n < 4 or two_n % 2 != 0:
         raise ValidationError(f"two_n must be an even integer >= 4, got {two_n}")
@@ -154,14 +158,15 @@ def solve_momenta(two_n: int) -> MomentaReport:
     for sign in (+1, -1):
         c = sign * SQRT2
         first, last = int(c > 1.0 + 1.0 / n), n - int(c < -1.0 - 1.0 / n)
-        roots, resid = _bisect(
+        p, _ = _bisect(
             lambda p: np.sin((n + 1) * p) / np.sin(n * p) - c, poles[first:last], poles[first + 1 : last + 1]
         )
-        sols[sign] = roots.tolist()
-        max_resid = max(max_resid, float(resid.max()))
+        step = (np.sin((n + 1) * p) - c * np.sin(n * p)) / ((n + 1) * np.cos((n + 1) * p) - c * n * np.cos(n * p))
+        sols[sign] = p.tolist()
+        max_resid = max(max_resid, float(np.abs(step).max()))
     if max_resid > MOMENTUM_RESIDUAL_TOL:
         raise InconsistencyError(
-            f"momentum residual {max_resid:.3g} exceeds {MOMENTUM_RESIDUAL_TOL:g}"
+            f"momentum Newton step {max_resid:.3g} exceeds {MOMENTUM_RESIDUAL_TOL:g}"
         )
 
     n_sine = len(sols[+1]) + len(sols[-1])
@@ -625,7 +630,7 @@ def certified_hitting_times(two_n: int) -> dict:
     g_mid = sub.group_indices[sub.ells.index(math.ceil(n / 2))]
     de_star = gap_report.delta_e_star[g_mid]
 
-    k3 = math.ceil(math.log2(5 * n))
+    _, k3, _ = default_schedule(two_n)
 
     def best(grid, k, floor_at):
         tau = best_t = None
@@ -680,30 +685,19 @@ def certified_hitting_times(two_n: int) -> dict:
 # traversal experiment
 
 
-def default_schedule(two_n: int, k_schedule: str = "log") -> tuple[float, int, int]:
-    """(T, segments k, max repetitions) for the traversal experiment.
-
-    k_schedule "log" uses ceil(log2(5n)) segments; "linear" uses 5n (a far
-    costlier schedule kept for comparison runs).
-    """
+def default_schedule(two_n: int) -> tuple[float, int, int]:
+    """(T, segments k, max repetitions) for the traversal experiment: the log
+    schedule T = 64n, k = ceil(log2(5n)), 20n repetitions. A per-shot exit
+    probability of at least 1/(20n) certifies it."""
     n = two_n // 2
-    T = 64.0 * n
-    if k_schedule == "log":
-        k = math.ceil(math.log2(5 * n))
-    elif k_schedule == "linear":
-        k = 5 * n
-    else:
-        raise ValidationError(f"unknown k_schedule {k_schedule!r}")
-    return T, k, 20 * n
+    return 64.0 * n, math.ceil(math.log2(5 * n)), 20 * n
 
 
 @dataclass(frozen=True)
 class TraversalRecord:
-    mode: str
     two_n: int
     T: float
     k: int
-    k_schedule: str
     max_repetitions: int
     success: bool
     repetitions_used: int
@@ -749,94 +743,69 @@ def _exit_column_hit(outcomes: np.ndarray) -> np.ndarray:
     return outcomes == 0
 
 
-def run_traversal(
-    target, rng_seed: int, k_schedule: str = "log", max_repetitions: int | None = None
-) -> TraversalRecord:
-    """One traversal experiment: repeat the randomized-time walk from the
-    entrance until the exit is measured or the repetition budget runs out.
+def run_traversal(inst: GluedTreesInstance, rng_seed: int) -> TraversalRecord:
+    """One traversal experiment on the full graph: repeat the randomized-time
+    walk from the entrance until the exit is measured or the repetition
+    budget runs out.
 
-    target is either an even integer (column-space mode) or a
-    GluedTreesInstance (full-graph mode; the generator is built through
-    oracle queries and success is recognized by the degree-2 test on the
-    measured label, never by peeking at the exit's identity). No shot is
-    drawn past the first hit.
+    The generator is built through oracle queries, every vertex is measured,
+    and success is recognized by the degree-2 test on the measured label,
+    never by peeking at the exit's identity. No shot is drawn past the first
+    hit. The column-space experiment is traversal_success_stats.
     """
-    if isinstance(target, GluedTreesInstance):
-        mode = "full"
-        two_n = 2 * (target.depth + 1)
-        h, labels = full_hamiltonian(target)
-        start = labels.index(target.entrance)
-        exit_index = labels.index(target.exit)
-        dim = len(labels)
-    else:
-        mode = "column"
-        two_n = int(target)
-        h = column_hamiltonian(two_n)
-        labels = None
-        start, exit_index, dim = 0, two_n - 1, two_n
-    n = two_n // 2
-    T, k, reps_def = default_schedule(two_n, k_schedule)
-    max_repetitions = reps_def if max_repetitions is None else int(max_repetitions)
-
-    w = walk.spectral_walk(h, walk.basis_state(dim, start), walk.basis_state(dim, exit_index))
+    two_n = 2 * (inst.depth + 1)
+    T, k, reps = default_schedule(two_n)
+    h, labels = full_hamiltonian(inst)
+    dim = len(labels)
+    w = walk.spectral_walk(
+        h, walk.basis_state(dim, labels.index(inst.entrance)), walk.basis_state(dim, labels.index(inst.exit))
+    )
     dist = TimeDistribution(T=T, k=k)
     p_shot = w.probability(dist)
-    floor = 1.0 / (20 * n)
+    floor = 1.0 / reps
     certified = bool(p_shot >= floor - 1e-12)
 
-    # full mode measures every vertex and asks the oracle; column mode only the exit
-    if mode == "full":
-        w = replace(w, rows=w.decomposition.eigenvectors)
+    def hit(outcomes: np.ndarray) -> np.ndarray:
+        return np.array(
+            [
+                i < dim and len(oracle_neighbors(inst, labels[i])) == 2 and labels[i] != inst.entrance
+                for i in outcomes.tolist()
+            ],
+            dtype=bool,
+        )
 
-        def hit(outcomes: np.ndarray) -> np.ndarray:
-            return np.array(
-                [
-                    i < dim and len(oracle_neighbors(target, labels[i])) == 2 and labels[i] != target.entrance
-                    for i in outcomes.tolist()
-                ],
-                dtype=bool,
-            )
-    else:
-        hit = _exit_column_hit
-    used, outcome, elapsed = _first_hits(w, dist, rng_stream(rng_seed, 11), 1, max_repetitions, hit)
-
+    w = replace(w, rows=w.decomposition.eigenvectors)
+    used, outcome, elapsed = _first_hits(w, dist, rng_stream(rng_seed, 11), 1, reps, hit)
     success = bool(outcome[0] >= 0)
-    outcome_name = ""
-    if success:
-        outcome_name = labels[outcome[0]] if mode == "full" else f"col{two_n}"
     return TraversalRecord(
-        mode=mode,
         two_n=two_n,
         T=T,
         k=k,
-        k_schedule=k_schedule,
-        max_repetitions=max_repetitions,
+        max_repetitions=reps,
         success=success,
         repetitions_used=int(used[0]),
-        outcome=outcome_name,
+        outcome=labels[outcome[0]] if success else "",
         per_shot_probability=p_shot,
         per_shot_floor=floor,
         certified=certified,
         total_evolved_time=float(elapsed[0]),
-        time_budget=float(max_repetitions) * k * T,
+        time_budget=float(reps) * k * T,
         rng_seed=rng_seed,
     )
 
 
-def traversal_success_stats(
-    two_n: int, rng_seed: int, runs: int, k_schedule: str = "log"
-) -> dict:
+def traversal_success_stats(two_n: int, rng_seed: int, runs: int) -> dict:
     """Monte Carlo success statistics for the column-mode traversal.
 
     Each run repeats the walk until its first exit hit, within
     max_repetitions; all runs draw their shots together, one round at a
     time, measuring only the exit column. That costs about runs / p_shot
-    shots, returned as "shots"; deterministic for a fixed seed.
+    shots, returned as "shots"; deterministic for a fixed seed. The dict
+    also carries the schedule (T, k, max_repetitions) and its per-shot floor.
     """
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
-    n = two_n // 2
-    T, k, reps = default_schedule(two_n, k_schedule)
+    T, k, reps = default_schedule(two_n)
     dist = TimeDistribution(T=T, k=k)
     used, outcome, _ = _first_hits(
         _column_walk(two_n), dist, rng_stream(rng_seed, 13), runs, reps, _exit_column_hit
@@ -849,7 +818,7 @@ def traversal_success_stats(
         "T": float(T),
         "k": int(k),
         "max_repetitions": int(reps),
-        "per_shot_floor": 1.0 / (20 * n),
+        "per_shot_floor": 1.0 / reps,
     }
 
 

@@ -163,7 +163,7 @@ def _phi_matrix(dist: TimeDistribution, energies: np.ndarray, tol_degen: float) 
 
 
 def _check_probability(p: float, what: str) -> float:
-    if p < -TOL_PROB or p > 1.0 + TOL_PROB:
+    if not -TOL_PROB <= p <= 1.0 + TOL_PROB:  # NaN fails too
         raise InconsistencyError(f"{what} = {p:.12g} outside [0,1] beyond tolerance {TOL_PROB:g}")
     return float(p)
 

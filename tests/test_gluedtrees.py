@@ -6,6 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
 from ctqw import gluedtrees, spectral, walk
@@ -106,6 +107,30 @@ def test_momenta_certified_at_two_n_550():
     assert rep.max_residual <= gluedtrees.MOMENTUM_RESIDUAL_TOL
     assert len(rep.minus) + len(rep.plus) + len(rep.hyperbolic_energies) == 550
     assert gluedtrees.column_spectrum_check(550) <= gluedtrees.SPECTRUM_ATOL
+
+
+def test_momenta_certified_where_the_ratio_residual_failed():
+    # at these sizes the ratio residual |sin((n+1)p)/sin(np) -+ sqrt2| of some
+    # correct roots exceeds 1e-10, while their Newton step stays near 1e-15
+    for two_n in (952, 1092):
+        assert gluedtrees.column_spectrum_check(two_n) <= gluedtrees.SPECTRUM_ATOL
+    rep = gluedtrees.solve_momenta(2048)
+    assert rep.max_residual <= gluedtrees.MOMENTUM_RESIDUAL_TOL
+    off = np.ones(2047)
+    off[1023] = SQRT2
+    assert np.max(np.abs(rep.all_energies - eigvalsh_tridiagonal(np.zeros(2048), off))) <= 1e-12
+
+
+def test_shifted_momenta_fail_the_newton_certificate(monkeypatch):
+    bisect = gluedtrees._bisect
+
+    def shifted(f, lo, hi):
+        roots, resid = bisect(f, lo, hi)
+        return roots + 1e-9, resid
+
+    monkeypatch.setattr(gluedtrees, "_bisect", shifted)
+    with pytest.raises(InconsistencyError, match="momentum Newton step"):
+        gluedtrees.solve_momenta(64)
 
 
 def test_solve_momenta_memory_is_linear():
@@ -292,8 +317,7 @@ def test_traversal_touches_adjacency_only_through_oracle():
     spy = SpyDict(inst.adjacency)
     spy.callers = []
     spied = dataclasses.replace(inst, adjacency=spy)
-    rec = gluedtrees.run_traversal(spied, rng_seed=4, max_repetitions=10)
-    assert rec.mode == "full"
+    rec = gluedtrees.run_traversal(spied, rng_seed=4)
     assert spy.callers  # lookups did happen
     assert set(spy.callers) == {"oracle_neighbors"}
 
@@ -326,9 +350,10 @@ def test_full_marginal_independent_of_labels():
 
 
 def test_run_traversal_column_certified():
-    rec = gluedtrees.run_traversal(12, rng_seed=2)
+    # the full graph's exit probability is the column-space value at 2n = 12
+    rec = gluedtrees.run_traversal(gluedtrees.generate_instance(5, seed=12), rng_seed=2)
     n = 6
-    assert rec.mode == "column"
+    assert rec.two_n == 12
     assert rec.certified
     assert rec.per_shot_probability >= 1.0 / (4 * n) - 1.0 / (5 * n)
     assert rec.per_shot_floor == pytest.approx(1.0 / (20 * n))
@@ -339,7 +364,6 @@ def test_run_traversal_column_certified():
 def test_run_traversal_full_mode_success():
     inst = gluedtrees.generate_instance(2, seed=33)
     rec = gluedtrees.run_traversal(inst, rng_seed=8)
-    assert rec.mode == "full"
     assert rec.two_n == 6
     if rec.success:
         # the reported outcome is a degree-2 vertex distinct from the
@@ -438,22 +462,14 @@ def test_traversal_success_stats_first_hit_law():
 
 
 def test_run_traversal_stops_at_first_hit():
+    inst = gluedtrees.generate_instance(5, seed=12)
     for seed in range(5):
-        rec = gluedtrees.run_traversal(12, rng_seed=seed)
+        rec = gluedtrees.run_traversal(inst, rng_seed=seed)
         assert rec.success
-        assert rec.outcome == "col12"
+        assert rec.outcome == inst.exit
         # every shot's time is a sum of k uniforms on [0, T]
         assert 0.0 < rec.total_evolved_time <= rec.repetitions_used * rec.k * rec.T
         assert rec.repetitions_used < rec.max_repetitions
-
-
-def test_linear_schedule_runnable():
-    T, k, reps = gluedtrees.default_schedule(8, k_schedule="linear")
-    assert k == 20
-    rec = gluedtrees.run_traversal(8, rng_seed=3, k_schedule="linear", max_repetitions=5)
-    assert rec.k == 20
-    with pytest.raises(ValidationError):
-        gluedtrees.default_schedule(8, k_schedule="exp")
 
 
 def test_certified_hitting_times_smoke():

@@ -64,3 +64,10 @@ def test_traced_gluedtrees_run_exits_zero(tmp_path):
     # the gluedtrees.mc counters read the traversal_success_stats dict
     report = traced_run(tmp_path, "gluedtrees", {"n": [8, 12], "mc_runs": 20, "seed": 7})
     assert report["trace"]["gluedtrees.mc.calls"] == 2
+
+
+def test_traced_search_run_exits_zero(tmp_path):
+    # the search.mc counters read the run_search record
+    config = {"families": ["complete", "cycle"], "N": [8], "epsilons": [0.2, 0.1], "shots": 2000, "seed": 7}
+    report = traced_run(tmp_path, "search", config)
+    assert report["trace"]["search.mc.calls"] == 4

@@ -390,6 +390,28 @@ def test_cli_seed_required(tmp_path):
     assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize(
+    "command, payload, argv, message",
+    [
+        ("bounds", {"instances": 2, "seed": 1}, ["--seed", "-1"], "a seed >= 0 is required"),
+        ("bounds", {"instances": 2, "seed": -3}, [], "a seed >= 0 is required"),
+        (
+            "search",
+            {"families": ["complete"], "N": [4], "epsilons": [0.1], "seed": 1, "time_factor": float("inf")},
+            [],
+            "config field 'time_factor'",
+        ),
+        ("bounds", {"instances": 2, "seed": 1, "t_range": [0.1, float("inf")]}, [], "config field 't_range'"),
+    ],
+    ids=["seed-flag", "seed-config", "time-factor-infinity", "t-range-infinity"],
+)
+def test_cli_negative_seed_or_non_finite_number_exits_3(tmp_path, capsys, command, payload, argv, message):
+    cfg = write_cfg(tmp_path / "c.json", payload)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path), *argv]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
 def test_cli_inconsistency_exit_code(tmp_path, monkeypatch):
     def boom(cfg, seed, jobs):
         raise InconsistencyError("synthetic")
@@ -501,7 +523,7 @@ def test_bounds_instance_decomposes_once(monkeypatch):
 
 def test_gluedtrees_row_decomposes_the_column_generator_twice(monkeypatch):
     counts = count_calls(monkeypatch, spectral, ["decompose"])
-    row = cli._gluedtrees_row((16, 5, 20, "log"))[0]
+    row = cli._gluedtrees_row((16, 5, 20))[0]
     # certified_hitting_times' column walk, and the Monte Carlo's own
     assert counts["decompose"] == 2
     assert row["holds"]
@@ -513,4 +535,4 @@ def test_gluedtrees_row_holds_requires_certified_slack(monkeypatch):
     monkeypatch.setattr(
         gluedtrees, "certified_hitting_times", lambda two_n: {**certified(two_n), "slack_l2": -1e-3}
     )
-    assert not cli._gluedtrees_row((16, 5, 20, "log"))[0]["holds"]
+    assert not cli._gluedtrees_row((16, 5, 20))[0]["holds"]

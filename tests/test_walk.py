@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctqw import gluedtrees, spectral, walk
-from ctqw.errors import DegenerateProbabilityError, ValidationError
+from ctqw.errors import DegenerateProbabilityError, InconsistencyError, ValidationError
 from ctqw.rng import rng_stream
 from ctqw.walk import TimeDistribution
 
@@ -116,6 +116,14 @@ def test_traversal_shot_floor_two_n_12():
     dist = TimeDistribution(T=64.0 * n, k=math.ceil(math.log2(5 * n)))
     p = walk.avg_probability_exact(h, walk.basis_state(two_n, 0), walk.basis_state(two_n, two_n - 1), dist)
     assert p >= 1.0 / (4 * n) - 1.0 / (5 * n)
+
+
+def test_nan_probability_fails_the_postcondition():
+    w = walk.SpectralWalk(
+        energies=np.array([0.0, 1.0]), c=np.array([np.nan, 0.0]), rows=np.eye(2), decomposition=None
+    )
+    with pytest.raises(InconsistencyError, match="outside"):
+        w.probability(TimeDistribution(T=1.0, k=1))
 
 
 def test_probability_validation_errors():
