@@ -118,11 +118,22 @@ def eigenspace_bound(w: SpectralWalk, T: float, group: int) -> BoundReport:
     return _certify(w, TimeDistribution(T=T, k=1), eigenspace_floor(w, T, group))
 
 
+def _error_term(dist: TimeDistribution, delta_e_s: float) -> float:
+    """sqrt(3) * (2/(T * delta_e_s))^k; past the float range no record can hold it: bad input."""
+    try:
+        err = math.sqrt(3.0) * (2.0 / (dist.T * delta_e_s)) ** dist.k
+    except (OverflowError, ZeroDivisionError):
+        err = math.inf
+    if math.isinf(err):
+        raise ValidationError(f"error term sqrt(3)*(2/(T*delta_e_s))^k overflows at T = {dist.T!r}, k = {dist.k}, delta_e_s = {delta_e_s!r}")
+    return err
+
+
 def subset_floor(w: SpectralWalk, dist: TimeDistribution, subset) -> tuple[float, dict]:
     """sum_{g in S} |<y|P_g|psi0>|^2 - sqrt(3) * (2/(T * delta_e_s))^k, with its inputs."""
     s, delta_e_s = w.gap_report.subset_gap(subset)
     overlap = sum(w.overlaps[g] for g in s)
-    err = math.sqrt(3.0) * (2.0 / (dist.T * delta_e_s)) ** dist.k
+    err = _error_term(dist, delta_e_s)
     return overlap - err, {
         "kind": "subset",
         "T": dist.T,
@@ -150,20 +161,15 @@ def dephased_reference(partition: EigenspacePartition, rho0: DensityOperator, su
     for i in s:
         if not 0 <= i < m:
             raise ValidationError(f"subset index {i} outside group range 0..{m - 1}")
-    v = dec.eigenvectors
-    rho_eig = v.conj().T @ rho0.entries @ v
     group_of = np.empty(dec.dim, dtype=np.int64)
     for g, members in enumerate(partition.groups):
         for j in members:
             group_of[j] = g
     in_s = np.isin(group_of, list(s))
     same_group = group_of[:, None] == group_of[None, :]
-    phi = walk._phi_matrix(dist, dec.eigenvalues, partition.tol_degen)
-    weight = np.where(same_group, 1.0, 0.0).astype(np.complex128)
     both_out = ~in_s[:, None] & ~in_s[None, :]
-    weight[both_out] = phi[both_out]
-    out = v @ (rho_eig * weight) @ v.conj().T
-    return walk._computed_density(out)
+    weight = np.where(both_out, walk._phi_matrix(dist, dec.eigenvalues, partition.tol_degen), same_group)
+    return walk._weighted_density(dec, rho0, weight)
 
 
 def residual_bound(partition: EigenspacePartition, rho0: DensityOperator, subset, dist: TimeDistribution) -> BoundReport:
@@ -174,10 +180,11 @@ def residual_bound(partition: EigenspacePartition, rho0: DensityOperator, subset
     holds <=> distance <= cap (slack = cap - distance >= -SLACK_TOL).
     """
     report = spectral.gaps(partition, subset=subset)
-    avg = walk._averaged_density(partition.decomposition, rho0, dist, partition.tol_degen)
+    dec = partition.decomposition
+    avg = walk._weighted_density(dec, rho0, walk._phi_matrix(dist, dec.eigenvalues, partition.tol_degen))
     ref = dephased_reference(partition, rho0, subset, dist)
     distance = float(np.linalg.norm(avg.entries - ref.entries))
-    cap = math.sqrt(3.0) * (2.0 / (dist.T * report.delta_e_s)) ** dist.k
+    cap = _error_term(dist, report.delta_e_s)
     slack = cap - distance
     return BoundReport(
         bound_value=float(distance),

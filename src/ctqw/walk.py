@@ -8,6 +8,11 @@ law evaluated at the gap, so averaged probabilities and averaged density
 operators are finite sums, no numerical integration involved. A quadrature
 fallback exists purely as an independent oracle.
 
+Since (e^{ix} - 1)/(ix) = e^{ix/2} sin(x/2)/(x/2), Phi(E_k - E_j) =
+conj(g_j) g_k S_jk with one phase g = e^{ikET/2} per energy and a real
+symmetric S_jk = sinc((E_k - E_j)T/2)^k, so an exact average is two real
+quadratic forms in S: no complex dim x dim matrix, no cancellation.
+
 A SpectralWalk holds one walk read off one eigenbasis: the energies, the
 start amplitudes and the target rows. Every exact average, limiting
 probability, gap report and Monte Carlo measurement is a method of it, so a
@@ -50,8 +55,6 @@ __all__ = [
 TOL_NORM = 1e-10
 TOL_TRACE = 1e-9
 TOL_PSD = 1e-9
-#: |rT| below this switches the characteristic function to its series form
-SERIES_THRESHOLD = 1e-8
 #: probabilities must land in [-TOL_PROB, 1 + TOL_PROB]
 TOL_PROB = 1e-9
 #: Monte Carlo shots per chunk: bounds the chunk x dim phase matrix
@@ -109,15 +112,6 @@ def density_operator(matrix: np.ndarray) -> DensityOperator:
     return DensityOperator(entries=op.entries)
 
 
-def _computed_density(matrix: np.ndarray) -> DensityOperator:
-    """density_operator for a computed result: a failed invariant is an
-    internal inconsistency, not bad input."""
-    try:
-        return density_operator(matrix)
-    except ValidationError as exc:
-        raise InconsistencyError(f"computed density operator is invalid: {exc}") from None
-
-
 @dataclass(frozen=True)
 class TimeDistribution:
     """Evolution time t = t_1 + ... + t_k with t_j i.i.d. uniform on [0, T]."""
@@ -133,32 +127,33 @@ class TimeDistribution:
 
 
 def characteristic(dist: TimeDistribution, r) -> np.ndarray | complex:
-    """E[exp(i r t)] for t distributed per dist.
+    """E[exp(i r t)] for t distributed per dist: ((exp(irT) - 1) / (irT))^k,
+    from the half-angle factors at energy r and gap r."""
+    x = np.atleast_1d(np.asarray(r, dtype=np.float64))
+    g, s = _phase_factors(dist, x, x)
+    return complex(g[0] * s[0]) if np.ndim(r) == 0 else g * s
 
-    Equals ((exp(irT) - 1) / (irT))^k; evaluated by series for |rT| below
-    SERIES_THRESHOLD so the removable singularity at r = 0 is exact.
-    """
-    r_arr = np.asarray(r, dtype=np.float64)
-    x = r_arr * dist.T
-    small = np.abs(x) < SERIES_THRESHOLD
-    xs = np.where(small, x, 0.0)
-    # series of (e^{ix}-1)/(ix) = 1 + ix/2 - x^2/6 - ix^3/24; truncation error < 1e-33
-    out_small = 1.0 + 0.5j * xs - xs**2 / 6.0 - 1j * xs**3 / 24.0
-    xl = np.where(small, 1.0, x)
-    out_large = (np.exp(1j * xl) - 1.0) / (1j * xl)
-    out = np.where(small, out_small, out_large)
-    out = out**dist.k
-    if np.isscalar(r) or np.ndim(r) == 0:
-        return complex(out)
-    return out
+
+def _phase_factors(dist: TimeDistribution, energies: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-angle factors: g = exp(ikET/2) per energy and S = sinc(gap T/2)^k
+    per gap, sinc(0) = 1, so Phi(E_k - E_j) = conj(g_j) g_k S_jk at
+    gaps[j, k] = +-(E_k - E_j); S is real and even in the gap."""
+    g = np.exp((0.5j * dist.k * dist.T) * energies)
+    h = gaps * (0.5 * dist.T)
+    s = np.divide(np.sin(h), h, out=np.ones_like(h), where=h != 0)
+    # pow takes a far slower path on a negative base: raise |sinc|, then restore the sign
+    sk = np.abs(s)
+    sk **= dist.k
+    return g, (np.copysign(sk, s, out=sk) if dist.k % 2 else sk)
 
 
 def _phi_matrix(dist: TimeDistribution, energies: np.ndarray, tol_degen: float) -> np.ndarray:
     """Matrix Phi[j, k] = characteristic(E_k - E_j), with exact 1 on
     near-degenerate pairs (|E_k - E_j| <= tol_degen)."""
-    diff = energies[None, :] - energies[:, None]
-    phi = characteristic(dist, diff)
-    phi[np.abs(diff) <= tol_degen] = 1.0
+    gaps = np.subtract.outer(energies, energies)
+    g, s = _phase_factors(dist, energies, gaps)
+    phi = np.conj(g)[:, None] * g * s
+    phi[np.abs(gaps) <= tol_degen] = 1.0
     return phi
 
 
@@ -202,21 +197,24 @@ class SpectralWalk:
         return spectral.degeneracy_tol(float(self.energies[-1] - self.energies[0]))
 
     @cached_property
-    def _amplitudes(self) -> np.ndarray:
-        # a[r, j] = <b_r|E_j><E_j|psi0>
-        return self.rows * self.c
+    def _degenerate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(j, k) with |E_k - E_j| <= tol_degen, j = k included: Phi is 1 there."""
+        return np.nonzero(np.abs(np.subtract.outer(self.energies, self.energies)) <= self.tol_degen)
 
     def probability(self, dist: TimeDistribution) -> float:
-        """Exact time-averaged probability of the target.
-
-        sum_r sum_{jk} a_rj conj(a_rk) Phi(E_k - E_j): one
-        characteristic-function matrix per time law, O(len(rows) dim^2).
-        """
+        """Exact time average sum_r sum_{jk} a_rj conj(a_rk) Phi(E_k - E_j) =
+        sum_r Re(b_r) S Re(b_r) + Im(b_r) S Im(b_r) with b = a conj(g), plus
+        Re a_rj conj(a_rk) (1 - conj(g_j) g_k S_jk) on the degenerate pairs,
+        where Phi is 1. O(len(rows) dim^2) time, a few real dim x dim arrays."""
         p = self._exact.get(dist)
         if p is None:
-            a = self._amplitudes
-            phi = _phi_matrix(dist, self.energies, self.tol_degen)
-            p = np.real(np.einsum("rj,rk,jk->", a, np.conj(a), phi))
+            a = self.rows * self.c  # a[r, j] = <b_r|E_j><E_j|psi0>
+            g, s = _phase_factors(dist, self.energies, np.subtract.outer(self.energies, self.energies))
+            b = a * np.conj(g)
+            parts = np.concatenate([b.real, b.imag])
+            j, k = self._degenerate_pairs
+            gram = np.sum(a[:, j] * np.conj(a[:, k]), axis=0)
+            p = np.sum((parts @ s) * parts) + np.sum(np.real(gram * (1.0 - np.conj(g[j]) * g[k] * s[j, k])))
             p = self._exact[dist] = _check_probability(p, "time-averaged probability")
         return p
 
@@ -378,17 +376,17 @@ def time_averaged_density(h, rho0: DensityOperator, dist: TimeDistribution) -> D
     near-degenerate pairs are left untouched (coherences survive).
     """
     dec = spectral.decompose(h)
-    return _averaged_density(dec, rho0, dist, spectral.default_degeneracy_tol(dec))
+    return _weighted_density(dec, rho0, _phi_matrix(dist, dec.eigenvalues, spectral.default_degeneracy_tol(dec)))
 
 
-def _averaged_density(dec: SpectralDecomposition, rho0: DensityOperator, dist: TimeDistribution, tol: float) -> DensityOperator:
-    """time_averaged_density on a decomposition at hand, degeneracy tolerance tol."""
+def _weighted_density(dec: SpectralDecomposition, rho0: DensityOperator, weight: np.ndarray) -> DensityOperator:
+    """rho0 with its eigenbasis element (j, k) multiplied by weight[j, k]; the
+    result is computed, so a failed invariant is an internal inconsistency."""
     v = dec.eigenvectors
-    rho_eig = v.conj().T @ rho0.entries @ v
-    phi = _phi_matrix(dist, dec.eigenvalues, tol)
-    damped = rho_eig * phi
-    out = v @ damped @ v.conj().T
-    return _computed_density(out)
+    try:
+        return density_operator(v @ ((v.conj().T @ rho0.entries @ v) * weight) @ v.conj().T)
+    except ValidationError as exc:
+        raise InconsistencyError(f"computed density operator is invalid: {exc}") from None
 
 
 def limiting_probability(h, psi0: PureState, y: PureState) -> float:

@@ -151,8 +151,8 @@ def test_bounds_at_one_time_law_share_one_exact_value(monkeypatch):
     h, psi0, y = glued_setup(8)
     w = walk.spectral_walk(h, psi0, y)
     calls = []
-    phi = walk._phi_matrix
-    monkeypatch.setattr(walk, "_phi_matrix", lambda *args: calls.append(args[0]) or phi(*args))
+    factors = walk._phase_factors
+    monkeypatch.setattr(walk, "_phase_factors", lambda *args: calls.append(args[0]) or factors(*args))
     reports = [bounds.mixing_bound(w, 40.0)]
     reports += [bounds.eigenspace_bound(w, 40.0, g) for g in range(w.partition.n_groups)]
     reports.append(bounds.subset_bound(w, TimeDistribution(T=40.0, k=1), [1, 2]))

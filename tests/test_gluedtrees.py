@@ -482,8 +482,8 @@ def test_certified_hitting_times_smoke():
 
 def test_certified_hitting_times_certifies_each_route_once(monkeypatch):
     calls = []
-    phi = walk._phi_matrix
-    monkeypatch.setattr(walk, "_phi_matrix", lambda *args: calls.append(args[0]) or phi(*args))
+    factors = walk._phase_factors
+    monkeypatch.setattr(walk, "_phase_factors", lambda *args: calls.append(args[0]) or factors(*args))
     out = gluedtrees.certified_hitting_times(32)
     # one exact average per route, at its argmin T; the grids read floors only
     assert calls == [

@@ -412,6 +412,15 @@ def test_cli_negative_seed_or_non_finite_number_exits_3(tmp_path, capsys, comman
     assert not (tmp_path / f"{command}.json").exists()
 
 
+def test_cli_bounds_extreme_t_range_exits_3(tmp_path, capsys):
+    # a tiny T takes (2/(T delta_e_s))^k past the float range
+    cfg = write_cfg(tmp_path / "b.json", {"instances": 20, "seed": 7, "t_range": [1e-300, 1e300]})
+    assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "overflows at T = " in err and ", k = " in err and ", delta_e_s = " in err
+    assert not (tmp_path / "bounds.json").exists()
+
+
 def test_cli_inconsistency_exit_code(tmp_path, monkeypatch):
     def boom(cfg, seed, jobs):
         raise InconsistencyError("synthetic")

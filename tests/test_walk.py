@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
-from ctqw import gluedtrees, spectral, walk
+from ctqw import gluedtrees, markov, search, spectral, walk
 from ctqw.errors import DegenerateProbabilityError, InconsistencyError, ValidationError
 from ctqw.rng import rng_stream
 from ctqw.walk import TimeDistribution
@@ -48,13 +50,28 @@ def test_characteristic_magnitude_capped():
     assert np.max(np.abs(walk.characteristic(dist, rs))) <= 1.0 + 1e-12
 
 
-def test_characteristic_series_matches_formula_near_zero():
-    # the removable singularity is handled by series; both branches must agree
-    # just above the switch point
-    dist = TimeDistribution(T=1.0, k=1)
-    for x in (1.001e-8, 1e-7, 1e-6):
-        exact = (np.exp(1j * x) - 1.0) / (1j * x)
-        assert walk.characteristic(dist, x) == pytest.approx(exact, abs=1e-15)
+def mp_characteristic(T: float, k: int, r: float) -> complex:
+    """((exp(irT) - 1) / (irT))^k at 40 digits, from the float inputs as given."""
+    x = mpmath.mpf(r) * mpmath.mpf(T)
+    if x == 0:
+        return mpmath.mpc(1)
+    return ((mpmath.exp(1j * x) - 1) / (1j * x)) ** k
+
+
+def test_characteristic_matches_mpmath():
+    # T = 1 keeps rT exact, so only the evaluation itself is tested: at r = 0,
+    # at |rT| from 1e-12 to 1e-6, where (exp(irT) - 1)/(irT) in floats loses
+    # up to 5e-9 to cancellation, and at large |rT|
+    small = np.geomspace(1e-12, 1e-6, 13)
+    rs = np.concatenate([[0.0], small, -small, [1.001e-8, 1e-7, 1e-6, 0.7, 3.0, 1e2, 1e4, 1e6, -1e6]])
+    with mpmath.workdps(40):
+        for k in (1, 2, 3, 7):
+            dist = TimeDistribution(T=1.0, k=k)
+            got = walk.characteristic(dist, rs)
+            for r, value in zip(rs, got):
+                exact = mp_characteristic(1.0, k, r)
+                assert abs(value - complex(exact)) <= 1e-12 * abs(complex(exact)), (k, r)
+                assert walk.characteristic(dist, float(r)) == value
 
 
 def test_characteristic_envelope_outside_gap():
@@ -344,12 +361,71 @@ def test_spectral_walk_evaluates_each_time_law_once(monkeypatch):
     h = random_hermitian(rng, 4)
     w = walk.spectral_walk(h, random_state(rng, 4), random_state(rng, 4))
     calls = []
-    phi = walk._phi_matrix
-    monkeypatch.setattr(walk, "_phi_matrix", lambda *args: calls.append(args[0]) or phi(*args))
+    factors = walk._phase_factors
+    monkeypatch.setattr(walk, "_phase_factors", lambda *args: calls.append(args[0]) or factors(*args))
     first = w.probability(TimeDistribution(T=3.0, k=2))
     assert w.probability(TimeDistribution(T=3.0, k=2)) == first
     w.probability(TimeDistribution(T=3.0, k=1))
     assert calls == [TimeDistribution(T=3.0, k=2), TimeDistribution(T=3.0, k=1)]
+
+
+def mp_probability(w: walk.SpectralWalk, dist: TimeDistribution) -> float:
+    """sum_r sum_jk a_rj conj(a_rk) Phi(E_k - E_j) at 40 digits from the
+    walk's float energies and amplitudes, with Phi = 1 on the pairs within
+    tol_degen, as the float kernel defines it."""
+    e, a = w.energies, w.rows * w.c
+    with mpmath.workdps(40):
+        em = [mpmath.mpf(float(x)) for x in e]
+        gram = [[mpmath.fsum(mpmath.mpc(complex(x)) * mpmath.conj(mpmath.mpc(complex(y))) for x, y in zip(a[:, j], a[:, k]))
+                 for k in range(len(e))] for j in range(len(e))]
+        total = mpmath.fsum(gram[j][j].real for j in range(len(e)))
+        for j in range(len(e)):
+            for k in range(j + 1, len(e)):
+                phi = 1 if abs(e[k] - e[j]) <= w.tol_degen else mp_characteristic(dist.T, dist.k, em[k] - em[j])
+                total += 2 * (gram[j][k] * phi).real
+        return float(total)
+
+
+def oracle_walks():
+    """(name, walk, time laws): random Hermitian, glued columns, the complete
+    search chain, and a spectrum with pairs inside tol_degen."""
+    laws = [TimeDistribution(T=T, k=k) for T in (0.3, 5.0, 200.0) for k in (1, 2, 4)]
+    for i, (_, dim, h, psi0, y) in enumerate(instance_stream(41, 12, 2, 10)):
+        yield f"random-{i}-dim{dim}", walk.spectral_walk(h, psi0, y), laws
+    for two_n in (4, 8, 16, 32):
+        n = two_n // 2
+        glued_laws = [TimeDistribution(T=T, k=k) for T in (2.0 * n, 64.0 * n) for k in (1, math.ceil(math.log2(5 * n)))]
+        yield f"glued-{two_n}", gluedtrees._column_walk(two_n), glued_laws
+    chain = markov.lazify(markov.complete_chain(8))
+    inter = markov.interpolate(chain, 0, markov.s_star(chain, 0))
+    yield "complete-8", search._discriminant_walk(inter, np.sqrt(chain.pi))[0], laws
+    rng = rng_stream(41, 99)
+    energies = np.array([-1.0, -0.3, -0.3 + 2e-10, 0.4, 0.4 + 5e-10, 0.4 + 7e-10, 1.0])
+    c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    q, _ = np.linalg.qr(rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
+    degenerate = walk.SpectralWalk(energies, c / np.linalg.norm(c), q[:2], None)
+    assert degenerate.tol_degen == pytest.approx(2e-8)
+    # at T = 1e9 the degenerate pairs' own Phi is far from the 1 they get
+    yield "degenerate", degenerate, laws + [TimeDistribution(T=1e9, k=k) for k in (1, 3)]
+
+
+def test_probability_matches_mpmath_oracle():
+    for name, w, laws in oracle_walks():
+        for dist in laws:
+            exact = mp_probability(w, dist)
+            assert abs(w.probability(dist) - exact) <= 1e-12 * abs(exact), (name, dist)
+
+
+def test_probability_peak_memory_column_walk_512():
+    w = gluedtrees._column_walk(512)
+    d = w.energies.shape[0]
+    tracemalloc.start()
+    try:
+        w.probability(TimeDistribution(T=64.0 * 256, k=12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * d * d * 8
 
 
 def test_reduced_walk_has_no_partition():
