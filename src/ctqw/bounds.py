@@ -151,10 +151,9 @@ def subset_bound(w: SpectralWalk, dist: TimeDistribution, subset) -> BoundReport
     return _certify(w, dist, subset_floor(w, dist, subset))
 
 
-def dephased_reference(partition: EigenspacePartition, rho0: DensityOperator, subset, dist: TimeDistribution) -> DensityOperator:
-    """Reference state: inside S keep only same-energy matrix elements,
-    between S and its complement drop everything, outside S keep the fully
-    damped block (characteristic function applied per gap)."""
+def _dephased_weight(partition: EigenspacePartition, subset, phi: np.ndarray) -> np.ndarray:
+    """Eigenbasis weights of the dephased reference: 1 on same-group pairs,
+    phi on pairs with both ends outside the subset, 0 elsewhere."""
     dec = partition.decomposition
     m = partition.n_groups
     s = set(int(i) for i in subset)
@@ -168,8 +167,16 @@ def dephased_reference(partition: EigenspacePartition, rho0: DensityOperator, su
     in_s = np.isin(group_of, list(s))
     same_group = group_of[:, None] == group_of[None, :]
     both_out = ~in_s[:, None] & ~in_s[None, :]
-    weight = np.where(both_out, walk._phi_matrix(dist, dec.eigenvalues, partition.tol_degen), same_group)
-    return walk._weighted_density(dec, rho0, weight)
+    return np.where(both_out, phi, same_group)
+
+
+def dephased_reference(partition: EigenspacePartition, rho0: DensityOperator, subset, dist: TimeDistribution) -> DensityOperator:
+    """Reference state: inside S keep only same-energy matrix elements,
+    between S and its complement drop everything, outside S keep the fully
+    damped block (characteristic function applied per gap)."""
+    dec = partition.decomposition
+    phi = walk._phi_matrix(dist, dec.eigenvalues, partition.tol_degen)
+    return walk._weighted_density(dec, rho0, _dephased_weight(partition, subset, phi))
 
 
 def residual_bound(partition: EigenspacePartition, rho0: DensityOperator, subset, dist: TimeDistribution) -> BoundReport:
@@ -181,8 +188,9 @@ def residual_bound(partition: EigenspacePartition, rho0: DensityOperator, subset
     """
     report = spectral.gaps(partition, subset=subset)
     dec = partition.decomposition
-    avg = walk._weighted_density(dec, rho0, walk._phi_matrix(dist, dec.eigenvalues, partition.tol_degen))
-    ref = dephased_reference(partition, rho0, subset, dist)
+    phi = walk._phi_matrix(dist, dec.eigenvalues, partition.tol_degen)
+    avg = walk._weighted_density(dec, rho0, phi)
+    ref = walk._weighted_density(dec, rho0, _dephased_weight(partition, subset, phi))
     distance = float(np.linalg.norm(avg.entries - ref.entries))
     cap = _error_term(dist, report.delta_e_s)
     slack = cap - distance

@@ -121,6 +121,13 @@ def _resolve_out(args, cfg: dict) -> Path:
     return out
 
 
+def _reject_repeats(key: str, values: list) -> None:
+    """A repeated entry would run one row twice and fit a slope through one point."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"config field '{key}' repeats {value!r}")
+
+
 def _as_int(cfg: dict, key: str, default=None, minimum=None):
     value = cfg.get(key, default)
     if not _is_int(value):
@@ -143,11 +150,13 @@ def _run_tasks(worker, tasks, jobs: int) -> list:
 
 
 def _write_bundle(out: Path, kind: str, seed: int, config, rows, summary, failure, success) -> int:
-    """Write <kind>.json and <kind>.csv; exit code 2 when failure names a failed assertion."""
+    """Render <kind>.json and <kind>.csv, then write both, so that a row that cannot be
+    serialized leaves no bundle; exit code 2 when failure names a failed assertion."""
     columns, comment = BUNDLES[kind]
     record = records.ExperimentRecord(kind=kind, config=config, seed=seed, rows=tuple(rows), summary=summary)
-    record.write(out / f"{kind}.json")
-    records.write_csv(out / f"{kind}.csv", columns, rows, comment)
+    texts = {"json": record.to_json(), "csv": records.render_csv(columns, rows, comment)}
+    for suffix, text in texts.items():
+        (out / f"{kind}.{suffix}").write_text(text, encoding="utf-8")
     print(f"{kind}: wrote {out / f'{kind}.csv'} and {out / f'{kind}.json'}")
     if failure:
         print(f"{kind}: {failure}", file=sys.stderr)
@@ -221,6 +230,7 @@ def _cmd_gluedtrees(cfg: dict, seed: int, jobs: int) -> tuple:
     for value in sizes:
         if not _is_int(value) or value < 8 or value % 2:
             raise ConfigError(f"size {value!r} is invalid: sizes must be even integers >= 8")
+    _reject_repeats("n", sizes)
     mc_runs = _as_int(cfg, "mc_runs", default=200, minimum=1)
 
     tasks = [(two_n, task_seed(seed, idx), mc_runs) for idx, two_n in enumerate(sorted(sizes))]
@@ -290,6 +300,7 @@ def _cmd_search(cfg: dict, seed: int, jobs: int) -> tuple:
     for eps in epsilons:
         if not _is_real(eps) or not 0.0 < eps < 0.25:
             raise ConfigError(f"epsilon {eps!r} is invalid: must lie strictly in (0, 1/4)")
+    _reject_repeats("epsilons", epsilons)
     epsilons = sorted(epsilons, reverse=True)
     shots = _as_int(cfg, "shots", default=100000, minimum=1)
     marked = _as_int(cfg, "marked", default=0, minimum=0)
@@ -310,24 +321,32 @@ def _cmd_search(cfg: dict, seed: int, jobs: int) -> tuple:
         for family in families:
             if family not in markov.CHAIN_FAMILIES:
                 raise ConfigError(f"unknown chain family {family!r}; known: {markov.CHAIN_FAMILIES}")
+        _reject_repeats("families", families)
         for n in sizes:
             if not _is_int(n) or n < 2:
                 raise ConfigError(f"chain size {n!r} is invalid: must be an integer >= 2")
             if marked >= n:
                 raise ConfigError(f"marked vertex {marked} is out of range for size {n}")
+        _reject_repeats("N", sizes)
         specs += [(str(family), n, marked, None) for family in families for n in sizes]
     chain_paths = cfg.get("chains", [])
     if chain_paths:
-        if not isinstance(chain_paths, list):
+        if not isinstance(chain_paths, list) or not all(isinstance(path, str) for path in chain_paths):
             raise ConfigError("config field 'chains' must be a list of file paths")
-        for path in chain_paths:
+        # the stem names the chain in the family column of both files
+        stems = [Path(path).stem for path in chain_paths]
+        for stem in stems:
+            if any(ch in stem for ch in ',"\r\n'):
+                raise ConfigError(f"chain file stem {stem!r} may not contain commas, quotes or newlines")
+        _reject_repeats("chains", stems)
+        for path, stem in zip(chain_paths, stems):
             try:
                 payload = json.loads(Path(path).read_text(encoding="utf-8"))
             except OSError as exc:
                 raise ConfigError(f"cannot read chain file {path}: {exc}") from None
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"chain file {path} is not valid JSON: {exc}") from None
-            specs.append((Path(path).stem, 0, 0, payload))
+            specs.append((stem, 0, 0, payload))
     if not specs:
         raise ConfigError("search config needs 'families' + 'N', or 'chains'")
 

@@ -11,7 +11,6 @@ entrance root and certifies the exit probability with the exact engine.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -33,8 +32,6 @@ __all__ = [
     "column_hamiltonian",
     "solve_momenta",
     "column_spectrum_check",
-    "eigenstate_from_momentum",
-    "hyperbolic_overlaps",
     "certified_hitting_times",
     "subspace_S",
     "generate_instance",
@@ -43,8 +40,6 @@ __all__ = [
     "discover_graph",
     "full_hamiltonian",
     "full_vs_column_equivalence",
-    "instance_to_json",
-    "instance_from_json",
     "run_traversal",
     "traversal_success_stats",
     "default_schedule",
@@ -235,42 +230,6 @@ def column_spectrum_check(two_n: int) -> float:
     if dev > SPECTRUM_ATOL:
         raise InconsistencyError(f"spectrum deviation {dev:.3g} exceeds {SPECTRUM_ATOL:g}")
     return dev
-
-
-def eigenstate_from_momentum(two_n: int, sol: MomentumSolution) -> np.ndarray:
-    """Closed-form column-space eigenvector for a band momentum solution.
-
-    Components sin(p j) on the first n columns and branch * sin(p (2n+1-j))
-    on the rest, normalized. Mirror (anti)symmetric per the branch sign.
-    """
-    n = two_n // 2
-    v = np.zeros(two_n)
-    for j in range(1, n + 1):
-        v[j - 1] = math.sin(sol.p * j)
-    for j in range(n + 1, two_n + 1):
-        v[j - 1] = sol.branch * math.sin(sol.p * (two_n + 1 - j))
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        raise InconsistencyError(f"degenerate eigenvector for p={sol.p}")
-    return v / norm
-
-
-def hyperbolic_overlaps(two_n: int) -> tuple[float, ...]:
-    """|<entrance|E><E|exit>| for each out-of-band (cosh-type) eigenvector.
-
-    Located spectrally: band energies satisfy |E| < 2, the hyperbolic pair
-    sits strictly outside. Returns () when the spectrum is entirely in-band
-    (two_n = 4). Counts are cross-checked against solve_momenta.
-    """
-    report = solve_momenta(two_n)
-    evals, evecs = np.linalg.eigh(column_hamiltonian(two_n))
-    outside = [i for i, e in enumerate(evals) if abs(e) > 2.0]
-    expected = len(report.hyperbolic_energies)
-    if len(outside) != expected:
-        raise InconsistencyError(
-            f"{len(outside)} out-of-band eigenvalues, expected {expected} (two_n={two_n})"
-        )
-    return tuple(float(abs(evecs[0, i] * evecs[-1, i])) for i in outside)
 
 
 @dataclass(frozen=True)
@@ -821,32 +780,3 @@ def traversal_success_stats(two_n: int, rng_seed: int, runs: int) -> dict:
         "per_shot_floor": 1.0 / reps,
     }
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def instance_to_json(inst: GluedTreesInstance) -> str:
-    """Schema: {depth, entrance, exit, adjacency: {label: [labels]}}."""
-    payload = {
-        "depth": inst.depth,
-        "entrance": inst.entrance,
-        "exit": inst.exit,
-        "adjacency": {lab: list(nbrs) for lab, nbrs in sorted(inst.adjacency.items())},
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def instance_from_json(text: str) -> GluedTreesInstance:
-    data = json.loads(text)
-    try:
-        inst = GluedTreesInstance(
-            depth=int(data["depth"]),
-            entrance=data["entrance"],
-            exit=data["exit"],
-            adjacency={lab: tuple(nbrs) for lab, nbrs in data["adjacency"].items()},
-        )
-    except KeyError as exc:
-        raise ValidationError(f"instance JSON missing field {exc}") from None
-    validate_instance(inst)
-    return inst

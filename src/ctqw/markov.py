@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    AssertionFailure,
     InconsistencyError,
     IrreversibleChainError,
     MarkedWeightError,
@@ -32,23 +31,17 @@ from .rng import rng_stream
 __all__ = [
     "ReversibleChain",
     "InterpolatedChain",
-    "GapHittingTimeRecord",
     "validate_chain",
     "lazify",
     "discriminant",
     "interpolate",
     "s_star",
     "classical_hitting_time",
-    "gap_vs_hitting_time",
-    "interpolated_gap",
-    "interpolation_sweep",
-    "write_interpolation_sweep",
     "sample_hitting_time",
     "complete_chain",
     "cycle_chain",
     "random_reversible_chain",
     "chain_family",
-    "chain_to_payload",
     "chain_from_payload",
     "CHAIN_FAMILIES",
 ]
@@ -266,84 +259,6 @@ def classical_hitting_time(chain: ReversibleChain, marked: int) -> float:
     return float(chain.pi[keep] @ h)
 
 
-def interpolated_gap(chain: ReversibleChain, marked: int, s: float) -> float:
-    """Spectral gap 1 - lambda_2 of the interpolated discriminant, where
-    lambda_2 is the second-largest eigenvalue."""
-    d = discriminant(interpolate(chain, marked, s).P_s)
-    eigs = np.linalg.eigvalsh(d)
-    return float(1.0 - eigs[-2])
-
-
-@dataclass(frozen=True)
-class GapHittingTimeRecord:
-    """Product check: the gap at the half-weight interpolation point must not
-    collapse faster than the reciprocal hitting time."""
-
-    n: int
-    marked: int
-    s_star: float
-    gap_at_s_star: float
-    hitting_time: float
-    product: float
-
-
-def gap_vs_hitting_time(
-    chain: ReversibleChain, marked: int, floor: float | None = None
-) -> GapHittingTimeRecord:
-    """Compute gap(s*) * HT for a chain; optionally assert a lower floor.
-
-    The product staying bounded below across a family is what makes the
-    sqrt(HT) evolution-time choice work, so the record exposes it directly.
-    """
-    s = s_star(chain, marked)
-    gap = interpolated_gap(chain, marked, s)
-    ht = classical_hitting_time(chain, marked)
-    product = gap * ht
-    if floor is not None and product < floor:
-        raise AssertionFailure(
-            f"gap(s*) * HT = {product:.6g} below the required floor {floor:g}"
-        )
-    return GapHittingTimeRecord(
-        n=chain.n,
-        marked=int(marked),
-        s_star=s,
-        gap_at_s_star=gap,
-        hitting_time=ht,
-        product=float(product),
-    )
-
-
-def interpolation_sweep(chain: ReversibleChain, marked: int, points: int = 101) -> list[tuple[float, float, float]]:
-    """Rows (s, gap(s), pi_marked(s)) over a uniform grid on [0, 1].
-
-    Plot-ready sweep of the interpolated discriminant gap and the marked
-    vertex's stationary weight.
-    """
-    if points < 2:
-        raise ValidationError(f"points must be >= 2, got {points}")
-    rows = []
-    for s in np.linspace(0.0, 1.0, points):
-        ic = interpolate(chain, marked, float(s))
-        eigs = np.linalg.eigvalsh(discriminant(ic.P_s))
-        rows.append((float(s), float(1.0 - eigs[-2]), float(ic.pi_s[marked])))
-    return rows
-
-
-def write_interpolation_sweep(
-    path, chain: ReversibleChain, marked: int, points: int = 101
-) -> None:
-    """Write an interpolation_sweep as CSV with columns (s, gap, pi_marked)."""
-    from .records import write_csv
-
-    rows = interpolation_sweep(chain, marked, points=points)
-    write_csv(
-        path,
-        ("s", "gap", "pi_marked"),
-        [{"s": s, "gap": g, "pi_marked": p} for s, g, p in rows],
-        comment=f"interpolated chain sweep, n={chain.n}, marked={marked}",
-    )
-
-
 def sample_hitting_time(
     chain: ReversibleChain,
     marked: int,
@@ -456,20 +371,6 @@ def chain_family(name: str, n: int, seed: int = 0) -> ReversibleChain:
     if name == "random-reversible":
         return random_reversible_chain(n, seed)
     raise ValidationError(f"unknown chain family {name!r}; known: {CHAIN_FAMILIES}")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def chain_to_payload(chain: ReversibleChain, marked: int) -> dict:
-    """JSON-ready payload: {n, format: "dense", data: rows, marked}."""
-    return {
-        "n": chain.n,
-        "format": "dense",
-        "data": [[float(x) for x in row] for row in chain.P],
-        "marked": int(marked),
-    }
 
 
 def chain_from_payload(payload: dict) -> tuple[ReversibleChain, int]:

@@ -25,7 +25,6 @@ __all__ = [
     "ExperimentRecord",
     "canonical_json",
     "format_float",
-    "record_from_json",
     "render_csv",
     "write_csv",
 ]
@@ -136,23 +135,6 @@ class ExperimentRecord:
 
     def write(self, path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
-
-
-def record_from_json(text: str) -> ExperimentRecord:
-    data = json.loads(text)
-    required = {"kind", "version", "rng", "seed", "config", "rows", "summary"}
-    missing = required - set(data)
-    if missing:
-        raise ValidationError(f"record is missing fields: {sorted(missing)}")
-    return ExperimentRecord(
-        kind=data["kind"],
-        config=data["config"],
-        seed=data["seed"],
-        rows=tuple(data["rows"]),
-        summary=data["summary"],
-        version=data["version"],
-        rng=data["rng"],
-    )
 
 
 def _cell(value) -> str:

@@ -474,7 +474,7 @@ def run_search(
 
     inter = markov.interpolate(work, marked, sstar)
     reduced, d_dec = _discriminant_walk(inter, np.sqrt(work.pi))
-    # 1 - lambda_2 of D(P_s*), as markov.interpolated_gap, off the same decomposition
+    # spectral gap 1 - lambda_2 of D(P_s*), off the same decomposition
     gap = 1.0 - d_dec.eigenvalues[-2]
     p_exact = reduced.probability(dist)
     floor = 0.25 - epsilon

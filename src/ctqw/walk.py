@@ -28,7 +28,6 @@ import numpy as np
 
 from . import spectral
 from .errors import DegenerateProbabilityError, InconsistencyError, ValidationError
-from .rng import rng_stream
 from .spectral import EigenspacePartition, GapReport, SpectralDecomposition
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "avg_probability_quadrature",
     "time_averaged_density",
     "limiting_probability",
-    "sample_walk",
     "hitting_time_estimate",
     "geometric_grid",
 ]
@@ -283,16 +281,23 @@ class SpectralWalk:
         Each chunk of SAMPLE_CHUNK shots draws its times, then one uniform u
         per shot; the outcome is the first row r whose cumulative
         probability exceeds u, or len(rows) ("none of them") when u reaches
-        their total. Only the chunk x dim phases and chunk x len(rows)
-        probabilities are ever held. Returns (times, outcomes).
+        their total. Only one chunk x dim phase buffer and the chunk x
+        len(rows) probabilities are ever held. Returns (times, outcomes).
         """
+        if shots < 1:
+            raise ValidationError(f"shots must be >= 1, got {shots}")
         last = self.rows.shape[0]
         times = np.empty(shots)
         outcomes = np.empty(shots, dtype=np.int64)
         for lo in range(0, shots, SAMPLE_CHUNK):
             m = min(SAMPLE_CHUNK, shots - lo)
             ts = rng.random((m, dist.k)).sum(axis=1) * dist.T
-            amps = (np.exp(-1j * np.outer(ts, self.energies)) * self.c) @ self.rows.T
+            z = np.empty((m, self.energies.shape[0]), dtype=np.complex128)
+            z.real = 0.0
+            np.multiply.outer(ts, -self.energies, out=z.imag)
+            np.exp(z, out=z)
+            z *= self.c
+            amps = z @ self.rows.T
             probs = np.abs(amps) ** 2
             total = np.clip(np.sum(probs, axis=1), 0.0, 1.0)
             u = rng.random(m)
@@ -392,30 +397,6 @@ def _weighted_density(dec: SpectralDecomposition, rho0: DensityOperator, weight:
 def limiting_probability(h, psi0: PureState, y: PureState) -> float:
     """T -> infinity limit: sum over eigenspace groups of |<y|P_g|psi0>|^2."""
     return spectral_walk(h, psi0, y).limiting_probability
-
-
-def sample_walk(
-    h,
-    psi0: PureState,
-    dist: TimeDistribution,
-    rng_seed: int,
-    trials: int,
-    measurement_basis: np.ndarray | None = None,
-) -> np.ndarray:
-    """Monte Carlo: draw times, evolve, measure; returns empirical frequencies.
-
-    measurement_basis columns define the measurement (default: computational
-    basis). Deterministic for a fixed (rng_seed, trials).
-    """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    dim = psi0.dim
-    basis = np.eye(dim) if measurement_basis is None else np.asarray(measurement_basis)
-    if basis.shape != (dim, dim):
-        raise ValidationError(f"measurement basis must be {dim} x {dim} with orthonormal columns")
-    _, outcomes = spectral_walk(h, psi0, basis).sample(dist, rng_stream(rng_seed), trials)
-    # a complete basis leaves only rounding for "none of them"; it is dropped
-    return np.bincount(outcomes, minlength=dim + 1)[:dim] / float(trials)
 
 
 def geometric_grid(t_lo: float, t_hi: float, per_decade: int = 40) -> np.ndarray:

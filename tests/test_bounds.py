@@ -205,6 +205,17 @@ def test_residual_bound_holds_dim4():
         assert rep.inputs["kind"] == "residual"
 
 
+def test_residual_bound_builds_phi_once(monkeypatch):
+    calls = []
+    phi_matrix = walk._phi_matrix
+    monkeypatch.setattr(walk, "_phi_matrix", lambda *args: calls.append(args) or phi_matrix(*args))
+    h, psi0, _ = glued_setup(12)
+    part = spectral.group_eigenspaces(spectral.decompose(h))
+    rho = walk.density_operator(np.outer(psi0.amplitudes, psi0.amplitudes.conj()))
+    assert bounds.residual_bound(part, rho, [0], TimeDistribution(T=30.0, k=2)).holds
+    assert len(calls) == 1
+
+
 def test_residual_bound_epsilon_schedule():
     # choosing T = (2/delta_e_s) * (sqrt(3)/eps)^(1/k), k = ceil(log2(1/eps))
     # caps the reference distance by eps itself

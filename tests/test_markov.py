@@ -250,6 +250,13 @@ def test_hitting_time_single_state():
     assert markov.classical_hitting_time(chain, 0) == 0.0
 
 
+def gap_at_s_star(chain, marked):
+    """(s*, 1 - lambda_2 of the interpolated discriminant at s*, HT)."""
+    s = markov.s_star(chain, marked)
+    eigs = np.linalg.eigvalsh(markov.discriminant(markov.interpolate(chain, marked, s).P_s))
+    return s, float(1.0 - eigs[-2]), markov.classical_hitting_time(chain, marked)
+
+
 def test_two_state_hand_oracle():
     # from state 1, absorb at 0: h = 1 + 0.8 h so h = 5; HT averages over
     # pi = (0.4, 0.6): 0.6 * 5 = 3. s* = 1 - 0.4/0.6 = 1/3; the interpolated
@@ -257,10 +264,10 @@ def test_two_state_hand_oracle():
     chain = markov.validate_chain(TWO_STATE)
     assert np.allclose(chain.pi, [0.4, 0.6], atol=1e-12)
     assert markov.classical_hitting_time(chain, 0) == pytest.approx(3.0, rel=1e-12)
-    rec = markov.gap_vs_hitting_time(chain, 0)
-    assert rec.s_star == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert rec.gap_at_s_star == pytest.approx(0.4, rel=1e-10)
-    assert rec.product == pytest.approx(1.2, rel=1e-10)
+    s, gap, ht = gap_at_s_star(chain, 0)
+    assert s == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert gap == pytest.approx(0.4, rel=1e-10)
+    assert gap * ht == pytest.approx(1.2, rel=1e-10)
 
 
 def test_sample_hitting_time_three_sigma():
@@ -303,11 +310,11 @@ def test_sample_hitting_time_row_cumsum_below_one(monkeypatch):
 def test_gap_hitting_time_floor():
     # Delta(s*) * HT stays above the constant 1 on both families
     for n in (4, 8, 16, 32):
-        rec = markov.gap_vs_hitting_time(markov.complete_chain(n), 0)
-        assert rec.product >= 1.0
+        _, gap, ht = gap_at_s_star(markov.complete_chain(n), 0)
+        assert gap * ht >= 1.0
     for n in (4, 8, 16):
-        rec = markov.gap_vs_hitting_time(markov.cycle_chain(n), 0)
-        assert rec.product >= 1.0
+        _, gap, ht = gap_at_s_star(markov.cycle_chain(n), 0)
+        assert gap * ht >= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -329,23 +336,13 @@ def test_discriminant_similar_to_interpolated_chain():
         assert np.max(np.abs(top - np.sqrt(ic.pi_s))) <= 1e-8
 
 
-def test_gap_continuity_on_grid():
-    chain = markov.random_reversible_chain(5, seed=3)
-    rows = markov.interpolation_sweep(chain, 1, points=100)
-    gaps = [g for _, g, _ in rows]
-    assert all(g > 0 for g in gaps)
-    diffs = [abs(b - a) for a, b in zip(gaps, gaps[1:])]
-    for i in range(1, len(diffs) - 1):
-        assert diffs[i] <= 10.0 * max(diffs[i - 1], diffs[i + 1]) + 1e-12
-
-
 # ---------------------------------------------------------------------------
 # payloads
 
 
 def test_payload_round_trip_dense():
     chain = markov.random_reversible_chain(4, seed=2)
-    payload = markov.chain_to_payload(chain, marked=3)
+    payload = {"n": 4, "format": "dense", "data": chain.P.tolist(), "marked": 3}
     back, marked = markov.chain_from_payload(payload)
     assert marked == 3
     assert np.allclose(back.P, chain.P, atol=1e-15)
@@ -393,18 +390,6 @@ def test_payload_size_and_marked_must_be_whole_numbers():
 def test_payload_bad_format_rejected():
     with pytest.raises(ValidationError):
         markov.chain_from_payload({"n": 2, "format": "sparse", "data": [], "marked": 0})
-
-
-def test_write_interpolation_sweep(tmp_path):
-    chain = markov.complete_chain(4)
-    out = tmp_path / "sweep.csv"
-    markov.write_interpolation_sweep(out, chain, marked=0, points=11)
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1] == "s,gap,pi_marked"
-    assert len(lines) == 13
-    first = lines[2].split(",")
-    assert float(first[0]) == 0.0
 
 
 def test_sample_hitting_time_cap_raises():

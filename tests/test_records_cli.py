@@ -89,13 +89,11 @@ def test_experiment_record_round_trip():
         rows=({"x": 1.5, "ok": True},),
         summary={"all": True},
     )
-    back = records.record_from_json(rec.to_json())
-    assert back.kind == "demo" and back.seed == 5
-    assert back.rng == rec.rng == rng.RNG_NAME
-    assert back.rows == ({"x": 1.5, "ok": True},)
-    assert "wall_clock_s" not in json.loads(rec.to_json())  # timings stay out of records
-    with pytest.raises(ValidationError):
-        records.record_from_json('{"kind": "demo"}')
+    back = json.loads(rec.to_json())
+    assert back["kind"] == "demo" and back["seed"] == 5
+    assert back["rng"] == rec.rng == rng.RNG_NAME
+    assert back["rows"] == [{"x": 1.5, "ok": True}]
+    assert "wall_clock_s" not in back  # timings stay out of records
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +245,59 @@ def test_cli_search_irreversible_chain_file(tmp_path):
     )
     cfg = write_cfg(tmp_path / "s.json", {"chains": [str(chain_file)], "epsilons": [0.1], "seed": 2})
     assert cli.main(["search", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("gluedtrees", {"n": [8, 8], "mc_runs": 5}, "'n' repeats 8"),
+        ("search", {"families": ["complete"], "N": [8], "epsilons": [0.1, 0.1], "shots": 100}, "'epsilons' repeats 0.1"),
+        ("search", {"families": ["complete", "complete"], "N": [8], "epsilons": [0.1], "shots": 100}, "'families' repeats 'complete'"),
+        ("search", {"families": ["complete"], "N": [8, 8], "epsilons": [0.1], "shots": 100}, "'N' repeats 8"),
+    ],
+    ids=["n", "epsilons", "families", "N"],
+)
+def test_cli_repeated_config_entry_exits_3(tmp_path, capsys, command, payload, message):
+    # a repeated entry would run one row twice and fit a slope through one point
+    cfg = write_cfg(tmp_path / "c.json", {**payload, "seed": 1})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert f"config field {message}" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def write_chain(path) -> str:
+    payload = {"n": 3, "format": "weighted-graph", "data": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0], [0, 0, 1.0]], "marked": 1}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def test_cli_repeated_chain_stem_exits_3(tmp_path, capsys):
+    chains = [write_chain(tmp_path / "a" / "chain.json"), write_chain(tmp_path / "b" / "chain.json")]
+    cfg = write_cfg(tmp_path / "s.json", {"chains": chains, "epsilons": [0.1], "shots": 100, "seed": 2})
+    out = tmp_path / "out"
+    assert cli.main(["search", "--config", cfg, "--out", str(out)]) == 3
+    assert "config field 'chains' repeats 'chain'" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_cli_chain_stem_with_comma_leaves_no_bundle(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path / "s.json", {"chains": [write_chain(tmp_path / "a,b.json")], "epsilons": [0.1], "shots": 100, "seed": 2}
+    )
+    out = tmp_path / "out"
+    assert cli.main(["search", "--config", cfg, "--out", str(out)]) == 3
+    assert "chain file stem 'a,b'" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_write_bundle_renders_both_files_before_writing_either(tmp_path):
+    # the JSON text of this row renders, its CSV cell does not
+    rows = [{"family": "a,b", "N": 3}]
+    with pytest.raises(ValidationError):
+        cli._write_bundle(tmp_path, "search", 1, {}, rows, {}, None, "ok")
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -268,8 +268,15 @@ def test_limiting_probability_is_large_T_limit():
 # Monte Carlo sampling
 
 
+def frequencies(h, psi0, dist, seed, trials, basis):
+    """Empirical frequencies of the outcomes 0..dim-1 of a complete basis;
+    rounding alone reaches "none of them", which is dropped."""
+    _, outcomes = walk.spectral_walk(h, psi0, basis).sample(dist, rng_stream(seed), trials)
+    return np.bincount(outcomes, minlength=basis.shape[1] + 1)[: basis.shape[1]] / float(trials)
+
+
 def test_sample_walk_no_dynamics_is_deterministic():
-    freqs = walk.sample_walk(np.zeros((5, 5)), walk.basis_state(5, 3), TimeDistribution(T=1.0, k=1), rng_seed=9, trials=500, measurement_basis=np.eye(5))
+    freqs = frequencies(np.zeros((5, 5)), walk.basis_state(5, 3), TimeDistribution(T=1.0, k=1), 9, 500, np.eye(5))
     assert freqs[3] == pytest.approx(1.0, abs=0.0)
 
 
@@ -278,8 +285,8 @@ def test_sample_walk_reproducible():
     h = random_hermitian(rng, 4)
     psi0 = random_state(rng, 4)
     dist = TimeDistribution(T=5.0, k=2)
-    a = walk.sample_walk(h, psi0, dist, rng_seed=77, trials=4000, measurement_basis=np.eye(4))
-    b = walk.sample_walk(h, psi0, dist, rng_seed=77, trials=4000, measurement_basis=np.eye(4))
+    a = frequencies(h, psi0, dist, 77, 4000, np.eye(4))
+    b = frequencies(h, psi0, dist, 77, 4000, np.eye(4))
     assert a.tobytes() == b.tobytes()
 
 
@@ -292,7 +299,7 @@ def test_sample_walk_glued_matches_exact_within_3_sigma():
     y = walk.basis_state(two_n, two_n - 1)
     exact = walk.avg_probability_exact(h, psi0, y, dist)
     trials = 200000
-    freqs = walk.sample_walk(h, psi0, dist, rng_seed=5, trials=trials, measurement_basis=np.eye(two_n))
+    freqs = frequencies(h, psi0, dist, 5, trials, np.eye(two_n))
     sigma = math.sqrt(exact * (1 - exact) / trials)
     assert abs(freqs[two_n - 1] - exact) <= 3.0 * sigma
 
@@ -302,7 +309,8 @@ def test_sample_walk_two_level_within_3_sigma():
     plus = walk.pure_state(np.array([1.0, 1.0]) / math.sqrt(2))
     T = math.pi
     trials = 100000
-    freqs = walk.sample_walk(h, plus, TimeDistribution(T=T, k=1), rng_seed=6, trials=trials, measurement_basis=np.column_stack([plus.amplitudes, np.array([1.0, -1.0]) / math.sqrt(2)]))
+    basis = np.column_stack([plus.amplitudes, np.array([1.0, -1.0]) / math.sqrt(2)])
+    freqs = frequencies(h, plus, TimeDistribution(T=T, k=1), 6, trials, basis)
     sigma = math.sqrt(0.5 * 0.5 / trials)
     assert abs(freqs[0] - 0.5) <= 3.0 * sigma
 
@@ -325,9 +333,39 @@ def test_sampler_partial_chunk_counts_and_frequency():
     assert np.array_equal(head_t, times[: walk.SAMPLE_CHUNK])
 
 
+def test_sample_outcomes_match_outer_product_phases():
+    # the in-place phase buffer gives the outcomes of exp(-1j * outer(t, E)) * c
+    w = gluedtrees._column_walk(64)
+    dist = TimeDistribution(T=300.0, k=3)
+    shots = walk.SAMPLE_CHUNK + 7
+    times, outcomes = w.sample(dist, rng_stream(11), shots)
+    rng, last = rng_stream(11), w.rows.shape[0]
+    for lo in range(0, shots, walk.SAMPLE_CHUNK):
+        m = min(walk.SAMPLE_CHUNK, shots - lo)
+        ts = rng.random((m, dist.k)).sum(axis=1) * dist.T
+        probs = np.abs((np.exp(-1j * np.outer(ts, w.energies)) * w.c) @ w.rows.T) ** 2
+        u = rng.random(m)
+        first = np.minimum((probs.cumsum(axis=1) <= u[:, None]).sum(axis=1), last - 1)
+        assert np.array_equal(times[lo : lo + m], ts)
+        assert np.array_equal(outcomes[lo : lo + m], np.where(u < np.clip(probs.sum(axis=1), 0.0, 1.0), first, last))
+
+
+def test_sample_peak_memory_one_phase_buffer():
+    w = gluedtrees._column_walk(512)
+    m, d = walk.SAMPLE_CHUNK, w.energies.shape[0]
+    rng = rng_stream(12)
+    tracemalloc.start()
+    try:
+        w.sample(TimeDistribution(T=64.0 * 256, k=12), rng, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * m * d * 16
+
+
 def test_sample_walk_rejects_bad_trials():
     with pytest.raises(ValidationError):
-        walk.sample_walk(np.eye(2), walk.basis_state(2, 0), TimeDistribution(T=1.0, k=1), rng_seed=1, trials=0)
+        walk.spectral_walk(np.eye(2), walk.basis_state(2, 0), np.eye(2)).sample(TimeDistribution(T=1.0, k=1), rng_stream(1), 0)
 
 
 def test_spectral_walk_grid_equals_single_points_and_quadrature():
