@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral, walk
+from . import walk
 from .errors import ValidationError
 from .spectral import EigenspacePartition
 from .walk import DensityOperator, SpectralWalk, TimeDistribution
@@ -154,19 +154,18 @@ def subset_bound(w: SpectralWalk, dist: TimeDistribution, subset) -> BoundReport
 def _dephased_weight(partition: EigenspacePartition, subset, phi: np.ndarray) -> np.ndarray:
     """Eigenbasis weights of the dephased reference: 1 on same-group pairs,
     phi on pairs with both ends outside the subset, 0 elsewhere."""
-    dec = partition.decomposition
     m = partition.n_groups
-    s = set(int(i) for i in subset)
-    for i in s:
+    in_s = np.zeros(m, dtype=bool)
+    for i in set(int(i) for i in subset):
         if not 0 <= i < m:
             raise ValidationError(f"subset index {i} outside group range 0..{m - 1}")
-    group_of = np.empty(dec.dim, dtype=np.int64)
-    for g, members in enumerate(partition.groups):
-        for j in members:
-            group_of[j] = g
-    in_s = np.isin(group_of, list(s))
+        in_s[i] = True
+    # groups are consecutive runs of the ascending eigenvalues
+    sizes = [len(members) for members in partition.groups]
+    group_of = np.repeat(np.arange(m), sizes)
+    out = ~np.repeat(in_s, sizes)
     same_group = group_of[:, None] == group_of[None, :]
-    both_out = ~in_s[:, None] & ~in_s[None, :]
+    both_out = out[:, None] & out[None, :]
     return np.where(both_out, phi, same_group)
 
 
@@ -174,9 +173,9 @@ def dephased_reference(partition: EigenspacePartition, rho0: DensityOperator, su
     """Reference state: inside S keep only same-energy matrix elements,
     between S and its complement drop everything, outside S keep the fully
     damped block (characteristic function applied per gap)."""
-    dec = partition.decomposition
-    phi = walk._phi_matrix(dist, dec.eigenvalues, partition.tol_degen)
-    return walk._weighted_density(dec, rho0, _dephased_weight(partition, subset, phi))
+    v = partition.decomposition.eigenvectors
+    phi = walk._phi_matrix(dist, partition.decomposition.eigenvalues, partition.tol_degen)
+    return walk._weighted_density(v, walk._eigenbasis(v, rho0), _dephased_weight(partition, subset, phi))
 
 
 def residual_bound(partition: EigenspacePartition, rho0: DensityOperator, subset, dist: TimeDistribution) -> BoundReport:
@@ -185,14 +184,16 @@ def residual_bound(partition: EigenspacePartition, rho0: DensityOperator, subset
 
     Reported with bound/actual roles flipped into BoundReport form:
     holds <=> distance <= cap (slack = cap - distance >= -SLACK_TOL).
+    rho0 is rotated into the eigenbasis once for both states.
     """
-    report = spectral.gaps(partition, subset=subset)
-    dec = partition.decomposition
-    phi = walk._phi_matrix(dist, dec.eigenvalues, partition.tol_degen)
-    avg = walk._weighted_density(dec, rho0, phi)
-    ref = walk._weighted_density(dec, rho0, _dephased_weight(partition, subset, phi))
+    s, delta_e_s = partition.gap_report.subset_gap(subset)
+    v = partition.decomposition.eigenvectors
+    phi = walk._phi_matrix(dist, partition.decomposition.eigenvalues, partition.tol_degen)
+    m = walk._eigenbasis(v, rho0)
+    avg = walk._weighted_density(v, m, phi)
+    ref = walk._weighted_density(v, m, _dephased_weight(partition, s, phi))
     distance = float(np.linalg.norm(avg.entries - ref.entries))
-    cap = _error_term(dist, report.delta_e_s)
+    cap = _error_term(dist, delta_e_s)
     slack = cap - distance
     return BoundReport(
         bound_value=float(distance),
@@ -203,8 +204,8 @@ def residual_bound(partition: EigenspacePartition, rho0: DensityOperator, subset
             "kind": "residual",
             "T": dist.T,
             "k": dist.k,
-            "subset": list(report.subset),
-            "delta_e_s": report.delta_e_s,
+            "subset": list(s),
+            "delta_e_s": float(delta_e_s),
         },
     )
 

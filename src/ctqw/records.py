@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ def format_float(value: float) -> str:
     an int. Non-finite values have no place in a record.
     """
     x = float(value)
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValidationError("non-finite value is not representable in a record")
     text = format(x, ".17g")
     if "." not in text and "e" not in text and "E" not in text:
@@ -46,10 +47,21 @@ def format_float(value: float) -> str:
     return text
 
 
+def _bool_text(value) -> str:
+    return "true" if value else "false"
+
+
+#: text of the exact built-in scalar types, which make up nearly every row
+_SCALAR_TEXT = {float: format_float, bool: _bool_text, int: str}
+
+
 def _scalar(value) -> str | None:
     """JSON and CSV text of a bool, int or float (numpy scalars too); None otherwise."""
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
     if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
+        return _bool_text(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -57,16 +69,37 @@ def _scalar(value) -> str | None:
     return None
 
 
+def _leaf(obj) -> str | None:
+    """JSON text of a scalar, None or str; None for anything else."""
+    if obj is None:
+        return "null"
+    return json.dumps(obj) if isinstance(obj, str) else _scalar(obj)
+
+
+@lru_cache(maxsize=1024)
+def _head(pad: str, key: str) -> str:
+    return pad + json.dumps(key) + ": "
+
+
+def _flat_dict(obj: dict, keys: list, indent: int) -> str | None:
+    """Text of a dict whose values are all scalars, None or str, emitted in one
+    piece with the same bytes as the general path; None if a value is a container."""
+    pad = " " * (indent + 2)
+    items = []
+    for key in keys:
+        text = _leaf(obj[key])
+        if text is None:
+            return None
+        items.append(_head(pad, key) + text)
+    return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
+
+
 def _emit(obj, indent: int, out: list) -> None:
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
-    text = _scalar(obj)
+    text = _leaf(obj)
     if text is not None:
         out.append(text)
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -82,14 +115,18 @@ def _emit(obj, indent: int, out: list) -> None:
         if not obj:
             out.append("{}")
             return
-        keys = sorted(obj)
-        for key in keys:
+        for key in obj:
             if not isinstance(key, str):
                 raise ValidationError(f"record keys must be strings, got {key!r}")
+        keys = sorted(obj)
+        text = _flat_dict(obj, keys, indent)
+        if text is not None:
+            out.append(text)
+            return
         pad = " " * (indent + 2)
         out.append("{\n")
         for i, key in enumerate(keys):
-            out.append(pad + json.dumps(key) + ": ")
+            out.append(_head(pad, key))
             _emit(obj[key], indent + 2, out)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(" " * indent + "}")
@@ -138,14 +175,16 @@ class ExperimentRecord:
 
 
 def _cell(value) -> str:
+    text = _scalar(value)
+    if text is not None:
+        return text
+    if value is None:
+        return ""
     if isinstance(value, str):
         if any(ch in value for ch in ',"\n\r'):
             raise ValidationError(f"CSV cell may not contain commas or newlines: {value!r}")
         return value
-    text = "" if value is None else _scalar(value)
-    if text is None:
-        raise ValidationError(f"unsupported CSV cell type: {type(value).__name__}")
-    return text
+    raise ValidationError(f"unsupported CSV cell type: {type(value).__name__}")
 
 
 def render_csv(columns: list, rows, comment: str = "") -> str:
@@ -157,7 +196,7 @@ def render_csv(columns: list, rows, comment: str = "") -> str:
         lines.append("# " + comment)
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_cell(row[col]) for col in columns))
+        lines.append(",".join([_cell(row[col]) for col in columns]))
     return "\n".join(lines) + "\n"
 
 

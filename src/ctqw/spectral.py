@@ -6,13 +6,14 @@ Conventions fixed here and relied on everywhere else:
 * eigenvalues ascending, eigenvectors as columns, global phase fixed so the
   first component above threshold is real and positive;
 * degeneracy grouping at an absolute tolerance (default 1e-8 times the
-  spectral range), greedy over adjacent gaps and validated both ways;
+  spectral range), split at adjacent gaps and validated both ways;
 * gap reports always work on group representative energies, never raw
   eigenvalues.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -82,9 +83,9 @@ def hermitian(matrix: np.ndarray) -> HermitianOperator:
     if m.shape[0] == 0:
         raise EmptyOperatorError("operator has dimension zero")
     m = m.astype(np.complex128, copy=False)
-    scale = np.max(np.abs(m))
+    scale = np.abs(m).max()
     asym = np.abs(m - m.conj().T)
-    worst = np.max(asym)
+    worst = asym.max()
     if scale > 0 and worst > TOL_HERM * scale:
         i, j = np.unravel_index(np.argmax(asym), asym.shape)
         raise NonHermitianError(
@@ -123,15 +124,10 @@ class SpectralDecomposition:
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first component above threshold is real positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > PHASE_THRESHOLD)
-        if nz.size == 0:
-            continue
-        pivot = col[nz[0]]
-        out[:, j] = col * (np.conj(pivot) / np.abs(pivot))
-    return out
+    above = np.abs(vectors) > PHASE_THRESHOLD
+    pivot = vectors[np.argmax(above, axis=0), np.arange(vectors.shape[1])]
+    factor = np.divide(np.conj(pivot), np.abs(pivot), out=np.ones_like(pivot), where=above.any(axis=0))
+    return vectors * factor
 
 
 def decompose(h) -> SpectralDecomposition:
@@ -151,13 +147,17 @@ def decompose(h) -> SpectralDecomposition:
 
 def _check_reconstruction(dec: SpectralDecomposition) -> None:
     v, e = dec.eigenvectors, dec.eigenvalues
-    gram = v.conj().T @ v
-    ortho_err = np.max(np.abs(gram - np.eye(dec.dim)))
+    vh = v.conj().T
+    gram = vh @ v
+    gram[np.diag_indices(dec.dim)] -= 1.0
+    ortho_err = np.abs(gram).max()
     if ortho_err > 1e-10:
         raise InconsistencyError(f"eigenvectors not orthonormal: error {ortho_err:.3g}")
-    recon = (v * e) @ v.conj().T
+    # one more dim x dim buffer besides vh: the reconstruction reuses gram's
+    recon = np.matmul(v * e, vh, out=gram)
+    recon -= dec.operator.entries
     scale = max(np.linalg.norm(dec.operator.entries), 1.0)
-    err = np.linalg.norm(recon - dec.operator.entries) / scale
+    err = np.linalg.norm(recon) / scale
     if err > TOL_RECON:
         raise InconsistencyError(f"spectral reconstruction error {err:.3g} exceeds {TOL_RECON:g}")
 
@@ -167,7 +167,8 @@ class EigenspacePartition:
     """Eigenvalues clustered into (near-)degenerate groups.
 
     groups holds index tuples into the decomposition ordering; energies holds
-    one representative (mean) energy per group, ascending.
+    one representative (mean) energy per group, ascending. gap_report is
+    worked out on first use and kept.
     """
 
     decomposition: SpectralDecomposition
@@ -178,6 +179,11 @@ class EigenspacePartition:
     @property
     def n_groups(self) -> int:
         return len(self.groups)
+
+    @cached_property
+    def gap_report(self) -> "GapReport":
+        """gaps(self): raises GapUndefinedError for fewer than two groups."""
+        return gaps(self)
 
     def projector(self, g: int) -> np.ndarray:
         """Orthogonal projector onto group g's eigenspace."""
@@ -198,7 +204,8 @@ def default_degeneracy_tol(dec: SpectralDecomposition) -> float:
 def group_eigenspaces(dec: SpectralDecomposition, tol_degen: float | None = None) -> EigenspacePartition:
     """Cluster eigenvalues into groups separated by more than tol_degen.
 
-    Greedy over adjacent gaps; afterwards both invariants are enforced:
+    Groups split wherever adjacent eigenvalues differ by more than
+    tol_degen; afterwards both invariants are enforced:
     within-group spread <= tol_degen and between-group gap > tol_degen.
     A spectrum violating both simultaneously (a chain of near-ties wider than
     the tolerance) raises AmbiguousDegeneracyError.
@@ -208,30 +215,27 @@ def group_eigenspaces(dec: SpectralDecomposition, tol_degen: float | None = None
     if tol_degen < 0:
         raise ValidationError(f"tol_degen must be non-negative, got {tol_degen}")
     e = dec.eigenvalues
-    groups: list[list[int]] = [[0]]
-    for i in range(1, e.shape[0]):
-        if e[i] - e[groups[-1][-1]] <= tol_degen:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    for g in groups:
-        spread = e[g[-1]] - e[g[0]]
-        if spread > tol_degen:
-            raise AmbiguousDegeneracyError(
-                f"eigenvalue cluster {e[g[0]]:.12g}..{e[g[-1]]:.12g} has spread "
-                f"{spread:.3g} > tol_degen {tol_degen:.3g} but no internal gap above it"
-            )
-    for a, b in zip(groups, groups[1:]):
-        gap = e[b[0]] - e[a[-1]]
-        if gap <= tol_degen:
-            raise AmbiguousDegeneracyError(
-                f"adjacent clusters separated by {gap:.3g} <= tol_degen {tol_degen:.3g}"
-            )
-    energies = np.array([float(np.mean(e[list(g)])) for g in groups])
+    cuts = np.flatnonzero(np.diff(e) > tol_degen) + 1
+    starts = np.concatenate(([0], cuts))
+    ends = np.concatenate((cuts, [e.shape[0]])) - 1  # last member of each group
+    spread = e[ends] - e[starts]
+    if np.any(spread > tol_degen):
+        i = int(np.argmax(spread > tol_degen))
+        raise AmbiguousDegeneracyError(
+            f"eigenvalue cluster {e[starts[i]]:.12g}..{e[ends[i]]:.12g} has spread "
+            f"{spread[i]:.3g} > tol_degen {tol_degen:.3g} but no internal gap above it"
+        )
+    gap = e[starts[1:]] - e[ends[:-1]]
+    if np.any(gap <= tol_degen):
+        i = int(np.argmax(gap <= tol_degen))
+        raise AmbiguousDegeneracyError(
+            f"adjacent clusters separated by {gap[i]:.3g} <= tol_degen {tol_degen:.3g}"
+        )
+    bounds = list(zip(starts.tolist(), ends.tolist()))
     return EigenspacePartition(
         decomposition=dec,
-        groups=tuple(tuple(g) for g in groups),
-        energies=energies,
+        groups=tuple(tuple(range(a, b + 1)) for a, b in bounds),
+        energies=np.array([e[a] if a == b else np.mean(e[a : b + 1]) for a, b in bounds], dtype=np.float64),
         tol_degen=float(tol_degen),
     )
 

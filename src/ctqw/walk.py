@@ -137,10 +137,13 @@ def _phase_factors(dist: TimeDistribution, energies: np.ndarray, gaps: np.ndarra
     per gap, sinc(0) = 1, so Phi(E_k - E_j) = conj(g_j) g_k S_jk at
     gaps[j, k] = +-(E_k - E_j); S is real and even in the gap."""
     g = np.exp((0.5j * dist.k * dist.T) * energies)
+    # two gap-sized buffers: the half-angle arguments, then |sinc|^k in their place
     h = gaps * (0.5 * dist.T)
-    s = np.divide(np.sin(h), h, out=np.ones_like(h), where=h != 0)
+    s = np.sin(h)
+    np.divide(s, h, out=s, where=h != 0)
+    s[h == 0] = 1.0
     # pow takes a far slower path on a negative base: raise |sinc|, then restore the sign
-    sk = np.abs(s)
+    sk = np.abs(s, out=h)
     sk **= dist.k
     return g, (np.copysign(sk, s, out=sk) if dist.k % 2 else sk)
 
@@ -195,24 +198,30 @@ class SpectralWalk:
         return spectral.degeneracy_tol(float(self.energies[-1] - self.energies[0]))
 
     @cached_property
+    def _gaps(self) -> np.ndarray:
+        """gaps[j, k] = E_j - E_k, built once for every exact average."""
+        return np.subtract.outer(self.energies, self.energies)
+
+    @cached_property
     def _degenerate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(j, k) with |E_k - E_j| <= tol_degen, j = k included: Phi is 1 there."""
-        return np.nonzero(np.abs(np.subtract.outer(self.energies, self.energies)) <= self.tol_degen)
+        return np.nonzero(np.abs(self._gaps) <= self.tol_degen)
 
     def probability(self, dist: TimeDistribution) -> float:
         """Exact time average sum_r sum_{jk} a_rj conj(a_rk) Phi(E_k - E_j) =
         sum_r Re(b_r) S Re(b_r) + Im(b_r) S Im(b_r) with b = a conj(g), plus
         Re a_rj conj(a_rk) (1 - conj(g_j) g_k S_jk) on the degenerate pairs,
-        where Phi is 1. O(len(rows) dim^2) time, a few real dim x dim arrays."""
+        where Phi is 1. O(len(rows) dim^2) time; besides the cached gap
+        matrix, two real dim x dim buffers."""
         p = self._exact.get(dist)
         if p is None:
             a = self.rows * self.c  # a[r, j] = <b_r|E_j><E_j|psi0>
-            g, s = _phase_factors(dist, self.energies, np.subtract.outer(self.energies, self.energies))
+            g, s = _phase_factors(dist, self.energies, self._gaps)
             b = a * np.conj(g)
             parts = np.concatenate([b.real, b.imag])
             j, k = self._degenerate_pairs
-            gram = np.sum(a[:, j] * np.conj(a[:, k]), axis=0)
-            p = np.sum((parts @ s) * parts) + np.sum(np.real(gram * (1.0 - np.conj(g[j]) * g[k] * s[j, k])))
+            gram = (a[:, j] * np.conj(a[:, k])).sum(axis=0)
+            p = ((parts @ s) * parts).sum() + np.real(gram * (1.0 - np.conj(g[j]) * g[k] * s[j, k])).sum()
             p = self._exact[dist] = _check_probability(p, "time-averaged probability")
         return p
 
@@ -255,16 +264,17 @@ class SpectralWalk:
             raise ValidationError("a reduced walk has no full eigendecomposition to group")
         return spectral.group_eigenspaces(self.decomposition, self.tol_degen)
 
-    @cached_property
+    @property
     def gap_report(self) -> GapReport:
-        return spectral.gaps(self.partition)
+        """The partition's gap report, worked out once."""
+        return self.partition.gap_report
 
     @cached_property
     def overlaps(self) -> tuple[float, ...]:
         """Per eigenspace group g, the target weight of P_g psi0:
         |<y|P_g|psi0>|^2 for a state target."""
         return tuple(
-            sum(float(np.abs(np.sum(row[idx] * self.c[idx])) ** 2) for row in self.rows)
+            sum(float(np.abs((row[idx] * self.c[idx]).sum()) ** 2) for row in self.rows)
             for idx in (list(members) for members in self.partition.groups)
         )
 
@@ -381,15 +391,21 @@ def time_averaged_density(h, rho0: DensityOperator, dist: TimeDistribution) -> D
     near-degenerate pairs are left untouched (coherences survive).
     """
     dec = spectral.decompose(h)
-    return _weighted_density(dec, rho0, _phi_matrix(dist, dec.eigenvalues, spectral.default_degeneracy_tol(dec)))
+    phi = _phi_matrix(dist, dec.eigenvalues, spectral.default_degeneracy_tol(dec))
+    return _weighted_density(dec.eigenvectors, _eigenbasis(dec.eigenvectors, rho0), phi)
 
 
-def _weighted_density(dec: SpectralDecomposition, rho0: DensityOperator, weight: np.ndarray) -> DensityOperator:
-    """rho0 with its eigenbasis element (j, k) multiplied by weight[j, k]; the
-    result is computed, so a failed invariant is an internal inconsistency."""
-    v = dec.eigenvectors
+def _eigenbasis(v: np.ndarray, rho0: DensityOperator) -> np.ndarray:
+    """m[j, k] = <E_j|rho0|E_k> for the eigenvector columns v."""
+    return v.conj().T @ rho0.entries @ v
+
+
+def _weighted_density(v: np.ndarray, m: np.ndarray, weight: np.ndarray) -> DensityOperator:
+    """The state whose eigenbasis element (j, k) is m[j, k] * weight[j, k], m from
+    _eigenbasis; the result is computed, so a failed invariant is an internal
+    inconsistency."""
     try:
-        return density_operator(v @ ((v.conj().T @ rho0.entries @ v) * weight) @ v.conj().T)
+        return density_operator(v @ (m * weight) @ v.conj().T)
     except ValidationError as exc:
         raise InconsistencyError(f"computed density operator is invalid: {exc}") from None
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ctqw import bounds, gluedtrees, spectral, walk
+from ctqw import bounds, cli, gluedtrees, spectral, walk
 from ctqw.errors import GapUndefinedError, ValidationError
 from ctqw.rng import rng_stream
 from ctqw.walk import TimeDistribution
@@ -214,6 +214,20 @@ def test_residual_bound_builds_phi_once(monkeypatch):
     rho = walk.density_operator(np.outer(psi0.amplitudes, psi0.amplitudes.conj()))
     assert bounds.residual_bound(part, rho, [0], TimeDistribution(T=30.0, k=2)).holds
     assert len(calls) == 1
+
+
+def test_bounds_instance_computes_gaps_once(monkeypatch):
+    calls = []
+    gaps = spectral.gaps
+    monkeypatch.setattr(spectral, "gaps", lambda *args, **kwargs: calls.append(args) or gaps(*args, **kwargs))
+    kinds = set()
+    for idx in range(12):
+        calls.clear()
+        rows = cli._bounds_instance((idx, 5, 10, 0.1, 1000.0, (1, 2, 3, 4)))
+        kinds.update(row["kind"] for row in rows)
+        assert sum(row["kind"] == "eigenspace" for row in rows) == rows[0]["dim"]
+        assert len(calls) == 1
+    assert kinds == {"mixing", "eigenspace", "subset", "residual", "comparison"}
 
 
 def test_residual_bound_epsilon_schedule():

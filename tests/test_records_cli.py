@@ -56,6 +56,85 @@ def test_canonical_json_rejects_non_string_keys():
         records.canonical_json({1: "x"})
 
 
+FLAT_ROW = {
+    "f": np.float64(0.1),
+    "i": np.int64(-3),
+    "b": np.bool_(False),
+    "n": None,
+    "s": "mixing",
+    "two": 2.0,
+}
+
+
+def test_canonical_json_flat_row_bytes():
+    assert records.canonical_json(FLAT_ROW) == (
+        '{\n  "b": false,\n  "f": 0.10000000000000001,\n  "i": -3,\n'
+        '  "n": null,\n  "s": "mixing",\n  "two": 2.0\n}\n'
+    )
+    assert records.render_csv(["s", "f", "i", "b", "n", "two"], [FLAT_ROW]) == (
+        "s,f,i,b,n,two\nmixing,0.10000000000000001,-3,false,,2.0\n"
+    )
+
+
+def test_canonical_json_nested_dict_bytes():
+    # the outer dict holds a list, so it takes the general path; the first
+    # dict inside the list is flat, the second holds a list again
+    obj = {"z": "q", "outer": [{"b": 1, "a": 0.5}, {"c": [True]}]}
+    assert records.canonical_json(obj) == (
+        "{\n"
+        '  "outer": [\n'
+        "    {\n"
+        '      "a": 0.5,\n'
+        '      "b": 1\n'
+        "    },\n"
+        "    {\n"
+        '      "c": [\n'
+        "        true\n"
+        "      ]\n"
+        "    }\n"
+        "  ],\n"
+        '  "z": "q"\n'
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize("row", [{**FLAT_ROW, "f": float("nan")}, {**FLAT_ROW, 2: 1.0}, {3: np.float64(1.0)}])
+def test_canonical_json_flat_row_rejects_nan_and_non_string_key(row):
+    with pytest.raises(ValidationError):
+        records.canonical_json(row)
+    with pytest.raises(ValidationError):
+        records.canonical_json([row])
+
+
+def oracle_json(obj, indent: int = 0) -> str:
+    """Plain recursive emitter of the canonical format, one value at a time."""
+    pad, end = " " * (indent + 2), " " * indent
+    if isinstance(obj, dict):
+        items = [pad + json.dumps(key) + ": " + oracle_json(obj[key], indent + 2) for key in sorted(obj)]
+        return "{\n" + ",\n".join(items) + "\n" + end + "}" if items else "{}"
+    if isinstance(obj, list):
+        items = [pad + oracle_json(item, indent + 2) for item in obj]
+        return "[\n" + ",\n".join(items) + "\n" + end + "]" if items else "[]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        text = format(obj, ".17g")
+        return text if any(ch in text for ch in ".eE") else text + ".0"
+    return json.dumps(obj)
+
+
+def test_canonical_json_matches_oracle_on_bounds_rows():
+    config, rows, summary, failure, _ = cli._cmd_bounds({"instances": 50}, 7, 1)
+    assert failure is None and len(rows) > 50 * 5
+    record = {"config": config, "rows": rows, "summary": summary}
+    assert records.canonical_json(rows) == oracle_json(rows) + "\n"
+    assert records.canonical_json(record) == oracle_json(record) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # CSV rendering
 

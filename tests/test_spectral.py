@@ -5,6 +5,7 @@ import pytest
 
 from ctqw import gluedtrees, markov, search, spectral, walk
 from ctqw.errors import (
+    AmbiguousDegeneracyError,
     EmptyOperatorError,
     GapUndefinedError,
     NonHermitianError,
@@ -193,3 +194,75 @@ def test_symmetrization_of_rounding_noise():
     noisy = h + 1e-13 * rng.standard_normal((6, 6))
     op = spectral.hermitian(noisy)
     assert np.max(np.abs(op.entries - op.entries.conj().T)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# vectorized bookkeeping against per-column and greedy-loop oracles
+
+
+def fix_phases_oracle(vectors):
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.flatnonzero(np.abs(col) > spectral.PHASE_THRESHOLD)
+        if nz.size:
+            pivot = col[nz[0]]
+            out[:, j] = col * (np.conj(pivot) / np.abs(pivot))
+    return out
+
+
+def greedy_groups_oracle(e, tol):
+    groups = [[0]]
+    for i in range(1, e.shape[0]):
+        if e[i] - e[groups[-1][-1]] <= tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return tuple(tuple(g) for g in groups), np.array([float(np.mean(e[g])) for g in groups])
+
+
+def clustered_spectrum(rng, tol):
+    """Random levels, a degenerate cluster of 9 members 0.1 tol apart and a
+    pair just 1.5 tol apart, which must stay two groups."""
+    cluster = 0.3 + 0.1 * tol * np.arange(9)
+    return np.sort(np.concatenate([rng.uniform(-2.0, 2.0, 7), cluster, [2.5, 2.5 + 1.5 * tol]]))
+
+
+def test_fix_phases_matches_per_column_oracle():
+    for rep in range(40):
+        rng = rng_stream(211, rep)
+        dim = int(rng.integers(1, 24))
+        _, vectors = np.linalg.eigh(random_hermitian(rng, dim))
+        col = int(rng.integers(0, dim))
+        # leading entries below PHASE_THRESHOLD: the pivot moves down the column
+        vectors[: int(rng.integers(0, dim)), col] *= 1e-14
+        assert np.array_equal(spectral._fix_phases(vectors), fix_phases_oracle(vectors))
+    zero_column = np.eye(3, dtype=complex)
+    zero_column[:, 1] = 0.0
+    assert np.array_equal(spectral._fix_phases(zero_column), zero_column)
+
+
+def test_group_eigenspaces_matches_greedy_oracle():
+    tol = 1e-6
+    decs = [spectral.decompose(np.diag(clustered_spectrum(rng_stream(223, rep), tol))) for rep in range(10)]
+    decs += [spectral.decompose(random_hermitian(rng_stream(227, rep), 12)) for rep in range(10)]
+    for dec in decs:
+        for tol_degen in (tol, spectral.default_degeneracy_tol(dec)):
+            part = spectral.group_eigenspaces(dec, tol_degen)
+            groups, energies = greedy_groups_oracle(dec.eigenvalues, tol_degen)
+            assert part.groups == groups
+            assert np.array_equal(part.energies, energies)
+    assert max(len(g) for g in spectral.group_eigenspaces(decs[0], tol).groups) == 9
+
+
+def test_near_tie_chain_is_ambiguous():
+    tol = 1e-3
+    dec = spectral.decompose(np.diag([0.0, 0.6 * tol, 1.2 * tol, 10.0]))
+    with pytest.raises(AmbiguousDegeneracyError):
+        spectral.group_eigenspaces(dec, tol)
+
+
+def test_partition_gap_report_is_cached():
+    part = spectral.group_eigenspaces(spectral.decompose(np.diag([0.0, 1.0, 3.0])))
+    assert part.gap_report is part.gap_report
+    assert part.gap_report == spectral.gaps(part)

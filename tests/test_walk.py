@@ -466,6 +466,20 @@ def test_probability_peak_memory_column_walk_512():
     assert peak <= 6 * d * d * 8
 
 
+def test_probability_holds_two_buffers_besides_the_gap_cache():
+    w = gluedtrees._column_walk(512)
+    d = w.energies.shape[0]
+    w.probability(TimeDistribution(T=10.0, k=3))  # builds the gap matrix and the degenerate pairs
+    tracemalloc.start()
+    try:
+        w.probability(TimeDistribution(T=64.0 * 256, k=11))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the half-angle arguments, turned into |sinc|^k in place, and sinc itself
+    assert peak <= 2.25 * d * d * 8
+
+
 def test_reduced_walk_has_no_partition():
     w = walk.SpectralWalk(np.array([-1.0, 1.0]), np.ones(2) / math.sqrt(2), np.eye(2), None)
     assert w.probability(TimeDistribution(T=1.0, k=1)) == pytest.approx(1.0, abs=1e-12)
