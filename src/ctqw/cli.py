@@ -176,18 +176,17 @@ def _finite_or_none(value: float):
 
 def _gluedtrees_row(task: tuple) -> list:
     two_n, mc_seed, mc_runs = task
-    taus = gluedtrees.certified_hitting_times(two_n)
-    stats = gluedtrees.traversal_success_stats(two_n, mc_seed, mc_runs)
-    column = taus["walk"]
+    column = gluedtrees.column_walk(two_n)
+    taus = gluedtrees.certified_hitting_times(column)
+    stats = gluedtrees.traversal_success_stats(two_n, mc_seed, mc_runs, column)
     sub = taus["subspace"]
     p_shot = column.probability(TimeDistribution(T=stats["T"], k=stats["k"]))
     floor = stats["per_shot_floor"]
     t_lo = 2.0 / sub.delta_e_s
     exact = column.hitting_time(walk.geometric_grid(t_lo, 64.0 * t_lo), stats["k"])
     slacks = [taus[f"slack_l{i}"] for i in (1, 2, 3)]
-    check_flags = [v for v in sub.checks.values() if isinstance(v, bool)]
     holds = (
-        all(check_flags)
+        all(sub.checks.values())
         and p_shot >= floor - 1e-12
         and all(slack >= -bounds.SLACK_TOL for slack in slacks)
     )
@@ -212,8 +211,8 @@ def _gluedtrees_row(task: tuple) -> list:
         "limiting_probability": taus["p_inf"],
         "alpha4_mass": sub.alpha4_mass,
         "first_term_mass": sub.first_term_mass,
-        "min_sine": sub.checks["min_sine"],
-        "max_sine": sub.checks["max_sine"],
+        "min_sine": min(sub.sines),
+        "max_sine": max(sub.sines),
         "mc_success": stats["success_fraction"],
         "mc_runs": stats["runs"],
         "mc_mean_repetitions": stats["mean_repetitions"],

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bounds, spectral, walk
+from . import bounds, walk
 from .errors import InconsistencyError, InvalidLabelError, ValidationError
 from .rng import rng_stream
 from .walk import TimeDistribution
@@ -30,6 +30,7 @@ __all__ = [
     "EquivalenceRecord",
     "alpha_sq",
     "column_hamiltonian",
+    "column_walk",
     "solve_momenta",
     "column_spectrum_check",
     "certified_hitting_times",
@@ -70,8 +71,9 @@ def column_hamiltonian(two_n: int) -> np.ndarray:
     return h
 
 
-def _column_walk(two_n: int) -> walk.SpectralWalk:
-    """The column-space walk from the entrance column towards the exit column."""
+def column_walk(two_n: int) -> walk.SpectralWalk:
+    """The column-space walk from the entrance column towards the exit column:
+    one decomposition, shared by everything a glued-trees row computes."""
     return walk.spectral_walk(
         column_hamiltonian(two_n), walk.basis_state(two_n, 0), walk.basis_state(two_n, two_n - 1)
     )
@@ -245,36 +247,35 @@ class SubspaceReport:
     alpha4_mass: float  # sum of squared normalization weights over members
     first_term_mass: float  # sum of |<exit|P_g|entrance>|^2 over members
     delta_e_s: float
-    within_subset_gap: float | None
-    cross_subset_gap: float | None
-    within_gap_floor: float  # pi / (16 n)
-    cross_gap_floor: float  # pi / (12 n)
-    checks: dict
+    within_subset_gap: float
+    cross_subset_gap: float
+    checks: dict[str, bool]
 
 
-def subspace_S(two_n: int, column_walk: walk.SpectralWalk | None = None) -> SubspaceReport:
+def subspace_S(w: walk.SpectralWalk) -> SubspaceReport:
     """Minus-branch solutions with ceil(n/4) <= ell <= ceil(3n/4).
 
-    Members are mapped onto eigenspace groups of the column operator; the
-    report carries the subset gap (certified >= pi/(16n)), both sub-minima
-    with their analytic floors, and the band overlap masses. column_walk is
-    the entrance-to-exit column walk, passed when the caller already has it.
+    w is the column walk of column_walk(two_n). Members are mapped onto its
+    eigenspace groups; checks hold the subset gap (certified >= pi/(16n)),
+    the gaps within the band and from the band to the other groups against
+    their floors, and the band overlap masses. sines is measured, not
+    checked: at finite n the band-edge momenta land slightly outside
+    (pi/4, 3pi/4), so min(sines) sits below 1/sqrt(2) at desk sizes.
     """
+    two_n = w.decomposition.dim
     if two_n < 8:
         raise ValidationError(f"subspace requires two_n >= 8, got {two_n}")
     n = two_n // 2
     report = solve_momenta(two_n)
     lo, hi = math.ceil(n / 4), math.ceil(3 * n / 4)
     members = [s for s in report.minus if lo <= s.ell <= hi]
-    if not members:
-        raise InconsistencyError(f"empty band subset for two_n={two_n}")
+    if len(members) < 2:
+        raise InconsistencyError(f"band subset for two_n={two_n} has {len(members)} member(s), need 2")
 
-    if column_walk is None:
-        column_walk = _column_walk(two_n)
-    partition = column_walk.partition
+    energies = w.partition.energies
     group_indices = []
     for s in members:
-        diffs = np.abs(partition.energies - s.energy)
+        diffs = np.abs(energies - s.energy)
         g = int(np.argmin(diffs))
         if diffs[g] > 1e-9:
             raise InconsistencyError(
@@ -284,44 +285,32 @@ def subspace_S(two_n: int, column_walk: walk.SpectralWalk | None = None) -> Subs
     if len(set(group_indices)) != len(group_indices):
         raise InconsistencyError("two band members mapped to one eigenspace")
 
-    gap_report = spectral.gaps(partition, subset=group_indices)
-    first_term = sum(column_walk.overlaps[g] for g in group_indices)
+    subset, delta_e_s = w.gap_report.subset_gap(group_indices)
+    within = float(np.min(np.diff(energies[list(subset)])))
+    comp = [i for i in range(energies.shape[0]) if i not in subset]
+    cross = float(np.min(np.abs(energies[list(subset)][:, None] - energies[comp][None, :])))
     a4 = sum(s.alpha_p**4 for s in members)
 
     within_floor = math.pi / (16 * n)
-    cross_floor = math.pi / (12 * n)
-    sines = tuple(math.sin(s.p) for s in members)
     checks = {
-        "delta_e_s_floor_ok": bool(gap_report.delta_e_s >= within_floor),
-        "within_gap_ok": bool(
-            gap_report.within_subset_gap is None or gap_report.within_subset_gap > within_floor
-        ),
-        "cross_gap_ok": bool(
-            gap_report.cross_subset_gap is None or gap_report.cross_subset_gap > cross_floor
-        ),
+        "delta_e_s_floor_ok": bool(delta_e_s >= within_floor),
+        "within_gap_ok": bool(within > within_floor),
+        "cross_gap_ok": bool(cross > math.pi / (12 * n)),
         "alpha4_mass_ok": bool(a4 >= 1.0 / (4 * n)),
         "alpha_floor_ok": bool(all(s.alpha_p > 1.0 / math.sqrt(2 * n) for s in members)),
-        # the normalization-weight range of sin(p) over members is reported as
-        # measured data, not asserted against a nominal (1/sqrt(2), 1) window:
-        # at finite n the band-edge momenta land slightly outside (pi/4, 3pi/4)
-        # on both sides, so min_sine sits below 1/sqrt(2) at desk sizes
-        "min_sine": float(min(sines)),
-        "max_sine": float(max(sines)),
     }
     return SubspaceReport(
         two_n=two_n,
         ells=tuple(s.ell for s in members),
         momenta=tuple(s.p for s in members),
         energies=tuple(s.energy for s in members),
-        sines=sines,
+        sines=tuple(math.sin(s.p) for s in members),
         group_indices=tuple(group_indices),
         alpha4_mass=float(a4),
-        first_term_mass=first_term,
-        delta_e_s=float(gap_report.delta_e_s),
-        within_subset_gap=gap_report.within_subset_gap,
-        cross_subset_gap=gap_report.cross_subset_gap,
-        within_gap_floor=within_floor,
-        cross_gap_floor=cross_floor,
+        first_term_mass=sum(w.overlaps[g] for g in group_indices),
+        delta_e_s=float(delta_e_s),
+        within_subset_gap=within,
+        cross_subset_gap=cross,
         checks=checks,
     )
 
@@ -532,7 +521,7 @@ def full_vs_column_equivalence(
         h_full, walk.basis_state(m, labels.index(inst.entrance)), walk.basis_state(m, labels.index(inst.exit))
     )
     two_n = 2 * (inst.depth + 1)
-    column = _column_walk(two_n)
+    column = column_walk(two_n)
 
     p_full = p_col = 0.0
     worst = 0.0
@@ -561,7 +550,7 @@ def full_vs_column_equivalence(
 # certified hitting-time estimates
 
 
-def certified_hitting_times(two_n: int) -> dict:
+def certified_hitting_times(w: walk.SpectralWalk) -> dict:
     """Hitting-time figures certified by the three lower-bound routes.
 
     Each route minimizes (segments * T) / floor(T) over a geometric time grid
@@ -577,15 +566,16 @@ def certified_hitting_times(two_n: int) -> dict:
     nonpositive floors are skipped. Each route's floor is then certified
     once, at its argmin T, against the exact averaged probability, and the
     slack is returned as slack_l1..3. The subset route keeps k pinned to the
-    log schedule rather than optimizing it. The subspace_S report the routes
-    rest on is returned under "subspace", the column walk under "walk".
+    log schedule rather than optimizing it. w is the column walk of
+    column_walk(two_n); the subspace_S report the routes rest on is returned
+    under "subspace".
     """
+    two_n = w.decomposition.dim
     n = two_n // 2
-    w = _column_walk(two_n)
     gap_report = w.gap_report
     p_inf = w.limiting_probability
 
-    sub = subspace_S(two_n, w)
+    sub = subspace_S(w)
     g_mid = sub.group_indices[sub.ells.index(math.ceil(n / 2))]
     de_star = gap_report.delta_e_star[g_mid]
 
@@ -636,7 +626,6 @@ def certified_hitting_times(two_n: int) -> dict:
         "delta_e_min": float(gap_report.delta_e_min),
         "delta_e_s": float(sub.delta_e_s),
         "subspace": sub,
-        "walk": w,
     }
 
 
@@ -753,8 +742,9 @@ def run_traversal(inst: GluedTreesInstance, rng_seed: int) -> TraversalRecord:
     )
 
 
-def traversal_success_stats(two_n: int, rng_seed: int, runs: int) -> dict:
-    """Monte Carlo success statistics for the column-mode traversal.
+def traversal_success_stats(two_n: int, rng_seed: int, runs: int, w: walk.SpectralWalk) -> dict:
+    """Monte Carlo success statistics for the column-mode traversal on w, the
+    column walk of column_walk(two_n).
 
     Each run repeats the walk until its first exit hit, within
     max_repetitions; all runs draw their shots together, one round at a
@@ -766,9 +756,7 @@ def traversal_success_stats(two_n: int, rng_seed: int, runs: int) -> dict:
         raise ValidationError(f"runs must be >= 1, got {runs}")
     T, k, reps = default_schedule(two_n)
     dist = TimeDistribution(T=T, k=k)
-    used, outcome, _ = _first_hits(
-        _column_walk(two_n), dist, rng_stream(rng_seed, 13), runs, reps, _exit_column_hit
-    )
+    used, outcome, _ = _first_hits(w, dist, rng_stream(rng_seed, 13), runs, reps, _exit_column_hit)
     return {
         "runs": int(runs),
         "success_fraction": float(np.mean(outcome >= 0)),

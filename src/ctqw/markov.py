@@ -125,19 +125,29 @@ def _period(support: np.ndarray, level: np.ndarray) -> int:
     return g if g > 0 else 1
 
 
+def _check_finite(m: np.ndarray, what: str) -> None:
+    """Raise ValidationError naming the first non-finite entry of the matrix m."""
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = bad[0]
+        raise ValidationError(f"{what} at ({i}, {j}) is {m[i, j]}, not finite")
+
+
 def validate_chain(matrix, require_aperiodic: bool = True) -> ReversibleChain:
     """Validate a row-stochastic matrix into a ReversibleChain.
 
-    Checks run in a fixed diagnosis order: shape and entries, row sums,
-    strong connectivity (NonErgodicError), detailed balance against the
-    stationary distribution (IrreversibleChainError), then aperiodicity
-    (NonErgodicError, unless require_aperiodic=False for chains that will
-    be lazified before use). The stationary vector is solved linearly and
-    cross-checked against the squared top eigenvector of the discriminant.
+    Checks run in a fixed diagnosis order: shape and entries (finite, then
+    nonnegative), row sums, strong connectivity (NonErgodicError), detailed
+    balance against the stationary distribution (IrreversibleChainError),
+    then aperiodicity (NonErgodicError, unless require_aperiodic=False for
+    chains that will be lazified before use). The stationary vector is
+    solved linearly and cross-checked against the squared top eigenvector of
+    the discriminant.
     """
     p = np.asarray(matrix, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
         raise ValidationError(f"transition matrix must be square, got {p.shape}")
+    _check_finite(p, "transition probability")
     if np.any(p < -1e-12):
         i, j = np.unravel_index(np.argmin(p), p.shape)
         raise ValidationError(f"negative transition probability at ({i}, {j}): {p[i, j]:.3g}")
@@ -401,8 +411,9 @@ def chain_from_payload(payload: dict) -> tuple[ReversibleChain, int]:
         arr = np.asarray(data, dtype=float)
         # an edge list of n triples also has shape (n, n) when n = 3; only a
         # symmetric square can be meant as a weight matrix, so asymmetric
-        # squares fall through to the triple reading
-        if arr.ndim == 2 and arr.shape == (n, n) and np.max(np.abs(arr - arr.T)) <= 1e-12:
+        # squares fall through to the triple reading; NaN counts as equal to
+        # itself so that a non-finite weight matrix is named as such below
+        if arr.ndim == 2 and arr.shape == (n, n) and np.allclose(arr, arr.T, rtol=0.0, atol=1e-12, equal_nan=True):
             w = arr
         elif arr.ndim == 2 and arr.shape[1] == 3:
             w = np.zeros((n, n))
@@ -421,6 +432,7 @@ def chain_from_payload(payload: dict) -> tuple[ReversibleChain, int]:
             raise ValidationError(
                 "weighted-graph data must be an n x n weight matrix or [i, j, w] triples"
             )
+        _check_finite(w, "weighted-graph weight")
         sums = w.sum(axis=1)
         if np.any(sums <= 0):
             raise ValidationError("isolated vertex: zero weighted degree")

@@ -12,7 +12,7 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -246,18 +246,12 @@ class GapReport:
 
     delta_e_min: smallest gap between any two groups.
     delta_e_star: per-group gap to the nearest other group.
-    For a subset S of group indices, delta_e_s is the minimum gap over pairs
-    with at least one endpoint in S; the two sub-minima (within S, S to
-    complement) are recorded separately. Fields are None when undefined
-    (fewer than two subset members / empty complement).
+    subset_gap(S) gives delta_e_s, the minimum gap over pairs with at least
+    one endpoint in the group subset S.
     """
 
     delta_e_min: float
     delta_e_star: tuple[float, ...]
-    subset: tuple[int, ...] | None = None
-    delta_e_s: float | None = None
-    within_subset_gap: float | None = None
-    cross_subset_gap: float | None = None
 
     def subset_gap(self, subset) -> tuple[tuple[int, ...], float]:
         """(sorted subset, delta_e_s) for a non-empty subset of group indices.
@@ -275,8 +269,8 @@ class GapReport:
         return s, min(self.delta_e_star[i] for i in s)
 
 
-def gaps(partition: EigenspacePartition, subset=None) -> GapReport:
-    """Gap report for a partition, optionally focused on a subset of groups.
+def gaps(partition: EigenspacePartition) -> GapReport:
+    """Gap report for a partition.
 
     Raises GapUndefinedError when the partition has fewer than two groups.
     """
@@ -287,26 +281,6 @@ def gaps(partition: EigenspacePartition, subset=None) -> GapReport:
             f"gaps undefined: spectrum has {m} eigenspace group(s), need at least 2"
         )
     adjacent = np.diff(energies)
-    delta_e_min = float(np.min(adjacent))
     # energies ascend, so each group's nearest other group is a neighbour
     star = np.minimum(np.append(np.inf, adjacent), np.append(adjacent, np.inf))
-    report = GapReport(delta_e_min=delta_e_min, delta_e_star=tuple(float(x) for x in star))
-    if subset is None:
-        return report
-
-    s, delta_e_s = report.subset_gap(subset)
-    within = None
-    if len(s) >= 2:
-        es = energies[list(s)]
-        within = float(np.min(np.diff(es)))
-    comp = [i for i in range(m) if i not in s]
-    cross = None
-    if comp:
-        cross = float(np.min(np.abs(energies[list(s)][:, None] - energies[comp][None, :])))
-    return replace(
-        report,
-        subset=s,
-        delta_e_s=float(delta_e_s),
-        within_subset_gap=within,
-        cross_subset_gap=cross,
-    )
+    return GapReport(delta_e_min=float(np.min(adjacent)), delta_e_star=tuple(float(x) for x in star))

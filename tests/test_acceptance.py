@@ -63,7 +63,7 @@ def test_criterion_03_momentum_structure():
         p1 = rep.minus[0].p
         asym = math.pi / n - math.pi / ((1.0 + math.sqrt(2.0)) * n * n)
         envelope = abs(p1 - asym) * n**3
-        sub = gluedtrees.subspace_S(two_n)
+        sub = gluedtrees.subspace_S(gluedtrees.column_walk(two_n))
         print(
             f"criterion 3: 2n={two_n} spectrum_dev={dev:.2e} "
             f"|p1-asym|*n^3={envelope:.3f} delta_e_s={sub.delta_e_s:.5f}"
@@ -87,7 +87,7 @@ def test_criterion_04_traversal_floor_and_scaling():
         k = math.ceil(math.log2(5 * n))
         p_shot = w.probability(TimeDistribution(T=64.0 * n, k=k))
         assert p_shot >= 1.0 / (4 * n) - 1.0 / (5 * n)
-        sub = gluedtrees.subspace_S(two_n)
+        sub = gluedtrees.subspace_S(w)
         t_lo = 2.0 / sub.delta_e_s
         est = w.hitting_time(walk.geometric_grid(t_lo, 64.0 * t_lo), k)
         taus.append(est.tau)
@@ -102,7 +102,7 @@ def test_criterion_04_traversal_floor_and_scaling():
 def test_criterion_05_schedule_hierarchy():
     t0 = time.monotonic()
     sizes = (8, 12, 16, 20, 24)
-    outs = [gluedtrees.certified_hitting_times(two_n) for two_n in sizes]
+    outs = [gluedtrees.certified_hitting_times(gluedtrees.column_walk(two_n)) for two_n in sizes]
     r12 = [o["tau_l1"] / o["tau_l2"] for o in outs]
     r23 = [o["tau_l2"] / o["tau_l3"] for o in outs]
     ns = [s // 2 for s in sizes]

@@ -92,20 +92,20 @@ def test_subset_vs_eigenspace_structural_difference():
         part = w.partition
         T = 17.0
         for g in range(part.n_groups):
-            gap_rep = spectral.gaps(part, subset=[g])
-            if abs(gap_rep.delta_e_s - gap_rep.delta_e_star[g]) > 1e-12:
+            _, delta_e_s = part.gap_report.subset_gap([g])
+            if abs(delta_e_s - part.gap_report.delta_e_star[g]) > 1e-12:
                 continue
             b_eig = bounds.eigenspace_bound(w, T, g)
             b_sub = bounds.subset_bound(w, TimeDistribution(T=T, k=1), [g])
             o = b_eig.inputs["overlap"]
-            predicted = (4.0 * o - 2.0 * math.sqrt(3.0)) / (T * gap_rep.delta_e_s)
+            predicted = (4.0 * o - 2.0 * math.sqrt(3.0)) / (T * delta_e_s)
             assert b_sub.bound_value - b_eig.bound_value == pytest.approx(predicted, abs=1e-10)
 
 
 def test_subset_bound_glued_band():
     two_n, n = 12, 6
     h, psi0, y = glued_setup(two_n)
-    sub = gluedtrees.subspace_S(two_n)
+    sub = gluedtrees.subspace_S(gluedtrees.column_walk(two_n))
     k = math.ceil(math.log2(5 * n))
     rep = bounds.subset_bound(walk.spectral_walk(h, psi0, y), TimeDistribution(T=64.0 * n, k=k), sub.group_indices)
     assert rep.holds
@@ -129,7 +129,7 @@ def test_subset_bound_random_sweep():
 def test_bound_values_nondecreasing_in_T():
     two_n = 8
     h, psi0, y = glued_setup(two_n)
-    sub = gluedtrees.subspace_S(two_n)
+    sub = gluedtrees.subspace_S(gluedtrees.column_walk(two_n))
     times = [5.0, 20.0, 80.0, 320.0, 1280.0]
     w = walk.spectral_walk(h, psi0, y)
     mix = [bounds.mixing_bound(w, t).bound_value for t in times]
@@ -236,7 +236,7 @@ def test_residual_bound_epsilon_schedule():
     two_n = 12
     h, psi0, _ = glued_setup(two_n)
     part = spectral.group_eigenspaces(spectral.decompose(h))
-    sub = gluedtrees.subspace_S(two_n)
+    sub = gluedtrees.subspace_S(gluedtrees.column_walk(two_n))
     rho = walk.density_operator(np.outer(psi0.amplitudes, psi0.amplitudes.conj()))
     for eps in (0.1, 0.01, 0.001):
         k = max(1, math.ceil(math.log2(1.0 / eps)))

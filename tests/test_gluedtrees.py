@@ -197,7 +197,7 @@ def test_band_amplitude_floor():
 
 
 def test_subspace_report_16():
-    rep = gluedtrees.subspace_S(16)
+    rep = gluedtrees.subspace_S(gluedtrees.column_walk(16))
     assert len(rep.group_indices) == 5
     assert rep.checks["delta_e_s_floor_ok"]
     assert rep.checks["within_gap_ok"]
@@ -209,15 +209,31 @@ def test_subspace_report_16():
 def test_subspace_gap_checks_across_sizes():
     for two_n in (8, 12, 16, 24):
         n = two_n // 2
-        rep = gluedtrees.subspace_S(two_n)
+        rep = gluedtrees.subspace_S(gluedtrees.column_walk(two_n))
         assert all(rep.checks[k] for k in ("delta_e_s_floor_ok", "within_gap_ok", "cross_gap_ok"))
         assert rep.delta_e_s >= math.pi / (16 * n)
         assert rep.alpha4_mass >= 1.0 / (4 * n)
         # sines of kept momenta: bounded away from 0, never reaching 1;
         # at finite n the band-edge values dip below 1/sqrt(2), so only the
         # softer floor is asserted
-        assert rep.checks["min_sine"] > 0.6
-        assert rep.checks["max_sine"] < 1.0
+        assert min(rep.sines) > 0.6
+        assert max(rep.sines) < 1.0
+
+
+def test_subspace_gaps_match_all_pairs():
+    # brute-force oracle: every pair within the band, and every band member
+    # against every other eigenspace group
+    for two_n in (8, 12, 16, 24, 32, 64):
+        w = gluedtrees.column_walk(two_n)
+        rep = gluedtrees.subspace_S(w)
+        energies = w.partition.energies.tolist()
+        band = set(rep.group_indices)
+        others = set(range(len(energies))) - band
+        within = min(abs(energies[a] - energies[b]) for a in band for b in band if a != b)
+        cross = min(abs(energies[a] - energies[b]) for a in band for b in others)
+        assert rep.within_subset_gap == within
+        assert rep.cross_subset_gap == cross
+        assert rep.delta_e_s == min(within, cross)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +360,7 @@ def test_run_traversal_full_mode_success():
 
 
 def test_traversal_success_stats():
-    stats = gluedtrees.traversal_success_stats(12, rng_seed=1000, runs=200)
+    stats = gluedtrees.traversal_success_stats(12, rng_seed=1000, runs=200, w=gluedtrees.column_walk(12))
     assert stats["runs"] == 200
     assert stats["success_fraction"] >= 0.5
     assert 1.0 <= stats["mean_repetitions"] <= stats["max_repetitions"]
@@ -356,7 +372,7 @@ def test_traversal_success_stats_memory_is_chunked():
     # would take over 500 MB
     tracemalloc.start()
     try:
-        stats = gluedtrees.traversal_success_stats(128, rng_seed=1, runs=200)
+        stats = gluedtrees.traversal_success_stats(128, rng_seed=1, runs=200, w=gluedtrees.column_walk(128))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -382,11 +398,10 @@ class ScriptedWalk:
         return np.full(shots, float(self.round)), np.where(hit, 0, 1)
 
 
-def test_traversal_success_stats_stops_each_run_at_first_hit(monkeypatch):
+def test_traversal_success_stats_stops_each_run_at_first_hit():
     # two_n = 4: max_repetitions = 40
     scripted = ScriptedWalk([1, 40, None, 7])
-    monkeypatch.setattr(gluedtrees, "_column_walk", lambda two_n: scripted)
-    stats = gluedtrees.traversal_success_stats(4, rng_seed=1, runs=4)
+    stats = gluedtrees.traversal_success_stats(4, rng_seed=1, runs=4, w=scripted)
     assert stats["max_repetitions"] == 40
     assert stats["success_fraction"] == 0.75  # a hit at the last repetition still counts
     assert stats["mean_repetitions"] == (1 + 40 + 40 + 7) / 4  # a miss costs the budget
@@ -394,10 +409,9 @@ def test_traversal_success_stats_stops_each_run_at_first_hit(monkeypatch):
     assert scripted.round == 40
 
 
-def test_traversal_success_stats_stops_when_every_run_hit(monkeypatch):
+def test_traversal_success_stats_stops_when_every_run_hit():
     scripted = ScriptedWalk([3, 1, 2])
-    monkeypatch.setattr(gluedtrees, "_column_walk", lambda two_n: scripted)
-    stats = gluedtrees.traversal_success_stats(4, rng_seed=1, runs=3)
+    stats = gluedtrees.traversal_success_stats(4, rng_seed=1, runs=3, w=scripted)
     assert stats["success_fraction"] == 1.0
     assert stats["shots"] == 6
     assert scripted.round == 3  # no round is drawn once every run has hit
@@ -425,10 +439,11 @@ def test_traversal_success_stats_first_hit_law():
     for two_n in (16, 32):
         T, k, reps = gluedtrees.default_schedule(two_n)
         assert reps == 10 * two_n
-        p = gluedtrees._column_walk(two_n).probability(TimeDistribution(T=T, k=k))
+        w = gluedtrees.column_walk(two_n)
+        p = w.probability(TimeDistribution(T=T, k=k))
         mean, var = truncated_geometric(p, reps)
         for seed in (1, 2, 3):
-            stats = gluedtrees.traversal_success_stats(two_n, rng_seed=seed, runs=runs)
+            stats = gluedtrees.traversal_success_stats(two_n, rng_seed=seed, runs=runs, w=w)
             assert abs(stats["mean_repetitions"] - mean) <= 4.0 * math.sqrt(var / runs)
             assert stats["shots"] == round(runs * stats["mean_repetitions"])
 
@@ -445,7 +460,7 @@ def test_run_traversal_stops_at_first_hit():
 
 
 def test_certified_hitting_times_smoke():
-    out = gluedtrees.certified_hitting_times(8)
+    out = gluedtrees.certified_hitting_times(gluedtrees.column_walk(8))
     assert out["tau_l1"] > out["tau_l2"] > 0
     assert out["k_l3"] == 5
     assert out["p_inf"] > 0
@@ -456,7 +471,8 @@ def test_certified_hitting_times_certifies_each_route_once(monkeypatch):
     calls = []
     factors = walk._phase_factors
     monkeypatch.setattr(walk, "_phase_factors", lambda *args: calls.append(args[0]) or factors(*args))
-    out = gluedtrees.certified_hitting_times(32)
+    w = gluedtrees.column_walk(32)
+    out = gluedtrees.certified_hitting_times(w)
     # one exact average per route, at its argmin T; the grids read floors only
     assert calls == [
         TimeDistribution(T=out["T_l1"], k=1),
@@ -464,4 +480,4 @@ def test_certified_hitting_times_certifies_each_route_once(monkeypatch):
         TimeDistribution(T=out["T_l3"], k=out["k_l3"]),
     ]
     assert min(out[f"slack_l{i}"] for i in (1, 2, 3)) >= 0.0
-    assert out["walk"].limiting_probability == out["p_inf"]
+    assert w.limiting_probability == out["p_inf"]

@@ -387,6 +387,24 @@ def test_payload_size_and_marked_must_be_whole_numbers():
     assert marked == 2 and chain.P.shape == (3, 3)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "fmt, data, message",
+    [
+        ("dense", [[0.5, 0.5, 0.0], [0.5, NAN, 0.5], [0.0, 0.5, 0.5]], "transition probability at (1, 1) is nan"),
+        ("weighted-graph", [[0, 1, 1.0], [1, 2, NAN], [0, 2, 1.0]], "weighted-graph weight at (1, 2) is nan"),
+        ("weighted-graph", [[0, 1, 1.0], [1, 2, INF], [0, 2, 1.0]], "weighted-graph weight at (1, 2) is inf"),
+        ("weighted-graph", [[0, 1, 0, INF], [1, 0, 1, 0], [0, 1, 0, 1], [INF, 0, 1, 0]], "weighted-graph weight at (0, 3) is inf"),
+    ],
+)
+def test_payload_non_finite_data_rejected(fmt, data, message):
+    # named as such, not diagnosed as a disconnected chain
+    with pytest.raises(ValidationError, match=re.escape(message) + ", not finite"):
+        markov.chain_from_payload({"n": len(data), "format": fmt, "data": data, "marked": 0})
+
+
 def test_payload_bad_format_rejected():
     with pytest.raises(ValidationError):
         markov.chain_from_payload({"n": 2, "format": "sparse", "data": [], "marked": 0})

@@ -288,6 +288,15 @@ def test_cli_search_fractional_vertex_index_exits_3(tmp_path, capsys):
     assert "whole-number vertex indices" in capsys.readouterr().err
 
 
+def test_cli_search_infinite_weight_exits_3(tmp_path, capsys):
+    chain_file = tmp_path / "chain.json"
+    payload = {"n": 3, "format": "weighted-graph", "data": [[0, 1, 1.0], [1, 2, float("inf")]], "marked": 1}
+    chain_file.write_text(json.dumps(payload), encoding="utf-8")  # JSON "Infinity"
+    cfg = write_cfg(tmp_path / "s.json", {"chains": [str(chain_file)], "epsilons": [0.1], "seed": 2})
+    assert cli.main(["search", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "weighted-graph weight at (1, 2) is inf, not finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [("marked", 1.7), ("marked", True), ("n", 3.9), ("marked", "1")])
 def test_cli_search_fractional_payload_field_exits_3(tmp_path, capsys, field, value):
     chain_file = tmp_path / "chain.json"
@@ -660,11 +669,11 @@ def test_bounds_instance_decomposes_once(monkeypatch):
         assert counts["gaps"] <= 2
 
 
-def test_gluedtrees_row_decomposes_the_column_generator_twice(monkeypatch):
+def test_gluedtrees_row_decomposes_the_column_generator_once(monkeypatch):
     counts = count_calls(monkeypatch, spectral, ["decompose"])
     row = cli._gluedtrees_row((16, 5, 20))[0]
-    # certified_hitting_times' column walk, and the Monte Carlo's own
-    assert counts["decompose"] == 2
+    # one column walk, shared by certification and the Monte Carlo
+    assert counts["decompose"] == 1
     assert row["holds"]
     assert min(row[f"slack_l{i}"] for i in (1, 2, 3)) > 0
 
@@ -672,6 +681,6 @@ def test_gluedtrees_row_decomposes_the_column_generator_twice(monkeypatch):
 def test_gluedtrees_row_holds_requires_certified_slack(monkeypatch):
     certified = gluedtrees.certified_hitting_times
     monkeypatch.setattr(
-        gluedtrees, "certified_hitting_times", lambda two_n: {**certified(two_n), "slack_l2": -1e-3}
+        gluedtrees, "certified_hitting_times", lambda w: {**certified(w), "slack_l2": -1e-3}
     )
     assert not cli._gluedtrees_row((16, 5, 20))[0]["holds"]

@@ -335,7 +335,7 @@ def test_sampler_partial_chunk_counts_and_frequency():
 
 def test_sample_outcomes_match_outer_product_phases():
     # the in-place phase buffer gives the outcomes of exp(-1j * outer(t, E)) * c
-    w = gluedtrees._column_walk(64)
+    w = gluedtrees.column_walk(64)
     dist = TimeDistribution(T=300.0, k=3)
     shots = walk.SAMPLE_CHUNK + 7
     times, outcomes = w.sample(dist, rng_stream(11), shots)
@@ -351,7 +351,7 @@ def test_sample_outcomes_match_outer_product_phases():
 
 
 def test_sample_peak_memory_one_phase_buffer():
-    w = gluedtrees._column_walk(512)
+    w = gluedtrees.column_walk(512)
     m, d = walk.SAMPLE_CHUNK, w.energies.shape[0]
     rng = rng_stream(12)
     tracemalloc.start()
@@ -433,7 +433,7 @@ def oracle_walks():
     for two_n in (4, 8, 16, 32):
         n = two_n // 2
         glued_laws = [TimeDistribution(T=T, k=k) for T in (2.0 * n, 64.0 * n) for k in (1, math.ceil(math.log2(5 * n)))]
-        yield f"glued-{two_n}", gluedtrees._column_walk(two_n), glued_laws
+        yield f"glued-{two_n}", gluedtrees.column_walk(two_n), glued_laws
     chain = markov.lazify(markov.complete_chain(8))
     inter = markov.interpolate(chain, 0, markov.s_star(chain, 0))
     yield "complete-8", search._discriminant_walk(inter, np.sqrt(chain.pi))[0], laws
@@ -455,7 +455,7 @@ def test_probability_matches_mpmath_oracle():
 
 
 def test_probability_peak_memory_column_walk_512():
-    w = gluedtrees._column_walk(512)
+    w = gluedtrees.column_walk(512)
     d = w.energies.shape[0]
     tracemalloc.start()
     try:
@@ -467,7 +467,7 @@ def test_probability_peak_memory_column_walk_512():
 
 
 def test_probability_holds_two_buffers_besides_the_gap_cache():
-    w = gluedtrees._column_walk(512)
+    w = gluedtrees.column_walk(512)
     d = w.energies.shape[0]
     w.probability(TimeDistribution(T=10.0, k=3))  # builds the gap matrix and the degenerate pairs
     tracemalloc.start()
