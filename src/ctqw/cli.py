@@ -61,6 +61,9 @@ BOUNDS_COLUMNS = [
     "holds",
 ]
 
+#: bounds instances per task: inside a block each numpy kernel runs once per
+#: stack of same-dimension instances, and no more than this many are held at once
+BOUNDS_BLOCK = 128
 
 #: kind -> (CSV columns, CSV comment line) of the bundle the subcommand writes
 BUNDLES = {
@@ -382,50 +385,69 @@ def _cmd_search(cfg: dict, seed: int, jobs: int) -> tuple:
 # bounds subcommand
 
 
-def _bounds_instance(task: tuple) -> list:
-    idx, seed, dim_max, t_lo, t_hi, k_values = task
-    rng = rng_stream(seed, 31, idx)
-    dim = int(rng.integers(2, dim_max + 1))
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = spectral.hermitian((a + a.conj().T) / 2.0)
+def _bounds_stack(dim: int, streams: list, t_lo: float, t_hi: float, k_values: tuple, rows: dict) -> None:
+    """Draw, decompose and certify the instances of one dimension, given as
+    (idx, stream) pairs, into rows[idx]; each numpy kernel runs once per stack."""
+    n = len(streams)
+    a, states, Ts, ks = np.empty((n, dim, dim), dtype=complex), np.empty((2, n, dim), dtype=complex), [], []
+    for pos, (idx, rng) in enumerate(streams):
+        a[pos] = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for state in states[:, pos]:
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            state[:] = v / np.linalg.norm(v)
+        Ts.append(float(np.exp(rng.uniform(math.log(t_lo), math.log(t_hi)))))
+        ks.append(int(k_values[int(rng.integers(0, len(k_values)))]))
+    h = spectral.hermitian((a + a.conj().swapaxes(-1, -2)) / 2.0)
+    psi0, y = walk.pure_state(states[0]), walk.pure_state(states[1])
+    walks = walk._spectral_walks(h, psi0, y)
+    rho0 = walk.density_operator(psi0.amplitudes[:, :, None] * psi0.amplitudes.conj()[:, None, :])
+    reports, residuals = [], {}  # residuals: k -> [(stack position, partition, subset, dist)]
+    for pos, ((idx, rng), w, T, k) in enumerate(zip(streams, walks, Ts, ks)):
+        part = w.partition
+        found = [("mixing", 1, bounds.mixing_bound(w, T))]
+        found += [("eigenspace", 1, bounds.eigenspace_bound(w, T, g)) for g in range(part.n_groups)]
+        size = int(rng.integers(1, part.n_groups + 1))
+        subset = sorted(int(i) for i in rng.choice(part.n_groups, size=size, replace=False))
+        dist = TimeDistribution(T=T, k=k)
+        found.append(("subset", k, bounds.subset_bound(w, dist, subset)))
+        residuals.setdefault(k, []).append((pos, part, subset, dist))
+        reports.append((found, bounds.bound_comparison(w, T, int(rng.integers(0, part.n_groups)))))
+    for k, stack in residuals.items():
+        pos, parts, subsets, dists = zip(*stack)
+        for p, r in zip(pos, bounds._residual_stack(parts, walk.DensityOperator(rho0.entries[list(pos)]), subsets, dists)):
+            reports[p][0].append(("residual", k, r))
+    for (idx, _), T, (found, comp) in zip(streams, Ts, reports):
+        ok = comp.implication_ok
+        values = [(kind, k_used, r.bound_value, r.actual_value, r.slack, r.holds) for kind, k_used, r in found]
+        values.append(("comparison", 1, comp.tau_mixing_scale, comp.tau_selective, 0.0 if ok else -1.0, ok))
+        rows[idx] = [
+            {
+                "instance": idx,
+                "dim": dim,
+                "T": T,
+                "k": k_used,
+                "kind": kind,
+                "bound_value": _finite_or_none(bound_value),
+                "actual_value": _finite_or_none(actual_value),
+                "slack": float(slack),
+                "holds": bool(holds),
+            }
+            for kind, k_used, bound_value, actual_value, slack, holds in values
+        ]
 
-    def state():
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return walk.pure_state(v / np.linalg.norm(v))
 
-    psi0, y = state(), state()
-    T = float(np.exp(rng.uniform(math.log(t_lo), math.log(t_hi))))
-    k = int(k_values[int(rng.integers(0, len(k_values)))])
-    w = walk.spectral_walk(h, psi0, y)
-    part = w.partition
-    reports = [("mixing", 1, bounds.mixing_bound(w, T))]
-    reports += [("eigenspace", 1, bounds.eigenspace_bound(w, T, g)) for g in range(part.n_groups)]
-    size = int(rng.integers(1, part.n_groups + 1))
-    subset = sorted(int(i) for i in rng.choice(part.n_groups, size=size, replace=False))
-    dist = TimeDistribution(T=T, k=k)
-    reports.append(("subset", k, bounds.subset_bound(w, dist, subset)))
-    rho0 = walk.density_operator(np.outer(psi0.amplitudes, psi0.amplitudes.conj()))
-    reports.append(("residual", k, bounds.residual_bound(part, rho0, subset, dist)))
-
-    g = int(rng.integers(0, part.n_groups))
-    comp = bounds.bound_comparison(w, T, g)
-    ok = comp.implication_ok
-    values = [(kind, k_used, r.bound_value, r.actual_value, r.slack, r.holds) for kind, k_used, r in reports]
-    values.append(("comparison", 1, comp.tau_mixing_scale, comp.tau_selective, 0.0 if ok else -1.0, ok))
-    return [
-        {
-            "instance": idx,
-            "dim": dim,
-            "T": T,
-            "k": k_used,
-            "kind": kind,
-            "bound_value": _finite_or_none(bound_value),
-            "actual_value": _finite_or_none(actual_value),
-            "slack": float(slack),
-            "holds": bool(holds),
-        }
-        for kind, k_used, bound_value, actual_value, slack, holds in values
-    ]
+def _bounds_block(task: tuple) -> list:
+    """Rows of instances lo..hi-1, each drawn from its own stream as if alone,
+    certified one stack of same-dimension instances at a time."""
+    lo, hi, seed, dim_max, t_lo, t_hi, k_values = task
+    by_dim = {}  # dim -> [(idx, stream)]; the dimension is each stream's first draw
+    for idx in range(lo, hi):
+        rng = rng_stream(seed, 31, idx)
+        by_dim.setdefault(int(rng.integers(2, dim_max + 1)), []).append((idx, rng))
+    rows = {}  # idx -> its rows
+    while by_dim:
+        _bounds_stack(*by_dim.popitem(), t_lo, t_hi, k_values, rows)
+    return [row for idx in range(lo, hi) for row in rows[idx]]
 
 
 def _cmd_bounds(cfg: dict, seed: int, jobs: int) -> tuple:
@@ -447,10 +469,10 @@ def _cmd_bounds(cfg: dict, seed: int, jobs: int) -> tuple:
         raise ConfigError(f"config field 'inject_fault' must be a boolean, got {inject_fault!r}")
 
     tasks = [
-        (idx, seed, dim_max, float(t_range[0]), float(t_range[1]), tuple(k_values))
-        for idx in range(instances)
+        (lo, min(lo + BOUNDS_BLOCK, instances), seed, dim_max, float(t_range[0]), float(t_range[1]), tuple(k_values))
+        for lo in range(0, instances, BOUNDS_BLOCK)
     ]
-    rows = _run_tasks(_bounds_instance, tasks, jobs)
+    rows = _run_tasks(_bounds_block, tasks, jobs)
 
     if inject_fault:
         # self-test of the failure path: shift every slack down by 1e-3 and

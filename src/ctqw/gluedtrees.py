@@ -750,10 +750,13 @@ def traversal_success_stats(two_n: int, rng_seed: int, runs: int, w: walk.Spectr
     max_repetitions; all runs draw their shots together, one round at a
     time, measuring only the exit column. That costs about runs / p_shot
     shots, returned as "shots"; deterministic for a fixed seed. The dict
-    also carries the schedule (T, k, max_repetitions) and its per-shot floor.
+    also carries the schedule (T, k, max_repetitions) and its per-shot floor,
+    which is two_n's, so a SpectralWalk w of any other dimension is rejected.
     """
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
+    if isinstance(w, walk.SpectralWalk) and w.energies.shape[0] != two_n:
+        raise ValidationError(f"walk dimension {w.energies.shape[0]} != schedule size two_n = {two_n}")
     T, k, reps = default_schedule(two_n)
     dist = TimeDistribution(T=T, k=k)
     used, outcome, _ = _first_hits(w, dist, rng_stream(rng_seed, 13), runs, reps, _exit_column_hit)

@@ -403,12 +403,15 @@ def chain_from_payload(payload: dict) -> tuple[ReversibleChain, int]:
     n, marked = int(n), int(marked)
     if n < 1:
         raise ValidationError(f"chain payload needs n >= 1, got {n}")
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"chain payload field 'data' must be a rectangular array of numbers: {exc}") from None
     if fmt == "dense":
-        p = np.asarray(data, dtype=float)
+        p = arr
         if p.shape != (n, n):
             raise ValidationError(f"dense data shape {p.shape} != ({n}, {n})")
     elif fmt == "weighted-graph":
-        arr = np.asarray(data, dtype=float)
         # an edge list of n triples also has shape (n, n) when n = 3; only a
         # symmetric square can be meant as a weight matrix, so asymmetric
         # squares fall through to the triple reading; NaN counts as equal to

@@ -49,7 +49,7 @@ PHASE_THRESHOLD = 1e-12
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A validated Hermitian matrix.
+    """A validated Hermitian matrix, or a (..., dim, dim) stack of them.
 
     entries is the symmetrized matrix 0.5 * (H + H^dagger); construction
     rejects input whose asymmetry exceeds TOL_HERM relative to the largest
@@ -60,14 +60,29 @@ class HermitianOperator:
     dim: int
 
     def __post_init__(self):
-        if self.entries.shape != (self.dim, self.dim):
+        if self.entries.shape[-2:] != (self.dim, self.dim):
             raise ValidationError(
                 f"entries shape {self.entries.shape} does not match dim {self.dim}"
             )
 
 
+def _raise_first(bad, error: type, describe) -> None:
+    """Raise error(describe(at)) for the first matrix flagged in bad, at its
+    stack index at (() for a single matrix), which the message then names."""
+    if np.any(bad):
+        at = tuple(np.argwhere(bad)[0])
+        raise error((f"stack index {', '.join(map(str, at))}: " if at else "") + describe(at))
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, as one dot product of its real view (einsum buffers raised peak RSS)."""
+    y = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64).reshape(*x.shape[:-2], 1, -1)
+    return np.sqrt((y @ y.swapaxes(-1, -2))[..., 0, 0])
+
+
 def hermitian(matrix: np.ndarray) -> HermitianOperator:
-    """Validate and symmetrize a matrix into a HermitianOperator.
+    """Validate and symmetrize a matrix, or each matrix of a (..., d, d) stack,
+    into a HermitianOperator.
 
     Raises
     ------
@@ -75,26 +90,30 @@ def hermitian(matrix: np.ndarray) -> HermitianOperator:
         for 0 x 0 input.
     NonHermitianError
         if |H - H^dagger| exceeds TOL_HERM relative to max|H|; the message
-        names the worst offending entry pair.
+        names the worst offending entry pair, and in a stack the first
+        offending matrix's index.
     """
     m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
+    if m.shape[-1] == 0:
         raise EmptyOperatorError("operator has dimension zero")
     m = m.astype(np.complex128, copy=False)
-    scale = np.abs(m).max()
-    asym = np.abs(m - m.conj().T)
-    worst = asym.max()
-    if scale > 0 and worst > TOL_HERM * scale:
-        i, j = np.unravel_index(np.argmax(asym), asym.shape)
-        raise NonHermitianError(
-            f"matrix is not Hermitian: entry ({i},{j})={m[i, j]:.6g} vs "
-            f"({j},{i})*={np.conj(m[j, i]):.6g}, asymmetry {worst:.3g} "
-            f"exceeds {TOL_HERM:g} * max|H| = {TOL_HERM * scale:.3g}"
+    scale = np.abs(m).max(axis=(-2, -1))
+    asym = np.abs(m - m.conj().swapaxes(-1, -2))
+    worst = asym.max(axis=(-2, -1))
+
+    def describe(at):
+        i, j = np.unravel_index(np.argmax(asym[at]), asym.shape[-2:])
+        return (
+            f"matrix is not Hermitian: entry ({i},{j})={m[at][i, j]:.6g} vs "
+            f"({j},{i})*={np.conj(m[at][j, i]):.6g}, asymmetry {worst[at]:.3g} "
+            f"exceeds {TOL_HERM:g} * max|H| = {TOL_HERM * scale[at]:.3g}"
         )
-    sym = 0.5 * (m + m.conj().T)
-    return HermitianOperator(entries=sym, dim=sym.shape[0])
+
+    _raise_first((scale > 0) & (worst > TOL_HERM * scale), NonHermitianError, describe)
+    sym = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    return HermitianOperator(entries=sym, dim=sym.shape[-1])
 
 
 def _as_operator(h) -> HermitianOperator:
@@ -105,7 +124,8 @@ def _as_operator(h) -> HermitianOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of H."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of H, or of
+    each matrix of a stack."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -113,7 +133,7 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     @property
     def spectral_range(self) -> float:
@@ -121,21 +141,29 @@ class SpectralDecomposition:
             return 0.0
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
+    def unstack(self) -> list["SpectralDecomposition"]:
+        """Each matrix's decomposition of a (B, d, d) stack, as views into it."""
+        if self.eigenvalues.ndim != 2:
+            raise ValidationError(f"unstack needs a (B, d, d) stack, got eigenvalues of shape {self.eigenvalues.shape}")
+        parts = zip(self.eigenvalues, self.eigenvectors, self.operator.entries)
+        return [SpectralDecomposition(e, v, HermitianOperator(h, self.dim)) for e, v, h in parts]
+
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first component above threshold is real positive."""
     above = np.abs(vectors) > PHASE_THRESHOLD
-    pivot = vectors[np.argmax(above, axis=0), np.arange(vectors.shape[1])]
-    factor = np.divide(np.conj(pivot), np.abs(pivot), out=np.ones_like(pivot), where=above.any(axis=0))
+    pivot = np.take_along_axis(vectors, np.argmax(above, axis=-2)[..., None, :], axis=-2)
+    factor = np.divide(np.conj(pivot), np.abs(pivot), out=np.ones_like(pivot), where=above.any(axis=-2, keepdims=True))
     return vectors * factor
 
 
 def decompose(h) -> SpectralDecomposition:
-    """Deterministic eigendecomposition of a Hermitian operator.
+    """Deterministic eigendecomposition of a Hermitian operator, or of each
+    matrix of a (..., d, d) stack in one pass.
 
-    Postconditions (checked): eigenvalues ascending; eigenvector columns
-    orthonormal; V diag(E) V^dagger reconstructs H within TOL_RECON relative
-    Frobenius error.
+    Postconditions (checked per matrix): eigenvalues ascending; eigenvector
+    columns orthonormal; V diag(E) V^dagger reconstructs H within TOL_RECON
+    relative Frobenius error.
     """
     op = _as_operator(h)
     evals, evecs = np.linalg.eigh(op.entries)
@@ -147,19 +175,16 @@ def decompose(h) -> SpectralDecomposition:
 
 def _check_reconstruction(dec: SpectralDecomposition) -> None:
     v, e = dec.eigenvectors, dec.eigenvalues
-    vh = v.conj().T
+    vh = v.conj().swapaxes(-1, -2)
     gram = vh @ v
-    gram[np.diag_indices(dec.dim)] -= 1.0
-    ortho_err = np.abs(gram).max()
-    if ortho_err > 1e-10:
-        raise InconsistencyError(f"eigenvectors not orthonormal: error {ortho_err:.3g}")
+    gram[..., range(dec.dim), range(dec.dim)] -= 1.0
+    ortho_err = np.abs(gram).max(axis=(-2, -1))
+    _raise_first(ortho_err > 1e-10, InconsistencyError, lambda at: f"eigenvectors not orthonormal: error {ortho_err[at]:.3g}")
     # one more dim x dim buffer besides vh: the reconstruction reuses gram's
-    recon = np.matmul(v * e, vh, out=gram)
+    recon = np.matmul(v * e[..., None, :], vh, out=gram)
     recon -= dec.operator.entries
-    scale = max(np.linalg.norm(dec.operator.entries), 1.0)
-    err = np.linalg.norm(recon) / scale
-    if err > TOL_RECON:
-        raise InconsistencyError(f"spectral reconstruction error {err:.3g} exceeds {TOL_RECON:g}")
+    err = _frobenius(recon) / np.maximum(_frobenius(dec.operator.entries), 1.0)
+    _raise_first(err > TOL_RECON, InconsistencyError, lambda at: f"spectral reconstruction error {err[at]:.3g} exceeds {TOL_RECON:g}")
 
 
 @dataclass(frozen=True)

@@ -61,22 +61,18 @@ SAMPLE_CHUNK = 5000
 
 @dataclass(frozen=True)
 class PureState:
-    """A unit vector in the walk Hilbert space."""
+    """A unit vector in the walk Hilbert space, or a (..., dim) stack of them."""
 
     amplitudes: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
 
 
 def pure_state(vec: np.ndarray) -> PureState:
     v = np.asarray(vec, dtype=np.complex128)
-    if v.ndim != 1 or v.shape[0] == 0:
+    if v.ndim == 0 or v.shape[-1] == 0:
         raise ValidationError(f"state must be a non-empty vector, got shape {v.shape}")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > TOL_NORM:
-        raise ValidationError(f"state norm {norm:.12g} deviates from 1 by more than {TOL_NORM:g}")
+    norm = np.linalg.norm(v, axis=-1)
+    bad = np.abs(norm - 1.0) > TOL_NORM
+    spectral._raise_first(bad, ValidationError, lambda at: f"state norm {norm[at]:.12g} deviates from 1 by more than {TOL_NORM:g}")
     return PureState(amplitudes=v)
 
 
@@ -90,23 +86,19 @@ def basis_state(dim: int, index: int) -> PureState:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite matrix."""
+    """Hermitian, unit-trace, positive-semidefinite matrix, or a (..., dim, dim) stack of them."""
 
     entries: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 def density_operator(matrix: np.ndarray) -> DensityOperator:
+    """Check a matrix, or each matrix of a stack; a failure names its stack index."""
     op = spectral.hermitian(matrix)
-    tr = np.trace(op.entries).real
-    if abs(tr - 1.0) > TOL_TRACE:
-        raise ValidationError(f"trace {tr:.12g} deviates from 1 by more than {TOL_TRACE:g}")
-    lo = float(np.linalg.eigvalsh(op.entries)[0])
-    if lo < -TOL_PSD:
-        raise ValidationError(f"matrix is not PSD: lowest eigenvalue {lo:.3g}")
+    tr = np.trace(op.entries, axis1=-2, axis2=-1).real
+    deviates = np.abs(tr - 1.0) > TOL_TRACE
+    spectral._raise_first(deviates, ValidationError, lambda at: f"trace {tr[at]:.12g} deviates from 1 by more than {TOL_TRACE:g}")
+    lo = np.linalg.eigvalsh(op.entries)[..., 0]
+    spectral._raise_first(lo < -TOL_PSD, ValidationError, lambda at: f"matrix is not PSD: lowest eigenvalue {lo[at]:.3g}")
     return DensityOperator(entries=op.entries)
 
 
@@ -132,13 +124,16 @@ def characteristic(dist: TimeDistribution, r) -> np.ndarray | complex:
     return complex(g[0] * s[0]) if np.ndim(r) == 0 else g * s
 
 
-def _phase_factors(dist: TimeDistribution, energies: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _phase_factors(dist: TimeDistribution, energies: np.ndarray, gaps: np.ndarray, T=None) -> tuple[np.ndarray, np.ndarray]:
     """Half-angle factors: g = exp(ikET/2) per energy and S = sinc(gap T/2)^k
     per gap, sinc(0) = 1, so Phi(E_k - E_j) = conj(g_j) g_k S_jk at
-    gaps[j, k] = +-(E_k - E_j); S is real and even in the gap."""
-    g = np.exp((0.5j * dist.k * dist.T) * energies)
+    gaps[j, k] = +-(E_k - E_j); S is real and even in the gap. Over a stack of
+    energies (B, d) and gaps (B, d, d), a (B, 1) column T gives each matrix
+    its own T in place of dist.T."""
+    T, T_gap = (dist.T, dist.T) if T is None else (T, T[..., None])
+    g = np.exp((0.5j * dist.k * T) * energies)
     # two gap-sized buffers: the half-angle arguments, then |sinc|^k in their place
-    h = gaps * (0.5 * dist.T)
+    h = gaps * (0.5 * T_gap)
     s = np.sin(h)
     np.divide(s, h, out=s, where=h != 0)
     s[h == 0] = 1.0
@@ -148,12 +143,13 @@ def _phase_factors(dist: TimeDistribution, energies: np.ndarray, gaps: np.ndarra
     return g, (np.copysign(sk, s, out=sk) if dist.k % 2 else sk)
 
 
-def _phi_matrix(dist: TimeDistribution, energies: np.ndarray, tol_degen: float) -> np.ndarray:
+def _phi_matrix(dist: TimeDistribution, energies: np.ndarray, tol_degen, T=None) -> np.ndarray:
     """Matrix Phi[j, k] = characteristic(E_k - E_j), with exact 1 on
-    near-degenerate pairs (|E_k - E_j| <= tol_degen)."""
-    gaps = np.subtract.outer(energies, energies)
-    g, s = _phase_factors(dist, energies, gaps)
-    phi = np.conj(g)[:, None] * g * s
+    near-degenerate pairs (|E_k - E_j| <= tol_degen); over a stack of
+    energies, T may be a (B, 1) and tol_degen a (B, 1, 1) column, one value per matrix."""
+    gaps = energies[..., :, None] - energies[..., None, :]
+    g, s = _phase_factors(dist, energies, gaps, T)
+    phi = np.conj(g)[..., :, None] * g[..., None, :] * s
     phi[np.abs(gaps) <= tol_degen] = 1.0
     return phi
 
@@ -164,9 +160,17 @@ def _check_probability(p: float, what: str) -> float:
     return float(p)
 
 
+def _decompose_one(h) -> spectral.SpectralDecomposition:
+    """spectral.decompose of one matrix: the walk functions refuse a stack h."""
+    op = spectral._as_operator(h)
+    if op.entries.ndim != 2:
+        raise ValidationError(f"expected a square matrix, got shape {op.entries.shape}")
+    return spectral.decompose(op)
+
+
 def _check_state_dim(state: PureState, dim: int) -> None:
-    if state.dim != dim:
-        raise ValidationError(f"state dimension {state.dim} != operator dimension {dim}")
+    if state.amplitudes.shape != (dim,):
+        raise ValidationError(f"state shape {state.amplitudes.shape} != ({dim},) of the operator")
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,18 +321,24 @@ class SpectralWalk:
         return times, outcomes
 
 
+def _rotated(dec: spectral.SpectralDecomposition, *states: PureState) -> list[np.ndarray]:
+    """<E_j|x> for each state x, as (V^H @ x[..., None])[..., 0]: bitwise the 2-D mat-vec."""
+    vh = dec.eigenvectors.conj().swapaxes(-1, -2)
+    return [(vh @ state.amplitudes[..., None])[..., 0] for state in states]
+
+
 def spectral_walk(h, psi0: PureState, target) -> SpectralWalk:
     """Decompose h once and read off the walk from psi0 towards target.
 
     target is a PureState y, or a matrix whose orthonormal columns span the
     measured subspace.
     """
-    dec = spectral.decompose(h)
+    dec = _decompose_one(h)
     _check_state_dim(psi0, dec.dim)
     v = dec.eigenvectors
     if isinstance(target, PureState):
         _check_state_dim(target, dec.dim)
-        rows = np.conj(v.conj().T @ target.amplitudes)[None, :]
+        rows = np.conj(_rotated(dec, target)[0])[None, :]
     else:
         b = np.asarray(target, dtype=np.complex128)
         if b.ndim != 2 or b.shape[0] == 0 or b.shape[1] == 0:
@@ -338,7 +348,16 @@ def spectral_walk(h, psi0: PureState, target) -> SpectralWalk:
         if b.shape[0] != dec.dim:
             raise ValidationError(f"target basis dimension {b.shape[0]} != operator dimension {dec.dim}")
         rows = b.conj().T @ v
-    return SpectralWalk(dec.eigenvalues, v.conj().T @ psi0.amplitudes, rows, dec)
+    return SpectralWalk(dec.eigenvalues, _rotated(dec, psi0)[0], rows, dec)
+
+
+def _spectral_walks(h, psi0: PureState, y: PureState) -> list[SpectralWalk]:
+    """spectral_walk over a (B, d, d) stack h and (B, d) stacks psi0 and y: one walk per matrix."""
+    dec = spectral.decompose(h)
+    if {psi0.amplitudes.shape, y.amplitudes.shape} != {dec.eigenvalues.shape}:
+        raise ValidationError(f"state stacks {psi0.amplitudes.shape}, {y.amplitudes.shape} != {dec.eigenvalues.shape} of the operators")
+    c, a = _rotated(dec, psi0, y)
+    return [SpectralWalk(d.eigenvalues, cb, np.conj(ab)[None, :], d) for d, cb, ab in zip(dec.unstack(), c, a)]
 
 
 def avg_probability_exact(h, psi0: PureState, y: PureState, dist: TimeDistribution) -> float:
@@ -369,7 +388,7 @@ def avg_probability_quadrature(h, psi0: PureState, y: PureState, T: float) -> fl
 
     if not T > 0:
         raise ValidationError(f"T must be positive, got {T}")
-    dec = spectral.decompose(h)
+    dec = _decompose_one(h)
     _check_state_dim(psi0, dec.dim)
     _check_state_dim(y, dec.dim)
     v = dec.eigenvectors
@@ -390,22 +409,24 @@ def time_averaged_density(h, rho0: DensityOperator, dist: TimeDistribution) -> D
     In the eigenbasis the element (j, k) picks up Phi(E_k - E_j);
     near-degenerate pairs are left untouched (coherences survive).
     """
-    dec = spectral.decompose(h)
+    dec = _decompose_one(h)
     phi = _phi_matrix(dist, dec.eigenvalues, spectral.default_degeneracy_tol(dec))
     return _weighted_density(dec.eigenvectors, _eigenbasis(dec.eigenvectors, rho0), phi)
 
 
 def _eigenbasis(v: np.ndarray, rho0: DensityOperator) -> np.ndarray:
-    """m[j, k] = <E_j|rho0|E_k> for the eigenvector columns v."""
-    return v.conj().T @ rho0.entries @ v
+    """m[j, k] = <E_j|rho0|E_k> for the eigenvector columns v, per matrix of a stack."""
+    if rho0.entries.shape != v.shape:
+        raise ValidationError(f"rho0 shape {rho0.entries.shape} != {v.shape} of the eigenvectors")
+    return v.conj().swapaxes(-1, -2) @ rho0.entries @ v
 
 
 def _weighted_density(v: np.ndarray, m: np.ndarray, weight: np.ndarray) -> DensityOperator:
     """The state whose eigenbasis element (j, k) is m[j, k] * weight[j, k], m from
-    _eigenbasis; the result is computed, so a failed invariant is an internal
-    inconsistency."""
+    _eigenbasis, per matrix of a stack; the result is computed, so a failed
+    invariant is an internal inconsistency."""
     try:
-        return density_operator(v @ (m * weight) @ v.conj().T)
+        return density_operator(v @ (m * weight) @ v.conj().swapaxes(-1, -2))
     except ValidationError as exc:
         raise InconsistencyError(f"computed density operator is invalid: {exc}") from None
 

@@ -22,9 +22,7 @@ def loglog_slope(ns, values) -> float:
 
 def test_criterion_01_bound_corpus_200():
     t0 = time.monotonic()
-    rows = []
-    for idx in range(200):
-        rows.extend(cli._bounds_instance((idx, 1, 10, 0.1, 1000.0, (1, 2, 3, 4))))
+    rows = cli._bounds_block((0, 200, 1, 10, 0.1, 1000.0, (1, 2, 3, 4)))
     elapsed = time.monotonic() - t0
     by_kind = {}
     for row in rows:

@@ -205,6 +205,28 @@ def test_residual_bound_holds_dim4():
         assert rep.inputs["kind"] == "residual"
 
 
+def test_residual_bound_stack_equals_per_instance_calls_bitwise():
+    from conftest import random_hermitian
+
+    rng = rng_stream(352, 0)
+    parts, rhos, subsets, dists = [], [], [], []
+    for i in range(5):
+        parts.append(spectral.group_eigenspaces(spectral.decompose(random_hermitian(rng, 6))))
+        v = random_state(rng, 6).amplitudes
+        rhos.append(walk.density_operator(np.outer(v, v.conj())))
+        subsets.append([i % parts[-1].n_groups])
+        dists.append(TimeDistribution(T=2.0 + 7.0 * i, k=3))
+    rho_stack = walk.DensityOperator(np.stack([r.entries for r in rhos]))
+    stacked = bounds._residual_stack(parts, rho_stack, subsets, dists)
+    assert stacked == [bounds.residual_bound(*args) for args in zip(parts, rhos, subsets, dists)]
+    with pytest.raises(ValidationError, match="one k"):
+        mixed = [dists[0], TimeDistribution(T=1.0, k=2)]
+        bounds._residual_stack(parts[:2], walk.DensityOperator(rho_stack.entries[:2]), subsets[:2], mixed)
+    # the public form takes one instance: a stacked rho0 is refused, not broadcast
+    with pytest.raises(ValidationError, match=r"rho0 shape \(1, 5, 6, 6\)"):
+        bounds.residual_bound(parts[0], rho_stack, subsets[0], dists[0])
+
+
 def test_residual_bound_builds_phi_once(monkeypatch):
     calls = []
     phi_matrix = walk._phi_matrix
@@ -223,7 +245,7 @@ def test_bounds_instance_computes_gaps_once(monkeypatch):
     kinds = set()
     for idx in range(12):
         calls.clear()
-        rows = cli._bounds_instance((idx, 5, 10, 0.1, 1000.0, (1, 2, 3, 4)))
+        rows = cli._bounds_block((idx, idx + 1, 5, 10, 0.1, 1000.0, (1, 2, 3, 4)))
         kinds.update(row["kind"] for row in rows)
         assert sum(row["kind"] == "eigenspace" for row in rows) == rows[0]["dim"]
         assert len(calls) == 1

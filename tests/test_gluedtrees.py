@@ -367,6 +367,11 @@ def test_traversal_success_stats():
     assert stats["k"] == 5
 
 
+def test_traversal_success_stats_rejects_a_walk_of_another_size():
+    with pytest.raises(ValidationError, match="walk dimension 64 != schedule size two_n = 8"):
+        gluedtrees.traversal_success_stats(8, rng_seed=1, runs=10, w=gluedtrees.column_walk(64))
+
+
 def test_traversal_success_stats_memory_is_chunked():
     # 200 runs x 1280 repetitions: holding every shot's 128 amplitudes
     # would take over 500 MB

@@ -18,6 +18,7 @@ ORACLES = (
     ("walk.characteristic", "test_walk: test_characteristic_*"),
     ("walk.avg_probability_quadrature", "criterion 02"),
     ("bounds.dephased_reference", "test_bounds: test_dephased_reference_full_subset_is_diagonal"),
+    ("bounds.residual_bound", "test_bounds: the residual tests; the CLI certifies residuals a stack at a time"),
     ("gluedtrees.column_spectrum_check", "criterion 03"),
     ("gluedtrees.generate_instance", "criterion 06"),
     ("gluedtrees.full_vs_column_equivalence", "criterion 06"),

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +308,17 @@ def test_cli_search_fractional_payload_field_exits_3(tmp_path, capsys, field, va
     assert f"field '{field}' must be a whole number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["dense", "weighted-graph"])
+@pytest.mark.parametrize("data", [[["a", "b"], ["c", "d"]], [[0.5, 0.5], [1.0]]], ids=["non-numeric", "ragged"])
+def test_cli_search_malformed_chain_data_exits_3(tmp_path, capsys, fmt, data):
+    chain_file = tmp_path / "chain.json"
+    chain_file.write_text(json.dumps({"n": 2, "format": fmt, "data": data, "marked": 0}), encoding="utf-8")
+    cfg = write_cfg(tmp_path / "s.json", {"chains": [str(chain_file)], "epsilons": [0.1], "seed": 2})
+    assert cli.main(["search", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "chain payload field 'data'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "search.json").exists()
+
+
 def test_cli_search_failed_floor_exits_2(tmp_path, capsys):
     payload = {"families": ["complete"], "N": [8], "epsilons": [0.1], "time_factor": 0.01, "shots": 500, "seed": 3}
     cfg = write_cfg(tmp_path / "s.json", payload)
@@ -424,6 +436,27 @@ def test_cli_bounds_jobs_parallel_identical(tmp_path):
     assert (one / "bounds.csv").read_bytes() == (two / "bounds.csv").read_bytes()
 
 
+def bounds_bundle(tmp_path, name, instances, jobs="1") -> bytes:
+    cfg = write_cfg(tmp_path / "b.json", {"instances": instances, "seed": 12})
+    assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / name), "--jobs", jobs]) == 0
+    return b"".join((tmp_path / name / f"bounds.{suffix}").read_bytes() for suffix in ("json", "csv"))
+
+
+def test_cli_bounds_block_size_does_not_change_the_bundle(tmp_path, monkeypatch):
+    bundles = []
+    for block in (1, 7, 128):
+        monkeypatch.setattr(cli, "BOUNDS_BLOCK", block)
+        bundles.append(bounds_bundle(tmp_path, f"block{block}", 20))
+    assert bundles[0] == bundles[1] == bundles[2]
+
+
+def test_cli_bounds_blocks_spread_over_jobs_identically(tmp_path, monkeypatch):
+    # 6 instances in blocks of 2: three tasks for up to three workers
+    monkeypatch.setattr(cli, "BOUNDS_BLOCK", 2)
+    bundles = [bounds_bundle(tmp_path, f"jobs{jobs}", 6, jobs) for jobs in ("1", "2", "3")]
+    assert bundles[0] == bundles[1] == bundles[2]
+
+
 def test_cli_search_jobs_parallel_identical(tmp_path):
     cfg = write_cfg(
         tmp_path / "s.json",
@@ -459,6 +492,7 @@ class SerialPool:
 def test_cli_jobs_capped_at_task_count(tmp_path, monkeypatch, jobs, workers):
     monkeypatch.setattr(SerialPool, "max_workers", [])
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "BOUNDS_BLOCK", 1)
     cfg = write_cfg(tmp_path / "b.json", {"instances": 3, "seed": 12})
     assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path), "--jobs", jobs]) == 0
     assert SerialPool.max_workers == workers
@@ -610,6 +644,20 @@ def test_import_loads_no_scipy():
     assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
+def test_bounds_run_loads_no_numpy_ma(tmp_path):
+    # numpy.ma (pulled in by np.unique, for one) would cost the bounds run about 1 MB of peak RSS
+    cfg = write_cfg(tmp_path / "b.json", {"instances": 20, "seed": 7})
+    code = (
+        "import sys\n"
+        "from ctqw import cli\n"
+        f"assert cli.main(['bounds', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m in ('numpy.ma', 'scipy') or m.startswith(('numpy.ma.', 'scipy.'))))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # ---------------------------------------------------------------------------
 # CLI: per-task random streams
 
@@ -660,13 +708,18 @@ def count_calls(monkeypatch, module, names) -> dict:
 
 
 def test_bounds_instance_decomposes_once(monkeypatch):
-    counts = count_calls(monkeypatch, spectral, ["decompose", "gaps"])
-    for idx in range(20):
-        counts.update(decompose=0, gaps=0)
-        rows = cli._bounds_instance((idx, 7, 10, 0.1, 1000.0, (1, 2, 3, 4)))
-        assert all(row["holds"] for row in rows)
-        assert counts["decompose"] == 1
-        assert counts["gaps"] <= 2
+    stacks, partitions = [], []  # the list keeps every partition alive, so ids stay distinct
+    decompose, gaps = spectral.decompose, spectral.gaps
+    monkeypatch.setattr(spectral, "decompose", lambda h: stacks.append(len(h.entries)) or decompose(h))
+    monkeypatch.setattr(spectral, "gaps", lambda part: partitions.append(part) or gaps(part))
+    rows = cli._bounds_block((0, 20, 7, 10, 0.1, 1000.0, (1, 2, 3, 4)))
+    assert all(row["holds"] for row in rows)
+    # one stacked decomposition per dimension: every instance decomposed once
+    assert sum(stacks) == 20
+    # spectral.gaps takes the instance's partition, so the calls count per instance
+    gaps_per_instance = Counter(map(id, partitions))
+    assert len(gaps_per_instance) == 20
+    assert max(gaps_per_instance.values()) <= 2
 
 
 def test_gluedtrees_row_decomposes_the_column_generator_once(monkeypatch):

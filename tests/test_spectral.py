@@ -48,6 +48,28 @@ def test_non_square_rejected():
         spectral.hermitian(np.zeros((2, 3)))
 
 
+def test_stacked_decompose_equals_per_matrix_calls_bitwise():
+    rng = rng_stream(41, 0)
+    for dim in range(2, 11):
+        stack = np.stack([random_hermitian(rng, dim) for _ in range(5)])
+        dec = spectral.decompose(stack)
+        assert dec.eigenvalues.shape == (5, dim) and dec.eigenvectors.shape == (5, dim, dim)
+        for h, view in zip(stack, dec.unstack(), strict=True):
+            one = spectral.decompose(h)
+            assert np.array_equal(view.eigenvalues, one.eigenvalues)
+            assert np.array_equal(view.eigenvectors, one.eigenvectors)
+            assert np.array_equal(view.operator.entries, one.operator.entries)
+    with pytest.raises(ValidationError, match="unstack needs a"):
+        spectral.decompose(stack[0]).unstack()
+
+
+def test_stacked_hermitian_rejection_names_stack_index():
+    stack = np.stack([np.eye(3), np.eye(3), np.eye(3)]).astype(complex)
+    stack[2, 0, 1] = 1.0
+    with pytest.raises(NonHermitianError, match=r"^stack index 2: matrix is not Hermitian: entry \(0,1\)"):
+        spectral.hermitian(stack)
+
+
 def test_decompose_deterministic():
     rng = rng_stream(11, 0)
     h = random_hermitian(rng, 7)

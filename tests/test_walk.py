@@ -235,6 +235,15 @@ def test_density_operator_validation():
         walk.density_operator(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+def test_stacked_density_operator_rejection_names_stack_index():
+    good = np.diag([0.5, 0.5])
+    with pytest.raises(ValidationError, match=r"^stack index 1: trace 1\.4 deviates"):
+        walk.density_operator(np.stack([good, np.diag([0.7, 0.7]), good]))
+    with pytest.raises(ValidationError, match=r"^stack index 2: matrix is not PSD"):
+        walk.density_operator(np.stack([good, good, np.diag([1.5, -0.5])]))
+    assert walk.density_operator(np.stack([good, good])).entries.shape == (2, 2, 2)
+
+
 # ---------------------------------------------------------------------------
 # limiting distribution
 
@@ -392,6 +401,24 @@ def test_spectral_walk_state_target_equals_one_column_basis():
     as_basis = walk.spectral_walk(h, psi0, y.amplitudes[:, None])
     assert as_state.probability(dist) == pytest.approx(as_basis.probability(dist), abs=1e-14)
     assert as_state.limiting_probability == pytest.approx(as_basis.limiting_probability, abs=1e-14)
+
+
+def test_spectral_walk_refuses_stacks_and_the_stacked_form_checks_shapes():
+    rng = rng_stream(28, 3)
+    h = np.stack([random_hermitian(rng, 4) for _ in range(3)])
+    states = walk.pure_state(np.stack([random_state(rng, 4).amplitudes for _ in range(3)]))
+    # a (B, d) stack of states is not one state of a d x d operator
+    with pytest.raises(ValidationError, match=r"state shape \(3, 4\) != \(4,\)"):
+        walk.spectral_walk(h[0], states, walk.basis_state(4, 0))
+    with pytest.raises(ValidationError, match="expected a square matrix"):
+        walk.spectral_walk(h, states, states)
+    with pytest.raises(ValidationError, match=r"state stacks \(3, 4\), \(2, 4\) != \(3, 4\)"):
+        walk._spectral_walks(h, states, walk.PureState(states.amplitudes[:2]))
+    walks = walk._spectral_walks(h, states, states)
+    for w, hb, psi in zip(walks, h, states.amplitudes, strict=True):
+        one = walk.spectral_walk(hb, walk.PureState(psi), walk.PureState(psi))
+        assert np.array_equal(w.energies, one.energies)
+        assert np.array_equal(w.c, one.c) and np.array_equal(w.rows, one.rows)
 
 
 def test_spectral_walk_evaluates_each_time_law_once(monkeypatch):
