@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bounds, walk
+from . import bounds, spectral, walk
 from .errors import InconsistencyError, InvalidLabelError, ValidationError
 from .rng import rng_stream
 from .walk import TimeDistribution
@@ -52,6 +52,8 @@ MOMENTUM_RESIDUAL_TOL = 1e-10
 #: check tolerances of column_spectrum_check and full_vs_column_equivalence
 SPECTRUM_ATOL = 1e-9
 EQUIVALENCE_TOL = 1e-8
+#: bound on the column spectrum's pairing residual max|E_j + E_{2n-1-j}|, relative to its range
+PAIRING_TOL = 1e-12
 #: time-grid points per route in certified_hitting_times (the subset route adds 8)
 CERTIFY_GRID_POINTS = 25
 
@@ -73,10 +75,24 @@ def column_hamiltonian(two_n: int) -> np.ndarray:
 
 def column_walk(two_n: int) -> walk.SpectralWalk:
     """The column-space walk from the entrance column towards the exit column:
-    one decomposition, shared by everything a glued-trees row computes."""
-    return walk.spectral_walk(
-        column_hamiltonian(two_n), walk.basis_state(two_n, 0), walk.basis_state(two_n, two_n - 1)
-    )
+    one decomposition, shared by everything a glued-trees row computes.
+
+    The generator is bipartite (zero diagonal), so E_j = -E_{2n-1-j}: past
+    PAIRING_TOL times the spectral range, eigh's pairing residual raises
+    InconsistencyError. The walk evolves under the exactly paired
+    (E - E[::-1]) / 2, certified again by the reconstruction check, so the
+    sampler evaluates one phase per pair; the partition keeps eigh's
+    energies, within the residual of these and of the same range.
+    """
+    w = walk.spectral_walk(column_hamiltonian(two_n), walk.basis_state(two_n, 0), walk.basis_state(two_n, two_n - 1))
+    dec = w.decomposition
+    e = dec.eigenvalues
+    residual = float(np.max(np.abs(e + e[::-1])))
+    if residual > PAIRING_TOL * dec.spectral_range:
+        raise InconsistencyError(f"column spectrum pairing residual {residual:.3g} exceeds {PAIRING_TOL:g} * range {dec.spectral_range:.6g}")
+    paired = replace(dec, eigenvalues=(e - e[::-1]) / 2)
+    spectral._check_reconstruction(paired)
+    return replace(w, energies=paired.eigenvalues)
 
 
 @dataclass(frozen=True)

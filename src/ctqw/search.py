@@ -17,7 +17,9 @@ eigenvalue leaves |v_j,0> alone at energy 0. The start amplitudes are
 <v_j|sqrt(pi)>, and the marked-register rows of these eigenvectors follow
 from row and column m of P_s, whatever completion V uses. So the exact
 average and the Monte Carlo need only the n x n discriminant: O(n^3) time
-and O(n^2) memory, where the edge space costs O(n^6) and O(n^4).
+and O(n^2) memory, where the edge space costs O(n^6) and O(n^4). Row y is
+exactly zero unless P_s[m, y] or P_s[y, m] is positive, so only the rows of
+that marked neighbourhood are kept and measured: 3 on a lazy cycle.
 
 Outside that span H vanishes: its zero eigenspace has dimension
 (n-1)^2 + 1 for lazy chains, and the spectral gap is quadratically amplified
@@ -314,8 +316,9 @@ def _discriminant_walk(
     start holds the first-register amplitudes of the start state |start, 0>.
     Returns the reduced walk and D's decomposition. The walk's energies are
     ascending, one per reduced eigenvector psi_k; its start amplitudes are
-    <psi_k|start, 0>; its rows[y, k] = <marked, y|V|psi_k> are the marked
-    rows in edge coordinates.
+    <psi_k|start, 0>; its rows[i, k] = <marked, y_i|V|psi_k> are the marked
+    rows in edge coordinates for the ascending y_i in supp P_s[m] u
+    supp P_s[:, m], the marked rows that are not exactly zero.
 
     Certified: D's decomposition reconstructs D; the amplitudes have unit
     norm, so the start lies inside the subspace; rows^dagger rows, the
@@ -326,8 +329,9 @@ def _discriminant_walk(
     dec = spectral.decompose(spectral.hermitian(markov.discriminant(p_s)))
     lam, v = dec.eigenvalues, dec.eigenvectors
     c = v.conj().T @ start
-    row_v = np.sqrt(p_s[m])[:, None] * v[m]  # V|v_j,0> on the marked block
-    row_av = np.sqrt(p_s[:, m])[:, None] * v  # V A|v_j,0> = S V|v_j,0> on it
+    keep = np.flatnonzero((p_s[m] > 0) | (p_s[:, m] > 0))
+    row_v = np.sqrt(p_s[m, keep])[:, None] * v[m]  # V|v_j,0> on the marked block
+    row_av = np.sqrt(p_s[keep, m])[:, None] * v[keep]  # V A|v_j,0> = S V|v_j,0> on it
     unit = np.abs(lam) >= 1.0 - UNIT_EIGENVALUE_TOL
     pair = ~unit
     s = np.sqrt(1.0 - lam[pair] ** 2)
@@ -343,7 +347,7 @@ def _discriminant_walk(
     norm_err = abs(float(np.linalg.norm(amplitudes)) - 1.0)
     if norm_err > REDUCED_TOL:
         raise InconsistencyError(f"start state leaves the reduced subspace: norm off 1 by {norm_err:.3g}")
-    # rows rows^dagger (n x n) has the nonzero spectrum of rows^dagger rows
+    # rows rows^dagger (len(keep) x len(keep)) has the nonzero spectrum of rows^dagger rows
     gram = np.linalg.eigvalsh(rows @ rows.conj().T)
     if gram[0] < -REDUCED_TOL or gram[-1] > 1.0 + REDUCED_TOL:
         raise InconsistencyError(
@@ -458,11 +462,13 @@ def run_search(
     never raised on; shots > 0 adds a Bernoulli Monte Carlo estimate of
     the same number (shots = 0 skips it).
     """
-    work = markov.lazify(chain)
+    if not (isinstance(marked, (int, np.integer)) and 0 <= marked < chain.n):
+        raise ValidationError(f"marked vertex {marked} out of range for n={chain.n}")
     if not 0.0 < epsilon < 0.25:
         raise ValidationError(f"epsilon must lie in (0, 1/4), got {epsilon}")
     if shots < 0:
         raise ValidationError(f"shots must be >= 0, got {shots}")
+    work = markov.lazify(chain)
 
     n = work.n
     sstar = markov.s_star(work, marked)
@@ -485,7 +491,7 @@ def run_search(
     within = None
     if shots > 0:
         _, outcomes = reduced.sample(dist, rng_stream(rng_seed, 23), shots)
-        hits = int(np.count_nonzero(outcomes < n))
+        hits = int(np.count_nonzero(outcomes < reduced.rows.shape[0]))
         mc_freq = hits / float(shots)
         mc_err = math.sqrt(max(mc_freq * (1.0 - mc_freq), 1e-12) / shots)
         sigma_exact = math.sqrt(max(p_exact * (1.0 - p_exact), 1e-12) / shots)

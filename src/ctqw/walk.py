@@ -55,7 +55,7 @@ TOL_TRACE = 1e-9
 TOL_PSD = 1e-9
 #: probabilities must land in [-TOL_PROB, 1 + TOL_PROB]
 TOL_PROB = 1e-9
-#: Monte Carlo shots per chunk: bounds the chunk x dim phase matrix
+#: Monte Carlo shots per chunk: bounds the chunk x (distinct |E|) phase matrix
 SAMPLE_CHUNK = 5000
 
 
@@ -207,6 +207,29 @@ class SpectralWalk:
         return np.subtract.outer(self.energies, self.energies)
 
     @cached_property
+    def _phase_fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(sigma, a_plus, a_minus, a_zero) for the sampler.
+
+        Runs of equal energies merge, and a distinct energy u_i = -u_{-1-i}
+        pairs with its mirror, which finds every pair of a symmetric
+        spectrum; an unpaired energy keeps a phase of its own. sigma holds
+        the unpaired positive energies, then the paired ones, then the
+        magnitudes of the unpaired negative ones. a_plus[i] sums
+        c_j rows[:, j] over E_j = +sigma[i] for the len(a_plus) leading
+        sigma, a_minus[i] over E_j = -sigma[k] for the len(a_minus) trailing
+        sigma (k the i-th of them), and a_zero over E_j = 0.
+        No sort or search: paging in numpy's sort kernels (np.unique also
+        imports numpy.ma) cost the glued-trees run about 0.25 MB of peak RSS."""
+        starts = np.flatnonzero(np.diff(self.energies, prepend=-np.inf))
+        u, fold = self.energies[starts], np.add.reduceat((self.rows * self.c).T, starts, axis=0)
+        mirrored = u == -u[::-1]
+        plus_only, pair, minus_only = (u > 0) & ~mirrored, (u > 0) & mirrored, (u < 0) & ~mirrored
+        sigma = np.concatenate([u[plus_only], u[pair], -u[minus_only]])
+        a_plus = np.concatenate([fold[plus_only], fold[pair]])
+        a_minus = np.concatenate([fold[::-1][pair], fold[minus_only]])
+        return sigma, a_plus, a_minus, fold[u == 0].sum(axis=0)
+
+    @cached_property
     def _degenerate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(j, k) with |E_k - E_j| <= tol_degen, j = k included: Phi is 1 there."""
         return np.nonzero(np.abs(self._gaps) <= self.tol_degen)
@@ -295,23 +318,28 @@ class SpectralWalk:
         Each chunk of SAMPLE_CHUNK shots draws its times, then one uniform u
         per shot; the outcome is the first row r whose cumulative
         probability exceeds u, or len(rows) ("none of them") when u reaches
-        their total. Only one chunk x dim phase buffer and the chunk x
-        len(rows) probabilities are ever held. Returns (times, outcomes).
+        their total. One phase z = exp(-i t sigma) per distinct nonzero |E|
+        serves both signs, since exp(i t sigma) is its exact conjugate
+        (_phase_fold). Only one chunk x (distinct |E|) phase buffer and the
+        chunk x len(rows) probabilities are ever held. Returns (times, outcomes).
         """
         if shots < 1:
             raise ValidationError(f"shots must be >= 1, got {shots}")
+        sigma, a_plus, a_minus, a_zero = self._phase_fold
         last = self.rows.shape[0]
         times = np.empty(shots)
         outcomes = np.empty(shots, dtype=np.int64)
         for lo in range(0, shots, SAMPLE_CHUNK):
             m = min(SAMPLE_CHUNK, shots - lo)
             ts = rng.random((m, dist.k)).sum(axis=1) * dist.T
-            z = np.empty((m, self.energies.shape[0]), dtype=np.complex128)
+            z = np.empty((m, sigma.shape[0]), dtype=np.complex128)
             z.real = 0.0
-            np.multiply.outer(ts, -self.energies, out=z.imag)
+            np.multiply.outer(ts, -sigma, out=z.imag)
             np.exp(z, out=z)
-            z *= self.c
-            amps = z @ self.rows.T
+            amps = z[:, : a_plus.shape[0]] @ a_plus
+            amps += a_zero
+            np.conj(z, out=z)
+            amps += z[:, sigma.shape[0] - a_minus.shape[0] :] @ a_minus
             probs = np.abs(amps) ** 2
             total = np.clip(np.sum(probs, axis=1), 0.0, 1.0)
             u = rng.random(m)

@@ -1,4 +1,4 @@
-"""Shared generators for the seeded property sweeps."""
+"""Shared generators for the seeded property sweeps, and a spectrum fault."""
 
 import numpy as np
 
@@ -23,3 +23,16 @@ def instance_stream(seed: int, count: int, dim_lo: int = 2, dim_hi: int = 8):
         dim = int(rng.integers(dim_lo, dim_hi + 1))
         h = random_hermitian(rng, dim)
         yield rng, dim, h, random_state(rng, dim), random_state(rng, dim)
+
+
+def shift_lowest_eigenvalue(monkeypatch, shift: float) -> None:
+    """Make np.linalg.eigh lower each lowest eigenvalue by shift."""
+    eigh = np.linalg.eigh
+
+    def shifted(a):
+        e, v = eigh(a)
+        e = e.copy()
+        e[..., 0] -= shift
+        return e, v
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)

@@ -13,6 +13,8 @@ from ctqw import gluedtrees, spectral, walk
 from ctqw.errors import InconsistencyError, InvalidLabelError, ValidationError
 from ctqw.walk import TimeDistribution
 
+from conftest import shift_lowest_eigenvalue
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -39,6 +41,26 @@ def test_column_hamiltonian_rejects_bad_sizes():
 
 # ---------------------------------------------------------------------------
 # momentum solutions
+
+
+def test_column_walk_energies_exactly_paired():
+    for two_n in (8, 64, 512):
+        w = gluedtrees.column_walk(two_n)
+        e = w.energies
+        assert np.array_equal(e, -e[::-1])
+        dense = np.linalg.eigvalsh(gluedtrees.column_hamiltonian(two_n))
+        assert np.max(np.abs(e - dense)) <= 1e-14 * (dense[-1] - dense[0])
+        # the sampler evaluates one phase per pair
+        assert w._phase_fold[0].shape == (two_n // 2,)
+
+
+def test_column_walk_rejects_an_unpaired_spectrum(monkeypatch):
+    shift_lowest_eigenvalue(monkeypatch, 1e-10)
+    h = gluedtrees.column_hamiltonian(64)
+    dec = spectral.decompose(h)  # passes the reconstruction check
+    assert dec.eigenvalues[0] + dec.eigenvalues[-1] == pytest.approx(-1e-10, rel=1e-3)
+    with pytest.raises(InconsistencyError, match="pairing residual"):
+        gluedtrees.column_walk(64)
 
 
 def test_solve_momenta_counts_and_residuals():

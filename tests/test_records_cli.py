@@ -12,6 +12,8 @@ import pytest
 from ctqw import cli, gluedtrees, records, rng, spectral
 from ctqw.errors import InconsistencyError, ValidationError
 
+from conftest import shift_lowest_eigenvalue
+
 
 # ---------------------------------------------------------------------------
 # float and JSON formatting
@@ -218,6 +220,14 @@ def test_cli_gluedtrees_root_refinement_failure_exits_4(tmp_path, monkeypatch, c
     cfg = write_cfg(tmp_path / "g.json", {"n": [8], "seed": 9, "mc_runs": 4})
     assert cli.main(["gluedtrees", "--config", cfg, "--out", str(tmp_path)]) == 4
     assert "hyperbolic momentum residual" in capsys.readouterr().err
+
+
+def test_cli_gluedtrees_unpaired_spectrum_exits_4(tmp_path, monkeypatch, capsys):
+    # a column spectrum that is not symmetric would make the paired phases wrong
+    shift_lowest_eigenvalue(monkeypatch, 1e-10)
+    cfg = write_cfg(tmp_path / "g.json", {"n": [8], "seed": 9, "mc_runs": 4})
+    assert cli.main(["gluedtrees", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert "pairing residual" in capsys.readouterr().err
 
 
 def test_cli_gluedtrees_rejects_bad_size(tmp_path):
@@ -645,17 +655,23 @@ def test_import_loads_no_scipy():
 
 
 def test_bounds_run_loads_no_numpy_ma(tmp_path):
-    # numpy.ma (pulled in by np.unique, for one) would cost the bounds run about 1 MB of peak RSS
-    cfg = write_cfg(tmp_path / "b.json", {"instances": 20, "seed": 7})
-    code = (
-        "import sys\n"
-        "from ctqw import cli\n"
-        f"assert cli.main(['bounds', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m in ('numpy.ma', 'scipy') or m.startswith(('numpy.ma.', 'scipy.'))))\n"
-    )
+    # numpy.ma (pulled in by np.unique, for one) would cost a run about 1 MB of peak RSS;
+    # the bounds, glued-trees and search runs each load neither it nor scipy
+    runs = {
+        "bounds": {"instances": 20, "seed": 7},
+        "gluedtrees": {"n": [8, 16], "mc_runs": 20, "seed": 7},
+        "search": {"families": ["complete", "cycle"], "N": [8], "epsilons": [0.1], "shots": 200, "seed": 7},
+    }
+    code = "import sys\nfrom ctqw import cli\n"
+    for command, payload in runs.items():
+        cfg = write_cfg(tmp_path / f"{command}.json", payload)
+        code += (
+            f"assert cli.main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m in ('numpy.ma', 'scipy') or m.startswith(('numpy.ma.', 'scipy.'))))\n"
+        )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert [line for line in proc.stdout.splitlines() if line.startswith("[")] == ["[]", "[]", "[]"]
 
 
 # ---------------------------------------------------------------------------

@@ -145,8 +145,11 @@ def test_reduced_walk_matches_dense_oracle(family, n):
             dense_walk = walk.spectral_walk(ops.H, psi0, basis)
             p_dense = dense_walk.probability(dist)
             assert abs(p_reduced - p_dense) <= 1e-10, (s, completion)
-            # the dense rows sit before V; its marked block maps them to edge coordinates
-            dense_rows = ops.V[block, block] @ dense_walk.rows
+            # the dense rows sit before V; its marked block maps them to edge coordinates,
+            # of which the reduced walk measures the marked neighbourhood's
+            p_s = ops.interpolated.P_s
+            support = np.flatnonzero((p_s[marked] > 0) | (p_s[:, marked] > 0))
+            dense_rows = ops.V[block, block][support] @ dense_walk.rows
             _, dense = dataclasses.replace(dense_walk, rows=dense_rows).sample(dist, rng_stream(5, 23), shots)
             assert np.array_equal(reduced, dense), (s, completion)
 
@@ -162,6 +165,32 @@ def test_run_search_decomposes_the_discriminant_once(monkeypatch):
     search.run_search(chain, 0, 0.1, rng_seed=3, shots=0)
     # lazify's validate_chain, D(P_s*) itself, and the marked-row Gram certificate
     assert calls == ["eigh", "eigh", "eigvalsh"]
+
+
+@pytest.mark.parametrize("family,kept", [(markov.cycle_chain, 3), (markov.complete_chain, 32)])
+def test_reduced_walk_keeps_the_marked_neighbourhood(family, kept):
+    chain = markov.lazify(family(32))
+    inter = markov.interpolate(chain, 5, markov.s_star(chain, 5))
+    support = np.flatnonzero((inter.P_s[5] > 0) | (inter.P_s[:, 5] > 0))
+    w = search._discriminant_walk(inter, np.sqrt(chain.pi))[0]
+    assert support.shape[0] == w.rows.shape[0] == kept
+    assert w.energies.shape[0] == 2 * 32 - 1
+    if kept == 3:
+        assert support.tolist() == [4, 5, 6]
+
+
+@pytest.mark.parametrize(
+    "marked,epsilon,shots",
+    [(8, 0.1, 10), (-1, 0.1, 10), (1.0, 0.1, 10), (0, 0.25, 10), (0, float("nan"), 10), (0, 0.1, -5)],
+)
+def test_run_search_validates_before_lazify(monkeypatch, marked, epsilon, shots):
+    # bad input is named before the O(n^3) lazify, never as a bare IndexError
+    def lazify(chain):
+        raise AssertionError("lazify reached")
+
+    monkeypatch.setattr(markov, "lazify", lazify)
+    with pytest.raises(ValidationError):
+        search.run_search(markov.complete_chain(8), marked, epsilon, rng_seed=1, shots=shots)
 
 
 def test_reduced_walk_certificates():

@@ -342,9 +342,33 @@ def test_sampler_partial_chunk_counts_and_frequency():
     assert np.array_equal(head_t, times[: walk.SAMPLE_CHUNK])
 
 
-def test_sample_outcomes_match_outer_product_phases():
-    # the in-place phase buffer gives the outcomes of exp(-1j * outer(t, E)) * c
-    w = gluedtrees.column_walk(64)
+def search_reduced_walk(chain: markov.ReversibleChain) -> walk.SpectralWalk:
+    lazy = markov.lazify(chain)
+    return search._discriminant_walk(markov.interpolate(lazy, 0, markov.s_star(lazy, 0)), np.sqrt(lazy.pi))[0]
+
+
+def unpaired_walk() -> walk.SpectralWalk:
+    rng = rng_stream(11, 1)
+    return walk.spectral_walk(random_hermitian(rng, 12), random_state(rng, 12), np.eye(12)[:, :2])
+
+
+@pytest.mark.parametrize(
+    "make,distinct",
+    [
+        # exactly paired energies: one phase per pair
+        (lambda: gluedtrees.column_walk(64), 32),
+        # repeated |E| and an exact zero
+        (lambda: search_reduced_walk(markov.complete_chain(32)), 9),
+        (lambda: search_reduced_walk(markov.cycle_chain(32)), 31),
+        # no pairs: one phase per energy, as many as before the fold
+        (unpaired_walk, 12),
+    ],
+    ids=["column-64", "complete-32", "cycle-32", "unpaired-12"],
+)
+def test_sample_outcomes_match_outer_product_phases(make, distinct):
+    # the folded phase buffer gives the outcomes of exp(-1j * outer(t, E)) * c
+    w = make()
+    assert w._phase_fold[0].shape == (distinct,)
     dist = TimeDistribution(T=300.0, k=3)
     shots = walk.SAMPLE_CHUNK + 7
     times, outcomes = w.sample(dist, rng_stream(11), shots)
