@@ -157,9 +157,8 @@ def _write_bundle(out: Path, kind: str, seed: int, config, rows, summary, failur
     serialized leaves no bundle; exit code 2 when failure names a failed assertion."""
     columns, comment = BUNDLES[kind]
     record = records.ExperimentRecord(kind=kind, config=config, seed=seed, rows=tuple(rows), summary=summary)
-    texts = {"json": record.to_json(), "csv": records.render_csv(columns, rows, comment)}
-    for suffix, text in texts.items():
-        (out / f"{kind}.{suffix}").write_text(text, encoding="utf-8")
+    for suffix, pieces in zip(("json", "csv"), record.pieces(columns, comment)):
+        records._write(out / f"{kind}.{suffix}", pieces)
     print(f"{kind}: wrote {out / f'{kind}.csv'} and {out / f'{kind}.json'}")
     if failure:
         print(f"{kind}: {failure}", file=sys.stderr)
@@ -387,36 +386,39 @@ def _cmd_search(cfg: dict, seed: int, jobs: int) -> tuple:
 
 def _bounds_stack(dim: int, streams: list, t_lo: float, t_hi: float, k_values: tuple, rows: dict) -> None:
     """Draw, decompose and certify the instances of one dimension, given as
-    (idx, stream) pairs, into rows[idx]; each numpy kernel runs once per stack."""
-    n = len(streams)
-    a, states, Ts, ks = np.empty((n, dim, dim), dtype=complex), np.empty((2, n, dim), dtype=complex), [], []
+    (idx, stream) pairs, into rows[idx]; each numpy kernel runs once per stack,
+    and only the draws and the reports are made per instance."""
+    n, sq = len(streams), dim * dim
+    draws, dists = np.empty((n, 2 * sq + 4 * dim)), []
     for pos, (idx, rng) in enumerate(streams):
-        a[pos] = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        for state in states[:, pos]:
-            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            state[:] = v / np.linalg.norm(v)
-        Ts.append(float(np.exp(rng.uniform(math.log(t_lo), math.log(t_hi)))))
-        ks.append(int(k_values[int(rng.integers(0, len(k_values)))]))
+        # H's real and imaginary parts, then psi0's and y's: one call, the order of one call per part
+        draws[pos] = rng.normal(size=2 * sq + 4 * dim)
+        T = float(np.exp(rng.uniform(math.log(t_lo), math.log(t_hi))))
+        dists.append(TimeDistribution(T=T, k=int(k_values[int(rng.integers(0, len(k_values)))])))
+    a = draws[:, :sq].reshape(n, dim, dim) + 1j * draws[:, sq : 2 * sq].reshape(n, dim, dim)
+    vecs = draws[:, 2 * sq :].reshape(n, 2, 2, dim)
+    states = np.ascontiguousarray((vecs[:, :, 0] + 1j * vecs[:, :, 1]).swapaxes(0, 1))  # (2, n, dim): psi0, then y
+    # one norm per state: the stacked axis= form differs in the last bit
+    states /= np.array([[np.linalg.norm(v) for v in stack] for stack in states])[..., None]
     h = spectral.hermitian((a + a.conj().swapaxes(-1, -2)) / 2.0)
     psi0, y = walk.pure_state(states[0]), walk.pure_state(states[1])
-    walks = walk._spectral_walks(h, psi0, y)
+    walks = walk._spectral_walks(h, psi0, y, dists)
     rho0 = walk.density_operator(psi0.amplitudes[:, :, None] * psi0.amplitudes.conj()[:, None, :])
     reports, residuals = [], {}  # residuals: k -> [(stack position, partition, subset, dist)]
-    for pos, ((idx, rng), w, T, k) in enumerate(zip(streams, walks, Ts, ks)):
-        part = w.partition
+    for pos, ((idx, rng), w, dist) in enumerate(zip(streams, walks, dists)):
+        part, T, k = w.partition, dist.T, dist.k
         found = [("mixing", 1, bounds.mixing_bound(w, T))]
         found += [("eigenspace", 1, bounds.eigenspace_bound(w, T, g)) for g in range(part.n_groups)]
         size = int(rng.integers(1, part.n_groups + 1))
         subset = sorted(int(i) for i in rng.choice(part.n_groups, size=size, replace=False))
-        dist = TimeDistribution(T=T, k=k)
         found.append(("subset", k, bounds.subset_bound(w, dist, subset)))
         residuals.setdefault(k, []).append((pos, part, subset, dist))
         reports.append((found, bounds.bound_comparison(w, T, int(rng.integers(0, part.n_groups)))))
     for k, stack in residuals.items():
-        pos, parts, subsets, dists = zip(*stack)
-        for p, r in zip(pos, bounds._residual_stack(parts, walk.DensityOperator(rho0.entries[list(pos)]), subsets, dists)):
+        at, partitions, subsets, laws = zip(*stack)
+        for p, r in zip(at, bounds._residual_stack(partitions, walk.DensityOperator(rho0.entries[list(at)]), subsets, laws)):
             reports[p][0].append(("residual", k, r))
-    for (idx, _), T, (found, comp) in zip(streams, Ts, reports):
+    for (idx, _), T, (found, comp) in zip(streams, (d.T for d in dists), reports):
         ok = comp.implication_ok
         values = [(kind, k_used, r.bound_value, r.actual_value, r.slack, r.holds) for kind, k_used, r in found]
         values.append(("comparison", 1, comp.tau_mixing_scale, comp.tau_selective, 0.0 if ok else -1.0, ok))

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -53,80 +53,94 @@ def _bool_text(value) -> str:
 
 #: text of the exact built-in scalar types, which make up nearly every row
 _SCALAR_TEXT = {float: format_float, bool: _bool_text, int: str}
+#: a character that would break a CSV line
+_CSV_BREAK = re.compile(r'[,"\n\r]')
 
 
-def _scalar(value) -> str | None:
-    """JSON and CSV text of a bool, int or float (numpy scalars too); None otherwise."""
-    text = _SCALAR_TEXT.get(type(value))
-    if text is not None:
-        return text(value)
-    if isinstance(value, (bool, np.bool_)):
-        return _bool_text(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    return None
-
-
-def _leaf(obj) -> str | None:
-    """JSON text of a scalar, None or str; None for anything else."""
-    if obj is None:
-        return "null"
-    return json.dumps(obj) if isinstance(obj, str) else _scalar(obj)
-
-
-@lru_cache(maxsize=1024)
-def _head(pad: str, key: str) -> str:
-    return pad + json.dumps(key) + ": "
-
-
-def _flat_dict(obj: dict, keys: list, indent: int) -> str | None:
-    """Text of a dict whose values are all scalars, None or str, emitted in one
-    piece with the same bytes as the general path; None if a value is a container."""
-    pad = " " * (indent + 2)
-    items = []
-    for key in keys:
-        text = _leaf(obj[key])
-        if text is None:
+def _texts(value) -> tuple[str, str | None] | None:
+    """(JSON text, CSV text) of a bool, int, float (numpy scalars too), None or
+    str, formatted once for both files; None for anything else. A str that
+    would break its CSV line has no CSV text."""
+    fmt = _SCALAR_TEXT.get(type(value))
+    if fmt is None:
+        if value is None:
+            return "null", ""
+        if isinstance(value, str):
+            return json.dumps(value), None if _CSV_BREAK.search(value) else value
+        if isinstance(value, (bool, np.bool_)):
+            fmt = _bool_text
+        elif isinstance(value, (int, np.integer)):
+            value, fmt = int(value), str
+        elif isinstance(value, (float, np.floating)):
+            fmt = format_float
+        else:
             return None
-        items.append(_head(pad, key) + text)
-    return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
+    text = fmt(value)
+    return text, text
+
+
+@lru_cache(maxsize=256)
+def _layout(keys: tuple, indent: int) -> tuple[tuple, tuple]:
+    """The sorted keys of a dict with these keys, and each one's line head
+    at indent, worked out once per key set: every row of a bundle shares one."""
+    for key in keys:
+        if not isinstance(key, str):
+            raise ValidationError(f"record keys must be strings, got {key!r}")
+    ordered = tuple(sorted(keys))
+    pad = " " * (indent + 2)
+    return ordered, tuple(pad + json.dumps(key) + ": " for key in ordered)
+
+
+def _flat_dict(obj: dict, indent: int, columns=()) -> tuple[str, list] | None:
+    """Text of a non-empty dict whose values are all scalars, None or str,
+    emitted in one piece with the same bytes as the general path, and the CSV
+    cells of columns, each value formatted once for both; None if a value is
+    a container."""
+    items, cells = [], {}
+    for key, head in zip(*_layout(tuple(obj), indent)):
+        texts = _texts(obj[key])
+        if texts is None:
+            return None
+        items.append(head + texts[0])
+        cells[key] = texts[1]
+    # a missing column raises KeyError, a breaking str raises in _cell
+    line = [cells[col] if cells[col] is not None else _cell(obj[col]) for col in columns]
+    return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}", line
+
+
+class _Rendered(tuple):
+    """List items already rendered at their indent: _emit lays them out as a list."""
 
 
 def _emit(obj, indent: int, out: list) -> None:
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
-    text = _leaf(obj)
-    if text is not None:
-        out.append(text)
+    texts = _texts(obj)
+    if texts is not None:
+        out.append(texts[0])
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
-        pad = " " * (indent + 2)
+        pad, rendered = " " * (indent + 2), type(obj) is _Rendered
         out.append("[\n")
         for i, item in enumerate(obj):
             out.append(pad)
-            _emit(item, indent + 2, out)
+            if rendered:
+                out.append(item)
+            else:
+                _emit(item, indent + 2, out)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(" " * indent + "]")
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
+        flat = _flat_dict(obj, indent) if obj else ("{}",)
+        if flat is not None:
+            out.append(flat[0])
             return
-        for key in obj:
-            if not isinstance(key, str):
-                raise ValidationError(f"record keys must be strings, got {key!r}")
-        keys = sorted(obj)
-        text = _flat_dict(obj, keys, indent)
-        if text is not None:
-            out.append(text)
-            return
-        pad = " " * (indent + 2)
         out.append("{\n")
-        for i, key in enumerate(keys):
-            out.append(_head(pad, key))
+        keys, heads = _layout(tuple(obj), indent)
+        for i, (key, head) in enumerate(zip(keys, heads)):
+            out.append(head)
             _emit(obj[key], indent + 2, out)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(" " * indent + "}")
@@ -140,6 +154,36 @@ def canonical_json(obj) -> str:
     _emit(obj, 0, out)
     out.append("\n")
     return "".join(out)
+
+
+def _pieces(rows, columns, comment: str, document: dict | None = None) -> tuple[list, list]:
+    """Pieces of the JSON text of document, its "rows" being rows, and of
+    the CSV text of rows over columns, in one formatting pass over the row
+    cells; nothing is written, so a cell that cannot be serialized leaves no
+    file. The CSV text starts with one '#' comment line for gnuplot."""
+    if "\n" in comment:
+        raise ValidationError("CSV comment must be a single line")
+    csv = (["# " + comment + "\n"] if comment else []) + [",".join(columns) + "\n"]
+    texts = []
+    for row in rows:
+        # a row sits in the list at key "rows" of the top-level object: indent 4
+        flat = _flat_dict(row, 4, columns) if isinstance(row, dict) and row else None
+        if flat is None:
+            general: list = []
+            _emit(row, 4, general)
+            flat = "".join(general), [_cell(row[col]) for col in columns]
+        texts.append(flat[0])
+        csv.append(",".join(flat[1]) + "\n")
+    out: list = []
+    if document is not None:
+        _emit({**document, "rows": _Rendered(texts)}, 0, out)
+        out.append("\n")
+    return out, csv
+
+
+def _write(path, pieces: list) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(pieces)
 
 
 @dataclass(frozen=True)
@@ -157,48 +201,38 @@ class ExperimentRecord:
     version: str = __version__
     rng: str = RNG_NAME
 
+    def pieces(self, columns=(), comment: str = "") -> tuple[list, list]:
+        """Pieces of the JSON text and of the CSV text over columns (_pieces)."""
+        document = {
+            "kind": self.kind,
+            "version": self.version,
+            "rng": self.rng,
+            "seed": self.seed,
+            "config": self.config,
+            "summary": self.summary,
+        }
+        return _pieces(self.rows, columns, comment, document)
+
     def to_json(self) -> str:
-        return canonical_json(
-            {
-                "kind": self.kind,
-                "version": self.version,
-                "rng": self.rng,
-                "seed": self.seed,
-                "config": self.config,
-                "rows": list(self.rows),
-                "summary": self.summary,
-            }
-        )
+        return "".join(self.pieces()[0])
 
     def write(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        _write(path, self.pieces()[0])
 
 
 def _cell(value) -> str:
-    text = _scalar(value)
-    if text is not None:
-        return text
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        if any(ch in value for ch in ',"\n\r'):
-            raise ValidationError(f"CSV cell may not contain commas or newlines: {value!r}")
-        return value
-    raise ValidationError(f"unsupported CSV cell type: {type(value).__name__}")
+    texts = _texts(value)
+    if texts is None:
+        raise ValidationError(f"unsupported CSV cell type: {type(value).__name__}")
+    if texts[1] is None:
+        raise ValidationError(f"CSV cell may not contain commas or newlines: {value!r}")
+    return texts[1]
 
 
 def render_csv(columns: list, rows, comment: str = "") -> str:
     """Header + rows, preceded by one '#' comment line for gnuplot."""
-    lines = []
-    if comment:
-        if "\n" in comment:
-            raise ValidationError("CSV comment must be a single line")
-        lines.append("# " + comment)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join([_cell(row[col]) for col in columns]))
-    return "\n".join(lines) + "\n"
+    return "".join(_pieces(rows, columns, comment)[1])
 
 
 def write_csv(path, columns: list, rows, comment: str = "") -> None:
-    Path(path).write_text(render_csv(columns, rows, comment), encoding="utf-8")
+    _write(path, _pieces(rows, columns, comment)[1])

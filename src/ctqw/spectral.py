@@ -69,7 +69,7 @@ class HermitianOperator:
 def _raise_first(bad, error: type, describe) -> None:
     """Raise error(describe(at)) for the first matrix flagged in bad, at its
     stack index at (() for a single matrix), which the message then names."""
-    if np.any(bad):
+    if bad.any():
         at = tuple(np.argwhere(bad)[0])
         raise error((f"stack index {', '.join(map(str, at))}: " if at else "") + describe(at))
 
@@ -192,8 +192,8 @@ class EigenspacePartition:
     """Eigenvalues clustered into (near-)degenerate groups.
 
     groups holds index tuples into the decomposition ordering; energies holds
-    one representative (mean) energy per group, ascending. gap_report is
-    worked out on first use and kept.
+    one representative (mean) energy per group, ascending. gap_report comes
+    with a partition of two groups or more, worked out with its grouping.
     """
 
     decomposition: SpectralDecomposition
@@ -207,7 +207,7 @@ class EigenspacePartition:
 
     @cached_property
     def gap_report(self) -> "GapReport":
-        """gaps(self): raises GapUndefinedError for fewer than two groups."""
+        """gaps(self), kept: raises GapUndefinedError for fewer than two groups."""
         return gaps(self)
 
     def projector(self, g: int) -> np.ndarray:
@@ -216,9 +216,11 @@ class EigenspacePartition:
         return cols @ cols.conj().T
 
 
-def degeneracy_tol(spectral_range: float) -> float:
-    """1e-8 times the spectral range (absolute floor 1e-12 for flat spectra)."""
-    return max(1e-8 * spectral_range, 1e-12)
+def degeneracy_tol(spectral_range):
+    """1e-8 times the spectral range (absolute floor 1e-12 for flat spectra);
+    elementwise over an array of ranges, one per matrix of a stack."""
+    tol = np.maximum(1e-8 * np.asarray(spectral_range, dtype=np.float64), 1e-12)
+    return tol if tol.ndim else float(tol)
 
 
 def default_degeneracy_tol(dec: SpectralDecomposition) -> float:
@@ -239,30 +241,86 @@ def group_eigenspaces(dec: SpectralDecomposition, tol_degen: float | None = None
         tol_degen = default_degeneracy_tol(dec)
     if tol_degen < 0:
         raise ValidationError(f"tol_degen must be non-negative, got {tol_degen}")
-    e = dec.eigenvalues
-    cuts = np.flatnonzero(np.diff(e) > tol_degen) + 1
-    starts = np.concatenate(([0], cuts))
-    ends = np.concatenate((cuts, [e.shape[0]])) - 1  # last member of each group
-    spread = e[ends] - e[starts]
-    if np.any(spread > tol_degen):
-        i = int(np.argmax(spread > tol_degen))
-        raise AmbiguousDegeneracyError(
-            f"eigenvalue cluster {e[starts[i]]:.12g}..{e[ends[i]]:.12g} has spread "
-            f"{spread[i]:.3g} > tol_degen {tol_degen:.3g} but no internal gap above it"
-        )
-    gap = e[starts[1:]] - e[ends[:-1]]
-    if np.any(gap <= tol_degen):
-        i = int(np.argmax(gap <= tol_degen))
-        raise AmbiguousDegeneracyError(
-            f"adjacent clusters separated by {gap[i]:.3g} <= tol_degen {tol_degen:.3g}"
-        )
-    bounds = list(zip(starts.tolist(), ends.tolist()))
-    return EigenspacePartition(
-        decomposition=dec,
-        groups=tuple(tuple(range(a, b + 1)) for a, b in bounds),
-        energies=np.array([e[a] if a == b else np.mean(e[a : b + 1]) for a, b in bounds], dtype=np.float64),
-        tol_degen=float(tol_degen),
-    )
+    return _partitions([dec], dec.eigenvalues, tol_degen)[0][0]
+
+
+def _group_starts(e: np.ndarray, tol) -> np.ndarray:
+    """Mask of the eigenvalues that begin a group, over ascending eigenvalues
+    e (..., d) with one tolerance per matrix, tol (...). Both invariants of
+    group_eigenspaces are checked per matrix; in a stack the error names the
+    first failing matrix's index."""
+    tol = np.asarray(tol, dtype=np.float64)[..., None]
+    diff = np.diff(e, axis=-1)
+    cut = diff > tol
+    edge = np.ones(e.shape[:-1] + (1,), dtype=bool)
+    starts = np.concatenate([edge, cut], axis=-1)
+    ends = np.concatenate([cut, edge], axis=-1)
+    # first[..., i]: where the group holding eigenvalue i begins
+    first = np.maximum.accumulate(np.where(starts, np.arange(e.shape[-1]), 0), axis=-1)
+    spread = e - np.take_along_axis(e, first, axis=-1)
+    wide = ends & (spread > tol)
+    # the gap from a group's last member to the next group's first is its cut's difference:
+    # the second invariant holds by construction and is checked all the same
+    close = cut & (diff <= tol)
+
+    def describe(at):
+        if wide[at].any():
+            i = int(np.argmax(wide[at]))
+            return (
+                f"eigenvalue cluster {e[at][first[at][i]]:.12g}..{e[at][i]:.12g} has spread "
+                f"{spread[at][i]:.3g} > tol_degen {tol[at][0]:.3g} but no internal gap above it"
+            )
+        return f"adjacent clusters separated by {diff[at][np.argmax(close[at])]:.3g} <= tol_degen {tol[at][0]:.3g}"
+
+    _raise_first(wide.any(axis=-1) | close.any(axis=-1), AmbiguousDegeneracyError, describe)
+    return starts
+
+
+def _segment_sums(x: np.ndarray, lengths) -> np.ndarray:
+    """Sum of each run of the last axis of x, for consecutive runs of the
+    given lengths that tile it: each bitwise the 1-d sum of its run. Runs of
+    one length are summed as the rows of one 2-d block, which keeps the
+    pairwise order of a 1-d sum (a 3-d block need not)."""
+    lengths = np.asarray(lengths)
+    sizes = set(lengths.tolist())
+    if len(sizes) == 1:  # the runs are the rows of x itself
+        return x.reshape(-1, sizes.pop()).sum(axis=-1).reshape(x.shape[:-1] + lengths.shape)
+    starts = np.cumsum(lengths) - lengths
+    out = np.empty(x.shape[:-1] + lengths.shape, dtype=x.dtype)
+    for n in sizes:
+        at = np.flatnonzero(lengths == n)
+        block = x[..., starts[at, None] + np.arange(n)]
+        out[..., at] = block.reshape(-1, n).sum(axis=-1).reshape(x.shape[:-1] + at.shape)
+    return out
+
+
+def _partitions(decs, e: np.ndarray, tol) -> tuple[list[EigenspacePartition], np.ndarray]:
+    """group_eigenspaces of each matrix of the eigenvalues e (..., d) at the
+    tolerances tol (...), in one pass over the stack; decs are the matrices'
+    decompositions in stack order. Each partition with two groups or more
+    comes with its gap report. Also returns the lengths of the groups of all
+    matrices, consecutive runs of the flattened eigenvalues."""
+    d = e.shape[-1]
+    starts = _group_starts(e, tol).reshape(-1, d)
+    at = np.flatnonzero(starts)
+    lengths = np.diff(np.append(at, starts.size))
+    energies = _segment_sums(e.reshape(-1), lengths) / lengths  # each group's mean
+    n_groups = starts.sum(axis=-1)
+    stars, run_lengths = _gap_stars(energies, n_groups).tolist(), lengths.tolist()
+    tols = np.broadcast_to(np.asarray(tol, dtype=np.float64), n_groups.shape).tolist()
+    parts, lo = [], 0
+    for dec, m, t in zip(decs, n_groups.tolist(), tols):
+        groups, first = [], 0
+        for n in run_lengths[lo : lo + m]:
+            groups.append(tuple(range(first, first + n)))
+            first += n
+        part = EigenspacePartition(decomposition=dec, groups=tuple(groups), energies=energies[lo : lo + m], tol_degen=t)
+        if m >= 2:
+            star = stars[lo : lo + m]
+            vars(part)["gap_report"] = GapReport(delta_e_min=min(star), delta_e_star=tuple(star))
+        parts.append(part)
+        lo += m
+    return parts, lengths
 
 
 @dataclass(frozen=True)
@@ -305,7 +363,18 @@ def gaps(partition: EigenspacePartition) -> GapReport:
         raise GapUndefinedError(
             f"gaps undefined: spectrum has {m} eigenspace group(s), need at least 2"
         )
+    star = _gap_stars(energies, [m]).tolist()
+    return GapReport(delta_e_min=min(star), delta_e_star=tuple(star))
+
+
+def _gap_stars(energies: np.ndarray, n_groups) -> np.ndarray:
+    """delta_e_star of every group of consecutive partitions, given their
+    ascending group energies one partition after the other and each one's
+    number of groups; a partition's delta_e_min is the smallest of its own."""
     adjacent = np.diff(energies)
     # energies ascend, so each group's nearest other group is a neighbour
-    star = np.minimum(np.append(np.inf, adjacent), np.append(adjacent, np.inf))
-    return GapReport(delta_e_min=float(np.min(adjacent)), delta_e_star=tuple(float(x) for x in star))
+    left, right = np.append(np.inf, adjacent), np.append(adjacent, np.inf)
+    ends = np.cumsum(n_groups)
+    left[ends[:-1]] = np.inf  # a partition's first group has no neighbour below
+    right[ends - 1] = np.inf  # nor its last one above
+    return np.minimum(left, right)

@@ -143,21 +143,66 @@ def _phase_factors(dist: TimeDistribution, energies: np.ndarray, gaps: np.ndarra
     return g, (np.copysign(sk, s, out=sk) if dist.k % 2 else sk)
 
 
+def _gap_matrix(energies: np.ndarray) -> np.ndarray:
+    """gaps[..., j, k] = E_j - E_k, per matrix of a (..., d) stack of energies."""
+    return energies[..., :, None] - energies[..., None, :]
+
+
 def _phi_matrix(dist: TimeDistribution, energies: np.ndarray, tol_degen, T=None) -> np.ndarray:
     """Matrix Phi[j, k] = characteristic(E_k - E_j), with exact 1 on
     near-degenerate pairs (|E_k - E_j| <= tol_degen); over a stack of
     energies, T may be a (B, 1) and tol_degen a (B, 1, 1) column, one value per matrix."""
-    gaps = energies[..., :, None] - energies[..., None, :]
+    gaps = _gap_matrix(energies)
     g, s = _phase_factors(dist, energies, gaps, T)
     phi = np.conj(g)[..., :, None] * g[..., None, :] * s
     phi[np.abs(gaps) <= tol_degen] = 1.0
     return phi
 
 
-def _check_probability(p: float, what: str) -> float:
-    if not -TOL_PROB <= p <= 1.0 + TOL_PROB:  # NaN fails too
-        raise InconsistencyError(f"{what} = {p:.12g} outside [0,1] beyond tolerance {TOL_PROB:g}")
-    return float(p)
+def _degenerate_pairs(gaps: np.ndarray, tol) -> tuple[tuple, np.ndarray]:
+    """The pairs (j, k) with |E_k - E_j| <= tol of a (d, d) gap matrix, or of
+    each matrix of a (B, d, d) stack with one tol per matrix, j = k included:
+    Phi is 1 there. Returns np.nonzero's index arrays (stack index first) and
+    the number of pairs of each matrix, which the diagonal keeps above 0."""
+    near = np.abs(gaps) <= np.asarray(tol)[..., None, None]
+    return np.nonzero(near), near.reshape(-1, gaps.shape[-1] ** 2).sum(axis=-1)
+
+
+def _exact_averages(dist: TimeDistribution, a: np.ndarray, energies: np.ndarray, gaps: np.ndarray, pairs, T=None) -> np.ndarray:
+    """Exact time average sum_r sum_{jk} a_rj conj(a_rk) Phi(E_k - E_j) of
+    each walk of a stack = sum_r Re(b_r) S Re(b_r) + Im(b_r) S Im(b_r) with
+    b = a conj(g), plus Re a_rj conj(a_rk) (1 - conj(g_j) g_k S_jk) on the
+    degenerate pairs, where Phi is 1. a holds rows * c, (R, d) for one walk
+    or (B, R, d) for a stack, gaps comes from _gap_matrix and pairs from
+    _degenerate_pairs; T is an optional (B, 1) column in place of dist.T.
+    Unchecked. O(R d^2) time per walk; two real d x d buffers per walk."""
+    g, s = _phase_factors(dist, energies, gaps, T)
+    b = a * np.conj(g)[..., None, :]
+    parts = np.concatenate([b.real, b.imag], axis=-2)
+    p = ((parts @ s) * parts).reshape(*parts.shape[:-2], -1).sum(axis=-1)
+    (*at, j, k), lengths = pairs
+    rows = a.swapaxes(0, -2)  # (R, B, d): each pair's Gram entry sums over the rows
+    gram = (rows[(slice(None), *at, j)] * np.conj(rows[(slice(None), *at, k)])).sum(axis=0)
+    weight = np.real(gram * (1.0 - np.conj(g[(*at, j)]) * g[(*at, k)] * s[(*at, j, k)]))
+    return p + spectral._segment_sums(weight, lengths).reshape(p.shape)
+
+
+def _check_probabilities(p, what: str) -> np.ndarray:
+    """p, each entry checked to lie in [0, 1] up to TOL_PROB (NaN fails); in a
+    stack the error names the first failing entry's index."""
+    p = np.asarray(p, dtype=np.float64)
+    outside = ~((p >= -TOL_PROB) & (p <= 1.0 + TOL_PROB))
+    spectral._raise_first(outside, InconsistencyError, lambda at: f"{what} = {p[at]:.12g} outside [0,1] beyond tolerance {TOL_PROB:g}")
+    return p
+
+
+def _group_overlaps(a: np.ndarray, lengths) -> list[float]:
+    """sum_r |sum_{j in g} a_rj|^2 for each group g, the groups given by their
+    lengths as consecutive runs of the columns of a (R, n) = rows * c: the
+    target weight of P_g psi0. Squared as Python floats, which is pow:
+    numpy's array square differs from it in the last bit."""
+    sums = np.abs(spectral._segment_sums(a, lengths)).tolist()
+    return [sum(x**2 for x in col) for col in zip(*sums)]
 
 
 def _decompose_one(h) -> spectral.SpectralDecomposition:
@@ -204,7 +249,7 @@ class SpectralWalk:
     @cached_property
     def _gaps(self) -> np.ndarray:
         """gaps[j, k] = E_j - E_k, built once for every exact average."""
-        return np.subtract.outer(self.energies, self.energies)
+        return _gap_matrix(self.energies)
 
     @cached_property
     def _phase_fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -230,26 +275,19 @@ class SpectralWalk:
         return sigma, a_plus, a_minus, fold[u == 0].sum(axis=0)
 
     @cached_property
-    def _degenerate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(j, k) with |E_k - E_j| <= tol_degen, j = k included: Phi is 1 there."""
-        return np.nonzero(np.abs(self._gaps) <= self.tol_degen)
+    def _degenerate_pairs(self):
+        """_degenerate_pairs of the cached gap matrix at tol_degen."""
+        return _degenerate_pairs(self._gaps, self.tol_degen)
 
     def probability(self, dist: TimeDistribution) -> float:
-        """Exact time average sum_r sum_{jk} a_rj conj(a_rk) Phi(E_k - E_j) =
-        sum_r Re(b_r) S Re(b_r) + Im(b_r) S Im(b_r) with b = a conj(g), plus
-        Re a_rj conj(a_rk) (1 - conj(g_j) g_k S_jk) on the degenerate pairs,
-        where Phi is 1. O(len(rows) dim^2) time; besides the cached gap
-        matrix, two real dim x dim buffers."""
+        """Exact time average at dist (_exact_averages of this one walk), kept
+        per time law. O(len(rows) dim^2) time; besides the cached gap matrix,
+        two real dim x dim buffers."""
         p = self._exact.get(dist)
         if p is None:
-            a = self.rows * self.c  # a[r, j] = <b_r|E_j><E_j|psi0>
-            g, s = _phase_factors(dist, self.energies, self._gaps)
-            b = a * np.conj(g)
-            parts = np.concatenate([b.real, b.imag])
-            j, k = self._degenerate_pairs
-            gram = (a[:, j] * np.conj(a[:, k])).sum(axis=0)
-            p = ((parts @ s) * parts).sum() + np.real(gram * (1.0 - np.conj(g[j]) * g[k] * s[j, k])).sum()
-            p = self._exact[dist] = _check_probability(p, "time-averaged probability")
+            # a[r, j] = <b_r|E_j><E_j|psi0>
+            p = _exact_averages(dist, self.rows * self.c, self.energies, self._gaps, self._degenerate_pairs)
+            p = self._exact[dist] = float(_check_probabilities(p, "time-averaged probability"))
         return p
 
     def probabilities(self, T_grid, k: int) -> np.ndarray:
@@ -300,15 +338,12 @@ class SpectralWalk:
     def overlaps(self) -> tuple[float, ...]:
         """Per eigenspace group g, the target weight of P_g psi0:
         |<y|P_g|psi0>|^2 for a state target."""
-        return tuple(
-            sum(float(np.abs((row[idx] * self.c[idx]).sum()) ** 2) for row in self.rows)
-            for idx in (list(members) for members in self.partition.groups)
-        )
+        return tuple(_group_overlaps(self.rows * self.c, [len(g) for g in self.partition.groups]))
 
     @cached_property
     def limiting_probability(self) -> float:
         """T -> infinity limit of the averaged probability: the summed overlaps."""
-        return _check_probability(sum(self.overlaps), "limiting probability")
+        return float(_check_probabilities(sum(self.overlaps), "limiting probability"))
 
     def sample(
         self, dist: TimeDistribution, rng: np.random.Generator, shots: int
@@ -379,13 +414,48 @@ def spectral_walk(h, psi0: PureState, target) -> SpectralWalk:
     return SpectralWalk(dec.eigenvalues, _rotated(dec, psi0)[0], rows, dec)
 
 
-def _spectral_walks(h, psi0: PureState, y: PureState) -> list[SpectralWalk]:
-    """spectral_walk over a (B, d, d) stack h and (B, d) stacks psi0 and y: one walk per matrix."""
+def _spectral_walks(h, psi0: PureState, y: PureState, dists: list[TimeDistribution]) -> list[SpectralWalk]:
+    """spectral_walk over a (B, d, d) stack h and (B, d) stacks psi0 and y: one
+    walk per matrix, each with what the bounds read off it worked out once
+    over the whole stack and cached on it: the degeneracy tolerance, the
+    partition with its gap report, the overlaps, the limiting probability and
+    the exact averages at (T, 1) and at dists[i] = (T, k). A failed check
+    names its stack index."""
     dec = spectral.decompose(h)
-    if {psi0.amplitudes.shape, y.amplitudes.shape} != {dec.eigenvalues.shape}:
-        raise ValidationError(f"state stacks {psi0.amplitudes.shape}, {y.amplitudes.shape} != {dec.eigenvalues.shape} of the operators")
-    c, a = _rotated(dec, psi0, y)
-    return [SpectralWalk(d.eigenvalues, cb, np.conj(ab)[None, :], d) for d, cb, ab in zip(dec.unstack(), c, a)]
+    e = dec.eigenvalues
+    if {psi0.amplitudes.shape, y.amplitudes.shape} != {e.shape}:
+        raise ValidationError(f"state stacks {psi0.amplitudes.shape}, {y.amplitudes.shape} != {e.shape} of the operators")
+    if len(dists) != e.shape[0]:
+        raise ValidationError(f"{len(dists)} time laws for a stack of {e.shape[0]} operators")
+    c, ya = _rotated(dec, psi0, y)
+    rows = np.conj(ya)[:, None, :]
+    a, gaps, decs = rows * c[:, None, :], _gap_matrix(e), dec.unstack()
+    tol = spectral.degeneracy_tol(e[:, -1] - e[:, 0])
+    parts, lengths = spectral._partitions(decs, e, tol)
+    overlaps = _group_overlaps(a.reshape(1, -1), lengths)
+    T, by_k = np.empty((len(dists), 1)), {}
+    for i, dist in enumerate(dists):
+        T[i] = dist.T
+        by_k.setdefault(dist.k, []).append(i)
+    # every walk at (T, 1), then each other k on the substack of the walks at (T, k)
+    p1 = _exact_averages(TimeDistribution(T=dists[0].T, k=1), a, e, gaps, _degenerate_pairs(gaps, tol), T)
+    pk = p1.copy()
+    for k, at in by_k.items():
+        if k != 1:
+            pk[at] = _exact_averages(dists[at[0]], a[at], e[at], gaps[at], _degenerate_pairs(gaps[at], tol[at]), T[at])
+    walks, limits, lo = [], np.empty(len(dists)), 0
+    for i, (d, part, dist, q1, qk) in enumerate(zip(decs, parts, dists, p1.tolist(), pk.tolist())):
+        w = SpectralWalk(d.eigenvalues, c[i], rows[i], d)
+        ov = tuple(overlaps[lo : lo + part.n_groups])
+        lo += part.n_groups
+        limits[i] = limit = sum(ov)
+        vars(w).update(tol_degen=part.tol_degen, _gaps=gaps[i], partition=part, overlaps=ov, limiting_probability=limit)
+        w._exact.update({TimeDistribution(T=dist.T, k=1): q1, dist: qk})
+        walks.append(w)
+    _check_probabilities(limits, "limiting probability")
+    _check_probabilities(p1, "time-averaged probability")
+    _check_probabilities(pk, "time-averaged probability")
+    return walks
 
 
 def avg_probability_exact(h, psi0: PureState, y: PureState, dist: TimeDistribution) -> float:
@@ -428,7 +498,7 @@ def avg_probability_quadrature(h, psi0: PureState, y: PureState, T: float) -> fl
         return float(np.abs(amp) ** 2)
 
     val, _ = integrate.quad(p_t, 0.0, T, epsabs=1e-9, epsrel=1e-11, limit=2000)
-    return _check_probability(val / T, "quadrature probability")
+    return float(_check_probabilities(val / T, "quadrature probability"))
 
 
 def time_averaged_density(h, rho0: DensityOperator, dist: TimeDistribution) -> DensityOperator:

@@ -239,16 +239,19 @@ def test_residual_bound_builds_phi_once(monkeypatch):
 
 
 def test_bounds_instance_computes_gaps_once(monkeypatch):
-    calls = []
-    gaps = spectral.gaps
-    monkeypatch.setattr(spectral, "gaps", lambda *args, **kwargs: calls.append(args) or gaps(*args, **kwargs))
+    # the stacked gap kernel covers each instance once, and no bound works them out again
+    stacks, per_partition = [], []
+    stars, gaps = spectral._gap_stars, spectral.gaps
+    monkeypatch.setattr(spectral, "_gap_stars", lambda e, n_groups: stacks.append(len(n_groups)) or stars(e, n_groups))
+    monkeypatch.setattr(spectral, "gaps", lambda *args, **kwargs: per_partition.append(args) or gaps(*args, **kwargs))
     kinds = set()
     for idx in range(12):
-        calls.clear()
+        stacks.clear()
         rows = cli._bounds_block((idx, idx + 1, 5, 10, 0.1, 1000.0, (1, 2, 3, 4)))
         kinds.update(row["kind"] for row in rows)
         assert sum(row["kind"] == "eigenspace" for row in rows) == rows[0]["dim"]
-        assert len(calls) == 1
+        assert stacks == [1]
+    assert per_partition == []
     assert kinds == {"mixing", "eigenspace", "subset", "residual", "comparison"}
 
 

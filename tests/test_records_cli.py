@@ -1,9 +1,10 @@
 """Serialization invariants and the in-process CLI contract."""
+import hashlib
 import json
 import os
 import subprocess
 import sys
-from collections import Counter
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,8 @@ def test_canonical_json_flat_row_rejects_nan_and_non_string_key(row):
 def oracle_json(obj, indent: int = 0) -> str:
     """Plain recursive emitter of the canonical format, one value at a time."""
     pad, end = " " * (indent + 2), " " * indent
+    if isinstance(obj, (np.generic, np.ndarray)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         items = [pad + json.dumps(key) + ": " + oracle_json(obj[key], indent + 2) for key in sorted(obj)]
         return "{\n" + ",\n".join(items) + "\n" + end + "}" if items else "{}"
@@ -402,12 +405,111 @@ def test_cli_chain_stem_with_comma_leaves_no_bundle(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+def oracle_cell(value) -> str:
+    """CSV text of one cell, written out plainly."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return value if isinstance(value, str) else records.format_float(value)
+
+
+def two_pass_bundle(kind: str, seed: int, config, rows, summary) -> tuple[str, str]:
+    """The oracle of the one-pass writer: the JSON text of the whole record by
+    canonical_json, checked against the plain emitter, then the CSV text on
+    its own, one cell at a time."""
+    columns, comment = cli.BUNDLES[kind]
+    record = records.ExperimentRecord(kind=kind, config=config, seed=seed, rows=tuple(rows), summary=summary)
+    document = {"kind": kind, "version": record.version, "rng": record.rng, "seed": seed, "config": config}
+    document.update(rows=list(rows), summary=summary)
+    json_text = records.canonical_json(document)
+    assert json_text == oracle_json(document) + "\n"
+    lines = ["# " + comment, ",".join(columns)]
+    lines += [",".join(oracle_cell(row[col]) for col in columns) for row in rows]
+    return json_text, "\n".join(lines) + "\n"
+
+
+MIXED_ROWS = [
+    {
+        "instance": np.int64(0),
+        "dim": 3,
+        "T": np.float64(0.5),
+        "k": 1,
+        "kind": "mixing",
+        "bound_value": None,
+        "actual_value": 0.25,
+        "slack": np.float32(0.125),
+        "holds": np.bool_(True),
+        "note": 'a,b "quoted"',  # no CSV column: JSON only
+    },
+    {
+        "instance": 1,
+        "dim": np.int32(4),
+        "T": 2.0,
+        "k": np.int64(3),
+        "kind": "residual",
+        "bound_value": np.float64(1e-12),
+        "actual_value": None,
+        "slack": -0.0,
+        "holds": False,
+        "nested": {"x": np.arange(2), "y": [None, 1.5]},  # a container: the general path
+    },
+    {"instance": 2, "dim": 2, "T": 1e300, "k": 4, "kind": "subset", "bound_value": -3.0, "actual_value": 1.0, "slack": 4.0, "holds": True},
+]
+
+
 def test_write_bundle_renders_both_files_before_writing_either(tmp_path):
     # the JSON text of this row renders, its CSV cell does not
     rows = [{"family": "a,b", "N": 3}]
     with pytest.raises(ValidationError):
         cli._write_bundle(tmp_path, "search", 1, {}, rows, {}, None, "ok")
     assert not any(tmp_path.iterdir())
+
+
+def test_write_bundle_writes_nothing_when_a_later_row_has_no_text(tmp_path):
+    rows = [MIXED_ROWS[2], {**MIXED_ROWS[2], "slack": float("nan")}]
+    with pytest.raises(ValidationError):
+        cli._write_bundle(tmp_path, "bounds", 1, {}, rows, {}, None, "ok")
+    assert not any(tmp_path.iterdir())
+
+
+def test_write_bundle_equals_the_two_pass_oracle(tmp_path, capsys):
+    config, rows, summary, failure, _ = cli._cmd_bounds({"instances": 50}, 7, 1)
+    assert failure is None
+    for seed, config, rows, summary in [(3, {"mixed": True}, MIXED_ROWS, {"rows": [1, None]}), (7, config, rows, summary)]:
+        assert cli._write_bundle(tmp_path, "bounds", seed, config, rows, summary, None, "ok") == 0
+        json_text, csv_text = two_pass_bundle("bounds", seed, config, rows, summary)
+        assert (tmp_path / "bounds.json").read_text(encoding="utf-8") == json_text
+        assert (tmp_path / "bounds.csv").read_text(encoding="utf-8") == csv_text
+
+
+def test_write_bundle_never_holds_a_joined_text(tmp_path, capsys):
+    # both files' pieces are held until both are rendered, but never the
+    # joined JSON text besides them: that alone would add its 5.3 MB
+    result = cli._cmd_bounds({"instances": 2000}, 7, 1)
+    tracemalloc.start()
+    try:
+        cli._write_bundle(tmp_path, "bounds", 7, *result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = sum(path.stat().st_size for path in tmp_path.iterdir())
+    assert written > 7e6
+    assert peak <= 1.6 * written
+
+
+def test_bounds_bundle_bytes_are_pinned(tmp_path, capsys):
+    # a 40-instance seed-7 bundle: a last-bit move anywhere in the bounds
+    # pipeline changes these digests and has to be declared
+    cfg = write_cfg(tmp_path / "b.json", {"instances": 40, "seed": 7})
+    assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (tmp_path / "out").iterdir()}
+    assert digests == {
+        "bounds.csv": "6c64eee9aeb8327697b803b84950cfdb3d41246687a838b288c0fc15f703da6b",
+        "bounds.json": "d2e477c2b5cd125c6944bd0a218592b5c07e02867e2baf0ddae2eab6a6f3c854",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -724,18 +826,19 @@ def count_calls(monkeypatch, module, names) -> dict:
 
 
 def test_bounds_instance_decomposes_once(monkeypatch):
-    stacks, partitions = [], []  # the list keeps every partition alive, so ids stay distinct
-    decompose, gaps = spectral.decompose, spectral.gaps
+    stacks, gap_stacks, per_partition = [], [], []
+    decompose, stars, gaps = spectral.decompose, spectral._gap_stars, spectral.gaps
     monkeypatch.setattr(spectral, "decompose", lambda h: stacks.append(len(h.entries)) or decompose(h))
-    monkeypatch.setattr(spectral, "gaps", lambda part: partitions.append(part) or gaps(part))
+    monkeypatch.setattr(spectral, "_gap_stars", lambda e, n_groups: gap_stacks.append(len(n_groups)) or stars(e, n_groups))
+    monkeypatch.setattr(spectral, "gaps", lambda part: per_partition.append(part) or gaps(part))
     rows = cli._bounds_block((0, 20, 7, 10, 0.1, 1000.0, (1, 2, 3, 4)))
     assert all(row["holds"] for row in rows)
     # one stacked decomposition per dimension: every instance decomposed once
     assert sum(stacks) == 20
-    # spectral.gaps takes the instance's partition, so the calls count per instance
-    gaps_per_instance = Counter(map(id, partitions))
-    assert len(gaps_per_instance) == 20
-    assert max(gaps_per_instance.values()) <= 2
+    # the gap kernel runs once per decomposed stack and covers each of its
+    # instances once; no instance has its gaps worked out again on its own
+    assert gap_stacks == stacks
+    assert per_partition == []
 
 
 def test_gluedtrees_row_decomposes_the_column_generator_once(monkeypatch):

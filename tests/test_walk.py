@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from ctqw import gluedtrees, markov, search, spectral, walk
-from ctqw.errors import DegenerateProbabilityError, InconsistencyError, ValidationError
+from ctqw.errors import (
+    AmbiguousDegeneracyError,
+    DegenerateProbabilityError,
+    GapUndefinedError,
+    InconsistencyError,
+    ValidationError,
+)
 from ctqw.rng import rng_stream
 from ctqw.walk import TimeDistribution
 
@@ -436,13 +442,63 @@ def test_spectral_walk_refuses_stacks_and_the_stacked_form_checks_shapes():
         walk.spectral_walk(h[0], states, walk.basis_state(4, 0))
     with pytest.raises(ValidationError, match="expected a square matrix"):
         walk.spectral_walk(h, states, states)
+    dists = [TimeDistribution(T=2.0, k=2)] * 3
     with pytest.raises(ValidationError, match=r"state stacks \(3, 4\), \(2, 4\) != \(3, 4\)"):
-        walk._spectral_walks(h, states, walk.PureState(states.amplitudes[:2]))
-    walks = walk._spectral_walks(h, states, states)
+        walk._spectral_walks(h, states, walk.PureState(states.amplitudes[:2]), dists)
+    with pytest.raises(ValidationError, match="2 time laws for a stack of 3 operators"):
+        walk._spectral_walks(h, states, states, dists[:2])
+    walks = walk._spectral_walks(h, states, states, dists)
     for w, hb, psi in zip(walks, h, states.amplitudes, strict=True):
         one = walk.spectral_walk(hb, walk.PureState(psi), walk.PureState(psi))
         assert np.array_equal(w.energies, one.energies)
         assert np.array_equal(w.c, one.c) and np.array_equal(w.rows, one.rows)
+
+
+def tied_hermitian(rng, dim: int) -> np.ndarray:
+    """Q diag(E) Q^dagger with a random unitary Q and exactly repeated E: its
+    eigh eigenvalues are near-ties that group together."""
+    levels = rng.uniform(-2.0, 2.0, max(2, (dim + 1) // 2))
+    energies = np.sort(np.concatenate([levels, rng.choice(levels, dim - levels.shape[0])]))
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return (q * energies) @ q.conj().T
+
+
+def test_stacked_walks_equal_single_walks_bitwise():
+    for dim in range(2, 11):
+        rng = rng_stream(29, dim)
+        # repeated eigenvalues first, then distinct ones, then one group only; one k of 1..4 per instance
+        h = np.stack([tied_hermitian(rng, dim) for _ in range(4)] + [random_hermitian(rng, dim) for _ in range(4)] + [0.3 * np.eye(dim)])
+        psi0 = np.stack([random_state(rng, dim).amplitudes for _ in h])
+        y = np.stack([random_state(rng, dim).amplitudes for _ in h])
+        dists = [TimeDistribution(T=float(np.exp(rng.uniform(-2.0, 7.0))), k=1 + i % 4) for i in range(len(h))]
+        walks = walk._spectral_walks(h, walk.PureState(psi0), walk.PureState(y), dists)
+        for i, (w, dist) in enumerate(zip(walks, dists, strict=True)):
+            one = walk.spectral_walk(h[i], walk.PureState(psi0[i]), walk.PureState(y[i]))
+            assert w.tol_degen == one.tol_degen
+            assert w.partition.groups == one.partition.groups
+            assert np.array_equal(w.partition.energies, one.partition.energies)
+            if one.partition.n_groups > 1:
+                assert w.gap_report == one.gap_report
+            else:
+                for either in (w, one):
+                    with pytest.raises(GapUndefinedError):
+                        either.gap_report
+            assert w.overlaps == one.overlaps
+            assert w.limiting_probability == one.limiting_probability
+            for law in (TimeDistribution(T=dist.T, k=1), dist):
+                assert w.probability(law) == one.probability(law), (dim, i, law)
+        assert dim == 2 or max(len(g) for w in walks[:4] for g in w.partition.groups) >= 2
+
+
+def test_stacked_walks_name_the_ambiguous_matrix():
+    # a chain of near-ties 0.6 tol apart, 1.2 tol wide (tol = 1e-8 * 10)
+    h = np.stack([np.diag([0.0, 1.0, 2.0, 3.0]), np.diag([0.0, 6e-8, 1.2e-7, 10.0])]).astype(complex)
+    states = walk.PureState(np.full((2, 4), 0.5, dtype=complex))
+    dists = [TimeDistribution(T=1.0, k=1)] * 2
+    with pytest.raises(AmbiguousDegeneracyError, match="^stack index 1: eigenvalue cluster 0..1.2e-07 has spread"):
+        walk._spectral_walks(h, states, states, dists)
+    with pytest.raises(AmbiguousDegeneracyError, match="^eigenvalue cluster 0..1.2e-07 has spread"):
+        walk.spectral_walk(h[1], walk.PureState(states.amplitudes[1]), walk.basis_state(4, 0)).partition
 
 
 def test_spectral_walk_evaluates_each_time_law_once(monkeypatch):
