@@ -14,17 +14,19 @@ exact averaged probability at one time law:
 
 dephased_reference builds the reference state whose distance to the true
 time-averaged state drives subset_bound; residual_bound is that distance cap.
+certify_stack certifies every bound of a walk.WalkStack at once, as arrays;
+the per-walk functions are the one-instance case of the same formulas.
 Negative bound values are reported as-is (vacuously true), never clamped.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import walk
-from .errors import ValidationError
+from . import spectral, walk
+from .errors import GapUndefinedError, ValidationError
 from .spectral import EigenspacePartition
 from .walk import DensityOperator, SpectralWalk, TimeDistribution
 
@@ -40,14 +42,17 @@ __all__ = [
     "residual_bound",
     "dephased_reference",
     "bound_comparison",
+    "certify_stack",
 ]
 
 #: a bound "holds" when actual - bound >= -SLACK_TOL
 SLACK_TOL = 1e-9
+#: walks times d^2 per chunk of a stacked residual: bounds its (2, walks, d, d) temporaries
+RESIDUAL_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class BoundReport:
+# reports are named tuples: a frozen dataclass costs about three times the import-time memory
+class BoundReport(NamedTuple):
     """One certified inequality: bound_value <= actual_value (up to SLACK_TOL)."""
 
     bound_value: float
@@ -58,19 +63,29 @@ class BoundReport:
 
     @staticmethod
     def build(bound: float, actual: float, inputs: dict) -> "BoundReport":
-        slack = actual - bound
-        return BoundReport(
-            bound_value=float(bound),
-            actual_value=float(actual),
-            slack=float(slack),
-            holds=bool(slack >= -SLACK_TOL),
-            inputs=inputs,
-        )
+        bound, actual, slack, holds = _certified(bound, actual)
+        return BoundReport(float(bound), float(actual), float(slack), bool(holds), inputs)
+
+
+def _certified(bound, actual) -> tuple:
+    """(bound, actual, slack, holds) of floats or arrays."""
+    slack = actual - bound
+    return bound, actual, slack, slack >= -SLACK_TOL
 
 
 def _certify(w: SpectralWalk, dist: TimeDistribution, floor: tuple[float, dict]) -> BoundReport:
     bound, inputs = floor
     return BoundReport.build(bound, w.probability(dist), inputs)
+
+
+def _mixing(p_inf, T, delta_e_min):
+    """limiting probability - 2/(T * delta_e_min), of floats or arrays."""
+    return p_inf - 2.0 / (T * delta_e_min)
+
+
+def _eigenspace(overlap, T, star):
+    """overlap * (1 - 4/(T * delta_e_star)), of floats or arrays."""
+    return overlap * (1.0 - 4.0 / (T * star))
 
 
 def mixing_floor(w: SpectralWalk, T: float) -> tuple[float, dict]:
@@ -79,8 +94,7 @@ def mixing_floor(w: SpectralWalk, T: float) -> tuple[float, dict]:
         raise ValidationError(f"T must be positive, got {T}")
     report = w.gap_report
     p_inf = w.limiting_probability
-    bound = p_inf - 2.0 / (T * report.delta_e_min)
-    return bound, {
+    return _mixing(p_inf, T, report.delta_e_min), {
         "kind": "mixing",
         "T": T,
         "limiting_probability": p_inf,
@@ -103,8 +117,7 @@ def eigenspace_floor(w: SpectralWalk, T: float, group: int) -> tuple[float, dict
         raise ValidationError(f"group {group} outside 0..{n_groups - 1}")
     overlap = w.overlaps[group]
     star = report.delta_e_star[group]
-    bound = overlap * (1.0 - 4.0 / (T * star))
-    return bound, {
+    return _eigenspace(overlap, T, star), {
         "kind": "eigenspace",
         "T": T,
         "group": group,
@@ -118,22 +131,25 @@ def eigenspace_bound(w: SpectralWalk, T: float, group: int) -> BoundReport:
     return _certify(w, TimeDistribution(T=T, k=1), eigenspace_floor(w, T, group))
 
 
-def _error_term(dist: TimeDistribution, delta_e_s: float) -> float:
-    """sqrt(3) * (2/(T * delta_e_s))^k; past the float range no record can hold it: bad input."""
+def _error_term(T: float, k: int, delta_e_s: float, at=None) -> float:
+    """sqrt(3) * (2/(T * delta_e_s))^k; past the float range no record can
+    hold it: bad input, naming the stack index at, if given."""
     try:
-        err = math.sqrt(3.0) * (2.0 / (dist.T * delta_e_s)) ** dist.k
+        err = math.sqrt(3.0) * (2.0 / (T * delta_e_s)) ** k
     except (OverflowError, ZeroDivisionError):
         err = math.inf
     if math.isinf(err):
-        raise ValidationError(f"error term sqrt(3)*(2/(T*delta_e_s))^k overflows at T = {dist.T!r}, k = {dist.k}, delta_e_s = {delta_e_s!r}")
+        where = "" if at is None else f"stack index {at}: "
+        raise ValidationError(f"{where}error term sqrt(3)*(2/(T*delta_e_s))^k overflows at T = {T!r}, k = {k}, delta_e_s = {delta_e_s!r}")
     return err
 
 
 def subset_floor(w: SpectralWalk, dist: TimeDistribution, subset) -> tuple[float, dict]:
     """sum_{g in S} |<y|P_g|psi0>|^2 - sqrt(3) * (2/(T * delta_e_s))^k, with its inputs."""
     s, delta_e_s = w.gap_report.subset_gap(subset)
+    # summed left to right, as the stacked cumsum of certify_stack
     overlap = sum(w.overlaps[g] for g in s)
-    err = _error_term(dist, delta_e_s)
+    err = _error_term(dist.T, dist.k, delta_e_s)
     return overlap - err, {
         "kind": "subset",
         "T": dist.T,
@@ -151,24 +167,32 @@ def subset_bound(w: SpectralWalk, dist: TimeDistribution, subset) -> BoundReport
     return _certify(w, dist, subset_floor(w, dist, subset))
 
 
-def _dephased_weight(partitions, subsets, phi: np.ndarray) -> np.ndarray:
-    """Eigenbasis weights of the dephased reference, one per matrix of the phi
-    stack: 1 on same-group pairs, phi on pairs with both ends outside the
-    subset, 0 elsewhere."""
-    group_of, out = [], []
-    for partition, subset in zip(partitions, subsets):
-        m = partition.n_groups
-        s = set(int(i) for i in subset)
-        for i in s:
-            if not 0 <= i < m:
-                raise ValidationError(f"subset index {i} outside group range 0..{m - 1}")
-        # groups are consecutive runs of the ascending eigenvalues
-        group_of.append([g for g, members in enumerate(partition.groups) for _ in members])
-        out.append([g not in s for g in group_of[-1]])
-    group_of, out = np.array(group_of), np.array(out)
-    same_group = group_of[:, :, None] == group_of[:, None, :]
-    both_out = out[:, :, None] & out[:, None, :]
-    return np.where(both_out, phi, same_group)
+def _subset_mask(subsets, n_groups: np.ndarray) -> np.ndarray:
+    """The subsets of a stack's walks as a (B, max groups) mask, each index checked."""
+    walk_of = np.repeat(np.arange(len(subsets)), [len(subset) for subset in subsets])
+    index = np.array([int(i) for subset in subsets for i in subset], dtype=np.int64)
+    bad = np.flatnonzero((index < 0) | (index >= n_groups[walk_of]))
+    if bad.size:
+        at = walk_of[bad[0]]
+        raise ValidationError(f"stack index {at}: subset index {index[bad[0]]} outside group range 0..{n_groups[at] - 1}")
+    member = np.zeros((len(subsets), int(n_groups.max())), dtype=bool)
+    member[walk_of, index] = True
+    return member
+
+
+def _dephased_weight(phi: np.ndarray, group_of: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Eigenbasis weights of the dephased reference: 1 on same-group pairs,
+    phi on pairs with both ends outside the subset, 0 elsewhere."""
+    outside = ~np.take_along_axis(member, group_of, axis=-1)
+    same_group = group_of[..., :, None] == group_of[..., None, :]
+    return np.where(outside[..., :, None] & outside[..., None, :], phi, same_group)
+
+
+def _reference_inputs(partition: EigenspacePartition, subset, dist: TimeDistribution) -> tuple[np.ndarray, ...]:
+    """(phi, each eigenvalue's group, (1, n_groups) subset mask) of a partition."""
+    phi = walk._phi_matrix(dist, partition.decomposition.eigenvalues, partition.tol_degen)
+    group_of = np.repeat(np.arange(partition.n_groups), [len(g) for g in partition.groups])
+    return phi, group_of, _subset_mask([subset], np.array([partition.n_groups]))
 
 
 def dephased_reference(partition: EigenspacePartition, rho0: DensityOperator, subset, dist: TimeDistribution) -> DensityOperator:
@@ -176,9 +200,18 @@ def dephased_reference(partition: EigenspacePartition, rho0: DensityOperator, su
     between S and its complement drop everything, outside S keep the fully
     damped block (characteristic function applied per gap)."""
     v = partition.decomposition.eigenvectors
-    phi = walk._phi_matrix(dist, partition.decomposition.eigenvalues, partition.tol_degen)
-    weight = _dephased_weight([partition], [subset], phi)[0]
-    return walk._weighted_density(v, walk._eigenbasis(v, rho0), weight)
+    phi, group_of, member = _reference_inputs(partition, subset, dist)
+    return walk._weighted_density(v, walk._eigenbasis(v, rho0), _dephased_weight(phi, group_of, member[0]))
+
+
+def _residual_distances(v: np.ndarray, rho0: DensityOperator, phi: np.ndarray, group_of: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Frobenius distance of the time-averaged state (eigenbasis weights phi)
+    to the dephased reference, per matrix of a stack; one rotation of rho0 serves both."""
+    # both states in one (2, B, d, d) stack: the time average, then the reference
+    weights = np.stack([phi, _dephased_weight(phi, group_of, member)])
+    avg, ref = walk._weighted_density(v, walk._eigenbasis(v, rho0), weights).entries
+    # one norm per matrix: the stacked axis= form differs in the last bit
+    return np.array([np.linalg.norm(diff) for diff in avg - ref])
 
 
 def residual_bound(partition: EigenspacePartition, rho0: DensityOperator, subset, dist: TimeDistribution) -> BoundReport:
@@ -187,37 +220,16 @@ def residual_bound(partition: EigenspacePartition, rho0: DensityOperator, subset
 
     Reported with bound/actual roles flipped into BoundReport form:
     holds <=> distance <= cap (slack = cap - distance >= -SLACK_TOL).
-    rho0 is rotated into the eigenbasis once for both states.
     """
-    return _residual_stack([partition], DensityOperator(rho0.entries[None]), [subset], [dist])[0]
+    s, delta_e_s = partition.gap_report.subset_gap(subset)
+    phi, group_of, member = _reference_inputs(partition, s, dist)
+    v = partition.decomposition.eigenvectors
+    distance = _residual_distances(v[None], DensityOperator(rho0.entries[None]), phi[None], group_of[None], member).item()
+    inputs = {"kind": "residual", "T": dist.T, "k": dist.k, "subset": list(s), "delta_e_s": float(delta_e_s)}
+    return BoundReport.build(distance, _error_term(dist.T, dist.k, delta_e_s), inputs)
 
 
-def _residual_stack(partitions, rho0: DensityOperator, subsets, dists) -> list[BoundReport]:
-    """residual_bound of B instances at one k, with a (B, d, d) rho0 stack and
-    B partitions, subsets and time laws: each kernel runs once over the stack."""
-    if len({d.k for d in dists}) != 1:
-        raise ValidationError(f"a residual stack needs one k, got {sorted({d.k for d in dists})}")
-    gaps = [p.gap_report.subset_gap(s) for p, s in zip(partitions, subsets)]
-    v = np.stack([p.decomposition.eigenvectors for p in partitions])
-    energies = np.stack([p.decomposition.eigenvalues for p in partitions])
-    T, tol = np.array([[d.T] for d in dists]), np.array([[[p.tol_degen]] for p in partitions])
-    phi = walk._phi_matrix(dists[0], energies, tol, T)
-    # both states in one (2, B, d, d) stack: the time average, then the reference
-    weights = np.stack([phi, _dephased_weight(partitions, [s for s, _ in gaps], phi)])
-    avg, ref = walk._weighted_density(v, walk._eigenbasis(v, rho0), weights).entries
-    reports = []
-    for diff, d, (s, delta_e_s) in zip(avg - ref, dists, gaps):
-        # one norm per matrix: the stacked axis= form differs in the last bit
-        distance = float(np.linalg.norm(diff))
-        cap = _error_term(d, delta_e_s)
-        slack = cap - distance
-        inputs = {"kind": "residual", "T": d.T, "k": d.k, "subset": list(s), "delta_e_s": float(delta_e_s)}
-        reports.append(BoundReport(float(distance), float(cap), float(slack), bool(slack >= -SLACK_TOL), inputs))
-    return reports
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Trade-off between the single-eigenspace and full-mixing bounds.
 
     condition_holds: averaged probability at T exceeds
@@ -247,31 +259,97 @@ class ComparisonReport:
     eigenspace_bound_better: bool
 
 
+def _comparison(T, p_avg, p_inf, star, dmin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(condition, tau_selective, tau_mixing_scale) over arrays; a tau is infinite past a nonpositive probability."""
+    ratio = star / dmin
+    inf = np.full(np.shape(p_avg), math.inf)
+    tau_sel = np.divide(T, p_avg, out=inf.copy(), where=p_avg > 0)
+    tau_mix = np.divide(ratio * T, p_inf, out=inf, where=p_inf > 0)
+    return p_avg > ratio * p_inf, tau_sel, tau_mix
+
+
 def bound_comparison(w: SpectralWalk, T: float, group: int) -> ComparisonReport:
     """Evaluate the selectivity trade-off at time T for one eigenspace."""
+    b2, _ = eigenspace_floor(w, T, group)
+    b1, _ = mixing_floor(w, T)
     report = w.gap_report
     star = report.delta_e_star[group]
     dmin = report.delta_e_min
     p_inf = w.limiting_probability
     p_avg = w.probability(TimeDistribution(T=T, k=1))
-    condition = p_avg > (star / dmin) * p_inf
-    tau_sel = T / p_avg if p_avg > 0 else math.inf
-    tau_mix = (star / dmin) * T / p_inf if p_inf > 0 else math.inf
+    condition, tau_sel, tau_mix = (x.item() for x in _comparison(np.array([T]), np.array([p_avg]), np.array([p_inf]), star, dmin))
     beats = tau_sel < tau_mix
-    b2, _ = eigenspace_floor(w, T, group)
-    b1, _ = mixing_floor(w, T)
     return ComparisonReport(
         T=float(T),
         avg_probability=p_avg,
         limiting_probability=p_inf,
         delta_e_star=star,
         delta_e_min=dmin,
-        condition_holds=bool(condition),
-        tau_selective=float(tau_sel),
-        tau_mixing_scale=float(tau_mix),
-        selective_beats_mixing=bool(beats),
-        implication_ok=bool(beats or not condition),
+        condition_holds=condition,
+        tau_selective=tau_sel,
+        tau_mixing_scale=tau_mix,
+        selective_beats_mixing=beats,
+        implication_ok=beats or not condition,
         eigenspace_bound_value=b2,
         mixing_bound_value=b1,
         eigenspace_bound_better=bool(b2 > b1),
     )
+
+
+@np.errstate(over="ignore", divide="ignore")  # as the per-walk float arithmetic: an overflow is inf, silently
+def certify_stack(stack: walk.WalkStack, subsets, groups, rho0: DensityOperator) -> dict:
+    """Every bound of every walk of a stack at its own time law, as a table
+    of columns bitwise equal to the per-walk functions; a failed check names
+    its stack index.
+
+    subsets[i] and groups[i] are walk i's subset and comparison group, rho0
+    the (B, d, d) start states. The table holds the reports of each walk in
+    turn: mixing, eigenspace of each group, subset, residual, comparison,
+    each with its walk, T, k, kind, bound_value, actual_value, slack and
+    holds. The residual reports the distance, then its cap; the comparison
+    tau_mixing_scale, then tau_selective, with slack 0 if the implication
+    holds, else -1.
+    """
+    n, T, k = stack.n_groups, stack.T, stack.k
+    spectral._raise_first(n < 2, GapUndefinedError, lambda at: f"gaps undefined: spectrum has {n[at]} eigenspace group(s), need at least 2")
+    groups = np.asarray(groups, dtype=np.int64)
+    spectral._raise_first((groups < 0) | (groups >= n), ValidationError, lambda at: f"group {groups[at]} outside 0..{n[at] - 1}")
+    member = _subset_mask(subsets, n)
+    spectral._raise_first(~member.any(axis=1), ValidationError, lambda at: "subset must be non-empty")
+    p1, pk = stack.averages
+    star, lo = stack.delta_e_star, np.cumsum(n) - n
+    dmin = np.minimum.reduceat(star, lo)
+    delta_e_s = np.where(member, walk._padded(star, n, np.inf), np.inf).min(axis=1)
+    # summed left to right, as the per-walk Python sum: a 0.0 outside the subset changes nothing
+    overlap_s = np.where(member, walk._padded(stack.overlaps, n, 0.0), 0.0).cumsum(axis=1)[:, -1]
+    # the power in Python: numpy's power differs from it in the last bit
+    err = np.array([_error_term(*law, at=at) for at, law in enumerate(zip(T.tolist(), k.tolist(), delta_e_s.tolist()))])
+    # the residual a chunk of walks at a time, each eigenvalue's group from the group starts
+    group_of, (g, s), v = np.cumsum(stack.group_starts, axis=1) - 1, stack.factors, stack.decomposition.eigenvectors
+    distance, step = np.empty(n.shape), max(1, RESIDUAL_CHUNK // v.shape[-1] ** 2)
+    for start in range(0, n.shape[0], step):
+        at = slice(start, start + step)
+        phi = walk._phi(g[at], s[at], stack.near[at])
+        distance[at] = _residual_distances(v[at], DensityOperator(rho0.entries[at]), phi, group_of[at], member[at])
+    condition, tau_sel, tau_mix = _comparison(T, p1, stack.limiting_probability, star[lo + groups], dmin)
+    ok = (tau_sel < tau_mix) | ~condition
+    found = {
+        "mixing": _certified(_mixing(stack.limiting_probability, T, dmin), p1),
+        "eigenspace": _certified(_eigenspace(stack.overlaps, np.repeat(T, n), star), np.repeat(p1, n)),
+        "subset": _certified(overlap_s - err, pk),
+        "residual": _certified(distance, err),
+        "comparison": (tau_mix, tau_sel, np.where(ok, 0.0, -1.0), ok),
+    }
+    # each walk's reports in turn, at these rows of the table
+    first, size = np.cumsum(n + 4) - (n + 4), int(np.sum(n + 4))
+    at = {"mixing": first, "eigenspace": np.arange(star.shape[0]) + np.repeat(first + 1 - lo, n)}
+    at.update(subset=first + n + 1, residual=first + n + 2, comparison=first + n + 3)
+    table = {"walk": np.repeat(np.arange(n.shape[0]), n + 4), "T": np.repeat(T, n + 4), "k": np.ones(size, dtype=np.int64)}
+    table.update(kind=np.empty(size, dtype=object), bound_value=np.empty(size), actual_value=np.empty(size))
+    table.update(slack=np.empty(size), holds=np.empty(size, dtype=bool))
+    for kind, reports in found.items():
+        table["kind"][at[kind]] = kind
+        for key, values in zip(("bound_value", "actual_value", "slack", "holds"), reports):
+            table[key][at[kind]] = values
+    table["k"][at["subset"]] = table["k"][at["residual"]] = k
+    return table

@@ -10,8 +10,8 @@ directory:
 The CTQW_OUT environment variable overrides --out, which overrides the
 config's "out" field, which falls back to the working directory. Exit
 codes: 0 every assertion holds, 2 an assertion failed (output files are
-still written), 3 bad configuration or input, 4 internal numerical
-inconsistency.
+still written), 3 bad configuration or input (a config the memory cannot
+hold included), 4 internal numerical inconsistency.
 """
 from __future__ import annotations
 
@@ -22,6 +22,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +66,9 @@ BOUNDS_COLUMNS = [
 #: bounds instances per task: inside a block each numpy kernel runs once per
 #: stack of same-dimension instances, and no more than this many are held at once
 BOUNDS_BLOCK = 128
+#: largest bounds dim_max: a block of 128 instances, all of dimension 128, peaks
+#: at about 335 MB of RSS, which grows as dim^2
+BOUNDS_DIM_MAX = 128
 
 #: kind -> (CSV columns, CSV comment line) of the bundle the subcommand writes
 BUNDLES = {
@@ -131,12 +136,14 @@ def _reject_repeats(key: str, values: list) -> None:
             raise ConfigError(f"config field '{key}' repeats {value!r}")
 
 
-def _as_int(cfg: dict, key: str, default=None, minimum=None):
+def _as_int(cfg: dict, key: str, default=None, minimum=None, maximum=None):
     value = cfg.get(key, default)
     if not _is_int(value):
         raise ConfigError(f"config field '{key}' must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"config field '{key}' must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"config field '{key}' must be <= {maximum}, got {value}")
     return value
 
 
@@ -165,11 +172,6 @@ def _write_bundle(out: Path, kind: str, seed: int, config, rows, summary, failur
         return 2
     print(f"{kind}: {success}")
     return 0
-
-
-def _finite_or_none(value: float):
-    value = float(value)
-    return value if math.isfinite(value) else None
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +389,7 @@ def _cmd_search(cfg: dict, seed: int, jobs: int) -> tuple:
 def _bounds_stack(dim: int, streams: list, t_lo: float, t_hi: float, k_values: tuple, rows: dict) -> None:
     """Draw, decompose and certify the instances of one dimension, given as
     (idx, stream) pairs, into rows[idx]; each numpy kernel runs once per stack,
-    and only the draws and the reports are made per instance."""
+    and only the draws are made per instance."""
     n, sq = len(streams), dim * dim
     draws, dists = np.empty((n, 2 * sq + 4 * dim)), []
     for pos, (idx, rng) in enumerate(streams):
@@ -402,40 +404,28 @@ def _bounds_stack(dim: int, streams: list, t_lo: float, t_hi: float, k_values: t
     states /= np.array([[np.linalg.norm(v) for v in stack] for stack in states])[..., None]
     h = spectral.hermitian((a + a.conj().swapaxes(-1, -2)) / 2.0)
     psi0, y = walk.pure_state(states[0]), walk.pure_state(states[1])
-    walks = walk._spectral_walks(h, psi0, y, dists)
+    stack = walk.spectral_walks(h, psi0, y, dists)
     rho0 = walk.density_operator(psi0.amplitudes[:, :, None] * psi0.amplitudes.conj()[:, None, :])
-    reports, residuals = [], {}  # residuals: k -> [(stack position, partition, subset, dist)]
-    for pos, ((idx, rng), w, dist) in enumerate(zip(streams, walks, dists)):
-        part, T, k = w.partition, dist.T, dist.k
-        found = [("mixing", 1, bounds.mixing_bound(w, T))]
-        found += [("eigenspace", 1, bounds.eigenspace_bound(w, T, g)) for g in range(part.n_groups)]
-        size = int(rng.integers(1, part.n_groups + 1))
-        subset = sorted(int(i) for i in rng.choice(part.n_groups, size=size, replace=False))
-        found.append(("subset", k, bounds.subset_bound(w, dist, subset)))
-        residuals.setdefault(k, []).append((pos, part, subset, dist))
-        reports.append((found, bounds.bound_comparison(w, T, int(rng.integers(0, part.n_groups)))))
-    for k, stack in residuals.items():
-        at, partitions, subsets, laws = zip(*stack)
-        for p, r in zip(at, bounds._residual_stack(partitions, walk.DensityOperator(rho0.entries[list(at)]), subsets, laws)):
-            reports[p][0].append(("residual", k, r))
-    for (idx, _), T, (found, comp) in zip(streams, (d.T for d in dists), reports):
-        ok = comp.implication_ok
-        values = [(kind, k_used, r.bound_value, r.actual_value, r.slack, r.holds) for kind, k_used, r in found]
-        values.append(("comparison", 1, comp.tau_mixing_scale, comp.tau_selective, 0.0 if ok else -1.0, ok))
-        rows[idx] = [
-            {
-                "instance": idx,
-                "dim": dim,
-                "T": T,
-                "k": k_used,
-                "kind": kind,
-                "bound_value": _finite_or_none(bound_value),
-                "actual_value": _finite_or_none(actual_value),
-                "slack": float(slack),
-                "holds": bool(holds),
-            }
-            for kind, k_used, bound_value, actual_value, slack, holds in values
-        ]
+    subsets, groups = [], []
+    for (_, rng), m in zip(streams, stack.n_groups.tolist()):
+        # per stream: the subset's size, its groups, then the comparison's group
+        subsets.append(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+        groups.append(int(rng.integers(0, m)))
+    table = bounds.certify_stack(stack, subsets, groups, rho0)
+    for idx, run in groupby(_bounds_rows(dim, [idx for idx, _ in streams], table), itemgetter("instance")):
+        rows[idx] = list(run)
+
+
+def _bounds_rows(dim: int, instances: list, table: dict) -> list:
+    """The rows of a table of bounds.certify_stack, in its order."""
+    # a non-finite bound or actual value is written as null; a non-finite slack is refused by the record
+    columns = [np.asarray(instances)[table["walk"]], table["T"], table["bound_value"], table["actual_value"]]
+    idx, T, bound, actual = map(records._cells, columns)
+    cells = zip(idx, T, table["k"].tolist(), table["kind"].tolist(), bound, actual, table["slack"].tolist(), table["holds"].tolist())
+    return [
+        {"instance": i, "dim": dim, "T": t, "k": k, "kind": kind, "bound_value": b, "actual_value": a, "slack": slack, "holds": ok}
+        for i, t, k, kind, b, a, slack, ok in cells
+    ]
 
 
 def _bounds_block(task: tuple) -> list:
@@ -454,7 +444,7 @@ def _bounds_block(task: tuple) -> list:
 
 def _cmd_bounds(cfg: dict, seed: int, jobs: int) -> tuple:
     instances = _as_int(cfg, "instances", default=200, minimum=1)
-    dim_max = _as_int(cfg, "dim_max", default=10, minimum=2)
+    dim_max = _as_int(cfg, "dim_max", default=10, minimum=2, maximum=BOUNDS_DIM_MAX)
     t_range = cfg.get("t_range", [0.1, 1000.0])
     if (
         not isinstance(t_range, list)
@@ -565,6 +555,9 @@ def main(argv=None) -> int:
     except CtqwError as exc:  # InconsistencyError and every other internal failure
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # a config too large for the machine is bad input
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

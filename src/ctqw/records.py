@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,36 +81,68 @@ def _texts(value) -> tuple[str, str | None] | None:
 
 
 @lru_cache(maxsize=256)
-def _layout(keys: tuple, indent: int) -> tuple[tuple, tuple]:
-    """The sorted keys of a dict with these keys, and each one's line head
-    at indent, worked out once per key set: every row of a bundle shares one."""
+def _layout(keys: tuple, indent: int) -> tuple[tuple, tuple, str]:
+    """The sorted keys of a dict with these keys, each one's line head at
+    indent, and the %-template of the dict's text with one %s per value in
+    key order, worked out once per key set: every row of a bundle shares one."""
     for key in keys:
         if not isinstance(key, str):
             raise ValidationError(f"record keys must be strings, got {key!r}")
     ordered = tuple(sorted(keys))
     pad = " " * (indent + 2)
-    return ordered, tuple(pad + json.dumps(key) + ": " for key in ordered)
+    heads = tuple(pad + json.dumps(key) + ": " for key in ordered)
+    return ordered, heads, "{\n" + ",\n".join(head.replace("%", "%%") + "%s" for head in heads) + "\n" + " " * indent + "}"
 
 
-def _flat_dict(obj: dict, indent: int, columns=()) -> tuple[str, list] | None:
-    """Text of a non-empty dict whose values are all scalars, None or str,
-    emitted in one piece with the same bytes as the general path, and the CSV
-    cells of columns, each value formatted once for both; None if a value is
-    a container."""
-    items, cells = [], {}
-    for key, head in zip(*_layout(tuple(obj), indent)):
-        texts = _texts(obj[key])
-        if texts is None:
-            return None
-        items.append(head + texts[0])
-        cells[key] = texts[1]
-    # a missing column raises KeyError, a breaking str raises in _cell
-    line = [cells[col] if cells[col] is not None else _cell(obj[col]) for col in columns]
-    return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}", line
+def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of bitwise-equal neighbours of a 1-d 8-byte array."""
+    bits = x.view(np.int64)
+    starts = np.flatnonzero(np.append(True, bits[1:] != bits[:-1]))
+    return starts, np.diff(np.append(starts, x.shape[0]))
+
+
+def _cells(values: np.ndarray) -> list:
+    """Record cells of a float64 or int64 array: Python scalars, non-finite
+    ones as None, equal neighbours sharing one object."""
+    starts, lengths = _runs(values)
+    heads = np.array(values[starts].tolist(), dtype=object)
+    heads[~np.isfinite(values[starts])] = None
+    return np.repeat(heads, lengths).tolist()
+
+
+def _float_column(values: tuple) -> list:
+    """format_float of a column of Python floats, once per run of equal cells."""
+    x = np.array(values)
+    if not np.isfinite(x).all():
+        raise ValidationError("non-finite value is not representable in a record")
+    starts, lengths = _runs(x)
+    heads = x[starts]
+    texts = list(map("%.17g".__mod__, heads.tolist()))
+    # the integral values below 1e17 are the ones printed without a '.' or an 'e'
+    for at in np.flatnonzero((heads == np.trunc(heads)) & (np.abs(heads) < 1e17)).tolist():
+        texts[at] += ".0"
+    return np.repeat(np.array(texts, dtype=object), lengths).tolist()
+
+
+def _column_texts(values: tuple) -> tuple | None:
+    """(JSON texts, CSV texts) of a column, as _texts of each cell, None if a
+    cell is a container: floats in one pass, one other built-in type once per
+    distinct cell."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        texts = _float_column(values)
+        return texts, texts
+    if len(kinds) == 1 and kinds <= {int, bool, str, type(None)}:
+        known = {value: _texts(value) for value in set(values)}
+        texts = list(map(known.__getitem__, values))
+    else:
+        texts = list(map(_texts, values))
+    return None if None in texts else tuple(zip(*texts))
 
 
 class _Rendered(tuple):
-    """List items already rendered at their indent: _emit lays them out as a list."""
+    """Runs of list items rendered at their indent, each run one string:
+    _emit lays them out as a list."""
 
 
 def _emit(obj, indent: int, out: list) -> None:
@@ -133,12 +166,11 @@ def _emit(obj, indent: int, out: list) -> None:
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(" " * indent + "]")
     elif isinstance(obj, dict):
-        flat = _flat_dict(obj, indent) if obj else ("{}",)
-        if flat is not None:
-            out.append(flat[0])
+        if not obj:
+            out.append("{}")
             return
         out.append("{\n")
-        keys, heads = _layout(tuple(obj), indent)
+        keys, heads, _ = _layout(tuple(obj), indent)
         for i, (key, head) in enumerate(zip(keys, heads)):
             out.append(head)
             _emit(obj[key], indent + 2, out)
@@ -156,24 +188,47 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
+#: rows rendered per block: only one block's column texts are held at once
+RENDER_BLOCK = 1024
+
+
 def _pieces(rows, columns, comment: str, document: dict | None = None) -> tuple[list, list]:
     """Pieces of the JSON text of document, its "rows" being rows, and of
-    the CSV text of rows over columns, in one formatting pass over the row
-    cells; nothing is written, so a cell that cannot be serialized leaves no
-    file. The CSV text starts with one '#' comment line for gnuplot."""
+    the CSV text of rows over columns, one piece per block of rows, each
+    formatted column by column; nothing is written, so a cell that cannot be
+    serialized leaves no file. The CSV text starts with one '#' comment line
+    for gnuplot."""
     if "\n" in comment:
         raise ValidationError("CSV comment must be a single line")
     csv = (["# " + comment + "\n"] if comment else []) + [",".join(columns) + "\n"]
-    texts = []
-    for row in rows:
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    texts: list = []
+    rows = iter(rows)
+    while block := list(islice(rows, RENDER_BLOCK)):
+        json_rows, csv_rows = [], []
         # a row sits in the list at key "rows" of the top-level object: indent 4
-        flat = _flat_dict(row, 4, columns) if isinstance(row, dict) and row else None
-        if flat is None:
-            general: list = []
-            _emit(row, 4, general)
-            flat = "".join(general), [_cell(row[col]) for col in columns]
-        texts.append(flat[0])
-        csv.append(",".join(flat[1]) + "\n")
+        for keys, run in groupby(block, lambda row: tuple(row) if isinstance(row, dict) else ()):
+            run = list(run)
+            cells = _run_columns(keys, run)
+            if cells is None:  # not a non-empty dict of scalars: one row at a time
+                for row in run:
+                    general: list = []
+                    _emit(row, 4, general)
+                    json_rows.append("".join(general))
+                    csv_rows.append(line % tuple(_cell(row[col]) for col in columns))
+                continue
+            ordered, _, template = _layout(keys, 4)
+            json_rows += map(template.__mod__, zip(*(cells[key][0] for key in ordered)))
+            line_cells = []
+            for col in columns:
+                cell = cells[col][1]  # a missing column raises KeyError
+                if None in cell:  # a str that would break its CSV line
+                    _cell(run[cell.index(None)][col])
+                line_cells.append(cell)
+            csv_rows += map(line.__mod__, zip(*line_cells)) if columns else [line] * len(run)
+        # one string per block: a string per row would add its object header to each
+        texts.append(",\n    ".join(json_rows))
+        csv.append("".join(csv_rows))
     out: list = []
     if document is not None:
         _emit({**document, "rows": _Rendered(texts)}, 0, out)
@@ -181,13 +236,23 @@ def _pieces(rows, columns, comment: str, document: dict | None = None) -> tuple[
     return out, csv
 
 
+def _run_columns(keys: tuple, run: list) -> dict | None:
+    """key -> _column_texts of each column of a run of dicts with these keys;
+    None unless there are keys and every cell is a scalar."""
+    if not keys:
+        return None
+    _layout(keys, 4)  # refuses a key that is not a str
+    cells = dict(zip(keys, map(_column_texts, zip(*(row.values() for row in run)))))
+    return None if None in cells.values() else cells
+
+
 def _write(path, pieces: list) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(pieces)
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
+# a named tuple: a frozen dataclass costs about three times the import-time memory
+class ExperimentRecord(NamedTuple):
     """One experiment run: config echo, per-row results, summary stats.
 
     It carries no timing: byte-identical reruns are part of the contract.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,13 +142,6 @@ class SpectralDecomposition:
             return 0.0
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
-    def unstack(self) -> list["SpectralDecomposition"]:
-        """Each matrix's decomposition of a (B, d, d) stack, as views into it."""
-        if self.eigenvalues.ndim != 2:
-            raise ValidationError(f"unstack needs a (B, d, d) stack, got eigenvalues of shape {self.eigenvalues.shape}")
-        parts = zip(self.eigenvalues, self.eigenvectors, self.operator.entries)
-        return [SpectralDecomposition(e, v, HermitianOperator(h, self.dim)) for e, v, h in parts]
-
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first component above threshold is real positive."""
@@ -235,13 +229,21 @@ def group_eigenspaces(dec: SpectralDecomposition, tol_degen: float | None = None
     tol_degen; afterwards both invariants are enforced:
     within-group spread <= tol_degen and between-group gap > tol_degen.
     A spectrum violating both simultaneously (a chain of near-ties wider than
-    the tolerance) raises AmbiguousDegeneracyError.
+    the tolerance) raises AmbiguousDegeneracyError. A partition of two groups
+    or more comes with its gap report.
     """
     if tol_degen is None:
         tol_degen = default_degeneracy_tol(dec)
     if tol_degen < 0:
         raise ValidationError(f"tol_degen must be non-negative, got {tol_degen}")
-    return _partitions([dec], dec.eigenvalues, tol_degen)[0][0]
+    _, _, lengths, energies, stars = _group_runs(dec.eigenvalues, tol_degen)
+    ends = np.cumsum(lengths).tolist()
+    groups = tuple(tuple(range(end - n, end)) for end, n in zip(ends, lengths.tolist()))
+    part = EigenspacePartition(decomposition=dec, groups=groups, energies=energies, tol_degen=float(tol_degen))
+    if len(groups) >= 2:
+        star = stars.tolist()
+        vars(part)["gap_report"] = GapReport(delta_e_min=min(star), delta_e_star=tuple(star))
+    return part
 
 
 def _group_starts(e: np.ndarray, tol) -> np.ndarray:
@@ -294,37 +296,20 @@ def _segment_sums(x: np.ndarray, lengths) -> np.ndarray:
     return out
 
 
-def _partitions(decs, e: np.ndarray, tol) -> tuple[list[EigenspacePartition], np.ndarray]:
-    """group_eigenspaces of each matrix of the eigenvalues e (..., d) at the
-    tolerances tol (...), in one pass over the stack; decs are the matrices'
-    decompositions in stack order. Each partition with two groups or more
-    comes with its gap report. Also returns the lengths of the groups of all
-    matrices, consecutive runs of the flattened eigenvalues."""
-    d = e.shape[-1]
-    starts = _group_starts(e, tol).reshape(-1, d)
-    at = np.flatnonzero(starts)
-    lengths = np.diff(np.append(at, starts.size))
+def _group_runs(e: np.ndarray, tol) -> tuple[np.ndarray, ...]:
+    """group_eigenspaces of each matrix of e (..., d) at its tolerance, as
+    arrays: the group starts (..., d), each matrix's number of groups, and
+    the lengths, mean energies and delta_e_star of all groups in turn (G,)."""
+    starts = _group_starts(e, tol)
+    flat = starts.reshape(-1, e.shape[-1])
+    lengths = np.diff(np.append(np.flatnonzero(flat), flat.size))
     energies = _segment_sums(e.reshape(-1), lengths) / lengths  # each group's mean
-    n_groups = starts.sum(axis=-1)
-    stars, run_lengths = _gap_stars(energies, n_groups).tolist(), lengths.tolist()
-    tols = np.broadcast_to(np.asarray(tol, dtype=np.float64), n_groups.shape).tolist()
-    parts, lo = [], 0
-    for dec, m, t in zip(decs, n_groups.tolist(), tols):
-        groups, first = [], 0
-        for n in run_lengths[lo : lo + m]:
-            groups.append(tuple(range(first, first + n)))
-            first += n
-        part = EigenspacePartition(decomposition=dec, groups=tuple(groups), energies=energies[lo : lo + m], tol_degen=t)
-        if m >= 2:
-            star = stars[lo : lo + m]
-            vars(part)["gap_report"] = GapReport(delta_e_min=min(star), delta_e_star=tuple(star))
-        parts.append(part)
-        lo += m
-    return parts, lengths
+    n_groups = flat.sum(axis=-1)
+    return starts, n_groups, lengths, energies, _gap_stars(energies, n_groups)
 
 
-@dataclass(frozen=True)
-class GapReport:
+# a named tuple: a frozen dataclass costs about three times the import-time memory
+class GapReport(NamedTuple):
     """Spectral gaps over group representative energies.
 
     delta_e_min: smallest gap between any two groups.

@@ -18,11 +18,15 @@ start amplitudes and the target rows. Every exact average, limiting
 probability, gap report and Monte Carlo measurement is a method of it, so a
 spectrum is decomposed, grouped and gapped once however many times T it is
 evaluated at. The one-shot functions below each build one and ask it once.
+spectral_walks reads the walks of a whole stack of matrices into a
+WalkStack of arrays with the same kernels, bitwise.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +40,9 @@ __all__ = [
     "TimeDistribution",
     "HittingTimeEstimate",
     "SpectralWalk",
+    "WalkStack",
     "spectral_walk",
+    "spectral_walks",
     "pure_state",
     "density_operator",
     "basis_state",
@@ -59,8 +65,8 @@ TOL_PROB = 1e-9
 SAMPLE_CHUNK = 5000
 
 
-@dataclass(frozen=True)
-class PureState:
+# value records are named tuples: a frozen dataclass costs about three times the import-time memory
+class PureState(NamedTuple):
     """A unit vector in the walk Hilbert space, or a (..., dim) stack of them."""
 
     amplitudes: np.ndarray
@@ -84,8 +90,7 @@ def basis_state(dim: int, index: int) -> PureState:
     return PureState(amplitudes=v)
 
 
-@dataclass(frozen=True)
-class DensityOperator:
+class DensityOperator(NamedTuple):
     """Hermitian, unit-trace, positive-semidefinite matrix, or a (..., dim, dim) stack of them."""
 
     entries: np.ndarray
@@ -148,35 +153,35 @@ def _gap_matrix(energies: np.ndarray) -> np.ndarray:
     return energies[..., :, None] - energies[..., None, :]
 
 
-def _phi_matrix(dist: TimeDistribution, energies: np.ndarray, tol_degen, T=None) -> np.ndarray:
-    """Matrix Phi[j, k] = characteristic(E_k - E_j), with exact 1 on
-    near-degenerate pairs (|E_k - E_j| <= tol_degen); over a stack of
-    energies, T may be a (B, 1) and tol_degen a (B, 1, 1) column, one value per matrix."""
-    gaps = _gap_matrix(energies)
-    g, s = _phase_factors(dist, energies, gaps, T)
+def _phi(g: np.ndarray, s: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Phi[j, k] = conj(g_j) g_k S_jk from the half-angle factors, exactly 1 on the degenerate pairs near."""
     phi = np.conj(g)[..., :, None] * g[..., None, :] * s
-    phi[np.abs(gaps) <= tol_degen] = 1.0
+    phi[near] = 1.0
     return phi
 
 
-def _degenerate_pairs(gaps: np.ndarray, tol) -> tuple[tuple, np.ndarray]:
-    """The pairs (j, k) with |E_k - E_j| <= tol of a (d, d) gap matrix, or of
-    each matrix of a (B, d, d) stack with one tol per matrix, j = k included:
-    Phi is 1 there. Returns np.nonzero's index arrays (stack index first) and
-    the number of pairs of each matrix, which the diagonal keeps above 0."""
-    near = np.abs(gaps) <= np.asarray(tol)[..., None, None]
-    return np.nonzero(near), near.reshape(-1, gaps.shape[-1] ** 2).sum(axis=-1)
+def _phi_matrix(dist: TimeDistribution, energies: np.ndarray, tol_degen) -> np.ndarray:
+    """Matrix Phi[j, k] = characteristic(E_k - E_j), with exact 1 on
+    near-degenerate pairs (|E_k - E_j| <= tol_degen)."""
+    gaps = _gap_matrix(energies)
+    return _phi(*_phase_factors(dist, energies, gaps), np.abs(gaps) <= tol_degen)
 
 
-def _exact_averages(dist: TimeDistribution, a: np.ndarray, energies: np.ndarray, gaps: np.ndarray, pairs, T=None) -> np.ndarray:
+def _degenerate_pairs(near: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The pairs (j, k) with |E_k - E_j| <= tol, j = k included, flagged in a
+    (d, d) or (B, d, d) mask: Phi is 1 there. Returns np.nonzero's index
+    arrays (stack index first) and each matrix's number of pairs, above 0."""
+    return np.nonzero(near), near.reshape(-1, near.shape[-1] ** 2).sum(axis=-1)
+
+
+def _exact_averages(a: np.ndarray, pairs, g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Exact time average sum_r sum_{jk} a_rj conj(a_rk) Phi(E_k - E_j) of
     each walk of a stack = sum_r Re(b_r) S Re(b_r) + Im(b_r) S Im(b_r) with
     b = a conj(g), plus Re a_rj conj(a_rk) (1 - conj(g_j) g_k S_jk) on the
     degenerate pairs, where Phi is 1. a holds rows * c, (R, d) for one walk
-    or (B, R, d) for a stack, gaps comes from _gap_matrix and pairs from
-    _degenerate_pairs; T is an optional (B, 1) column in place of dist.T.
-    Unchecked. O(R d^2) time per walk; two real d x d buffers per walk."""
-    g, s = _phase_factors(dist, energies, gaps, T)
+    or (B, R, d) for a stack, (g, s) the half-angle factors of
+    _phase_factors and pairs comes from _degenerate_pairs. Unchecked.
+    O(R d^2) time per walk; two real d x d buffers per walk."""
     b = a * np.conj(g)[..., None, :]
     parts = np.concatenate([b.real, b.imag], axis=-2)
     p = ((parts @ s) * parts).reshape(*parts.shape[:-2], -1).sum(axis=-1)
@@ -277,7 +282,7 @@ class SpectralWalk:
     @cached_property
     def _degenerate_pairs(self):
         """_degenerate_pairs of the cached gap matrix at tol_degen."""
-        return _degenerate_pairs(self._gaps, self.tol_degen)
+        return _degenerate_pairs(np.abs(self._gaps) <= self.tol_degen)
 
     def probability(self, dist: TimeDistribution) -> float:
         """Exact time average at dist (_exact_averages of this one walk), kept
@@ -286,7 +291,8 @@ class SpectralWalk:
         p = self._exact.get(dist)
         if p is None:
             # a[r, j] = <b_r|E_j><E_j|psi0>
-            p = _exact_averages(dist, self.rows * self.c, self.energies, self._gaps, self._degenerate_pairs)
+            g, s = _phase_factors(dist, self.energies, self._gaps)
+            p = _exact_averages(self.rows * self.c, self._degenerate_pairs, g, s)
             p = self._exact[dist] = float(_check_probabilities(p, "time-averaged probability"))
         return p
 
@@ -414,12 +420,27 @@ def spectral_walk(h, psi0: PureState, target) -> SpectralWalk:
     return SpectralWalk(dec.eigenvalues, _rotated(dec, psi0)[0], rows, dec)
 
 
-def _spectral_walks(h, psi0: PureState, y: PureState, dists: list[TimeDistribution]) -> list[SpectralWalk]:
-    """spectral_walk over a (B, d, d) stack h and (B, d) stacks psi0 and y: one
-    walk per matrix, each with what the bounds read off it worked out once
-    over the whole stack and cached on it: the degeneracy tolerance, the
-    partition with its gap report, the overlaps, the limiting probability and
-    the exact averages at (T, 1) and at dists[i] = (T, k). A failed check
+class WalkStack(SimpleNamespace):
+    """The walks of a (B, d, d) stack as arrays, built by spectral_walks."""
+
+    # decomposition: the stacked one; T, k: each walk's time law; near: its
+    # degenerate pairs (B, d, d); group_starts (B, d) and n_groups; overlaps and
+    # delta_e_star: all walks' groups in turn (G,); limiting_probability;
+    # averages: exact averages at (T, 1), then at (T, k), (2, B); factors: the
+    # half-angle factors (g, s) of _phase_factors of each walk at its own (T, k)
+
+
+def _padded(x: np.ndarray, n_groups: np.ndarray, fill: float) -> np.ndarray:
+    """Per-group values x (G,) of a stack as a (B, max groups) array, fill past each walk's groups."""
+    out = np.full((n_groups.shape[0], int(n_groups.max())), fill)
+    out[np.arange(out.shape[1]) < n_groups[:, None]] = x
+    return out
+
+
+def spectral_walks(h, psi0: PureState, y: PureState, dists: list[TimeDistribution]) -> WalkStack:
+    """spectral_walk over a (B, d, d) stack h and (B, d) stacks psi0 and y,
+    dists[i] the time law of walk i, each kernel once over the stack or a
+    k-substack; every value is bitwise the single walk's, and a failed check
     names its stack index."""
     dec = spectral.decompose(h)
     e = dec.eigenvalues
@@ -428,34 +449,30 @@ def _spectral_walks(h, psi0: PureState, y: PureState, dists: list[TimeDistributi
     if len(dists) != e.shape[0]:
         raise ValidationError(f"{len(dists)} time laws for a stack of {e.shape[0]} operators")
     c, ya = _rotated(dec, psi0, y)
-    rows = np.conj(ya)[:, None, :]
-    a, gaps, decs = rows * c[:, None, :], _gap_matrix(e), dec.unstack()
+    a, gaps = (np.conj(ya) * c)[:, None, :], _gap_matrix(e)
     tol = spectral.degeneracy_tol(e[:, -1] - e[:, 0])
-    parts, lengths = spectral._partitions(decs, e, tol)
-    overlaps = _group_overlaps(a.reshape(1, -1), lengths)
-    T, by_k = np.empty((len(dists), 1)), {}
-    for i, dist in enumerate(dists):
-        T[i] = dist.T
-        by_k.setdefault(dist.k, []).append(i)
-    # every walk at (T, 1), then each other k on the substack of the walks at (T, k)
-    p1 = _exact_averages(TimeDistribution(T=dists[0].T, k=1), a, e, gaps, _degenerate_pairs(gaps, tol), T)
-    pk = p1.copy()
-    for k, at in by_k.items():
-        if k != 1:
-            pk[at] = _exact_averages(dists[at[0]], a[at], e[at], gaps[at], _degenerate_pairs(gaps[at], tol[at]), T[at])
-    walks, limits, lo = [], np.empty(len(dists)), 0
-    for i, (d, part, dist, q1, qk) in enumerate(zip(decs, parts, dists, p1.tolist(), pk.tolist())):
-        w = SpectralWalk(d.eigenvalues, c[i], rows[i], d)
-        ov = tuple(overlaps[lo : lo + part.n_groups])
-        lo += part.n_groups
-        limits[i] = limit = sum(ov)
-        vars(w).update(tol_degen=part.tol_degen, _gaps=gaps[i], partition=part, overlaps=ov, limiting_probability=limit)
-        w._exact.update({TimeDistribution(T=dist.T, k=1): q1, dist: qk})
-        walks.append(w)
-    _check_probabilities(limits, "limiting probability")
-    _check_probabilities(p1, "time-averaged probability")
-    _check_probabilities(pk, "time-averaged probability")
-    return walks
+    starts, n_groups, lengths, _, stars = spectral._group_runs(e, tol)
+    overlaps = np.array(_group_overlaps(a.reshape(1, -1), lengths))
+    # summed left to right, as the per-walk Python sum: a 0.0 past the last group changes nothing
+    limits = _check_probabilities(_padded(overlaps, n_groups, 0.0).cumsum(axis=1)[:, -1], "limiting probability")
+    T, k = np.array([d.T for d in dists]), np.array([d.k for d in dists])
+    near = np.abs(gaps) <= tol[:, None, None]
+    # every walk at (T, 1), then each other k on the substack of the walks at (T, k),
+    # whose factors then take the place of their (T, 1) ones
+    g, s = _phase_factors(TimeDistribution(T=dists[0].T, k=1), e, gaps, T[:, None])
+    averages = np.empty((2, k.shape[0]))
+    averages[:] = _exact_averages(a, _degenerate_pairs(near), g, s)
+    for kk in dict.fromkeys(k.tolist()):
+        if kk != 1:
+            at = np.flatnonzero(k == kk)
+            g[at], s[at] = factors = _phase_factors(dists[at[0]], e[at], gaps[at], T[at, None])
+            averages[1, at] = _exact_averages(a[at], _degenerate_pairs(near[at]), *factors)
+    _check_probabilities(averages[0], "time-averaged probability")
+    _check_probabilities(averages[1], "time-averaged probability")
+    return WalkStack(
+        decomposition=dec, T=T, k=k, near=near, group_starts=starts, n_groups=n_groups, overlaps=overlaps,
+        delta_e_star=stars, limiting_probability=limits, averages=averages, factors=(g, s),
+    )
 
 
 def avg_probability_exact(h, psi0: PureState, y: PureState, dist: TimeDistribution) -> float:
@@ -543,8 +560,7 @@ def geometric_grid(t_lo: float, t_hi: float, per_decade: int = 40) -> np.ndarray
     return np.geomspace(t_lo, t_hi, n)
 
 
-@dataclass(frozen=True)
-class HittingTimeEstimate:
+class HittingTimeEstimate(NamedTuple):
     """Grid minimum of (k T) / averaged-probability.
 
     tau is an upper bound on the true infimum over all T > 0 (the grid can

@@ -1,5 +1,6 @@
 """Certified lower bounds: every report must satisfy actual >= bound - 1e-9."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,22 +210,20 @@ def test_residual_bound_stack_equals_per_instance_calls_bitwise():
     from conftest import random_hermitian
 
     rng = rng_stream(352, 0)
-    parts, rhos, subsets, dists = [], [], [], []
+    h = np.stack([random_hermitian(rng, 6) for _ in range(5)])
+    psi0 = walk.pure_state(np.stack([random_state(rng, 6).amplitudes for _ in h]))
+    dists = [TimeDistribution(T=2.0 + 7.0 * i, k=1 + i % 3) for i in range(5)]
+    stack = walk.spectral_walks(h, psi0, psi0, dists)
+    subsets = [[i % n] for i, n in enumerate(stack.n_groups.tolist())]
+    rho_stack = walk.density_operator(psi0.amplitudes[:, :, None] * psi0.amplitudes.conj()[:, None, :])
+    stacked = of_kind(bounds.certify_stack(stack, subsets, [0] * 5, rho_stack), "residual")
     for i in range(5):
-        parts.append(spectral.group_eigenspaces(spectral.decompose(random_hermitian(rng, 6))))
-        v = random_state(rng, 6).amplitudes
-        rhos.append(walk.density_operator(np.outer(v, v.conj())))
-        subsets.append([i % parts[-1].n_groups])
-        dists.append(TimeDistribution(T=2.0 + 7.0 * i, k=3))
-    rho_stack = walk.DensityOperator(np.stack([r.entries for r in rhos]))
-    stacked = bounds._residual_stack(parts, rho_stack, subsets, dists)
-    assert stacked == [bounds.residual_bound(*args) for args in zip(parts, rhos, subsets, dists)]
-    with pytest.raises(ValidationError, match="one k"):
-        mixed = [dists[0], TimeDistribution(T=1.0, k=2)]
-        bounds._residual_stack(parts[:2], walk.DensityOperator(rho_stack.entries[:2]), subsets[:2], mixed)
+        part = walk.spectral_walk(h[i], walk.PureState(psi0.amplitudes[i]), walk.basis_state(6, 0)).partition
+        one = bounds.residual_bound(part, walk.DensityOperator(rho_stack.entries[i]), subsets[i], dists[i])
+        assert (one.bound_value, one.actual_value, one.slack, one.holds) == tuple(x[i] for x in stacked)
     # the public form takes one instance: a stacked rho0 is refused, not broadcast
     with pytest.raises(ValidationError, match=r"rho0 shape \(1, 5, 6, 6\)"):
-        bounds.residual_bound(parts[0], rho_stack, subsets[0], dists[0])
+        bounds.residual_bound(part, rho_stack, subsets[0], dists[0])
 
 
 def test_residual_bound_builds_phi_once(monkeypatch):
@@ -236,6 +235,148 @@ def test_residual_bound_builds_phi_once(monkeypatch):
     rho = walk.density_operator(np.outer(psi0.amplitudes, psi0.amplitudes.conj()))
     assert bounds.residual_bound(part, rho, [0], TimeDistribution(T=30.0, k=2)).holds
     assert len(calls) == 1
+
+
+def of_kind(table: dict, kind: str) -> tuple:
+    """(bound_value, actual_value, slack, holds) of the reports of one kind of
+    a certify_stack table, walk by walk."""
+    at = table["kind"] == kind
+    return tuple(table[key][at] for key in ("bound_value", "actual_value", "slack", "holds"))
+
+
+def stacked_walks(seed: int, dim: int, count: int):
+    """A stack of walks with tied spectra (Q diag(E) Q^dagger) and distinct
+    ones, one k of 1..4 per walk and T from 0.05 on, so that some floors are
+    negative; the last walk is diagonal from |0> towards |1>, so every one
+    of its groups has zero overlap and both its taus are infinite."""
+    from test_walk import tied_hermitian
+    from conftest import random_hermitian
+
+    rng = rng_stream(seed, dim)
+    h = [tied_hermitian(rng, dim) for _ in range(count // 2)] + [random_hermitian(rng, dim) for _ in range(count - count // 2 - 1)]
+    h.append(np.diag(np.arange(dim, dtype=float)))
+    psi0 = np.stack([random_state(rng, dim).amplitudes for _ in h[:-1]] + [walk.basis_state(dim, 0).amplitudes])
+    y = np.stack([random_state(rng, dim).amplitudes for _ in h[:-1]] + [walk.basis_state(dim, 1).amplitudes])
+    dists = [TimeDistribution(T=float(np.exp(rng.uniform(-3.0, 7.0))), k=1 + i % 4) for i in range(count)]
+    stack = walk.spectral_walks(np.stack(h), walk.PureState(psi0), walk.PureState(y), dists)
+    walks = [walk.spectral_walk(hb, walk.PureState(a), walk.PureState(b)) for hb, a, b in zip(h, psi0, y)]
+    subsets = [sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()) for n in stack.n_groups.tolist()]
+    groups = [int(rng.integers(0, n)) for n in stack.n_groups.tolist()]
+    rho0 = walk.density_operator(psi0[:, :, None] * psi0.conj()[:, None, :])
+    return stack, walks, dists, subsets, groups, rho0
+
+
+def test_certify_stack_equals_per_walk_calls_bitwise():
+    negative = 0
+    for dim in range(2, 11):
+        stack, walks, dists, subsets, groups, rho0 = stacked_walks(361, dim, 12)
+        table = bounds.certify_stack(stack, subsets, groups, rho0)
+        found = {kind: of_kind(table, kind) for kind in ("mixing", "eigenspace", "subset", "residual", "comparison")}
+        # each walk's reports in turn
+        assert table["walk"].tolist() == [i for i, n in enumerate(stack.n_groups.tolist()) for _ in range(n + 4)]
+        assert np.array_equal(table["T"], stack.T[table["walk"]])
+        assert table["k"].tolist() == [dist.k if kind in ("subset", "residual") else 1 for dist, kind in zip((dists[i] for i in table["walk"]), table["kind"])]
+        flat = 0
+        for i, (w, dist, subset, group) in enumerate(zip(walks, dists, subsets, groups, strict=True)):
+            T = dist.T
+            reports = {"mixing": bounds.mixing_bound(w, T), "subset": bounds.subset_bound(w, dist, subset)}
+            reports["residual"] = bounds.residual_bound(w.partition, walk.DensityOperator(rho0.entries[i]), subset, dist)
+            for kind, rep in reports.items():
+                # compared with ==: every value bitwise, and negative floors reported as they are
+                assert (rep.bound_value, rep.actual_value, rep.slack, rep.holds) == tuple(x[i] for x in found[kind]), (dim, i, kind)
+            for g in range(w.partition.n_groups):
+                rep = bounds.eigenspace_bound(w, T, g)
+                assert (rep.bound_value, rep.actual_value, rep.slack, rep.holds) == tuple(x[flat] for x in found["eigenspace"])
+                negative += rep.bound_value < 0
+                flat += 1
+            comp = bounds.bound_comparison(w, T, group)
+            ok = comp.implication_ok
+            assert (comp.tau_mixing_scale, comp.tau_selective, 0.0 if ok else -1.0, ok) == tuple(x[i] for x in found["comparison"])
+            negative += reports["mixing"].bound_value < 0
+        assert flat == found["eigenspace"][0].shape[0]
+        # the diagonal walk's groups carry nothing: zero floors, and no finite tau
+        assert walks[-1].overlaps == (0.0,) * dim and found["comparison"][0][-1] == found["comparison"][1][-1] == math.inf
+    assert negative > 0
+
+
+def test_certify_stack_residual_chunks_do_not_change_it(monkeypatch):
+    stack, walks, dists, subsets, groups, rho0 = stacked_walks(365, 6, 7)
+    whole = of_kind(bounds.certify_stack(stack, subsets, groups, rho0), "residual")
+    for walks_per_chunk in (1, 3):
+        monkeypatch.setattr(bounds, "RESIDUAL_CHUNK", walks_per_chunk * 36)
+        chunked = of_kind(bounds.certify_stack(stack, subsets, groups, rho0), "residual")
+        assert all(np.array_equal(x, y) for x, y in zip(whole, chunked))
+
+
+def test_bounds_rows_write_an_infinite_tau_as_none():
+    stack, walks, dists, subsets, groups, rho0 = stacked_walks(362, 4, 3)
+    rows = cli._bounds_rows(4, [7, 8, 9], bounds.certify_stack(stack, subsets, groups, rho0))
+    expected = [(idx, kind) for idx, n in zip((7, 8, 9), stack.n_groups.tolist()) for kind in ["mixing"] + ["eigenspace"] * n + ["subset", "residual", "comparison"]]
+    assert [(row["instance"], row["kind"]) for row in rows] == expected
+    assert all(type(value) in (int, float, str, bool, type(None)) for row in rows for value in row.values())
+    comparison = rows[-1]
+    assert comparison["bound_value"] is None and comparison["actual_value"] is None
+    assert comparison["holds"] is True and comparison["slack"] == 0.0
+    assert all(row["bound_value"] is not None for row in rows if row["instance"] != 9)
+
+
+def test_bounds_rows_keep_an_infinite_slack_for_the_record_to_refuse(tmp_path):
+    # a gap of 1e-6 at T = 1e-303 takes the mixing floor to -inf while the
+    # subset {3} keeps a finite error term: null bound, infinite slack
+    h = np.diag([0.0, 1e-6, 1.0, 2.0])[None]
+    psi = walk.PureState(np.full((1, 4), 0.5, dtype=complex))
+    stack = walk.spectral_walks(h, psi, psi, [TimeDistribution(T=1e-303, k=1)])
+    rho0 = walk.density_operator(psi.amplitudes[:, :, None] * psi.amplitudes.conj()[:, None, :])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning: the per-walk float arithmetic gives inf silently
+        rows = cli._bounds_rows(4, [0], bounds.certify_stack(stack, [[3]], [3], rho0))
+    mixing = rows[0]
+    assert mixing["kind"] == "mixing" and mixing["bound_value"] is None and mixing["slack"] == math.inf
+    with pytest.raises(ValidationError, match="non-finite"):
+        cli._write_bundle(tmp_path, "bounds", 1, {}, rows, {}, None, "ok")
+    assert not any(tmp_path.iterdir())
+
+
+def test_certify_stack_names_the_walk_whose_error_term_overflows():
+    stack, walks, dists, subsets, groups, rho0 = stacked_walks(363, 5, 4)
+    stack.T[2], stack.k[2] = 1e-300, 4
+    with pytest.raises(ValidationError, match=r"^stack index 2: error term sqrt\(3\)\*\(2/\(T\*delta_e_s\)\)\^k overflows at T = 1e-300, k = 4"):
+        bounds.certify_stack(stack, subsets, groups, rho0)
+    with pytest.raises(ValidationError, match=r"^error term .* overflows at T = 1e-300, k = 4"):
+        bounds.subset_bound(walks[2], TimeDistribution(T=1e-300, k=4), subsets[2])
+
+
+def test_certify_stack_checks_its_subsets_and_groups():
+    stack, walks, dists, subsets, groups, rho0 = stacked_walks(364, 5, 4)
+    n = stack.n_groups.tolist()
+    with pytest.raises(ValidationError, match=rf"^stack index 1: subset index {n[1]} outside group range 0..{n[1] - 1}"):
+        bounds.certify_stack(stack, [subsets[0], [n[1]], *subsets[2:]], groups, rho0)
+    with pytest.raises(ValidationError, match="^stack index 3: subset must be non-empty"):
+        bounds.certify_stack(stack, [*subsets[:3], []], groups, rho0)
+    with pytest.raises(ValidationError, match=rf"^stack index 0: group -1 outside 0..{n[0] - 1}"):
+        bounds.certify_stack(stack, subsets, [-1, *groups[1:]], rho0)
+
+
+def test_bounds_stack_shares_one_phase_kernel_per_time_law(monkeypatch):
+    # per (dimension, k) substack: one half-angle evaluation, shared by the
+    # exact averages and the residual; no subset_gap, no phi rebuilt and no
+    # per-instance re-stacking
+    calls, stacks, stacked = [], [], []
+    factors, certify, stack_fn = walk._phase_factors, bounds.certify_stack, np.stack
+    monkeypatch.setattr(walk, "_phase_factors", lambda dist, e, *rest: calls.append((dist.k, e.shape)) or factors(dist, e, *rest))
+    monkeypatch.setattr(bounds, "certify_stack", lambda stack, *rest: stacks.append(stack) or certify(stack, *rest))
+    monkeypatch.setattr(np, "stack", lambda arrays, *rest, **kw: stacked.append(len(arrays)) or stack_fn(arrays, *rest, **kw))
+    monkeypatch.setattr(walk, "_phi_matrix", None)
+    monkeypatch.setattr(spectral.GapReport, "subset_gap", None)
+    rows = cli._bounds_block((0, 60, 7, 10, 0.1, 1000.0, (1, 2, 3, 4)))
+    assert len({row["instance"] for row in rows}) == 60 and all(row["holds"] for row in rows)
+    expected = []
+    for stack in stacks:
+        b, d = stack.decomposition.eigenvalues.shape
+        ks = list(dict.fromkeys(stack.k.tolist()))
+        expected += [(1, (b, d))] + [(kk, (int(np.sum(stack.k == kk)), d)) for kk in ks if kk != 1]
+    assert calls == expected
+    assert sum(len(s.T) for s in stacks) == 60 and max(stacked) <= 2
 
 
 def test_bounds_instance_computes_gaps_once(monkeypatch):

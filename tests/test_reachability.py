@@ -19,6 +19,7 @@ ORACLES = (
     ("walk.avg_probability_quadrature", "criterion 02"),
     ("bounds.dephased_reference", "test_bounds: test_dephased_reference_full_subset_is_diagonal"),
     ("bounds.residual_bound", "test_bounds: the residual tests; the CLI certifies residuals a stack at a time"),
+    ("bounds.bound_comparison", "test_bounds: the comparison tests; the CLI compares a stack at a time"),
     ("gluedtrees.column_spectrum_check", "criterion 03"),
     ("gluedtrees.generate_instance", "criterion 06"),
     ("gluedtrees.full_vs_column_equivalence", "criterion 06"),

@@ -706,6 +706,35 @@ def test_cli_bounds_extreme_t_range_exits_3(tmp_path, capsys):
     assert not (tmp_path / "bounds.json").exists()
 
 
+@pytest.mark.parametrize("dim_max", [cli.BOUNDS_DIM_MAX + 1, 100000])
+def test_cli_bounds_dim_max_above_the_cap_exits_3(tmp_path, capsys, dim_max):
+    # a block of same-dimension instances holds O(128 dim^2) numbers: past the cap, bad input
+    cfg = write_cfg(tmp_path / "b.json", {"instances": 3, "seed": 1, "dim_max": dim_max})
+    assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert f"config field 'dim_max' must be <= {cli.BOUNDS_DIM_MAX}, got {dim_max}" in capsys.readouterr().err
+    assert not (tmp_path / "bounds.json").exists()
+
+
+def test_cli_bounds_dim_max_at_the_cap_runs(tmp_path):
+    cfg = write_cfg(tmp_path / "b.json", {"instances": 2, "seed": 1, "dim_max": cli.BOUNDS_DIM_MAX})
+    assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "bounds.json").read_text())["config"]["dim_max"] == cli.BOUNDS_DIM_MAX
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type int64", ""])
+def test_cli_memory_error_exits_3(tmp_path, monkeypatch, capsys, message):
+    # stands in for an allocation the machine cannot hold; nothing is allocated for real
+    def too_big(cfg, seed, jobs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_cmd_gluedtrees", too_big)
+    cfg = write_cfg(tmp_path / "g.json", {"n": [8], "mc_runs": 1000000000, "seed": 1})
+    assert cli.main(["gluedtrees", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: out of memory{': ' if message else ''}{message}\n"
+    assert not (tmp_path / "gluedtrees.json").exists()
+
+
 def test_cli_inconsistency_exit_code(tmp_path, monkeypatch):
     def boom(cfg, seed, jobs):
         raise InconsistencyError("synthetic")

@@ -444,14 +444,14 @@ def test_spectral_walk_refuses_stacks_and_the_stacked_form_checks_shapes():
         walk.spectral_walk(h, states, states)
     dists = [TimeDistribution(T=2.0, k=2)] * 3
     with pytest.raises(ValidationError, match=r"state stacks \(3, 4\), \(2, 4\) != \(3, 4\)"):
-        walk._spectral_walks(h, states, walk.PureState(states.amplitudes[:2]), dists)
+        walk.spectral_walks(h, states, walk.PureState(states.amplitudes[:2]), dists)
     with pytest.raises(ValidationError, match="2 time laws for a stack of 3 operators"):
-        walk._spectral_walks(h, states, states, dists[:2])
-    walks = walk._spectral_walks(h, states, states, dists)
-    for w, hb, psi in zip(walks, h, states.amplitudes, strict=True):
+        walk.spectral_walks(h, states, states, dists[:2])
+    stack = walk.spectral_walks(h, states, states, dists)
+    for i, (hb, psi) in enumerate(zip(h, states.amplitudes, strict=True)):
         one = walk.spectral_walk(hb, walk.PureState(psi), walk.PureState(psi))
-        assert np.array_equal(w.energies, one.energies)
-        assert np.array_equal(w.c, one.c) and np.array_equal(w.rows, one.rows)
+        assert np.array_equal(stack.decomposition.eigenvalues[i], one.energies)
+        assert np.array_equal(stack.decomposition.eigenvectors[i], one.decomposition.eigenvectors)
 
 
 def tied_hermitian(rng, dim: int) -> np.ndarray:
@@ -471,23 +471,30 @@ def test_stacked_walks_equal_single_walks_bitwise():
         psi0 = np.stack([random_state(rng, dim).amplitudes for _ in h])
         y = np.stack([random_state(rng, dim).amplitudes for _ in h])
         dists = [TimeDistribution(T=float(np.exp(rng.uniform(-2.0, 7.0))), k=1 + i % 4) for i in range(len(h))]
-        walks = walk._spectral_walks(h, walk.PureState(psi0), walk.PureState(y), dists)
-        for i, (w, dist) in enumerate(zip(walks, dists, strict=True)):
+        stack = walk.spectral_walks(h, walk.PureState(psi0), walk.PureState(y), dists)
+        assert stack.T.tolist() == [d.T for d in dists] and stack.k.tolist() == [d.k for d in dists]
+        lo = 0
+        for i, dist in enumerate(dists):
             one = walk.spectral_walk(h[i], walk.PureState(psi0[i]), walk.PureState(y[i]))
-            assert w.tol_degen == one.tol_degen
-            assert w.partition.groups == one.partition.groups
-            assert np.array_equal(w.partition.energies, one.partition.energies)
-            if one.partition.n_groups > 1:
-                assert w.gap_report == one.gap_report
+            m = one.partition.n_groups
+            assert stack.n_groups[i] == m
+            assert tuple(np.flatnonzero(stack.group_starts[i])) == tuple(g[0] for g in one.partition.groups)
+            assert np.array_equal(stack.near[i], np.abs(one._gaps) <= one.tol_degen)
+            if m > 1:
+                assert tuple(stack.delta_e_star[lo : lo + m]) == one.gap_report.delta_e_star
             else:
-                for either in (w, one):
-                    with pytest.raises(GapUndefinedError):
-                        either.gap_report
-            assert w.overlaps == one.overlaps
-            assert w.limiting_probability == one.limiting_probability
-            for law in (TimeDistribution(T=dist.T, k=1), dist):
-                assert w.probability(law) == one.probability(law), (dim, i, law)
-        assert dim == 2 or max(len(g) for w in walks[:4] for g in w.partition.groups) >= 2
+                with pytest.raises(GapUndefinedError):
+                    one.gap_report
+            assert tuple(stack.overlaps[lo : lo + m]) == one.overlaps
+            assert stack.limiting_probability[i] == one.limiting_probability
+            lo += m
+            for p, law in zip(stack.averages[:, i], (TimeDistribution(T=dist.T, k=1), dist)):
+                assert p == one.probability(law), (dim, i, law)
+            # the half-angle factors of each walk's own law, which the stacked residual reuses
+            g1, s1 = walk._phase_factors(dist, one.energies, one._gaps)
+            assert np.array_equal(stack.factors[0][i], g1) and np.array_equal(stack.factors[1][i], s1)
+        assert lo == stack.overlaps.shape[0] == stack.delta_e_star.shape[0]
+        assert dim == 2 or max(np.diff(np.append(np.flatnonzero(starts), dim)).max() for starts in stack.group_starts[:4]) >= 2
 
 
 def test_stacked_walks_name_the_ambiguous_matrix():
@@ -496,7 +503,7 @@ def test_stacked_walks_name_the_ambiguous_matrix():
     states = walk.PureState(np.full((2, 4), 0.5, dtype=complex))
     dists = [TimeDistribution(T=1.0, k=1)] * 2
     with pytest.raises(AmbiguousDegeneracyError, match="^stack index 1: eigenvalue cluster 0..1.2e-07 has spread"):
-        walk._spectral_walks(h, states, states, dists)
+        walk.spectral_walks(h, states, states, dists)
     with pytest.raises(AmbiguousDegeneracyError, match="^eigenvalue cluster 0..1.2e-07 has spread"):
         walk.spectral_walk(h[1], walk.PureState(states.amplitudes[1]), walk.basis_state(4, 0)).partition
 
