@@ -2,7 +2,8 @@
 
 Three bounds of increasing selectivity on the walk held by a SpectralWalk.
 Each *_floor function is the pure floor, read off the evaluator's limiting
-probability, overlaps and gaps without any exact average, so a search over
+probability, overlaps and the gaps of its eigenspace partition without any
+exact average, so a search over
 T costs nothing per point; each *_bound certifies its floor against the
 exact averaged probability at one time law:
 
@@ -14,6 +15,8 @@ exact averaged probability at one time law:
 
 dephased_reference builds the reference state whose distance to the true
 time-averaged state drives subset_bound; residual_bound is that distance cap.
+Both rotate a density operator into the walk's eigenbasis, so they need its
+full decomposition: a reduced walk is refused.
 certify_stack certifies every bound of a walk.WalkStack at once, as arrays;
 the per-walk functions are the one-instance case of the same formulas.
 Negative bound values are reported as-is (vacuously true), never clamped.
@@ -27,7 +30,6 @@ import numpy as np
 
 from . import spectral, walk
 from .errors import GapUndefinedError, ValidationError
-from .spectral import EigenspacePartition
 from .walk import DensityOperator, SpectralWalk, TimeDistribution
 
 __all__ = [
@@ -92,13 +94,13 @@ def mixing_floor(w: SpectralWalk, T: float) -> tuple[float, dict]:
     """limiting probability - 2/(T * delta_e_min), with its inputs."""
     if not T > 0:
         raise ValidationError(f"T must be positive, got {T}")
-    report = w.gap_report
+    delta_e_min = w.partition.delta_e_min
     p_inf = w.limiting_probability
-    return _mixing(p_inf, T, report.delta_e_min), {
+    return _mixing(p_inf, T, delta_e_min), {
         "kind": "mixing",
         "T": T,
         "limiting_probability": p_inf,
-        "delta_e_min": report.delta_e_min,
+        "delta_e_min": delta_e_min,
     }
 
 
@@ -111,12 +113,11 @@ def eigenspace_floor(w: SpectralWalk, T: float, group: int) -> tuple[float, dict
     """|<y|P_g|psi0>|^2 * (1 - 4/(T * delta_e_star_g)), with its inputs."""
     if not T > 0:
         raise ValidationError(f"T must be positive, got {T}")
-    report = w.gap_report
-    n_groups = len(report.delta_e_star)
-    if not 0 <= group < n_groups:
-        raise ValidationError(f"group {group} outside 0..{n_groups - 1}")
+    stars = w.partition.delta_e_star
+    if not 0 <= group < len(stars):
+        raise ValidationError(f"group {group} outside 0..{len(stars) - 1}")
     overlap = w.overlaps[group]
-    star = report.delta_e_star[group]
+    star = stars[group]
     return _eigenspace(overlap, T, star), {
         "kind": "eigenspace",
         "T": T,
@@ -146,7 +147,7 @@ def _error_term(T: float, k: int, delta_e_s: float, at=None) -> float:
 
 def subset_floor(w: SpectralWalk, dist: TimeDistribution, subset) -> tuple[float, dict]:
     """sum_{g in S} |<y|P_g|psi0>|^2 - sqrt(3) * (2/(T * delta_e_s))^k, with its inputs."""
-    s, delta_e_s = w.gap_report.subset_gap(subset)
+    s, delta_e_s = w.partition.subset_gap(subset)
     # summed left to right, as the stacked cumsum of certify_stack
     overlap = sum(w.overlaps[g] for g in s)
     err = _error_term(dist.T, dist.k, delta_e_s)
@@ -167,19 +168,6 @@ def subset_bound(w: SpectralWalk, dist: TimeDistribution, subset) -> BoundReport
     return _certify(w, dist, subset_floor(w, dist, subset))
 
 
-def _subset_mask(subsets, n_groups: np.ndarray) -> np.ndarray:
-    """The subsets of a stack's walks as a (B, max groups) mask, each index checked."""
-    walk_of = np.repeat(np.arange(len(subsets)), [len(subset) for subset in subsets])
-    index = np.array([int(i) for subset in subsets for i in subset], dtype=np.int64)
-    bad = np.flatnonzero((index < 0) | (index >= n_groups[walk_of]))
-    if bad.size:
-        at = walk_of[bad[0]]
-        raise ValidationError(f"stack index {at}: subset index {index[bad[0]]} outside group range 0..{n_groups[at] - 1}")
-    member = np.zeros((len(subsets), int(n_groups.max())), dtype=bool)
-    member[walk_of, index] = True
-    return member
-
-
 def _dephased_weight(phi: np.ndarray, group_of: np.ndarray, member: np.ndarray) -> np.ndarray:
     """Eigenbasis weights of the dephased reference: 1 on same-group pairs,
     phi on pairs with both ends outside the subset, 0 elsewhere."""
@@ -188,20 +176,23 @@ def _dephased_weight(phi: np.ndarray, group_of: np.ndarray, member: np.ndarray) 
     return np.where(outside[..., :, None] & outside[..., None, :], phi, same_group)
 
 
-def _reference_inputs(partition: EigenspacePartition, subset, dist: TimeDistribution) -> tuple[np.ndarray, ...]:
-    """(phi, each eigenvalue's group, (1, n_groups) subset mask) of a partition."""
-    phi = walk._phi_matrix(dist, partition.decomposition.eigenvalues, partition.tol_degen)
-    group_of = np.repeat(np.arange(partition.n_groups), [len(g) for g in partition.groups])
-    return phi, group_of, _subset_mask([subset], np.array([partition.n_groups]))
+def _reference_inputs(w: SpectralWalk, dist: TimeDistribution) -> tuple[np.ndarray, ...]:
+    """(eigenvectors, phi, each eigenvalue's group) of a walk with its full
+    decomposition; a reduced walk has no eigenbasis to rotate rho0 into."""
+    if w.decomposition is None:
+        raise ValidationError("a reduced walk has no full eigendecomposition to rotate rho0 into")
+    part = w.partition
+    phi = walk._phi_matrix(dist, w.energies, w.tol_degen)
+    return w.decomposition.eigenvectors, phi, np.repeat(np.arange(part.n_groups), part.lengths)
 
 
-def dephased_reference(partition: EigenspacePartition, rho0: DensityOperator, subset, dist: TimeDistribution) -> DensityOperator:
+def dephased_reference(w: SpectralWalk, rho0: DensityOperator, subset, dist: TimeDistribution) -> DensityOperator:
     """Reference state: inside S keep only same-energy matrix elements,
     between S and its complement drop everything, outside S keep the fully
     damped block (characteristic function applied per gap)."""
-    v = partition.decomposition.eigenvectors
-    phi, group_of, member = _reference_inputs(partition, subset, dist)
-    return walk._weighted_density(v, walk._eigenbasis(v, rho0), _dephased_weight(phi, group_of, member[0]))
+    v, phi, group_of = _reference_inputs(w, dist)
+    member = spectral._subset_mask(subset, w.partition.n_groups)
+    return walk._weighted_density(v, walk._eigenbasis(v, rho0), _dephased_weight(phi, group_of, member))
 
 
 def _residual_distances(v: np.ndarray, rho0: DensityOperator, phi: np.ndarray, group_of: np.ndarray, member: np.ndarray) -> np.ndarray:
@@ -214,16 +205,17 @@ def _residual_distances(v: np.ndarray, rho0: DensityOperator, phi: np.ndarray, g
     return np.array([np.linalg.norm(diff) for diff in avg - ref])
 
 
-def residual_bound(partition: EigenspacePartition, rho0: DensityOperator, subset, dist: TimeDistribution) -> BoundReport:
+def residual_bound(w: SpectralWalk, rho0: DensityOperator, subset, dist: TimeDistribution) -> BoundReport:
     """Frobenius distance between the true time-averaged state and the
     dephased reference is at most sqrt(3) * (2/(T * delta_e_s))^k.
 
     Reported with bound/actual roles flipped into BoundReport form:
     holds <=> distance <= cap (slack = cap - distance >= -SLACK_TOL).
     """
-    s, delta_e_s = partition.gap_report.subset_gap(subset)
-    phi, group_of, member = _reference_inputs(partition, s, dist)
-    v = partition.decomposition.eigenvectors
+    v, phi, group_of = _reference_inputs(w, dist)
+    s, delta_e_s = w.partition.subset_gap(subset)
+    member = np.zeros((1, w.partition.n_groups), dtype=bool)
+    member[0, list(s)] = True
     distance = _residual_distances(v[None], DensityOperator(rho0.entries[None]), phi[None], group_of[None], member).item()
     inputs = {"kind": "residual", "T": dist.T, "k": dist.k, "subset": list(s), "delta_e_s": float(delta_e_s)}
     return BoundReport.build(distance, _error_term(dist.T, dist.k, delta_e_s), inputs)
@@ -272,9 +264,8 @@ def bound_comparison(w: SpectralWalk, T: float, group: int) -> ComparisonReport:
     """Evaluate the selectivity trade-off at time T for one eigenspace."""
     b2, _ = eigenspace_floor(w, T, group)
     b1, _ = mixing_floor(w, T)
-    report = w.gap_report
-    star = report.delta_e_star[group]
-    dmin = report.delta_e_min
+    star = w.partition.delta_e_star[group]
+    dmin = w.partition.delta_e_min
     p_inf = w.limiting_probability
     p_avg = w.probability(TimeDistribution(T=T, k=1))
     condition, tau_sel, tau_mix = (x.item() for x in _comparison(np.array([T]), np.array([p_avg]), np.array([p_inf]), star, dmin))
@@ -314,8 +305,7 @@ def certify_stack(stack: walk.WalkStack, subsets, groups, rho0: DensityOperator)
     spectral._raise_first(n < 2, GapUndefinedError, lambda at: f"gaps undefined: spectrum has {n[at]} eigenspace group(s), need at least 2")
     groups = np.asarray(groups, dtype=np.int64)
     spectral._raise_first((groups < 0) | (groups >= n), ValidationError, lambda at: f"group {groups[at]} outside 0..{n[at] - 1}")
-    member = _subset_mask(subsets, n)
-    spectral._raise_first(~member.any(axis=1), ValidationError, lambda at: "subset must be non-empty")
+    member = spectral._subset_mask(subsets, n)
     p1, pk = stack.averages
     star, lo = stack.delta_e_star, np.cumsum(n) - n
     dmin = np.minimum.reduceat(star, lo)

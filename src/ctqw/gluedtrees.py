@@ -81,18 +81,19 @@ def column_walk(two_n: int) -> walk.SpectralWalk:
     PAIRING_TOL times the spectral range, eigh's pairing residual raises
     InconsistencyError. The walk evolves under the exactly paired
     (E - E[::-1]) / 2, certified again by the reconstruction check, so the
-    sampler evaluates one phase per pair; the partition keeps eigh's
-    energies, within the residual of these and of the same range.
+    sampler evaluates one phase per pair, and its partition groups these
+    same energies. Past the certificates it needs no eigenvector: the walk
+    is returned as a reduced one, without its decomposition.
     """
     w = walk.spectral_walk(column_hamiltonian(two_n), walk.basis_state(two_n, 0), walk.basis_state(two_n, two_n - 1))
     dec = w.decomposition
     e = dec.eigenvalues
-    residual = float(np.max(np.abs(e + e[::-1])))
-    if residual > PAIRING_TOL * dec.spectral_range:
-        raise InconsistencyError(f"column spectrum pairing residual {residual:.3g} exceeds {PAIRING_TOL:g} * range {dec.spectral_range:.6g}")
+    residual, spread = float(np.max(np.abs(e + e[::-1]))), float(e[-1] - e[0])
+    if residual > PAIRING_TOL * spread:
+        raise InconsistencyError(f"column spectrum pairing residual {residual:.3g} exceeds {PAIRING_TOL:g} * range {spread:.6g}")
     paired = replace(dec, eigenvalues=(e - e[::-1]) / 2)
     spectral._check_reconstruction(paired)
-    return replace(w, energies=paired.eigenvalues)
+    return walk.SpectralWalk(paired.eigenvalues, w.c, w.rows, None)
 
 
 @dataclass(frozen=True)
@@ -271,14 +272,14 @@ class SubspaceReport:
 def subspace_S(w: walk.SpectralWalk) -> SubspaceReport:
     """Minus-branch solutions with ceil(n/4) <= ell <= ceil(3n/4).
 
-    w is the column walk of column_walk(two_n). Members are mapped onto its
-    eigenspace groups; checks hold the subset gap (certified >= pi/(16n)),
-    the gaps within the band and from the band to the other groups against
-    their floors, and the band overlap masses. sines is measured, not
+    w is the column walk of column_walk(two_n), whose dimension gives two_n.
+    Members are mapped onto its eigenspace groups; checks hold the subset
+    gap (certified >= pi/(16n)), the gaps within the band and from the band
+    to the other groups against their floors, and the band overlap masses. sines is measured, not
     checked: at finite n the band-edge momenta land slightly outside
     (pi/4, 3pi/4), so min(sines) sits below 1/sqrt(2) at desk sizes.
     """
-    two_n = w.decomposition.dim
+    two_n = w.energies.shape[0]
     if two_n < 8:
         raise ValidationError(f"subspace requires two_n >= 8, got {two_n}")
     n = two_n // 2
@@ -288,7 +289,8 @@ def subspace_S(w: walk.SpectralWalk) -> SubspaceReport:
     if len(members) < 2:
         raise InconsistencyError(f"band subset for two_n={two_n} has {len(members)} member(s), need 2")
 
-    energies = w.partition.energies
+    part = w.partition
+    energies = part.energies
     group_indices = []
     for s in members:
         diffs = np.abs(energies - s.energy)
@@ -301,7 +303,7 @@ def subspace_S(w: walk.SpectralWalk) -> SubspaceReport:
     if len(set(group_indices)) != len(group_indices):
         raise InconsistencyError("two band members mapped to one eigenspace")
 
-    subset, delta_e_s = w.gap_report.subset_gap(group_indices)
+    subset, delta_e_s = part.subset_gap(group_indices)
     within = float(np.min(np.diff(energies[list(subset)])))
     comp = [i for i in range(energies.shape[0]) if i not in subset]
     cross = float(np.min(np.abs(energies[list(subset)][:, None] - energies[comp][None, :])))
@@ -586,14 +588,14 @@ def certified_hitting_times(w: walk.SpectralWalk) -> dict:
     column_walk(two_n); the subspace_S report the routes rest on is returned
     under "subspace".
     """
-    two_n = w.decomposition.dim
+    two_n = w.energies.shape[0]
     n = two_n // 2
-    gap_report = w.gap_report
+    part = w.partition
     p_inf = w.limiting_probability
 
     sub = subspace_S(w)
     g_mid = sub.group_indices[sub.ells.index(math.ceil(n / 2))]
-    de_star = gap_report.delta_e_star[g_mid]
+    de_star = part.delta_e_star[g_mid]
 
     _, k3, _ = default_schedule(two_n)
 
@@ -610,7 +612,7 @@ def certified_hitting_times(w: walk.SpectralWalk) -> dict:
             raise InconsistencyError("no grid point certified a positive floor")
         return tau, best_t
 
-    t1 = 2.0 / (p_inf * gap_report.delta_e_min)
+    t1 = 2.0 / (p_inf * part.delta_e_min)
     tau1, t_at_1 = best(
         np.geomspace(1.5 * t1, 48.0 * t1, CERTIFY_GRID_POINTS), 1, lambda t: bounds.mixing_floor(w, t)[0]
     )
@@ -639,7 +641,7 @@ def certified_hitting_times(w: walk.SpectralWalk) -> dict:
         "slack_l2": bounds.eigenspace_bound(w, t_at_2, g_mid).slack,
         "slack_l3": bounds.subset_bound(w, TimeDistribution(T=t_at_3, k=k3), sub.group_indices).slack,
         "p_inf": float(p_inf),
-        "delta_e_min": float(gap_report.delta_e_min),
+        "delta_e_min": float(part.delta_e_min),
         "delta_e_s": float(sub.delta_e_s),
         "subspace": sub,
     }

@@ -1,20 +1,21 @@
-"""Hermitian validation, deterministic eigendecomposition, eigenspace grouping
-and spectral-gap reports.
+"""Hermitian validation, deterministic eigendecomposition, and the eigenspace
+partition of a walk's energies with its spectral gaps.
 
 Conventions fixed here and relied on everywhere else:
 
 * eigenvalues ascending, eigenvectors as columns, global phase fixed so the
   first component above threshold is real and positive;
-* degeneracy grouping at an absolute tolerance (default 1e-8 times the
-  spectral range), split at adjacent gaps and validated both ways;
-* gap reports always work on group representative energies, never raw
-  eigenvalues.
+* degeneracy grouping of ascending energies alone, at an absolute tolerance
+  (degeneracy_tol: 1e-8 times the spectral range), split at adjacent gaps
+  and validated both ways; no eigenvector is needed, so a reduced walk is
+  grouped like a fully decomposed one;
+* gaps always work on group representative energies, never raw eigenvalues,
+  and are read off the partition itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,13 +32,10 @@ __all__ = [
     "HermitianOperator",
     "SpectralDecomposition",
     "EigenspacePartition",
-    "GapReport",
     "hermitian",
     "decompose",
     "group_eigenspaces",
-    "gaps",
     "degeneracy_tol",
-    "default_degeneracy_tol",
 ]
 
 #: relative tolerance for the hermiticity check
@@ -89,6 +87,8 @@ def hermitian(matrix: np.ndarray) -> HermitianOperator:
     ------
     EmptyOperatorError
         for 0 x 0 input.
+    ValidationError
+        for a non-finite entry, which the message names.
     NonHermitianError
         if |H - H^dagger| exceeds TOL_HERM relative to max|H|; the message
         names the worst offending entry pair, and in a stack the first
@@ -100,6 +100,13 @@ def hermitian(matrix: np.ndarray) -> HermitianOperator:
     if m.shape[-1] == 0:
         raise EmptyOperatorError("operator has dimension zero")
     m = m.astype(np.complex128, copy=False)
+    finite = np.isfinite(m)
+
+    def describe_entry(at):
+        i, j = np.argwhere(~finite[at])[0]
+        return f"entry ({i}, {j}) is {m[at][i, j]}, not finite"
+
+    _raise_first(~finite.all(axis=(-2, -1)), ValidationError, describe_entry)
     scale = np.abs(m).max(axis=(-2, -1))
     asym = np.abs(m - m.conj().swapaxes(-1, -2))
     worst = asym.max(axis=(-2, -1))
@@ -136,12 +143,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[-1]
 
-    @property
-    def spectral_range(self) -> float:
-        if self.dim < 2:
-            return 0.0
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
-
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first component above threshold is real positive."""
@@ -157,7 +158,7 @@ def decompose(h) -> SpectralDecomposition:
 
     Postconditions (checked per matrix): eigenvalues ascending; eigenvector
     columns orthonormal; V diag(E) V^dagger reconstructs H within TOL_RECON
-    relative Frobenius error.
+    relative Frobenius error. A NaN eigenpair fails them: InconsistencyError.
     """
     op = _as_operator(h)
     evals, evecs = np.linalg.eigh(op.entries)
@@ -173,41 +174,54 @@ def _check_reconstruction(dec: SpectralDecomposition) -> None:
     gram = vh @ v
     gram[..., range(dec.dim), range(dec.dim)] -= 1.0
     ortho_err = np.abs(gram).max(axis=(-2, -1))
-    _raise_first(ortho_err > 1e-10, InconsistencyError, lambda at: f"eigenvectors not orthonormal: error {ortho_err[at]:.3g}")
+    # written ~(x <= tol), so that a NaN fails the check
+    _raise_first(~(ortho_err <= 1e-10), InconsistencyError, lambda at: f"eigenvectors not orthonormal: error {ortho_err[at]:.3g}")
     # one more dim x dim buffer besides vh: the reconstruction reuses gram's
     recon = np.matmul(v * e[..., None, :], vh, out=gram)
     recon -= dec.operator.entries
     err = _frobenius(recon) / np.maximum(_frobenius(dec.operator.entries), 1.0)
-    _raise_first(err > TOL_RECON, InconsistencyError, lambda at: f"spectral reconstruction error {err[at]:.3g} exceeds {TOL_RECON:g}")
+    _raise_first(~(err <= TOL_RECON), InconsistencyError, lambda at: f"spectral reconstruction error {err[at]:.3g} exceeds {TOL_RECON:g}")
 
 
 @dataclass(frozen=True)
 class EigenspacePartition:
-    """Eigenvalues clustered into (near-)degenerate groups.
+    """Ascending energies clustered into (near-)degenerate groups, with the
+    gaps between them.
 
-    groups holds index tuples into the decomposition ordering; energies holds
-    one representative (mean) energy per group, ascending. gap_report comes
-    with a partition of two groups or more, worked out with its grouping.
+    Group g holds lengths[g] consecutive energies and energies[g] is their
+    mean, ascending. The gaps work on the group energies and are worked out
+    on first use; with fewer than two groups they are undefined and raise
+    GapUndefinedError.
     """
 
-    decomposition: SpectralDecomposition
-    groups: tuple[tuple[int, ...], ...]
+    lengths: tuple[int, ...]
     energies: np.ndarray
-    tol_degen: float
 
     @property
     def n_groups(self) -> int:
-        return len(self.groups)
+        return len(self.lengths)
 
     @cached_property
-    def gap_report(self) -> "GapReport":
-        """gaps(self), kept: raises GapUndefinedError for fewer than two groups."""
-        return gaps(self)
+    def delta_e_star(self) -> tuple[float, ...]:
+        """Per group, the gap to the nearest other group."""
+        m = self.n_groups
+        if m < 2:
+            raise GapUndefinedError(f"gaps undefined: spectrum has {m} eigenspace group(s), need at least 2")
+        return tuple(_gap_stars(self.energies, [m]).tolist())
 
-    def projector(self, g: int) -> np.ndarray:
-        """Orthogonal projector onto group g's eigenspace."""
-        cols = self.decomposition.eigenvectors[:, list(self.groups[g])]
-        return cols @ cols.conj().T
+    @cached_property
+    def delta_e_min(self) -> float:
+        """The smallest gap between any two groups."""
+        return min(self.delta_e_star)
+
+    def subset_gap(self, subset) -> tuple[tuple[int, ...], float]:
+        """(sorted subset, delta_e_s) for a non-empty subset S of group
+        indices: the smallest gap over pairs with an endpoint in S, which is
+        the smallest delta_e_star over S, so no second pass over the energies
+        is needed."""
+        star = self.delta_e_star
+        s = tuple(np.flatnonzero(_subset_mask(subset, self.n_groups)).tolist())
+        return s, min(star[i] for i in s)
 
 
 def degeneracy_tol(spectral_range):
@@ -217,33 +231,48 @@ def degeneracy_tol(spectral_range):
     return tol if tol.ndim else float(tol)
 
 
-def default_degeneracy_tol(dec: SpectralDecomposition) -> float:
-    """degeneracy_tol of the decomposition's spectral range."""
-    return degeneracy_tol(dec.spectral_range)
+def group_eigenspaces(energies, tol_degen: float) -> EigenspacePartition:
+    """Cluster ascending energies into groups separated by more than tol_degen.
 
-
-def group_eigenspaces(dec: SpectralDecomposition, tol_degen: float | None = None) -> EigenspacePartition:
-    """Cluster eigenvalues into groups separated by more than tol_degen.
-
-    Groups split wherever adjacent eigenvalues differ by more than
-    tol_degen; afterwards both invariants are enforced:
-    within-group spread <= tol_degen and between-group gap > tol_degen.
-    A spectrum violating both simultaneously (a chain of near-ties wider than
-    the tolerance) raises AmbiguousDegeneracyError. A partition of two groups
-    or more comes with its gap report.
+    Groups split wherever adjacent energies differ by more than tol_degen;
+    afterwards both invariants are enforced: within-group spread <=
+    tol_degen and between-group gap > tol_degen. A spectrum violating both
+    simultaneously (a chain of near-ties wider than the tolerance) raises
+    AmbiguousDegeneracyError.
     """
-    if tol_degen is None:
-        tol_degen = default_degeneracy_tol(dec)
-    if tol_degen < 0:
+    e = np.asarray(energies, dtype=np.float64)
+    if e.ndim != 1 or e.shape[0] == 0 or not (np.isfinite(e).all() and (np.diff(e) >= 0).all()):
+        raise ValidationError("energies must be a non-empty ascending 1-d array of finite values")
+    if not tol_degen >= 0:
         raise ValidationError(f"tol_degen must be non-negative, got {tol_degen}")
-    _, _, lengths, energies, stars = _group_runs(dec.eigenvalues, tol_degen)
-    ends = np.cumsum(lengths).tolist()
-    groups = tuple(tuple(range(end - n, end)) for end, n in zip(ends, lengths.tolist()))
-    part = EigenspacePartition(decomposition=dec, groups=groups, energies=energies, tol_degen=float(tol_degen))
-    if len(groups) >= 2:
-        star = stars.tolist()
-        vars(part)["gap_report"] = GapReport(delta_e_min=min(star), delta_e_star=tuple(star))
-    return part
+    _, _, lengths, group_energies, _ = _group_runs(e, tol_degen)
+    return EigenspacePartition(lengths=tuple(lengths.tolist()), energies=group_energies)
+
+
+def _subset_mask(subsets, n_groups) -> np.ndarray:
+    """Subsets of group indices as a boolean mask over the groups: (n,) for
+    one subset of n_groups = n groups, or (B, max groups) for subsets[i] of
+    n_groups[i] groups over a (B,) array n_groups. An index outside the
+    groups or an empty subset raises ValidationError; in a stack the error
+    names the walk's index."""
+    n = np.asarray(n_groups)
+    rows = [subsets] if n.ndim == 0 else subsets
+    walk_of = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    index = np.array([int(i) for row in rows for i in row], dtype=np.int64)
+    outside = (index < 0) | (index >= n.reshape(-1)[walk_of])
+    bad = np.zeros(len(rows), dtype=bool)
+    bad[walk_of[outside]] = True
+
+    def describe(at):
+        i = index[outside & (walk_of == (at[0] if at else 0))][0]
+        return f"subset index {i} outside group range 0..{n[at] - 1}"
+
+    _raise_first(bad.reshape(n.shape), ValidationError, describe)
+    member = np.zeros((len(rows), int(n.max())), dtype=bool)
+    member[walk_of, index] = True
+    member = member.reshape(n.shape + member.shape[-1:])
+    _raise_first(~member.any(axis=-1), ValidationError, lambda at: "subset must be non-empty")
+    return member
 
 
 def _group_starts(e: np.ndarray, tol) -> np.ndarray:
@@ -306,50 +335,6 @@ def _group_runs(e: np.ndarray, tol) -> tuple[np.ndarray, ...]:
     energies = _segment_sums(e.reshape(-1), lengths) / lengths  # each group's mean
     n_groups = flat.sum(axis=-1)
     return starts, n_groups, lengths, energies, _gap_stars(energies, n_groups)
-
-
-# a named tuple: a frozen dataclass costs about three times the import-time memory
-class GapReport(NamedTuple):
-    """Spectral gaps over group representative energies.
-
-    delta_e_min: smallest gap between any two groups.
-    delta_e_star: per-group gap to the nearest other group.
-    subset_gap(S) gives delta_e_s, the minimum gap over pairs with at least
-    one endpoint in the group subset S.
-    """
-
-    delta_e_min: float
-    delta_e_star: tuple[float, ...]
-
-    def subset_gap(self, subset) -> tuple[tuple[int, ...], float]:
-        """(sorted subset, delta_e_s) for a non-empty subset of group indices.
-
-        The smallest gap over pairs with an endpoint in S is the smallest
-        delta_e_star over S, so no second pass over the energies is needed.
-        """
-        m = len(self.delta_e_star)
-        s = tuple(sorted(set(int(i) for i in subset)))
-        if len(s) == 0:
-            raise ValidationError("subset must be non-empty")
-        for i in s:
-            if i < 0 or i >= m:
-                raise ValidationError(f"subset index {i} outside group range 0..{m - 1}")
-        return s, min(self.delta_e_star[i] for i in s)
-
-
-def gaps(partition: EigenspacePartition) -> GapReport:
-    """Gap report for a partition.
-
-    Raises GapUndefinedError when the partition has fewer than two groups.
-    """
-    energies = partition.energies
-    m = energies.shape[0]
-    if m < 2:
-        raise GapUndefinedError(
-            f"gaps undefined: spectrum has {m} eigenspace group(s), need at least 2"
-        )
-    star = _gap_stars(energies, [m]).tolist()
-    return GapReport(delta_e_min=min(star), delta_e_star=tuple(star))
 
 
 def _gap_stars(energies: np.ndarray, n_groups) -> np.ndarray:

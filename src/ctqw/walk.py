@@ -15,9 +15,10 @@ quadratic forms in S: no complex dim x dim matrix, no cancellation.
 
 A SpectralWalk holds one walk read off one eigenbasis: the energies, the
 start amplitudes and the target rows. Every exact average, limiting
-probability, gap report and Monte Carlo measurement is a method of it, so a
-spectrum is decomposed, grouped and gapped once however many times T it is
-evaluated at. The one-shot functions below each build one and ask it once.
+probability, eigenspace partition (with its gaps) and Monte Carlo
+measurement is a method of it, so a spectrum is decomposed, grouped and
+gapped once however many times T it is evaluated at. The one-shot
+functions below each build one and ask it once.
 spectral_walks reads the walks of a whole stack of matrices into a
 WalkStack of arrays with the same kernels, bitwise.
 """
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import spectral
 from .errors import DegenerateProbabilityError, InconsistencyError, ValidationError
-from .spectral import EigenspacePartition, GapReport, SpectralDecomposition
+from .spectral import EigenspacePartition, SpectralDecomposition
 
 __all__ = [
     "PureState",
@@ -77,7 +78,8 @@ def pure_state(vec: np.ndarray) -> PureState:
     if v.ndim == 0 or v.shape[-1] == 0:
         raise ValidationError(f"state must be a non-empty vector, got shape {v.shape}")
     norm = np.linalg.norm(v, axis=-1)
-    bad = np.abs(norm - 1.0) > TOL_NORM
+    # written ~(x <= tol), so that a NaN fails the check
+    bad = ~(np.abs(norm - 1.0) <= TOL_NORM)
     spectral._raise_first(bad, ValidationError, lambda at: f"state norm {norm[at]:.12g} deviates from 1 by more than {TOL_NORM:g}")
     return PureState(amplitudes=v)
 
@@ -100,23 +102,23 @@ def density_operator(matrix: np.ndarray) -> DensityOperator:
     """Check a matrix, or each matrix of a stack; a failure names its stack index."""
     op = spectral.hermitian(matrix)
     tr = np.trace(op.entries, axis1=-2, axis2=-1).real
-    deviates = np.abs(tr - 1.0) > TOL_TRACE
+    deviates = ~(np.abs(tr - 1.0) <= TOL_TRACE)
     spectral._raise_first(deviates, ValidationError, lambda at: f"trace {tr[at]:.12g} deviates from 1 by more than {TOL_TRACE:g}")
     lo = np.linalg.eigvalsh(op.entries)[..., 0]
-    spectral._raise_first(lo < -TOL_PSD, ValidationError, lambda at: f"matrix is not PSD: lowest eigenvalue {lo[at]:.3g}")
+    spectral._raise_first(~(lo >= -TOL_PSD), ValidationError, lambda at: f"matrix is not PSD: lowest eigenvalue {lo[at]:.3g}")
     return DensityOperator(entries=op.entries)
 
 
 @dataclass(frozen=True)
 class TimeDistribution:
-    """Evolution time t = t_1 + ... + t_k with t_j i.i.d. uniform on [0, T]."""
+    """Evolution time t = t_1 + ... + t_k with t_j i.i.d. uniform on [0, T], T finite."""
 
     T: float
     k: int = 1
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValidationError(f"T must be positive, got {self.T}")
+        if not 0 < self.T < np.inf:
+            raise ValidationError(f"T must be positive and finite, got {self.T}")
         if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
             raise ValidationError(f"k must be an integer >= 1, got {self.k}")
 
@@ -232,12 +234,13 @@ class SpectralWalk:
     eigenvectors E_j need only span an invariant subspace that holds psi0
     (the whole space, or a reduction of it). decomposition is the full
     eigendecomposition the walk was read from, None for a reduced walk;
-    only the eigenspace partition, and what is derived from it, needs it.
+    only the residual bound, which rotates a density operator into the
+    eigenbasis, needs it.
 
-    The degeneracy tolerance, the partition, the group overlaps, the
-    limiting probability and the gap report are worked out on first use;
-    each exact average is kept per time law, so one (T, k) is evaluated
-    once however many bounds are certified against it.
+    The degeneracy tolerance, the partition of the energies with its gaps,
+    the group overlaps and the limiting probability are worked out on first
+    use; each exact average is kept per time law, so one (T, k) is
+    evaluated once however many bounds are certified against it.
     """
 
     energies: np.ndarray
@@ -330,21 +333,14 @@ class SpectralWalk:
 
     @cached_property
     def partition(self) -> EigenspacePartition:
-        """Eigenspace groups of the full decomposition at tol_degen."""
-        if self.decomposition is None:
-            raise ValidationError("a reduced walk has no full eigendecomposition to group")
-        return spectral.group_eigenspaces(self.decomposition, self.tol_degen)
-
-    @property
-    def gap_report(self) -> GapReport:
-        """The partition's gap report, worked out once."""
-        return self.partition.gap_report
+        """Eigenspace groups of the energies at tol_degen, with their gaps."""
+        return spectral.group_eigenspaces(self.energies, self.tol_degen)
 
     @cached_property
     def overlaps(self) -> tuple[float, ...]:
         """Per eigenspace group g, the target weight of P_g psi0:
         |<y|P_g|psi0>|^2 for a state target."""
-        return tuple(_group_overlaps(self.rows * self.c, [len(g) for g in self.partition.groups]))
+        return tuple(_group_overlaps(self.rows * self.c, self.partition.lengths))
 
     @cached_property
     def limiting_probability(self) -> float:
@@ -525,7 +521,8 @@ def time_averaged_density(h, rho0: DensityOperator, dist: TimeDistribution) -> D
     near-degenerate pairs are left untouched (coherences survive).
     """
     dec = _decompose_one(h)
-    phi = _phi_matrix(dist, dec.eigenvalues, spectral.default_degeneracy_tol(dec))
+    e = dec.eigenvalues
+    phi = _phi_matrix(dist, e, spectral.degeneracy_tol(e[-1] - e[0]))
     return _weighted_density(dec.eigenvectors, _eigenbasis(dec.eigenvectors, rho0), phi)
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ctqw import walk
+from ctqw import spectral, walk
 from ctqw.rng import rng_stream
 
 
@@ -23,6 +23,12 @@ def instance_stream(seed: int, count: int, dim_lo: int = 2, dim_hi: int = 8):
         dim = int(rng.integers(dim_lo, dim_hi + 1))
         h = random_hermitian(rng, dim)
         yield rng, dim, h, random_state(rng, dim), random_state(rng, dim)
+
+
+def partition_of(dec: spectral.SpectralDecomposition) -> spectral.EigenspacePartition:
+    """The eigenspace partition of a decomposition's eigenvalues at the walk's tolerance."""
+    e = dec.eigenvalues
+    return spectral.group_eigenspaces(e, spectral.degeneracy_tol(e[-1] - e[0]))
 
 
 def shift_lowest_eigenvalue(monkeypatch, shift: float) -> None:

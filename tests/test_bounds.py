@@ -93,8 +93,8 @@ def test_subset_vs_eigenspace_structural_difference():
         part = w.partition
         T = 17.0
         for g in range(part.n_groups):
-            _, delta_e_s = part.gap_report.subset_gap([g])
-            if abs(delta_e_s - part.gap_report.delta_e_star[g]) > 1e-12:
+            _, delta_e_s = part.subset_gap([g])
+            if abs(delta_e_s - part.delta_e_star[g]) > 1e-12:
                 continue
             b_eig = bounds.eigenspace_bound(w, T, g)
             b_sub = bounds.subset_bound(w, TimeDistribution(T=T, k=1), [g])
@@ -182,11 +182,11 @@ def test_dephased_reference_full_subset_is_diagonal():
     from conftest import random_hermitian
 
     h = random_hermitian(rng, dim)
-    dec = spectral.decompose(h)
-    part = spectral.group_eigenspaces(dec)
-    v = random_state(rng, dim).amplitudes
-    rho = walk.density_operator(np.outer(v, v.conj()))
-    ref = bounds.dephased_reference(part, rho, range(part.n_groups), TimeDistribution(T=3.0, k=1))
+    v = random_state(rng, dim)
+    w = walk.spectral_walk(h, v, v)
+    rho = walk.density_operator(np.outer(v.amplitudes, v.amplitudes.conj()))
+    ref = bounds.dephased_reference(w, rho, range(w.partition.n_groups), TimeDistribution(T=3.0, k=1))
+    dec = w.decomposition
     m = dec.eigenvectors.conj().T @ ref.entries @ dec.eigenvectors
     assert np.max(np.abs(m - np.diag(np.diag(m)))) <= 1e-12
 
@@ -196,12 +196,12 @@ def test_residual_bound_holds_dim4():
     from conftest import random_hermitian
 
     h = random_hermitian(rng, 4)
-    part = spectral.group_eigenspaces(spectral.decompose(h))
-    v = random_state(rng, 4).amplitudes
-    rho = walk.density_operator(np.outer(v, v.conj()))
-    subset = [0, part.n_groups - 1]
+    v = random_state(rng, 4)
+    w = walk.spectral_walk(h, v, v)
+    rho = walk.density_operator(np.outer(v.amplitudes, v.amplitudes.conj()))
+    subset = [0, w.partition.n_groups - 1]
     for k in (1, 2, 4):
-        rep = bounds.residual_bound(part, rho, subset, TimeDistribution(T=25.0, k=k))
+        rep = bounds.residual_bound(w, rho, subset, TimeDistribution(T=25.0, k=k))
         assert rep.holds
         assert rep.inputs["kind"] == "residual"
 
@@ -218,12 +218,12 @@ def test_residual_bound_stack_equals_per_instance_calls_bitwise():
     rho_stack = walk.density_operator(psi0.amplitudes[:, :, None] * psi0.amplitudes.conj()[:, None, :])
     stacked = of_kind(bounds.certify_stack(stack, subsets, [0] * 5, rho_stack), "residual")
     for i in range(5):
-        part = walk.spectral_walk(h[i], walk.PureState(psi0.amplitudes[i]), walk.basis_state(6, 0)).partition
-        one = bounds.residual_bound(part, walk.DensityOperator(rho_stack.entries[i]), subsets[i], dists[i])
+        w = walk.spectral_walk(h[i], walk.PureState(psi0.amplitudes[i]), walk.basis_state(6, 0))
+        one = bounds.residual_bound(w, walk.DensityOperator(rho_stack.entries[i]), subsets[i], dists[i])
         assert (one.bound_value, one.actual_value, one.slack, one.holds) == tuple(x[i] for x in stacked)
     # the public form takes one instance: a stacked rho0 is refused, not broadcast
     with pytest.raises(ValidationError, match=r"rho0 shape \(1, 5, 6, 6\)"):
-        bounds.residual_bound(part, rho_stack, subsets[0], dists[0])
+        bounds.residual_bound(w, rho_stack, subsets[0], dists[0])
 
 
 def test_residual_bound_builds_phi_once(monkeypatch):
@@ -231,10 +231,27 @@ def test_residual_bound_builds_phi_once(monkeypatch):
     phi_matrix = walk._phi_matrix
     monkeypatch.setattr(walk, "_phi_matrix", lambda *args: calls.append(args) or phi_matrix(*args))
     h, psi0, _ = glued_setup(12)
-    part = spectral.group_eigenspaces(spectral.decompose(h))
     rho = walk.density_operator(np.outer(psi0.amplitudes, psi0.amplitudes.conj()))
-    assert bounds.residual_bound(part, rho, [0], TimeDistribution(T=30.0, k=2)).holds
+    assert bounds.residual_bound(walk.spectral_walk(h, psi0, psi0), rho, [0], TimeDistribution(T=30.0, k=2)).holds
     assert len(calls) == 1
+
+
+def test_reference_and_residual_need_the_decomposition():
+    # a reduced walk has a partition, but no eigenvectors to rotate rho0 into
+    h, psi0, _ = glued_setup(12)
+    rho = walk.density_operator(np.outer(psi0.amplitudes, psi0.amplitudes.conj()))
+    column = gluedtrees.column_walk(12)
+    assert column.decomposition is None and column.partition.n_groups == 12
+    dist = TimeDistribution(T=30.0, k=2)
+    for fn in (bounds.dephased_reference, bounds.residual_bound):
+        with pytest.raises(ValidationError, match="^a reduced walk has no full eigendecomposition"):
+            fn(column, rho, [0], dist)
+    # the reference takes any subset of the groups; a bad one is refused once, by the one validator
+    w = walk.spectral_walk(h, psi0, psi0)
+    for bad, message in (([12], "subset index 12 outside group range 0..11"), ([], "subset must be non-empty")):
+        for fn in (bounds.dephased_reference, bounds.residual_bound):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                fn(w, rho, bad, dist)
 
 
 def of_kind(table: dict, kind: str) -> tuple:
@@ -280,7 +297,7 @@ def test_certify_stack_equals_per_walk_calls_bitwise():
         for i, (w, dist, subset, group) in enumerate(zip(walks, dists, subsets, groups, strict=True)):
             T = dist.T
             reports = {"mixing": bounds.mixing_bound(w, T), "subset": bounds.subset_bound(w, dist, subset)}
-            reports["residual"] = bounds.residual_bound(w.partition, walk.DensityOperator(rho0.entries[i]), subset, dist)
+            reports["residual"] = bounds.residual_bound(w, walk.DensityOperator(rho0.entries[i]), subset, dist)
             for kind, rep in reports.items():
                 # compared with ==: every value bitwise, and negative floors reported as they are
                 assert (rep.bound_value, rep.actual_value, rep.slack, rep.holds) == tuple(x[i] for x in found[kind]), (dim, i, kind)
@@ -367,7 +384,7 @@ def test_bounds_stack_shares_one_phase_kernel_per_time_law(monkeypatch):
     monkeypatch.setattr(bounds, "certify_stack", lambda stack, *rest: stacks.append(stack) or certify(stack, *rest))
     monkeypatch.setattr(np, "stack", lambda arrays, *rest, **kw: stacked.append(len(arrays)) or stack_fn(arrays, *rest, **kw))
     monkeypatch.setattr(walk, "_phi_matrix", None)
-    monkeypatch.setattr(spectral.GapReport, "subset_gap", None)
+    monkeypatch.setattr(spectral.EigenspacePartition, "subset_gap", None)
     rows = cli._bounds_block((0, 60, 7, 10, 0.1, 1000.0, (1, 2, 3, 4)))
     assert len({row["instance"] for row in rows}) == 60 and all(row["holds"] for row in rows)
     expected = []
@@ -380,11 +397,12 @@ def test_bounds_stack_shares_one_phase_kernel_per_time_law(monkeypatch):
 
 
 def test_bounds_instance_computes_gaps_once(monkeypatch):
-    # the stacked gap kernel covers each instance once, and no bound works them out again
+    # the stacked gap kernel covers each instance once, and no bound works them
+    # out again: a per-walk partition would call it once more, for one walk
     stacks, per_partition = [], []
-    stars, gaps = spectral._gap_stars, spectral.gaps
+    stars, group = spectral._gap_stars, spectral.group_eigenspaces
     monkeypatch.setattr(spectral, "_gap_stars", lambda e, n_groups: stacks.append(len(n_groups)) or stars(e, n_groups))
-    monkeypatch.setattr(spectral, "gaps", lambda *args, **kwargs: per_partition.append(args) or gaps(*args, **kwargs))
+    monkeypatch.setattr(spectral, "group_eigenspaces", lambda *args: per_partition.append(args) or group(*args))
     kinds = set()
     for idx in range(12):
         stacks.clear()
@@ -401,13 +419,13 @@ def test_residual_bound_epsilon_schedule():
     # caps the reference distance by eps itself
     two_n = 12
     h, psi0, _ = glued_setup(two_n)
-    part = spectral.group_eigenspaces(spectral.decompose(h))
+    w = walk.spectral_walk(h, psi0, psi0)
     sub = gluedtrees.subspace_S(gluedtrees.column_walk(two_n))
     rho = walk.density_operator(np.outer(psi0.amplitudes, psi0.amplitudes.conj()))
     for eps in (0.1, 0.01, 0.001):
         k = max(1, math.ceil(math.log2(1.0 / eps)))
         T = (2.0 / sub.delta_e_s) * (math.sqrt(3.0) / eps) ** (1.0 / k)
-        rep = bounds.residual_bound(part, rho, sub.group_indices, TimeDistribution(T=T, k=k))
+        rep = bounds.residual_bound(w, rho, sub.group_indices, TimeDistribution(T=T, k=k))
         assert rep.holds
         assert rep.bound_value <= eps  # distance itself under eps
         assert rep.actual_value <= eps * (1.0 + 1e-12)  # and the analytic cap too

@@ -17,8 +17,8 @@ ENTRY = ("cli", "main")
 ORACLES = (
     ("walk.characteristic", "test_walk: test_characteristic_*"),
     ("walk.avg_probability_quadrature", "criterion 02"),
-    ("bounds.dephased_reference", "test_bounds: test_dephased_reference_full_subset_is_diagonal"),
-    ("bounds.residual_bound", "test_bounds: the residual tests; the CLI certifies residuals a stack at a time"),
+    ("bounds.dephased_reference", "test_bounds: test_dephased_reference_*, test_reference_and_residual_need_the_decomposition"),
+    ("bounds.residual_bound", "test_bounds: the residual tests, on a walk with its decomposition; the CLI certifies residuals a stack at a time"),
     ("bounds.bound_comparison", "test_bounds: the comparison tests; the CLI compares a stack at a time"),
     ("gluedtrees.column_spectrum_check", "criterion 03"),
     ("gluedtrees.generate_instance", "criterion 06"),

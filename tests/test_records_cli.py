@@ -856,10 +856,10 @@ def count_calls(monkeypatch, module, names) -> dict:
 
 def test_bounds_instance_decomposes_once(monkeypatch):
     stacks, gap_stacks, per_partition = [], [], []
-    decompose, stars, gaps = spectral.decompose, spectral._gap_stars, spectral.gaps
+    decompose, stars, group = spectral.decompose, spectral._gap_stars, spectral.group_eigenspaces
     monkeypatch.setattr(spectral, "decompose", lambda h: stacks.append(len(h.entries)) or decompose(h))
     monkeypatch.setattr(spectral, "_gap_stars", lambda e, n_groups: gap_stacks.append(len(n_groups)) or stars(e, n_groups))
-    monkeypatch.setattr(spectral, "gaps", lambda part: per_partition.append(part) or gaps(part))
+    monkeypatch.setattr(spectral, "group_eigenspaces", lambda *args: per_partition.append(args) or group(*args))
     rows = cli._bounds_block((0, 20, 7, 10, 0.1, 1000.0, (1, 2, 3, 4)))
     assert all(row["holds"] for row in rows)
     # one stacked decomposition per dimension: every instance decomposed once

@@ -145,6 +145,9 @@ def test_reduced_walk_matches_dense_oracle(family, n):
             dense_walk = walk.spectral_walk(ops.H, psi0, basis)
             p_dense = dense_walk.probability(dist)
             assert abs(p_reduced - p_dense) <= 1e-10, (s, completion)
+            # the reduced walk groups its own energies: the same eigenspaces carry the target
+            assert w.partition.n_groups == dense_walk.partition.n_groups, (s, completion)
+            assert abs(w.limiting_probability - dense_walk.limiting_probability) <= 1e-12, (s, completion)
             # the dense rows sit before V; its marked block maps them to edge coordinates,
             # of which the reduced walk measures the marked neighbourhood's
             p_s = ops.interpolated.P_s

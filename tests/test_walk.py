@@ -16,7 +16,7 @@ from ctqw.errors import (
 from ctqw.rng import rng_stream
 from ctqw.walk import TimeDistribution
 
-from conftest import instance_stream, random_hermitian, random_state
+from conftest import instance_stream, partition_of, random_hermitian, random_state
 
 
 def two_level_average(T: float) -> float:
@@ -164,6 +164,31 @@ def test_probability_validation_errors():
         TimeDistribution(T=1.0, k=0)
 
 
+def test_time_distribution_needs_a_finite_T():
+    # an infinite or NaN T is bad input, not an internal failure of the averages it feeds
+    for T in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="T must be positive and finite"):
+            TimeDistribution(T=T, k=1)
+    w = walk.spectral_walk(np.diag([0.0, 1.0]), walk.basis_state(2, 0), walk.basis_state(2, 0))
+    with pytest.raises(ValidationError, match="got inf"):
+        w.hitting_time([1.0, math.inf], 1)
+
+
+def test_nan_states_are_bad_input(monkeypatch):
+    # NaN compares false with every tolerance, so each check fails unless it holds
+    with pytest.raises(ValidationError, match="state norm nan deviates"):
+        walk.pure_state(np.array([np.nan, 0.0]))
+    with pytest.raises(ValidationError, match=r"entry \(0, 0\) is \(nan\+0j\), not finite"):
+        walk.density_operator(np.diag([np.nan, 1.0]))
+    # the trace and PSD checks do not lean on the finite-entry check before them
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+    with pytest.raises(ValidationError, match="not PSD: lowest eigenvalue nan"):
+        walk.density_operator(np.diag([0.5, 0.5]))
+    monkeypatch.setattr(np, "trace", lambda a, axis1, axis2: np.full(a.shape[:-2], np.nan))
+    with pytest.raises(ValidationError, match="trace nan deviates"):
+        walk.density_operator(np.diag([0.5, 0.5]))
+
+
 def test_projector_probability_reduces_to_state_probability():
     rng = rng_stream(23, 0)
     h = random_hermitian(rng, 5)
@@ -211,8 +236,7 @@ def test_density_off_diagonal_mass_shrinks_with_T():
     h = random_hermitian(rng, 4)
     v = random_state(rng, 4).amplitudes
     rho = walk.density_operator(np.outer(v, v.conj()))
-    part = spectral.group_eigenspaces(spectral.decompose(h))
-    de_min = spectral.gaps(part).delta_e_min
+    de_min = partition_of(spectral.decompose(h)).delta_e_min
     base = off_diagonal_mass(h, rho)
     prev = np.inf
     for T in (1e2, 1e4, 1e6, 1e8, 1e10, 1e12):
@@ -478,13 +502,13 @@ def test_stacked_walks_equal_single_walks_bitwise():
             one = walk.spectral_walk(h[i], walk.PureState(psi0[i]), walk.PureState(y[i]))
             m = one.partition.n_groups
             assert stack.n_groups[i] == m
-            assert tuple(np.flatnonzero(stack.group_starts[i])) == tuple(g[0] for g in one.partition.groups)
+            assert tuple(np.flatnonzero(stack.group_starts[i])) == tuple(np.cumsum(one.partition.lengths) - one.partition.lengths)
             assert np.array_equal(stack.near[i], np.abs(one._gaps) <= one.tol_degen)
             if m > 1:
-                assert tuple(stack.delta_e_star[lo : lo + m]) == one.gap_report.delta_e_star
+                assert tuple(stack.delta_e_star[lo : lo + m]) == one.partition.delta_e_star
             else:
                 with pytest.raises(GapUndefinedError):
-                    one.gap_report
+                    one.partition.delta_e_star
             assert tuple(stack.overlaps[lo : lo + m]) == one.overlaps
             assert stack.limiting_probability[i] == one.limiting_probability
             lo += m
@@ -594,11 +618,14 @@ def test_probability_holds_two_buffers_besides_the_gap_cache():
     assert peak <= 2.25 * d * d * 8
 
 
-def test_reduced_walk_has_no_partition():
-    w = walk.SpectralWalk(np.array([-1.0, 1.0]), np.ones(2) / math.sqrt(2), np.eye(2), None)
-    assert w.probability(TimeDistribution(T=1.0, k=1)) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValidationError):
-        w.partition
+def test_reduced_walk_has_a_partition():
+    # the partition groups the energies alone: a walk without its decomposition has one
+    w = walk.SpectralWalk(np.array([-1.0, -1.0, 1.0]), np.array([0.6, 0.0, 0.8]), np.eye(3)[:1], None)
+    assert w.probability(TimeDistribution(T=1.0, k=1)) == pytest.approx(0.36, abs=1e-15)  # the target is E_0
+    assert w.partition.lengths == (2, 1)
+    assert w.partition.delta_e_star == (2.0, 2.0)
+    assert w.overlaps == pytest.approx((0.36, 0.0), abs=1e-15)
+    assert w.limiting_probability == pytest.approx(0.36, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
