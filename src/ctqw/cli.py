@@ -535,6 +535,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     """Shared setup, then one subcommand: it validates its own config fields, runs
     its tasks and returns (config echo, rows, summary, failure or None, success)."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _load_config(args.config)
     seed = cfg.get("seed") if args.seed is None else args.seed
     if not _is_int(seed) or seed < 0:

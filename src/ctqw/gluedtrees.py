@@ -1,13 +1,16 @@
-"""Glued binary trees: instances, column-space reduction, exact spectrum.
+"""Glued binary trees: instances, column-space reduction, closed-form spectrum.
 
 Two depth-d complete binary trees joined leaf-to-leaf by a random alternating
 cycle. The walk generator on the full graph is the adjacency matrix scaled by
 1/sqrt(2); on the invariant column subspace it reduces to a (2n = 2(d+1))
 dimensional tridiagonal matrix with unit couplings and a single sqrt(2) bond
-in the middle. Eigenvectors in the column space are sine profiles whose
+in the middle (Childs et al., "Exponential algorithmic speedup by a quantum
+walk", 2003). Eigenvectors in the column space are sine profiles whose
 momenta solve sin((n+1)p) = +-sqrt(2) sin(np); two additional hyperbolic
-states sit outside the band. The traversal experiment walks from the
-entrance root and certifies the exit probability with the exact engine.
+states sit outside the band. The column walk is read off this closed-form
+spectrum, with no matrix built and nothing decomposed; the dense column
+generator serves only as a test oracle. The traversal experiment walks from
+the entrance root and certifies the exit probability with the exact engine.
 """
 from __future__ import annotations
 
@@ -16,14 +19,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bounds, spectral, walk
+from . import bounds, walk
 from .errors import InconsistencyError, InvalidLabelError, ValidationError
 from .rng import rng_stream
 from .walk import TimeDistribution
 
 __all__ = [
     "GluedTreesInstance",
-    "MomentumSolution",
     "MomentaReport",
     "SubspaceReport",
     "TraversalRecord",
@@ -52,8 +54,8 @@ MOMENTUM_RESIDUAL_TOL = 1e-10
 #: check tolerances of column_spectrum_check and full_vs_column_equivalence
 SPECTRUM_ATOL = 1e-9
 EQUIVALENCE_TOL = 1e-8
-#: bound on the column spectrum's pairing residual max|E_j + E_{2n-1-j}|, relative to its range
-PAIRING_TOL = 1e-12
+#: bound on each closed-form certificate of column_walk: completeness and the entrance-exit entries of I and H
+WALK_CERTIFICATE_TOL = 1e-12
 #: time-grid points per route in certified_hitting_times (the subset route adds 8)
 CERTIFY_GRID_POINTS = 25
 
@@ -74,60 +76,60 @@ def column_hamiltonian(two_n: int) -> np.ndarray:
 
 
 def column_walk(two_n: int) -> walk.SpectralWalk:
-    """The column-space walk from the entrance column towards the exit column:
-    one decomposition, shared by everything a glued-trees row computes.
-
-    The generator is bipartite (zero diagonal), so E_j = -E_{2n-1-j}: past
-    PAIRING_TOL times the spectral range, eigh's pairing residual raises
-    InconsistencyError. The walk evolves under the exactly paired
-    (E - E[::-1]) / 2, certified again by the reconstruction check, so the
-    sampler evaluates one phase per pair, and its partition groups these
-    same energies. Past the certificates it needs no eigenvector: the walk
-    is returned as a reduced one, without its decomposition.
+    """The column-space walk from the entrance column towards the exit column,
+    read off one solve_momenta call (c = entrance, rows = exit_sign * c), with
+    no matrix built: a reduced walk, shared by everything a glued-trees row
+    computes. Its exactly paired energies give the sampler one phase per
+    pair. Past WALK_CERTIFICATE_TOL, any of sum c^2 = 1, sum row^2 = 1
+    (completeness), sum c row = 0 and sum E c row = 0 (the entrance-exit
+    entries of I and H) raises InconsistencyError.
     """
-    w = walk.spectral_walk(column_hamiltonian(two_n), walk.basis_state(two_n, 0), walk.basis_state(two_n, two_n - 1))
-    dec = w.decomposition
-    e = dec.eigenvalues
-    residual, spread = float(np.max(np.abs(e + e[::-1]))), float(e[-1] - e[0])
-    if residual > PAIRING_TOL * spread:
-        raise InconsistencyError(f"column spectrum pairing residual {residual:.3g} exceeds {PAIRING_TOL:g} * range {spread:.6g}")
-    paired = replace(dec, eigenvalues=(e - e[::-1]) / 2)
-    spectral._check_reconstruction(paired)
-    return walk.SpectralWalk(paired.eigenvalues, w.c, w.rows, None)
-
-
-@dataclass(frozen=True)
-class MomentumSolution:
-    """One band solution: momentum p in (0, pi), branch sign, band index."""
-
-    p: float
-    branch: int  # +1 or -1: which sign of sqrt(2) the ratio hits
-    ell: int  # 1-based index within its branch, ascending in p
-    energy: float  # 2 cos p
-    alpha_p: float  # normalization 1 / sqrt(2 sum_{j<=n} sin^2(pj))
+    rep = solve_momenta(two_n)
+    c = rep.entrance
+    row = rep.exit_sign * c
+    certificates = {
+        "sum c^2 - 1": np.dot(c, c) - 1.0,
+        "sum row^2 - 1": np.dot(row, row) - 1.0,
+        "<entrance|exit>": np.dot(c, row),
+        "<entrance|H|exit>": np.dot(rep.energies * c, row),
+    }
+    for name, value in certificates.items():
+        if not abs(value) <= WALK_CERTIFICATE_TOL:
+            raise InconsistencyError(f"column walk certificate {name} = {value:.3g} exceeds {WALK_CERTIFICATE_TOL:g}")
+    return walk.SpectralWalk(rep.energies, c, row[None, :], None)
 
 
 @dataclass(frozen=True)
 class MomentaReport:
+    """The column spectrum in ascending energy order, exactly paired
+    (energies[j] = -energies[2n-1-j] bitwise). State j has amplitude
+    entrance[j] > 0 on the entrance column and exit_sign[j] * entrance[j] on
+    the exit column. The band states fill the middle (all but the first and
+    last when hyperbolic_q is set); p and branch hold their momenta and
+    branch signs in the same order, so p descends.
+    """
+
     two_n: int
-    minus: tuple[MomentumSolution, ...]
-    plus: tuple[MomentumSolution, ...]
+    energies: np.ndarray
+    entrance: np.ndarray
+    exit_sign: np.ndarray
+    p: np.ndarray
+    branch: np.ndarray
     hyperbolic_q: float | None
-    hyperbolic_energies: tuple[float, ...]
-    all_energies: np.ndarray
     #: largest certificate: the Newton step |F(p)/F'(p)| of a band root, with
     #: F(p) = sin((n+1)p) -+ sqrt(2) sin(np), or the hyperbolic ratio residual
     max_residual: float
 
 
-def alpha_sq(two_n: int, p: float) -> float:
-    """Normalization weight 1 / (2 sum_{j<=n} sin^2(p j)); the squared
-    entrance-column amplitude of the band eigenvector is alpha_sq * sin^2 p.
+def alpha_sq(two_n: int, p):
+    """Normalization weight 1 / (2 sum_{j<=n} sin^2(p j)), for a momentum p or
+    an array of them; the entrance-column amplitude of the band eigenvector
+    is sqrt(alpha_sq) sin p.
 
     Closed form: sum_{j<=n} sin^2(p j) = n/2 - sin(np) cos((n+1)p) / (2 sin p).
     """
     n = two_n // 2
-    return 1.0 / (n - math.sin(n * p) * math.cos((n + 1) * p) / math.sin(p))
+    return 1.0 / (n - np.sin(n * p) * np.cos((n + 1) * p) / np.sin(p))
 
 
 def _bisect(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,13 +163,19 @@ def solve_momenta(two_n: int) -> MomentaReport:
     F(p) = sin((n+1)p) -+ sqrt(2) sin(np), whose rounding floor, unlike the
     ratio's, does not grow with n; the hyperbolic root by its ratio residual.
     Both must stay below MOMENTUM_RESIDUAL_TOL. Counts are cross-checked
-    against the 2n dimension; a mismatch raises InconsistencyError.
+    against the 2n dimension, and the two branches must strictly alternate
+    along p, which orders the band with no sort; either failure raises
+    InconsistencyError. A band state's entrance amplitude is alpha_p sin p
+    and its exit sign its branch; the hyperbolic pair's is
+    sinh q / sqrt(2 sum_{j<=n} sinh^2(qj)), from ratios sinh(qj) / sinh(qn)
+    that cannot overflow, and its exit sign the sign of its energy. The
+    negative energies are the negated positive ones, so the pairing is exact.
     """
     if two_n < 4 or two_n % 2 != 0:
         raise ValidationError(f"two_n must be an even integer >= 4, got {two_n}")
     n = two_n // 2
     poles = np.arange(n + 1) * math.pi / n
-    sols: dict[int, list[float]] = {}
+    roots: dict[int, np.ndarray] = {}
     max_resid = 0.0
     for sign in (+1, -1):
         c = sign * SQRT2
@@ -176,21 +184,37 @@ def solve_momenta(two_n: int) -> MomentaReport:
             lambda p: np.sin((n + 1) * p) / np.sin(n * p) - c, poles[first:last], poles[first + 1 : last + 1]
         )
         step = (np.sin((n + 1) * p) - c * np.sin(n * p)) / ((n + 1) * np.cos((n + 1) * p) - c * n * np.cos(n * p))
-        sols[sign] = p.tolist()
+        roots[sign] = p
         max_resid = max(max_resid, float(np.abs(step).max()))
     if max_resid > MOMENTUM_RESIDUAL_TOL:
         raise InconsistencyError(
             f"momentum Newton step {max_resid:.3g} exceeds {MOMENTUM_RESIDUAL_TOL:g}"
         )
 
-    n_sine = len(sols[+1]) + len(sols[-1])
-    missing = two_n - n_sine
+    n_band = roots[+1].shape[0] + roots[-1].shape[0]
+    missing = two_n - n_band
     if missing not in (0, 2):
         raise InconsistencyError(
-            f"found {n_sine} band solutions for two_n={two_n}; expected {two_n} or {two_n - 2}"
+            f"found {n_band} band solutions for two_n={two_n}; expected {two_n} or {two_n - 2}"
         )
+    # the brackets give both branches as many roots; interleaved, they must ascend
+    lead = -1 if roots[-1][0] < roots[+1][0] else +1
+    p = np.empty(n_band)
+    p[0::2], p[1::2] = roots[lead], roots[-lead]
+    wrong = np.flatnonzero(np.diff(p) <= 0)
+    if wrong.size:
+        i = int(wrong[0])
+        raise InconsistencyError(
+            f"branch interleaving violated near p={p[i]:.6g}, {p[i + 1]:.6g} (two_n={two_n})"
+        )
+    p, branch = p[::-1], np.tile([-lead, lead], n_band // 2)
+
+    h = missing // 2
+    energies, entrance, exit_sign = np.empty(two_n), np.empty(two_n), np.empty(two_n)
+    energies[h : two_n - h] = 2.0 * np.cos(p)
+    entrance[h : two_n - h] = np.sqrt(alpha_sq(two_n, p)) * np.sin(p)
+    exit_sign[h : two_n - h] = branch
     hyperbolic_q = None
-    hyp_energies: tuple[float, ...] = ()
     if missing == 2:
         # sinh((n+1)q)/sinh(nq) = cosh q + sinh q coth(nq) rises from 1 + 1/n at 0+
         g = lambda q: SQRT2 - np.cosh(q) - np.sinh(q) / np.tanh(n * q)
@@ -199,39 +223,15 @@ def solve_momenta(two_n: int) -> MomentaReport:
             raise InconsistencyError(
                 f"hyperbolic momentum residual {resid[0]:.3g} exceeds {MOMENTUM_RESIDUAL_TOL:g}"
             )
-        hyperbolic_q = float(q[0])
+        hyperbolic_q = q = float(q[0])
         max_resid = max(max_resid, float(resid[0]))
-        e = 2.0 * math.cosh(hyperbolic_q)
-        hyp_energies = (-e, e)
-
-    minus, plus = (
-        tuple(
-            MomentumSolution(
-                p=p, branch=sign, ell=i + 1, energy=2.0 * math.cos(p), alpha_p=math.sqrt(alpha_sq(two_n, p))
-            )
-            for i, p in enumerate(sols[sign])
-        )
-        for sign in (-1, +1)
-    )
-    # the two branches must strictly alternate along the momentum axis
-    merged = sorted(minus + plus, key=lambda s: s.p)
-    for a, b in zip(merged, merged[1:]):
-        if a.branch == b.branch:
-            raise InconsistencyError(
-                f"branch interleaving violated near p={a.p:.6g}, {b.p:.6g} (two_n={two_n})"
-            )
-    energies = np.sort(
-        np.array([s.energy for s in minus] + [s.energy for s in plus] + list(hyp_energies))
-    )
-    return MomentaReport(
-        two_n=two_n,
-        minus=minus,
-        plus=plus,
-        hyperbolic_q=hyperbolic_q,
-        hyperbolic_energies=hyp_energies,
-        all_energies=energies,
-        max_residual=max_resid,
-    )
+        j = np.arange(1, n + 1)
+        ratio = np.exp(q * (j - n)) * np.expm1(-2.0 * q * j) / math.expm1(-2.0 * q * n)
+        energies[-1] = 2.0 * math.cosh(q)
+        entrance[0] = entrance[-1] = ratio[0] / math.sqrt(2.0 * np.dot(ratio, ratio))
+        exit_sign[0], exit_sign[-1] = -1.0, 1.0
+    energies[:n] = -energies[: n - 1 : -1]
+    return MomentaReport(two_n, energies, entrance, exit_sign, p, branch, hyperbolic_q, max_resid)
 
 
 def column_spectrum_check(two_n: int) -> float:
@@ -239,13 +239,8 @@ def column_spectrum_check(two_n: int) -> float:
 
     Raises InconsistencyError beyond SPECTRUM_ATOL; returns the deviation otherwise.
     """
-    report = solve_momenta(two_n)
     dense = np.linalg.eigvalsh(column_hamiltonian(two_n))
-    if report.all_energies.shape != dense.shape:
-        raise InconsistencyError(
-            f"momentum solutions count {report.all_energies.shape[0]} != dim {dense.shape[0]}"
-        )
-    dev = float(np.max(np.abs(report.all_energies - dense)))
+    dev = float(np.max(np.abs(solve_momenta(two_n).energies - dense)))
     if dev > SPECTRUM_ATOL:
         raise InconsistencyError(f"spectrum deviation {dev:.3g} exceeds {SPECTRUM_ATOL:g}")
     return dev
@@ -258,7 +253,6 @@ class SubspaceReport:
     two_n: int
     ells: tuple[int, ...]
     momenta: tuple[float, ...]
-    energies: tuple[float, ...]
     sines: tuple[float, ...]
     group_indices: tuple[int, ...]
     alpha4_mass: float  # sum of squared normalization weights over members
@@ -270,44 +264,44 @@ class SubspaceReport:
 
 
 def subspace_S(w: walk.SpectralWalk) -> SubspaceReport:
-    """Minus-branch solutions with ceil(n/4) <= ell <= ceil(3n/4).
+    """Minus-branch solutions with ceil(n/4) <= ell <= ceil(3n/4), read off w.
 
-    w is the column walk of column_walk(two_n), whose dimension gives two_n.
-    Members are mapped onto its eigenspace groups; checks hold the subset
-    gap (certified >= pi/(16n)), the gaps within the band and from the band
-    to the other groups against their floors, and the band overlap masses. sines is measured, not
-    checked: at finite n the band-edge momenta land slightly outside
-    (pi/4, 3pi/4), so min(sines) sits below 1/sqrt(2) at desk sizes.
+    w is a walk from the entrance to the exit column, column_walk(two_n) or
+    a dense one; its dimension gives two_n. The minus branch is the band
+    states (|E| < 2) with Re(rows c) < 0, ell their rank in ascending
+    p = arccos(E/2), alpha_p = |c| / sin p, and each member's group comes
+    from the partition's lengths. checks hold the subset gap (certified
+    >= pi/(16n)), the gaps within the band and from the band to the other
+    groups against their floors, and the band overlap masses. sines is
+    measured, not checked: at finite n the band-edge momenta land slightly
+    outside (pi/4, 3pi/4), so min(sines) sits below 1/sqrt(2) at desk sizes.
     """
     two_n = w.energies.shape[0]
     if two_n < 8:
         raise ValidationError(f"subspace requires two_n >= 8, got {two_n}")
     n = two_n // 2
-    report = solve_momenta(two_n)
+    e = w.energies
+    # ascending energy is descending p, so the minus branch reversed ascends in p
+    minus = np.flatnonzero((np.abs(e) < 2.0) & ((w.rows[0] * w.c).real < 0))[::-1]
     lo, hi = math.ceil(n / 4), math.ceil(3 * n / 4)
-    members = [s for s in report.minus if lo <= s.ell <= hi]
-    if len(members) < 2:
-        raise InconsistencyError(f"band subset for two_n={two_n} has {len(members)} member(s), need 2")
+    members = minus[lo - 1 : hi]
+    if members.shape[0] < 2:
+        raise InconsistencyError(f"band subset for two_n={two_n} has {members.shape[0]} member(s), need 2")
+    momenta = np.arccos(e[members] / 2)
+    sines = np.sin(momenta)
+    alpha = np.abs(w.c[members]) / sines
 
     part = w.partition
-    energies = part.energies
-    group_indices = []
-    for s in members:
-        diffs = np.abs(energies - s.energy)
-        g = int(np.argmin(diffs))
-        if diffs[g] > 1e-9:
-            raise InconsistencyError(
-                f"momentum energy {s.energy:.12g} matches no eigenspace (off by {diffs[g]:.3g})"
-            )
-        group_indices.append(g)
+    group_indices = np.repeat(np.arange(part.n_groups), part.lengths)[members].tolist()
     if len(set(group_indices)) != len(group_indices):
         raise InconsistencyError("two band members mapped to one eigenspace")
 
+    energies = part.energies
     subset, delta_e_s = part.subset_gap(group_indices)
     within = float(np.min(np.diff(energies[list(subset)])))
     comp = [i for i in range(energies.shape[0]) if i not in subset]
     cross = float(np.min(np.abs(energies[list(subset)][:, None] - energies[comp][None, :])))
-    a4 = sum(s.alpha_p**4 for s in members)
+    a4 = float(np.sum(alpha**4))
 
     within_floor = math.pi / (16 * n)
     checks = {
@@ -315,16 +309,15 @@ def subspace_S(w: walk.SpectralWalk) -> SubspaceReport:
         "within_gap_ok": bool(within > within_floor),
         "cross_gap_ok": bool(cross > math.pi / (12 * n)),
         "alpha4_mass_ok": bool(a4 >= 1.0 / (4 * n)),
-        "alpha_floor_ok": bool(all(s.alpha_p > 1.0 / math.sqrt(2 * n) for s in members)),
+        "alpha_floor_ok": bool(np.all(alpha > 1.0 / math.sqrt(2 * n))),
     }
     return SubspaceReport(
         two_n=two_n,
-        ells=tuple(s.ell for s in members),
-        momenta=tuple(s.p for s in members),
-        energies=tuple(s.energy for s in members),
-        sines=tuple(math.sin(s.p) for s in members),
+        ells=tuple(range(lo, lo + members.shape[0])),
+        momenta=tuple(momenta.tolist()),
+        sines=tuple(sines.tolist()),
         group_indices=tuple(group_indices),
-        alpha4_mass=float(a4),
+        alpha4_mass=a4,
         first_term_mass=sum(w.overlaps[g] for g in group_indices),
         delta_e_s=float(delta_e_s),
         within_subset_gap=within,

@@ -29,16 +29,3 @@ def partition_of(dec: spectral.SpectralDecomposition) -> spectral.EigenspacePart
     """The eigenspace partition of a decomposition's eigenvalues at the walk's tolerance."""
     e = dec.eigenvalues
     return spectral.group_eigenspaces(e, spectral.degeneracy_tol(e[-1] - e[0]))
-
-
-def shift_lowest_eigenvalue(monkeypatch, shift: float) -> None:
-    """Make np.linalg.eigh lower each lowest eigenvalue by shift."""
-    eigh = np.linalg.eigh
-
-    def shifted(a):
-        e, v = eigh(a)
-        e = e.copy()
-        e[..., 0] -= shift
-        return e, v
-
-    monkeypatch.setattr(np.linalg, "eigh", shifted)

@@ -58,7 +58,7 @@ def test_criterion_03_momentum_structure():
         dev = gluedtrees.column_spectrum_check(two_n)
         assert dev <= 1e-9
         rep = gluedtrees.solve_momenta(two_n)
-        p1 = rep.minus[0].p
+        p1 = rep.p[rep.branch < 0][-1]  # the smallest minus-branch momentum; p descends
         asym = math.pi / n - math.pi / ((1.0 + math.sqrt(2.0)) * n * n)
         envelope = abs(p1 - asym) * n**3
         sub = gluedtrees.subspace_S(gluedtrees.column_walk(two_n))

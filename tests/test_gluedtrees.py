@@ -9,13 +9,18 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
-from ctqw import gluedtrees, spectral, walk
+from ctqw import gluedtrees, walk
 from ctqw.errors import InconsistencyError, InvalidLabelError, ValidationError
 from ctqw.walk import TimeDistribution
 
-from conftest import shift_lowest_eigenvalue
-
 SQRT2 = math.sqrt(2.0)
+
+
+def band(rep):
+    """The band states of a MomentaReport, ascending in p: (p, branch, energy, entrance amplitude)."""
+    h = (rep.two_n - rep.p.shape[0]) // 2
+    inner = slice(h, rep.two_n - h)
+    return rep.p[::-1], rep.branch[::-1], rep.energies[inner][::-1], rep.entrance[inner][::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -54,19 +59,39 @@ def test_column_walk_energies_exactly_paired():
         assert w._phase_fold[0].shape == (two_n // 2,)
 
 
-def test_column_walk_rejects_an_unpaired_spectrum(monkeypatch):
-    shift_lowest_eigenvalue(monkeypatch, 1e-10)
-    h = gluedtrees.column_hamiltonian(64)
-    dec = spectral.decompose(h)  # passes the reconstruction check
-    assert dec.eigenvalues[0] + dec.eigenvalues[-1] == pytest.approx(-1e-10, rel=1e-3)
-    with pytest.raises(InconsistencyError, match="pairing residual"):
+@pytest.mark.parametrize("two_n", [8, 16, 64, 512, 1024])
+def test_column_walk_matches_the_dense_walk(two_n):
+    # the closed-form walk against the dense walk of the column generator
+    w = gluedtrees.column_walk(two_n)
+    assert w.decomposition is None
+    dense = walk.spectral_walk(
+        gluedtrees.column_hamiltonian(two_n), walk.basis_state(two_n, 0), walk.basis_state(two_n, two_n - 1)
+    )
+    e = dense.energies
+    assert np.max(np.abs(w.energies - e)) <= 1e-14 * (e[-1] - e[0])
+    assert np.max(np.abs(w.rows * w.c - dense.rows * dense.c)) <= 1e-14
+    T, k, _ = gluedtrees.default_schedule(two_n)
+    for dist in (TimeDistribution(T=T, k=k), TimeDistribution(T=T, k=1)):
+        assert w.probability(dist) == pytest.approx(dense.probability(dist), rel=1e-13, abs=0.0)
+    # the band subset reads the same states off either walk
+    sub, sub_dense = gluedtrees.subspace_S(w), gluedtrees.subspace_S(dense)
+    assert sub.group_indices == sub_dense.group_indices
+    assert np.max(np.abs(np.subtract(sub.momenta, sub_dense.momenta))) <= 1e-14
+    assert sub.alpha4_mass == pytest.approx(sub_dense.alpha4_mass, rel=1e-13, abs=0.0)
+
+
+def test_column_walk_rejects_a_scaled_normalization(monkeypatch):
+    # a band normalization off by 1e-9 breaks completeness: sum c^2 = 1 fails
+    alpha_sq = gluedtrees.alpha_sq
+    monkeypatch.setattr(gluedtrees, "alpha_sq", lambda two_n, p: alpha_sq(two_n, p) * (1.0 + 1e-9))
+    with pytest.raises(InconsistencyError, match=r"column walk certificate sum c\^2 - 1"):
         gluedtrees.column_walk(64)
 
 
 def test_solve_momenta_counts_and_residuals():
     rep = gluedtrees.solve_momenta(8)
-    assert len(rep.minus) + len(rep.plus) == 6
-    assert len(rep.hyperbolic_energies) == 2
+    assert rep.p.shape[0] == 6
+    assert np.sum(np.abs(rep.energies) > 2.0) == 2
     assert rep.max_residual <= 1e-10
     assert gluedtrees.column_spectrum_check(8) <= 1e-9
 
@@ -75,9 +100,9 @@ def test_smallest_size_has_no_hyperbolic_pair():
     # at two_n = 4 all four eigenvalues lie inside the band, so the sine
     # family alone fills the spectrum
     rep = gluedtrees.solve_momenta(4)
-    assert len(rep.minus) + len(rep.plus) == 4
+    assert rep.p.shape[0] == 4
     assert rep.hyperbolic_q is None
-    assert rep.hyperbolic_energies == ()
+    assert np.all(np.abs(rep.energies) < 2.0)
 
 
 def test_spectrum_matches_dense_across_sizes():
@@ -91,17 +116,19 @@ def test_momenta_one_per_interlacing_bracket():
     for two_n in (4, 6, 8, 32, 128, 512):
         n = two_n // 2
         rep = gluedtrees.solve_momenta(two_n)
-        for sign, sols in ((+1, rep.plus), (-1, rep.minus)):
+        p_band, branch, _, _ = band(rep)
+        for sign in (+1, -1):
+            sols = p_band[branch == sign].tolist()
             f = lambda p, s=sign: math.sin((n + 1) * p) - s * SQRT2 * math.sin(n * p)
-            brackets = [math.floor(sol.p * n / math.pi) for sol in sols]
+            brackets = [math.floor(p * n / math.pi) for p in sols]
             assert brackets == sorted(set(brackets))
-            for sol, j in zip(sols, brackets):
+            for p, j in zip(sols, brackets):
                 lo, hi = math.pi * j / n, math.pi * (j + 1) / n
-                assert lo < sol.p < hi
+                assert lo < p < hi
                 # ends nudged off the poles, where the pole-free form vanishes at 0 and pi
                 shrink = 1e-6 * (hi - lo)
                 root = brentq(f, lo + shrink, hi - shrink, xtol=1e-15, rtol=8.9e-16)
-                assert abs(sol.p - root) <= 1e-13
+                assert abs(p - root) <= 1e-13
 
 
 def test_hyperbolic_root_matches_brentq_and_large_n_limit():
@@ -118,15 +145,15 @@ def test_alpha_sq_closed_form_matches_sum():
     for two_n in (4, 6, 8, 16, 64, 256, 1024):
         n = two_n // 2
         rep = gluedtrees.solve_momenta(two_n)
-        for sol in rep.minus + rep.plus:
-            direct = 1.0 / (2.0 * sum(math.sin(sol.p * j) ** 2 for j in range(1, n + 1)))
-            assert gluedtrees.alpha_sq(two_n, sol.p) == pytest.approx(direct, rel=1e-13, abs=0.0)
+        for p in rep.p.tolist():
+            direct = 1.0 / (2.0 * sum(math.sin(p * j) ** 2 for j in range(1, n + 1)))
+            assert gluedtrees.alpha_sq(two_n, p) == pytest.approx(direct, rel=1e-13, abs=0.0)
 
 
 def test_momenta_certified_at_two_n_550():
     rep = gluedtrees.solve_momenta(550)
     assert rep.max_residual <= gluedtrees.MOMENTUM_RESIDUAL_TOL
-    assert len(rep.minus) + len(rep.plus) + len(rep.hyperbolic_energies) == 550
+    assert rep.p.shape[0] + np.sum(np.abs(rep.energies) > 2.0) == 550
     assert gluedtrees.column_spectrum_check(550) <= gluedtrees.SPECTRUM_ATOL
 
 
@@ -139,7 +166,7 @@ def test_momenta_certified_where_the_ratio_residual_failed():
     assert rep.max_residual <= gluedtrees.MOMENTUM_RESIDUAL_TOL
     off = np.ones(2047)
     off[1023] = SQRT2
-    assert np.max(np.abs(rep.all_energies - eigvalsh_tridiagonal(np.zeros(2048), off))) <= 1e-12
+    assert np.max(np.abs(rep.energies - eigvalsh_tridiagonal(np.zeros(2048), off))) <= 1e-12
 
 
 def test_shifted_momenta_fail_the_newton_certificate(monkeypatch):
@@ -168,7 +195,8 @@ def test_lowest_momentum_asymptote():
     # p_1 = pi/n - pi/((1+sqrt(2)) n^2) + O(1/n^3), measured constant ~0.54
     for two_n in (8, 16, 24, 32):
         n = two_n // 2
-        p1 = gluedtrees.solve_momenta(two_n).minus[0].p
+        p_band, branch, _, _ = band(gluedtrees.solve_momenta(two_n))
+        p1 = p_band[branch < 0][0]
         asym = math.pi / n - math.pi / ((1.0 + SQRT2) * n * n)
         assert abs(p1 - asym) <= 1.0 / n**3
 
@@ -178,40 +206,38 @@ def test_gap_above_lowest_momentum():
     # asymptote, so the lowest band state is spectrally isolated at that scale
     for two_n in (8, 16, 32):
         n = two_n // 2
-        rep = gluedtrees.solve_momenta(two_n)
-        merged = sorted(s.p for s in rep.minus + rep.plus)
-        assert merged[0] == rep.minus[0].p
+        p_band, branch, _, _ = band(gluedtrees.solve_momenta(two_n))
+        merged = sorted(p_band.tolist())
+        assert merged[0] == p_band[branch < 0][0]
         floor = math.pi / ((1.0 + SQRT2) * n * n)
         assert merged[1] - merged[0] > floor
 
 
 def test_branches_interleave():
-    rep = gluedtrees.solve_momenta(20)
-    merged = sorted(rep.minus + rep.plus, key=lambda s: s.p)
+    p_band, branch, _, _ = band(gluedtrees.solve_momenta(20))
+    merged = branch[np.argsort(p_band)].tolist()
     for a, b in zip(merged, merged[1:]):
-        assert a.branch != b.branch
+        assert a != b
 
 
 def test_eigenstate_closed_form():
     two_n = 12
     h = gluedtrees.column_hamiltonian(two_n)
     evals, evecs = np.linalg.eigh(h)
-    rep = gluedtrees.solve_momenta(two_n)
-    for sol in rep.minus + rep.plus:
+    for p, _, energy, entrance in zip(*band(gluedtrees.solve_momenta(two_n))):
         # the dense eigenvector of the same energy
-        i = int(np.argmin(np.abs(evals - sol.energy)))
+        i = int(np.argmin(np.abs(evals - energy)))
         v = evecs[:, i]
-        assert np.linalg.norm(h @ v - sol.energy * v) <= 1e-9
+        assert np.linalg.norm(h @ v - energy * v) <= 1e-9
         # entrance-column amplitude is alpha_p sin(p)
-        assert abs(v[0]) == pytest.approx(sol.alpha_p * math.sin(sol.p), abs=1e-12)
+        assert abs(v[0]) == pytest.approx(entrance, abs=1e-12)
 
 
 def test_band_amplitude_floor():
     for two_n in (8, 12, 16, 24):
         n = two_n // 2
-        rep = gluedtrees.solve_momenta(two_n)
-        for sol in rep.minus + rep.plus:
-            assert sol.alpha_p > 1.0 / math.sqrt(2 * n)
+        p_band = gluedtrees.solve_momenta(two_n).p
+        assert np.all(np.sqrt(gluedtrees.alpha_sq(two_n, p_band)) > 1.0 / math.sqrt(2 * n))
 
 
 # ---------------------------------------------------------------------------

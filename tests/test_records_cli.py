@@ -13,8 +13,6 @@ import pytest
 from ctqw import cli, gluedtrees, records, rng, spectral
 from ctqw.errors import InconsistencyError, ValidationError
 
-from conftest import shift_lowest_eigenvalue
-
 
 # ---------------------------------------------------------------------------
 # float and JSON formatting
@@ -225,12 +223,13 @@ def test_cli_gluedtrees_root_refinement_failure_exits_4(tmp_path, monkeypatch, c
     assert "hyperbolic momentum residual" in capsys.readouterr().err
 
 
-def test_cli_gluedtrees_unpaired_spectrum_exits_4(tmp_path, monkeypatch, capsys):
-    # a column spectrum that is not symmetric would make the paired phases wrong
-    shift_lowest_eigenvalue(monkeypatch, 1e-10)
+def test_cli_gluedtrees_scaled_normalization_exits_4(tmp_path, monkeypatch, capsys):
+    # a closed-form column walk that fails its completeness certificate is an internal failure
+    alpha_sq = gluedtrees.alpha_sq
+    monkeypatch.setattr(gluedtrees, "alpha_sq", lambda two_n, p: alpha_sq(two_n, p) * (1.0 + 1e-9))
     cfg = write_cfg(tmp_path / "g.json", {"n": [8], "seed": 9, "mc_runs": 4})
     assert cli.main(["gluedtrees", "--config", cfg, "--out", str(tmp_path)]) == 4
-    assert "pairing residual" in capsys.readouterr().err
+    assert "column walk certificate sum c^2 - 1" in capsys.readouterr().err
 
 
 def test_cli_gluedtrees_rejects_bad_size(tmp_path):
@@ -600,7 +599,7 @@ class SerialPool:
         return map(fn, tasks)
 
 
-@pytest.mark.parametrize("jobs, workers", [("64", [3]), ("1", []), ("0", [])])
+@pytest.mark.parametrize("jobs, workers", [("64", [3]), ("1", [])])
 def test_cli_jobs_capped_at_task_count(tmp_path, monkeypatch, jobs, workers):
     monkeypatch.setattr(SerialPool, "max_workers", [])
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
@@ -609,6 +608,15 @@ def test_cli_jobs_capped_at_task_count(tmp_path, monkeypatch, jobs, workers):
     assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path), "--jobs", jobs]) == 0
     assert SerialPool.max_workers == workers
     assert json.loads((tmp_path / "bounds.json").read_text())["summary"]["instances"] == 3
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_cli_jobs_below_one_exits_3(tmp_path, capsys, jobs):
+    # a worker count below 1 is bad input, not a quiet sequential run
+    cfg = write_cfg(tmp_path / "b.json", {"instances": 3, "seed": 12})
+    assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path), "--jobs", jobs]) == 3
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "bounds.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -870,11 +878,14 @@ def test_bounds_instance_decomposes_once(monkeypatch):
     assert per_partition == []
 
 
-def test_gluedtrees_row_decomposes_the_column_generator_once(monkeypatch):
-    counts = count_calls(monkeypatch, spectral, ["decompose"])
+def test_gluedtrees_row_solves_the_momenta_once(monkeypatch):
+    decomposed = count_calls(monkeypatch, spectral, ["decompose"])
+    solved = count_calls(monkeypatch, gluedtrees, ["solve_momenta"])
     row = cli._gluedtrees_row((16, 5, 20))[0]
-    # one column walk, shared by certification and the Monte Carlo
-    assert counts["decompose"] == 1
+    # one closed-form column walk, shared by certification and the Monte
+    # Carlo: the momenta are solved once and nothing is decomposed
+    assert decomposed["decompose"] == 0
+    assert solved["solve_momenta"] == 1
     assert row["holds"]
     assert min(row[f"slack_l{i}"] for i in (1, 2, 3)) > 0
 

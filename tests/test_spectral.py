@@ -114,7 +114,7 @@ def test_column_operator_spectrum_matches_momenta():
     # sine-branch energies 2 cos p plus the two out-of-band states cover the
     # whole 8-dim spectrum of the tridiagonal column operator
     report = gluedtrees.solve_momenta(8)
-    predicted = sorted([s.energy for s in report.minus + report.plus] + list(report.hyperbolic_energies))
+    predicted = report.energies
     dec = spectral.decompose(gluedtrees.column_hamiltonian(8))
     np.testing.assert_allclose(dec.eigenvalues, predicted, atol=1e-10)
 
@@ -359,5 +359,5 @@ def test_group_eigenspaces_takes_ascending_finite_energies():
 def test_column_spectrum_groups_into_singletons(two_n):
     # the column generator is a Jacobi matrix, so its spectrum is simple; grouped
     # from the certified momenta alone, with no eigh, at the walk's tolerance
-    e = gluedtrees.solve_momenta(two_n).all_energies
+    e = gluedtrees.solve_momenta(two_n).energies
     assert spectral.group_eigenspaces(e, spectral.degeneracy_tol(e[-1] - e[0])).n_groups == two_n
