@@ -1,11 +1,11 @@
 """Lower bounds on time-averaged measurement probabilities.
 
 Three bounds of increasing selectivity on the walk held by a SpectralWalk.
-Each *_floor function is the pure floor, read off the evaluator's limiting
-probability, overlaps and the gaps of its eigenspace partition without any
-exact average, so a search over
-T costs nothing per point; each *_bound certifies its floor against the
-exact averaged probability at one time law:
+Each *_floor function is the pure floor as a formula in T, read off the
+walk's limiting probability, overlaps and the gaps of its eigenspace
+partition without any exact average; it takes one time or an array of
+times, so a search over T is one call. Each *_bound certifies its floor
+against the exact averaged probability at one time law:
 
 * mixing_bound: keep every eigenspace, pay 2/(T * smallest gap);
 * eigenspace_bound: keep one eigenspace, pay its own overlap times
@@ -61,12 +61,6 @@ class BoundReport(NamedTuple):
     actual_value: float
     slack: float
     holds: bool
-    inputs: dict
-
-    @staticmethod
-    def build(bound: float, actual: float, inputs: dict) -> "BoundReport":
-        bound, actual, slack, holds = _certified(bound, actual)
-        return BoundReport(float(bound), float(actual), float(slack), bool(holds), inputs)
 
 
 def _certified(bound, actual) -> tuple:
@@ -75,9 +69,14 @@ def _certified(bound, actual) -> tuple:
     return bound, actual, slack, slack >= -SLACK_TOL
 
 
-def _certify(w: SpectralWalk, dist: TimeDistribution, floor: tuple[float, dict]) -> BoundReport:
-    bound, inputs = floor
-    return BoundReport.build(bound, w.probability(dist), inputs)
+def _report(bound, actual) -> BoundReport:
+    bound, actual, slack, holds = _certified(bound, actual)
+    return BoundReport(float(bound), float(actual), float(slack), bool(holds))
+
+
+def _check_times(T) -> None:
+    if not np.all(np.asarray(T) > 0):
+        raise ValidationError(f"T must be positive, got {T}")
 
 
 def _mixing(p_inf, T, delta_e_min):
@@ -90,53 +89,37 @@ def _eigenspace(overlap, T, star):
     return overlap * (1.0 - 4.0 / (T * star))
 
 
-def mixing_floor(w: SpectralWalk, T: float) -> tuple[float, dict]:
-    """limiting probability - 2/(T * delta_e_min), with its inputs."""
-    if not T > 0:
-        raise ValidationError(f"T must be positive, got {T}")
-    delta_e_min = w.partition.delta_e_min
-    p_inf = w.limiting_probability
-    return _mixing(p_inf, T, delta_e_min), {
-        "kind": "mixing",
-        "T": T,
-        "limiting_probability": p_inf,
-        "delta_e_min": delta_e_min,
-    }
+def mixing_floor(w: SpectralWalk, T):
+    """limiting probability - 2/(T * delta_e_min), at a time T or an array of times."""
+    _check_times(T)
+    return _mixing(w.limiting_probability, T, w.partition.delta_e_min)
 
 
 def mixing_bound(w: SpectralWalk, T: float) -> BoundReport:
     """Averaged probability >= limiting probability - 2/(T * delta_e_min)."""
-    return _certify(w, TimeDistribution(T=T, k=1), mixing_floor(w, T))
+    return _report(mixing_floor(w, T), w.probability(TimeDistribution(T=T, k=1)))
 
 
-def eigenspace_floor(w: SpectralWalk, T: float, group: int) -> tuple[float, dict]:
-    """|<y|P_g|psi0>|^2 * (1 - 4/(T * delta_e_star_g)), with its inputs."""
-    if not T > 0:
-        raise ValidationError(f"T must be positive, got {T}")
+def eigenspace_floor(w: SpectralWalk, T, group: int):
+    """|<y|P_g|psi0>|^2 * (1 - 4/(T * delta_e_star_g)), at a time T or an array of times."""
+    _check_times(T)
     stars = w.partition.delta_e_star
     if not 0 <= group < len(stars):
         raise ValidationError(f"group {group} outside 0..{len(stars) - 1}")
-    overlap = w.overlaps[group]
-    star = stars[group]
-    return _eigenspace(overlap, T, star), {
-        "kind": "eigenspace",
-        "T": T,
-        "group": group,
-        "overlap": overlap,
-        "delta_e_star": star,
-    }
+    return _eigenspace(w.overlaps[group], T, stars[group])
 
 
 def eigenspace_bound(w: SpectralWalk, T: float, group: int) -> BoundReport:
     """Averaged probability >= |<y|P_g|psi0>|^2 * (1 - 4/(T * delta_e_star_g))."""
-    return _certify(w, TimeDistribution(T=T, k=1), eigenspace_floor(w, T, group))
+    return _report(eigenspace_floor(w, T, group), w.probability(TimeDistribution(T=T, k=1)))
 
 
 def _error_term(T: float, k: int, delta_e_s: float, at=None) -> float:
-    """sqrt(3) * (2/(T * delta_e_s))^k; past the float range no record can
-    hold it: bad input, naming the stack index at, if given."""
+    """sqrt(3) * (2/(T * delta_e_s))^k, the power Python's for a numpy k as
+    well; past the float range no record can hold it: bad input, naming the
+    stack index at, if given."""
     try:
-        err = math.sqrt(3.0) * (2.0 / (T * delta_e_s)) ** k
+        err = math.sqrt(3.0) * (2.0 / (T * delta_e_s)) ** int(k)
     except (OverflowError, ZeroDivisionError):
         err = math.inf
     if math.isinf(err):
@@ -145,27 +128,24 @@ def _error_term(T: float, k: int, delta_e_s: float, at=None) -> float:
     return err
 
 
-def subset_floor(w: SpectralWalk, dist: TimeDistribution, subset) -> tuple[float, dict]:
-    """sum_{g in S} |<y|P_g|psi0>|^2 - sqrt(3) * (2/(T * delta_e_s))^k, with its inputs."""
+def subset_floor(w: SpectralWalk, T, k: int, subset):
+    """sum_{g in S} |<y|P_g|psi0>|^2 - sqrt(3) * (2/(T * delta_e_s))^k, at a
+    time T or an array of times, with k summed uniform times."""
+    _check_times(T)
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise ValidationError(f"k must be an integer >= 1, got {k}")
     s, delta_e_s = w.partition.subset_gap(subset)
     # summed left to right, as the stacked cumsum of certify_stack
     overlap = sum(w.overlaps[g] for g in s)
-    err = _error_term(dist.T, dist.k, delta_e_s)
-    return overlap - err, {
-        "kind": "subset",
-        "T": dist.T,
-        "k": dist.k,
-        "subset": list(s),
-        "overlap": overlap,
-        "delta_e_s": delta_e_s,
-        "error_term": err,
-    }
+    # the power in Python, once per T: numpy's power differs from it in the last bit
+    err = [_error_term(t, k, delta_e_s) for t in np.ravel(T).tolist()]
+    return overlap - (err[0] if np.ndim(T) == 0 else np.array(err).reshape(np.shape(T)))
 
 
 def subset_bound(w: SpectralWalk, dist: TimeDistribution, subset) -> BoundReport:
     """Averaged probability over k summed uniform times
     >= sum_{g in S} |<y|P_g|psi0>|^2 - sqrt(3) * (2/(T * delta_e_s))^k."""
-    return _certify(w, dist, subset_floor(w, dist, subset))
+    return _report(subset_floor(w, dist.T, dist.k, subset), w.probability(dist))
 
 
 def _dephased_weight(phi: np.ndarray, group_of: np.ndarray, member: np.ndarray) -> np.ndarray:
@@ -217,8 +197,7 @@ def residual_bound(w: SpectralWalk, rho0: DensityOperator, subset, dist: TimeDis
     member = np.zeros((1, w.partition.n_groups), dtype=bool)
     member[0, list(s)] = True
     distance = _residual_distances(v[None], DensityOperator(rho0.entries[None]), phi[None], group_of[None], member).item()
-    inputs = {"kind": "residual", "T": dist.T, "k": dist.k, "subset": list(s), "delta_e_s": float(delta_e_s)}
-    return BoundReport.build(distance, _error_term(dist.T, dist.k, delta_e_s), inputs)
+    return _report(distance, _error_term(dist.T, dist.k, delta_e_s))
 
 
 class ComparisonReport(NamedTuple):
@@ -262,8 +241,8 @@ def _comparison(T, p_avg, p_inf, star, dmin) -> tuple[np.ndarray, np.ndarray, np
 
 def bound_comparison(w: SpectralWalk, T: float, group: int) -> ComparisonReport:
     """Evaluate the selectivity trade-off at time T for one eigenspace."""
-    b2, _ = eigenspace_floor(w, T, group)
-    b1, _ = mixing_floor(w, T)
+    b2 = eigenspace_floor(w, T, group)
+    b1 = mixing_floor(w, T)
     star = w.partition.delta_e_star[group]
     dmin = w.partition.delta_e_min
     p_inf = w.limiting_probability

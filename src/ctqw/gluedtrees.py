@@ -9,8 +9,11 @@ walk", 2003). Eigenvectors in the column space are sine profiles whose
 momenta solve sin((n+1)p) = +-sqrt(2) sin(np); two additional hyperbolic
 states sit outside the band. The column walk is read off this closed-form
 spectrum, with no matrix built and nothing decomposed; the dense column
-generator serves only as a test oracle. The traversal experiment walks from
-the entrance root and certifies the exit probability with the exact engine.
+generator serves only as a test oracle. The certified hitting times read
+each route's floor over its whole time grid, as a formula in T, and take
+the grid minimum that the walk's own hitting time takes. The traversal
+experiment walks from the entrance root and certifies the exit probability
+with the exact engine.
 """
 from __future__ import annotations
 
@@ -296,11 +299,14 @@ def subspace_S(w: walk.SpectralWalk) -> SubspaceReport:
     if len(set(group_indices)) != len(group_indices):
         raise InconsistencyError("two band members mapped to one eigenspace")
 
-    energies = part.energies
     subset, delta_e_s = part.subset_gap(group_indices)
-    within = float(np.min(np.diff(energies[list(subset)])))
-    comp = [i for i in range(energies.shape[0]) if i not in subset]
-    cross = float(np.min(np.abs(energies[list(subset)][:, None] - energies[comp][None, :])))
+    within = float(np.min(np.diff(part.energies[list(subset)])))
+    # the group energies ascend, so the nearest outsider of a member is past
+    # the next adjacent pair with one end in S: rounding is monotone, so the
+    # smallest such difference is bitwise the smallest over all cross pairs
+    member = np.zeros(part.n_groups, dtype=bool)
+    member[list(subset)] = True
+    cross = float(np.min(np.diff(part.energies)[member[1:] != member[:-1]]))
     a4 = float(np.sum(alpha**4))
 
     within_floor = math.pi / (16 * n)
@@ -573,10 +579,11 @@ def certified_hitting_times(w: walk.SpectralWalk) -> dict:
     - subset route with ceil(log2 5n) summed uniforms: T in [1, 64] x
       2/delta_e_s, which brackets the optimum of a - sqrt(3) (2/(T d))^k
 
-    The grids read the pure floors of the bounds module; grid points with
-    nonpositive floors are skipped. Each route's floor is then certified
-    once, at its argmin T, against the exact averaged probability, and the
-    slack is returned as slack_l1..3. The subset route keeps k pinned to the
+    Each route reads its bounds-module floor over the whole grid in one
+    call and takes the grid minimum of walk._grid_minimum, skipping
+    nonpositive floors. Each route's floor is then certified once, at its
+    argmin T, against the exact averaged probability, and the slack is
+    returned as slack_l1..3. The subset route keeps k pinned to the
     log schedule rather than optimizing it. w is the column walk of
     column_walk(two_n); the subspace_S report the routes rest on is returned
     under "subspace".
@@ -591,43 +598,23 @@ def certified_hitting_times(w: walk.SpectralWalk) -> dict:
     de_star = part.delta_e_star[g_mid]
 
     _, k3, _ = default_schedule(two_n)
-
-    def best(grid, k, floor_at):
-        tau = best_t = None
-        for t in grid:
-            val = floor_at(float(t))
-            if val <= 0.0:
-                continue
-            cand = k * float(t) / val
-            if tau is None or cand < tau:
-                tau, best_t = cand, float(t)
-        if tau is None:
-            raise InconsistencyError("no grid point certified a positive floor")
-        return tau, best_t
-
-    t1 = 2.0 / (p_inf * part.delta_e_min)
-    tau1, t_at_1 = best(
-        np.geomspace(1.5 * t1, 48.0 * t1, CERTIFY_GRID_POINTS), 1, lambda t: bounds.mixing_floor(w, t)[0]
-    )
-    tau2, t_at_2 = best(
-        np.geomspace(5.0 / de_star, 30.0 / de_star, CERTIFY_GRID_POINTS),
-        1,
-        lambda t: bounds.eigenspace_floor(w, t, g_mid)[0],
-    )
-    t3 = 2.0 / sub.delta_e_s
-    tau3, t_at_3 = best(
-        np.geomspace(t3, 64.0 * t3, CERTIFY_GRID_POINTS + 8),
-        k3,
-        lambda t: bounds.subset_floor(w, TimeDistribution(T=t, k=k3), sub.group_indices)[0],
-    )
+    t1, t3 = 2.0 / (p_inf * part.delta_e_min), 2.0 / sub.delta_e_s
+    grid1 = np.geomspace(1.5 * t1, 48.0 * t1, CERTIFY_GRID_POINTS)
+    grid2 = np.geomspace(5.0 / de_star, 30.0 / de_star, CERTIFY_GRID_POINTS)
+    grid3 = np.geomspace(t3, 64.0 * t3, CERTIFY_GRID_POINTS + 8)
+    unsure = InconsistencyError("no grid point certified a positive floor")
+    tau1, at1 = walk._grid_minimum(grid1, 1, bounds.mixing_floor(w, grid1), 0.0, unsure)
+    tau2, at2 = walk._grid_minimum(grid2, 1, bounds.eigenspace_floor(w, grid2, g_mid), 0.0, unsure)
+    tau3, at3 = walk._grid_minimum(grid3, k3, bounds.subset_floor(w, grid3, k3, sub.group_indices), 0.0, unsure)
+    t_at_1, t_at_2, t_at_3 = float(grid1[at1]), float(grid2[at2]), float(grid3[at3])
     return {
-        "tau_l1": float(tau1),
+        "tau_l1": tau1,
         "T_l1": t_at_1,
-        "tau_l2": float(tau2),
+        "tau_l2": tau2,
         "T_l2": t_at_2,
         "group_l2": g_mid,
         "delta_e_star_l2": float(de_star),
-        "tau_l3": float(tau3),
+        "tau_l3": tau3,
         "T_l3": t_at_3,
         "k_l3": int(k3),
         "slack_l1": bounds.mixing_bound(w, t_at_1).slack,

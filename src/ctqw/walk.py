@@ -17,14 +17,15 @@ A SpectralWalk holds one walk read off one eigenbasis: the energies, the
 start amplitudes and the target rows. Every exact average, limiting
 probability, eigenspace partition (with its gaps) and Monte Carlo
 measurement is a method of it, so a spectrum is decomposed, grouped and
-gapped once however many times T it is evaluated at. The one-shot
-functions below each build one and ask it once.
+gapped once however many times T it is evaluated at. Its hitting time and
+the certified glued-trees routes share one grid minimizer, _grid_minimum.
+The one-shot functions below each build one and ask it once.
 spectral_walks reads the walks of a whole stack of matrices into a
 WalkStack of arrays with the same kernels, bitwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -239,15 +240,13 @@ class SpectralWalk:
 
     The degeneracy tolerance, the partition of the energies with its gaps,
     the group overlaps and the limiting probability are worked out on first
-    use; each exact average is kept per time law, so one (T, k) is
-    evaluated once however many bounds are certified against it.
+    use.
     """
 
     energies: np.ndarray
     c: np.ndarray
     rows: np.ndarray
     decomposition: SpectralDecomposition | None
-    _exact: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def tol_degen(self) -> float:
@@ -288,16 +287,13 @@ class SpectralWalk:
         return _degenerate_pairs(np.abs(self._gaps) <= self.tol_degen)
 
     def probability(self, dist: TimeDistribution) -> float:
-        """Exact time average at dist (_exact_averages of this one walk), kept
-        per time law. O(len(rows) dim^2) time; besides the cached gap matrix,
-        two real dim x dim buffers."""
-        p = self._exact.get(dist)
-        if p is None:
-            # a[r, j] = <b_r|E_j><E_j|psi0>
-            g, s = _phase_factors(dist, self.energies, self._gaps)
-            p = _exact_averages(self.rows * self.c, self._degenerate_pairs, g, s)
-            p = self._exact[dist] = float(_check_probabilities(p, "time-averaged probability"))
-        return p
+        """Exact time average at dist (_exact_averages of this one walk).
+        O(len(rows) dim^2) time; besides the cached gap matrix, two real
+        dim x dim buffers."""
+        # a[r, j] = <b_r|E_j><E_j|psi0>
+        g, s = _phase_factors(dist, self.energies, self._gaps)
+        p = _exact_averages(self.rows * self.c, self._degenerate_pairs, g, s)
+        return float(_check_probabilities(p, "time-averaged probability"))
 
     def probabilities(self, T_grid, k: int) -> np.ndarray:
         """probability at every T of the grid with k summed uniforms; one
@@ -315,16 +311,10 @@ class SpectralWalk:
             raise ValidationError("T_grid must be a non-empty 1-d array of positive times")
         k = int(k)
         probs = self.probabilities(grid, k)
-        floor = 1e-15
-        above = probs > floor
-        if not above.any():
-            raise DegenerateProbabilityError(
-                f"all {grid.shape[0]} grid probabilities below {floor:g}; target unreachable"
-            )
-        ratios = np.where(above, k * grid / np.where(above, probs, 1.0), np.inf)
-        best = int(np.argmin(ratios))
+        unreachable = DegenerateProbabilityError(f"all {grid.shape[0]} grid probabilities below 1e-15; target unreachable")
+        tau, best = _grid_minimum(grid, k, probs, 1e-15, unreachable)
         return HittingTimeEstimate(
-            tau=float(ratios[best]),
+            tau=tau,
             argmin_T=float(grid[best]),
             probability_at_argmin=float(probs[best]),
             k_at_argmin=k,
@@ -384,6 +374,18 @@ class SpectralWalk:
             times[lo : lo + m] = ts
             outcomes[lo : lo + m] = np.where(u < total, first, last)
         return times, outcomes
+
+
+def _grid_minimum(grid: np.ndarray, k: int, values: np.ndarray, floor: float, error: Exception) -> tuple[float, int]:
+    """(min k T / value, its index) over a grid of times T and the values at
+    them: a value at or below floor, or NaN, reads as +inf, and the first
+    minimum wins. Raises error if every value does."""
+    above = values > floor
+    if not above.any():
+        raise error
+    ratios = np.divide(k * grid, values, out=np.full(grid.shape, np.inf), where=above)
+    best = int(np.argmin(ratios))
+    return float(ratios[best]), best
 
 
 def _rotated(dec: spectral.SpectralDecomposition, *states: PureState) -> list[np.ndarray]:

@@ -30,12 +30,13 @@ def test_mixing_bound_glued_long_time_positive():
     two_n, n = 12, 6
     h, psi0, y = glued_setup(two_n)
     T = 10.0 * n**3
-    rep = bounds.mixing_bound(walk.spectral_walk(h, psi0, y), T)
+    w = walk.spectral_walk(h, psi0, y)
+    rep = bounds.mixing_bound(w, T)
     assert rep.holds
     assert rep.bound_value > 0
     # at this horizon the correction term is small, so the bound sits within
     # 15% of the limiting probability, itself at least 1/(2n)
-    p_inf = rep.inputs["limiting_probability"]
+    p_inf = w.limiting_probability
     assert p_inf >= 1.0 / (2 * n)
     assert rep.bound_value >= 0.85 * p_inf
 
@@ -59,13 +60,14 @@ def test_eigenspace_bound_zero_overlap_group():
 def test_eigenspace_bound_glued_middle_group():
     two_n, n = 12, 6
     h, psi0, y = glued_setup(two_n)
-    rep = bounds.eigenspace_bound(walk.spectral_walk(h, psi0, y), T=20.0 * n, group=5)
+    w = walk.spectral_walk(h, psi0, y)
+    rep = bounds.eigenspace_bound(w, T=20.0 * n, group=5)
     assert rep.holds
     assert rep.bound_value > 0
     assert rep.bound_value == pytest.approx(0.022263, abs=5e-6)
     # the kept eigenspace alone carries more than the 1/(8 n^2) floor
-    assert rep.inputs["overlap"] == pytest.approx(0.024357, abs=5e-6)
-    assert rep.inputs["overlap"] >= 1.0 / (8 * n**2)
+    assert w.overlaps[5] == pytest.approx(0.024357, abs=5e-6)
+    assert w.overlaps[5] >= 1.0 / (8 * n**2)
 
 
 def test_eigenspace_bound_random_sweep_all_groups():
@@ -98,7 +100,7 @@ def test_subset_vs_eigenspace_structural_difference():
                 continue
             b_eig = bounds.eigenspace_bound(w, T, g)
             b_sub = bounds.subset_bound(w, TimeDistribution(T=T, k=1), [g])
-            o = b_eig.inputs["overlap"]
+            o = w.overlaps[g]
             predicted = (4.0 * o - 2.0 * math.sqrt(3.0)) / (T * delta_e_s)
             assert b_sub.bound_value - b_eig.bound_value == pytest.approx(predicted, abs=1e-10)
 
@@ -148,28 +150,66 @@ def test_negative_bound_reported_as_is():
     assert rep.holds  # vacuously: actual >= negative number
 
 
-def test_bounds_at_one_time_law_share_one_exact_value(monkeypatch):
+def test_bounds_at_one_time_law_share_one_exact_value():
     h, psi0, y = glued_setup(8)
     w = walk.spectral_walk(h, psi0, y)
-    calls = []
-    factors = walk._phase_factors
-    monkeypatch.setattr(walk, "_phase_factors", lambda *args: calls.append(args[0]) or factors(*args))
     reports = [bounds.mixing_bound(w, 40.0)]
     reports += [bounds.eigenspace_bound(w, 40.0, g) for g in range(w.partition.n_groups)]
     reports.append(bounds.subset_bound(w, TimeDistribution(T=40.0, k=1), [1, 2]))
     comp = bounds.bound_comparison(w, 40.0, 3)
     assert all(rep.holds for rep in reports)
     assert {rep.actual_value for rep in reports} == {comp.avg_probability}
-    assert calls == [TimeDistribution(T=40.0, k=1)]
 
 
 def test_floors_equal_certified_bound_values():
     h, psi0, y = glued_setup(12)
     w = walk.spectral_walk(h, psi0, y)
     dist = TimeDistribution(T=70.0, k=3)
-    assert bounds.mixing_floor(w, 70.0)[0] == bounds.mixing_bound(w, 70.0).bound_value
-    assert bounds.eigenspace_floor(w, 70.0, 5)[0] == bounds.eigenspace_bound(w, 70.0, 5).bound_value
-    assert bounds.subset_floor(w, dist, [4, 5])[0] == bounds.subset_bound(w, dist, [4, 5]).bound_value
+    assert bounds.mixing_floor(w, 70.0) == bounds.mixing_bound(w, 70.0).bound_value
+    assert bounds.eigenspace_floor(w, 70.0, 5) == bounds.eigenspace_bound(w, 70.0, 5).bound_value
+    assert bounds.subset_floor(w, 70.0, 3, [4, 5]) == bounds.subset_bound(w, dist, [4, 5]).bound_value
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_floors_over_an_array_equal_the_scalar_floors_bitwise(k):
+    h, psi0, y = glued_setup(12)
+    w = walk.spectral_walk(h, psi0, y)
+    times = np.geomspace(0.3, 3e4, 41)
+    floors = {
+        "mixing": (lambda T: bounds.mixing_floor(w, T)),
+        "eigenspace": (lambda T: bounds.eigenspace_floor(w, T, 5)),
+        "subset": (lambda T: bounds.subset_floor(w, T, k, [3, 4, 5])),
+    }
+    for name, floor in floors.items():
+        over_array = floor(times)
+        assert over_array.shape == times.shape, name
+        assert over_array.tolist() == [floor(t) for t in times.tolist()], name
+        # a (rows, cols) array of times keeps its shape
+        assert floor(times.reshape(1, -1)).tolist() == [over_array.tolist()], name
+
+
+def test_subset_error_term_is_the_python_power_for_a_numpy_k():
+    # a float ** np.int64 is numpy's power, which differs from Python's in the last bit
+    h, psi0, y = glued_setup(12)
+    w = walk.spectral_walk(h, psi0, y)
+    times = np.geomspace(1.0, 1e3, 200)
+    for k in (3, 7, 11):
+        assert bounds.subset_floor(w, times, np.int64(k), [4, 5]).tolist() == bounds.subset_floor(w, times, k, [4, 5]).tolist()
+        dist, numpy_k = TimeDistribution(T=float(times[17]), k=k), TimeDistribution(T=float(times[17]), k=np.int64(k))
+        assert bounds.subset_bound(w, numpy_k, [4, 5]) == bounds.subset_bound(w, dist, [4, 5])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_floors_refuse_a_nonpositive_time_in_an_array(bad):
+    h, psi0, y = glued_setup(8)
+    w = walk.spectral_walk(h, psi0, y)
+    times = np.array([1.0, bad, 3.0])
+    for floor in (lambda: bounds.mixing_floor(w, times), lambda: bounds.eigenspace_floor(w, times, 1),
+                  lambda: bounds.subset_floor(w, times, 2, [1])):
+        with pytest.raises(ValidationError, match="T must be positive"):
+            floor()
+    with pytest.raises(ValidationError, match="k must be an integer >= 1"):
+        bounds.subset_floor(w, 1.0, 0, [1])
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +243,7 @@ def test_residual_bound_holds_dim4():
     for k in (1, 2, 4):
         rep = bounds.residual_bound(w, rho, subset, TimeDistribution(T=25.0, k=k))
         assert rep.holds
-        assert rep.inputs["kind"] == "residual"
+        assert rep.bound_value >= 0  # a distance
 
 
 def test_residual_bound_stack_equals_per_instance_calls_bitwise():

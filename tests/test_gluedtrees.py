@@ -284,6 +284,18 @@ def test_subspace_gaps_match_all_pairs():
         assert rep.delta_e_s == min(within, cross)
 
 
+def test_subspace_memory_is_linear():
+    w = gluedtrees.column_walk(8192)
+    tracemalloc.start()
+    try:
+        gluedtrees.subspace_S(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an all-pairs cross gap alone would hold 2048 x 6144 doubles (96 MiB)
+    assert peak <= 4 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # instance generation and the oracle
 
@@ -534,3 +546,35 @@ def test_certified_hitting_times_certifies_each_route_once(monkeypatch):
     ]
     assert min(out[f"slack_l{i}"] for i in (1, 2, 3)) >= 0.0
     assert w.limiting_probability == out["p_inf"]
+
+
+def per_point_minimum(grid, k, floor_at):
+    """Oracle: the grid minimum of k T / floor(T) one scalar floor at a time,
+    skipping nonpositive floors; the strict < keeps the first minimum."""
+    tau = best_t = None
+    for t in grid:
+        val = floor_at(float(t))
+        if val <= 0.0:
+            continue
+        cand = k * float(t) / val
+        if tau is None or cand < tau:
+            tau, best_t = cand, float(t)
+    return tau, best_t
+
+
+@pytest.mark.parametrize("two_n", [8, 32, 128])
+def test_certified_routes_equal_the_per_point_minimum_bitwise(two_n):
+    w = gluedtrees.column_walk(two_n)
+    out = gluedtrees.certified_hitting_times(w)
+    sub, k3, g = out["subspace"], out["k_l3"], out["group_l2"]
+    p_inf, dmin, star, d_s = w.limiting_probability, w.partition.delta_e_min, out["delta_e_star_l2"], sub.delta_e_s
+    # the three floors in Python floats, the subset overlap summed in ascending group order
+    overlap_s = sum(w.overlaps[i] for i in sorted(sub.group_indices))
+    t1, t3, points = 2.0 / (p_inf * dmin), 2.0 / d_s, gluedtrees.CERTIFY_GRID_POINTS
+    routes = {
+        1: (np.geomspace(1.5 * t1, 48.0 * t1, points), 1, lambda t: p_inf - 2.0 / (t * dmin)),
+        2: (np.geomspace(5.0 / star, 30.0 / star, points), 1, lambda t: w.overlaps[g] * (1.0 - 4.0 / (t * star))),
+        3: (np.geomspace(t3, 64.0 * t3, points + 8), k3, lambda t: overlap_s - math.sqrt(3.0) * (2.0 / (t * d_s)) ** k3),
+    }
+    for i, route in routes.items():
+        assert (out[f"tau_l{i}"], out[f"T_l{i}"]) == per_point_minimum(*route)

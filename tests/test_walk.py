@@ -532,17 +532,13 @@ def test_stacked_walks_name_the_ambiguous_matrix():
         walk.spectral_walk(h[1], walk.PureState(states.amplitudes[1]), walk.basis_state(4, 0)).partition
 
 
-def test_spectral_walk_evaluates_each_time_law_once(monkeypatch):
-    rng = rng_stream(28, 2)
-    h = random_hermitian(rng, 4)
-    w = walk.spectral_walk(h, random_state(rng, 4), random_state(rng, 4))
-    calls = []
-    factors = walk._phase_factors
-    monkeypatch.setattr(walk, "_phase_factors", lambda *args: calls.append(args[0]) or factors(*args))
-    first = w.probability(TimeDistribution(T=3.0, k=2))
-    assert w.probability(TimeDistribution(T=3.0, k=2)) == first
-    w.probability(TimeDistribution(T=3.0, k=1))
-    assert calls == [TimeDistribution(T=3.0, k=2), TimeDistribution(T=3.0, k=1)]
+def test_grid_minimum_skips_floor_and_nan_values_and_keeps_the_first_minimum():
+    grid = np.array([1.0, 2.0, 3.0, 4.0, 6.0])
+    # k T / value: inf (NaN), inf (at the floor), 4, 4, 4
+    values = np.array([math.nan, 0.5, 1.5, 2.0, 3.0])
+    assert walk._grid_minimum(grid, 2, values, 0.5, ValueError("none")) == (4.0, 2)
+    with pytest.raises(DegenerateProbabilityError, match="none"):
+        walk._grid_minimum(grid, 2, np.array([math.nan, 0.5, 0.1, 0.0, -1.0]), 0.5, DegenerateProbabilityError("none"))
 
 
 def mp_probability(w: walk.SpectralWalk, dist: TimeDistribution) -> float:
