@@ -12,13 +12,15 @@ spectrum, with no matrix built and nothing decomposed; the dense column
 generator serves only as a test oracle. The certified hitting times read
 each route's floor over its whole time grid, as a formula in T, and take
 the grid minimum that the walk's own hitting time takes. The traversal
-experiment walks from the entrance root and certifies the exit probability
-with the exact engine.
+experiment repeats the column walk from the entrance column until each
+run's first exit hit, and the exact engine certifies its per-shot exit
+probability; the full-graph traversal, which measures every vertex, is a
+test oracle.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +33,6 @@ __all__ = [
     "GluedTreesInstance",
     "MomentaReport",
     "SubspaceReport",
-    "TraversalRecord",
     "EquivalenceRecord",
     "alpha_sq",
     "column_hamiltonian",
@@ -46,7 +47,6 @@ __all__ = [
     "discover_graph",
     "full_hamiltonian",
     "full_vs_column_equivalence",
-    "run_traversal",
     "traversal_success_stats",
     "default_schedule",
 ]
@@ -639,105 +639,30 @@ def default_schedule(two_n: int) -> tuple[float, int, int]:
     return 64.0 * n, math.ceil(math.log2(5 * n)), 20 * n
 
 
-@dataclass(frozen=True)
-class TraversalRecord:
-    two_n: int
-    T: float
-    k: int
-    max_repetitions: int
-    success: bool
-    repetitions_used: int
-    outcome: str
-    per_shot_probability: float
-    per_shot_floor: float
-    certified: bool
-    total_evolved_time: float
-    time_budget: float
-    rng_seed: int
-
-
 def _first_hits(
-    w: walk.SpectralWalk, dist: TimeDistribution, rng: np.random.Generator, runs: int, reps: int, hit
+    w: walk.SpectralWalk, dist: TimeDistribution, rng: np.random.Generator, runs: int, reps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Repeat the randomized-time walk in each of `runs` runs until its first hit.
 
     Round r = 1..reps draws one shot for every run still active through
-    w.sample; hit maps the round's outcomes to a boolean mask, and the runs
-    that hit stop. Each run draws min(G, reps) shots, G geometric in the
-    per-shot hit probability. Returns (used, outcome, elapsed) per run: the
-    shots drawn, the outcome of the hit (-1 if it never hit), and the summed
-    times of the shots drawn.
+    w.sample, and the runs that hit stop. Each run draws min(G, reps)
+    shots, G geometric in the per-shot hit probability. Returns
+    (used, hit, elapsed) per run: the shots drawn, whether one of them hit,
+    and the summed times of the shots drawn.
     """
     used = np.full(runs, reps, dtype=np.int64)
-    outcome = np.full(runs, -1, dtype=np.int64)
+    hit = np.zeros(runs, dtype=bool)
     elapsed = np.zeros(runs)
     active = np.arange(runs)
     for r in range(1, reps + 1):
         if active.size == 0:
             break
-        ts, outs = w.sample(dist, rng, active.size)
+        ts, hits = w.sample(dist, rng, active.size)
         elapsed[active] += ts
-        hits = hit(outs)
         used[active[hits]] = r
-        outcome[active[hits]] = outs[hits]
+        hit[active[hits]] = True
         active = active[~hits]
-    return used, outcome, elapsed
-
-
-def _exit_column_hit(outcomes: np.ndarray) -> np.ndarray:
-    """Column mode measures the exit column only: outcome 0 is the exit."""
-    return outcomes == 0
-
-
-def run_traversal(inst: GluedTreesInstance, rng_seed: int) -> TraversalRecord:
-    """One traversal experiment on the full graph: repeat the randomized-time
-    walk from the entrance until the exit is measured or the repetition
-    budget runs out.
-
-    The generator is built through oracle queries, every vertex is measured,
-    and success is recognized by the degree-2 test on the measured label,
-    never by peeking at the exit's identity. No shot is drawn past the first
-    hit. The column-space experiment is traversal_success_stats.
-    """
-    two_n = 2 * (inst.depth + 1)
-    T, k, reps = default_schedule(two_n)
-    h, labels = full_hamiltonian(inst)
-    dim = len(labels)
-    w = walk.spectral_walk(
-        h, walk.basis_state(dim, labels.index(inst.entrance)), walk.basis_state(dim, labels.index(inst.exit))
-    )
-    dist = TimeDistribution(T=T, k=k)
-    p_shot = w.probability(dist)
-    floor = 1.0 / reps
-    certified = bool(p_shot >= floor - 1e-12)
-
-    def hit(outcomes: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                i < dim and len(oracle_neighbors(inst, labels[i])) == 2 and labels[i] != inst.entrance
-                for i in outcomes.tolist()
-            ],
-            dtype=bool,
-        )
-
-    w = replace(w, rows=w.decomposition.eigenvectors)
-    used, outcome, elapsed = _first_hits(w, dist, rng_stream(rng_seed, 11), 1, reps, hit)
-    success = bool(outcome[0] >= 0)
-    return TraversalRecord(
-        two_n=two_n,
-        T=T,
-        k=k,
-        max_repetitions=reps,
-        success=success,
-        repetitions_used=int(used[0]),
-        outcome=labels[outcome[0]] if success else "",
-        per_shot_probability=p_shot,
-        per_shot_floor=floor,
-        certified=certified,
-        total_evolved_time=float(elapsed[0]),
-        time_budget=float(reps) * k * T,
-        rng_seed=rng_seed,
-    )
+    return used, hit, elapsed
 
 
 def traversal_success_stats(two_n: int, rng_seed: int, runs: int, w: walk.SpectralWalk) -> dict:
@@ -757,10 +682,10 @@ def traversal_success_stats(two_n: int, rng_seed: int, runs: int, w: walk.Spectr
         raise ValidationError(f"walk dimension {w.energies.shape[0]} != schedule size two_n = {two_n}")
     T, k, reps = default_schedule(two_n)
     dist = TimeDistribution(T=T, k=k)
-    used, outcome, _ = _first_hits(w, dist, rng_stream(rng_seed, 13), runs, reps, _exit_column_hit)
+    used, hit, _ = _first_hits(w, dist, rng_stream(rng_seed, 13), runs, reps)
     return {
         "runs": int(runs),
-        "success_fraction": float(np.mean(outcome >= 0)),
+        "success_fraction": float(np.mean(hit)),
         "mean_repetitions": float(used.mean()),
         "shots": int(used.sum()),
         "T": float(T),

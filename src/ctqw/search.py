@@ -19,7 +19,11 @@ from row and column m of P_s, whatever completion V uses. So the exact
 average and the Monte Carlo need only the n x n discriminant: O(n^3) time
 and O(n^2) memory, where the edge space costs O(n^6) and O(n^4). Row y is
 exactly zero unless P_s[m, y] or P_s[y, m] is positive, so only the rows of
-that marked neighbourhood are kept and measured: 3 on a lazy cycle.
+that marked neighbourhood are kept: 3 on a lazy cycle, all n on the
+complete chain. The Monte Carlo counts the shots that land in their span;
+the sampler measures that span at its rank (3 on the complete chain) and
+evaluates only the phases the start reaches, 1 on the complete chain and
+about n/2 on the cycle (SpectralWalk.sample).
 
 Outside that span H vanishes: its zero eigenspace has dimension
 (n-1)^2 + 1 for lazy chains, and the spectral gap is quadratically amplified
@@ -437,6 +441,8 @@ class SearchRecord:
     mc_freq: float | None
     mc_std_error: float | None
     mc_within_3sigma: bool | None
+    mc_phases: int | None  # phases evaluated per shot: the distinct nonzero |E| the start reaches
+    mc_prune_bound: float | None  # most by which the energies the start misses move a shot's hit probability
     rng_seed: int
     walk_dim: int  # reduced eigenvectors evaluated: 2n - 1 when D's top eigenvalue is simple
 
@@ -460,7 +466,8 @@ def run_search(
     docstring); no edge-space array is built. The exact averaged success
     probability is compared with the 1/4 - epsilon floor as floor_holds,
     never raised on; shots > 0 adds a Bernoulli Monte Carlo estimate of
-    the same number (shots = 0 skips it).
+    the same number, the fraction of shots that hit the marked rows, with
+    the sampler's phases per shot and prune bound (shots = 0 skips it).
     """
     if not (isinstance(marked, (int, np.integer)) and 0 <= marked < chain.n):
         raise ValidationError(f"marked vertex {marked} out of range for n={chain.n}")
@@ -487,15 +494,14 @@ def run_search(
     holds = bool(p_exact >= floor - 1e-9)
     ov = _overlap_report(inter, d_dec.eigenvalues, d_dec.eigenvectors)
 
-    mc_freq = mc_err = None
-    within = None
+    mc_freq = mc_err = within = phases = prune_bound = None
     if shots > 0:
-        _, outcomes = reduced.sample(dist, rng_stream(rng_seed, 23), shots)
-        hits = int(np.count_nonzero(outcomes < reduced.rows.shape[0]))
-        mc_freq = hits / float(shots)
+        _, hit = reduced.sample(dist, rng_stream(rng_seed, 23), shots)
+        mc_freq = int(np.count_nonzero(hit)) / float(shots)
         mc_err = math.sqrt(max(mc_freq * (1.0 - mc_freq), 1e-12) / shots)
         sigma_exact = math.sqrt(max(p_exact * (1.0 - p_exact), 1e-12) / shots)
         within = bool(abs(mc_freq - p_exact) <= 3.0 * sigma_exact + 1e-12)
+        phases, prune_bound = reduced.mc_phases, reduced.mc_prune_bound
 
     return SearchRecord(
         family=family,
@@ -518,6 +524,8 @@ def run_search(
         mc_freq=mc_freq,
         mc_std_error=mc_err,
         mc_within_3sigma=within,
+        mc_phases=phases,
+        mc_prune_bound=prune_bound,
         rng_seed=int(rng_seed),
         walk_dim=int(reduced.energies.shape[0]),
     )

@@ -17,7 +17,10 @@ A SpectralWalk holds one walk read off one eigenbasis: the energies, the
 start amplitudes and the target rows. Every exact average, limiting
 probability, eigenspace partition (with its gaps) and Monte Carlo
 measurement is a method of it, so a spectrum is decomposed, grouped and
-gapped once however many times T it is evaluated at. Its hitting time and
+gapped once however many times T it is evaluated at. The Monte Carlo tells
+whether each shot lands in the target span; it evaluates only the phases
+the start reaches, with a certified bound on what the rest could move, and
+measures the span at the rank of its folded columns. Its hitting time and
 the certified glued-trees routes share one grid minimizer, _grid_minimum.
 The one-shot functions below each build one and ask it once.
 spectral_walks reads the walks of a whole stack of matrices into a
@@ -63,8 +66,10 @@ TOL_TRACE = 1e-9
 TOL_PSD = 1e-9
 #: probabilities must land in [-TOL_PROB, 1 + TOL_PROB]
 TOL_PROB = 1e-9
-#: Monte Carlo shots per chunk: bounds the chunk x (distinct |E|) phase matrix
+#: Monte Carlo shots per chunk: bounds the chunk x mc_phases phase matrix
 SAMPLE_CHUNK = 5000
+#: rows x degenerate pairs gathered at once for an exact average's Gram entries (1 MiB complex)
+GRAM_BLOCK = 1 << 16
 
 
 # value records are named tuples: a frozen dataclass costs about three times the import-time memory
@@ -184,13 +189,20 @@ def _exact_averages(a: np.ndarray, pairs, g: np.ndarray, s: np.ndarray) -> np.nd
     degenerate pairs, where Phi is 1. a holds rows * c, (R, d) for one walk
     or (B, R, d) for a stack, (g, s) the half-angle factors of
     _phase_factors and pairs comes from _degenerate_pairs. Unchecked.
-    O(R d^2) time per walk; two real d x d buffers per walk."""
+    O(R d^2) time per walk; two real d x d buffers per walk, and the
+    degenerate pairs' rows gathered GRAM_BLOCK entries at a time."""
     b = a * np.conj(g)[..., None, :]
     parts = np.concatenate([b.real, b.imag], axis=-2)
     p = ((parts @ s) * parts).reshape(*parts.shape[:-2], -1).sum(axis=-1)
     (*at, j, k), lengths = pairs
     rows = a.swapaxes(0, -2)  # (R, B, d): each pair's Gram entry sums over the rows
-    gram = (rows[(slice(None), *at, j)] * np.conj(rows[(slice(None), *at, k)])).sum(axis=0)
+    gram = np.empty(j.shape, dtype=np.complex128)
+    step = max(1, GRAM_BLOCK // rows.shape[0])
+    for lo in range(0, j.shape[0], step):
+        block = slice(lo, lo + step)
+        at_block = [x[block] for x in at]
+        left, right = rows[(slice(None), *at_block, j[block])], rows[(slice(None), *at_block, k[block])]
+        gram[block] = (left * np.conj(right)).sum(axis=0)
     weight = np.real(gram * (1.0 - np.conj(g[(*at, j)]) * g[(*at, k)] * s[(*at, j, k)]))
     return p + spectral._segment_sums(weight, lengths).reshape(p.shape)
 
@@ -259,27 +271,61 @@ class SpectralWalk:
         return _gap_matrix(self.energies)
 
     @cached_property
-    def _phase_fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(sigma, a_plus, a_minus, a_zero) for the sampler.
+    def _phase_fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+        """(sigma, a_plus, a_minus, a_zero, prune_bound) for the sampler.
 
-        Runs of equal energies merge, and a distinct energy u_i = -u_{-1-i}
-        pairs with its mirror, which finds every pair of a symmetric
-        spectrum; an unpaired energy keeps a phase of its own. sigma holds
-        the unpaired positive energies, then the paired ones, then the
-        magnitudes of the unpaired negative ones. a_plus[i] sums
+        First the energies the start does not reach drop out: those with
+        |c_j| <= dim 2^-52, zero by symmetry up to rounding. Dropping them
+        moves the target amplitude of any shot by at most their l1 norm
+        delta (each column rows[:, j] has norm at most 1), so its hit
+        probability, whose amplitude has norm at most 1, by at most
+        prune_bound = 2 delta + delta^2.
+
+        Of the rest, runs of equal energies merge, and a distinct energy
+        u_i = -u_{-1-i} pairs with its mirror, which finds every pair of a
+        symmetric spectrum; an unpaired energy keeps a phase of its own.
+        sigma holds the unpaired positive energies, then the paired ones,
+        then the magnitudes of the unpaired negative ones. a_plus[i] sums
         c_j rows[:, j] over E_j = +sigma[i] for the len(a_plus) leading
         sigma, a_minus[i] over E_j = -sigma[k] for the len(a_minus) trailing
         sigma (k the i-th of them), and a_zero over E_j = 0.
-        No sort or search: paging in numpy's sort kernels (np.unique also
+
+        A shot's hit probability is |W A|^2 for its phases W and the folded
+        columns A = [a_plus; a_minus; a_zero]. With more target rows than
+        folded columns, A^H = Q R gives |W A| = |W R^H|, so R^H takes A's
+        place: one QR, and every shot evaluates as few amplitudes as it
+        has columns.
+
+        No sort or search, and a QR only where it compresses, so a walk
+        with one target row (the glued-trees column walk) pages in no sort
+        or LAPACK kernel: paging in numpy's sort kernels (np.unique also
         imports numpy.ma) cost the glued-trees run about 0.25 MB of peak RSS."""
-        starts = np.flatnonzero(np.diff(self.energies, prepend=-np.inf))
-        u, fold = self.energies[starts], np.add.reduceat((self.rows * self.c).T, starts, axis=0)
+        reached = np.abs(self.c) > self.energies.shape[0] * 2.0**-52
+        delta = float(np.abs(self.c[~reached]).sum())
+        e = self.energies[reached]
+        starts = np.flatnonzero(np.diff(e, prepend=-np.inf))
+        u, fold = e[starts], np.add.reduceat((self.rows[:, reached] * self.c[reached]).T, starts, axis=0)
         mirrored = u == -u[::-1]
         plus_only, pair, minus_only = (u > 0) & ~mirrored, (u > 0) & mirrored, (u < 0) & ~mirrored
         sigma = np.concatenate([u[plus_only], u[pair], -u[minus_only]])
-        a_plus = np.concatenate([fold[plus_only], fold[pair]])
-        a_minus = np.concatenate([fold[::-1][pair], fold[minus_only]])
-        return sigma, a_plus, a_minus, fold[u == 0].sum(axis=0)
+        zero = fold[u == 0].sum(axis=0)[None, :]
+        columns = np.concatenate([fold[plus_only], fold[pair], fold[::-1][pair], fold[minus_only], zero])
+        if columns.shape[1] > columns.shape[0]:
+            columns = np.linalg.qr(columns.conj().T, mode="r").conj().T
+        n_plus = int(plus_only.sum() + pair.sum())
+        return sigma, columns[:n_plus], columns[n_plus:-1], columns[-1], 2.0 * delta + delta**2
+
+    @property
+    def mc_phases(self) -> int:
+        """Phases the sampler evaluates per shot: one per distinct nonzero
+        |E| that the start reaches."""
+        return int(self._phase_fold[0].shape[0])
+
+    @property
+    def mc_prune_bound(self) -> float:
+        """Most by which the sampler's dropped energies move a shot's hit
+        probability (see _phase_fold)."""
+        return self._phase_fold[4]
 
     @cached_property
     def _degenerate_pairs(self):
@@ -340,22 +386,23 @@ class SpectralWalk:
     def sample(
         self, dist: TimeDistribution, rng: np.random.Generator, shots: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Monte Carlo: draw a time, evolve, measure; one outcome per shot.
+        """Monte Carlo: draw a time, evolve, measure; whether each shot hit.
 
         Each chunk of SAMPLE_CHUNK shots draws its times, then one uniform u
-        per shot; the outcome is the first row r whose cumulative
-        probability exceeds u, or len(rows) ("none of them") when u reaches
-        their total. One phase z = exp(-i t sigma) per distinct nonzero |E|
-        serves both signs, since exp(i t sigma) is its exact conjugate
-        (_phase_fold). Only one chunk x (distinct |E|) phase buffer and the
-        chunk x len(rows) probabilities are ever held. Returns (times, outcomes).
+        per shot; a shot hits, landing in the span of the target rows, when
+        u is below its total probability there. One phase
+        z = exp(-i t sigma) per distinct nonzero |E| the start reaches
+        serves both signs, since exp(i t sigma) is its exact conjugate, and
+        the target rows are compressed to the folded columns' rank
+        (_phase_fold); mc_prune_bound bounds what that drops. Only one
+        chunk x mc_phases phase buffer and the chunk x (folded columns)
+        amplitudes are ever held. Returns (times, hit).
         """
         if shots < 1:
             raise ValidationError(f"shots must be >= 1, got {shots}")
-        sigma, a_plus, a_minus, a_zero = self._phase_fold
-        last = self.rows.shape[0]
+        sigma, a_plus, a_minus, a_zero, _ = self._phase_fold
         times = np.empty(shots)
-        outcomes = np.empty(shots, dtype=np.int64)
+        hit = np.empty(shots, dtype=bool)
         for lo in range(0, shots, SAMPLE_CHUNK):
             m = min(SAMPLE_CHUNK, shots - lo)
             ts = rng.random((m, dist.k)).sum(axis=1) * dist.T
@@ -367,13 +414,10 @@ class SpectralWalk:
             amps += a_zero
             np.conj(z, out=z)
             amps += z[:, sigma.shape[0] - a_minus.shape[0] :] @ a_minus
-            probs = np.abs(amps) ** 2
-            total = np.clip(np.sum(probs, axis=1), 0.0, 1.0)
-            u = rng.random(m)
-            first = np.minimum((probs.cumsum(axis=1) <= u[:, None]).sum(axis=1), last - 1)
+            total = np.clip(np.sum(np.abs(amps) ** 2, axis=1), 0.0, 1.0)
             times[lo : lo + m] = ts
-            outcomes[lo : lo + m] = np.where(u < total, first, last)
-        return times, outcomes
+            hit[lo : lo + m] = rng.random(m) < total
+        return times, hit
 
 
 def _grid_minimum(grid: np.ndarray, k: int, values: np.ndarray, floor: float, error: Exception) -> tuple[float, int]:

@@ -23,7 +23,6 @@ ORACLES = (
     ("gluedtrees.column_spectrum_check", "criterion 03"),
     ("gluedtrees.generate_instance", "criterion 06"),
     ("gluedtrees.full_vs_column_equivalence", "criterion 06"),
-    ("gluedtrees.run_traversal", "test_gluedtrees: the full-graph traversal tests"),
     ("markov.sample_hitting_time", "criterion 09"),
     ("records.canonical_json", "test_records_cli: the JSON half of the one-pass bundle writer's oracle"),
     ("records.render_csv", "test_records_cli: test_render_csv_*; the CLI writes its CSV pieces directly"),

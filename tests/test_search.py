@@ -149,7 +149,7 @@ def test_reduced_walk_matches_dense_oracle(family, n):
             assert w.partition.n_groups == dense_walk.partition.n_groups, (s, completion)
             assert abs(w.limiting_probability - dense_walk.limiting_probability) <= 1e-12, (s, completion)
             # the dense rows sit before V; its marked block maps them to edge coordinates,
-            # of which the reduced walk measures the marked neighbourhood's
+            # of which the reduced walk measures the marked neighbourhood's: the same shots hit
             p_s = ops.interpolated.P_s
             support = np.flatnonzero((p_s[marked] > 0) | (p_s[:, marked] > 0))
             dense_rows = ops.V[block, block][support] @ dense_walk.rows

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -307,16 +308,15 @@ def test_limiting_probability_is_large_T_limit():
 # Monte Carlo sampling
 
 
-def frequencies(h, psi0, dist, seed, trials, basis):
-    """Empirical frequencies of the outcomes 0..dim-1 of a complete basis;
-    rounding alone reaches "none of them", which is dropped."""
-    _, outcomes = walk.spectral_walk(h, psi0, basis).sample(dist, rng_stream(seed), trials)
-    return np.bincount(outcomes, minlength=basis.shape[1] + 1)[: basis.shape[1]] / float(trials)
+def hit_frequency(h, psi0, target, dist, seed, trials):
+    """Empirical frequency of landing in the target span."""
+    _, hit = walk.spectral_walk(h, psi0, target).sample(dist, rng_stream(seed), trials)
+    return np.count_nonzero(hit) / float(trials)
 
 
 def test_sample_walk_no_dynamics_is_deterministic():
-    freqs = frequencies(np.zeros((5, 5)), walk.basis_state(5, 3), TimeDistribution(T=1.0, k=1), 9, 500, np.eye(5))
-    assert freqs[3] == pytest.approx(1.0, abs=0.0)
+    freq = hit_frequency(np.zeros((5, 5)), walk.basis_state(5, 3), np.eye(5)[:, 3:4], TimeDistribution(T=1.0, k=1), 9, 500)
+    assert freq == pytest.approx(1.0, abs=0.0)
 
 
 def test_sample_walk_reproducible():
@@ -324,9 +324,10 @@ def test_sample_walk_reproducible():
     h = random_hermitian(rng, 4)
     psi0 = random_state(rng, 4)
     dist = TimeDistribution(T=5.0, k=2)
-    a = frequencies(h, psi0, dist, 77, 4000, np.eye(4))
-    b = frequencies(h, psi0, dist, 77, 4000, np.eye(4))
-    assert a.tobytes() == b.tobytes()
+    w = walk.spectral_walk(h, psi0, np.eye(4)[:, :2])
+    a = w.sample(dist, rng_stream(77), 4000)
+    b = w.sample(dist, rng_stream(77), 4000)
+    assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
 
 
 def test_sample_walk_glued_matches_exact_within_3_sigma():
@@ -338,9 +339,9 @@ def test_sample_walk_glued_matches_exact_within_3_sigma():
     y = walk.basis_state(two_n, two_n - 1)
     exact = walk.avg_probability_exact(h, psi0, y, dist)
     trials = 200000
-    freqs = frequencies(h, psi0, dist, 5, trials, np.eye(two_n))
+    freq = hit_frequency(h, psi0, y, dist, 5, trials)
     sigma = math.sqrt(exact * (1 - exact) / trials)
-    assert abs(freqs[two_n - 1] - exact) <= 3.0 * sigma
+    assert abs(freq - exact) <= 3.0 * sigma
 
 
 def test_sample_walk_two_level_within_3_sigma():
@@ -348,10 +349,9 @@ def test_sample_walk_two_level_within_3_sigma():
     plus = walk.pure_state(np.array([1.0, 1.0]) / math.sqrt(2))
     T = math.pi
     trials = 100000
-    basis = np.column_stack([plus.amplitudes, np.array([1.0, -1.0]) / math.sqrt(2)])
-    freqs = frequencies(h, plus, TimeDistribution(T=T, k=1), 6, trials, basis)
+    freq = hit_frequency(h, plus, plus, TimeDistribution(T=T, k=1), 6, trials)
     sigma = math.sqrt(0.5 * 0.5 / trials)
-    assert abs(freqs[0] - 0.5) <= 3.0 * sigma
+    assert abs(freq - 0.5) <= 3.0 * sigma
 
 
 def test_sampler_partial_chunk_counts_and_frequency():
@@ -361,14 +361,14 @@ def test_sampler_partial_chunk_counts_and_frequency():
     dist = TimeDistribution(T=64.0 * n, k=math.ceil(math.log2(5 * n)))
     exact = w.probability(dist)
     shots = 2 * walk.SAMPLE_CHUNK + 1
-    times, outcomes = w.sample(dist, rng_stream(3), shots)
-    assert times.shape == outcomes.shape == (shots,)
-    assert set(np.unique(outcomes)) <= {0, 1}
-    freq = np.count_nonzero(outcomes == 0) / shots
+    times, hit = w.sample(dist, rng_stream(3), shots)
+    assert times.shape == hit.shape == (shots,)
+    assert hit.dtype == bool
+    freq = np.count_nonzero(hit) / shots
     assert abs(freq - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / shots)
     # chunks draw in a fixed order, so a shorter run is a prefix of a longer one
     head_t, head = w.sample(dist, rng_stream(3), walk.SAMPLE_CHUNK)
-    assert np.array_equal(head, outcomes[: walk.SAMPLE_CHUNK])
+    assert np.array_equal(head, hit[: walk.SAMPLE_CHUNK])
     assert np.array_equal(head_t, times[: walk.SAMPLE_CHUNK])
 
 
@@ -383,34 +383,57 @@ def unpaired_walk() -> walk.SpectralWalk:
 
 
 @pytest.mark.parametrize(
-    "make,distinct",
+    "make,distinct,kept,width",
     [
-        # exactly paired energies: one phase per pair
-        (lambda: gluedtrees.column_walk(64), 32),
-        # repeated |E| and an exact zero
-        (lambda: search_reduced_walk(markov.complete_chain(32)), 9),
-        (lambda: search_reduced_walk(markov.cycle_chain(32)), 31),
+        # exactly paired energies: one phase per pair, each reached
+        (lambda: gluedtrees.column_walk(64), 32, 32, 1),
+        # repeated |E| and an exact zero; the start reaches one pair, and
+        # the 32 marked rows compress to the 3 folded columns
+        (lambda: search_reduced_walk(markov.complete_chain(32)), 9, 1, 3),
+        # the start reaches half the pairs
+        (lambda: search_reduced_walk(markov.cycle_chain(32)), 31, 16, 3),
         # no pairs: one phase per energy, as many as before the fold
-        (unpaired_walk, 12),
+        (unpaired_walk, 12, 12, 2),
     ],
     ids=["column-64", "complete-32", "cycle-32", "unpaired-12"],
 )
-def test_sample_outcomes_match_outer_product_phases(make, distinct):
-    # the folded phase buffer gives the outcomes of exp(-1j * outer(t, E)) * c
+def test_sample_outcomes_match_outer_product_phases(make, distinct, kept, width):
+    # the pruned, folded and compressed sampler hits where the dense
+    # exp(-1j * outer(t, E)) * c measurement puts u below its total
     w = make()
-    assert w._phase_fold[0].shape == (distinct,)
+    assert dataclasses.replace(w, c=np.ones_like(w.c)).mc_phases == distinct  # every energy reached
+    assert w.mc_phases == kept
+    assert w._phase_fold[3].shape == (width,)
+    assert w.mc_prune_bound < 1e-13
     dist = TimeDistribution(T=300.0, k=3)
     shots = walk.SAMPLE_CHUNK + 7
-    times, outcomes = w.sample(dist, rng_stream(11), shots)
-    rng, last = rng_stream(11), w.rows.shape[0]
+    times, hit = w.sample(dist, rng_stream(11), shots)
+    rng = rng_stream(11)
     for lo in range(0, shots, walk.SAMPLE_CHUNK):
         m = min(walk.SAMPLE_CHUNK, shots - lo)
         ts = rng.random((m, dist.k)).sum(axis=1) * dist.T
         probs = np.abs((np.exp(-1j * np.outer(ts, w.energies)) * w.c) @ w.rows.T) ** 2
         u = rng.random(m)
-        first = np.minimum((probs.cumsum(axis=1) <= u[:, None]).sum(axis=1), last - 1)
         assert np.array_equal(times[lo : lo + m], ts)
-        assert np.array_equal(outcomes[lo : lo + m], np.where(u < np.clip(probs.sum(axis=1), 0.0, 1.0), first, last))
+        assert np.array_equal(hit[lo : lo + m], u < np.clip(probs.sum(axis=1), 0.0, 1.0))
+
+
+def test_sampler_drops_the_amplitudes_at_or_below_dim_ulps():
+    # four paired energies; the start amplitude of -2 sits just above
+    # d 2^-52 and is kept, that of -1 just below it and is dropped
+    d = 4
+    at = d * 2.0**-52
+    above, below = np.nextafter(at, 1.0), np.nextafter(at, 0.0)
+    energies = np.array([-2.0, -1.0, 1.0, 2.0])
+    rows = np.full((1, d), 0.5)
+    w = walk.SpectralWalk(energies, np.array([above, below, 0.6, 0.8]), rows, None)
+    sigma, a_plus, a_minus, _, bound = w._phase_fold
+    assert w.mc_phases == 2
+    assert sigma.tolist() == [1.0, 2.0]  # 1 now lacks its mirror; 2 keeps its pair
+    assert a_plus.shape == (2, 1) and a_minus.shape == (1, 1)
+    assert bound == w.mc_prune_bound == 2.0 * below + below**2
+    kept_at = walk.SpectralWalk(energies, np.array([above, at, 0.6, 0.8]), rows, None)
+    assert kept_at.mc_phases == 2 and kept_at.mc_prune_bound == 2.0 * at + at**2
 
 
 def test_sample_peak_memory_one_phase_buffer():
@@ -424,6 +447,39 @@ def test_sample_peak_memory_one_phase_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * m * d * 16
+
+
+def test_sampling_the_column_walk_pages_in_no_sort_or_qr(monkeypatch):
+    # one target row: no compression, so neither sort nor LAPACK kernels are paged in
+    w = gluedtrees.column_walk(128)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the column-walk sampler called a sort or a QR")
+
+    for owner, name in ((np, "argsort"), (np, "sort"), (np.linalg, "qr")):
+        monkeypatch.setattr(owner, name, refuse)
+    _, hit = w.sample(TimeDistribution(T=64.0 * 64, k=9), rng_stream(2), 100)
+    assert hit.shape == (100,)
+
+
+def test_exact_average_of_the_complete_chain_search_gathers_pairs_in_blocks(monkeypatch):
+    # 31 755 degenerate pairs x 128 marked rows: gathered at once, about 190 MiB
+    w = search_reduced_walk(markov.complete_chain(128))
+    dist = TimeDistribution(T=10.0, k=3)
+    tracemalloc.start()
+    try:
+        w.probability(dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    # the blocks change nothing: one pair at a time and all pairs at once agree bitwise
+    small = search_reduced_walk(markov.complete_chain(32))
+    values = []
+    for block in (1, 1 << 60):
+        monkeypatch.setattr(walk, "GRAM_BLOCK", block)
+        values.append(small.probability(dist))
+    assert values[0] == values[1]
 
 
 def test_sample_walk_rejects_bad_trials():
