@@ -132,8 +132,7 @@ def subset_floor(w: SpectralWalk, T, k: int, subset):
     """sum_{g in S} |<y|P_g|psi0>|^2 - sqrt(3) * (2/(T * delta_e_s))^k, at a
     time T or an array of times, with k summed uniform times."""
     _check_times(T)
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValidationError(f"k must be an integer >= 1, got {k}")
+    walk._check_count(k, "k")
     s, delta_e_s = w.partition.subset_gap(subset)
     # summed left to right, as the stacked cumsum of certify_stack
     overlap = sum(w.overlaps[g] for g in s)
@@ -161,9 +160,9 @@ def _reference_inputs(w: SpectralWalk, dist: TimeDistribution) -> tuple[np.ndarr
     decomposition; a reduced walk has no eigenbasis to rotate rho0 into."""
     if w.decomposition is None:
         raise ValidationError("a reduced walk has no full eigendecomposition to rotate rho0 into")
-    part = w.partition
-    phi = walk._phi_matrix(dist, w.energies, w.tol_degen)
-    return w.decomposition.eigenvectors, phi, np.repeat(np.arange(part.n_groups), part.lengths)
+    group_of = w.partition.group_of
+    phi = walk._phi(*walk._phase_factors(dist, w._levels, w._gaps), group_of)
+    return w.decomposition.eigenvectors, phi, group_of
 
 
 def dephased_reference(w: SpectralWalk, rho0: DensityOperator, subset, dist: TimeDistribution) -> DensityOperator:
@@ -298,7 +297,7 @@ def certify_stack(stack: walk.WalkStack, subsets, groups, rho0: DensityOperator)
     distance, step = np.empty(n.shape), max(1, RESIDUAL_CHUNK // v.shape[-1] ** 2)
     for start in range(0, n.shape[0], step):
         at = slice(start, start + step)
-        phi = walk._phi(g[at], s[at], stack.near[at])
+        phi = walk._phi(g[at], s[at], group_of[at])
         distance[at] = _residual_distances(v[at], DensityOperator(rho0.entries[at]), phi, group_of[at], member[at])
     condition, tau_sel, tau_mix = _comparison(T, p1, stack.limiting_probability, star[lo + groups], dmin)
     ok = (tau_sel < tau_mix) | ~condition

@@ -295,7 +295,7 @@ def subspace_S(w: walk.SpectralWalk) -> SubspaceReport:
     alpha = np.abs(w.c[members]) / sines
 
     part = w.partition
-    group_indices = np.repeat(np.arange(part.n_groups), part.lengths)[members].tolist()
+    group_indices = part.group_of[members].tolist()
     if len(set(group_indices)) != len(group_indices):
         raise InconsistencyError("two band members mapped to one eigenspace")
 
@@ -530,8 +530,7 @@ def full_vs_column_equivalence(
         raise ValidationError(
             f"full-graph comparison capped at depth 6, got depth {inst.depth}"
         )
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    walk._check_count(trials, "trials")
     h_full, labels = full_hamiltonian(inst)
     m = len(labels)
     full = walk.spectral_walk(
@@ -676,8 +675,7 @@ def traversal_success_stats(two_n: int, rng_seed: int, runs: int, w: walk.Spectr
     also carries the schedule (T, k, max_repetitions) and its per-shot floor,
     which is two_n's, so a SpectralWalk w of any other dimension is rejected.
     """
-    if runs < 1:
-        raise ValidationError(f"runs must be >= 1, got {runs}")
+    walk._check_count(runs, "runs")
     if isinstance(w, walk.SpectralWalk) and w.energies.shape[0] != two_n:
         raise ValidationError(f"walk dimension {w.energies.shape[0]} != schedule size two_n = {two_n}")
     T, k, reps = default_schedule(two_n)

@@ -441,7 +441,7 @@ class SearchRecord:
     mc_freq: float | None
     mc_std_error: float | None
     mc_within_3sigma: bool | None
-    mc_phases: int | None  # phases evaluated per shot: the distinct nonzero |E| the start reaches
+    mc_phases: int | None  # phases evaluated per shot: the distinct nonzero group |E| the start reaches
     mc_prune_bound: float | None  # most by which the energies the start misses move a shot's hit probability
     rng_seed: int
     walk_dim: int  # reduced eigenvectors evaluated: 2n - 1 when D's top eigenvalue is simple
@@ -473,8 +473,7 @@ def run_search(
         raise ValidationError(f"marked vertex {marked} out of range for n={chain.n}")
     if not 0.0 < epsilon < 0.25:
         raise ValidationError(f"epsilon must lie in (0, 1/4), got {epsilon}")
-    if shots < 0:
-        raise ValidationError(f"shots must be >= 0, got {shots}")
+    walk._check_count(shots, "shots", least=0)
     work = markov.lazify(chain)
 
     n = work.n

@@ -8,7 +8,9 @@ Conventions fixed here and relied on everywhere else:
 * degeneracy grouping of ascending energies alone, at an absolute tolerance
   (degeneracy_tol: 1e-8 times the spectral range), split at adjacent gaps
   and validated both ways; no eigenvector is needed, so a reduced walk is
-  grouped like a fully decomposed one;
+  grouped like a fully decomposed one. Only this partition reads the
+  tolerance: every walk number is that of the walk snapped to it, each
+  energy at its group's mean;
 * gaps always work on group representative energies, never raw eigenvalues,
   and are read off the partition itself.
 """
@@ -200,6 +202,11 @@ class EigenspacePartition:
     @property
     def n_groups(self) -> int:
         return len(self.lengths)
+
+    @cached_property
+    def group_of(self) -> np.ndarray:
+        """Each energy's group index."""
+        return np.repeat(np.arange(self.n_groups), self.lengths)
 
     @cached_property
     def delta_e_star(self) -> tuple[float, ...]:

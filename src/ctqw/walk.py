@@ -8,10 +8,13 @@ law evaluated at the gap, so averaged probabilities and averaged density
 operators are finite sums, no numerical integration involved. A quadrature
 fallback exists purely as an independent oracle.
 
-Since (e^{ix} - 1)/(ix) = e^{ix/2} sin(x/2)/(x/2), Phi(E_k - E_j) =
-conj(g_j) g_k S_jk with one phase g = e^{ikET/2} per energy and a real
-symmetric S_jk = sinc((E_k - E_j)T/2)^k, so an exact average is two real
-quadratic forms in S: no complex dim x dim matrix, no cancellation.
+Every number is that of the walk snapped to its eigenspace partition,
+H' = sum_g E_g P_g with E_g the mean energy of group g, so ||H - H'|| <=
+tol_degen and a gap within a group is exactly 0. Since (e^{ix} - 1)/(ix) =
+e^{ix/2} sin(x/2)/(x/2), Phi(E_k - E_j) = conj(g_j) g_k S_jk with one phase
+g = e^{ikET/2} per energy and a real symmetric S_jk = sinc((E_k - E_j)T/2)^k,
+so an exact average is two real quadratic forms in S and one term per group:
+no complex dim x dim matrix, no cancellation.
 
 A SpectralWalk holds one walk read off one eigenbasis: the energies, the
 start amplitudes and the target rows. Every exact average, limiting
@@ -68,8 +71,12 @@ TOL_PSD = 1e-9
 TOL_PROB = 1e-9
 #: Monte Carlo shots per chunk: bounds the chunk x mc_phases phase matrix
 SAMPLE_CHUNK = 5000
-#: rows x degenerate pairs gathered at once for an exact average's Gram entries (1 MiB complex)
-GRAM_BLOCK = 1 << 16
+
+
+def _check_count(value, name: str, least: int = 1) -> None:
+    """Refuse a count that is not an integer >= least; a bool is no count."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value}")
 
 
 # value records are named tuples: a frozen dataclass costs about three times the import-time memory
@@ -125,8 +132,7 @@ class TimeDistribution:
     def __post_init__(self):
         if not 0 < self.T < np.inf:
             raise ValidationError(f"T must be positive and finite, got {self.T}")
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
-            raise ValidationError(f"k must be an integer >= 1, got {self.k}")
+        _check_count(self.k, "k")
 
 
 def characteristic(dist: TimeDistribution, r) -> np.ndarray | complex:
@@ -161,50 +167,27 @@ def _gap_matrix(energies: np.ndarray) -> np.ndarray:
     return energies[..., :, None] - energies[..., None, :]
 
 
-def _phi(g: np.ndarray, s: np.ndarray, near: np.ndarray) -> np.ndarray:
-    """Phi[j, k] = conj(g_j) g_k S_jk from the half-angle factors, exactly 1 on the degenerate pairs near."""
+def _phi(g: np.ndarray, s: np.ndarray, group_of: np.ndarray) -> np.ndarray:
+    """Phi[j, k] = conj(g_j) g_k S_jk from the half-angle factors at the
+    group energies, exactly 1 on the pairs of one group, per matrix of a stack."""
     phi = np.conj(g)[..., :, None] * g[..., None, :] * s
-    phi[near] = 1.0
+    phi[group_of[..., :, None] == group_of[..., None, :]] = 1.0
     return phi
 
 
-def _phi_matrix(dist: TimeDistribution, energies: np.ndarray, tol_degen) -> np.ndarray:
-    """Matrix Phi[j, k] = characteristic(E_k - E_j), with exact 1 on
-    near-degenerate pairs (|E_k - E_j| <= tol_degen)."""
-    gaps = _gap_matrix(energies)
-    return _phi(*_phase_factors(dist, energies, gaps), np.abs(gaps) <= tol_degen)
-
-
-def _degenerate_pairs(near: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """The pairs (j, k) with |E_k - E_j| <= tol, j = k included, flagged in a
-    (d, d) or (B, d, d) mask: Phi is 1 there. Returns np.nonzero's index
-    arrays (stack index first) and each matrix's number of pairs, above 0."""
-    return np.nonzero(near), near.reshape(-1, near.shape[-1] ** 2).sum(axis=-1)
-
-
-def _exact_averages(a: np.ndarray, pairs, g: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _exact_averages(a: np.ndarray, lead: np.ndarray, g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Exact time average sum_r sum_{jk} a_rj conj(a_rk) Phi(E_k - E_j) of
-    each walk of a stack = sum_r Re(b_r) S Re(b_r) + Im(b_r) S Im(b_r) with
-    b = a conj(g), plus Re a_rj conj(a_rk) (1 - conj(g_j) g_k S_jk) on the
-    degenerate pairs, where Phi is 1. a holds rows * c, (R, d) for one walk
-    or (B, R, d) for a stack, (g, s) the half-angle factors of
-    _phase_factors and pairs comes from _degenerate_pairs. Unchecked.
-    O(R d^2) time per walk; two real d x d buffers per walk, and the
-    degenerate pairs' rows gathered GRAM_BLOCK entries at a time."""
+    each walk of a stack, at its group energies = sum_r Re(b_r) S Re(b_r) +
+    Im(b_r) S Im(b_r) with b = a conj(g), plus lead (1 - |g|^2). Within a
+    group S is 1 and the form weighs the group's overlap by |g|^2, where Phi
+    is 1: lead holds each group's overlap at its first member, 0 elsewhere.
+    a holds rows * c, (R, d) for one walk or (B, R, d) for a stack, and
+    (g, s) the half-angle factors of _phase_factors at the group energies.
+    Unchecked. O(R d^2) time per walk; two real d x d buffers per walk."""
     b = a * np.conj(g)[..., None, :]
     parts = np.concatenate([b.real, b.imag], axis=-2)
     p = ((parts @ s) * parts).reshape(*parts.shape[:-2], -1).sum(axis=-1)
-    (*at, j, k), lengths = pairs
-    rows = a.swapaxes(0, -2)  # (R, B, d): each pair's Gram entry sums over the rows
-    gram = np.empty(j.shape, dtype=np.complex128)
-    step = max(1, GRAM_BLOCK // rows.shape[0])
-    for lo in range(0, j.shape[0], step):
-        block = slice(lo, lo + step)
-        at_block = [x[block] for x in at]
-        left, right = rows[(slice(None), *at_block, j[block])], rows[(slice(None), *at_block, k[block])]
-        gram[block] = (left * np.conj(right)).sum(axis=0)
-    weight = np.real(gram * (1.0 - np.conj(g[(*at, j)]) * g[(*at, k)] * s[(*at, j, k)]))
-    return p + spectral._segment_sums(weight, lengths).reshape(p.shape)
+    return p + (lead * (1.0 - (np.conj(g) * g).real)).sum(axis=-1)
 
 
 def _check_probabilities(p, what: str) -> np.ndarray:
@@ -252,7 +235,7 @@ class SpectralWalk:
 
     The degeneracy tolerance, the partition of the energies with its gaps,
     the group overlaps and the limiting probability are worked out on first
-    use.
+    use; every other number is that of the walk snapped to the partition.
     """
 
     energies: np.ndarray
@@ -266,22 +249,36 @@ class SpectralWalk:
         return spectral.degeneracy_tol(float(self.energies[-1] - self.energies[0]))
 
     @cached_property
+    def _levels(self) -> np.ndarray:
+        """Each energy's group energy: the energies of the snapped walk."""
+        return self.partition.energies[self.partition.group_of]
+
+    @cached_property
     def _gaps(self) -> np.ndarray:
-        """gaps[j, k] = E_j - E_k, built once for every exact average."""
-        return _gap_matrix(self.energies)
+        """gaps[j, k] = E_j - E_k at the group energies, built once for every
+        exact average: exactly 0 within a group."""
+        return _gap_matrix(self._levels)
+
+    @cached_property
+    def _lead(self) -> np.ndarray:
+        """Each group's overlap at its first member, 0 elsewhere (see _exact_averages)."""
+        lead = np.zeros(self.energies.shape)
+        lead[np.cumsum(self.partition.lengths) - self.partition.lengths] = self.overlaps
+        return lead
 
     @cached_property
     def _phase_fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
         """(sigma, a_plus, a_minus, a_zero, prune_bound) for the sampler.
 
-        First the energies the start does not reach drop out: those with
+        The energies are the group energies of the snapped walk. First the
+        energies the start does not reach drop out: those with
         |c_j| <= dim 2^-52, zero by symmetry up to rounding. Dropping them
         moves the target amplitude of any shot by at most their l1 norm
         delta (each column rows[:, j] has norm at most 1), so its hit
         probability, whose amplitude has norm at most 1, by at most
         prune_bound = 2 delta + delta^2.
 
-        Of the rest, runs of equal energies merge, and a distinct energy
+        Of the rest, each group's energies merge, and a distinct energy
         u_i = -u_{-1-i} pairs with its mirror, which finds every pair of a
         symmetric spectrum; an unpaired energy keeps a phase of its own.
         sigma holds the unpaired positive energies, then the paired ones,
@@ -302,7 +299,7 @@ class SpectralWalk:
         imports numpy.ma) cost the glued-trees run about 0.25 MB of peak RSS."""
         reached = np.abs(self.c) > self.energies.shape[0] * 2.0**-52
         delta = float(np.abs(self.c[~reached]).sum())
-        e = self.energies[reached]
+        e = self._levels[reached]
         starts = np.flatnonzero(np.diff(e, prepend=-np.inf))
         u, fold = e[starts], np.add.reduceat((self.rows[:, reached] * self.c[reached]).T, starts, axis=0)
         mirrored = u == -u[::-1]
@@ -318,7 +315,7 @@ class SpectralWalk:
     @property
     def mc_phases(self) -> int:
         """Phases the sampler evaluates per shot: one per distinct nonzero
-        |E| that the start reaches."""
+        |E| of the group energies that the start reaches."""
         return int(self._phase_fold[0].shape[0])
 
     @property
@@ -327,18 +324,12 @@ class SpectralWalk:
         probability (see _phase_fold)."""
         return self._phase_fold[4]
 
-    @cached_property
-    def _degenerate_pairs(self):
-        """_degenerate_pairs of the cached gap matrix at tol_degen."""
-        return _degenerate_pairs(np.abs(self._gaps) <= self.tol_degen)
-
     def probability(self, dist: TimeDistribution) -> float:
         """Exact time average at dist (_exact_averages of this one walk).
         O(len(rows) dim^2) time; besides the cached gap matrix, two real
         dim x dim buffers."""
         # a[r, j] = <b_r|E_j><E_j|psi0>
-        g, s = _phase_factors(dist, self.energies, self._gaps)
-        p = _exact_averages(self.rows * self.c, self._degenerate_pairs, g, s)
+        p = _exact_averages(self.rows * self.c, self._lead, *_phase_factors(dist, self._levels, self._gaps))
         return float(_check_probabilities(p, "time-averaged probability"))
 
     def probabilities(self, T_grid, k: int) -> np.ndarray:
@@ -355,7 +346,6 @@ class SpectralWalk:
         grid = np.asarray(T_grid, dtype=np.float64)
         if grid.ndim != 1 or grid.shape[0] == 0 or np.any(grid <= 0):
             raise ValidationError("T_grid must be a non-empty 1-d array of positive times")
-        k = int(k)
         probs = self.probabilities(grid, k)
         unreachable = DegenerateProbabilityError(f"all {grid.shape[0]} grid probabilities below 1e-15; target unreachable")
         tau, best = _grid_minimum(grid, k, probs, 1e-15, unreachable)
@@ -363,7 +353,7 @@ class SpectralWalk:
             tau=tau,
             argmin_T=float(grid[best]),
             probability_at_argmin=float(probs[best]),
-            k_at_argmin=k,
+            k_at_argmin=int(k),
             grid_description=f"geometric[{grid[0]:.6g},{grid[-1]:.6g}]x{grid.shape[0]}",
         )
 
@@ -391,15 +381,14 @@ class SpectralWalk:
         Each chunk of SAMPLE_CHUNK shots draws its times, then one uniform u
         per shot; a shot hits, landing in the span of the target rows, when
         u is below its total probability there. One phase
-        z = exp(-i t sigma) per distinct nonzero |E| the start reaches
+        z = exp(-i t sigma) per distinct nonzero group |E| the start reaches
         serves both signs, since exp(i t sigma) is its exact conjugate, and
         the target rows are compressed to the folded columns' rank
         (_phase_fold); mc_prune_bound bounds what that drops. Only one
         chunk x mc_phases phase buffer and the chunk x (folded columns)
         amplitudes are ever held. Returns (times, hit).
         """
-        if shots < 1:
-            raise ValidationError(f"shots must be >= 1, got {shots}")
+        _check_count(shots, "shots")
         sigma, a_plus, a_minus, a_zero, _ = self._phase_fold
         times = np.empty(shots)
         hit = np.empty(shots, dtype=bool)
@@ -465,11 +454,11 @@ def spectral_walk(h, psi0: PureState, target) -> SpectralWalk:
 class WalkStack(SimpleNamespace):
     """The walks of a (B, d, d) stack as arrays, built by spectral_walks."""
 
-    # decomposition: the stacked one; T, k: each walk's time law; near: its
-    # degenerate pairs (B, d, d); group_starts (B, d) and n_groups; overlaps and
-    # delta_e_star: all walks' groups in turn (G,); limiting_probability;
-    # averages: exact averages at (T, 1), then at (T, k), (2, B); factors: the
-    # half-angle factors (g, s) of _phase_factors of each walk at its own (T, k)
+    # decomposition: the stacked one; T, k: each walk's time law; group_starts
+    # (B, d) and n_groups; overlaps and delta_e_star: all walks' groups in turn
+    # (G,); limiting_probability; averages: exact averages at (T, 1), then at
+    # (T, k), (2, B); factors: the half-angle factors (g, s) of _phase_factors
+    # of each walk at its group energies and its own (T, k)
 
 
 def _padded(x: np.ndarray, n_groups: np.ndarray, fill: float) -> np.ndarray:
@@ -491,28 +480,31 @@ def spectral_walks(h, psi0: PureState, y: PureState, dists: list[TimeDistributio
     if len(dists) != e.shape[0]:
         raise ValidationError(f"{len(dists)} time laws for a stack of {e.shape[0]} operators")
     c, ya = _rotated(dec, psi0, y)
-    a, gaps = (np.conj(ya) * c)[:, None, :], _gap_matrix(e)
-    tol = spectral.degeneracy_tol(e[:, -1] - e[:, 0])
-    starts, n_groups, lengths, _, stars = spectral._group_runs(e, tol)
+    a = (np.conj(ya) * c)[:, None, :]
+    starts, n_groups, lengths, levels, stars = spectral._group_runs(e, spectral.degeneracy_tol(e[:, -1] - e[:, 0]))
     overlaps = np.array(_group_overlaps(a.reshape(1, -1), lengths))
+    # each walk's energies snapped to its partition and its groups' overlaps at their
+    # first members: a SpectralWalk's _levels and _lead
+    e, lead = np.repeat(levels, lengths).reshape(e.shape), np.zeros(e.shape)
+    lead[starts] = overlaps
+    gaps = _gap_matrix(e)
     # summed left to right, as the per-walk Python sum: a 0.0 past the last group changes nothing
     limits = _check_probabilities(_padded(overlaps, n_groups, 0.0).cumsum(axis=1)[:, -1], "limiting probability")
     T, k = np.array([d.T for d in dists]), np.array([d.k for d in dists])
-    near = np.abs(gaps) <= tol[:, None, None]
     # every walk at (T, 1), then each other k on the substack of the walks at (T, k),
     # whose factors then take the place of their (T, 1) ones
     g, s = _phase_factors(TimeDistribution(T=dists[0].T, k=1), e, gaps, T[:, None])
     averages = np.empty((2, k.shape[0]))
-    averages[:] = _exact_averages(a, _degenerate_pairs(near), g, s)
+    averages[:] = _exact_averages(a, lead, g, s)
     for kk in dict.fromkeys(k.tolist()):
         if kk != 1:
             at = np.flatnonzero(k == kk)
             g[at], s[at] = factors = _phase_factors(dists[at[0]], e[at], gaps[at], T[at, None])
-            averages[1, at] = _exact_averages(a[at], _degenerate_pairs(near[at]), *factors)
+            averages[1, at] = _exact_averages(a[at], lead[at], *factors)
     _check_probabilities(averages[0], "time-averaged probability")
     _check_probabilities(averages[1], "time-averaged probability")
     return WalkStack(
-        decomposition=dec, T=T, k=k, near=near, group_starts=starts, n_groups=n_groups, overlaps=overlaps,
+        decomposition=dec, T=T, k=k, group_starts=starts, n_groups=n_groups, overlaps=overlaps,
         delta_e_star=stars, limiting_probability=limits, averages=averages, factors=(g, s),
     )
 
@@ -561,14 +553,17 @@ def avg_probability_quadrature(h, psi0: PureState, y: PureState, T: float) -> fl
 
 
 def time_averaged_density(h, rho0: DensityOperator, dist: TimeDistribution) -> DensityOperator:
-    """Average of exp(-iHt) rho0 exp(iHt) over the time law.
+    """Average of exp(-iH't) rho0 exp(iH't) over the time law, for H
+    snapped to its eigenspace partition, H' = sum_g E_g P_g.
 
-    In the eigenbasis the element (j, k) picks up Phi(E_k - E_j);
-    near-degenerate pairs are left untouched (coherences survive).
+    In the eigenbasis the element (j, k) picks up Phi(E'_k - E'_j) of the
+    group energies, exactly 1 within a group (coherences there survive).
     """
     dec = _decompose_one(h)
     e = dec.eigenvalues
-    phi = _phi_matrix(dist, e, spectral.degeneracy_tol(e[-1] - e[0]))
+    part = spectral.group_eigenspaces(e, spectral.degeneracy_tol(e[-1] - e[0]))
+    levels = part.energies[part.group_of]
+    phi = _phi(*_phase_factors(dist, levels, _gap_matrix(levels)), part.group_of)
     return _weighted_density(dec.eigenvectors, _eigenbasis(dec.eigenvectors, rho0), phi)
 
 

@@ -268,8 +268,8 @@ def test_residual_bound_stack_equals_per_instance_calls_bitwise():
 
 def test_residual_bound_builds_phi_once(monkeypatch):
     calls = []
-    phi_matrix = walk._phi_matrix
-    monkeypatch.setattr(walk, "_phi_matrix", lambda *args: calls.append(args) or phi_matrix(*args))
+    phi = walk._phi
+    monkeypatch.setattr(walk, "_phi", lambda *args: calls.append(args) or phi(*args))
     h, psi0, _ = glued_setup(12)
     rho = walk.density_operator(np.outer(psi0.amplitudes, psi0.amplitudes.conj()))
     assert bounds.residual_bound(walk.spectral_walk(h, psi0, psi0), rho, [0], TimeDistribution(T=30.0, k=2)).holds
@@ -423,7 +423,9 @@ def test_bounds_stack_shares_one_phase_kernel_per_time_law(monkeypatch):
     monkeypatch.setattr(walk, "_phase_factors", lambda dist, e, *rest: calls.append((dist.k, e.shape)) or factors(dist, e, *rest))
     monkeypatch.setattr(bounds, "certify_stack", lambda stack, *rest: stacks.append(stack) or certify(stack, *rest))
     monkeypatch.setattr(np, "stack", lambda arrays, *rest, **kw: stacked.append(len(arrays)) or stack_fn(arrays, *rest, **kw))
-    monkeypatch.setattr(walk, "_phi_matrix", None)
+    # phi is built a chunk of walks at a time, never for one walk
+    phi = walk._phi
+    monkeypatch.setattr(walk, "_phi", lambda g, *rest: phi(g, *rest) if g.ndim == 2 else pytest.fail("phi built for one walk"))
     monkeypatch.setattr(spectral.EigenspacePartition, "subset_gap", None)
     rows = cli._bounds_block((0, 60, 7, 10, 0.1, 1000.0, (1, 2, 3, 4)))
     assert len({row["instance"] for row in rows}) == 60 and all(row["holds"] for row in rows)

@@ -435,6 +435,11 @@ def test_traversal_success_stats_rejects_a_walk_of_another_size():
         gluedtrees.traversal_success_stats(8, rng_seed=1, runs=10, w=gluedtrees.column_walk(64))
 
 
+def test_traversal_success_stats_refuses_a_fractional_run_count():
+    with pytest.raises(ValidationError, match="^runs must be an integer >= 1, got 2.5$"):
+        gluedtrees.traversal_success_stats(8, 1, 2.5, gluedtrees.column_walk(8))
+
+
 def test_traversal_success_stats_memory_is_chunked():
     # 200 runs x 1280 repetitions: holding every shot's 128 amplitudes
     # would take over 500 MB

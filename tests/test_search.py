@@ -196,6 +196,11 @@ def test_run_search_validates_before_lazify(monkeypatch, marked, epsilon, shots)
         search.run_search(markov.complete_chain(8), marked, epsilon, rng_seed=1, shots=shots)
 
 
+def test_run_search_refuses_a_fractional_shot_count():
+    with pytest.raises(ValidationError, match="^shots must be an integer >= 0, got 1.5$"):
+        search.run_search(markov.complete_chain(8), 0, 0.1, rng_seed=1, shots=1.5)
+
+
 def test_reduced_walk_certificates():
     chain = lazy_family("random-reversible", 6)
     inter = markov.interpolate(chain, 2, markov.s_star(chain, 2))

@@ -175,6 +175,16 @@ def test_time_distribution_needs_a_finite_T():
         w.hitting_time([1.0, math.inf], 1)
 
 
+def test_a_fractional_or_boolean_k_is_refused():
+    # never truncated to the integer below, never read as k = 1
+    with pytest.raises(ValidationError, match="^k must be an integer >= 1, got True$"):
+        TimeDistribution(T=1.0, k=True)
+    h = np.diag([0.0, 1.0])
+    plus = walk.pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0))
+    with pytest.raises(ValidationError, match="^k must be an integer >= 1, got 1.9$"):
+        walk.hitting_time_estimate(h, plus, plus, np.array([1.0, 2.0]), k=1.9)
+
+
 def test_nan_states_are_bad_input(monkeypatch):
     # NaN compares false with every tolerance, so each check fails unless it holds
     with pytest.raises(ValidationError, match="state norm nan deviates"):
@@ -387,9 +397,9 @@ def unpaired_walk() -> walk.SpectralWalk:
     [
         # exactly paired energies: one phase per pair, each reached
         (lambda: gluedtrees.column_walk(64), 32, 32, 1),
-        # repeated |E| and an exact zero; the start reaches one pair, and
-        # the 32 marked rows compress to the 3 folded columns
-        (lambda: search_reduced_walk(markov.complete_chain(32)), 9, 1, 3),
+        # repeated |E|, which group into one pair, and an exact zero; the start
+        # reaches the pair, and the 32 marked rows compress to the 3 folded columns
+        (lambda: search_reduced_walk(markov.complete_chain(32)), 2, 1, 3),
         # the start reaches half the pairs
         (lambda: search_reduced_walk(markov.cycle_chain(32)), 31, 16, 3),
         # no pairs: one phase per energy, as many as before the fold
@@ -462,8 +472,9 @@ def test_sampling_the_column_walk_pages_in_no_sort_or_qr(monkeypatch):
     assert hit.shape == (100,)
 
 
-def test_exact_average_of_the_complete_chain_search_gathers_pairs_in_blocks(monkeypatch):
-    # 31 755 degenerate pairs x 128 marked rows: gathered at once, about 190 MiB
+def test_exact_average_of_the_complete_chain_search_peak_memory():
+    # 31 755 degenerate pairs x 128 marked rows: one term per group makes their
+    # Phi 1, where gathering the pairs' rows at once took about 190 MiB
     w = search_reduced_walk(markov.complete_chain(128))
     dist = TimeDistribution(T=10.0, k=3)
     tracemalloc.start()
@@ -473,18 +484,28 @@ def test_exact_average_of_the_complete_chain_search_gathers_pairs_in_blocks(monk
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
-    # the blocks change nothing: one pair at a time and all pairs at once agree bitwise
-    small = search_reduced_walk(markov.complete_chain(32))
-    values = []
-    for block in (1, 1 << 60):
-        monkeypatch.setattr(walk, "GRAM_BLOCK", block)
-        values.append(small.probability(dist))
-    assert values[0] == values[1]
 
 
 def test_sample_walk_rejects_bad_trials():
     with pytest.raises(ValidationError):
         walk.spectral_walk(np.eye(2), walk.basis_state(2, 0), np.eye(2)).sample(TimeDistribution(T=1.0, k=1), rng_stream(1), 0)
+
+
+def test_sample_refuses_a_fractional_shot_count():
+    w = walk.spectral_walk(np.eye(2), walk.basis_state(2, 0), np.eye(2))
+    with pytest.raises(ValidationError, match="^shots must be an integer >= 1, got 2.5$"):
+        w.sample(TimeDistribution(T=1.0, k=1), rng_stream(1), 2.5)
+
+
+def test_an_ungroupable_reduced_walk_is_refused_by_probability_and_sample():
+    # a chain of near-ties 0.6 tol apart, 1.2 tol wide (tol = 1e-8 * 10): no
+    # partition, so no snapped walk to average or sample
+    w = walk.SpectralWalk(np.array([0.0, 6e-8, 1.2e-7, 10.0]), np.full(4, 0.5 + 0j), np.eye(4, dtype=complex)[:1], None)
+    dist = TimeDistribution(T=1.0, k=1)
+    with pytest.raises(AmbiguousDegeneracyError, match="^eigenvalue cluster 0..1.2e-07 has spread"):
+        w.probability(dist)
+    with pytest.raises(AmbiguousDegeneracyError, match="^eigenvalue cluster 0..1.2e-07 has spread"):
+        w.sample(dist, rng_stream(1), 10)
 
 
 def test_spectral_walk_grid_equals_single_points_and_quadrature():
@@ -559,7 +580,6 @@ def test_stacked_walks_equal_single_walks_bitwise():
             m = one.partition.n_groups
             assert stack.n_groups[i] == m
             assert tuple(np.flatnonzero(stack.group_starts[i])) == tuple(np.cumsum(one.partition.lengths) - one.partition.lengths)
-            assert np.array_equal(stack.near[i], np.abs(one._gaps) <= one.tol_degen)
             if m > 1:
                 assert tuple(stack.delta_e_star[lo : lo + m]) == one.partition.delta_e_star
             else:
@@ -570,11 +590,30 @@ def test_stacked_walks_equal_single_walks_bitwise():
             lo += m
             for p, law in zip(stack.averages[:, i], (TimeDistribution(T=dist.T, k=1), dist)):
                 assert p == one.probability(law), (dim, i, law)
-            # the half-angle factors of each walk's own law, which the stacked residual reuses
-            g1, s1 = walk._phase_factors(dist, one.energies, one._gaps)
+            # the half-angle factors of each walk's own law at its group energies, which the stacked residual reuses
+            g1, s1 = walk._phase_factors(dist, one._levels, one._gaps)
             assert np.array_equal(stack.factors[0][i], g1) and np.array_equal(stack.factors[1][i], s1)
         assert lo == stack.overlaps.shape[0] == stack.delta_e_star.shape[0]
         assert dim == 2 or max(np.diff(np.append(np.flatnonzero(starts), dim)).max() for starts in stack.group_starts[:4]) >= 2
+
+
+def test_exact_average_equals_the_averaged_state_on_degenerate_spectra():
+    # both exact evaluators read the walk snapped to one partition:
+    # <y|time_averaged_density(|psi0><psi0|)|y> is the walk's probability
+    grouped = 0
+    for dim in range(2, 11):
+        rng = rng_stream(30, dim)
+        h = tied_hermitian(rng, dim)
+        psi0, y = random_state(rng, dim), random_state(rng, dim)
+        w = walk.spectral_walk(h, psi0, y)
+        grouped += w.partition.n_groups < dim
+        rho = walk.density_operator(np.outer(psi0.amplitudes, psi0.amplitudes.conj()))
+        for T in (0.5, 30.0, 1e6):
+            for k in (1, 2, 3):
+                dist = TimeDistribution(T=T, k=k)
+                avg = walk.time_averaged_density(h, rho, dist).entries
+                assert abs(w.probability(dist) - (y.amplitudes.conj() @ avg @ y.amplitudes).real) <= 1e-14, (dim, T, k)
+    assert grouped == 8  # each dimension above 2 repeats a level
 
 
 def test_stacked_walks_name_the_ambiguous_matrix():
@@ -599,17 +638,18 @@ def test_grid_minimum_skips_floor_and_nan_values_and_keeps_the_first_minimum():
 
 def mp_probability(w: walk.SpectralWalk, dist: TimeDistribution) -> float:
     """sum_r sum_jk a_rj conj(a_rk) Phi(E_k - E_j) at 40 digits from the
-    walk's float energies and amplitudes, with Phi = 1 on the pairs within
-    tol_degen, as the float kernel defines it."""
+    walk's float group energies and amplitudes, with Phi = 1 on the pairs of
+    one group, as the float kernel defines it."""
     e, a = w.energies, w.rows * w.c
+    group_of = np.repeat(np.arange(w.partition.n_groups), w.partition.lengths)
     with mpmath.workdps(40):
-        em = [mpmath.mpf(float(x)) for x in e]
+        em = [mpmath.mpf(float(w.partition.energies[g])) for g in group_of]
         gram = [[mpmath.fsum(mpmath.mpc(complex(x)) * mpmath.conj(mpmath.mpc(complex(y))) for x, y in zip(a[:, j], a[:, k]))
                  for k in range(len(e))] for j in range(len(e))]
         total = mpmath.fsum(gram[j][j].real for j in range(len(e)))
         for j in range(len(e)):
             for k in range(j + 1, len(e)):
-                phi = 1 if abs(e[k] - e[j]) <= w.tol_degen else mp_characteristic(dist.T, dist.k, em[k] - em[j])
+                phi = 1 if group_of[k] == group_of[j] else mp_characteristic(dist.T, dist.k, em[k] - em[j])
                 total += 2 * (gram[j][k] * phi).real
         return float(total)
 
