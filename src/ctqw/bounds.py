@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral, walk
-from .errors import GapUndefinedError, ValidationError
+from .errors import GapUndefinedError, ValidationError, check_count
 from .walk import DensityOperator, SpectralWalk, TimeDistribution
 
 __all__ = [
@@ -132,7 +132,7 @@ def subset_floor(w: SpectralWalk, T, k: int, subset):
     """sum_{g in S} |<y|P_g|psi0>|^2 - sqrt(3) * (2/(T * delta_e_s))^k, at a
     time T or an array of times, with k summed uniform times."""
     _check_times(T)
-    walk._check_count(k, "k")
+    check_count(k, "k")
     s, delta_e_s = w.partition.subset_gap(subset)
     # summed left to right, as the stacked cumsum of certify_stack
     overlap = sum(w.overlaps[g] for g in s)

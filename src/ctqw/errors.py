@@ -2,7 +2,9 @@
 
 Everything derives from CtqwError so callers can catch broadly; the CLI maps
 ConfigError to exit code 3, AssertionFailure to 2 and InconsistencyError to 4.
+check_count is the one integer-count check every module shares.
 """
+from numbers import Integral
 
 __all__ = [
     "CtqwError",
@@ -19,6 +21,7 @@ __all__ = [
     "InconsistencyError",
     "AssertionFailure",
     "ConfigError",
+    "check_count",
 ]
 
 
@@ -76,3 +79,9 @@ class AssertionFailure(CtqwError):
 
 class ConfigError(CtqwError):
     """Malformed experiment configuration; message names the field."""
+
+
+def check_count(value, name: str, least: int = 1) -> None:
+    """Refuse a count that is not an integer >= least; a bool is no count."""
+    if isinstance(value, bool) or not (isinstance(value, (int, Integral)) and value >= least):
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value}")

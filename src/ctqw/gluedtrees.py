@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, walk
-from .errors import InconsistencyError, InvalidLabelError, ValidationError
+from .errors import InconsistencyError, InvalidLabelError, ValidationError, check_count
 from .rng import rng_stream
 from .walk import TimeDistribution
 
@@ -530,7 +530,7 @@ def full_vs_column_equivalence(
         raise ValidationError(
             f"full-graph comparison capped at depth 6, got depth {inst.depth}"
         )
-    walk._check_count(trials, "trials")
+    check_count(trials, "trials")
     h_full, labels = full_hamiltonian(inst)
     m = len(labels)
     full = walk.spectral_walk(
@@ -675,7 +675,7 @@ def traversal_success_stats(two_n: int, rng_seed: int, runs: int, w: walk.Spectr
     also carries the schedule (T, k, max_repetitions) and its per-shot floor,
     which is two_n's, so a SpectralWalk w of any other dimension is rejected.
     """
-    walk._check_count(runs, "runs")
+    check_count(runs, "runs")
     if isinstance(w, walk.SpectralWalk) and w.energies.shape[0] != two_n:
         raise ValidationError(f"walk dimension {w.energies.shape[0]} != schedule size two_n = {two_n}")
     T, k, reps = default_schedule(two_n)

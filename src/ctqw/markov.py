@@ -25,6 +25,7 @@ from .errors import (
     MarkedWeightError,
     NonErgodicError,
     ValidationError,
+    check_count,
 )
 from .rng import rng_stream
 
@@ -285,8 +286,9 @@ def sample_hitting_time(
     below u. The step cap defaults to a large multiple of the exact value;
     hitting it raises InconsistencyError rather than truncating the estimate.
     """
-    if walks < 1:
-        raise ValidationError(f"walks must be >= 1, got {walks}")
+    check_count(walks, "walks")
+    if max_steps is not None:
+        check_count(max_steps, "max_steps", least=0)
     exact = classical_hitting_time(chain, marked)
     if max_steps is None:
         max_steps = int(200 * exact + 200 * math.log(max(walks, 2)) + 1000)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_count
+
 __all__ = ["rng_stream", "task_seed", "RNG_NAME"]
 
 RNG_NAME = "philox"
@@ -17,16 +19,13 @@ RNG_NAME = "philox"
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
     """Return the Philox generator for stream (seed, *path).
 
-    seed must be a non-negative integer; path components select independent
+    seed and the path components must be non-negative integers
+    (ValidationError otherwise); path components select independent
     substreams (per task, per instance, per shot batch).
     """
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_count(seed, "seed", least=0)
     for p in path:
-        if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
-            raise ValueError(f"stream path components must be integers, got {p!r}")
+        check_count(p, "stream path component", least=0)
     ss = np.random.SeedSequence((int(seed),) + tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 

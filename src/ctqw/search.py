@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import markov, spectral, walk
-from .errors import AssertionFailure, InconsistencyError, ValidationError
+from .errors import AssertionFailure, InconsistencyError, ValidationError, check_count
 from .markov import InterpolatedChain, ReversibleChain
 from .rng import rng_stream
 from .walk import TimeDistribution
@@ -473,7 +473,7 @@ def run_search(
         raise ValidationError(f"marked vertex {marked} out of range for n={chain.n}")
     if not 0.0 < epsilon < 0.25:
         raise ValidationError(f"epsilon must lie in (0, 1/4), got {epsilon}")
-    walk._check_count(shots, "shots", least=0)
+    check_count(shots, "shots", least=0)
     work = markov.lazify(chain)
 
     n = work.n

@@ -23,7 +23,10 @@ measurement is a method of it, so a spectrum is decomposed, grouped and
 gapped once however many times T it is evaluated at. The Monte Carlo tells
 whether each shot lands in the target span; it evaluates only the phases
 the start reaches, with a certified bound on what the rest could move, and
-measures the span at the rank of its folded columns. Its hitting time and
+measures the span at the rank of its folded columns. It takes their cos and
+sin in float32 and re-evaluates in float64 every shot whose uniform falls
+within the certified error of its probability, so each decision is the
+float64 one. Its hitting time and
 the certified glued-trees routes share one grid minimizer, _grid_minimum.
 The one-shot functions below each build one and ask it once.
 spectral_walks reads the walks of a whole stack of matrices into a
@@ -39,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .errors import DegenerateProbabilityError, InconsistencyError, ValidationError
+from .errors import DegenerateProbabilityError, InconsistencyError, ValidationError, check_count
 from .spectral import EigenspacePartition, SpectralDecomposition
 
 __all__ = [
@@ -69,14 +72,15 @@ TOL_TRACE = 1e-9
 TOL_PSD = 1e-9
 #: probabilities must land in [-TOL_PROB, 1 + TOL_PROB]
 TOL_PROB = 1e-9
-#: Monte Carlo shots per chunk: bounds the chunk x mc_phases phase matrix
+#: Monte Carlo shots per chunk: each chunk draws its times, then its uniforms
 SAMPLE_CHUNK = 5000
-
-
-def _check_count(value, name: str, least: int = 1) -> None:
-    """Refuse a count that is not an integer >= least; a bool is no count."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
-        raise ValidationError(f"{name} must be an integer >= {least}, got {value}")
+#: shots per phase block: a block holds 24 B per shot and phase, where a
+#: chunk's complex phases took 16 B per shot and phase
+SAMPLE_BLOCK = 1024
+#: most by which the float32 cos or sin of a phase in [-pi - 1e-3, pi + 1e-3],
+#: cast back to float64, misses the float64 value (1.6e-7 measured); a phase
+#: t sigma below 2^40 in magnitude reduces into that range
+TRIG32_ERROR = 2.0**-21
 
 
 # value records are named tuples: a frozen dataclass costs about three times the import-time memory
@@ -132,7 +136,7 @@ class TimeDistribution:
     def __post_init__(self):
         if not 0 < self.T < np.inf:
             raise ValidationError(f"T must be positive and finite, got {self.T}")
-        _check_count(self.k, "k")
+        check_count(self.k, "k")
 
 
 def characteristic(dist: TimeDistribution, r) -> np.ndarray | complex:
@@ -312,6 +316,55 @@ class SpectralWalk:
         n_plus = int(plus_only.sum() + pair.sum())
         return sigma, columns[:n_plus], columns[n_plus:-1], columns[-1], 2.0 * delta + delta**2
 
+    @cached_property
+    def _trig_fold(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(M, zero, weight): the folded columns in the real form the sampler
+        evaluates.
+
+        Padded to all of sigma, Pc = a_plus + a_minus and
+        Ps = -i (a_plus - a_minus), so a shot at time t has the amplitude
+        cos(t sigma) Pc + sin(t sigma) Ps + a_zero: its real and imaginary
+        parts are [cos, sin] M + zero with M = [[Re Pc, Im Pc], [Re Ps, Im Ps]].
+        A phase error of at most e moves the amplitude by at most
+        e weight, weight = sum_i ||Pc_i|| + ||Ps_i||."""
+        sigma, a_plus, a_minus, a_zero, _ = self._phase_fold
+        n = sigma.shape[0]
+        plus = np.zeros((n, a_zero.shape[0]), dtype=np.complex128)
+        minus = np.zeros_like(plus)
+        plus[: a_plus.shape[0]] = a_plus
+        minus[n - a_minus.shape[0] :] = a_minus
+        pc, ps = plus + minus, -1j * (plus - minus)
+        weight = float(np.linalg.norm(pc, axis=1).sum() + np.linalg.norm(ps, axis=1).sum())
+        return np.block([[pc.real, pc.imag], [ps.real, ps.imag]]), np.concatenate([a_zero.real, a_zero.imag]), weight
+
+    def _hit_probabilities(self, ts: np.ndarray, dtype) -> np.ndarray:
+        """Each shot's clipped hit probability at its time in ts, SAMPLE_BLOCK
+        shots at a time. With dtype float32 each phase t sigma is first
+        reduced to t sigma - 2 pi rint(t sigma / 2 pi) in float64, then its
+        cos and sin run in float32 (TRIG32_ERROR); float64 takes them of the
+        unreduced phase."""
+        sigma = self._phase_fold[0]
+        columns, zero, _ = self._trig_fold
+        n, size = sigma.shape[0], min(SAMPLE_BLOCK, ts.shape[0])
+        x_block, trig_block = np.empty((size, n)), np.empty((size, 2 * n))
+        p = np.empty(ts.shape)
+        for lo in range(0, ts.shape[0], SAMPLE_BLOCK):
+            block = ts[lo : lo + SAMPLE_BLOCK]
+            x, trig = x_block[: block.shape[0]], trig_block[: block.shape[0]]
+            np.multiply.outer(block, sigma, out=x)
+            if dtype is np.float32:
+                # the whole turns sit in the sin half of trig until sin overwrites them
+                turns = np.multiply(x, 0.5 / np.pi, out=trig[:, n:])
+                np.rint(turns, out=turns)
+                turns *= 2.0 * np.pi
+                x -= turns
+            np.cos(x, out=trig[:, :n], dtype=dtype, casting="same_kind")
+            np.sin(x, out=trig[:, n:], dtype=dtype, casting="same_kind")
+            amps = trig @ columns
+            amps += zero
+            p[lo : lo + SAMPLE_BLOCK] = np.square(amps, out=amps).sum(axis=1)
+        return np.clip(p, 0.0, 1.0, out=p)
+
     @property
     def mc_phases(self) -> int:
         """Phases the sampler evaluates per shot: one per distinct nonzero
@@ -380,32 +433,41 @@ class SpectralWalk:
 
         Each chunk of SAMPLE_CHUNK shots draws its times, then one uniform u
         per shot; a shot hits, landing in the span of the target rows, when
-        u is below its total probability there. One phase
-        z = exp(-i t sigma) per distinct nonzero group |E| the start reaches
-        serves both signs, since exp(i t sigma) is its exact conjugate, and
+        u is below its total probability there. One phase t sigma per
+        distinct nonzero group |E| the start reaches serves both signs, and
         the target rows are compressed to the folded columns' rank
-        (_phase_fold); mc_prune_bound bounds what that drops. Only one
-        chunk x mc_phases phase buffer and the chunk x (folded columns)
-        amplitudes are ever held. Returns (times, hit).
+        (_phase_fold); mc_prune_bound bounds what that drops.
+
+        The phases are reduced in float64 and their cos and sin taken in
+        float32 (_hit_probabilities). Each is then off by at most
+        e = TRIG32_ERROR + max|t sigma| 2^-50, the second term for the
+        reduction, so the amplitude is off by at most eps = e weight
+        (_trig_fold) and the probability by at most
+        margin = 2 eps (1 + mc_prune_bound) + eps^2 + 2^-40, the last term
+        for float64 rounding. A shot with u farther than margin from its
+        probability is decided by it; the others are evaluated again with
+        float64 cos and sin. So every shot decides as the float64 walk does.
+        At most SAMPLE_BLOCK x 3 mc_phases floats and the block's
+        amplitudes are held at once. Returns (times, hit).
         """
-        _check_count(shots, "shots")
-        sigma, a_plus, a_minus, a_zero, _ = self._phase_fold
+        check_count(shots, "shots")
+        sigma, _, _, _, prune = self._phase_fold
+        weight = self._trig_fold[2]
         times = np.empty(shots)
         hit = np.empty(shots, dtype=bool)
         for lo in range(0, shots, SAMPLE_CHUNK):
             m = min(SAMPLE_CHUNK, shots - lo)
             ts = rng.random((m, dist.k)).sum(axis=1) * dist.T
-            z = np.empty((m, sigma.shape[0]), dtype=np.complex128)
-            z.real = 0.0
-            np.multiply.outer(ts, -sigma, out=z.imag)
-            np.exp(z, out=z)
-            amps = z[:, : a_plus.shape[0]] @ a_plus
-            amps += a_zero
-            np.conj(z, out=z)
-            amps += z[:, sigma.shape[0] - a_minus.shape[0] :] @ a_minus
-            total = np.clip(np.sum(np.abs(amps) ** 2, axis=1), 0.0, 1.0)
+            u = rng.random(m)
+            p = self._hit_probabilities(ts, np.float32)
+            eps = (TRIG32_ERROR + float(ts.max()) * float(sigma.max(initial=0.0)) * 2.0**-50) * weight
+            margin = 2.0 * eps * (1.0 + prune) + eps**2 + 2.0**-40
+            # written ~(x > margin), so that a NaN goes to float64
+            close = ~(np.abs(u - p) > margin)
+            if close.any():
+                p[close] = self._hit_probabilities(ts[close], np.float64)
             times[lo : lo + m] = ts
-            hit[lo : lo + m] = rng.random(m) < total
+            hit[lo : lo + m] = u < p
         return times, hit
 
 

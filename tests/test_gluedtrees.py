@@ -430,6 +430,12 @@ def test_traversal_success_stats():
     assert stats["k"] == 5
 
 
+def test_traversal_shots_stay_pinned_at_seed_7():
+    # shots to each run's first exit hit, as the complex-exponential sampler drew them
+    shots = [gluedtrees.traversal_success_stats(two_n, 7, 200, gluedtrees.column_walk(two_n))["shots"] for two_n in (32, 64, 96, 128)]
+    assert shots == [3924, 8800, 12429, 18092]
+
+
 def test_traversal_success_stats_rejects_a_walk_of_another_size():
     with pytest.raises(ValidationError, match="walk dimension 64 != schedule size two_n = 8"):
         gluedtrees.traversal_success_stats(8, rng_seed=1, runs=10, w=gluedtrees.column_walk(64))

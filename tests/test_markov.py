@@ -410,6 +410,12 @@ def test_payload_bad_format_rejected():
         markov.chain_from_payload({"n": 2, "format": "sparse", "data": [], "marked": 0})
 
 
+@pytest.mark.parametrize("walks,max_steps", [(2.5, None), (True, None), (0, None), (5, 1.5), (5, -1)])
+def test_sample_hitting_time_refuses_a_bad_count(walks, max_steps):
+    with pytest.raises(ValidationError, match="must be an integer >= "):
+        markov.sample_hitting_time(markov.lazify(markov.complete_chain(4)), 0, 1, walks=walks, max_steps=max_steps)
+
+
 def test_sample_hitting_time_cap_raises():
     chain = markov.complete_chain(8)
     with pytest.raises(InconsistencyError):

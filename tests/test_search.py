@@ -201,6 +201,17 @@ def test_run_search_refuses_a_fractional_shot_count():
         search.run_search(markov.complete_chain(8), 0, 0.1, rng_seed=1, shots=1.5)
 
 
+def test_run_search_refuses_a_fractional_seed():
+    with pytest.raises(ValidationError, match="^seed must be an integer >= 0, got 1.5$"):
+        search.run_search(markov.complete_chain(8), 0, 0.1, 1.5, shots=10)
+
+
+@pytest.mark.parametrize("seed,path", [(1.5, ()), (-1, ()), (True, ()), (np.float64(2.0), ()), (3, (0.5,)), (3, (-1,)), (3, (1, False))])
+def test_rng_stream_refuses_a_bad_seed_or_path(seed, path):
+    with pytest.raises(ValidationError):
+        rng_stream(seed, *path)
+
+
 def test_reduced_walk_certificates():
     chain = lazy_family("random-reversible", 6)
     inter = markov.interpolate(chain, 2, markov.s_star(chain, 2))

@@ -428,6 +428,102 @@ def test_sample_outcomes_match_outer_product_phases(make, distinct, kept, width)
         assert np.array_equal(hit[lo : lo + m], u < np.clip(probs.sum(axis=1), 0.0, 1.0))
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The (dtype, times) of every SpectralWalk._hit_probabilities call."""
+    evaluate = walk.SpectralWalk._hit_probabilities
+    calls = []
+
+    def spy(self, ts, dtype):
+        calls.append((dtype, ts.copy()))
+        return evaluate(self, ts, dtype)
+
+    monkeypatch.setattr(walk.SpectralWalk, "_hit_probabilities", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gluedtrees.column_walk(64),
+        lambda: search_reduced_walk(markov.complete_chain(32)),
+        lambda: search_reduced_walk(markov.cycle_chain(32)),
+        unpaired_walk,
+    ],
+    ids=["column-64", "complete-32", "cycle-32", "unpaired-12"],
+)
+def test_deciding_every_shot_in_float64_changes_no_outcome(monkeypatch, evaluations, make):
+    w = make()
+    dist = TimeDistribution(T=300.0, k=3)
+    shots = walk.SAMPLE_CHUNK + 7
+    times, hit = w.sample(dist, rng_stream(11), shots)
+    evaluations.clear()
+    monkeypatch.setattr(walk, "TRIG32_ERROR", np.inf)  # an infinite margin
+    times_64, hit_64 = w.sample(dist, rng_stream(11), shots)
+    m = walk.SAMPLE_CHUNK
+    assert [(dtype, ts.shape[0]) for dtype, ts in evaluations] == [(np.float32, m), (np.float64, m), (np.float32, 7), (np.float64, 7)]
+    assert np.array_equal(times_64, times)
+    assert np.array_equal(hit_64, hit)
+
+
+class ScriptedDraws:
+    """Stands in for a Generator: random() hands out the given arrays in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, size):
+        out = self.draws.pop(0)
+        assert out.shape == np.empty(size).shape
+        return out
+
+
+def test_a_shot_within_the_margin_is_decided_in_float64(evaluations):
+    w = gluedtrees.column_walk(64)
+    dist = TimeDistribution(T=300.0, k=2)
+    uniforms = rng_stream(5).random((8, dist.k))
+    ts = uniforms.sum(axis=1) * dist.T
+    p32, p64 = w._hit_probabilities(ts, np.float32), w._hit_probabilities(ts, np.float64)
+    at = int(np.argmax(np.abs(p32 - p64)))
+    # u halfway between the two probabilities, where their decisions differ;
+    # every other u is far from its probability
+    u = np.where(p64 > 0.5, 0.0, 0.999)
+    u[at] = 0.5 * (p32[at] + p64[at])
+    assert (u[at] < p32[at]) != (u[at] < p64[at])
+    evaluations.clear()
+    times, hit = w.sample(dist, ScriptedDraws(uniforms, u), 8)
+    assert np.array_equal(times, ts)
+    assert [dtype for dtype, _ in evaluations] == [np.float32, np.float64]
+    assert evaluations[1][1].tolist() == [ts[at]]
+    assert np.array_equal(hit, u < p64)
+
+
+@pytest.mark.parametrize("T", [300.0, 1e5, 1e7])
+def test_float32_probabilities_stay_within_the_margin(T):
+    # eps = (TRIG32_ERROR + max|t sigma| 2^-50) weight bounds the amplitude
+    # error only because each phase is reduced to [-pi, pi] before the cast
+    w = search_reduced_walk(markov.cycle_chain(32))
+    ts = rng_stream(6).random((2000, 3)).sum(axis=1) * T
+    sigma, _, _, _, prune = w._phase_fold
+    eps = (walk.TRIG32_ERROR + ts.max() * sigma.max() * 2.0**-50) * w._trig_fold[2]
+    miss = np.abs(w._hit_probabilities(ts, np.float32) - w._hit_probabilities(ts, np.float64))
+    assert miss.max() <= 2.0 * eps * (1.0 + prune) + eps**2 + 2.0**-40
+
+
+def test_float32_cos_and_sin_stay_within_their_bound():
+    # the sampler's margin rests on TRIG32_ERROR: a platform whose float32
+    # cos or sin misses by more fails here, not in a wrongly decided shot
+    lo, hi, points, step = -math.pi - 1e-3, math.pi + 1e-3, 2 * 10**7, 10**6
+    out = np.empty(step)
+    worst = 0.0
+    for start in range(0, points, step):
+        x = lo + (hi - lo) / (points - 1) * np.arange(start, start + step)
+        for f in (np.cos, np.sin):
+            f(x, out=out, dtype=np.float32, casting="same_kind")
+            worst = max(worst, float(np.abs(out - f(x)).max()))
+    assert worst <= walk.TRIG32_ERROR
+
+
 def test_sampler_drops_the_amplitudes_at_or_below_dim_ulps():
     # four paired energies; the start amplitude of -2 sits just above
     # d 2^-52 and is kept, that of -1 just below it and is dropped
@@ -447,16 +543,18 @@ def test_sampler_drops_the_amplitudes_at_or_below_dim_ulps():
 
 
 def test_sample_peak_memory_one_phase_buffer():
+    # one block of phases and their cos and sin, 24 B per shot and phase, and
+    # the chunk's k uniforms per shot; a chunk of complex phases took 21.4 MB
     w = gluedtrees.column_walk(512)
-    m, d = walk.SAMPLE_CHUNK, w.energies.shape[0]
-    rng = rng_stream(12)
+    m, k = walk.SAMPLE_CHUNK, 12
+    w.sample(TimeDistribution(T=1.0, k=1), rng_stream(12), 1)  # build the folds
     tracemalloc.start()
     try:
-        w.sample(TimeDistribution(T=64.0 * 256, k=12), rng, m)
+        w.sample(TimeDistribution(T=64.0 * 256, k=k), rng_stream(12), m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * m * d * 16
+    assert peak <= 1.25 * 24 * walk.SAMPLE_BLOCK * w.mc_phases + m * k * 8
 
 
 def test_sampling_the_column_walk_pages_in_no_sort_or_qr(monkeypatch):
