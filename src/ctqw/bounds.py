@@ -161,7 +161,7 @@ def _reference_inputs(w: SpectralWalk, dist: TimeDistribution) -> tuple[np.ndarr
     if w.decomposition is None:
         raise ValidationError("a reduced walk has no full eigendecomposition to rotate rho0 into")
     group_of = w.partition.group_of
-    phi = walk._phi(*walk._phase_factors(dist, w._levels, w._gaps), group_of)
+    phi = walk._phi(*walk._phase_factors(dist, w.partition.levels), group_of)
     return w.decomposition.eigenvectors, phi, group_of
 
 

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from itertools import groupby
 from operator import itemgetter
@@ -153,6 +152,9 @@ def _run_tasks(worker, tasks, jobs: int) -> list:
     if workers <= 1:
         chunks = map(worker, tasks)
     else:
+        # imported here: the process pool's modules cost a sequential run peak RSS
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # pool.map preserves task order, so collection stays deterministic
             chunks = list(pool.map(worker, tasks))

@@ -640,28 +640,25 @@ def default_schedule(two_n: int) -> tuple[float, int, int]:
 
 def _first_hits(
     w: walk.SpectralWalk, dist: TimeDistribution, rng: np.random.Generator, runs: int, reps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Repeat the randomized-time walk in each of `runs` runs until its first hit.
 
     Round r = 1..reps draws one shot for every run still active through
     w.sample, and the runs that hit stop. Each run draws min(G, reps)
     shots, G geometric in the per-shot hit probability. Returns
-    (used, hit, elapsed) per run: the shots drawn, whether one of them hit,
-    and the summed times of the shots drawn.
+    (used, hit) per run: the shots drawn and whether one of them hit.
     """
     used = np.full(runs, reps, dtype=np.int64)
     hit = np.zeros(runs, dtype=bool)
-    elapsed = np.zeros(runs)
     active = np.arange(runs)
     for r in range(1, reps + 1):
         if active.size == 0:
             break
-        ts, hits = w.sample(dist, rng, active.size)
-        elapsed[active] += ts
+        _, hits = w.sample(dist, rng, active.size)
         used[active[hits]] = r
         hit[active[hits]] = True
         active = active[~hits]
-    return used, hit, elapsed
+    return used, hit
 
 
 def traversal_success_stats(two_n: int, rng_seed: int, runs: int, w: walk.SpectralWalk) -> dict:
@@ -680,7 +677,7 @@ def traversal_success_stats(two_n: int, rng_seed: int, runs: int, w: walk.Spectr
         raise ValidationError(f"walk dimension {w.energies.shape[0]} != schedule size two_n = {two_n}")
     T, k, reps = default_schedule(two_n)
     dist = TimeDistribution(T=T, k=k)
-    used, hit, _ = _first_hits(w, dist, rng_stream(rng_seed, 13), runs, reps)
+    used, hit = _first_hits(w, dist, rng_stream(rng_seed, 13), runs, reps)
     return {
         "runs": int(runs),
         "success_fraction": float(np.mean(hit)),

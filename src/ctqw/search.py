@@ -474,6 +474,7 @@ def run_search(
     if not 0.0 < epsilon < 0.25:
         raise ValidationError(f"epsilon must lie in (0, 1/4), got {epsilon}")
     check_count(shots, "shots", least=0)
+    check_count(rng_seed, "seed", least=0)
     work = markov.lazify(chain)
 
     n = work.n

@@ -17,17 +17,18 @@ so an exact average is two real quadratic forms in S and one term per group:
 no complex dim x dim matrix, no cancellation.
 
 A SpectralWalk holds one walk read off one eigenbasis: the energies, the
-start amplitudes and the target rows. Every exact average, limiting
-probability, eigenspace partition (with its gaps) and Monte Carlo
-measurement is a method of it, so a spectrum is decomposed, grouped and
-gapped once however many times T it is evaluated at. The Monte Carlo tells
-whether each shot lands in the target span; it evaluates only the phases
-the start reaches, with a certified bound on what the rest could move, and
-measures the span at the rank of its folded columns. It takes their cos and
-sin in float32 and re-evaluates in float64 every shot whose uniform falls
-within the certified error of its probability, so each decision is the
-float64 one. Its hitting time and
-the certified glued-trees routes share one grid minimizer, _grid_minimum.
+start amplitudes and the target rows, O(d + R d) numbers for R target rows.
+Every exact average, limiting probability, eigenspace partition (with its
+gaps) and Monte Carlo measurement is a method of it, so a spectrum is
+decomposed and grouped once however many times T it is evaluated at; each
+exact average forms its own d x d pair kernel and keeps none of it. The
+Monte Carlo tells whether each shot lands in the target span; it evaluates
+only the phases the start reaches, with a certified bound on what the rest
+could move, and measures the span at the rank of its folded columns. It
+takes their cos and sin in float32 and re-evaluates in float64 every shot
+whose uniform falls within the certified error of its probability, so each
+decision is the float64 one. Its hitting time and the certified glued-trees
+routes share one grid minimizer, _grid_minimum.
 The one-shot functions below each build one and ask it once.
 spectral_walks reads the walks of a whole stack of matrices into a
 WalkStack of arrays with the same kernels, bitwise.
@@ -140,23 +141,26 @@ class TimeDistribution:
 
 
 def characteristic(dist: TimeDistribution, r) -> np.ndarray | complex:
-    """E[exp(i r t)] for t distributed per dist: ((exp(irT) - 1) / (irT))^k,
-    from the half-angle factors at energy r and gap r."""
+    """E[exp(i r t)] for t distributed per dist: ((exp(irT) - 1) / (irT))^k.
+    A test oracle: Phi(r) = g_1 S_10 of the two-level walk with energies (0, r)."""
     x = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    g, s = _phase_factors(dist, x, x)
-    return complex(g[0] * s[0]) if np.ndim(r) == 0 else g * s
+    g, s = _phase_factors(dist, np.stack([np.zeros_like(x), x], axis=-1))
+    phi = g[..., 1] * s[..., 1, 0]
+    return complex(phi[0]) if np.ndim(r) == 0 else phi
 
 
-def _phase_factors(dist: TimeDistribution, energies: np.ndarray, gaps: np.ndarray, T=None) -> tuple[np.ndarray, np.ndarray]:
-    """Half-angle factors: g = exp(ikET/2) per energy and S = sinc(gap T/2)^k
-    per gap, sinc(0) = 1, so Phi(E_k - E_j) = conj(g_j) g_k S_jk at
-    gaps[j, k] = +-(E_k - E_j); S is real and even in the gap. Over a stack of
-    energies (B, d) and gaps (B, d, d), a (B, 1) column T gives each matrix
-    its own T in place of dist.T."""
+def _phase_factors(dist: TimeDistribution, energies: np.ndarray, T=None) -> tuple[np.ndarray, np.ndarray]:
+    """Half-angle factors: g = exp(ikET/2) per energy and S_jk =
+    sinc((E_j - E_k) T/2)^k per pair, sinc(0) = 1, so Phi(E_k - E_j) =
+    conj(g_j) g_k S_jk; S is real and symmetric. Over a stack of energies
+    (B, d), S is (B, d, d), and a (B, 1) column T gives each matrix its own T
+    in place of dist.T. Two d x d buffers: the pairwise differences, scaled
+    in place to the half-angle arguments and then turned into |sinc|^k, and
+    sinc itself; the caller owns the one returned."""
     T, T_gap = (dist.T, dist.T) if T is None else (T, T[..., None])
     g = np.exp((0.5j * dist.k * T) * energies)
-    # two gap-sized buffers: the half-angle arguments, then |sinc|^k in their place
-    h = gaps * (0.5 * T_gap)
+    h = energies[..., :, None] - energies[..., None, :]
+    h *= 0.5 * T_gap
     s = np.sin(h)
     np.divide(s, h, out=s, where=h != 0)
     s[h == 0] = 1.0
@@ -164,11 +168,6 @@ def _phase_factors(dist: TimeDistribution, energies: np.ndarray, gaps: np.ndarra
     sk = np.abs(s, out=h)
     sk **= dist.k
     return g, (np.copysign(sk, s, out=sk) if dist.k % 2 else sk)
-
-
-def _gap_matrix(energies: np.ndarray) -> np.ndarray:
-    """gaps[..., j, k] = E_j - E_k, per matrix of a (..., d) stack of energies."""
-    return energies[..., :, None] - energies[..., None, :]
 
 
 def _phi(g: np.ndarray, s: np.ndarray, group_of: np.ndarray) -> np.ndarray:
@@ -237,9 +236,10 @@ class SpectralWalk:
     only the residual bound, which rotates a density operator into the
     eigenbasis, needs it.
 
-    The degeneracy tolerance, the partition of the energies with its gaps,
-    the group overlaps and the limiting probability are worked out on first
-    use; every other number is that of the walk snapped to the partition.
+    The degeneracy tolerance, the partition of the energies with its gaps
+    and group energies, the group overlaps, the limiting probability and the
+    sampler's fold are worked out on first use, each O(d + R d) for R target
+    rows; every other number is that of the walk snapped to the partition.
     """
 
     energies: np.ndarray
@@ -253,17 +253,6 @@ class SpectralWalk:
         return spectral.degeneracy_tol(float(self.energies[-1] - self.energies[0]))
 
     @cached_property
-    def _levels(self) -> np.ndarray:
-        """Each energy's group energy: the energies of the snapped walk."""
-        return self.partition.energies[self.partition.group_of]
-
-    @cached_property
-    def _gaps(self) -> np.ndarray:
-        """gaps[j, k] = E_j - E_k at the group energies, built once for every
-        exact average: exactly 0 within a group."""
-        return _gap_matrix(self._levels)
-
-    @cached_property
     def _lead(self) -> np.ndarray:
         """Each group's overlap at its first member, 0 elsewhere (see _exact_averages)."""
         lead = np.zeros(self.energies.shape)
@@ -271,8 +260,9 @@ class SpectralWalk:
         return lead
 
     @cached_property
-    def _phase_fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-        """(sigma, a_plus, a_minus, a_zero, prune_bound) for the sampler.
+    def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+        """(sigma, M, zero, weight, prune_bound): the walk in the real form
+        the sampler evaluates.
 
         The energies are the group energies of the snapped walk. First the
         energies the start does not reach drop out: those with
@@ -286,16 +276,18 @@ class SpectralWalk:
         u_i = -u_{-1-i} pairs with its mirror, which finds every pair of a
         symmetric spectrum; an unpaired energy keeps a phase of its own.
         sigma holds the unpaired positive energies, then the paired ones,
-        then the magnitudes of the unpaired negative ones. a_plus[i] sums
-        c_j rows[:, j] over E_j = +sigma[i] for the len(a_plus) leading
-        sigma, a_minus[i] over E_j = -sigma[k] for the len(a_minus) trailing
-        sigma (k the i-th of them), and a_zero over E_j = 0.
+        then the magnitudes of the unpaired negative ones. The folded column
+        a+_i sums c_j rows[:, j] over E_j = +sigma_i, a-_i over
+        E_j = -sigma_i and a0 over E_j = 0; a+_i or a-_i is 0 where sigma_i
+        has no such energy.
 
-        A shot's hit probability is |W A|^2 for its phases W and the folded
-        columns A = [a_plus; a_minus; a_zero]. With more target rows than
-        folded columns, A^H = Q R gives |W A| = |W R^H|, so R^H takes A's
-        place: one QR, and every shot evaluates as few amplitudes as it
-        has columns.
+        A shot at time t has the amplitude cos(t sigma) Pc + sin(t sigma) Ps
+        + a0, Pc = a+ + a- and Ps = -i (a+ - a-): its real and imaginary
+        parts are [cos, sin] M + zero, M = [[Re Pc, Im Pc], [Re Ps, Im Ps]],
+        zero = [Re a0, Im a0]. A phase error of at most e moves the amplitude
+        by at most e weight, weight = sum_i ||Pc_i|| + ||Ps_i||. With more
+        target rows than folded columns A, A^H = Q R gives |W A| = |W R^H|
+        for any phases W, so R^H takes A's place before the padding.
 
         No sort or search, and a QR only where it compresses, so a walk
         with one target row (the glued-trees column walk) pages in no sort
@@ -303,7 +295,7 @@ class SpectralWalk:
         imports numpy.ma) cost the glued-trees run about 0.25 MB of peak RSS."""
         reached = np.abs(self.c) > self.energies.shape[0] * 2.0**-52
         delta = float(np.abs(self.c[~reached]).sum())
-        e = self._levels[reached]
+        e = self.partition.levels[reached]
         starts = np.flatnonzero(np.diff(e, prepend=-np.inf))
         u, fold = e[starts], np.add.reduceat((self.rows[:, reached] * self.c[reached]).T, starts, axis=0)
         mirrored = u == -u[::-1]
@@ -313,29 +305,14 @@ class SpectralWalk:
         columns = np.concatenate([fold[plus_only], fold[pair], fold[::-1][pair], fold[minus_only], zero])
         if columns.shape[1] > columns.shape[0]:
             columns = np.linalg.qr(columns.conj().T, mode="r").conj().T
-        n_plus = int(plus_only.sum() + pair.sum())
-        return sigma, columns[:n_plus], columns[n_plus:-1], columns[-1], 2.0 * delta + delta**2
-
-    @cached_property
-    def _trig_fold(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(M, zero, weight): the folded columns in the real form the sampler
-        evaluates.
-
-        Padded to all of sigma, Pc = a_plus + a_minus and
-        Ps = -i (a_plus - a_minus), so a shot at time t has the amplitude
-        cos(t sigma) Pc + sin(t sigma) Ps + a_zero: its real and imaginary
-        parts are [cos, sin] M + zero with M = [[Re Pc, Im Pc], [Re Ps, Im Ps]].
-        A phase error of at most e moves the amplitude by at most
-        e weight, weight = sum_i ||Pc_i|| + ||Ps_i||."""
-        sigma, a_plus, a_minus, a_zero, _ = self._phase_fold
-        n = sigma.shape[0]
-        plus = np.zeros((n, a_zero.shape[0]), dtype=np.complex128)
-        minus = np.zeros_like(plus)
-        plus[: a_plus.shape[0]] = a_plus
-        minus[n - a_minus.shape[0] :] = a_minus
+        # A's rows padded to all of sigma: a+ leads it, a- trails it
+        n_only, n_plus = int(plus_only.sum()), int(plus_only.sum() + pair.sum())
+        plus, minus = np.zeros((2, sigma.shape[0], columns.shape[1]), dtype=np.complex128)
+        plus[:n_plus], minus[n_only:] = columns[:n_plus], columns[n_plus:-1]
         pc, ps = plus + minus, -1j * (plus - minus)
         weight = float(np.linalg.norm(pc, axis=1).sum() + np.linalg.norm(ps, axis=1).sum())
-        return np.block([[pc.real, pc.imag], [ps.real, ps.imag]]), np.concatenate([a_zero.real, a_zero.imag]), weight
+        m = np.block([[pc.real, pc.imag], [ps.real, ps.imag]])
+        return sigma, m, np.concatenate([columns[-1].real, columns[-1].imag]), weight, 2.0 * delta + delta**2
 
     def _hit_probabilities(self, ts: np.ndarray, dtype) -> np.ndarray:
         """Each shot's clipped hit probability at its time in ts, SAMPLE_BLOCK
@@ -343,8 +320,7 @@ class SpectralWalk:
         reduced to t sigma - 2 pi rint(t sigma / 2 pi) in float64, then its
         cos and sin run in float32 (TRIG32_ERROR); float64 takes them of the
         unreduced phase."""
-        sigma = self._phase_fold[0]
-        columns, zero, _ = self._trig_fold
+        sigma, columns, zero, _, _ = self._fold
         n, size = sigma.shape[0], min(SAMPLE_BLOCK, ts.shape[0])
         x_block, trig_block = np.empty((size, n)), np.empty((size, 2 * n))
         p = np.empty(ts.shape)
@@ -369,26 +345,21 @@ class SpectralWalk:
     def mc_phases(self) -> int:
         """Phases the sampler evaluates per shot: one per distinct nonzero
         |E| of the group energies that the start reaches."""
-        return int(self._phase_fold[0].shape[0])
+        return int(self._fold[0].shape[0])
 
     @property
     def mc_prune_bound(self) -> float:
         """Most by which the sampler's dropped energies move a shot's hit
-        probability (see _phase_fold)."""
-        return self._phase_fold[4]
+        probability (see _fold)."""
+        return self._fold[4]
 
     def probability(self, dist: TimeDistribution) -> float:
         """Exact time average at dist (_exact_averages of this one walk).
-        O(len(rows) dim^2) time; besides the cached gap matrix, two real
-        dim x dim buffers."""
+        O(len(rows) dim^2) time and two real dim x dim buffers, the pair
+        kernel of _phase_factors, none of which outlives the call."""
         # a[r, j] = <b_r|E_j><E_j|psi0>
-        p = _exact_averages(self.rows * self.c, self._lead, *_phase_factors(dist, self._levels, self._gaps))
+        p = _exact_averages(self.rows * self.c, self._lead, *_phase_factors(dist, self.partition.levels))
         return float(_check_probabilities(p, "time-averaged probability"))
-
-    def probabilities(self, T_grid, k: int) -> np.ndarray:
-        """probability at every T of the grid with k summed uniforms; one
-        dim x dim matrix at a time, never one per grid point at once."""
-        return np.array([self.probability(TimeDistribution(T=float(t), k=k)) for t in T_grid])
 
     def hitting_time(self, T_grid, k: int) -> HittingTimeEstimate:
         """Minimize total evolution time k T over averaged success probability.
@@ -399,7 +370,8 @@ class SpectralWalk:
         grid = np.asarray(T_grid, dtype=np.float64)
         if grid.ndim != 1 or grid.shape[0] == 0 or np.any(grid <= 0):
             raise ValidationError("T_grid must be a non-empty 1-d array of positive times")
-        probs = self.probabilities(grid, k)
+        # one pair kernel at a time, never one per grid point at once
+        probs = np.array([self.probability(TimeDistribution(T=float(t), k=k)) for t in grid])
         unreachable = DegenerateProbabilityError(f"all {grid.shape[0]} grid probabilities below 1e-15; target unreachable")
         tau, best = _grid_minimum(grid, k, probs, 1e-15, unreachable)
         return HittingTimeEstimate(
@@ -436,13 +408,13 @@ class SpectralWalk:
         u is below its total probability there. One phase t sigma per
         distinct nonzero group |E| the start reaches serves both signs, and
         the target rows are compressed to the folded columns' rank
-        (_phase_fold); mc_prune_bound bounds what that drops.
+        (_fold); mc_prune_bound bounds what that drops.
 
         The phases are reduced in float64 and their cos and sin taken in
         float32 (_hit_probabilities). Each is then off by at most
         e = TRIG32_ERROR + max|t sigma| 2^-50, the second term for the
         reduction, so the amplitude is off by at most eps = e weight
-        (_trig_fold) and the probability by at most
+        (_fold) and the probability by at most
         margin = 2 eps (1 + mc_prune_bound) + eps^2 + 2^-40, the last term
         for float64 rounding. A shot with u farther than margin from its
         probability is decided by it; the others are evaluated again with
@@ -451,8 +423,7 @@ class SpectralWalk:
         amplitudes are held at once. Returns (times, hit).
         """
         check_count(shots, "shots")
-        sigma, _, _, _, prune = self._phase_fold
-        weight = self._trig_fold[2]
+        sigma, _, _, weight, prune = self._fold
         times = np.empty(shots)
         hit = np.empty(shots, dtype=bool)
         for lo in range(0, shots, SAMPLE_CHUNK):
@@ -546,22 +517,21 @@ def spectral_walks(h, psi0: PureState, y: PureState, dists: list[TimeDistributio
     starts, n_groups, lengths, levels, stars = spectral._group_runs(e, spectral.degeneracy_tol(e[:, -1] - e[:, 0]))
     overlaps = np.array(_group_overlaps(a.reshape(1, -1), lengths))
     # each walk's energies snapped to its partition and its groups' overlaps at their
-    # first members: a SpectralWalk's _levels and _lead
+    # first members: a SpectralWalk's partition.levels and _lead
     e, lead = np.repeat(levels, lengths).reshape(e.shape), np.zeros(e.shape)
     lead[starts] = overlaps
-    gaps = _gap_matrix(e)
     # summed left to right, as the per-walk Python sum: a 0.0 past the last group changes nothing
     limits = _check_probabilities(_padded(overlaps, n_groups, 0.0).cumsum(axis=1)[:, -1], "limiting probability")
     T, k = np.array([d.T for d in dists]), np.array([d.k for d in dists])
     # every walk at (T, 1), then each other k on the substack of the walks at (T, k),
     # whose factors then take the place of their (T, 1) ones
-    g, s = _phase_factors(TimeDistribution(T=dists[0].T, k=1), e, gaps, T[:, None])
+    g, s = _phase_factors(TimeDistribution(T=dists[0].T, k=1), e, T[:, None])
     averages = np.empty((2, k.shape[0]))
     averages[:] = _exact_averages(a, lead, g, s)
     for kk in dict.fromkeys(k.tolist()):
         if kk != 1:
             at = np.flatnonzero(k == kk)
-            g[at], s[at] = factors = _phase_factors(dists[at[0]], e[at], gaps[at], T[at, None])
+            g[at], s[at] = factors = _phase_factors(dists[at[0]], e[at], T[at, None])
             averages[1, at] = _exact_averages(a[at], lead[at], *factors)
     _check_probabilities(averages[0], "time-averaged probability")
     _check_probabilities(averages[1], "time-averaged probability")
@@ -624,8 +594,7 @@ def time_averaged_density(h, rho0: DensityOperator, dist: TimeDistribution) -> D
     dec = _decompose_one(h)
     e = dec.eigenvalues
     part = spectral.group_eigenspaces(e, spectral.degeneracy_tol(e[-1] - e[0]))
-    levels = part.energies[part.group_of]
-    phi = _phi(*_phase_factors(dist, levels, _gap_matrix(levels)), part.group_of)
+    phi = _phi(*_phase_factors(dist, part.levels), part.group_of)
     return _weighted_density(dec.eigenvectors, _eigenbasis(dec.eigenvectors, rho0), phi)
 
 

@@ -496,11 +496,10 @@ def test_traversal_success_stats_stops_when_every_run_hit():
     assert scripted.round == 3  # no round is drawn once every run has hit
 
 
-def test_first_hits_sums_the_times_drawn():
-    used, hit, elapsed = gluedtrees._first_hits(ScriptedWalk([2, None, 5]), TimeDistribution(T=1.0, k=1), None, 3, 6)
+def test_first_hits_counts_the_shots_to_each_first_hit():
+    used, hit = gluedtrees._first_hits(ScriptedWalk([2, None, 5]), TimeDistribution(T=1.0, k=1), None, 3, 6)
     assert used.tolist() == [2, 6, 5]
     assert hit.tolist() == [True, False, True]
-    assert elapsed.tolist() == [1 + 2, 21, 15]  # sum of 1..used
 
 
 def truncated_geometric(p, cap):

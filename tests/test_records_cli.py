@@ -1,4 +1,5 @@
 """Serialization invariants and the in-process CLI contract."""
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -602,7 +603,7 @@ class SerialPool:
 @pytest.mark.parametrize("jobs, workers", [("64", [3]), ("1", [])])
 def test_cli_jobs_capped_at_task_count(tmp_path, monkeypatch, jobs, workers):
     monkeypatch.setattr(SerialPool, "max_workers", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli, "BOUNDS_BLOCK", 1)
     cfg = write_cfg(tmp_path / "b.json", {"instances": 3, "seed": 12})
     assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path), "--jobs", jobs]) == 0
@@ -779,14 +780,16 @@ def test_module_entry_point_imports_cli_once():
 
 
 def test_import_loads_no_scipy():
-    # scipy serves only the quadrature oracle; importing it would dominate start-up
+    # scipy serves only the quadrature oracle; importing it would dominate start-up.
+    # Nor does the CLI load a process pool (about 1.8 MB of peak RSS) before --jobs asks for one
     code = (
         "import sys\n"
-        "scipy = lambda: sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "unwanted = ('scipy', 'multiprocessing', 'concurrent.futures.process')\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m in unwanted or m.startswith(tuple(u + '.' for u in unwanted)))\n"
         "import ctqw\n"
-        "print(scipy())\n"
+        "print(loaded())\n"
         "import ctqw.cli\n"
-        "print(scipy())\n"
+        "print(loaded())\n"
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ctqw import markov, search, walk
-from ctqw.errors import InconsistencyError, MarkedWeightError, ValidationError
+from ctqw.errors import AmbiguousDegeneracyError, InconsistencyError, MarkedWeightError, ValidationError
 from ctqw.rng import rng_stream
 from ctqw.walk import TimeDistribution
 
@@ -206,6 +206,14 @@ def test_run_search_refuses_a_fractional_seed():
         search.run_search(markov.complete_chain(8), 0, 0.1, 1.5, shots=10)
 
 
+@pytest.mark.parametrize("seed, shots", [(1.5, 0), (True, 0), (1.5, 10), (-1, 10)])
+def test_run_search_checks_its_seed_before_any_chain_work(monkeypatch, seed, shots):
+    # refused before the exact computation, and also when no shot would draw from it
+    monkeypatch.setattr(markov, "lazify", lambda chain: pytest.fail("lazify ran before the seed was checked"))
+    with pytest.raises(ValidationError, match=f"^seed must be an integer >= 0, got {seed}$"):
+        search.run_search(markov.complete_chain(8), 0, 0.1, seed, shots=shots)
+
+
 @pytest.mark.parametrize("seed,path", [(1.5, ()), (-1, ()), (True, ()), (np.float64(2.0), ()), (3, (0.5,)), (3, (-1,)), (3, (1, False))])
 def test_rng_stream_refuses_a_bad_seed_or_path(seed, path):
     with pytest.raises(ValidationError):
@@ -359,6 +367,18 @@ def test_run_search_cycle_meets_the_floor(n, epsilon):
     rec = search.run_search(markov.cycle_chain(n), 0, epsilon, rng_seed=0, shots=0)
     assert rec.p_exact >= 0.25 - epsilon
     assert rec.floor_holds
+
+
+@pytest.mark.xfail(
+    raises=AmbiguousDegeneracyError,
+    strict=True,
+    reason="the reduced cycle walk at N = 512 holds a chain of near-ties 2.76e-8 wide, past its fixed "
+    "tol_degen of 2e-8, so it has no partition to snap to (ROADMAP, correctness debt)",
+)
+def test_run_search_groups_the_cycle_at_512():
+    # N = 256 and 384 complete; every exact average reads the partition, so N = 512 raises
+    rec = search.run_search(markov.cycle_chain(512), 0, 0.1, rng_seed=7, shots=0)
+    assert 0.0 < rec.p_exact <= 1.0
 
 
 def test_run_search_time_grows_with_log_inverse_epsilon():

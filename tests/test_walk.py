@@ -413,7 +413,7 @@ def test_sample_outcomes_match_outer_product_phases(make, distinct, kept, width)
     w = make()
     assert dataclasses.replace(w, c=np.ones_like(w.c)).mc_phases == distinct  # every energy reached
     assert w.mc_phases == kept
-    assert w._phase_fold[3].shape == (width,)
+    assert w._fold[2].shape == (2 * width,)
     assert w.mc_prune_bound < 1e-13
     dist = TimeDistribution(T=300.0, k=3)
     shots = walk.SAMPLE_CHUNK + 7
@@ -504,8 +504,8 @@ def test_float32_probabilities_stay_within_the_margin(T):
     # error only because each phase is reduced to [-pi, pi] before the cast
     w = search_reduced_walk(markov.cycle_chain(32))
     ts = rng_stream(6).random((2000, 3)).sum(axis=1) * T
-    sigma, _, _, _, prune = w._phase_fold
-    eps = (walk.TRIG32_ERROR + ts.max() * sigma.max() * 2.0**-50) * w._trig_fold[2]
+    sigma, _, _, weight, prune = w._fold
+    eps = (walk.TRIG32_ERROR + ts.max() * sigma.max() * 2.0**-50) * weight
     miss = np.abs(w._hit_probabilities(ts, np.float32) - w._hit_probabilities(ts, np.float64))
     assert miss.max() <= 2.0 * eps * (1.0 + prune) + eps**2 + 2.0**-40
 
@@ -533,10 +533,13 @@ def test_sampler_drops_the_amplitudes_at_or_below_dim_ulps():
     energies = np.array([-2.0, -1.0, 1.0, 2.0])
     rows = np.full((1, d), 0.5)
     w = walk.SpectralWalk(energies, np.array([above, below, 0.6, 0.8]), rows, None)
-    sigma, a_plus, a_minus, _, bound = w._phase_fold
+    sigma, m, _, _, bound = w._fold
     assert w.mc_phases == 2
     assert sigma.tolist() == [1.0, 2.0]  # 1 now lacks its mirror; 2 keeps its pair
-    assert a_plus.shape == (2, 1) and a_minus.shape == (1, 1)
+    # rows [Re Pc; Im Pc] then [Re Ps; Im Ps] per sigma: with no minus side Ps = -i Pc
+    assert m.shape == (4, 2)
+    assert m[2].tolist() == [m[0, 1], -m[0, 0]]
+    assert m[3].tolist() != [m[1, 1], -m[1, 0]]
     assert bound == w.mc_prune_bound == 2.0 * below + below**2
     kept_at = walk.SpectralWalk(energies, np.array([above, at, 0.6, 0.8]), rows, None)
     assert kept_at.mc_phases == 2 and kept_at.mc_prune_bound == 2.0 * at + at**2
@@ -547,7 +550,7 @@ def test_sample_peak_memory_one_phase_buffer():
     # the chunk's k uniforms per shot; a chunk of complex phases took 21.4 MB
     w = gluedtrees.column_walk(512)
     m, k = walk.SAMPLE_CHUNK, 12
-    w.sample(TimeDistribution(T=1.0, k=1), rng_stream(12), 1)  # build the folds
+    w.sample(TimeDistribution(T=1.0, k=1), rng_stream(12), 1)  # build the fold
     tracemalloc.start()
     try:
         w.sample(TimeDistribution(T=64.0 * 256, k=k), rng_stream(12), m)
@@ -613,12 +616,13 @@ def test_spectral_walk_grid_equals_single_points_and_quadrature():
     grid = walk.geometric_grid(0.3, 30.0, per_decade=5)
     w = walk.spectral_walk(h, psi0, y)
     for k in (1, 3):
-        probs = w.probabilities(grid, k)
+        probs = np.array([w.probability(TimeDistribution(T=float(t), k=k)) for t in grid])
         # a fresh evaluator per T shares no kept value with w
         single = [walk.spectral_walk(h, psi0, y).probability(TimeDistribution(T=float(t), k=k)) for t in grid]
         assert np.max(np.abs(probs - np.array(single))) <= 1e-15
     quad = [walk.avg_probability_quadrature(h, psi0, y, float(t)) for t in grid]
-    assert np.max(np.abs(w.probabilities(grid, 1) - np.array(quad))) <= 1e-8
+    probs = np.array([w.probability(TimeDistribution(T=float(t), k=1)) for t in grid])
+    assert np.max(np.abs(probs - np.array(quad))) <= 1e-8
 
 
 def test_spectral_walk_state_target_equals_one_column_basis():
@@ -689,7 +693,7 @@ def test_stacked_walks_equal_single_walks_bitwise():
             for p, law in zip(stack.averages[:, i], (TimeDistribution(T=dist.T, k=1), dist)):
                 assert p == one.probability(law), (dim, i, law)
             # the half-angle factors of each walk's own law at its group energies, which the stacked residual reuses
-            g1, s1 = walk._phase_factors(dist, one._levels, one._gaps)
+            g1, s1 = walk._phase_factors(dist, one.partition.levels)
             assert np.array_equal(stack.factors[0][i], g1) and np.array_equal(stack.factors[1][i], s1)
         assert lo == stack.overlaps.shape[0] == stack.delta_e_star.shape[0]
         assert dim == 2 or max(np.diff(np.append(np.flatnonzero(starts), dim)).max() for starts in stack.group_starts[:4]) >= 2
@@ -791,13 +795,23 @@ def test_probability_peak_memory_column_walk_512():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * d * d * 8
+    # the two buffers of the pair kernel, its masks and the O(d) partition, cold
+    assert peak <= 2.25 * d * d * 8
 
 
-def test_probability_holds_two_buffers_besides_the_gap_cache():
+def test_probability_keeps_no_dim_squared_array():
+    # the walk's cached state stays O(d + R d): no gap matrix outlives an exact average
+    w = gluedtrees.column_walk(2048)
+    d = w.energies.shape[0]
+    w.probability(TimeDistribution(T=64.0 * 1024, k=12))
+    arrays = [x for x in (*vars(w).values(), *vars(w.partition).values()) if isinstance(x, np.ndarray)]
+    assert arrays and max(x.size for x in arrays) < d * d
+
+
+def test_a_warm_probability_holds_two_pair_sized_buffers():
     w = gluedtrees.column_walk(512)
     d = w.energies.shape[0]
-    w.probability(TimeDistribution(T=10.0, k=3))  # builds the gap matrix and the degenerate pairs
+    w.probability(TimeDistribution(T=10.0, k=3))  # builds the partition and the group overlaps
     tracemalloc.start()
     try:
         w.probability(TimeDistribution(T=64.0 * 256, k=11))
