@@ -224,7 +224,7 @@ def _gluedtrees_row(task: tuple) -> list:
         "mc_mean_repetitions": stats["mean_repetitions"],
         "mc_shots": stats["shots"],
         "mc_phases": column.mc_phases,
-        "mc_prune_bound": column.mc_prune_bound,
+        "mc_prune_bound": column.prune_bound,
         "holds": bool(holds),
     }
     return [row]

@@ -82,10 +82,11 @@ def column_walk(two_n: int) -> walk.SpectralWalk:
     """The column-space walk from the entrance column towards the exit column,
     read off one solve_momenta call (c = entrance, rows = exit_sign * c), with
     no matrix built: a reduced walk, shared by everything a glued-trees row
-    computes. Its exactly paired energies give the sampler one phase per
-    pair. Past WALK_CERTIFICATE_TOL, any of sum c^2 = 1, sum row^2 = 1
-    (completeness), sum c row = 0 and sum E c row = 0 (the entrance-exit
-    entries of I and H) raises InconsistencyError.
+    computes, which drops the hyperbolic pair from 2n = 192 on (start
+    amplitude below dim 2^-52). Its exactly paired energies give the sampler
+    one phase per pair. Past WALK_CERTIFICATE_TOL, any of sum c^2 = 1,
+    sum row^2 = 1 (completeness), sum c row = 0 and sum E c row = 0 (the
+    entrance-exit entries of I and H) raises InconsistencyError.
     """
     rep = solve_momenta(two_n)
     c = rep.entrance
@@ -99,7 +100,7 @@ def column_walk(two_n: int) -> walk.SpectralWalk:
     for name, value in certificates.items():
         if not abs(value) <= WALK_CERTIFICATE_TOL:
             raise InconsistencyError(f"column walk certificate {name} = {value:.3g} exceeds {WALK_CERTIFICATE_TOL:g}")
-    return walk.SpectralWalk(rep.energies, c, row[None, :], None)
+    return walk.reduced_walk(rep.energies, c, row[None, :])
 
 
 @dataclass(frozen=True)
@@ -270,7 +271,7 @@ def subspace_S(w: walk.SpectralWalk) -> SubspaceReport:
     """Minus-branch solutions with ceil(n/4) <= ell <= ceil(3n/4), read off w.
 
     w is a walk from the entrance to the exit column, column_walk(two_n) or
-    a dense one; its dimension gives two_n. The minus branch is the band
+    a dense one; its dim gives two_n. The minus branch is the band
     states (|E| < 2) with Re(rows c) < 0, ell their rank in ascending
     p = arccos(E/2), alpha_p = |c| / sin p, and each member's group comes
     from the partition's lengths. checks hold the subset gap (certified
@@ -279,7 +280,7 @@ def subspace_S(w: walk.SpectralWalk) -> SubspaceReport:
     measured, not checked: at finite n the band-edge momenta land slightly
     outside (pi/4, 3pi/4), so min(sines) sits below 1/sqrt(2) at desk sizes.
     """
-    two_n = w.energies.shape[0]
+    two_n = w.dim
     if two_n < 8:
         raise ValidationError(f"subspace requires two_n >= 8, got {two_n}")
     n = two_n // 2
@@ -587,7 +588,7 @@ def certified_hitting_times(w: walk.SpectralWalk) -> dict:
     column_walk(two_n); the subspace_S report the routes rest on is returned
     under "subspace".
     """
-    two_n = w.energies.shape[0]
+    two_n = w.dim
     n = two_n // 2
     part = w.partition
     p_inf = w.limiting_probability
@@ -673,8 +674,8 @@ def traversal_success_stats(two_n: int, rng_seed: int, runs: int, w: walk.Spectr
     which is two_n's, so a SpectralWalk w of any other dimension is rejected.
     """
     check_count(runs, "runs")
-    if isinstance(w, walk.SpectralWalk) and w.energies.shape[0] != two_n:
-        raise ValidationError(f"walk dimension {w.energies.shape[0]} != schedule size two_n = {two_n}")
+    if isinstance(w, walk.SpectralWalk) and w.dim != two_n:
+        raise ValidationError(f"walk dimension {w.dim} != schedule size two_n = {two_n}")
     T, k, reps = default_schedule(two_n)
     dist = TimeDistribution(T=T, k=k)
     used, hit = _first_hits(w, dist, rng_stream(rng_seed, 13), runs, reps)

@@ -318,11 +318,11 @@ def _discriminant_walk(
     """The search walk in its invariant subspace, built from D(P_s) alone.
 
     start holds the first-register amplitudes of the start state |start, 0>.
-    Returns the reduced walk and D's decomposition. The walk's energies are
-    ascending, one per reduced eigenvector psi_k; its start amplitudes are
-    <psi_k|start, 0>; its rows[i, k] = <marked, y_i|V|psi_k> are the marked
-    rows in edge coordinates for the ascending y_i in supp P_s[m] u
-    supp P_s[:, m], the marked rows that are not exactly zero.
+    Returns the walk.reduced_walk over the reduced eigenvectors psi_k, in
+    ascending energy and less those the start misses, and D's decomposition.
+    The walk's start amplitudes are <psi_k|start, 0> and its rows[i, k] =
+    <marked, y_i|V|psi_k> the marked rows in edge coordinates for the
+    ascending y_i in supp P_s[m] u supp P_s[:, m], those not exactly zero.
 
     Certified: D's decomposition reconstructs D; the amplitudes have unit
     norm, so the start lies inside the subspace; rows^dagger rows, the
@@ -357,7 +357,7 @@ def _discriminant_walk(
         raise InconsistencyError(
             f"marked projector on the reduced subspace has spectrum [{gram[0]:.17g}, {gram[-1]:.17g}]"
         )
-    return walk.SpectralWalk(energies, amplitudes, rows, None), dec
+    return walk.reduced_walk(energies, amplitudes, rows), dec
 
 
 @dataclass(frozen=True)
@@ -442,9 +442,9 @@ class SearchRecord:
     mc_std_error: float | None
     mc_within_3sigma: bool | None
     mc_phases: int | None  # phases evaluated per shot: the distinct nonzero group |E| the start reaches
-    mc_prune_bound: float | None  # most by which the energies the start misses move a shot's hit probability
+    mc_prune_bound: float  # most by which the energies the start misses move p_exact and each shot's hit probability
     rng_seed: int
-    walk_dim: int  # reduced eigenvectors evaluated: 2n - 1 when D's top eigenvalue is simple
+    walk_dim: int  # reduced eigenvectors before the cut to the start's reach: 2n - 1 when D's top eigenvalue is simple
 
 
 def run_search(
@@ -467,7 +467,7 @@ def run_search(
     probability is compared with the 1/4 - epsilon floor as floor_holds,
     never raised on; shots > 0 adds a Bernoulli Monte Carlo estimate of
     the same number, the fraction of shots that hit the marked rows, with
-    the sampler's phases per shot and prune bound (shots = 0 skips it).
+    the phases per shot (shots = 0 skips it); the walk's prune bound covers both.
     """
     if not (isinstance(marked, (int, np.integer)) and 0 <= marked < chain.n):
         raise ValidationError(f"marked vertex {marked} out of range for n={chain.n}")
@@ -494,14 +494,14 @@ def run_search(
     holds = bool(p_exact >= floor - 1e-9)
     ov = _overlap_report(inter, d_dec.eigenvalues, d_dec.eigenvectors)
 
-    mc_freq = mc_err = within = phases = prune_bound = None
+    mc_freq = mc_err = within = phases = None
     if shots > 0:
         _, hit = reduced.sample(dist, rng_stream(rng_seed, 23), shots)
         mc_freq = int(np.count_nonzero(hit)) / float(shots)
         mc_err = math.sqrt(max(mc_freq * (1.0 - mc_freq), 1e-12) / shots)
         sigma_exact = math.sqrt(max(p_exact * (1.0 - p_exact), 1e-12) / shots)
         within = bool(abs(mc_freq - p_exact) <= 3.0 * sigma_exact + 1e-12)
-        phases, prune_bound = reduced.mc_phases, reduced.mc_prune_bound
+        phases = reduced.mc_phases
 
     return SearchRecord(
         family=family,
@@ -525,7 +525,7 @@ def run_search(
         mc_std_error=mc_err,
         mc_within_3sigma=within,
         mc_phases=phases,
-        mc_prune_bound=prune_bound,
+        mc_prune_bound=reduced.prune_bound,
         rng_seed=int(rng_seed),
-        walk_dim=int(reduced.energies.shape[0]),
+        walk_dim=int(reduced.dim),
     )

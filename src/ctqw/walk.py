@@ -21,10 +21,11 @@ start amplitudes and the target rows, O(d + R d) numbers for R target rows.
 Every exact average, limiting probability, eigenspace partition (with its
 gaps) and Monte Carlo measurement is a method of it, so a spectrum is
 decomposed and grouped once however many times T it is evaluated at; each
-exact average forms its own d x d pair kernel and keeps none of it. The
-Monte Carlo tells whether each shot lands in the target span; it evaluates
-only the phases the start reaches, with a certified bound on what the rest
-could move, and measures the span at the rank of its folded columns. It
+exact average forms its own d x d pair kernel and keeps none of it.
+reduced_walk drops the energies the start misses where a walk is built, and
+every number reads the rest, within its prune_bound. The Monte Carlo tells
+whether each shot lands in the target span, one phase per distinct group
+|E|, and measures the span at the rank of its folded columns. It
 takes their cos and sin in float32 and re-evaluates in float64 every shot
 whose uniform falls within the certified error of its probability, so each
 decision is the float64 one. Its hitting time and the certified glued-trees
@@ -54,6 +55,7 @@ __all__ = [
     "SpectralWalk",
     "WalkStack",
     "spectral_walk",
+    "reduced_walk",
     "spectral_walks",
     "pure_state",
     "density_operator",
@@ -202,13 +204,12 @@ def _check_probabilities(p, what: str) -> np.ndarray:
     return p
 
 
-def _group_overlaps(a: np.ndarray, lengths) -> list[float]:
-    """sum_r |sum_{j in g} a_rj|^2 for each group g, the groups given by their
-    lengths as consecutive runs of the columns of a (R, n) = rows * c: the
-    target weight of P_g psi0. Squared as Python floats, which is pow:
-    numpy's array square differs from it in the last bit."""
-    sums = np.abs(spectral._segment_sums(a, lengths)).tolist()
-    return [sum(x**2 for x in col) for col in zip(*sums)]
+def _group_overlaps(sums: np.ndarray) -> list[float]:
+    """sum_r |s_rg|^2 for each group g of the group columns s (R, G), s_rg =
+    sum_{j in g} c_j rows[r, j]: the target weight of P_g psi0. Squared as
+    Python floats, which is pow: numpy's array square differs from it in the
+    last bit."""
+    return [sum(x**2 for x in col) for col in zip(*np.abs(sums).tolist())]
 
 
 def _decompose_one(h) -> spectral.SpectralDecomposition:
@@ -234,7 +235,8 @@ class SpectralWalk:
     (the whole space, or a reduction of it). decomposition is the full
     eigendecomposition the walk was read from, None for a reduced walk;
     only the residual bound, which rotates a density operator into the
-    eigenbasis, needs it.
+    eigenbasis, needs it. dim and spectral_range are the walk's before
+    reduced_walk drops what its start misses, and prune_bound bounds that.
 
     The degeneracy tolerance, the partition of the energies with its gaps
     and group energies, the group overlaps, the limiting probability and the
@@ -246,11 +248,19 @@ class SpectralWalk:
     c: np.ndarray
     rows: np.ndarray
     decomposition: SpectralDecomposition | None
+    dim: int | None = None
+    spectral_range: float | None = None
+    prune_bound: float = 0.0
+
+    def __post_init__(self):
+        if self.dim is None:  # built whole: nothing dropped
+            object.__setattr__(self, "dim", self.energies.shape[0])
+            object.__setattr__(self, "spectral_range", float(self.energies[-1] - self.energies[0]))
 
     @cached_property
     def tol_degen(self) -> float:
-        """Energies this close count as degenerate: 1e-8 of the spectral range."""
-        return spectral.degeneracy_tol(float(self.energies[-1] - self.energies[0]))
+        """Energies this close count as degenerate: 1e-8 of the spectral range as built."""
+        return spectral.degeneracy_tol(self.spectral_range)
 
     @cached_property
     def _lead(self) -> np.ndarray:
@@ -260,26 +270,23 @@ class SpectralWalk:
         return lead
 
     @cached_property
-    def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-        """(sigma, M, zero, weight, prune_bound): the walk in the real form
-        the sampler evaluates.
+    def _group_columns(self) -> np.ndarray:
+        """(R, G): sum_{j in g} c_j rows[:, j] per group g, for the overlaps and the fold."""
+        return spectral._segment_sums(self.rows * self.c, self.partition.lengths)
 
-        The energies are the group energies of the snapped walk. First the
-        energies the start does not reach drop out: those with
-        |c_j| <= dim 2^-52, zero by symmetry up to rounding. Dropping them
-        moves the target amplitude of any shot by at most their l1 norm
-        delta (each column rows[:, j] has norm at most 1), so its hit
-        probability, whose amplitude has norm at most 1, by at most
-        prune_bound = 2 delta + delta^2.
+    @cached_property
+    def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(sigma, M, zero, weight): the walk in the real form the sampler
+        evaluates.
 
-        Of the rest, each group's energies merge, and a distinct energy
-        u_i = -u_{-1-i} pairs with its mirror, which finds every pair of a
-        symmetric spectrum; an unpaired energy keeps a phase of its own.
-        sigma holds the unpaired positive energies, then the paired ones,
-        then the magnitudes of the unpaired negative ones. The folded column
-        a+_i sums c_j rows[:, j] over E_j = +sigma_i, a-_i over
-        E_j = -sigma_i and a0 over E_j = 0; a+_i or a-_i is 0 where sigma_i
-        has no such energy.
+        Its energies u are the group energies and its columns the group
+        columns. A distinct energy u_i = -u_{-1-i} pairs with its mirror,
+        which finds every pair of a symmetric spectrum; an unpaired energy
+        keeps a phase of its own. sigma holds the unpaired positive
+        energies, then the paired ones, then the magnitudes of the unpaired
+        negative ones. The folded column a+_i is the group column at
+        E = +sigma_i, a-_i that at E = -sigma_i and a0 that at E = 0; a+_i
+        or a-_i is 0 where sigma_i has no such group.
 
         A shot at time t has the amplitude cos(t sigma) Pc + sin(t sigma) Ps
         + a0, Pc = a+ + a- and Ps = -i (a+ - a-): its real and imaginary
@@ -293,11 +300,7 @@ class SpectralWalk:
         with one target row (the glued-trees column walk) pages in no sort
         or LAPACK kernel: paging in numpy's sort kernels (np.unique also
         imports numpy.ma) cost the glued-trees run about 0.25 MB of peak RSS."""
-        reached = np.abs(self.c) > self.energies.shape[0] * 2.0**-52
-        delta = float(np.abs(self.c[~reached]).sum())
-        e = self.partition.levels[reached]
-        starts = np.flatnonzero(np.diff(e, prepend=-np.inf))
-        u, fold = e[starts], np.add.reduceat((self.rows[:, reached] * self.c[reached]).T, starts, axis=0)
+        u, fold = self.partition.energies, self._group_columns.T
         mirrored = u == -u[::-1]
         plus_only, pair, minus_only = (u > 0) & ~mirrored, (u > 0) & mirrored, (u < 0) & ~mirrored
         sigma = np.concatenate([u[plus_only], u[pair], -u[minus_only]])
@@ -312,7 +315,7 @@ class SpectralWalk:
         pc, ps = plus + minus, -1j * (plus - minus)
         weight = float(np.linalg.norm(pc, axis=1).sum() + np.linalg.norm(ps, axis=1).sum())
         m = np.block([[pc.real, pc.imag], [ps.real, ps.imag]])
-        return sigma, m, np.concatenate([columns[-1].real, columns[-1].imag]), weight, 2.0 * delta + delta**2
+        return sigma, m, np.concatenate([columns[-1].real, columns[-1].imag]), weight
 
     def _hit_probabilities(self, ts: np.ndarray, dtype) -> np.ndarray:
         """Each shot's clipped hit probability at its time in ts, SAMPLE_BLOCK
@@ -320,7 +323,7 @@ class SpectralWalk:
         reduced to t sigma - 2 pi rint(t sigma / 2 pi) in float64, then its
         cos and sin run in float32 (TRIG32_ERROR); float64 takes them of the
         unreduced phase."""
-        sigma, columns, zero, _, _ = self._fold
+        sigma, columns, zero, _ = self._fold
         n, size = sigma.shape[0], min(SAMPLE_BLOCK, ts.shape[0])
         x_block, trig_block = np.empty((size, n)), np.empty((size, 2 * n))
         p = np.empty(ts.shape)
@@ -344,14 +347,8 @@ class SpectralWalk:
     @property
     def mc_phases(self) -> int:
         """Phases the sampler evaluates per shot: one per distinct nonzero
-        |E| of the group energies that the start reaches."""
+        |E| of the group energies."""
         return int(self._fold[0].shape[0])
-
-    @property
-    def mc_prune_bound(self) -> float:
-        """Most by which the sampler's dropped energies move a shot's hit
-        probability (see _fold)."""
-        return self._fold[4]
 
     def probability(self, dist: TimeDistribution) -> float:
         """Exact time average at dist (_exact_averages of this one walk).
@@ -391,7 +388,7 @@ class SpectralWalk:
     def overlaps(self) -> tuple[float, ...]:
         """Per eigenspace group g, the target weight of P_g psi0:
         |<y|P_g|psi0>|^2 for a state target."""
-        return tuple(_group_overlaps(self.rows * self.c, self.partition.lengths))
+        return tuple(_group_overlaps(self._group_columns))
 
     @cached_property
     def limiting_probability(self) -> float:
@@ -406,16 +403,15 @@ class SpectralWalk:
         Each chunk of SAMPLE_CHUNK shots draws its times, then one uniform u
         per shot; a shot hits, landing in the span of the target rows, when
         u is below its total probability there. One phase t sigma per
-        distinct nonzero group |E| the start reaches serves both signs, and
-        the target rows are compressed to the folded columns' rank
-        (_fold); mc_prune_bound bounds what that drops.
+        distinct nonzero group |E| serves both signs, and the target rows
+        are compressed to the folded columns' rank (_fold).
 
         The phases are reduced in float64 and their cos and sin taken in
         float32 (_hit_probabilities). Each is then off by at most
         e = TRIG32_ERROR + max|t sigma| 2^-50, the second term for the
         reduction, so the amplitude is off by at most eps = e weight
         (_fold) and the probability by at most
-        margin = 2 eps (1 + mc_prune_bound) + eps^2 + 2^-40, the last term
+        margin = 2 eps (1 + prune_bound) + eps^2 + 2^-40, the last term
         for float64 rounding. A shot with u farther than margin from its
         probability is decided by it; the others are evaluated again with
         float64 cos and sin. So every shot decides as the float64 walk does.
@@ -423,7 +419,7 @@ class SpectralWalk:
         amplitudes are held at once. Returns (times, hit).
         """
         check_count(shots, "shots")
-        sigma, _, _, weight, prune = self._fold
+        sigma, _, _, weight = self._fold
         times = np.empty(shots)
         hit = np.empty(shots, dtype=bool)
         for lo in range(0, shots, SAMPLE_CHUNK):
@@ -432,7 +428,7 @@ class SpectralWalk:
             u = rng.random(m)
             p = self._hit_probabilities(ts, np.float32)
             eps = (TRIG32_ERROR + float(ts.max()) * float(sigma.max(initial=0.0)) * 2.0**-50) * weight
-            margin = 2.0 * eps * (1.0 + prune) + eps**2 + 2.0**-40
+            margin = 2.0 * eps * (1.0 + self.prune_bound) + eps**2 + 2.0**-40
             # written ~(x > margin), so that a NaN goes to float64
             close = ~(np.abs(u - p) > margin)
             if close.any():
@@ -484,6 +480,19 @@ def spectral_walk(h, psi0: PureState, target) -> SpectralWalk:
     return SpectralWalk(dec.eigenvalues, _rotated(dec, psi0)[0], rows, dec)
 
 
+def reduced_walk(energies: np.ndarray, c: np.ndarray, rows: np.ndarray) -> SpectralWalk:
+    """The SpectralWalk (energies, c, rows) less the energies the start
+    misses, |c_j| <= dim 2^-52: zero by symmetry up to rounding (a NaN is
+    kept, and fails downstream). Each column rows[:, j] has norm at most 1,
+    so dropping columns of l1 mass delta moves the target amplitude by at
+    most delta, and every probability, exact average, overlap and shot by
+    at most prune_bound = 2 delta + delta^2. dim and spectral_range are
+    those before the cut, so tol_degen does not move."""
+    missed = np.abs(c) <= energies.shape[0] * 2.0**-52
+    kept, delta = ~missed, float(np.abs(c[missed]).sum())
+    return SpectralWalk(energies[kept], c[kept], rows[:, kept], None, len(energies), float(energies[-1] - energies[0]), 2 * delta + delta**2)
+
+
 class WalkStack(SimpleNamespace):
     """The walks of a (B, d, d) stack as arrays, built by spectral_walks."""
 
@@ -515,7 +524,7 @@ def spectral_walks(h, psi0: PureState, y: PureState, dists: list[TimeDistributio
     c, ya = _rotated(dec, psi0, y)
     a = (np.conj(ya) * c)[:, None, :]
     starts, n_groups, lengths, levels, stars = spectral._group_runs(e, spectral.degeneracy_tol(e[:, -1] - e[:, 0]))
-    overlaps = np.array(_group_overlaps(a.reshape(1, -1), lengths))
+    overlaps = np.array(_group_overlaps(spectral._segment_sums(a.reshape(1, -1), lengths)))
     # each walk's energies snapped to its partition and its groups' overlaps at their
     # first members: a SpectralWalk's partition.levels and _lead
     e, lead = np.repeat(levels, lengths).reshape(e.shape), np.zeros(e.shape)

@@ -53,12 +53,15 @@ def test_column_hamiltonian_rejects_bad_sizes():
 def test_column_walk_energies_exactly_paired():
     for two_n in (8, 64, 512):
         w = gluedtrees.column_walk(two_n)
-        e = w.energies
+        e = gluedtrees.solve_momenta(two_n).energies
         assert np.array_equal(e, -e[::-1])
         dense = np.linalg.eigvalsh(gluedtrees.column_hamiltonian(two_n))
         assert np.max(np.abs(e - dense)) <= 1e-14 * (dense[-1] - dense[0])
-        # the sampler evaluates one phase per pair the start reaches: every pair
-        # but, at 2n = 512, the hyperbolic one, whose start amplitude is about 1e-39
+        # the walk keeps, and the sampler evaluates one phase per, each pair the start
+        # reaches: every pair but, at 2n = 512, the hyperbolic one, whose start
+        # amplitude is about 1e-39
+        assert w.dim == two_n
+        assert np.array_equal(w.energies, e[1:-1] if two_n == 512 else e)
         assert w.mc_phases == two_n // 2 - (two_n == 512)
 
 
@@ -71,13 +74,15 @@ def test_column_walk_matches_the_dense_walk(two_n):
         gluedtrees.column_hamiltonian(two_n), walk.basis_state(two_n, 0), walk.basis_state(two_n, two_n - 1)
     )
     e = dense.energies
-    assert np.max(np.abs(w.energies - e)) <= 1e-14 * (e[-1] - e[0])
-    assert np.max(np.abs(w.rows * w.c - dense.rows * dense.c)) <= 1e-14
+    # the dense walk over the energies its start reaches, as column_walk keeps them
+    reach = walk.reduced_walk(dense.energies, dense.c, dense.rows)
+    assert np.max(np.abs(w.energies - reach.energies)) <= 1e-14 * (e[-1] - e[0])
+    assert np.max(np.abs(w.rows * w.c - reach.rows * reach.c)) <= 1e-14
     T, k, _ = gluedtrees.default_schedule(two_n)
     for dist in (TimeDistribution(T=T, k=k), TimeDistribution(T=T, k=1)):
         assert w.probability(dist) == pytest.approx(dense.probability(dist), rel=1e-13, abs=0.0)
     # the band subset reads the same states off either walk
-    sub, sub_dense = gluedtrees.subspace_S(w), gluedtrees.subspace_S(dense)
+    sub, sub_dense = gluedtrees.subspace_S(w), gluedtrees.subspace_S(reach)
     assert sub.group_indices == sub_dense.group_indices
     assert np.max(np.abs(np.subtract(sub.momenta, sub_dense.momenta))) <= 1e-14
     assert sub.alpha4_mass == pytest.approx(sub_dense.alpha4_mass, rel=1e-13, abs=0.0)
@@ -269,6 +274,30 @@ def test_subspace_gap_checks_across_sizes():
         # softer floor is asserted
         assert min(rep.sines) > 0.6
         assert max(rep.sines) < 1.0
+
+
+def test_subspace_flags_a_cross_gap_or_an_alpha_below_its_floor():
+    # a walk whose cross gap, and then one whose smallest alpha, lies between half its
+    # floor and the floor fails that check alone; the real column walk clears both
+    two_n, n = 64, 32
+    w = gluedtrees.column_walk(two_n)
+    real = gluedtrees.subspace_S(w)
+    assert real.checks["cross_gap_ok"] and real.checks["alpha_floor_ok"]
+    members = np.flatnonzero(np.isin(w.partition.group_of, real.group_indices))
+    # the energy just above the subset, moved to 0.8 pi/(12n) above its top member
+    energies = w.energies.copy()
+    energies[members[-1] + 1] = energies[members[-1]] + 0.8 * math.pi / (12 * n)
+    near = gluedtrees.subspace_S(dataclasses.replace(w, energies=energies))
+    assert math.pi / (24 * n) < near.cross_subset_gap < math.pi / (12 * n)
+    assert near.checks == {**real.checks, "cross_gap_ok": False}
+    # the middle member's start amplitude, scaled to alpha = 0.75 / sqrt(2n)
+    c, mid = w.c.copy(), members[members.shape[0] // 2]
+    sines = np.sin(np.arccos(w.energies[members] / 2))
+    c[mid] *= 0.75 / math.sqrt(2 * n) / (abs(c[mid]) / sines[members.shape[0] // 2])
+    alpha = np.abs(c[members]) / sines
+    assert 0.5 / math.sqrt(2 * n) < alpha.min() < 1.0 / math.sqrt(2 * n)
+    low = gluedtrees.subspace_S(dataclasses.replace(w, c=c))
+    assert low.checks == {**real.checks, "alpha_floor_ok": False}
 
 
 def test_subspace_gaps_match_all_pairs():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctqw import cli, gluedtrees, records, rng, spectral
+from ctqw import cli, gluedtrees, markov, records, rng, search, spectral, walk
 from ctqw.errors import InconsistencyError, ValidationError
 
 
@@ -341,6 +341,18 @@ def test_cli_search_failed_floor_exits_2(tmp_path, capsys):
     assert [row["floor_holds"] for row in data["rows"]] == [False]
     assert (tmp_path / "search.csv").exists()
     assert "success floor violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("miss, holds, rc", [(1e-6, False, 2), (1e-10, True, 0)])
+def test_cli_search_floor_forgives_rounding_and_no_more(tmp_path, monkeypatch, miss, holds, rc):
+    # floor_holds allows p_exact 1e-9 below 1/4 - epsilon: 1e-6 below misses the
+    # floor and exits 2, 1e-10 below holds it
+    monkeypatch.setattr(walk.SpectralWalk, "probability", lambda self, dist: 0.25 - 0.1 - miss)
+    assert search.run_search(markov.complete_chain(8), 0, 0.1, rng_seed=3, shots=0).floor_holds is holds
+    cfg = write_cfg(tmp_path / "s.json", {"families": ["complete"], "N": [8], "epsilons": [0.1], "shots": 500, "seed": 3})
+    assert cli.main(["search", "--config", cfg, "--out", str(tmp_path)]) == rc
+    rows = json.loads((tmp_path / "search.json").read_text())["rows"]
+    assert [(row["p_exact"], row["floor_holds"]) for row in rows] == [(0.25 - 0.1 - miss, holds)]
 
 
 def test_cli_search_irreversible_chain_file(tmp_path):

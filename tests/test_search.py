@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ctqw import markov, search, walk
-from ctqw.errors import AmbiguousDegeneracyError, InconsistencyError, MarkedWeightError, ValidationError
+from ctqw.errors import InconsistencyError, MarkedWeightError, ValidationError
 from ctqw.rng import rng_stream
 from ctqw.walk import TimeDistribution
 
@@ -137,7 +137,7 @@ def test_reduced_walk_matches_dense_oracle(family, n):
     block = slice(marked * n, (marked + 1) * n)
     for s in (0.0, markov.s_star(chain, marked), 0.7):
         w = reduced_walk(chain, marked, s)
-        assert w.energies.shape[0] == 2 * n - 1  # the top eigenvalue of D is simple
+        assert w.dim == 2 * n - 1  # the top eigenvalue of D is simple
         p_reduced = w.probability(dist)
         _, reduced = w.sample(dist, rng_stream(5, 23), shots)
         for completion in ("householder", "randomized"):
@@ -145,8 +145,9 @@ def test_reduced_walk_matches_dense_oracle(family, n):
             dense_walk = walk.spectral_walk(ops.H, psi0, basis)
             p_dense = dense_walk.probability(dist)
             assert abs(p_reduced - p_dense) <= 1e-10, (s, completion)
-            # the reduced walk groups its own energies: the same eigenspaces carry the target
-            assert w.partition.n_groups == dense_walk.partition.n_groups, (s, completion)
+            # the reduced walk groups the energies its start reaches: the same eigenspaces carry the target
+            reach = walk.reduced_walk(dense_walk.energies, dense_walk.c, dense_walk.rows)
+            assert w.partition.n_groups == reach.partition.n_groups, (s, completion)
             assert abs(w.limiting_probability - dense_walk.limiting_probability) <= 1e-12, (s, completion)
             # the dense rows sit before V; its marked block maps them to edge coordinates,
             # of which the reduced walk measures the marked neighbourhood's: the same shots hit
@@ -177,7 +178,7 @@ def test_reduced_walk_keeps_the_marked_neighbourhood(family, kept):
     support = np.flatnonzero((inter.P_s[5] > 0) | (inter.P_s[:, 5] > 0))
     w = search._discriminant_walk(inter, np.sqrt(chain.pi))[0]
     assert support.shape[0] == w.rows.shape[0] == kept
-    assert w.energies.shape[0] == 2 * 32 - 1
+    assert w.dim == 2 * 32 - 1
     if kept == 3:
         assert support.tolist() == [4, 5, 6]
 
@@ -369,16 +370,15 @@ def test_run_search_cycle_meets_the_floor(n, epsilon):
     assert rec.floor_holds
 
 
-@pytest.mark.xfail(
-    raises=AmbiguousDegeneracyError,
-    strict=True,
-    reason="the reduced cycle walk at N = 512 holds a chain of near-ties 2.76e-8 wide, past its fixed "
-    "tol_degen of 2e-8, so it has no partition to snap to (ROADMAP, correctness debt)",
-)
 def test_run_search_groups_the_cycle_at_512():
-    # N = 256 and 384 complete; every exact average reads the partition, so N = 512 raises
+    # all 1023 energies hold a chain of near-ties 2.76e-8 wide, past tol_degen = 2e-8; the
+    # energies of the eigenvectors antisymmetric about the marked vertex interleave it, and
+    # the start misses them, so the walk cut to its reach groups cleanly
     rec = search.run_search(markov.cycle_chain(512), 0, 0.1, rng_seed=7, shots=0)
     assert 0.0 < rec.p_exact <= 1.0
+    # with no shot drawn, the row still reports the cut and its bound, which covers p_exact
+    assert rec.walk_dim == 2 * 512 - 1 and rec.mc_phases is None
+    assert 0.0 < rec.mc_prune_bound < 1e-12
 
 
 def test_run_search_time_grows_with_log_inverse_epsilon():

@@ -407,14 +407,17 @@ def unpaired_walk() -> walk.SpectralWalk:
     ],
     ids=["column-64", "complete-32", "cycle-32", "unpaired-12"],
 )
-def test_sample_outcomes_match_outer_product_phases(make, distinct, kept, width):
+def test_sample_outcomes_match_outer_product_phases(monkeypatch, make, distinct, kept, width):
     # the pruned, folded and compressed sampler hits where the dense
-    # exp(-1j * outer(t, E)) * c measurement puts u below its total
+    # exp(-1j * outer(t, E)) * c measurement of the whole walk puts u below its total
     w = make()
-    assert dataclasses.replace(w, c=np.ones_like(w.c)).mc_phases == distinct  # every energy reached
+    with monkeypatch.context() as m:  # the same walk, built without the cut to the start's reach
+        m.setattr(walk, "reduced_walk", lambda energies, c, rows: walk.SpectralWalk(energies, c, rows, None))
+        whole = make()
+    assert dataclasses.replace(whole, c=np.ones_like(whole.c)).mc_phases == distinct  # every energy reached
     assert w.mc_phases == kept
     assert w._fold[2].shape == (2 * width,)
-    assert w.mc_prune_bound < 1e-13
+    assert w.prune_bound < 1e-13
     dist = TimeDistribution(T=300.0, k=3)
     shots = walk.SAMPLE_CHUNK + 7
     times, hit = w.sample(dist, rng_stream(11), shots)
@@ -422,7 +425,7 @@ def test_sample_outcomes_match_outer_product_phases(make, distinct, kept, width)
     for lo in range(0, shots, walk.SAMPLE_CHUNK):
         m = min(walk.SAMPLE_CHUNK, shots - lo)
         ts = rng.random((m, dist.k)).sum(axis=1) * dist.T
-        probs = np.abs((np.exp(-1j * np.outer(ts, w.energies)) * w.c) @ w.rows.T) ** 2
+        probs = np.abs((np.exp(-1j * np.outer(ts, whole.energies)) * whole.c) @ whole.rows.T) ** 2
         u = rng.random(m)
         assert np.array_equal(times[lo : lo + m], ts)
         assert np.array_equal(hit[lo : lo + m], u < np.clip(probs.sum(axis=1), 0.0, 1.0))
@@ -504,10 +507,10 @@ def test_float32_probabilities_stay_within_the_margin(T):
     # error only because each phase is reduced to [-pi, pi] before the cast
     w = search_reduced_walk(markov.cycle_chain(32))
     ts = rng_stream(6).random((2000, 3)).sum(axis=1) * T
-    sigma, _, _, weight, prune = w._fold
+    sigma, _, _, weight = w._fold
     eps = (walk.TRIG32_ERROR + ts.max() * sigma.max() * 2.0**-50) * weight
     miss = np.abs(w._hit_probabilities(ts, np.float32) - w._hit_probabilities(ts, np.float64))
-    assert miss.max() <= 2.0 * eps * (1.0 + prune) + eps**2 + 2.0**-40
+    assert miss.max() <= 2.0 * eps * (1.0 + w.prune_bound) + eps**2 + 2.0**-40
 
 
 def test_float32_cos_and_sin_stay_within_their_bound():
@@ -524,7 +527,7 @@ def test_float32_cos_and_sin_stay_within_their_bound():
     assert worst <= walk.TRIG32_ERROR
 
 
-def test_sampler_drops_the_amplitudes_at_or_below_dim_ulps():
+def test_reduced_walk_drops_the_amplitudes_at_or_below_dim_ulps():
     # four paired energies; the start amplitude of -2 sits just above
     # d 2^-52 and is kept, that of -1 just below it and is dropped
     d = 4
@@ -532,17 +535,35 @@ def test_sampler_drops_the_amplitudes_at_or_below_dim_ulps():
     above, below = np.nextafter(at, 1.0), np.nextafter(at, 0.0)
     energies = np.array([-2.0, -1.0, 1.0, 2.0])
     rows = np.full((1, d), 0.5)
-    w = walk.SpectralWalk(energies, np.array([above, below, 0.6, 0.8]), rows, None)
-    sigma, m, _, _, bound = w._fold
+    w = walk.reduced_walk(energies, np.array([above, below, 0.6, 0.8]), rows)
+    assert w.energies.tolist() == [-2.0, 1.0, 2.0]
+    # the walk as built: its dimension and the spectral range its tolerance is taken from
+    assert (w.dim, w.spectral_range, w.tol_degen) == (4, 4.0, 4e-8)
+    sigma, m, _, _ = w._fold
     assert w.mc_phases == 2
     assert sigma.tolist() == [1.0, 2.0]  # 1 now lacks its mirror; 2 keeps its pair
     # rows [Re Pc; Im Pc] then [Re Ps; Im Ps] per sigma: with no minus side Ps = -i Pc
     assert m.shape == (4, 2)
     assert m[2].tolist() == [m[0, 1], -m[0, 0]]
     assert m[3].tolist() != [m[1, 1], -m[1, 0]]
-    assert bound == w.mc_prune_bound == 2.0 * below + below**2
-    kept_at = walk.SpectralWalk(energies, np.array([above, at, 0.6, 0.8]), rows, None)
-    assert kept_at.mc_phases == 2 and kept_at.mc_prune_bound == 2.0 * at + at**2
+    assert w.prune_bound == 2.0 * below + below**2
+    kept_at = walk.reduced_walk(energies, np.array([above, at, 0.6, 0.8]), rows)
+    assert kept_at.mc_phases == 2 and kept_at.prune_bound == 2.0 * at + at**2
+
+
+def test_reduced_walk_keeps_a_nan_amplitude_which_then_fails():
+    w = walk.reduced_walk(np.array([-1.0, 1.0]), np.array([math.nan, 1.0]), np.full((1, 2), 0.5))
+    assert w.energies.shape == (2,) and w.prune_bound == 0.0
+    with pytest.raises(InconsistencyError, match="^limiting probability = nan outside"):
+        w.limiting_probability
+
+
+def test_a_whole_walk_drops_nothing():
+    # a walk read off a full decomposition keeps every energy, reached or not
+    w = walk.spectral_walk(np.diag([-1.0, 0.0, 2.0]), walk.basis_state(3, 0), walk.basis_state(3, 0))
+    assert (w.dim, w.spectral_range, w.prune_bound) == (3, 3.0, 0.0)
+    assert w.energies.tolist() == [-1.0, 0.0, 2.0] and w.c.tolist() == [1.0, 0.0, 0.0]
+    assert w.mc_phases == 2  # one phase for each nonzero |E|, of which the start reaches one
 
 
 def test_sample_peak_memory_one_phase_buffer():
