@@ -147,22 +147,20 @@ def subset_bound(w: SpectralWalk, dist: TimeDistribution, subset) -> BoundReport
     return _report(subset_floor(w, dist.T, dist.k, subset), w.probability(dist))
 
 
-def _dephased_weight(phi: np.ndarray, group_of: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """Eigenbasis weights of the dephased reference: 1 on same-group pairs,
-    phi on pairs with both ends outside the subset, 0 elsewhere."""
-    outside = ~np.take_along_axis(member, group_of, axis=-1)
-    same_group = group_of[..., :, None] == group_of[..., None, :]
-    return np.where(outside[..., :, None] & outside[..., None, :], phi, same_group)
+def _dephased_weight(phi: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Group weights of the dephased reference: 1 within a group, phi
+    between two groups outside the subset, 0 elsewhere."""
+    outside = ~member
+    return np.where(outside[..., :, None] & outside[..., None, :], phi, np.eye(member.shape[-1], dtype=bool))
 
 
 def _reference_inputs(w: SpectralWalk, dist: TimeDistribution) -> tuple[np.ndarray, ...]:
-    """(eigenvectors, phi, each eigenvalue's group) of a walk with its full
-    decomposition; a reduced walk has no eigenbasis to rotate rho0 into."""
+    """(eigenvectors, phi over the groups, each eigenvalue's group) of a walk with
+    its full decomposition; a reduced walk has no eigenbasis to rotate rho0 into."""
     if w.decomposition is None:
         raise ValidationError("a reduced walk has no full eigendecomposition to rotate rho0 into")
-    group_of = w.partition.group_of
-    phi = walk._phi(*walk._phase_factors(dist, w.partition.levels), group_of)
-    return w.decomposition.eigenvectors, phi, group_of
+    phi = walk._phi(*walk._phase_factors(dist, w.partition.energies))
+    return w.decomposition.eigenvectors, phi, w.partition.group_of
 
 
 def dephased_reference(w: SpectralWalk, rho0: DensityOperator, subset, dist: TimeDistribution) -> DensityOperator:
@@ -171,15 +169,15 @@ def dephased_reference(w: SpectralWalk, rho0: DensityOperator, subset, dist: Tim
     damped block (characteristic function applied per gap)."""
     v, phi, group_of = _reference_inputs(w, dist)
     member = spectral._subset_mask(subset, w.partition.n_groups)
-    return walk._weighted_density(v, walk._eigenbasis(v, rho0), _dephased_weight(phi, group_of, member))
+    return walk._weighted_density(v, walk._eigenbasis(v, rho0), _dephased_weight(phi, member), group_of)
 
 
-def _residual_distances(v: np.ndarray, rho0: DensityOperator, phi: np.ndarray, group_of: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """Frobenius distance of the time-averaged state (eigenbasis weights phi)
-    to the dephased reference, per matrix of a stack; one rotation of rho0 serves both."""
-    # both states in one (2, B, d, d) stack: the time average, then the reference
-    weights = np.stack([phi, _dephased_weight(phi, group_of, member)])
-    avg, ref = walk._weighted_density(v, walk._eigenbasis(v, rho0), weights).entries
+def _residual_distances(v: np.ndarray, rho0: DensityOperator, phi: np.ndarray, member: np.ndarray, group_of: np.ndarray) -> np.ndarray:
+    """Frobenius distance of the time-averaged state (group weights phi) to the
+    dephased reference, per matrix of a stack; one rotation of rho0 serves both."""
+    # both states' group weights in one (2, B, G, G) stack: the time average, then the reference
+    weights = np.stack([phi, _dephased_weight(phi, member)])
+    avg, ref = walk._weighted_density(v, walk._eigenbasis(v, rho0), weights, group_of).entries
     # one norm per matrix: the stacked axis= form differs in the last bit
     return np.array([np.linalg.norm(diff) for diff in avg - ref])
 
@@ -193,9 +191,8 @@ def residual_bound(w: SpectralWalk, rho0: DensityOperator, subset, dist: TimeDis
     """
     v, phi, group_of = _reference_inputs(w, dist)
     s, delta_e_s = w.partition.subset_gap(subset)
-    member = np.zeros((1, w.partition.n_groups), dtype=bool)
-    member[0, list(s)] = True
-    distance = _residual_distances(v[None], DensityOperator(rho0.entries[None]), phi[None], group_of[None], member).item()
+    member = spectral._subset_mask(s, w.partition.n_groups)[None]
+    distance = _residual_distances(v[None], DensityOperator(rho0.entries[None]), phi[None], member, group_of[None]).item()
     return _report(distance, _error_term(dist.T, dist.k, delta_e_s))
 
 
@@ -297,8 +294,8 @@ def certify_stack(stack: walk.WalkStack, subsets, groups, rho0: DensityOperator)
     distance, step = np.empty(n.shape), max(1, RESIDUAL_CHUNK // v.shape[-1] ** 2)
     for start in range(0, n.shape[0], step):
         at = slice(start, start + step)
-        phi = walk._phi(g[at], s[at], group_of[at])
-        distance[at] = _residual_distances(v[at], DensityOperator(rho0.entries[at]), phi, group_of[at], member[at])
+        phi = walk._phi(g[at], s[at])
+        distance[at] = _residual_distances(v[at], DensityOperator(rho0.entries[at]), phi, member[at], group_of[at])
     condition, tau_sel, tau_mix = _comparison(T, p1, stack.limiting_probability, star[lo + groups], dmin)
     ok = (tau_sel < tau_mix) | ~condition
     found = {

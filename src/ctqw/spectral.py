@@ -191,9 +191,9 @@ class EigenspacePartition:
     gaps between them.
 
     Group g holds lengths[g] consecutive energies and energies[g] is their
-    mean, ascending; levels repeats it over the group's members. The gaps
-    work on the group energies; they and levels are worked out on first use.
-    With fewer than two groups the gaps are undefined and raise
+    mean, ascending: the energies of the snapped walk, one per group. The
+    gaps work on the group energies; they and group_of are worked out on
+    first use. With fewer than two groups the gaps are undefined and raise
     GapUndefinedError.
     """
 
@@ -208,11 +208,6 @@ class EigenspacePartition:
     def group_of(self) -> np.ndarray:
         """Each energy's group index."""
         return np.repeat(np.arange(self.n_groups), self.lengths)
-
-    @cached_property
-    def levels(self) -> np.ndarray:
-        """Each energy's group energy: the energies of the snapped walk."""
-        return np.repeat(self.energies, self.lengths)
 
     @cached_property
     def delta_e_star(self) -> tuple[float, ...]:

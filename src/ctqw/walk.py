@@ -11,17 +11,18 @@ fallback exists purely as an independent oracle.
 Every number is that of the walk snapped to its eigenspace partition,
 H' = sum_g E_g P_g with E_g the mean energy of group g, so ||H - H'|| <=
 tol_degen and a gap within a group is exactly 0. Since (e^{ix} - 1)/(ix) =
-e^{ix/2} sin(x/2)/(x/2), Phi(E_k - E_j) = conj(g_j) g_k S_jk with one phase
-g = e^{ikET/2} per energy and a real symmetric S_jk = sinc((E_k - E_j)T/2)^k,
-so an exact average is two real quadratic forms in S and one term per group:
-no complex dim x dim matrix, no cancellation.
+e^{ix/2} sin(x/2)/(x/2), Phi(E_h - E_g) = conj(g_g) g_h S_gh with a phase
+g = e^{ikET/2} per group energy and a real symmetric S_gh = sinc((E_h -
+E_g)T/2)^k: an exact average over the G group columns is two real G x G
+quadratic forms in S and one term per group, with no cancellation.
 
 A SpectralWalk holds one walk read off one eigenbasis: the energies, the
 start amplitudes and the target rows, O(d + R d) numbers for R target rows.
 Every exact average, limiting probability, eigenspace partition (with its
 gaps) and Monte Carlo measurement is a method of it, so a spectrum is
 decomposed and grouped once however many times T it is evaluated at; each
-exact average forms its own d x d pair kernel and keeps none of it.
+exact average forms its own G x G pair kernel and keeps none of it; only an
+averaged state maps it onto pairs of eigenvalues.
 reduced_walk drops the energies the start misses where a walk is built, and
 every number reads the rest, within its prune_bound. The Monte Carlo tells
 whether each shot lands in the target span, one phase per distinct group
@@ -155,8 +156,8 @@ def _phase_factors(dist: TimeDistribution, energies: np.ndarray, T=None) -> tupl
     """Half-angle factors: g = exp(ikET/2) per energy and S_jk =
     sinc((E_j - E_k) T/2)^k per pair, sinc(0) = 1, so Phi(E_k - E_j) =
     conj(g_j) g_k S_jk; S is real and symmetric. Over a stack of energies
-    (B, d), S is (B, d, d), and a (B, 1) column T gives each matrix its own T
-    in place of dist.T. Two d x d buffers: the pairwise differences, scaled
+    (B, G), S is (B, G, G), and a (B, 1) column T gives each matrix its own T
+    in place of dist.T. Two G x G buffers: the pairwise differences, scaled
     in place to the half-angle arguments and then turned into |sinc|^k, and
     sinc itself; the caller owns the one returned."""
     T, T_gap = (dist.T, dist.T) if T is None else (T, T[..., None])
@@ -172,27 +173,28 @@ def _phase_factors(dist: TimeDistribution, energies: np.ndarray, T=None) -> tupl
     return g, (np.copysign(sk, s, out=sk) if dist.k % 2 else sk)
 
 
-def _phi(g: np.ndarray, s: np.ndarray, group_of: np.ndarray) -> np.ndarray:
-    """Phi[j, k] = conj(g_j) g_k S_jk from the half-angle factors at the
-    group energies, exactly 1 on the pairs of one group, per matrix of a stack."""
+def _phi(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Phi[g, h] = conj(g_g) g_h S_gh over the groups, from the half-angle
+    factors at the group energies, with its diagonal exactly 1, per matrix
+    of a stack."""
     phi = np.conj(g)[..., :, None] * g[..., None, :] * s
-    phi[group_of[..., :, None] == group_of[..., None, :]] = 1.0
+    phi[..., range(g.shape[-1]), range(g.shape[-1])] = 1.0
     return phi
 
 
-def _exact_averages(a: np.ndarray, lead: np.ndarray, g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Exact time average sum_r sum_{jk} a_rj conj(a_rk) Phi(E_k - E_j) of
-    each walk of a stack, at its group energies = sum_r Re(b_r) S Re(b_r) +
-    Im(b_r) S Im(b_r) with b = a conj(g), plus lead (1 - |g|^2). Within a
-    group S is 1 and the form weighs the group's overlap by |g|^2, where Phi
-    is 1: lead holds each group's overlap at its first member, 0 elsewhere.
-    a holds rows * c, (R, d) for one walk or (B, R, d) for a stack, and
-    (g, s) the half-angle factors of _phase_factors at the group energies.
-    Unchecked. O(R d^2) time per walk; two real d x d buffers per walk."""
+def _exact_averages(a: np.ndarray, overlaps: np.ndarray, g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Exact time average sum_r sum_{gh} a_rg conj(a_rh) Phi(E_h - E_g) over
+    the groups of each walk of a stack = sum_r Re(b_r) S Re(b_r) +
+    Im(b_r) S Im(b_r) with b = a conj(g), plus overlaps (1 - |g|^2): on the
+    diagonal S is 1 and the form weighs each group's overlap by |g|^2, where
+    Phi is 1. a holds the group columns, (R, G) for one walk or (B, R, G)
+    for a stack, overlaps each group's sum_r |a_rg|^2, and (g, s) the
+    half-angle factors of _phase_factors at the group energies. Unchecked.
+    O(R G^2) time per walk; two real G x G buffers per walk."""
     b = a * np.conj(g)[..., None, :]
     parts = np.concatenate([b.real, b.imag], axis=-2)
     p = ((parts @ s) * parts).reshape(*parts.shape[:-2], -1).sum(axis=-1)
-    return p + (lead * (1.0 - (np.conj(g) * g).real)).sum(axis=-1)
+    return p + (overlaps * (1.0 - (np.conj(g) * g).real)).sum(axis=-1)
 
 
 def _check_probabilities(p, what: str) -> np.ndarray:
@@ -263,15 +265,9 @@ class SpectralWalk:
         return spectral.degeneracy_tol(self.spectral_range)
 
     @cached_property
-    def _lead(self) -> np.ndarray:
-        """Each group's overlap at its first member, 0 elsewhere (see _exact_averages)."""
-        lead = np.zeros(self.energies.shape)
-        lead[np.cumsum(self.partition.lengths) - self.partition.lengths] = self.overlaps
-        return lead
-
-    @cached_property
     def _group_columns(self) -> np.ndarray:
-        """(R, G): sum_{j in g} c_j rows[:, j] per group g, for the overlaps and the fold."""
+        """(R, G): sum_{j in g} c_j rows[:, j] per group g, which the overlaps,
+        the exact averages and the fold read."""
         return spectral._segment_sums(self.rows * self.c, self.partition.lengths)
 
     @cached_property
@@ -351,11 +347,11 @@ class SpectralWalk:
         return int(self._fold[0].shape[0])
 
     def probability(self, dist: TimeDistribution) -> float:
-        """Exact time average at dist (_exact_averages of this one walk).
-        O(len(rows) dim^2) time and two real dim x dim buffers, the pair
-        kernel of _phase_factors, none of which outlives the call."""
-        # a[r, j] = <b_r|E_j><E_j|psi0>
-        p = _exact_averages(self.rows * self.c, self._lead, *_phase_factors(dist, self.partition.levels))
+        """Exact time average at dist (_exact_averages of this one walk over
+        its group columns). O(R G^2) time for R target rows and G groups, and
+        two real G x G buffers, the pair kernel of _phase_factors, none of
+        which outlives the call."""
+        p = _exact_averages(self._group_columns, np.array(self.overlaps), *_phase_factors(dist, self.partition.energies))
         return float(_check_probabilities(p, "time-averaged probability"))
 
     def hitting_time(self, T_grid, k: int) -> HittingTimeEstimate:
@@ -500,7 +496,9 @@ class WalkStack(SimpleNamespace):
     # (B, d) and n_groups; overlaps and delta_e_star: all walks' groups in turn
     # (G,); limiting_probability; averages: exact averages at (T, 1), then at
     # (T, k), (2, B); factors: the half-angle factors (g, s) of _phase_factors
-    # of each walk at its group energies and its own (T, k)
+    # of each walk at its group energies and its own (T, k), (B, G_max) and
+    # (B, G_max, G_max) for the most groups G_max of a walk, each walk's
+    # defined up to its n_groups
 
 
 def _padded(x: np.ndarray, n_groups: np.ndarray, fill: float) -> np.ndarray:
@@ -522,26 +520,31 @@ def spectral_walks(h, psi0: PureState, y: PureState, dists: list[TimeDistributio
     if len(dists) != e.shape[0]:
         raise ValidationError(f"{len(dists)} time laws for a stack of {e.shape[0]} operators")
     c, ya = _rotated(dec, psi0, y)
-    a = (np.conj(ya) * c)[:, None, :]
-    starts, n_groups, lengths, levels, stars = spectral._group_runs(e, spectral.degeneracy_tol(e[:, -1] - e[:, 0]))
-    overlaps = np.array(_group_overlaps(spectral._segment_sums(a.reshape(1, -1), lengths)))
-    # each walk's energies snapped to its partition and its groups' overlaps at their
-    # first members: a SpectralWalk's partition.levels and _lead
-    e, lead = np.repeat(levels, lengths).reshape(e.shape), np.zeros(e.shape)
-    lead[starts] = overlaps
+    starts, n_groups, lengths, energies, stars = spectral._group_runs(e, spectral.degeneracy_tol(e[:, -1] - e[:, 0]))
+    # the group columns and overlaps of all walks' groups in turn: each walk's _group_columns and overlaps
+    sums = spectral._segment_sums((np.conj(ya) * c).reshape(1, -1), lengths)
+    overlaps = np.array(_group_overlaps(sums))
     # summed left to right, as the per-walk Python sum: a 0.0 past the last group changes nothing
     limits = _check_probabilities(_padded(overlaps, n_groups, 0.0).cumsum(axis=1)[:, -1], "limiting probability")
     T, k = np.array([d.T for d in dists]), np.array([d.k for d in dists])
-    # every walk at (T, 1), then each other k on the substack of the walks at (T, k),
-    # whose factors then take the place of their (T, 1) ones
-    g, s = _phase_factors(TimeDistribution(T=dists[0].T, k=1), e, T[:, None])
+    width = int(n_groups.max())
+    g, s = np.zeros((k.shape[0], width), dtype=np.complex128), np.zeros((k.shape[0], width, width))
     averages = np.empty((2, k.shape[0]))
-    averages[:] = _exact_averages(a, lead, g, s)
-    for kk in dict.fromkeys(k.tolist()):
-        if kk != 1:
-            at = np.flatnonzero(k == kk)
-            g[at], s[at] = factors = _phase_factors(dists[at[0]], e[at], T[at, None])
-            averages[1, at] = _exact_averages(a[at], lead[at], *factors)
+    # one substack per group count G, never padded (a padded matmul sums in another
+    # order): every walk at (T, 1), then each other k on the walks at (T, k), whose
+    # factors then take the place of their (T, 1) ones
+    for m in dict.fromkeys(n_groups.tolist()):
+        walks = np.flatnonzero(n_groups == m)
+        at = (np.cumsum(n_groups) - n_groups)[walks, None] + np.arange(m)
+        a, o, u = sums[0, at][:, None, :], overlaps[at], energies[at]
+        gm, sm = _phase_factors(TimeDistribution(T=dists[0].T, k=1), u, T[walks, None])
+        averages[:, walks] = _exact_averages(a, o, gm, sm)
+        for kk in dict.fromkeys(k[walks].tolist()):
+            if kk != 1:
+                sub = np.flatnonzero(k[walks] == kk)
+                gm[sub], sm[sub] = factors = _phase_factors(dists[walks[sub[0]]], u[sub], T[walks[sub], None])
+                averages[1, walks[sub]] = _exact_averages(a[sub], o[sub], *factors)
+        g[walks, :m], s[walks, :m, :m] = gm, sm
     _check_probabilities(averages[0], "time-averaged probability")
     _check_probabilities(averages[1], "time-averaged probability")
     return WalkStack(
@@ -553,8 +556,8 @@ def spectral_walks(h, psi0: PureState, y: PureState, dists: list[TimeDistributio
 def avg_probability_exact(h, psi0: PureState, y: PureState, dist: TimeDistribution) -> float:
     """Closed-form time-averaged probability of measuring y.
 
-    Sum over eigenpairs of a_j conj(a_k) Phi(E_k - E_j) with
-    a_j = <y|E_j><E_j|psi0>; cost one eigendecomposition plus O(dim^2).
+    Sum over pairs of eigenspace groups of a_g conj(a_h) Phi(E_h - E_g) with
+    a_g = <y|P_g|psi0>; cost one eigendecomposition plus O(G^2) for G groups.
     """
     return spectral_walk(h, psi0, y).probability(dist)
 
@@ -603,8 +606,8 @@ def time_averaged_density(h, rho0: DensityOperator, dist: TimeDistribution) -> D
     dec = _decompose_one(h)
     e = dec.eigenvalues
     part = spectral.group_eigenspaces(e, spectral.degeneracy_tol(e[-1] - e[0]))
-    phi = _phi(*_phase_factors(dist, part.levels), part.group_of)
-    return _weighted_density(dec.eigenvectors, _eigenbasis(dec.eigenvectors, rho0), phi)
+    phi = _phi(*_phase_factors(dist, part.energies))
+    return _weighted_density(dec.eigenvectors, _eigenbasis(dec.eigenvectors, rho0), phi, part.group_of)
 
 
 def _eigenbasis(v: np.ndarray, rho0: DensityOperator) -> np.ndarray:
@@ -614,10 +617,13 @@ def _eigenbasis(v: np.ndarray, rho0: DensityOperator) -> np.ndarray:
     return v.conj().swapaxes(-1, -2) @ rho0.entries @ v
 
 
-def _weighted_density(v: np.ndarray, m: np.ndarray, weight: np.ndarray) -> DensityOperator:
-    """The state whose eigenbasis element (j, k) is m[j, k] * weight[j, k], m from
-    _eigenbasis, per matrix of a stack; the result is computed, so a failed
+def _weighted_density(v: np.ndarray, m: np.ndarray, weight: np.ndarray, group_of: np.ndarray) -> DensityOperator:
+    """The state whose eigenbasis element (j, k) is m[j, k] * weight[g_j, g_k],
+    m from _eigenbasis and g_j = group_of[j], per matrix of a stack (weight
+    may lead with axes of its own); the result is computed, so a failed
     invariant is an internal inconsistency."""
+    at = group_of.reshape((1,) * (weight.ndim - group_of.ndim - 1) + group_of.shape + (1,))
+    weight = np.take_along_axis(np.take_along_axis(weight, at, axis=-2), at.swapaxes(-1, -2), axis=-1)
     try:
         return density_operator(v @ (m * weight) @ v.conj().swapaxes(-1, -2))
     except ValidationError as exc:

@@ -300,6 +300,27 @@ def test_subspace_flags_a_cross_gap_or_an_alpha_below_its_floor():
     assert low.checks == {**real.checks, "alpha_floor_ok": False}
 
 
+def test_subspace_clears_a_within_gap_just_above_its_floor():
+    # the within-subset floor is pi/(16n): a walk whose within gap lies between
+    # pi/(16n) and twice that clears every check, as the real column walk does
+    two_n, n = 64, 32
+    w = gluedtrees.column_walk(two_n)
+    real = gluedtrees.subspace_S(w)
+    members = np.flatnonzero(np.isin(w.partition.group_of, real.group_indices))
+    # members alternate with the other branch: the energy between the two middle
+    # members dropped, and the upper one moved to 1.5 pi/(16n) above the lower
+    lo, hi = members[members.shape[0] // 2 - 1 : members.shape[0] // 2 + 1]
+    assert hi == lo + 2
+    keep = np.arange(two_n) != lo + 1
+    energies = w.energies.copy()
+    energies[hi] = energies[lo] + 1.5 * math.pi / (16 * n)
+    near = gluedtrees.subspace_S(dataclasses.replace(w, energies=energies[keep], c=w.c[keep], rows=w.rows[:, keep]))
+    assert near.two_n == two_n and near.ells == real.ells
+    assert math.pi / (16 * n) < near.within_subset_gap < math.pi / (8 * n)
+    assert near.delta_e_s == near.within_subset_gap
+    assert near.checks == real.checks and all(near.checks.values())
+
+
 def test_subspace_gaps_match_all_pairs():
     # brute-force oracle: every pair within the band, and every band member
     # against every other eigenspace group

@@ -501,6 +501,30 @@ def test_a_shot_within_the_margin_is_decided_in_float64(evaluations):
     assert np.array_equal(hit, u < p64)
 
 
+def test_a_float32_error_just_inside_the_margin_decides_as_float64(monkeypatch):
+    # every float32 probability off by 0.99 of the derived margin, and each u
+    # 0.3 of it from its float64 probability on the same side: every shot must
+    # decide as in float64, which half the margin would not do
+    w = gluedtrees.column_walk(64)
+    dist = TimeDistribution(T=300.0, k=2)
+    uniforms = rng_stream(5).random((8, dist.k))
+    ts = uniforms.sum(axis=1) * dist.T
+    sigma, _, _, weight = w._fold
+    eps = (walk.TRIG32_ERROR + ts.max() * sigma.max() * 2.0**-50) * weight
+    margin = 2.0 * eps * (1.0 + w.prune_bound) + eps**2 + 2.0**-40
+    p64 = w._hit_probabilities(ts, np.float64)
+    side = np.where(p64 < 0.5, 1.0, -1.0)
+    p32, u = p64 + 0.99 * margin * side, p64 + 0.3 * margin * side
+    assert np.all((u < p32) != (u < p64))
+    # with half the margin, a shot decided in float32 would decide otherwise
+    assert np.any((np.abs(u - p32) > 0.5 * margin) & ((u < p32) != (u < p64)))
+    evaluate = walk.SpectralWalk._hit_probabilities
+    monkeypatch.setattr(walk.SpectralWalk, "_hit_probabilities", lambda self, t, dtype: p32.copy() if dtype is np.float32 else evaluate(self, t, dtype))
+    times, hit = w.sample(dist, ScriptedDraws(uniforms, u), 8)
+    assert np.array_equal(times, ts)
+    assert np.array_equal(hit, u < p64)
+
+
 @pytest.mark.parametrize("T", [300.0, 1e5, 1e7])
 def test_float32_probabilities_stay_within_the_margin(T):
     # eps = (TRIG32_ERROR + max|t sigma| 2^-50) weight bounds the amplitude
@@ -714,8 +738,8 @@ def test_stacked_walks_equal_single_walks_bitwise():
             for p, law in zip(stack.averages[:, i], (TimeDistribution(T=dist.T, k=1), dist)):
                 assert p == one.probability(law), (dim, i, law)
             # the half-angle factors of each walk's own law at its group energies, which the stacked residual reuses
-            g1, s1 = walk._phase_factors(dist, one.partition.levels)
-            assert np.array_equal(stack.factors[0][i], g1) and np.array_equal(stack.factors[1][i], s1)
+            g1, s1 = walk._phase_factors(dist, one.partition.energies)
+            assert np.array_equal(stack.factors[0][i, :m], g1) and np.array_equal(stack.factors[1][i, :m, :m], s1)
         assert lo == stack.overlaps.shape[0] == stack.delta_e_star.shape[0]
         assert dim == 2 or max(np.diff(np.append(np.flatnonzero(starts), dim)).max() for starts in stack.group_starts[:4]) >= 2
 
@@ -737,6 +761,42 @@ def test_exact_average_equals_the_averaged_state_on_degenerate_spectra():
                 avg = walk.time_averaged_density(h, rho, dist).entries
                 assert abs(w.probability(dist) - (y.amplitudes.conj() @ avg @ y.amplitudes).real) <= 1e-14, (dim, T, k)
     assert grouped == 8  # each dimension above 2 repeats a level
+
+
+def hypercube(n: int) -> np.ndarray:
+    """Adjacency matrix of the hypercube Q_n: 2^n vertices, one edge per flipped bit."""
+    v = np.arange(2**n)
+    a = np.zeros((2**n, 2**n))
+    for bit in range(n):
+        a[v, v ^ (1 << bit)] = 1.0
+    return a
+
+
+@pytest.mark.parametrize(
+    "make,groups",
+    [(lambda rng: hypercube(6), 7), (lambda rng: tied_hermitian(rng, 10), 5)],
+    ids=["hypercube-6", "tied-10"],
+)
+def test_exact_average_of_a_degenerate_walk_reads_its_groups_only(monkeypatch, make, groups):
+    # the exact average and the averaged state build their pair kernel over the
+    # G group energies, not over the d eigenvalues, and agree
+    rng = rng_stream(31, groups)
+    h = make(rng)
+    dim = h.shape[0]
+    psi0, y = random_state(rng, dim), random_state(rng, dim)
+    w = walk.spectral_walk(h, psi0, y)
+    assert w.partition.n_groups == groups < dim
+    rho = walk.density_operator(np.outer(psi0.amplitudes, psi0.amplitudes.conj()))
+    shapes, factors = [], walk._phase_factors
+    monkeypatch.setattr(walk, "_phase_factors", lambda dist, energies, *rest: shapes.append(energies.shape) or factors(dist, energies, *rest))
+    for T in (0.7, 40.0):
+        for k in (1, 3):
+            dist = TimeDistribution(T=T, k=k)
+            p = w.probability(dist)
+            assert shapes[-1] == (groups,)
+            avg = walk.time_averaged_density(h, rho, dist).entries
+            assert abs(p - (y.amplitudes.conj() @ avg @ y.amplitudes).real) <= 1e-12, (T, k)
+    assert shapes == [(groups,)] * 8
 
 
 def test_stacked_walks_name_the_ambiguous_matrix():
