@@ -186,8 +186,7 @@ def _gluedtrees_row(task: tuple) -> list:
     taus = gluedtrees.certified_hitting_times(column)
     stats = gluedtrees.traversal_success_stats(two_n, mc_seed, mc_runs, column)
     sub = taus["subspace"]
-    p_shot = column.probability(TimeDistribution(T=stats["T"], k=stats["k"]))
-    floor = stats["per_shot_floor"]
+    p_shot, floor = stats["p_shot"], stats["per_shot_floor"]
     t_lo = 2.0 / sub.delta_e_s
     exact = column.hitting_time(walk.geometric_grid(t_lo, 64.0 * t_lo), stats["k"])
     slacks = [taus[f"slack_l{i}"] for i in (1, 2, 3)]

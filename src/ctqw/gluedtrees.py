@@ -640,25 +640,42 @@ def default_schedule(two_n: int) -> tuple[float, int, int]:
 
 
 def _first_hits(
-    w: walk.SpectralWalk, dist: TimeDistribution, rng: np.random.Generator, runs: int, reps: int
+    w: walk.SpectralWalk, dist: TimeDistribution, rng: np.random.Generator, runs: int, reps: int, p_shot: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Repeat the randomized-time walk in each of `runs` runs until its first hit.
 
-    Round r = 1..reps draws one shot for every run still active through
-    w.sample, and the runs that hit stop. Each run draws min(G, reps)
-    shots, G geometric in the per-shot hit probability. Returns
-    (used, hit) per run: the shots drawn and whether one of them hit.
+    Round r = 1..reps draws one shot for every run still active, and the
+    runs that hit stop: each run draws min(G, reps) shots, G geometric in
+    the per-shot hit probability. Returns (used, hit) per run: the shots
+    drawn and whether one of them hit. The stream is that of one w.sample
+    per round of m active runs; a Philox stream's doubles do not depend on
+    how the draws are split, so they come from one buffer of rng.random.
+    One w.hits call decides L = ceil(1 / (1 - (1 - p_shot)^m)) rounds as if
+    none but the last hit, with L at most the rounds left and L m <= runs;
+    the rounds up to the first with a hit are kept, and the doubles of the
+    rest stay in the buffer.
     """
-    used = np.full(runs, reps, dtype=np.int64)
-    hit = np.zeros(runs, dtype=bool)
-    active = np.arange(runs)
-    for r in range(1, reps + 1):
-        if active.size == 0:
-            break
-        _, hits = w.sample(dist, rng, active.size)
-        used[active[hits]] = r
-        hit[active[hits]] = True
-        active = active[~hits]
+    k, used, hit = dist.k, np.full(runs, reps, dtype=np.int64), np.zeros(runs, dtype=bool)
+    active, draws, done = np.arange(runs), np.empty(0), 0
+    while active.size and done < reps:
+        m = active.size
+        miss = (1.0 - p_shot) ** m
+        batch = min(math.ceil(1.0 / (1.0 - miss)) if miss < 1.0 else reps, reps - done, runs // m)
+        draws = np.concatenate([draws, rng.random(max(0, batch * m * (k + 1) - draws.shape[0]))])
+        rounds = draws[: batch * m * (k + 1)].reshape(batch, -1)
+        ts, u = np.empty((batch, m)), np.empty((batch, m))
+        # each SAMPLE_CHUNK of a round: its k uniforms per shot, then one per shot
+        for lo in range(0, m, walk.SAMPLE_CHUNK):
+            c, at = min(walk.SAMPLE_CHUNK, m - lo), lo * (k + 1)
+            ts[:, lo : lo + c] = (rounds[:, at : at + c * k].reshape(-1, k).sum(axis=1) * dist.T).reshape(batch, c)
+            u[:, lo : lo + c] = rounds[:, at + c * k : at + c * (k + 1)]
+        hits = w.hits(ts.ravel(), u.ravel()).reshape(batch, m)
+        struck = np.flatnonzero(hits.any(axis=1))
+        kept = int(struck[0]) + 1 if struck.size else batch
+        draws, done, now = draws[kept * m * (k + 1) :], done + kept, hits[kept - 1]
+        used[active[now]] = done
+        hit[active[now]] = True
+        active = active[~now]
     return used, hit
 
 
@@ -667,18 +684,19 @@ def traversal_success_stats(two_n: int, rng_seed: int, runs: int, w: walk.Spectr
     column walk of column_walk(two_n).
 
     Each run repeats the walk until its first exit hit, within
-    max_repetitions; all runs draw their shots together, one round at a
-    time, measuring only the exit column. That costs about runs / p_shot
-    shots, returned as "shots"; deterministic for a fixed seed. The dict
-    also carries the schedule (T, k, max_repetitions) and its per-shot floor,
-    which is two_n's, so a SpectralWalk w of any other dimension is rejected.
+    max_repetitions, measuring only the exit column (_first_hits). That
+    costs about runs / p_shot shots, returned as "shots"; deterministic for
+    a fixed seed. The dict also carries the schedule (T, k, max_repetitions),
+    its per-shot floor, which is two_n's, so a SpectralWalk w of any other
+    dimension is rejected, and p_shot, w's exact exit probability per shot.
     """
     check_count(runs, "runs")
     if isinstance(w, walk.SpectralWalk) and w.dim != two_n:
         raise ValidationError(f"walk dimension {w.dim} != schedule size two_n = {two_n}")
     T, k, reps = default_schedule(two_n)
     dist = TimeDistribution(T=T, k=k)
-    used, hit = _first_hits(w, dist, rng_stream(rng_seed, 13), runs, reps)
+    p_shot = w.probability(dist)
+    used, hit = _first_hits(w, dist, rng_stream(rng_seed, 13), runs, reps, p_shot)
     return {
         "runs": int(runs),
         "success_fraction": float(np.mean(hit)),
@@ -688,5 +706,6 @@ def traversal_success_stats(two_n: int, rng_seed: int, runs: int, w: walk.Spectr
         "k": int(k),
         "max_repetitions": int(reps),
         "per_shot_floor": 1.0 / reps,
+        "p_shot": p_shot,
     }
 

@@ -29,8 +29,10 @@ whether each shot lands in the target span, one phase per distinct group
 |E|, and measures the span at the rank of its folded columns. It
 takes their cos and sin in float32 and re-evaluates in float64 every shot
 whose uniform falls within the certified error of its probability, so each
-decision is the float64 one. Its hitting time and the certified glued-trees
-routes share one grid minimizer, _grid_minimum.
+decision is the float64 one, in whatever batch. The hitting time and the
+certified glued-trees routes share one grid minimizer, _grid_minimum; the
+hitting time averages exactly only where the envelope |sinc x|^k <=
+min(1, 1/|x|)^k leaves p(T) room for the minimum.
 The one-shot functions below each build one and ask it once.
 spectral_walks reads the walks of a whole stack of matrices into a
 WalkStack of arrays with the same kernels, bitwise.
@@ -85,6 +87,8 @@ SAMPLE_BLOCK = 1024
 #: cast back to float64, misses the float64 value (1.6e-7 measured); a phase
 #: t sigma below 2^40 in magnitude reduces into that range
 TRIG32_ERROR = 2.0**-21
+#: the hitting-time screen bins pair weights by gap, SCREEN_BINS per octave, SCREEN_BLOCK groups at a time
+SCREEN_BINS, SCREEN_BLOCK = 32, 64
 
 
 # value records are named tuples: a frozen dataclass costs about three times the import-time memory
@@ -357,14 +361,28 @@ class SpectralWalk:
     def hitting_time(self, T_grid, k: int) -> HittingTimeEstimate:
         """Minimize total evolution time k T over averaged success probability.
 
-        Raises DegenerateProbabilityError if every grid probability is below
-        1e-15.
+        Every grid point is checked as a TimeDistribution. p(T) <= p_inf +
+        D(T) + slack (_envelope) bounds each ratio from below; the point of
+        the lowest bound gets an exact average, then each point whose bound,
+        less a 2^-40 rounding margin, is not above its ratio. The rest cannot
+        win and read as NaN, so the estimate is the whole grid's, bitwise.
+        DegenerateProbabilityError if every grid probability is below 1e-15.
         """
         grid = np.asarray(T_grid, dtype=np.float64)
         if grid.ndim != 1 or grid.shape[0] == 0 or np.any(grid <= 0):
             raise ValidationError("T_grid must be a non-empty 1-d array of positive times")
-        # one pair kernel at a time, never one per grid point at once
-        probs = np.array([self.probability(TimeDistribution(T=float(t), k=k)) for t in grid])
+        dists = [TimeDistribution(T=float(t), k=k) for t in grid]
+        upper = self.limiting_probability + self._envelope(grid, k)
+        # a point whose p(T) cannot exceed 1e-15 reads as +inf, evaluated or not
+        lower = np.divide(k * grid, upper, out=np.full(grid.shape, np.inf), where=upper > 1e-15)
+        probs = np.full(grid.shape, np.nan)
+        first = int(np.argmin(lower))
+        if lower[first] < np.inf:
+            probs[first] = self.probability(dists[first])
+            ratio = k * grid[first] / probs[first] if probs[first] > 1e-15 else np.inf
+            for i in np.flatnonzero((lower < np.inf) & (lower * (1.0 - 2.0**-40) <= ratio)):
+                if i != first:
+                    probs[i] = self.probability(dists[i])
         unreachable = DegenerateProbabilityError(f"all {grid.shape[0]} grid probabilities below 1e-15; target unreachable")
         tau, best = _grid_minimum(grid, k, probs, 1e-15, unreachable)
         return HittingTimeEstimate(
@@ -374,6 +392,35 @@ class SpectralWalk:
             k_at_argmin=int(k),
             grid_description=f"geometric[{grid[0]:.6g},{grid[-1]:.6g}]x{grid.shape[0]}",
         )
+
+    def _envelope(self, grid: np.ndarray, k: int) -> np.ndarray:
+        """D(T) + slack at each T of grid, a bound on |p(T) - p_inf| as computed.
+
+        |Phi(x)| = |sinc(xT/2)|^k <= min(1, 2/(T|x|))^k, so |p - p_inf| <=
+        D(T) = sum_{g != h} W_gh min(1, 2/(T|E_g - E_h|))^k, W_gh = sum_r
+        |a_rg| |a_rh| over the group columns a. The weights of the pairs g < h
+        are binned by gap, SCREEN_BLOCK rows at a time, and each bin reads the
+        gap one bin below its own, which a rounded log2 cannot pass. slack =
+        (G^2 + 2(R + 2) G + 4k + 64) 2^-52 A, A = sum_r (sum_g |a_rg|)^2 >=
+        p_inf + D, covers the float64 rounding of p, p_inf and D."""
+        a, e = np.abs(self._group_columns), self.partition.energies
+        rows, groups = a.shape
+        slack = (groups**2 + 2 * (rows + 2) * groups + 4 * k + 64) * 2.0**-52 * float(np.square(a.sum(axis=1)).sum())
+        if groups < 2:
+            return np.full(grid.shape, slack)
+        # each pair gap lies between the smallest adjacent gap and the range
+        lo_bin = int(np.floor(SCREEN_BINS * np.log2(np.diff(e).min()))) - 2
+        weights = np.zeros(int(np.ceil(SCREEN_BINS * np.log2(e[-1] - e[0]))) + 2 - lo_bin)
+        for lo in range(0, groups - 1, SCREEN_BLOCK):
+            hi = min(lo + SCREEN_BLOCK, groups - 1)
+            above = np.arange(groups - lo - 1) >= np.arange(hi - lo)[:, None]
+            gaps = (e[lo + 1 :] - e[lo:hi, None])[above]
+            bins = np.floor(SCREEN_BINS * np.log2(gaps)).astype(np.int64) - lo_bin
+            weights += np.bincount(bins, (a[:, lo:hi].T @ a[:, lo + 1 :])[above], weights.shape[0])
+        used = np.flatnonzero(weights)
+        edges = np.exp2((used + lo_bin - 1) / SCREEN_BINS)
+        env = np.minimum(2.0 / np.multiply.outer(grid, edges), 1.0) ** k
+        return 2.0 * (env @ weights[used]) + slack
 
     @cached_property
     def partition(self) -> EigenspacePartition:
@@ -397,10 +444,23 @@ class SpectralWalk:
         """Monte Carlo: draw a time, evolve, measure; whether each shot hit.
 
         Each chunk of SAMPLE_CHUNK shots draws its times, then one uniform u
-        per shot; a shot hits, landing in the span of the target rows, when
-        u is below its total probability there. One phase t sigma per
-        distinct nonzero group |E| serves both signs, and the target rows
-        are compressed to the folded columns' rank (_fold).
+        per shot, and hits decides them. Returns (times, hit).
+        """
+        check_count(shots, "shots")
+        times, hit = np.empty(shots), np.empty(shots, dtype=bool)
+        for lo in range(0, shots, SAMPLE_CHUNK):
+            m = min(SAMPLE_CHUNK, shots - lo)
+            ts = rng.random((m, dist.k)).sum(axis=1) * dist.T
+            times[lo : lo + m] = ts
+            hit[lo : lo + m] = self.hits(ts, rng.random(m))
+        return times, hit
+
+    def hits(self, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Whether each shot, at its time in ts with its uniform in u, hits:
+        lands in the span of the target rows, u below its total probability
+        there. One phase t sigma per distinct nonzero group |E| serves both
+        signs, and the target rows are compressed to the folded columns'
+        rank (_fold).
 
         The phases are reduced in float64 and their cos and sin taken in
         float32 (_hit_probabilities). Each is then off by at most
@@ -410,29 +470,19 @@ class SpectralWalk:
         margin = 2 eps (1 + prune_bound) + eps^2 + 2^-40, the last term
         for float64 rounding. A shot with u farther than margin from its
         probability is decided by it; the others are evaluated again with
-        float64 cos and sin. So every shot decides as the float64 walk does.
-        At most SAMPLE_BLOCK x 3 mc_phases floats and the block's
-        amplitudes are held at once. Returns (times, hit).
+        float64 cos and sin. So every shot decides as the float64 walk does,
+        whichever shots share the call. At most SAMPLE_BLOCK x 3 mc_phases
+        floats and the block's amplitudes are held at once.
         """
-        check_count(shots, "shots")
         sigma, _, _, weight = self._fold
-        times = np.empty(shots)
-        hit = np.empty(shots, dtype=bool)
-        for lo in range(0, shots, SAMPLE_CHUNK):
-            m = min(SAMPLE_CHUNK, shots - lo)
-            ts = rng.random((m, dist.k)).sum(axis=1) * dist.T
-            u = rng.random(m)
-            p = self._hit_probabilities(ts, np.float32)
-            eps = (TRIG32_ERROR + float(ts.max()) * float(sigma.max(initial=0.0)) * 2.0**-50) * weight
-            margin = 2.0 * eps * (1.0 + self.prune_bound) + eps**2 + 2.0**-40
-            # written ~(x > margin), so that a NaN goes to float64
-            close = ~(np.abs(u - p) > margin)
-            if close.any():
-                p[close] = self._hit_probabilities(ts[close], np.float64)
-            times[lo : lo + m] = ts
-            hit[lo : lo + m] = u < p
-        return times, hit
-
+        p = self._hit_probabilities(ts, np.float32)
+        eps = (TRIG32_ERROR + float(ts.max()) * float(sigma.max(initial=0.0)) * 2.0**-50) * weight
+        margin = 2.0 * eps * (1.0 + self.prune_bound) + eps**2 + 2.0**-40
+        # written ~(x > margin), so that a NaN goes to float64
+        close = ~(np.abs(u - p) > margin)
+        if close.any():
+            p[close] = self._hit_probabilities(ts[close], np.float64)
+        return u < p
 
 def _grid_minimum(grid: np.ndarray, k: int, values: np.ndarray, floor: float, error: Exception) -> tuple[float, int]:
     """(min k T / value, its index) over a grid of times T and the values at

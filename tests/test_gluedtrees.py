@@ -11,9 +11,10 @@ from scipy.optimize import brentq
 
 from ctqw import gluedtrees, walk
 from ctqw.errors import InconsistencyError, InvalidLabelError, ValidationError
+from ctqw.rng import rng_stream
 from ctqw.walk import TimeDistribution
 
-from oracles import run_traversal
+from oracles import first_hits_by_round, run_traversal
 
 SQRT2 = math.sqrt(2.0)
 
@@ -526,9 +527,14 @@ class ScriptedWalk:
         # round r's shots all take time r
         return np.full(shots, float(self.round)), hit
 
+    def probability(self, dist):
+        # no per-shot probability is scripted; the round-by-round oracle reads none
+        return math.nan
 
-def test_traversal_success_stats_stops_each_run_at_first_hit():
-    # two_n = 4: max_repetitions = 40
+
+def test_traversal_success_stats_stops_each_run_at_first_hit(monkeypatch):
+    # two_n = 4: max_repetitions = 40; one sampler call per round
+    monkeypatch.setattr(gluedtrees, "_first_hits", first_hits_by_round)
     scripted = ScriptedWalk([1, 40, None, 7])
     stats = gluedtrees.traversal_success_stats(4, rng_seed=1, runs=4, w=scripted)
     assert stats["max_repetitions"] == 40
@@ -538,7 +544,8 @@ def test_traversal_success_stats_stops_each_run_at_first_hit():
     assert scripted.round == 40
 
 
-def test_traversal_success_stats_stops_when_every_run_hit():
+def test_traversal_success_stats_stops_when_every_run_hit(monkeypatch):
+    monkeypatch.setattr(gluedtrees, "_first_hits", first_hits_by_round)
     scripted = ScriptedWalk([3, 1, 2])
     stats = gluedtrees.traversal_success_stats(4, rng_seed=1, runs=3, w=scripted)
     assert stats["success_fraction"] == 1.0
@@ -547,9 +554,22 @@ def test_traversal_success_stats_stops_when_every_run_hit():
 
 
 def test_first_hits_counts_the_shots_to_each_first_hit():
-    used, hit = gluedtrees._first_hits(ScriptedWalk([2, None, 5]), TimeDistribution(T=1.0, k=1), None, 3, 6)
+    used, hit = first_hits_by_round(ScriptedWalk([2, None, 5]), TimeDistribution(T=1.0, k=1), None, 3, 6)
     assert used.tolist() == [2, 6, 5]
     assert hit.tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("two_n", [8, 32, 128])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_first_hits_equal_the_round_by_round_loop_bitwise(two_n, seed):
+    w = gluedtrees.column_walk(two_n)
+    T, k, reps = gluedtrees.default_schedule(two_n)
+    dist = TimeDistribution(T=T, k=k)
+    p_shot = w.probability(dist)
+    for runs in (1, 7, 200, walk.SAMPLE_CHUNK + 1):
+        used, hit = gluedtrees._first_hits(w, dist, rng_stream(seed, 13), runs, reps, p_shot)
+        want_used, want_hit = first_hits_by_round(w, dist, rng_stream(seed, 13), runs, reps)
+        assert np.array_equal(used, want_used) and np.array_equal(hit, want_hit)
 
 
 def truncated_geometric(p, cap):

@@ -911,3 +911,33 @@ def test_gluedtrees_row_holds_requires_certified_slack(monkeypatch):
         gluedtrees, "certified_hitting_times", lambda w: {**certified(w), "slack_l2": -1e-3}
     )
     assert not cli._gluedtrees_row((16, 5, 20))[0]["holds"]
+
+
+def test_sweep_rows_screen_their_exact_averages_and_batch_their_rounds(monkeypatch):
+    # the gluedtrees-sweep rows: 78 exact averages per row and 1218 sampler
+    # calls over the four rows when every grid point and round had its own
+    averages, batches = [], []
+    factors, hits = walk._phase_factors, walk.SpectralWalk.hits
+    monkeypatch.setattr(walk, "_phase_factors", lambda *args: averages.append(args[0]) or factors(*args))
+    monkeypatch.setattr(walk.SpectralWalk, "hits", lambda self, ts, u: batches.append(ts.shape[0]) or hits(self, ts, u))
+    for idx, two_n in enumerate((32, 64, 96, 128)):
+        averages.clear()
+        cli._gluedtrees_row((two_n, rng.task_seed(7, idx), 200))
+        # p_shot, the three certificates and the screened tau_exact grid
+        assert len(averages) <= 8, two_n
+    assert len(batches) <= 600
+    # no batch of rounds outgrows the first round
+    assert max(batches) <= 200
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="tau_exact's grid starts at t_lo = 2/delta_S, and its ratio k T / p(T) still falls there: "
+    "argmin_T is t_lo at every size from 2n = 8 to 1024 (ROADMAP, direction 6)",
+)
+@pytest.mark.parametrize("two_n", [16, 128])
+def test_tau_exact_minimum_lies_inside_its_grid(two_n):
+    row = cli._gluedtrees_row((two_n, 1, 1))[0]
+    t_lo = 2.0 / row["delta_e_s"]
+    grid = walk.geometric_grid(t_lo, 64.0 * t_lo)
+    assert grid[0] < row["tau_exact_argmin_T"] < grid[-1]

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctqw import gluedtrees, markov, search, spectral, walk
 from ctqw.errors import (
@@ -18,6 +21,7 @@ from ctqw.rng import rng_stream
 from ctqw.walk import TimeDistribution
 
 from conftest import instance_stream, partition_of, random_hermitian, random_state
+from oracles import hitting_time_by_grid
 
 
 def two_level_average(T: float) -> float:
@@ -173,6 +177,8 @@ def test_time_distribution_needs_a_finite_T():
     w = walk.spectral_walk(np.diag([0.0, 1.0]), walk.basis_state(2, 0), walk.basis_state(2, 0))
     with pytest.raises(ValidationError, match="got inf"):
         w.hitting_time([1.0, math.inf], 1)
+    with pytest.raises(ValidationError, match="got nan"):
+        w.hitting_time([1.0, math.nan, 2.0], 1)
 
 
 def test_a_fractional_or_boolean_k_is_refused():
@@ -970,3 +976,90 @@ def test_geometric_grid_shape():
     assert len(g) == 121
     with pytest.raises(ValidationError):
         walk.geometric_grid(5.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the screened hitting time: exact averages only where the grid minimum can be
+
+
+def assert_screen_holds(w: walk.SpectralWalk, grid: np.ndarray, k: int) -> None:
+    """Every exact p(T) on the grid lies within p_inf +- (D(T) + slack), and
+    hitting_time equals the full-grid loop in all five fields, bitwise, or
+    raises the same error."""
+    p_inf, reach = w.limiting_probability, w._envelope(grid, k)
+    for t, r in zip(grid.tolist(), reach.tolist(), strict=True):
+        p = w.probability(TimeDistribution(T=t, k=k))
+        assert abs(p - p_inf) <= r, (t, k, p, p_inf, r)
+    try:
+        want = hitting_time_by_grid(w, grid, k)
+    except DegenerateProbabilityError as exc:
+        with pytest.raises(DegenerateProbabilityError, match=f"^{re.escape(str(exc))}$"):
+            w.hitting_time(grid, k)
+    else:
+        # repr tells every float apart, -0.0 from 0.0 too
+        assert repr(w.hitting_time(grid, k)) == repr(want)
+
+
+@st.composite
+def dense_walks(draw) -> walk.SpectralWalk:
+    """A walk on a random or exactly tied Hermitian matrix of dimension 2..12,
+    towards one random state or 1-3 orthonormal target columns."""
+    make = draw(st.sampled_from([random_hermitian, tied_hermitian]))
+    dim = draw(st.integers(2, 12))
+    n_rows = draw(st.integers(1, min(3, dim)))
+    rng = rng_stream(draw(st.integers(0, 2**32 - 1)))
+    h, psi0 = make(rng, dim), random_state(rng, dim)
+    if n_rows == 1:
+        return walk.spectral_walk(h, psi0, random_state(rng, dim))
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, n_rows)) + 1j * rng.standard_normal((dim, n_rows)))
+    return walk.spectral_walk(h, psi0, basis)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dense_walks(), st.integers(1, 6), st.floats(-2.0, 2.0), st.floats(0.3, 3.0))
+def test_screened_hitting_time_equals_the_full_grid(w, k, lo_decade, decades):
+    assert_screen_holds(w, walk.geometric_grid(10.0**lo_decade, 10.0 ** (lo_decade + decades), per_decade=20), k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_screened_hitting_time_of_hand_walks(k):
+    grid = walk.geometric_grid(0.05, 1e5, per_decade=20)
+    rng = rng_stream(41, 0)
+    psi0, y = random_state(rng, 3), random_state(rng, 3)
+    # one group: D is 0, and p(T) sits an ulp off p_inf, so only the slack holds it;
+    # so it does at large T, where D falls below an ulp
+    assert_screen_holds(walk.spectral_walk(0.3 * np.eye(3), psi0, y), grid, k)
+    assert_screen_holds(walk.spectral_walk(random_hermitian(rng, 3), psi0, y), grid, k)
+    # y = psi0 at small T: all pairs in phase, so p - p_inf reaches D
+    assert_screen_holds(walk.spectral_walk(np.diag([0.0, 1.0, 3.0]), psi0, psi0), grid, k)
+    # an imaginary cross term: |Im Phi| runs above half the envelope at k = 1
+    plus_i = walk.pure_state(np.array([1.0, 1j]) / math.sqrt(2.0))
+    plus = walk.pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0))
+    assert_screen_holds(walk.spectral_walk(np.diag([0.0, 1.0]), plus, plus_i), grid, k)
+
+
+def test_screened_hitting_time_of_an_unreachable_target():
+    grid = walk.geometric_grid(0.1, 100.0, per_decade=10)
+    for k in (1, 4):
+        assert_screen_holds(walk.spectral_walk(np.diag([0.0, 1.0]), walk.basis_state(2, 0), walk.basis_state(2, 1)), grid, k)
+        # the start reaches one eigenspace of a tied walk, the target the other
+        h = np.diag([0.0, 0.0, 2.0])
+        assert_screen_holds(walk.spectral_walk(h, walk.basis_state(3, 0), walk.basis_state(3, 2)), grid, k)
+
+
+@pytest.mark.parametrize("two_n", [8, 16, 32, 64, 128, 256])
+def test_screened_hitting_time_of_the_column_walk(two_n):
+    w = gluedtrees.column_walk(two_n)
+    _, k, _ = gluedtrees.default_schedule(two_n)
+    # the CLI's tau_exact grid, and a wider one reaching down to where p is small
+    t_lo = 2.0 / gluedtrees.subspace_S(w).delta_e_s
+    for grid in (walk.geometric_grid(t_lo, 64.0 * t_lo), walk.geometric_grid(0.01 * t_lo, 100.0 * t_lo, per_decade=10)):
+        for kk in (1, k):
+            assert_screen_holds(w, grid, kk)
+
+
+def test_screened_hitting_time_of_the_hypercube():
+    w = walk.spectral_walk(hypercube(6), walk.basis_state(64, 0), walk.basis_state(64, 63))
+    grid = walk.geometric_grid(0.1, 1000.0, per_decade=20)
+    for k in (1, 2, 5):
+        assert_screen_holds(w, grid, k)
