@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 
@@ -62,11 +61,10 @@ BOUNDS_COLUMNS = [
     "holds",
 ]
 
-#: bounds instances per task: inside a block each numpy kernel runs once per
-#: stack of same-dimension instances, and no more than this many are held at once
-BOUNDS_BLOCK = 128
-#: largest bounds dim_max: a block of 128 instances, all of dimension 128, peaks
-#: at about 335 MB of RSS, which grows as dim^2
+#: cap on the matrix entries (instances x dim^2) of a stack of same-dimension
+#: bounds instances; a lone instance may pass it
+BOUNDS_STACK_ENTRIES = 4096
+#: largest bounds dim_max: 256 instances at dim_max 128 peak at about 54 MB of RSS
 BOUNDS_DIM_MAX = 128
 
 #: kind -> (CSV columns, CSV comment line) of the bundle the subcommand writes
@@ -389,9 +387,9 @@ def _cmd_search(cfg: dict, seed: int, jobs: int) -> tuple:
 # bounds subcommand
 
 
-def _bounds_stack(dim: int, streams: list, t_lo: float, t_hi: float, k_values: tuple, rows: dict) -> None:
+def _bounds_stack(dim: int, streams: list, t_lo: float, t_hi: float, k_values: tuple, rows: list) -> None:
     """Draw, decompose and certify the instances of one dimension, given as
-    (idx, stream) pairs, into rows[idx]; each numpy kernel runs once per stack,
+    (idx, stream) pairs, onto rows; each numpy kernel runs once per stack,
     and only the draws are made per instance."""
     n, sq = len(streams), dim * dim
     draws, dists = np.empty((n, 2 * sq + 4 * dim)), []
@@ -415,8 +413,7 @@ def _bounds_stack(dim: int, streams: list, t_lo: float, t_hi: float, k_values: t
         subsets.append(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
         groups.append(int(rng.integers(0, m)))
     table = bounds.certify_stack(stack, subsets, groups, rho0)
-    for idx, run in groupby(_bounds_rows(dim, [idx for idx, _ in streams], table), itemgetter("instance")):
-        rows[idx] = list(run)
+    rows += _bounds_rows(dim, [idx for idx, _ in streams], table)
 
 
 def _bounds_rows(dim: int, instances: list, table: dict) -> list:
@@ -435,14 +432,17 @@ def _bounds_block(task: tuple) -> list:
     """Rows of instances lo..hi-1, each drawn from its own stream as if alone,
     certified one stack of same-dimension instances at a time."""
     lo, hi, seed, dim_max, t_lo, t_hi, k_values = task
-    by_dim = {}  # dim -> [(idx, stream)]; the dimension is each stream's first draw
+    pending, rows = {}, []  # dim -> its open stack [(idx, stream)]
     for idx in range(lo, hi):
         rng = rng_stream(seed, 31, idx)
-        by_dim.setdefault(int(rng.integers(2, dim_max + 1)), []).append((idx, rng))
-    rows = {}  # idx -> its rows
-    while by_dim:
-        _bounds_stack(*by_dim.popitem(), t_lo, t_hi, k_values, rows)
-    return [row for idx in range(lo, hi) for row in rows[idx]]
+        dim = int(rng.integers(2, dim_max + 1))
+        pending.setdefault(dim, []).append((idx, rng))
+        if (len(pending[dim]) + 1) * dim * dim > BOUNDS_STACK_ENTRIES:
+            _bounds_stack(dim, pending.pop(dim), t_lo, t_hi, k_values, rows)
+    while pending:
+        _bounds_stack(*pending.popitem(), t_lo, t_hi, k_values, rows)
+    rows.sort(key=itemgetter("instance"))  # stable: each instance's rows keep their order
+    return rows
 
 
 def _cmd_bounds(cfg: dict, seed: int, jobs: int) -> tuple:
@@ -463,32 +463,31 @@ def _cmd_bounds(cfg: dict, seed: int, jobs: int) -> tuple:
     if not isinstance(inject_fault, bool):
         raise ConfigError(f"config field 'inject_fault' must be a boolean, got {inject_fault!r}")
 
-    tasks = [
-        (lo, min(lo + BOUNDS_BLOCK, instances), seed, dim_max, float(t_range[0]), float(t_range[1]), tuple(k_values))
-        for lo in range(0, instances, BOUNDS_BLOCK)
-    ]
+    parts = min(jobs, instances)
+    common = (seed, dim_max, *map(float, t_range), tuple(k_values))
+    tasks = [(instances * p // parts, instances * (p + 1) // parts, *common) for p in range(parts)]
     rows = _run_tasks(_bounds_block, tasks, jobs)
 
-    if inject_fault:
-        # self-test of the failure path: shift every slack down by 1e-3 and
-        # re-derive holds; comparison rows carry zero slack, so at least one
-        # row per instance must trip
-        for row in rows:
-            row["slack"] = row["slack"] - 1e-3
+    # inject_fault tests the failure path: each instance's comparison rows
+    # carry zero slack, so 1e-3 less fails them
+    min_slack = dict.fromkeys(("mixing", "eigenspace", "subset", "residual"))
+    comparison_ok, failed = True, 0
+    for row in rows:
+        if inject_fault:
+            row["slack"] -= 1e-3
             row["holds"] = bool(row["holds"] and row["slack"] >= -bounds.SLACK_TOL)
-
-    min_slack = {}
-    for kind in ("mixing", "eigenspace", "subset", "residual"):
-        values = [row["slack"] for row in rows if row["kind"] == kind]
-        min_slack[kind] = min(values) if values else None
+        kind, slack = row["kind"], row["slack"]
+        if kind == "comparison":
+            comparison_ok = comparison_ok and row["holds"]
+        elif min_slack[kind] is None or slack < min_slack[kind]:
+            min_slack[kind] = slack
+        failed += not row["holds"]
     summary = {
         "instances": instances,
         "row_count": len(rows),
         "min_slack": min_slack,
-        "comparison_all_ok": bool(
-            all(row["holds"] for row in rows if row["kind"] == "comparison")
-        ),
-        "all_hold": bool(all(row["holds"] for row in rows)),
+        "comparison_all_ok": comparison_ok,
+        "all_hold": not failed,
         "fault_injected": inject_fault,
     }
     config = {
@@ -498,7 +497,6 @@ def _cmd_bounds(cfg: dict, seed: int, jobs: int) -> tuple:
         "k_values": list(k_values),
         "inject_fault": inject_fault,
     }
-    failed = sum(1 for row in rows if not row["holds"])
     failure = f"{failed} of {len(rows)} inequality rows failed" if failed else None
     return config, rows, summary, failure, f"all {len(rows)} inequality rows hold"
 

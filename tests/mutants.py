@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 SCREEN_HAND = "tests/test_walk.py::test_screened_hitting_time_of_hand_walks"
 SCREEN_DRAWN = "tests/test_walk.py::test_screened_hitting_time_equals_the_full_grid"
+STACK_CAP = "tests/test_records_cli.py::test_cli_bounds_stacks_stay_within_the_entry_cap"
 
 MUTANTS = (
     # the hitting-time screen (walk.SpectralWalk._envelope)
@@ -110,6 +111,22 @@ MUTANTS = (
         '"alpha_floor_ok": bool(np.all(alpha > 1.0 / math.sqrt(2 * n)))',
         '"alpha_floor_ok": bool(np.all(alpha > 0.5 / math.sqrt(2 * n)))',
         ("tests/test_gluedtrees.py::test_subspace_flags_a_cross_gap_or_an_alpha_below_its_floor",),
+    ),
+    # the bounds stacks and shares (cli._bounds_block, cli._cmd_bounds): the
+    # bundle stays the same, so only the stacking tests can tell
+    Mutant(
+        "B1",
+        "src/ctqw/cli.py",
+        "if (len(pending[dim]) + 1) * dim * dim > BOUNDS_STACK_ENTRIES:",
+        "if False:",
+        (STACK_CAP,),
+    ),
+    Mutant(
+        "B2",
+        "src/ctqw/cli.py",
+        "instances * (p + 1) // parts, *common)",
+        "instances * (p + 1) // parts + 1, *common)",
+        (STACK_CAP, "tests/test_records_cli.py::test_cli_bounds_blocks_spread_over_jobs_identically"),
     ),
 )
 

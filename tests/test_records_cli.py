@@ -567,17 +567,18 @@ def bounds_bundle(tmp_path, name, instances, jobs="1") -> bytes:
 
 
 def test_cli_bounds_block_size_does_not_change_the_bundle(tmp_path, monkeypatch):
+    # stacks of one instance, of up to 200 entries, of the default cap, and one
+    # stack per dimension (20 instances of dim <= 10 hold at most 20 * 10^2 entries)
     bundles = []
-    for block in (1, 7, 128):
-        monkeypatch.setattr(cli, "BOUNDS_BLOCK", block)
-        bundles.append(bounds_bundle(tmp_path, f"block{block}", 20))
-    assert bundles[0] == bundles[1] == bundles[2]
+    for cap in (1, 200, cli.BOUNDS_STACK_ENTRIES, 20 * 10 * 10):
+        monkeypatch.setattr(cli, "BOUNDS_STACK_ENTRIES", cap)
+        bundles.append(bounds_bundle(tmp_path, f"cap{cap}", 20))
+    assert bundles[0] == bundles[1] == bundles[2] == bundles[3]
 
 
-def test_cli_bounds_blocks_spread_over_jobs_identically(tmp_path, monkeypatch):
-    # 6 instances in blocks of 2: three tasks for up to three workers
-    monkeypatch.setattr(cli, "BOUNDS_BLOCK", 2)
-    bundles = [bounds_bundle(tmp_path, f"jobs{jobs}", 6, jobs) for jobs in ("1", "2", "3")]
+def test_cli_bounds_blocks_spread_over_jobs_identically(tmp_path):
+    # 7 instances in one share per worker: 7, then 3 + 4, then 2 + 2 + 3
+    bundles = [bounds_bundle(tmp_path, f"jobs{jobs}", 7, jobs) for jobs in ("1", "2", "3")]
     assert bundles[0] == bundles[1] == bundles[2]
 
 
@@ -616,11 +617,40 @@ class SerialPool:
 def test_cli_jobs_capped_at_task_count(tmp_path, monkeypatch, jobs, workers):
     monkeypatch.setattr(SerialPool, "max_workers", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli, "BOUNDS_BLOCK", 1)
     cfg = write_cfg(tmp_path / "b.json", {"instances": 3, "seed": 12})
     assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path), "--jobs", jobs]) == 0
     assert SerialPool.max_workers == workers
     assert json.loads((tmp_path / "bounds.json").read_text())["summary"]["instances"] == 3
+
+
+@pytest.mark.parametrize("cap", [20, 100, cli.BOUNDS_STACK_ENTRIES])
+def test_cli_bounds_stacks_stay_within_the_entry_cap(tmp_path, monkeypatch, cap):
+    # 300 instances of dim <= 6 in 7 uneven shares, run in-process: each stack
+    # holds at most cap matrix entries, or one instance when d^2 passes the cap;
+    # a dimension has one stack pending at a time, certified as soon as it is
+    # full; and every instance is certified exactly once
+    monkeypatch.setattr(SerialPool, "max_workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "BOUNDS_STACK_ENTRIES", cap)
+    shares, stacks, shapes = [], [], []
+    block, stack, walks = cli._bounds_block, cli._bounds_stack, walk.spectral_walks
+    monkeypatch.setattr(cli, "_bounds_block", lambda task: shares.append(task[:2]) or block(task))
+    monkeypatch.setattr(cli, "_bounds_stack", lambda dim, streams, *rest: stacks.append((dim, [i for i, _ in streams])) or stack(dim, streams, *rest))
+    monkeypatch.setattr(walk, "spectral_walks", lambda h, *rest: shapes.append(h.entries.shape) or walks(h, *rest))
+    cfg = write_cfg(tmp_path / "b.json", {"instances": 300, "dim_max": 6, "seed": 12})
+    assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path), "--jobs", "7"]) == 0
+    assert SerialPool.max_workers == [7] and {hi - lo for lo, hi in shares} == {42, 43}
+    assert [lo for lo, _ in shares] == [0] + [hi for _, hi in shares[:-1]] and shares[-1][1] == 300
+    assert shapes == [(len(idx), dim, dim) for dim, idx in stacks]
+    assert all(b * d * d <= cap or b == 1 for b, d, _ in shapes)
+    assert sorted(i for _, idx in stacks for i in idx) == list(range(300))
+    for lo, hi in shares:
+        for d in range(2, 7):
+            runs = [idx for dim, idx in stacks if dim == d and lo <= idx[0] < hi]
+            # in instance order, one after the other, each full but the last
+            assert all(run == sorted(run) for run in runs)
+            assert all(run[-1] < later[0] for run, later in zip(runs, runs[1:]))
+            assert all(len(run) == max(1, cap // (d * d)) for run in runs[:-1])
 
 
 @pytest.mark.parametrize("jobs", ["0", "-5"])
