@@ -178,8 +178,7 @@ def _residual_distances(v: np.ndarray, rho0: DensityOperator, phi: np.ndarray, m
     # both states' group weights in one (2, B, G, G) stack: the time average, then the reference
     weights = np.stack([phi, _dephased_weight(phi, member)])
     avg, ref = walk._weighted_density(v, walk._eigenbasis(v, rho0), weights, group_of).entries
-    # one norm per matrix: the stacked axis= form differs in the last bit
-    return np.array([np.linalg.norm(diff) for diff in avg - ref])
+    return walk._norms((avg - ref).reshape(avg.shape[0], -1))
 
 
 def residual_bound(w: SpectralWalk, rho0: DensityOperator, subset, dist: TimeDistribution) -> BoundReport:

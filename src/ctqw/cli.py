@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -145,25 +144,23 @@ def _as_int(cfg: dict, key: str, default=None, minimum=None, maximum=None):
 
 
 def _run_tasks(worker, tasks, jobs: int) -> list:
-    """Run worker on every task and concatenate the row lists, in task order."""
+    """Run worker on every task: its results, in task order."""
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        chunks = map(worker, tasks)
-    else:
-        # imported here: the process pool's modules cost a sequential run peak RSS
-        from concurrent.futures import ProcessPoolExecutor
+        return list(map(worker, tasks))
+    # imported here: the process pool's modules cost a sequential run peak RSS
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # pool.map preserves task order, so collection stays deterministic
-            chunks = list(pool.map(worker, tasks))
-    return [row for chunk in chunks for row in chunk]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # pool.map preserves task order, so collection stays deterministic
+        return list(pool.map(worker, tasks))
 
 
 def _write_bundle(out: Path, kind: str, seed: int, config, rows, summary, failure, success) -> int:
     """Render <kind>.json and <kind>.csv, then write both, so that a row that cannot be
     serialized leaves no bundle; exit code 2 when failure names a failed assertion."""
     columns, comment = BUNDLES[kind]
-    record = records.ExperimentRecord(kind=kind, config=config, seed=seed, rows=tuple(rows), summary=summary)
+    record = records.ExperimentRecord(kind=kind, config=config, seed=seed, rows=rows, summary=summary)
     for suffix, pieces in zip(("json", "csv"), record.pieces(columns, comment)):
         records._write(out / f"{kind}.{suffix}", pieces)
     print(f"{kind}: wrote {out / f'{kind}.csv'} and {out / f'{kind}.json'}")
@@ -238,7 +235,7 @@ def _cmd_gluedtrees(cfg: dict, seed: int, jobs: int) -> tuple:
     mc_runs = _as_int(cfg, "mc_runs", default=200, minimum=1)
 
     tasks = [(two_n, task_seed(seed, idx), mc_runs) for idx, two_n in enumerate(sorted(sizes))]
-    rows = _run_tasks(_gluedtrees_row, tasks, jobs)
+    rows = [row for chunk in _run_tasks(_gluedtrees_row, tasks, jobs) for row in chunk]
 
     xs = np.log([row["n"] // 2 for row in rows])
     slope = None
@@ -355,7 +352,7 @@ def _cmd_search(cfg: dict, seed: int, jobs: int) -> tuple:
         raise ConfigError("search config needs 'families' + 'N', or 'chains'")
 
     tasks = [(*spec, seed, idx, epsilons, shots, time_factor) for idx, spec in enumerate(specs)]
-    rows = _run_tasks(_search_rows, tasks, jobs)
+    rows = [row for chunk in _run_tasks(_search_rows, tasks, jobs) for row in chunk]
 
     fits = []
     for family, n in sorted({(row["family"], row["N"]) for row in rows}):
@@ -387,9 +384,9 @@ def _cmd_search(cfg: dict, seed: int, jobs: int) -> tuple:
 # bounds subcommand
 
 
-def _bounds_stack(dim: int, streams: list, t_lo: float, t_hi: float, k_values: tuple, rows: list) -> None:
+def _bounds_stack(dim: int, streams: list, t_lo: float, t_hi: float, k_values: tuple, tables: list) -> None:
     """Draw, decompose and certify the instances of one dimension, given as
-    (idx, stream) pairs, onto rows; each numpy kernel runs once per stack,
+    (idx, stream) pairs, onto tables; each numpy kernel runs once per stack,
     and only the draws are made per instance."""
     n, sq = len(streams), dim * dim
     draws, dists = np.empty((n, 2 * sq + 4 * dim)), []
@@ -401,8 +398,7 @@ def _bounds_stack(dim: int, streams: list, t_lo: float, t_hi: float, k_values: t
     a = draws[:, :sq].reshape(n, dim, dim) + 1j * draws[:, sq : 2 * sq].reshape(n, dim, dim)
     vecs = draws[:, 2 * sq :].reshape(n, 2, 2, dim)
     states = np.ascontiguousarray((vecs[:, :, 0] + 1j * vecs[:, :, 1]).swapaxes(0, 1))  # (2, n, dim): psi0, then y
-    # one norm per state: the stacked axis= form differs in the last bit
-    states /= np.array([[np.linalg.norm(v) for v in stack] for stack in states])[..., None]
+    states /= walk._norms(states)[..., None]
     h = spectral.hermitian((a + a.conj().swapaxes(-1, -2)) / 2.0)
     psi0, y = walk.pure_state(states[0]), walk.pure_state(states[1])
     stack = walk.spectral_walks(h, psi0, y, dists)
@@ -413,36 +409,32 @@ def _bounds_stack(dim: int, streams: list, t_lo: float, t_hi: float, k_values: t
         subsets.append(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
         groups.append(int(rng.integers(0, m)))
     table = bounds.certify_stack(stack, subsets, groups, rho0)
-    rows += _bounds_rows(dim, [idx for idx, _ in streams], table)
+    table["instance"] = np.array([idx for idx, _ in streams])[table.pop("walk")]
+    table["dim"] = np.full(table["T"].shape, dim)
+    tables.append(table)
 
 
-def _bounds_rows(dim: int, instances: list, table: dict) -> list:
-    """The rows of a table of bounds.certify_stack, in its order."""
-    # a non-finite bound or actual value is written as null; a non-finite slack is refused by the record
-    columns = [np.asarray(instances)[table["walk"]], table["T"], table["bound_value"], table["actual_value"]]
-    idx, T, bound, actual = map(records._cells, columns)
-    cells = zip(idx, T, table["k"].tolist(), table["kind"].tolist(), bound, actual, table["slack"].tolist(), table["holds"].tolist())
-    return [
-        {"instance": i, "dim": dim, "T": t, "k": k, "kind": kind, "bound_value": b, "actual_value": a, "slack": slack, "holds": ok}
-        for i, t, k, kind, b, a, slack, ok in cells
-    ]
+def _joined(tables: list) -> dict:
+    """The tables of the same columns, one after the other."""
+    return {key: np.concatenate([table[key] for table in tables]) for key in tables[0]}
 
 
-def _bounds_block(task: tuple) -> list:
-    """Rows of instances lo..hi-1, each drawn from its own stream as if alone,
-    certified one stack of same-dimension instances at a time."""
+def _bounds_block(task: tuple) -> dict:
+    """The table of instances lo..hi-1, each drawn from its own stream as if
+    alone, certified one stack of same-dimension instances at a time."""
     lo, hi, seed, dim_max, t_lo, t_hi, k_values = task
-    pending, rows = {}, []  # dim -> its open stack [(idx, stream)]
+    pending, tables = {}, []  # dim -> its open stack [(idx, stream)]
     for idx in range(lo, hi):
         rng = rng_stream(seed, 31, idx)
         dim = int(rng.integers(2, dim_max + 1))
         pending.setdefault(dim, []).append((idx, rng))
         if (len(pending[dim]) + 1) * dim * dim > BOUNDS_STACK_ENTRIES:
-            _bounds_stack(dim, pending.pop(dim), t_lo, t_hi, k_values, rows)
+            _bounds_stack(dim, pending.pop(dim), t_lo, t_hi, k_values, tables)
     while pending:
-        _bounds_stack(*pending.popitem(), t_lo, t_hi, k_values, rows)
-    rows.sort(key=itemgetter("instance"))  # stable: each instance's rows keep their order
-    return rows
+        _bounds_stack(*pending.popitem(), t_lo, t_hi, k_values, tables)
+    table = _joined(tables)
+    order = np.argsort(table["instance"], kind="stable")  # each instance's rows keep their order
+    return {key: column[order] for key, column in table.items()}
 
 
 def _cmd_bounds(cfg: dict, seed: int, jobs: int) -> tuple:
@@ -466,30 +458,32 @@ def _cmd_bounds(cfg: dict, seed: int, jobs: int) -> tuple:
     parts = min(jobs, instances)
     common = (seed, dim_max, *map(float, t_range), tuple(k_values))
     tasks = [(instances * p // parts, instances * (p + 1) // parts, *common) for p in range(parts)]
-    rows = _run_tasks(_bounds_block, tasks, jobs)
+    table = _joined(_run_tasks(_bounds_block, tasks, jobs))
 
-    # inject_fault tests the failure path: each instance's comparison rows
-    # carry zero slack, so 1e-3 less fails them
-    min_slack = dict.fromkeys(("mixing", "eigenspace", "subset", "residual"))
-    comparison_ok, failed = True, 0
-    for row in rows:
-        if inject_fault:
-            row["slack"] -= 1e-3
-            row["holds"] = bool(row["holds"] and row["slack"] >= -bounds.SLACK_TOL)
-        kind, slack = row["kind"], row["slack"]
-        if kind == "comparison":
-            comparison_ok = comparison_ok and row["holds"]
-        elif min_slack[kind] is None or slack < min_slack[kind]:
-            min_slack[kind] = slack
-        failed += not row["holds"]
+    kind, slack, holds = table["kind"], table["slack"], table["holds"]
+    if inject_fault:
+        # inject_fault tests the failure path: each instance's comparison rows
+        # carry zero slack, so 1e-3 less fails them
+        slack -= 1e-3
+        holds &= slack >= -bounds.SLACK_TOL
+    min_slack = {}
+    for name in ("mixing", "eigenspace", "subset", "residual"):
+        # the first of equal slacks, as a row loop keeps it: -0.0 and 0.0 keep their bytes
+        of_kind = slack[kind == name]
+        min_slack[name] = float(of_kind[np.argmin(of_kind)]) if of_kind.size else None
+    failed = int(np.count_nonzero(~holds))
     summary = {
         "instances": instances,
-        "row_count": len(rows),
+        "row_count": len(slack),
         "min_slack": min_slack,
-        "comparison_all_ok": comparison_ok,
+        "comparison_all_ok": bool(holds[kind == "comparison"].all()),
         "all_hold": not failed,
         "fault_injected": inject_fault,
     }
+    for key in ("bound_value", "actual_value"):
+        # a non-finite bound or actual value is written as null; a non-finite slack is refused by the record
+        finite = np.isfinite(table[key])
+        table[key] = table[key] if finite.all() else np.where(finite, table[key], None)
     config = {
         "instances": instances,
         "dim_max": dim_max,
@@ -497,8 +491,8 @@ def _cmd_bounds(cfg: dict, seed: int, jobs: int) -> tuple:
         "k_values": list(k_values),
         "inject_fault": inject_fault,
     }
-    failure = f"{failed} of {len(rows)} inequality rows failed" if failed else None
-    return config, rows, summary, failure, f"all {len(rows)} inequality rows hold"
+    failure = f"{failed} of {len(slack)} inequality rows failed" if failed else None
+    return config, table, summary, failure, f"all {len(slack)} inequality rows hold"
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import json
 import math
 import re
 from functools import lru_cache
-from itertools import groupby, islice
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -94,50 +94,39 @@ def _layout(keys: tuple, indent: int) -> tuple[tuple, tuple, str]:
     return ordered, heads, "{\n" + ",\n".join(head.replace("%", "%%") + "%s" for head in heads) + "\n" + " " * indent + "}"
 
 
-def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of each run of bitwise-equal neighbours of a 1-d 8-byte array."""
-    bits = x.view(np.int64)
-    starts = np.flatnonzero(np.append(True, bits[1:] != bits[:-1]))
-    return starts, np.diff(np.append(starts, x.shape[0]))
-
-
-def _cells(values: np.ndarray) -> list:
-    """Record cells of a float64 or int64 array: Python scalars, non-finite
-    ones as None, equal neighbours sharing one object."""
-    starts, lengths = _runs(values)
-    heads = np.array(values[starts].tolist(), dtype=object)
-    heads[~np.isfinite(values[starts])] = None
-    return np.repeat(heads, lengths).tolist()
-
-
-def _float_column(values: tuple) -> list:
-    """format_float of a column of Python floats, once per run of equal cells."""
-    x = np.array(values)
+def _float_column(x: np.ndarray) -> list:
+    """format_float of a float64 array, once per run of bitwise-equal cells."""
     if not np.isfinite(x).all():
         raise ValidationError("non-finite value is not representable in a record")
-    starts, lengths = _runs(x)
+    bits = x.view(np.int64)
+    starts = np.flatnonzero(np.append(True, bits[1:] != bits[:-1]))
     heads = x[starts]
     texts = list(map("%.17g".__mod__, heads.tolist()))
     # the integral values below 1e17 are the ones printed without a '.' or an 'e'
     for at in np.flatnonzero((heads == np.trunc(heads)) & (np.abs(heads) < 1e17)).tolist():
         texts[at] += ".0"
-    return np.repeat(np.array(texts, dtype=object), lengths).tolist()
+    return np.repeat(np.array(texts, dtype=object), np.diff(np.append(starts, x.shape[0]))).tolist()
 
 
-def _column_texts(values: tuple) -> tuple | None:
-    """(JSON texts, CSV texts) of a column, as _texts of each cell, None if a
-    cell is a container: floats in one pass, one other built-in type once per
-    distinct cell."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
+def _column(values: np.ndarray) -> tuple:
+    """(JSON texts, CSV texts) of a table column: float64 in one pass, int and
+    bool as text, any other as the _texts of its cells, once per distinct cell
+    when all are str or None (no two of which are equal, as 0.0 and -0.0 are)."""
+    if values.dtype == np.float64:
         texts = _float_column(values)
         return texts, texts
-    if len(kinds) == 1 and kinds <= {int, bool, str, type(None)}:
-        known = {value: _texts(value) for value in set(values)}
-        texts = list(map(known.__getitem__, values))
+    if values.dtype.kind in "iub":
+        texts = (np.where(values, "true", "false") if values.dtype == bool else values.astype(str)).tolist()
+        return texts, texts
+    cells = values.tolist()
+    if set(map(type, cells)) <= {str, type(None)}:
+        known = {value: _texts(value) for value in set(cells)}
+        pairs = list(map(known.__getitem__, cells))
     else:
-        texts = list(map(_texts, values))
-    return None if None in texts else tuple(zip(*texts))
+        pairs = list(map(_texts, cells))
+    if None in pairs:
+        raise ValidationError(f"unsupported type in record: {type(cells[pairs.index(None)]).__name__}")
+    return tuple(zip(*pairs))
 
 
 class _Rendered(tuple):
@@ -192,58 +181,55 @@ def canonical_json(obj) -> str:
 RENDER_BLOCK = 1024
 
 
+def _table_blocks(table: dict, columns, line: str):
+    """(JSON text, CSV text) of each block of a table, a dict of equal-length
+    columns, formatted column by column; each JSON row fills the template of
+    the table's key set."""
+    lengths = set(map(len, table.values()))
+    if len(lengths) > 1:
+        raise ValidationError(f"table columns differ in length: {sorted(lengths)}")
+    n, (ordered, _, template) = max(lengths, default=0), _layout(tuple(table), 4)
+    for lo in range(0, n, RENDER_BLOCK):
+        cells = {key: _column(column[lo : lo + RENDER_BLOCK]) for key, column in table.items()}
+        line_cells = [cells[col][1] for col in columns]  # a missing column raises KeyError
+        for col, cell in zip(columns, line_cells):
+            if None in cell:  # a str that would break its CSV line
+                _cell(table[col][lo + cell.index(None)])
+        csv_rows = map(line.__mod__, zip(*line_cells)) if columns else [line] * min(RENDER_BLOCK, n - lo)
+        yield ",\n    ".join(map(template.__mod__, zip(*(cells[key][0] for key in ordered)))), "".join(csv_rows)
+
+
+def _row_blocks(rows, columns, line: str):
+    """(JSON text, CSV text) of each block of dict rows, one row at a time."""
+    rows = iter(rows)
+    while block := list(islice(rows, RENDER_BLOCK)):
+        out: list = []
+        for row in block:
+            if out:
+                out.append(",\n    ")
+            _emit(row, 4, out)
+        yield "".join(out), "".join(line % tuple(_cell(row[col]) for col in columns) for row in block)
+
+
 def _pieces(rows, columns, comment: str, document: dict | None = None) -> tuple[list, list]:
     """Pieces of the JSON text of document, its "rows" being rows, and of
-    the CSV text of rows over columns, one piece per block of rows, each
-    formatted column by column; nothing is written, so a cell that cannot be
-    serialized leaves no file. The CSV text starts with one '#' comment line
-    for gnuplot."""
+    the CSV text of rows over columns, one piece per block of rows; rows are
+    dicts, or a table: a dict of equal-length columns. Nothing is written,
+    so a cell that cannot be serialized leaves no file. The CSV text starts
+    with one '#' comment line for gnuplot."""
     if "\n" in comment:
         raise ValidationError("CSV comment must be a single line")
     csv = (["# " + comment + "\n"] if comment else []) + [",".join(columns) + "\n"]
     line = ",".join(["%s"] * len(columns)) + "\n"
-    texts: list = []
-    rows = iter(rows)
-    while block := list(islice(rows, RENDER_BLOCK)):
-        json_rows, csv_rows = [], []
-        # a row sits in the list at key "rows" of the top-level object: indent 4
-        for keys, run in groupby(block, lambda row: tuple(row) if isinstance(row, dict) else ()):
-            run = list(run)
-            cells = _run_columns(keys, run)
-            if cells is None:  # not a non-empty dict of scalars: one row at a time
-                for row in run:
-                    general: list = []
-                    _emit(row, 4, general)
-                    json_rows.append("".join(general))
-                    csv_rows.append(line % tuple(_cell(row[col]) for col in columns))
-                continue
-            ordered, _, template = _layout(keys, 4)
-            json_rows += map(template.__mod__, zip(*(cells[key][0] for key in ordered)))
-            line_cells = []
-            for col in columns:
-                cell = cells[col][1]  # a missing column raises KeyError
-                if None in cell:  # a str that would break its CSV line
-                    _cell(run[cell.index(None)][col])
-                line_cells.append(cell)
-            csv_rows += map(line.__mod__, zip(*line_cells)) if columns else [line] * len(run)
-        # one string per block: a string per row would add its object header to each
-        texts.append(",\n    ".join(json_rows))
-        csv.append("".join(csv_rows))
+    # a row sits in the list at key "rows" of the top-level object, at indent 4; one
+    # string per block: a string per row would add its object header to each
+    blocks = list((_table_blocks if isinstance(rows, dict) else _row_blocks)(rows, columns, line))
+    csv += [text for _, text in blocks]
     out: list = []
     if document is not None:
-        _emit({**document, "rows": _Rendered(texts)}, 0, out)
+        _emit({**document, "rows": _Rendered(text for text, _ in blocks)}, 0, out)
         out.append("\n")
     return out, csv
-
-
-def _run_columns(keys: tuple, run: list) -> dict | None:
-    """key -> _column_texts of each column of a run of dicts with these keys;
-    None unless there are keys and every cell is a scalar."""
-    if not keys:
-        return None
-    _layout(keys, 4)  # refuses a key that is not a str
-    cells = dict(zip(keys, map(_column_texts, zip(*(row.values() for row in run)))))
-    return None if None in cells.values() else cells
 
 
 def _write(path, pieces: list) -> None:
@@ -253,7 +239,7 @@ def _write(path, pieces: list) -> None:
 
 # a named tuple: a frozen dataclass costs about three times the import-time memory
 class ExperimentRecord(NamedTuple):
-    """One experiment run: config echo, per-row results, summary stats.
+    """One experiment run: config echo, rows (dicts or a table of columns), summary stats.
 
     It carries no timing: byte-identical reruns are part of the contract.
     """
@@ -261,7 +247,7 @@ class ExperimentRecord(NamedTuple):
     kind: str
     config: dict
     seed: int | None
-    rows: tuple
+    rows: tuple | dict
     summary: dict
     version: str = __version__
     rng: str = RNG_NAME

@@ -212,10 +212,18 @@ def _check_probabilities(p, what: str) -> np.ndarray:
 
 def _group_overlaps(sums: np.ndarray) -> list[float]:
     """sum_r |s_rg|^2 for each group g of the group columns s (R, G), s_rg =
-    sum_{j in g} c_j rows[r, j]: the target weight of P_g psi0. Squared as
-    Python floats, which is pow: numpy's array square differs from it in the
-    last bit."""
-    return [sum(x**2 for x in col) for col in zip(*np.abs(sums).tolist())]
+    sum_{j in g} c_j rows[r, j]: the target weight of P_g psi0. Squared by
+    float_power, which is libm pow as Python's x**2 (numpy's square differs
+    from it in the last bit), and summed left to right by cumsum."""
+    return np.float_power(np.abs(sums), 2.0).cumsum(axis=0)[-1].tolist()
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each vector along the last axis, bitwise: sqrt(re.re
+    + im.im) as stacked (..., 1, d) @ (..., d, 1) products, the ddot that
+    norm itself calls (norm's own axis= form differs in the last bit)."""
+    re, im = x.real[..., None, :], x.imag[..., None, :]
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
 
 def _decompose_one(h) -> spectral.SpectralDecomposition:

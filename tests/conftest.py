@@ -29,3 +29,9 @@ def partition_of(dec: spectral.SpectralDecomposition) -> spectral.EigenspacePart
     """The eigenspace partition of a decomposition's eigenvalues at the walk's tolerance."""
     e = dec.eigenvalues
     return spectral.group_eigenspaces(e, spectral.degeneracy_tol(e[-1] - e[0]))
+
+
+def rows_of(table: dict) -> list:
+    """The dict rows of a table of equal-length columns, cells as Python scalars."""
+    columns = {key: column.tolist() for key, column in table.items()}
+    return [dict(zip(columns, cells)) for cells in zip(*columns.values())]

@@ -38,6 +38,8 @@ class Mutant(NamedTuple):
 SCREEN_HAND = "tests/test_walk.py::test_screened_hitting_time_of_hand_walks"
 SCREEN_DRAWN = "tests/test_walk.py::test_screened_hitting_time_equals_the_full_grid"
 STACK_CAP = "tests/test_records_cli.py::test_cli_bounds_stacks_stay_within_the_entry_cap"
+PINNED = "tests/test_records_cli.py::test_bounds_bundle_bytes_are_pinned"
+PINNED_FAULT = "tests/test_records_cli.py::test_bounds_fault_bundle_bytes_are_pinned"
 
 MUTANTS = (
     # the hitting-time screen (walk.SpectralWalk._envelope)
@@ -127,6 +129,21 @@ MUTANTS = (
         "instances * (p + 1) // parts, *common)",
         "instances * (p + 1) // parts + 1, *common)",
         (STACK_CAP, "tests/test_records_cli.py::test_cli_bounds_blocks_spread_over_jobs_identically"),
+    ),
+    # the bounds table (cli._bounds_block, cli._cmd_bounds): its instance order and its summary masks
+    Mutant(
+        "B3",
+        "src/ctqw/cli.py",
+        'order = np.argsort(table["instance"], kind="stable")',
+        'order = np.argsort(table["instance"])',
+        (PINNED, PINNED_FAULT),
+    ),
+    Mutant(
+        "B4",
+        "src/ctqw/cli.py",
+        "of_kind = slack[kind == name]",
+        'of_kind = slack[(kind == name) | (kind == "comparison")]',
+        ("tests/test_records_cli.py::test_bounds_summary_equals_the_row_loop", PINNED_FAULT),
     ),
 )
 

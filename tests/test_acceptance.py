@@ -13,7 +13,7 @@ import pytest
 from ctqw import bounds, cli, gluedtrees, markov, search, walk
 from ctqw.walk import TimeDistribution
 
-from conftest import instance_stream
+from conftest import instance_stream, rows_of
 
 
 def loglog_slope(ns, values) -> float:
@@ -22,7 +22,7 @@ def loglog_slope(ns, values) -> float:
 
 def test_criterion_01_bound_corpus_200():
     t0 = time.monotonic()
-    rows = cli._bounds_block((0, 200, 1, 10, 0.1, 1000.0, (1, 2, 3, 4)))
+    rows = rows_of(cli._bounds_block((0, 200, 1, 10, 0.1, 1000.0, (1, 2, 3, 4))))
     elapsed = time.monotonic() - t0
     by_kind = {}
     for row in rows:

@@ -1,16 +1,17 @@
 """Certified lower bounds: every report must satisfy actual >= bound - 1e-9."""
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from ctqw import bounds, cli, gluedtrees, spectral, walk
+from ctqw import bounds, cli, gluedtrees, records, spectral, walk
 from ctqw.errors import GapUndefinedError, ValidationError
 from ctqw.rng import rng_stream
 from ctqw.walk import TimeDistribution
 
-from conftest import instance_stream, random_state
+from conftest import instance_stream, random_state, rows_of
 
 SLACK = -1e-9
 
@@ -365,19 +366,31 @@ def test_certify_stack_residual_chunks_do_not_change_it(monkeypatch):
         assert all(np.array_equal(x, y) for x, y in zip(whole, chunked))
 
 
-def test_bounds_rows_write_an_infinite_tau_as_none():
+def bounds_table_of(found: dict, instances: int, monkeypatch) -> tuple:
+    """_cmd_bounds over instances of dim 2, one stack, certified as found."""
+    monkeypatch.setattr(bounds, "certify_stack", lambda *args: found)
+    return cli._cmd_bounds({"instances": instances, "dim_max": 2}, 1, 1)
+
+
+def test_bounds_rows_write_an_infinite_tau_as_none(tmp_path, monkeypatch, capsys):
     stack, walks, dists, subsets, groups, rho0 = stacked_walks(362, 4, 3)
-    rows = cli._bounds_rows(4, [7, 8, 9], bounds.certify_stack(stack, subsets, groups, rho0))
-    expected = [(idx, kind) for idx, n in zip((7, 8, 9), stack.n_groups.tolist()) for kind in ["mixing"] + ["eigenspace"] * n + ["subset", "residual", "comparison"]]
+    config, table, summary, failure, _ = bounds_table_of(bounds.certify_stack(stack, subsets, groups, rho0), 3, monkeypatch)
+    rows = rows_of(table)
+    expected = [(idx, kind) for idx, n in enumerate(stack.n_groups.tolist()) for kind in ["mixing"] + ["eigenspace"] * n + ["subset", "residual", "comparison"]]
     assert [(row["instance"], row["kind"]) for row in rows] == expected
     assert all(type(value) in (int, float, str, bool, type(None)) for row in rows for value in row.values())
     comparison = rows[-1]
     assert comparison["bound_value"] is None and comparison["actual_value"] is None
     assert comparison["holds"] is True and comparison["slack"] == 0.0
-    assert all(row["bound_value"] is not None for row in rows if row["instance"] != 9)
+    assert all(row["bound_value"] is not None for row in rows if row["instance"] != 2)
+    # null in the JSON file, an empty cell in the CSV file
+    assert cli._write_bundle(tmp_path, "bounds", 1, config, table, summary, failure, "ok") == 0
+    written = json.loads((tmp_path / "bounds.json").read_text())["rows"][-1]
+    assert written["bound_value"] is None and written["actual_value"] is None
+    assert (tmp_path / "bounds.csv").read_text().splitlines()[-1] == f"2,2,{records.format_float(written['T'])},1,comparison,,,0.0,true"
 
 
-def test_bounds_rows_keep_an_infinite_slack_for_the_record_to_refuse(tmp_path):
+def test_bounds_rows_keep_an_infinite_slack_for_the_record_to_refuse(tmp_path, monkeypatch):
     # a gap of 1e-6 at T = 1e-303 takes the mixing floor to -inf while the
     # subset {3} keeps a finite error term: null bound, infinite slack
     h = np.diag([0.0, 1e-6, 1.0, 2.0])[None]
@@ -386,11 +399,12 @@ def test_bounds_rows_keep_an_infinite_slack_for_the_record_to_refuse(tmp_path):
     rho0 = walk.density_operator(psi.amplitudes[:, :, None] * psi.amplitudes.conj()[:, None, :])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning: the per-walk float arithmetic gives inf silently
-        rows = cli._bounds_rows(4, [0], bounds.certify_stack(stack, [[3]], [3], rho0))
-    mixing = rows[0]
+        found = bounds.certify_stack(stack, [[3]], [3], rho0)
+    config, table, summary, failure, _ = bounds_table_of(found, 1, monkeypatch)
+    mixing = rows_of(table)[0]
     assert mixing["kind"] == "mixing" and mixing["bound_value"] is None and mixing["slack"] == math.inf
     with pytest.raises(ValidationError, match="non-finite"):
-        cli._write_bundle(tmp_path, "bounds", 1, {}, rows, {}, None, "ok")
+        cli._write_bundle(tmp_path, "bounds", 1, config, table, summary, failure, "ok")
     assert not any(tmp_path.iterdir())
 
 
@@ -427,7 +441,7 @@ def test_bounds_stack_shares_one_phase_kernel_per_time_law(monkeypatch):
     phi = walk._phi
     monkeypatch.setattr(walk, "_phi", lambda g, *rest: phi(g, *rest) if g.ndim == 2 else pytest.fail("phi built for one walk"))
     monkeypatch.setattr(spectral.EigenspacePartition, "subset_gap", None)
-    rows = cli._bounds_block((0, 60, 7, 10, 0.1, 1000.0, (1, 2, 3, 4)))
+    rows = rows_of(cli._bounds_block((0, 60, 7, 10, 0.1, 1000.0, (1, 2, 3, 4))))
     assert len({row["instance"] for row in rows}) == 60 and all(row["holds"] for row in rows)
     expected = []
     for stack in stacks:
@@ -448,7 +462,7 @@ def test_bounds_instance_computes_gaps_once(monkeypatch):
     kinds = set()
     for idx in range(12):
         stacks.clear()
-        rows = cli._bounds_block((idx, idx + 1, 5, 10, 0.1, 1000.0, (1, 2, 3, 4)))
+        rows = rows_of(cli._bounds_block((idx, idx + 1, 5, 10, 0.1, 1000.0, (1, 2, 3, 4))))
         kinds.update(row["kind"] for row in rows)
         assert sum(row["kind"] == "eigenspace" for row in rows) == rows[0]["dim"]
         assert stacks == [1]

@@ -14,6 +14,8 @@ import pytest
 from ctqw import cli, gluedtrees, markov, records, rng, search, spectral, walk
 from ctqw.errors import InconsistencyError, ValidationError
 
+from conftest import rows_of
+
 
 # ---------------------------------------------------------------------------
 # float and JSON formatting
@@ -133,7 +135,8 @@ def oracle_json(obj, indent: int = 0) -> str:
 
 
 def test_canonical_json_matches_oracle_on_bounds_rows():
-    config, rows, summary, failure, _ = cli._cmd_bounds({"instances": 50}, 7, 1)
+    config, table, summary, failure, _ = cli._cmd_bounds({"instances": 50}, 7, 1)
+    rows = rows_of(table)
     assert failure is None and len(rows) > 50 * 5
     record = {"config": config, "rows": rows, "summary": summary}
     assert records.canonical_json(rows) == oracle_json(rows) + "\n"
@@ -488,19 +491,28 @@ def test_write_bundle_writes_nothing_when_a_later_row_has_no_text(tmp_path):
 
 
 def test_write_bundle_equals_the_two_pass_oracle(tmp_path, capsys):
-    config, rows, summary, failure, _ = cli._cmd_bounds({"instances": 50}, 7, 1)
+    config, table, summary, failure, _ = cli._cmd_bounds({"instances": 50}, 7, 1)
     assert failure is None
-    for seed, config, rows, summary in [(3, {"mixed": True}, MIXED_ROWS, {"rows": [1, None]}), (7, config, rows, summary)]:
+    bundles = [(3, {"mixed": True}, MIXED_ROWS, MIXED_ROWS, {"rows": [1, None]}), (7, config, table, rows_of(table), summary)]
+    for seed, config, rows, oracle_rows, summary in bundles:
         assert cli._write_bundle(tmp_path, "bounds", seed, config, rows, summary, None, "ok") == 0
-        json_text, csv_text = two_pass_bundle("bounds", seed, config, rows, summary)
+        json_text, csv_text = two_pass_bundle("bounds", seed, config, oracle_rows, summary)
         assert (tmp_path / "bounds.json").read_text(encoding="utf-8") == json_text
         assert (tmp_path / "bounds.csv").read_text(encoding="utf-8") == csv_text
 
 
 def test_write_bundle_never_holds_a_joined_text(tmp_path, capsys):
+    # the bounds rows stay a table of columns, about 0.75 KB per instance
+    # (1.1 KB on a cold start), not a dict per row (3.5-3.9 KB per instance)
+    tracemalloc.start()
+    try:
+        result = cli._cmd_bounds({"instances": 2000}, 7, 1)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1500 * 2000
     # both files' pieces are held until both are rendered, but never the
     # joined JSON text besides them: that alone would add its 5.3 MB
-    result = cli._cmd_bounds({"instances": 2000}, 7, 1)
     tracemalloc.start()
     try:
         cli._write_bundle(tmp_path, "bounds", 7, *result)
@@ -522,6 +534,36 @@ def test_bounds_bundle_bytes_are_pinned(tmp_path, capsys):
         "bounds.csv": "6c64eee9aeb8327697b803b84950cfdb3d41246687a838b288c0fc15f703da6b",
         "bounds.json": "d2e477c2b5cd125c6944bd0a218592b5c07e02867e2baf0ddae2eab6a6f3c854",
     }
+
+
+def test_bounds_fault_bundle_bytes_are_pinned(tmp_path, capsys):
+    # the same bundle with inject_fault, digests taken before the summary and
+    # the fault shift became array masks
+    cfg = write_cfg(tmp_path / "b.json", {"instances": 40, "seed": 7, "inject_fault": True})
+    assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (tmp_path / "out").iterdir()}
+    assert digests == {
+        "bounds.csv": "6e928d0609a2ce8932714f1e4b17d4f09f78cec49dabe9b65a081cd791da4cb5",
+        "bounds.json": "0380fb672d3be4188763fb93c08dedc93def77cf3dae9ae325f731088403154f",
+    }
+
+
+def test_bounds_summary_equals_the_row_loop():
+    # the summary's masks against a loop over the rows, which keeps the first
+    # of equal slacks: compared as record text, so -0.0 and 0.0 differ
+    for inject_fault in (False, True):
+        _, table, summary, failure, _ = cli._cmd_bounds({"instances": 60, "inject_fault": inject_fault}, 3, 1)
+        min_slack, comparison_ok, failed = dict.fromkeys(("mixing", "eigenspace", "subset", "residual")), True, 0
+        for row in rows_of(table):
+            kind, slack = row["kind"], row["slack"]
+            if kind == "comparison":
+                comparison_ok = comparison_ok and row["holds"]
+            elif min_slack[kind] is None or slack < min_slack[kind]:
+                min_slack[kind] = slack
+            failed += not row["holds"]
+        expected = {"min_slack": min_slack, "comparison_all_ok": comparison_ok, "all_hold": not failed}
+        assert records.canonical_json({key: summary[key] for key in expected}) == records.canonical_json(expected)
+        assert summary["row_count"] == len(table["slack"]) and (failure is None) == (not failed) == (not inject_fault)
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +955,7 @@ def test_bounds_instance_decomposes_once(monkeypatch):
     monkeypatch.setattr(spectral, "decompose", lambda h: stacks.append(len(h.entries)) or decompose(h))
     monkeypatch.setattr(spectral, "_gap_stars", lambda e, n_groups: gap_stacks.append(len(n_groups)) or stars(e, n_groups))
     monkeypatch.setattr(spectral, "group_eigenspaces", lambda *args: per_partition.append(args) or group(*args))
-    rows = cli._bounds_block((0, 20, 7, 10, 0.1, 1000.0, (1, 2, 3, 4)))
+    rows = rows_of(cli._bounds_block((0, 20, 7, 10, 0.1, 1000.0, (1, 2, 3, 4))))
     assert all(row["holds"] for row in rows)
     # one stacked decomposition per dimension: every instance decomposed once
     assert sum(stacks) == 20

@@ -750,6 +750,33 @@ def test_stacked_walks_equal_single_walks_bitwise():
         assert dim == 2 or max(np.diff(np.append(np.flatnonzero(starts), dim)).max() for starts in stack.group_starts[:4]) >= 2
 
 
+def test_stacked_norms_equal_numpy_norm_bitwise():
+    # 30 480 complex vectors, d = 2..128, over six decades of scale; norm's
+    # own axis= form differs from the one-vector norm on some of them
+    rng, axis_form_differs = rng_stream(41), 0
+    for d in range(2, 129):
+        x = (rng.standard_normal((2, 120, d)) + 1j * rng.standard_normal((2, 120, d))) * 10.0 ** rng.uniform(-3, 3, (2, 120, 1))
+        one_at_a_time = np.array([[np.linalg.norm(v) for v in stack] for stack in x])
+        assert np.array_equal(walk._norms(x), one_at_a_time), d
+        axis_form_differs += int(np.sum(np.linalg.norm(x, axis=-1) != one_at_a_time))
+    assert axis_form_differs > 0
+    # the raveled differences of a (2, B, d, d) stack of matrices, as the residual takes them
+    for d in range(2, 17):
+        a = rng.standard_normal((2, 40, d, d)) + 1j * rng.standard_normal((2, 40, d, d))
+        diff = a[0] - a[1]
+        assert np.array_equal(walk._norms(diff.reshape(40, -1)), [np.linalg.norm(m) for m in diff]), d
+
+
+def test_group_overlaps_square_as_python_pow():
+    # summed left to right over the rows of each group column, each |s|^2 the
+    # Python float power, where numpy's square differs in the last bit
+    rng = rng_stream(42)
+    sums = rng.standard_normal((3, 20000)) + 1j * rng.standard_normal((3, 20000))
+    column_major = list(zip(*np.abs(sums).tolist()))
+    assert walk._group_overlaps(sums) == [sum(x**2 for x in col) for col in column_major]
+    assert np.square(np.abs(sums)).tolist() != [[x**2 for x in row] for row in np.abs(sums).tolist()]
+
+
 def test_exact_average_equals_the_averaged_state_on_degenerate_spectra():
     # both exact evaluators read the walk snapped to one partition:
     # <y|time_averaged_density(|psi0><psi0|)|y> is the walk's probability
