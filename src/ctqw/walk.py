@@ -27,12 +27,13 @@ reduced_walk drops the energies the start misses where a walk is built, and
 every number reads the rest, within its prune_bound. The Monte Carlo tells
 whether each shot lands in the target span, one phase per distinct group
 |E|, and measures the span at the rank of its folded columns. It
-takes their cos and sin in float32 and re-evaluates in float64 every shot
-whose uniform falls within the certified error of its probability, so each
-decision is the float64 one, in whatever batch. The hitting time and the
-certified glued-trees routes share one grid minimizer, _grid_minimum; the
-hitting time averages exactly only where the envelope |sinc x|^k <=
-min(1, 1/|x|)^k leaves p(T) room for the minimum.
+screens each shot in float32 on the part of the fold that carries mass
+(the sin half alone on the glued-trees column walk) and re-evaluates in
+float64 every shot whose uniform falls within the certified error of its
+probability, so each decision is the float64 one, in whatever batch. The
+hitting time and the certified glued-trees routes share one grid
+minimizer, _grid_minimum; the hitting time averages exactly only where the
+envelope |sinc x|^k <= min(1, 1/|x|)^k leaves p(T) room for the minimum.
 The one-shot functions below each build one and ask it once.
 spectral_walks reads the walks of a whole stack of matrices into a
 WalkStack of arrays with the same kernels, bitwise.
@@ -80,13 +81,17 @@ TOL_PSD = 1e-9
 TOL_PROB = 1e-9
 #: Monte Carlo shots per chunk: each chunk draws its times, then its uniforms
 SAMPLE_CHUNK = 5000
-#: shots per phase block: a block holds 24 B per shot and phase, where a
-#: chunk's complex phases took 16 B per shot and phase
+#: shots per phase block: a block holds at most 24 B per shot and phase, where
+#: a chunk's complex phases took 16 B per shot and phase
 SAMPLE_BLOCK = 1024
 #: most by which the float32 cos or sin of a phase in [-pi - 1e-3, pi + 1e-3],
 #: cast back to float64, misses the float64 value (1.6e-7 measured); a phase
 #: t sigma below 2^40 in magnitude reduces into that range
 TRIG32_ERROR = 2.0**-21
+#: the float32 screen drops the cos half of the fold where its l1 mass is at
+#: most this: it lies below the margin's own 2^-40 rounding term, so adding it to
+#: the amplitude error sends next to no more shots to float64
+DROP_MASS = 2.0**-40
 #: the hitting-time screen bins pair weights by gap, SCREEN_BINS per octave, SCREEN_BLOCK groups at a time
 SCREEN_BINS, SCREEN_BLOCK = 32, 64
 
@@ -325,28 +330,73 @@ class SpectralWalk:
         m = np.block([[pc.real, pc.imag], [ps.real, ps.imag]])
         return sigma, m, np.concatenate([columns[-1].real, columns[-1].imag]), weight
 
+    @cached_property
+    def _shot_screen(self) -> tuple[bool, np.ndarray, np.ndarray, float, np.ndarray]:
+        """(sin_only, M', zero', dropped, turn): the part of the fold (_fold)
+        that the float32 screen of hits evaluates.
+
+        The cos rows of M weigh cos(t sigma) and the sin rows sin(t sigma);
+        the l1 mass of the cos half is the sum of its rows' norms, its share
+        of the fold's weight. Where that mass is at most DROP_MASS the
+        screen keeps the sin half alone (sin_only) and dropped is that mass:
+        leaving it out moves the amplitude by at most that. Where start and
+        target sit an odd number of steps apart on a bipartite graph, as
+        the column walk's entrance and exit do, only odd powers of H
+        connect them, so the cos half is zero up to rounding (about 1e-16
+        on the column walk). Otherwise both halves stay and dropped is 0.
+        M' holds the kept rows less every column that is exactly zero there
+        and in zero, zero' the rest of zero, and turn = sigma / 2 pi."""
+        sigma, m, zero, _ = self._fold
+        n = sigma.shape[0]
+        cos_mass = float(np.linalg.norm(m[:n], axis=1).sum())
+        sin_only = cos_mass <= DROP_MASS
+        rows, dropped = (m[n:], cos_mass) if sin_only else (m, 0.0)
+        live = rows.any(axis=0) | (zero != 0)
+        return sin_only, np.ascontiguousarray(rows[:, live]), zero[live], dropped, sigma * (0.5 / np.pi)
+
     def _hit_probabilities(self, ts: np.ndarray, dtype) -> np.ndarray:
         """Each shot's clipped hit probability at its time in ts, SAMPLE_BLOCK
-        shots at a time. With dtype float32 each phase t sigma is first
-        reduced to t sigma - 2 pi rint(t sigma / 2 pi) in float64, then its
-        cos and sin run in float32 (TRIG32_ERROR); float64 takes them of the
-        unreduced phase."""
-        sigma, columns, zero, _ = self._fold
-        n, size = sigma.shape[0], min(SAMPLE_BLOCK, ts.shape[0])
-        x_block, trig_block = np.empty((size, n)), np.empty((size, 2 * n))
+        shots at a time.
+
+        float64 takes the cos and sin of each unreduced phase t sigma over
+        the whole fold (_fold). float32 evaluates the screen (_shot_screen):
+        the turns t (sigma / 2 pi) less their nearest integer, times 2 pi,
+        four float64 passes, then the sin, and the cos unless the screen
+        keeps the sin half alone, in float32.
+        Each float64 step rounds by a relative u = 2^-53 at most: the turns
+        are off by 4u of t sigma / 2 pi (pi, 1 / 2 pi, sigma / 2 pi and the
+        product each rounded once); subtracting the integer is exact; the
+        scaling by 2 pi, a rounded constant, adds 2u of the reduced phase,
+        at most pi. So the phase misses t sigma mod 2 pi by at most
+        4u |t sigma| + 2 pi u, and the float64 phase, itself u |t sigma|
+        off, by at most 5u |t sigma| + 2 pi u: the first term lies within
+        the max|t sigma| 2^-50 of hits, the second, pi 2^-52, within
+        TRIG32_ERROR's room above the measured float32 error. A block holds
+        its phases (8 B per shot and phase) and the trig values (8 B per
+        kept half)."""
+        if dtype is np.float32:
+            sin_only, columns, zero, _, turn = self._shot_screen
+            n = turn.shape[0]
+        else:
+            sigma, columns, zero, _ = self._fold
+            sin_only, n = False, sigma.shape[0]
+        size = min(SAMPLE_BLOCK, ts.shape[0])
+        x_block, trig_block = np.empty((size, n)), np.empty((size, n if sin_only else 2 * n))
         p = np.empty(ts.shape)
         for lo in range(0, ts.shape[0], SAMPLE_BLOCK):
             block = ts[lo : lo + SAMPLE_BLOCK]
             x, trig = x_block[: block.shape[0]], trig_block[: block.shape[0]]
-            np.multiply.outer(block, sigma, out=x)
+            sin = trig[:, trig.shape[1] - n :]
             if dtype is np.float32:
                 # the whole turns sit in the sin half of trig until sin overwrites them
-                turns = np.multiply(x, 0.5 / np.pi, out=trig[:, n:])
-                np.rint(turns, out=turns)
-                turns *= 2.0 * np.pi
-                x -= turns
-            np.cos(x, out=trig[:, :n], dtype=dtype, casting="same_kind")
-            np.sin(x, out=trig[:, n:], dtype=dtype, casting="same_kind")
+                np.multiply.outer(block, turn, out=x)
+                x -= np.rint(x, out=sin)
+                x *= 2.0 * np.pi
+            else:
+                np.multiply.outer(block, sigma, out=x)
+            if not sin_only:
+                np.cos(x, out=trig[:, :n], dtype=dtype, casting="same_kind")
+            np.sin(x, out=sin, dtype=dtype, casting="same_kind")
             amps = trig @ columns
             amps += zero
             p[lo : lo + SAMPLE_BLOCK] = np.square(amps, out=amps).sum(axis=1)
@@ -468,23 +518,36 @@ class SpectralWalk:
         lands in the span of the target rows, u below its total probability
         there. One phase t sigma per distinct nonzero group |E| serves both
         signs, and the target rows are compressed to the folded columns'
-        rank (_fold).
+        rank (_fold). ts and u are 1-d of one length; ValidationError if
+        they are not, or if a time is not finite.
 
-        The phases are reduced in float64 and their cos and sin taken in
-        float32 (_hit_probabilities). Each is then off by at most
-        e = TRIG32_ERROR + max|t sigma| 2^-50, the second term for the
-        reduction, so the amplitude is off by at most eps = e weight
-        (_fold) and the probability by at most
+        Each shot is screened in float32 on the part of the fold that
+        carries mass (_shot_screen, _hit_probabilities): each phase it
+        keeps is off by at most e = TRIG32_ERROR + max|t sigma| 2^-50, and
+        a cos half it drops moves the amplitude by at most its mass, so the
+        amplitude is off by at most eps = e weight (_fold) + dropped and
+        the probability by at most
         margin = 2 eps (1 + prune_bound) + eps^2 + 2^-40, the last term
         for float64 rounding. A shot with u farther than margin from its
         probability is decided by it; the others are evaluated again with
-        float64 cos and sin. So every shot decides as the float64 walk does,
-        whichever shots share the call. At most SAMPLE_BLOCK x 3 mc_phases
-        floats and the block's amplitudes are held at once.
+        float64 cos and sin over the whole fold. So every shot decides as
+        the float64 walk does, whichever shots share the call. At most
+        SAMPLE_BLOCK x 3 mc_phases floats and the block's amplitudes are
+        held at once, SAMPLE_BLOCK x 2 mc_phases where the screen keeps the
+        sin half alone.
         """
+        if ts.ndim != 1 or u.shape != ts.shape:
+            raise ValidationError(f"need one uniform per shot time, 1-d: got times {ts.shape} and uniforms {u.shape}")
+        if ts.shape[0] == 0:
+            return np.zeros(0, dtype=bool)
+        # the margin's max |t|: a NaN or an infinite time makes an end non-finite
+        t_lo, t_hi = float(ts.min()), float(ts.max())
+        if not (np.isfinite(t_lo) and np.isfinite(t_hi)):
+            raise ValidationError(f"shot times must be finite, got min {t_lo} and max {t_hi}")
+        t_max = max(t_hi, -t_lo)
         sigma, _, _, weight = self._fold
         p = self._hit_probabilities(ts, np.float32)
-        eps = (TRIG32_ERROR + float(ts.max()) * float(sigma.max(initial=0.0)) * 2.0**-50) * weight
+        eps = (TRIG32_ERROR + t_max * float(sigma.max(initial=0.0)) * 2.0**-50) * weight + self._shot_screen[3]
         margin = 2.0 * eps * (1.0 + self.prune_bound) + eps**2 + 2.0**-40
         # written ~(x > margin), so that a NaN goes to float64
         close = ~(np.abs(u - p) > margin)

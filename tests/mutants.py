@@ -40,6 +40,8 @@ SCREEN_DRAWN = "tests/test_walk.py::test_screened_hitting_time_equals_the_full_g
 STACK_CAP = "tests/test_records_cli.py::test_cli_bounds_stacks_stay_within_the_entry_cap"
 PINNED = "tests/test_records_cli.py::test_bounds_bundle_bytes_are_pinned"
 PINNED_FAULT = "tests/test_records_cli.py::test_bounds_fault_bundle_bytes_are_pinned"
+SHOTS_PINNED = "tests/test_gluedtrees.py::test_traversal_shots_stay_pinned_at_seed_7"
+MARGIN = "tests/test_walk.py::test_float32_probabilities_stay_within_the_margin"
 
 MUTANTS = (
     # the hitting-time screen (walk.SpectralWalk._envelope)
@@ -113,6 +115,23 @@ MUTANTS = (
         '"alpha_floor_ok": bool(np.all(alpha > 1.0 / math.sqrt(2 * n)))',
         '"alpha_floor_ok": bool(np.all(alpha > 0.5 / math.sqrt(2 * n)))',
         ("tests/test_gluedtrees.py::test_subspace_flags_a_cross_gap_or_an_alpha_below_its_floor",),
+    ),
+    # the float32 shot screen (walk.SpectralWalk._shot_screen, _hit_probabilities):
+    # the batched first hits and the round-by-round oracle share hits, so only
+    # pinned shots or the margin itself can tell
+    Mutant(
+        "F1",
+        "src/ctqw/walk.py",
+        "rows, dropped = (m[n:], cos_mass) if sin_only else (m, 0.0)",
+        "rows, dropped = (m[:n], cos_mass) if sin_only else (m, 0.0)",
+        (SHOTS_PINNED, MARGIN),
+    ),
+    Mutant(
+        "F2",
+        "src/ctqw/walk.py",
+        "x *= 2.0 * np.pi",
+        "x *= np.pi",
+        (SHOTS_PINNED, MARGIN),
     ),
     # the bounds stacks and shares (cli._bounds_block, cli._cmd_bounds): the
     # bundle stays the same, so only the stacking tests can tell

@@ -482,7 +482,7 @@ def test_traversal_success_stats():
 
 
 def test_traversal_shots_stay_pinned_at_seed_7():
-    # shots to each run's first exit hit, as the complex-exponential sampler drew them
+    # shots to each run's first exit hit, as every sampler since the complex-exponential one drew them
     shots = [gluedtrees.traversal_success_stats(two_n, 7, 200, gluedtrees.column_walk(two_n))["shots"] for two_n in (32, 64, 96, 128)]
     assert shots == [3924, 8800, 12429, 18092]
 

@@ -398,6 +398,13 @@ def unpaired_walk() -> walk.SpectralWalk:
     return walk.spectral_walk(random_hermitian(rng, 12), random_state(rng, 12), np.eye(12)[:, :2])
 
 
+def returning_walk() -> walk.SpectralWalk:
+    # a return amplitude on a bipartite spectrum: E and -E carry the same
+    # amplitude, so only even powers of H return, the sin half is zero and
+    # the screen keeps both halves
+    return walk.SpectralWalk(np.array([-2.0, -0.5, 0.5, 2.0]), np.array([0.6, 0.3, 0.3, 0.6]) + 0j, np.array([[0.6, -0.3, -0.3, 0.6]]) + 0j, None)
+
+
 @pytest.mark.parametrize(
     "make,distinct,kept,width",
     [
@@ -516,7 +523,7 @@ def test_a_float32_error_just_inside_the_margin_decides_as_float64(monkeypatch):
     uniforms = rng_stream(5).random((8, dist.k))
     ts = uniforms.sum(axis=1) * dist.T
     sigma, _, _, weight = w._fold
-    eps = (walk.TRIG32_ERROR + ts.max() * sigma.max() * 2.0**-50) * weight
+    eps = (walk.TRIG32_ERROR + ts.max() * sigma.max() * 2.0**-50) * weight + w._shot_screen[3]
     margin = 2.0 * eps * (1.0 + w.prune_bound) + eps**2 + 2.0**-40
     p64 = w._hit_probabilities(ts, np.float64)
     side = np.where(p64 < 0.5, 1.0, -1.0)
@@ -533,14 +540,64 @@ def test_a_float32_error_just_inside_the_margin_decides_as_float64(monkeypatch):
 
 @pytest.mark.parametrize("T", [300.0, 1e5, 1e7])
 def test_float32_probabilities_stay_within_the_margin(T):
-    # eps = (TRIG32_ERROR + max|t sigma| 2^-50) weight bounds the amplitude
-    # error only because each phase is reduced to [-pi, pi] before the cast
-    w = search_reduced_walk(markov.cycle_chain(32))
+    # eps = (TRIG32_ERROR + max|t sigma| 2^-50) weight + dropped bounds the
+    # amplitude error only because each phase is reduced to [-pi, pi] before
+    # the cast, and the screen drops no half that carries mass
     ts = rng_stream(6).random((2000, 3)).sum(axis=1) * T
-    sigma, _, _, weight = w._fold
-    eps = (walk.TRIG32_ERROR + ts.max() * sigma.max() * 2.0**-50) * weight
-    miss = np.abs(w._hit_probabilities(ts, np.float32) - w._hit_probabilities(ts, np.float64))
-    assert miss.max() <= 2.0 * eps * (1.0 + w.prune_bound) + eps**2 + 2.0**-40
+    walks = {
+        "cycle-32": search_reduced_walk(markov.cycle_chain(32)),
+        **{f"column-{two_n}": gluedtrees.column_walk(two_n) for two_n in (32, 128, 2048)},
+        "returning-4": returning_walk(),
+    }
+    for name, w in walks.items():
+        sigma, _, _, weight = w._fold
+        eps = (walk.TRIG32_ERROR + ts.max() * sigma.max() * 2.0**-50) * weight + w._shot_screen[3]
+        miss = np.abs(w._hit_probabilities(ts, np.float32) - w._hit_probabilities(ts, np.float64))
+        assert miss.max() <= 2.0 * eps * (1.0 + w.prune_bound) + eps**2 + 2.0**-40, name
+
+
+def test_the_shot_screen_keeps_the_half_that_carries_mass():
+    # start and exit of the column walk sit 2n - 1 steps apart on a path with
+    # zero diagonal: only odd powers of H connect them, so its cos half is
+    # rounding alone, and its real sin column is exactly zero
+    for two_n in 2 ** np.arange(3, 13):
+        w = gluedtrees.column_walk(int(two_n))
+        sin_only, rows, zero, dropped, turn = w._shot_screen
+        assert sin_only and dropped <= walk.DROP_MASS
+        assert rows.shape == (w.mc_phases, 1) and zero.tolist() == [0.0]
+        assert np.array_equal(turn, w._fold[0] * (0.5 / np.pi))
+    # a search walk reaches its marked rows by both halves; the cycle's fold
+    # has 3 columns of 6 that are exactly zero, and those go
+    for chain in (markov.complete_chain(32), markov.cycle_chain(32), markov.random_reversible_chain(32, 3)):
+        w = search_reduced_walk(chain)
+        sigma, m, _, _ = w._fold
+        sin_only, rows, _, dropped, _ = w._shot_screen
+        assert not sin_only and dropped == 0.0 and rows.shape[0] == 2 * sigma.shape[0]
+        assert rows.shape[1] < m.shape[1]
+    assert search_reduced_walk(markov.cycle_chain(32))._shot_screen[1].shape == (32, 3)
+    # only a cos half is ever dropped: a walk whose sin half is zero keeps both
+    assert not returning_walk()._shot_screen[0]
+
+
+@pytest.mark.parametrize(
+    "ts,u",
+    [(np.ones(2), np.full(1, 0.5)), (np.ones((2, 1)), np.full((2, 1), 0.5)), (np.ones(3), np.full(2, 0.5))],
+    ids=["one-uniform-for-two-shots", "two-d", "two-uniforms-for-three-shots"],
+)
+def test_hits_refuses_mismatched_shots(ts, u):
+    with pytest.raises(ValidationError, match="^need one uniform per shot time, 1-d"):
+        gluedtrees.column_walk(8).hits(ts, u)
+
+
+def test_hits_of_no_shots_is_empty():
+    hit = gluedtrees.column_walk(8).hits(np.empty(0), np.empty(0))
+    assert hit.dtype == bool and hit.shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hits_refuses_a_time_that_is_not_finite(bad):
+    with pytest.raises(ValidationError, match="^shot times must be finite, got min"):
+        gluedtrees.column_walk(8).hits(np.array([1.0, bad, 2.0]), np.full(3, 0.5))
 
 
 def test_float32_cos_and_sin_stay_within_their_bound():
@@ -597,18 +654,19 @@ def test_a_whole_walk_drops_nothing():
 
 
 def test_sample_peak_memory_one_phase_buffer():
-    # one block of phases and their cos and sin, 24 B per shot and phase, and
-    # the chunk's k uniforms per shot; a chunk of complex phases took 21.4 MB
+    # one block of phases and their sin, the half the column walk's screen
+    # keeps, 16 B per shot and phase, and the chunk's k uniforms per shot;
+    # a chunk of complex phases took 21.4 MB
     w = gluedtrees.column_walk(512)
     m, k = walk.SAMPLE_CHUNK, 12
-    w.sample(TimeDistribution(T=1.0, k=1), rng_stream(12), 1)  # build the fold
+    w.sample(TimeDistribution(T=1.0, k=1), rng_stream(12), 1)  # build the fold and its screen
     tracemalloc.start()
     try:
         w.sample(TimeDistribution(T=64.0 * 256, k=k), rng_stream(12), m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 24 * walk.SAMPLE_BLOCK * w.mc_phases + m * k * 8
+    assert peak <= 1.25 * 16 * walk.SAMPLE_BLOCK * w.mc_phases + m * k * 8
 
 
 def test_sampling_the_column_walk_pages_in_no_sort_or_qr(monkeypatch):
