@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral, walk
-from .errors import GapUndefinedError, ValidationError, check_count
+from .errors import GapUndefinedError, ValidationError, check_count, stack_error
 from .walk import DensityOperator, SpectralWalk, TimeDistribution
 
 __all__ = [
@@ -123,8 +123,7 @@ def _error_term(T: float, k: int, delta_e_s: float, at=None) -> float:
     except (OverflowError, ZeroDivisionError):
         err = math.inf
     if math.isinf(err):
-        where = "" if at is None else f"stack index {at}: "
-        raise ValidationError(f"{where}error term sqrt(3)*(2/(T*delta_e_s))^k overflows at T = {T!r}, k = {k}, delta_e_s = {delta_e_s!r}")
+        raise stack_error(ValidationError, () if at is None else (at,), f"error term sqrt(3)*(2/(T*delta_e_s))^k overflows at T = {T!r}, k = {k}, delta_e_s = {delta_e_s!r}")
     return err
 
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import bounds, gluedtrees, markov, records, search, spectral, walk
 from ._version import __version__
-from .errors import AssertionFailure, ConfigError, CtqwError, ValidationError
-from .rng import rng_stream, task_seed
+from .errors import AssertionFailure, ConfigError, CtqwError, ValidationError, renamed
+from .rng import rng_stream, set_stream, stream_keys, task_seed
 from .walk import TimeDistribution
 
 __all__ = ["main"]
@@ -384,31 +384,39 @@ def _cmd_search(cfg: dict, seed: int, jobs: int) -> tuple:
 # bounds subcommand
 
 
-def _bounds_stack(dim: int, streams: list, t_lo: float, t_hi: float, k_values: tuple, tables: list) -> None:
-    """Draw, decompose and certify the instances of one dimension, given as
-    (idx, stream) pairs, onto tables; each numpy kernel runs once per stack,
-    and only the draws are made per instance."""
+def _bounds_stack(dim: int, streams: list, rng, task: tuple, tables: list) -> None:
+    """Draw, decompose and certify the instances of one dimension of a task,
+    given as (idx, key) pairs, onto tables; each numpy kernel runs once per
+    stack, and only the draws are made per instance, by rng set to its stream."""
+    *_, dim_max, t_lo, t_hi, k_values = task
     n, sq = len(streams), dim * dim
-    draws, dists = np.empty((n, 2 * sq + 4 * dim)), []
-    for pos, (idx, rng) in enumerate(streams):
-        # H's real and imaginary parts, then psi0's and y's: one call, the order of one call per part
+    draws, logs, picks, states = np.empty((n, 2 * sq + 4 * dim)), np.empty(n), [], []
+    for pos, (_, key) in enumerate(streams):
+        # the dimension again, then H's real and imaginary parts and psi0's and y's: one call, the order of one call per part
+        set_stream(rng, key).integers(2, dim_max + 1)
         draws[pos] = rng.normal(size=2 * sq + 4 * dim)
-        T = float(np.exp(rng.uniform(math.log(t_lo), math.log(t_hi))))
-        dists.append(TimeDistribution(T=T, k=int(k_values[int(rng.integers(0, len(k_values)))])))
+        logs[pos] = rng.uniform(math.log(t_lo), math.log(t_hi))
+        picks.append(k_values[int(rng.integers(0, len(k_values)))])
+        states.append(rng.bit_generator.state)
+    dists = list(map(TimeDistribution, np.exp(logs).tolist(), picks))
     a = draws[:, :sq].reshape(n, dim, dim) + 1j * draws[:, sq : 2 * sq].reshape(n, dim, dim)
     vecs = draws[:, 2 * sq :].reshape(n, 2, 2, dim)
-    states = np.ascontiguousarray((vecs[:, :, 0] + 1j * vecs[:, :, 1]).swapaxes(0, 1))  # (2, n, dim): psi0, then y
-    states /= walk._norms(states)[..., None]
-    h = spectral.hermitian((a + a.conj().swapaxes(-1, -2)) / 2.0)
-    psi0, y = walk.pure_state(states[0]), walk.pure_state(states[1])
-    stack = walk.spectral_walks(h, psi0, y, dists)
-    rho0 = walk.density_operator(psi0.amplitudes[:, :, None] * psi0.amplitudes.conj()[:, None, :])
-    subsets, groups = [], []
-    for (_, rng), m in zip(streams, stack.n_groups.tolist()):
-        # per stream: the subset's size, its groups, then the comparison's group
-        subsets.append(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
-        groups.append(int(rng.integers(0, m)))
-    table = bounds.certify_stack(stack, subsets, groups, rho0)
+    pure = np.ascontiguousarray((vecs[:, :, 0] + 1j * vecs[:, :, 1]).swapaxes(0, 1))  # (2, n, dim): psi0, then y
+    pure /= walk._norms(pure)[..., None]
+    try:
+        h = spectral.hermitian((a + a.conj().swapaxes(-1, -2)) / 2.0)
+        psi0, y = walk.pure_state(pure[0]), walk.pure_state(pure[1])
+        stack = walk.spectral_walks(h, psi0, y, dists)
+        rho0 = walk.density_operator(psi0.amplitudes[:, :, None] * psi0.amplitudes.conj()[:, None, :])
+        subsets, groups = [], []
+        for state, m in zip(states, stack.n_groups.tolist()):
+            # per stream, from where its draws stopped: the subset's size, its groups, then the comparison's group
+            rng.bit_generator.state = state
+            subsets.append(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+            groups.append(int(rng.integers(0, m)))
+        table = bounds.certify_stack(stack, subsets, groups, rho0)
+    except CtqwError as exc:
+        raise renamed(exc, [f"instance {idx} (dim {dim})" for idx, _ in streams]) from None
     table["instance"] = np.array([idx for idx, _ in streams])[table.pop("walk")]
     table["dim"] = np.full(table["T"].shape, dim)
     tables.append(table)
@@ -422,16 +430,17 @@ def _joined(tables: list) -> dict:
 def _bounds_block(task: tuple) -> dict:
     """The table of instances lo..hi-1, each drawn from its own stream as if
     alone, certified one stack of same-dimension instances at a time."""
-    lo, hi, seed, dim_max, t_lo, t_hi, k_values = task
-    pending, tables = {}, []  # dim -> its open stack [(idx, stream)]
-    for idx in range(lo, hi):
-        rng = rng_stream(seed, 31, idx)
-        dim = int(rng.integers(2, dim_max + 1))
-        pending.setdefault(dim, []).append((idx, rng))
+    lo, hi, seed, dim_max = task[:4]
+    # rng_stream(seed, 31, idx) of each instance: one generator (any: set_stream resets it) set to each key
+    keys, rng = stream_keys(seed, 31, indices=np.arange(lo, hi)), rng_stream(0)
+    pending, tables = {}, []  # dim -> its open stack [(idx, key)]
+    for idx, key in zip(range(lo, hi), keys.tolist()):
+        dim = int(set_stream(rng, key).integers(2, dim_max + 1))
+        pending.setdefault(dim, []).append((idx, key))
         if (len(pending[dim]) + 1) * dim * dim > BOUNDS_STACK_ENTRIES:
-            _bounds_stack(dim, pending.pop(dim), t_lo, t_hi, k_values, tables)
+            _bounds_stack(dim, pending.pop(dim), rng, task, tables)
     while pending:
-        _bounds_stack(*pending.popitem(), t_lo, t_hi, k_values, tables)
+        _bounds_stack(*pending.popitem(), rng, task, tables)
     table = _joined(tables)
     order = np.argsort(table["instance"], kind="stable")  # each instance's rows keep their order
     return {key: column[order] for key, column in table.items()}

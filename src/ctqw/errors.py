@@ -2,7 +2,9 @@
 
 Everything derives from CtqwError so callers can catch broadly; the CLI maps
 ConfigError to exit code 3, AssertionFailure to 2 and InconsistencyError to 4.
-check_count is the one integer-count check every module shares.
+check_count is the one integer-count check every module shares;
+stack_error builds the error of one matrix or walk of a stack, and renamed
+names that item where its stack index means nothing to the user.
 """
 from numbers import Integral
 
@@ -22,6 +24,8 @@ __all__ = [
     "AssertionFailure",
     "ConfigError",
     "check_count",
+    "stack_error",
+    "renamed",
 ]
 
 
@@ -85,3 +89,19 @@ def check_count(value, name: str, least: int = 1) -> None:
     """Refuse a count that is not an integer >= least; a bool is no count."""
     if isinstance(value, bool) or not (isinstance(value, (int, Integral)) and value >= least):
         raise ValidationError(f"{name} must be an integer >= {least}, got {value}")
+
+
+def stack_error(error: type, at: tuple, detail: str) -> CtqwError:
+    """error(detail), naming the stack index at first (nothing for (), a
+    single matrix). It keeps at and detail, so that a caller that knows what
+    the stack holds can name the item itself."""
+    exc = error((f"stack index {', '.join(map(str, at))}: " if at else "") + detail)
+    exc.at, exc.detail = at, detail
+    return exc
+
+
+def renamed(exc: CtqwError, names: list) -> CtqwError:
+    """exc, or for an error of stack_error the same error naming names[i] in
+    place of stack index i (the first index of a stack of stacks)."""
+    at = getattr(exc, "at", ())
+    return type(exc)(f"{names[at[0]]}: {exc.detail}") if at else exc

@@ -94,29 +94,38 @@ def _layout(keys: tuple, indent: int) -> tuple[tuple, tuple, str]:
     return ordered, heads, "{\n" + ",\n".join(head.replace("%", "%%") + "%s" for head in heads) + "\n" + " " * indent + "}"
 
 
-def _float_column(x: np.ndarray) -> list:
-    """format_float of a float64 array, once per run of bitwise-equal cells."""
-    if not np.isfinite(x).all():
-        raise ValidationError("non-finite value is not representable in a record")
-    bits = x.view(np.int64)
-    starts = np.flatnonzero(np.append(True, bits[1:] != bits[:-1]))
-    heads = x[starts]
+def _per_run(x: np.ndarray, texts_of) -> list:
+    """texts_of(heads), the texts of the first cell of each run of equal cells
+    of x (bitwise equal, for float64), each repeated over its run."""
+    keys = x.view(np.int64) if x.dtype == np.float64 else x
+    starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    return np.repeat(np.array(texts_of(x[starts]), dtype=object), np.diff(np.append(starts, x.shape[0]))).tolist()
+
+
+def _float_texts(heads: np.ndarray) -> list:
+    """format_float of each value of a finite float64 array."""
     texts = list(map("%.17g".__mod__, heads.tolist()))
     # the integral values below 1e17 are the ones printed without a '.' or an 'e'
     for at in np.flatnonzero((heads == np.trunc(heads)) & (np.abs(heads) < 1e17)).tolist():
         texts[at] += ".0"
-    return np.repeat(np.array(texts, dtype=object), np.diff(np.append(starts, x.shape[0]))).tolist()
+    return texts
 
 
 def _column(values: np.ndarray) -> tuple:
-    """(JSON texts, CSV texts) of a table column: float64 in one pass, int and
-    bool as text, any other as the _texts of its cells, once per distinct cell
-    when all are str or None (no two of which are equal, as 0.0 and -0.0 are)."""
+    """(JSON texts, CSV texts) of a table column: float64, int and unsigned
+    formatted once per run of equal cells, bool as true/false, any other as
+    the _texts of its cells, once per distinct cell when all are str or None
+    (no two of which are equal, as 0.0 and -0.0 are)."""
     if values.dtype == np.float64:
-        texts = _float_column(values)
+        if not np.isfinite(values).all():
+            raise ValidationError("non-finite value is not representable in a record")
+        texts = _per_run(values, _float_texts)
         return texts, texts
-    if values.dtype.kind in "iub":
-        texts = (np.where(values, "true", "false") if values.dtype == bool else values.astype(str)).tolist()
+    if values.dtype.kind in "iu":
+        texts = _per_run(values, lambda heads: heads.astype(str))
+        return texts, texts
+    if values.dtype == bool:
+        texts = np.where(values, "true", "false").tolist()
         return texts, texts
     cells = values.tolist()
     if set(map(type, cells)) <= {str, type(None)}:

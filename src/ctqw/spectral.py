@@ -28,6 +28,7 @@ from .errors import (
     InconsistencyError,
     NonHermitianError,
     ValidationError,
+    stack_error,
 )
 
 __all__ = [
@@ -69,10 +70,11 @@ class HermitianOperator:
 
 def _raise_first(bad, error: type, describe) -> None:
     """Raise error(describe(at)) for the first matrix flagged in bad, at its
-    stack index at (() for a single matrix), which the message then names."""
+    stack index at (() for a single matrix), which the message then names
+    (errors.stack_error)."""
     if bad.any():
         at = tuple(np.argwhere(bad)[0])
-        raise error((f"stack index {', '.join(map(str, at))}: " if at else "") + describe(at))
+        raise stack_error(error, at, describe(at))
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:

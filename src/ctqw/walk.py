@@ -128,14 +128,63 @@ class DensityOperator(NamedTuple):
     entries: np.ndarray
 
 
+def _psd_certified(a: np.ndarray) -> np.ndarray:
+    """Whether the shifted Cholesky certificate of density_operator holds,
+    per Hermitian matrix of a (..., d, d) stack with checked traces, factored
+    one (B, d, d) block at a time over the leading axes; False means "not
+    certified"."""
+    d = a.shape[-1]
+    g = 3 * 2.0**-53 * (d + 1) / (1 - 3 * 2.0**-53 * (d + 1))
+    delta = 4 * g * (1 + TOL_TRACE + d * TOL_PSD)
+    blocks = a.reshape(-1, *a.shape[-3:]) if a.ndim > 2 else a[None, None]
+    ok = np.zeros(blocks.shape[:2], dtype=bool)
+    if delta < TOL_PSD / 2:
+        shift = (TOL_PSD - delta) * np.eye(d)
+        for at, block in enumerate(blocks):
+            try:
+                # numpy returns NaN rather than raising for a NaN diagonal
+                ok[at] = np.isfinite(np.linalg.cholesky(block + shift)).all(axis=(-2, -1))
+            except np.linalg.LinAlgError:
+                pass
+    return ok.reshape(a.shape[:-2])
+
+
 def density_operator(matrix: np.ndarray) -> DensityOperator:
-    """Check a matrix, or each matrix of a stack; a failure names its stack index."""
+    """Check a matrix, or each matrix of a stack; a failure names its stack
+    index. Positive semidefiniteness, lambda_min >= -TOL_PSD, is certified
+    by a Cholesky factorization of A = rho + s I, s = TOL_PSD - delta_d
+    (_psd_certified), and checked by eigvalsh only where that certifies
+    nothing: a factorization that fails or gives a factor that is not
+    finite, or a margin delta_d >= TOL_PSD / 2 (d above about 3.7e5).
+
+    The margin. If the factorization of the stored A runs to completion
+    with a finite factor R, then (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3, in complex arithmetic: by its §3.6 each
+    complex operation errs by at most sqrt(2) gamma_2 < 3u, u = 2^-53)
+    R^H R = A + dA with |dA| <= g |R^H| |R|, g = gamma_{d+1} at unit roundoff
+    3u, g = 3u(d + 1) / (1 - 3u(d + 1)). Since || |R| ||_2 <= ||R||_F and
+    ||R||_F^2 = tr(R^H R) <= tr A + g ||R||_F^2,
+        ||dA||_2 <= g ||R||_F^2 <= g tr A / (1 - g),
+    and R^H R is PSD, so lambda_min(A) >= -g tr A / (1 - g). The stored
+    diagonal of A rounds rho_jj + s by at most u |A_jj|, which moves
+    lambda_min by at most u (1 + g) tr A / ((1 - u)(1 - g)) <= g tr A / (1 - g).
+    The checked trace and s <= TOL_PSD give tr A <= t (1 + 2g),
+    t = 1 + TOL_TRACE + d TOL_PSD, the rounding of the trace included. So
+        lambda_min(rho) >= -s - 2 g tr A / (1 - g) >= -TOL_PSD + delta_d - 4 g t
+    for g <= 1/4, and delta_d = 4 g t certifies lambda_min(rho) >= -TOL_PSD.
+    A certified matrix has lambda_min >= -TOL_PSD exactly; eigvalsh, whose
+    lambda_min errs by its own rounding, could refuse only such a matrix
+    within that rounding of the boundary.
+    """
     op = spectral.hermitian(matrix)
     tr = np.trace(op.entries, axis1=-2, axis2=-1).real
     deviates = ~(np.abs(tr - 1.0) <= TOL_TRACE)
     spectral._raise_first(deviates, ValidationError, lambda at: f"trace {tr[at]:.12g} deviates from 1 by more than {TOL_TRACE:g}")
-    lo = np.linalg.eigvalsh(op.entries)[..., 0]
-    spectral._raise_first(~(lo >= -TOL_PSD), ValidationError, lambda at: f"matrix is not PSD: lowest eigenvalue {lo[at]:.3g}")
+    ok = _psd_certified(op.entries)
+    if not ok.all():
+        lo = np.full(ok.shape, np.inf)
+        lo[~ok] = np.linalg.eigvalsh(op.entries[~ok])[..., 0]
+        spectral._raise_first(~(lo >= -TOL_PSD), ValidationError, lambda at: f"matrix is not PSD: lowest eigenvalue {lo[at]:.3g}")
     return DensityOperator(entries=op.entries)
 
 

@@ -42,6 +42,8 @@ PINNED = "tests/test_records_cli.py::test_bounds_bundle_bytes_are_pinned"
 PINNED_FAULT = "tests/test_records_cli.py::test_bounds_fault_bundle_bytes_are_pinned"
 SHOTS_PINNED = "tests/test_gluedtrees.py::test_traversal_shots_stay_pinned_at_seed_7"
 MARGIN = "tests/test_walk.py::test_float32_probabilities_stay_within_the_margin"
+PSD_REFUSED = "tests/test_walk.py::test_psd_just_past_the_tolerance_is_refused"
+PSD_BAND = "tests/test_walk.py::test_psd_inside_the_fallback_band_is_accepted_through_eigvalsh"
 
 MUTANTS = (
     # the hitting-time screen (walk.SpectralWalk._envelope)
@@ -163,6 +165,38 @@ MUTANTS = (
         "of_kind = slack[kind == name]",
         'of_kind = slack[(kind == name) | (kind == "comparison")]',
         ("tests/test_records_cli.py::test_bounds_summary_equals_the_row_loop", PINNED_FAULT),
+    ),
+    # the bounds streams' keys (rng.stream_keys): one hash constant of SeedSequence
+    Mutant(
+        "K1",
+        "src/ctqw/rng.py",
+        "_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715",
+        "_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F716",
+        ("tests/test_rng.py::test_stream_keys_equal_seed_sequence", PINNED),
+    ),
+    # the shifted Cholesky certificate (walk._psd_certified): a shift past
+    # TOL_PSD certifies what eigvalsh refuses, a failed factorization must fall back
+    Mutant(
+        "P1",
+        "src/ctqw/walk.py",
+        "shift = (TOL_PSD - delta) * np.eye(d)",
+        "shift = (TOL_PSD + delta) * np.eye(d)",
+        (PSD_REFUSED,),
+    ),
+    Mutant(
+        "P2",
+        "src/ctqw/walk.py",
+        "except np.linalg.LinAlgError:\n                pass",
+        "except np.linalg.LinAlgError:\n                raise",
+        (PSD_BAND, "tests/test_walk.py::test_psd_failure_in_a_stack_of_stacks_names_its_index"),
+    ),
+    # the per-run column texts (records._per_run): the last run's cells go missing
+    Mutant(
+        "R1",
+        "src/ctqw/records.py",
+        "dtype=object), np.diff(np.append(starts, x.shape[0])))",
+        "dtype=object)[:-1], np.diff(starts))",
+        ("tests/test_records_cli.py::test_int_columns_render_each_cell_once_per_run", PINNED),
     ),
 )
 

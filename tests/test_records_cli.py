@@ -168,6 +168,28 @@ def test_render_csv_rejects_breaking_cells():
         records.render_csv(["a"], [], comment="two\nlines")
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [7, 7, 7, 3, 3, 9],  # a last run of one
+        [1, 1, 2, 2, 2],  # a last run of several
+        [-5, 0, 0, 12345678901234, 12345678901234, -5],
+        [4],
+    ],
+)
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_int_columns_render_each_cell_once_per_run(values, dtype):
+    column = np.array(values, dtype=np.int64).astype(dtype)
+    texts = [str(v) for v in column.tolist()]
+    assert records._column(column) == (texts, texts)
+
+
+def test_uint64_columns_render_past_the_int64_range():
+    column = np.array([2**64 - 1, 2**64 - 1, 2**63, 0], dtype=np.uint64)
+    texts = ["18446744073709551615", "18446744073709551615", "9223372036854775808", "0"]
+    assert records._column(column) == (texts, texts)
+
+
 def test_experiment_record_round_trip():
     rec = records.ExperimentRecord(
         kind="demo",
@@ -963,6 +985,50 @@ def test_bounds_instance_decomposes_once(monkeypatch):
     # instances once; no instance has its gaps worked out again on its own
     assert gap_stacks == stacks
     assert per_partition == []
+
+
+def test_bounds_error_names_the_instance_and_its_dimension(tmp_path, capsys):
+    # k = 10^6 overflows the subset error term of many instances; the message
+    # names the one that failed first by its id, as a run of it alone does
+    cfg = write_cfg(tmp_path / "b.json", {"instances": 50, "seed": 1, "k_values": [1000000]})
+    assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance ") and "stack index" not in err
+    idx = int(err.split()[2])
+    with pytest.raises(ValidationError) as alone:
+        cli._bounds_block((idx, idx + 1, 1, 10, 0.1, 1000.0, (1000000,)))
+    assert err == f"error: {alone.value}\n"
+    assert str(alone.value).startswith(f"instance {idx} (dim ")
+    assert "): error term sqrt(3)*(2/(T*delta_e_s))^k overflows at T = " in err
+    assert not (tmp_path / "bounds.json").exists()
+
+
+def test_bounds_run_makes_no_eigvalsh_call_and_one_seed_sequence_per_task(monkeypatch):
+    # 2000 instances at seed 7: every density operator is certified by its
+    # shifted factorization, and the task's 2000 streams are keyed in one pass
+    eigvalsh, seed_sequences = [], []
+    original, base = np.linalg.eigvalsh, np.random.SeedSequence
+
+    class CountedSeedSequence(base):
+        def __init__(self, *args, **kwargs):
+            seed_sequences.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh.append(a.shape) or original(a))
+    monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
+    _, table, summary, failure, _ = cli._cmd_bounds({"instances": 2000}, 7, 1)
+    assert failure is None and summary["all_hold"]
+    assert np.unique(table["instance"]).tolist() == list(range(2000))
+    assert eigvalsh == []
+    assert len(seed_sequences) <= 1
+
+
+def test_stacked_exp_of_log_times_equals_the_scalar_exp_bitwise():
+    # _bounds_stack takes T from one exp over the stack's log-times, where each
+    # instance once took float(np.exp(x)) of its own draw
+    logs = rng.rng_stream(5, 0).uniform(np.log(1e-3), np.log(1e6), size=100_000)
+    stacked = np.exp(logs)
+    assert stacked.view(np.int64).tolist() == np.array([float(np.exp(x)) for x in logs.tolist()]).view(np.int64).tolist()
 
 
 def test_gluedtrees_row_solves_the_momenta_once(monkeypatch):

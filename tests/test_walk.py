@@ -197,7 +197,12 @@ def test_nan_states_are_bad_input(monkeypatch):
         walk.pure_state(np.array([np.nan, 0.0]))
     with pytest.raises(ValidationError, match=r"entry \(0, 0\) is \(nan\+0j\), not finite"):
         walk.density_operator(np.diag([np.nan, 1.0]))
-    # the trace and PSD checks do not lean on the finite-entry check before them
+    # the trace and PSD checks do not lean on the finite-entry check before them;
+    # a factorization that fails sends the PSD check to eigvalsh
+    def cholesky(a):
+        raise np.linalg.LinAlgError("not factored")
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
     with pytest.raises(ValidationError, match="not PSD: lowest eigenvalue nan"):
         walk.density_operator(np.diag([0.5, 0.5]))
@@ -289,6 +294,80 @@ def test_stacked_density_operator_rejection_names_stack_index():
     with pytest.raises(ValidationError, match=r"^stack index 2: matrix is not PSD"):
         walk.density_operator(np.stack([good, good, np.diag([1.5, -0.5])]))
     assert walk.density_operator(np.stack([good, good])).entries.shape == (2, 2, 2)
+
+
+def psd_margin(d: int) -> float:
+    """delta_d of the shifted Cholesky, from the derivation in walk.density_operator."""
+    g = 3 * 2.0**-53 * (d + 1) / (1 - 3 * 2.0**-53 * (d + 1))
+    return 4 * g * (1 + walk.TOL_TRACE + d * walk.TOL_PSD)
+
+
+def rotated_density(d: int, lowest: float, seed: int) -> np.ndarray:
+    """A trace-1 Hermitian matrix with eigenvalues lowest and (1 - lowest)/(d - 1), in a random eigenbasis."""
+    rng = rng_stream(seed, 0)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    energies = np.full(d, (1.0 - lowest) / (d - 1))
+    energies[0] = lowest
+    m = (q * energies) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_psd_inside_the_fallback_band_is_accepted_through_eigvalsh(eigvalsh_calls, d):
+    # lambda_min = -TOL_PSD + delta/2: the shifted factorization cannot certify it, eigvalsh accepts it
+    for seed in range(5):
+        rho = rotated_density(d, -walk.TOL_PSD + psd_margin(d) / 2, seed)
+        assert walk.density_operator(rho).entries.shape == (d, d)
+    assert eigvalsh_calls == [(1, d, d)] * 5
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_psd_just_past_the_tolerance_is_refused(eigvalsh_calls, d):
+    # lambda_min = -TOL_PSD (1 + 1e-6) lies within delta_d of the boundary: refused with eigvalsh's message
+    for seed in range(5):
+        with pytest.raises(ValidationError, match=r"^matrix is not PSD: lowest eigenvalue -1e-09$"):
+            walk.density_operator(rotated_density(d, -walk.TOL_PSD * (1 + 1e-6), seed))
+    assert len(eigvalsh_calls) == 5
+
+
+def test_psd_of_pure_states_is_certified_without_eigvalsh(eigvalsh_calls):
+    # rank-one states, the bounds corpus's start states, at every dimension it draws
+    rng = rng_stream(41, 0)
+    for d in (2, 3, 10, 64, 128):
+        v = rng.standard_normal((50, d)) + 1j * rng.standard_normal((50, d))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        walk.density_operator(v[:, :, None] * v.conj()[:, None, :])
+    assert eigvalsh_calls == []
+
+
+def test_psd_without_a_finite_factor_or_a_small_margin_goes_to_eigvalsh(monkeypatch, eigvalsh_calls):
+    rho = rotated_density(4, 0.1, 3)
+    # numpy gives NaN for a NaN diagonal rather than raising: a factor that is not finite certifies nothing
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: np.full_like(cholesky(a), np.nan))
+    walk.density_operator(rho)
+    assert eigvalsh_calls == [(1, 4, 4)]
+    # a margin of TOL_PSD / 2 or more certifies nothing: eigvalsh alone
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: pytest.fail("factored past the margin"))
+    monkeypatch.setattr(walk, "TOL_PSD", psd_margin(4))
+    walk.density_operator(rho)
+    assert eigvalsh_calls == [(1, 4, 4)] * 2
+
+
+def test_psd_failure_in_a_stack_of_stacks_names_its_index(eigvalsh_calls):
+    # one bad matrix in a (2, 4, d, d) stack: its block falls back, and the message names it
+    good = [rotated_density(3, 0.0, seed) for seed in range(8)]
+    good[7] = rotated_density(3, -1e-6, 7)
+    with pytest.raises(ValidationError, match=r"^stack index 1, 3: matrix is not PSD: lowest eigenvalue -1e-06$"):
+        walk.density_operator(np.array(good).reshape(2, 4, 3, 3))
+    assert eigvalsh_calls == [(4, 3, 3)]
 
 
 # ---------------------------------------------------------------------------
