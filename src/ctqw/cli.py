@@ -65,6 +65,9 @@ BOUNDS_COLUMNS = [
 BOUNDS_STACK_ENTRIES = 4096
 #: largest bounds dim_max: 256 instances at dim_max 128 peak at about 54 MB of RSS
 BOUNDS_DIM_MAX = 128
+#: most 16-byte items (a complex amplitude, a stream key) a numpy array can
+#: index: the bound of a count and of a size's square
+ITEMS_MAX = np.iinfo(np.intp).max // 16
 
 #: kind -> (CSV columns, CSV comment line) of the bundle the subcommand writes
 BUNDLES = {
@@ -132,13 +135,13 @@ def _reject_repeats(key: str, values: list) -> None:
             raise ConfigError(f"config field '{key}' repeats {value!r}")
 
 
-def _as_int(cfg: dict, key: str, default=None, minimum=None, maximum=None):
+def _as_int(cfg: dict, key: str, default=None, minimum=None, maximum=ITEMS_MAX):
     value = cfg.get(key, default)
     if not _is_int(value):
         raise ConfigError(f"config field '{key}' must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"config field '{key}' must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
+    if value > maximum:
         raise ConfigError(f"config field '{key}' must be <= {maximum}, got {value}")
     return value
 
@@ -156,11 +159,21 @@ def _run_tasks(worker, tasks, jobs: int) -> list:
         return list(pool.map(worker, tasks))
 
 
-def _write_bundle(out: Path, kind: str, seed: int, config, rows, summary, failure, success) -> int:
+def _table(rows: list) -> dict:
+    """The table of dict rows of one key set: a column per key."""
+    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
+
+
+def _joined(tables: list) -> dict:
+    """The tables of the same columns, one after the other."""
+    return {key: np.concatenate([table[key] for table in tables]) for key in tables[0]}
+
+
+def _write_bundle(out: Path, kind: str, seed: int, config, table, summary, failure, success) -> int:
     """Render <kind>.json and <kind>.csv, then write both, so that a row that cannot be
     serialized leaves no bundle; exit code 2 when failure names a failed assertion."""
     columns, comment = BUNDLES[kind]
-    record = records.ExperimentRecord(kind=kind, config=config, seed=seed, rows=rows, summary=summary)
+    record = records.ExperimentRecord(kind=kind, config=config, seed=seed, rows=table, summary=summary)
     for suffix, pieces in zip(("json", "csv"), record.pieces(columns, comment)):
         records._write(out / f"{kind}.{suffix}", pieces)
     print(f"{kind}: wrote {out / f'{kind}.csv'} and {out / f'{kind}.json'}")
@@ -175,7 +188,7 @@ def _write_bundle(out: Path, kind: str, seed: int, config, rows, summary, failur
 # gluedtrees subcommand
 
 
-def _gluedtrees_row(task: tuple) -> list:
+def _gluedtrees_row(task: tuple) -> dict:
     two_n, mc_seed, mc_runs = task
     column = gluedtrees.column_walk(two_n)
     taus = gluedtrees.certified_hitting_times(column)
@@ -221,7 +234,7 @@ def _gluedtrees_row(task: tuple) -> list:
         "mc_prune_bound": column.prune_bound,
         "holds": bool(holds),
     }
-    return [row]
+    return _table([row])
 
 
 def _cmd_gluedtrees(cfg: dict, seed: int, jobs: int) -> tuple:
@@ -229,36 +242,36 @@ def _cmd_gluedtrees(cfg: dict, seed: int, jobs: int) -> tuple:
     if not isinstance(sizes, list) or not sizes:
         raise ConfigError("config field 'n' must be a nonempty list of even sizes >= 8")
     for value in sizes:
-        if not _is_int(value) or value < 8 or value % 2:
-            raise ConfigError(f"size {value!r} is invalid: sizes must be even integers >= 8")
+        if not _is_int(value) or value < 8 or value % 2 or value * value > ITEMS_MAX:
+            raise ConfigError(f"size {value!r} is invalid: sizes must be even integers >= 8 whose n x n arrays numpy can index")
     _reject_repeats("n", sizes)
     mc_runs = _as_int(cfg, "mc_runs", default=200, minimum=1)
 
     tasks = [(two_n, task_seed(seed, idx), mc_runs) for idx, two_n in enumerate(sorted(sizes))]
-    rows = [row for chunk in _run_tasks(_gluedtrees_row, tasks, jobs) for row in chunk]
+    table = _joined(_run_tasks(_gluedtrees_row, tasks, jobs))
 
-    xs = np.log([row["n"] // 2 for row in rows])
+    n, holds = table["n"], table["holds"]
     slope = None
-    if len(rows) >= 2:
-        slope = float(np.polyfit(xs, np.log([row["tau_exact"] for row in rows]), 1)[0])
+    if len(n) >= 2:
+        slope = float(np.polyfit(np.log(n / 2), np.log(table["tau_exact"]), 1)[0])
     summary = {
-        "sizes": [row["n"] for row in rows],
-        "all_hold": bool(all(row["holds"] for row in rows)),
+        "sizes": n.tolist(),
+        "all_hold": bool(holds.all()),
         "tau_exact_loglog_slope": slope,
-        "tau_l1_over_l2": [row["tau_l1"] / row["tau_l2"] for row in rows],
-        "tau_l2_over_l3": [row["tau_l2"] / row["tau_l3"] for row in rows],
+        "tau_l1_over_l2": (table["tau_l1"] / table["tau_l2"]).tolist(),
+        "tau_l2_over_l3": (table["tau_l2"] / table["tau_l3"]).tolist(),
     }
     config = {"n": sorted(sizes), "mc_runs": mc_runs}
-    bad = [row["n"] for row in rows if not row["holds"]]
+    bad = n[~holds].tolist()
     failure = f"assertion failed for sizes {bad}" if bad else None
-    return config, rows, summary, failure, f"all {len(rows)} sizes certified"
+    return config, table, summary, failure, f"all {len(n)} sizes certified"
 
 
 # ---------------------------------------------------------------------------
 # search subcommand
 
 
-def _search_rows(task: tuple) -> list:
+def _search_rows(task: tuple) -> dict:
     # one chain, shared by every epsilon row; one MC stream per row
     family, n, marked, payload, seed, idx, epsilons, shots, time_factor = task
     if payload is not None:
@@ -279,7 +292,7 @@ def _search_rows(task: tuple) -> list:
         row = asdict(rec)
         row["N"], row["ht"] = row.pop("n"), row.pop("hitting_time")
         rows.append(row)
-    return rows
+    return _table(rows)
 
 
 def _linear_fit(xs: list, ys: list) -> dict:
@@ -324,8 +337,8 @@ def _cmd_search(cfg: dict, seed: int, jobs: int) -> tuple:
                 raise ConfigError(f"unknown chain family {family!r}; known: {markov.CHAIN_FAMILIES}")
         _reject_repeats("families", families)
         for n in sizes:
-            if not _is_int(n) or n < 2:
-                raise ConfigError(f"chain size {n!r} is invalid: must be an integer >= 2")
+            if not _is_int(n) or n < 2 or n * n > ITEMS_MAX:
+                raise ConfigError(f"chain size {n!r} is invalid: must be an integer >= 2 whose N x N arrays numpy can index")
             if marked >= n:
                 raise ConfigError(f"marked vertex {marked} is out of range for size {n}")
         _reject_repeats("N", sizes)
@@ -352,20 +365,15 @@ def _cmd_search(cfg: dict, seed: int, jobs: int) -> tuple:
         raise ConfigError("search config needs 'families' + 'N', or 'chains'")
 
     tasks = [(*spec, seed, idx, epsilons, shots, time_factor) for idx, spec in enumerate(specs)]
-    rows = [row for chunk in _run_tasks(_search_rows, tasks, jobs) for row in chunk]
+    table = _joined(_run_tasks(_search_rows, tasks, jobs))
 
+    family, n, eps, holds = (table[key] for key in ("family", "N", "epsilon", "floor_holds"))
     fits = []
-    for family, n in sorted({(row["family"], row["N"]) for row in rows}):
-        group = [row for row in rows if row["family"] == family and row["N"] == n]
-        fit = _linear_fit(
-            [math.log2(1.0 / row["epsilon"]) for row in group],
-            [row["total_time"] for row in group],
-        )
-        fits.append({"family": family, "N": n, **fit})
-    summary = {
-        "all_floor_holds": bool(all(row["floor_holds"] for row in rows)),
-        "total_time_fits": fits,
-    }
+    for name, size in sorted(set(zip(family.tolist(), n.tolist()))):
+        group = (family == name) & (n == size)
+        fit = _linear_fit([math.log2(1.0 / e) for e in eps[group].tolist()], table["total_time"][group])
+        fits.append({"family": name, "N": size, **fit})
+    summary = {"all_floor_holds": bool(holds.all()), "total_time_fits": fits}
     config = {
         "families": families,
         "N": sizes,
@@ -375,9 +383,9 @@ def _cmd_search(cfg: dict, seed: int, jobs: int) -> tuple:
         "time_factor": time_factor,
         "chains": chain_paths,
     }
-    bad = [(row["family"], row["N"], row["epsilon"]) for row in rows if not row["floor_holds"]]
+    bad = list(zip(*(column[~holds].tolist() for column in (family, n, eps))))
     failure = f"success floor violated for {bad}" if bad else None
-    return config, rows, summary, failure, f"all {len(rows)} runs meet the 1/4 - epsilon floor"
+    return config, table, summary, failure, f"all {len(holds)} runs meet the 1/4 - epsilon floor"
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +428,6 @@ def _bounds_stack(dim: int, streams: list, rng, task: tuple, tables: list) -> No
     table["instance"] = np.array([idx for idx, _ in streams])[table.pop("walk")]
     table["dim"] = np.full(table["T"].shape, dim)
     tables.append(table)
-
-
-def _joined(tables: list) -> dict:
-    """The tables of the same columns, one after the other."""
-    return {key: np.concatenate([table[key] for table in tables]) for key in tables[0]}
 
 
 def _bounds_block(task: tuple) -> dict:
@@ -538,7 +541,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     """Shared setup, then one subcommand: it validates its own config fields, runs
-    its tasks and returns (config echo, rows, summary, failure or None, success)."""
+    its tasks and returns (config echo, table, summary, failure or None, success)."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _load_config(args.config)

@@ -403,8 +403,8 @@ def chain_from_payload(payload: dict) -> tuple[ReversibleChain, int]:
         if isinstance(value, bool) or not whole:
             raise ValidationError(f"chain payload field {key!r} must be a whole number, got {value!r}")
     n, marked = int(n), int(marked)
-    if n < 1:
-        raise ValidationError(f"chain payload needs n >= 1, got {n}")
+    if n < 1 or 16 * n * n > np.iinfo(np.intp).max:
+        raise ValidationError(f"chain payload needs n >= 1 whose n x n arrays numpy can index, got {n}")
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -14,7 +14,6 @@ import json
 import math
 import re
 from functools import lru_cache
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -203,36 +202,24 @@ def _table_blocks(table: dict, columns, line: str):
         line_cells = [cells[col][1] for col in columns]  # a missing column raises KeyError
         for col, cell in zip(columns, line_cells):
             if None in cell:  # a str that would break its CSV line
-                _cell(table[col][lo + cell.index(None)])
+                raise ValidationError(f"CSV cell may not contain commas or newlines: {cells[col][0][cell.index(None)]}")
         csv_rows = map(line.__mod__, zip(*line_cells)) if columns else [line] * min(RENDER_BLOCK, n - lo)
         yield ",\n    ".join(map(template.__mod__, zip(*(cells[key][0] for key in ordered)))), "".join(csv_rows)
 
 
-def _row_blocks(rows, columns, line: str):
-    """(JSON text, CSV text) of each block of dict rows, one row at a time."""
-    rows = iter(rows)
-    while block := list(islice(rows, RENDER_BLOCK)):
-        out: list = []
-        for row in block:
-            if out:
-                out.append(",\n    ")
-            _emit(row, 4, out)
-        yield "".join(out), "".join(line % tuple(_cell(row[col]) for col in columns) for row in block)
-
-
-def _pieces(rows, columns, comment: str, document: dict | None = None) -> tuple[list, list]:
-    """Pieces of the JSON text of document, its "rows" being rows, and of
-    the CSV text of rows over columns, one piece per block of rows; rows are
-    dicts, or a table: a dict of equal-length columns. Nothing is written,
-    so a cell that cannot be serialized leaves no file. The CSV text starts
-    with one '#' comment line for gnuplot."""
+def _pieces(table: dict, columns, comment: str, document: dict | None = None) -> tuple[list, list]:
+    """Pieces of the JSON text of document, its "rows" being the rows of
+    table, a dict of equal-length columns, and of the CSV text of those rows
+    over columns, one piece per block of rows. Nothing is written, so a cell
+    that cannot be serialized leaves no file. The CSV text starts with one
+    '#' comment line for gnuplot."""
     if "\n" in comment:
         raise ValidationError("CSV comment must be a single line")
     csv = (["# " + comment + "\n"] if comment else []) + [",".join(columns) + "\n"]
     line = ",".join(["%s"] * len(columns)) + "\n"
     # a row sits in the list at key "rows" of the top-level object, at indent 4; one
     # string per block: a string per row would add its object header to each
-    blocks = list((_table_blocks if isinstance(rows, dict) else _row_blocks)(rows, columns, line))
+    blocks = list(_table_blocks(table, columns, line))
     csv += [text for _, text in blocks]
     out: list = []
     if document is not None:
@@ -248,7 +235,7 @@ def _write(path, pieces: list) -> None:
 
 # a named tuple: a frozen dataclass costs about three times the import-time memory
 class ExperimentRecord(NamedTuple):
-    """One experiment run: config echo, rows (dicts or a table of columns), summary stats.
+    """One experiment run: config echo, rows (a table: a dict of equal-length columns), summary stats.
 
     It carries no timing: byte-identical reruns are part of the contract.
     """
@@ -256,7 +243,7 @@ class ExperimentRecord(NamedTuple):
     kind: str
     config: dict
     seed: int | None
-    rows: tuple | dict
+    rows: dict
     summary: dict
     version: str = __version__
     rng: str = RNG_NAME
@@ -280,19 +267,10 @@ class ExperimentRecord(NamedTuple):
         _write(path, self.pieces()[0])
 
 
-def _cell(value) -> str:
-    texts = _texts(value)
-    if texts is None:
-        raise ValidationError(f"unsupported CSV cell type: {type(value).__name__}")
-    if texts[1] is None:
-        raise ValidationError(f"CSV cell may not contain commas or newlines: {value!r}")
-    return texts[1]
+def render_csv(columns: list, table: dict, comment: str = "") -> str:
+    """Header + the rows of table, preceded by one '#' comment line for gnuplot."""
+    return "".join(_pieces(table, columns, comment)[1])
 
 
-def render_csv(columns: list, rows, comment: str = "") -> str:
-    """Header + rows, preceded by one '#' comment line for gnuplot."""
-    return "".join(_pieces(rows, columns, comment)[1])
-
-
-def write_csv(path, columns: list, rows, comment: str = "") -> None:
-    _write(path, _pieces(rows, columns, comment)[1])
+def write_csv(path, columns: list, table: dict, comment: str = "") -> None:
+    _write(path, _pieces(table, columns, comment)[1])

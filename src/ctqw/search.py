@@ -391,7 +391,7 @@ def _overlap_report(ic: InterpolatedChain, lam: np.ndarray, vecs: np.ndarray) ->
     pv = float(ic.pi_s[ic.marked])
     if abs(pv - 0.5) > 1e-9:
         raise ValidationError(
-            f"overlap preconditions hold at the half-weight point; marked weight is {pv:.12g}"
+            f"overlap preconditions need the half-weight point; marked weight is {pv:.12g}"
         )
     u = vecs[:, -1].real
     if u.sum() < 0:

@@ -597,7 +597,8 @@ class SpectralWalk:
         sigma, _, _, weight = self._fold
         p = self._hit_probabilities(ts, np.float32)
         eps = (TRIG32_ERROR + t_max * float(sigma.max(initial=0.0)) * 2.0**-50) * weight + self._shot_screen[3]
-        margin = 2.0 * eps * (1.0 + self.prune_bound) + eps**2 + 2.0**-40
+        # eps * eps, not eps**2, which raises OverflowError: an infinite margin sends every shot to float64
+        margin = 2.0 * eps * (1.0 + self.prune_bound) + eps * eps + 2.0**-40
         # written ~(x > margin), so that a NaN goes to float64
         close = ~(np.abs(u - p) > margin)
         if close.any():

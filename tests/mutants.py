@@ -44,6 +44,7 @@ SHOTS_PINNED = "tests/test_gluedtrees.py::test_traversal_shots_stay_pinned_at_se
 MARGIN = "tests/test_walk.py::test_float32_probabilities_stay_within_the_margin"
 PSD_REFUSED = "tests/test_walk.py::test_psd_just_past_the_tolerance_is_refused"
 PSD_BAND = "tests/test_walk.py::test_psd_inside_the_fallback_band_is_accepted_through_eigvalsh"
+COUNT_BOUNDS = "tests/test_records_cli.py::test_cli_count_numpy_cannot_index_exits_3"
 
 MUTANTS = (
     # the hitting-time screen (walk.SpectralWalk._envelope)
@@ -189,6 +190,22 @@ MUTANTS = (
         "except np.linalg.LinAlgError:\n                pass",
         "except np.linalg.LinAlgError:\n                raise",
         (PSD_BAND, "tests/test_walk.py::test_psd_failure_in_a_stack_of_stacks_names_its_index"),
+    ),
+    # the count and size bounds (cli.ITEMS_MAX): a size past them, or a count of
+    # 8-byte items at them, escapes cli.main as numpy's ValueError
+    Mutant(
+        "C1",
+        "src/ctqw/cli.py",
+        "value % 2 or value * value > ITEMS_MAX:",
+        "value % 2:",
+        (COUNT_BOUNDS, "tests/test_records_cli.py::test_cli_sizes_past_numpy_indexing_are_refused"),
+    ),
+    Mutant(
+        "C2",
+        "src/ctqw/cli.py",
+        "ITEMS_MAX = np.iinfo(np.intp).max // 16",
+        "ITEMS_MAX = np.iinfo(np.intp).max // 8",
+        (COUNT_BOUNDS,),
     ),
     # the per-run column texts (records._per_run): the last run's cells go missing
     Mutant(

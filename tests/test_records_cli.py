@@ -2,6 +2,7 @@
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,7 +77,8 @@ def test_canonical_json_flat_row_bytes():
         '{\n  "b": false,\n  "f": 0.10000000000000001,\n  "i": -3,\n'
         '  "n": null,\n  "s": "mixing",\n  "two": 2.0\n}\n'
     )
-    assert records.render_csv(["s", "f", "i", "b", "n", "two"], [FLAT_ROW]) == (
+    table = {key: np.array([value]) for key, value in FLAT_ROW.items()}
+    assert records.render_csv(["s", "f", "i", "b", "n", "two"], table) == (
         "s,f,i,b,n,two\nmixing,0.10000000000000001,-3,false,,2.0\n"
     )
 
@@ -150,7 +152,7 @@ def test_canonical_json_matches_oracle_on_bounds_rows():
 def test_render_csv_layout():
     text = records.render_csv(
         ["a", "b", "c"],
-        [{"a": 1, "b": True, "c": None}, {"a": 0.25, "b": False, "c": "ok"}],
+        {"a": np.array([1, 0.25], dtype=object), "b": np.array([True, False]), "c": np.array([None, "ok"])},
         comment="demo",
     )
     lines = text.splitlines()
@@ -163,9 +165,9 @@ def test_render_csv_layout():
 def test_render_csv_rejects_breaking_cells():
     for bad in ("x,y", 'quo"te', "new\nline"):
         with pytest.raises(ValidationError):
-            records.render_csv(["a"], [{"a": bad}])
+            records.render_csv(["a"], {"a": np.array(["ok", bad])})
     with pytest.raises(ValidationError):
-        records.render_csv(["a"], [], comment="two\nlines")
+        records.render_csv(["a"], {}, comment="two\nlines")
 
 
 @pytest.mark.parametrize(
@@ -190,12 +192,26 @@ def test_uint64_columns_render_past_the_int64_range():
     assert records._column(column) == (texts, texts)
 
 
+def test_float_columns_render_as_format_float():
+    # random bit patterns span the exponent range; the edges are the signed zeros,
+    # subnormals, the integral values about 2^53 and 1e17, where a '.0' is added
+    # and then no longer, and the largest doubles
+    bits = rng.rng_stream(3).integers(0, 2**64, size=50_000, dtype=np.uint64).view(np.float64)
+    draws = rng.rng_stream(4)
+    integral = np.round(draws.standard_normal(5000) * 10.0 ** draws.integers(0, 20, 5000))
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.0**53, 2.0**53 + 2.0, -(2.0**53), 1e16, 1e17, -1e17]
+    edges += [np.nextafter(1e17, 0.0), np.nextafter(1e17, 1e18), sys.float_info.max, -sys.float_info.max]
+    values = np.concatenate([bits[np.isfinite(bits)], integral, edges])
+    texts = [records.format_float(x) for x in values.tolist()]
+    assert records._column(values) == (texts, texts)
+
+
 def test_experiment_record_round_trip():
     rec = records.ExperimentRecord(
         kind="demo",
         config={"n": [8]},
         seed=5,
-        rows=({"x": 1.5, "ok": True},),
+        rows={"x": np.array([1.5]), "ok": np.array([True])},
         summary={"all": True},
     )
     back = json.loads(rec.to_json())
@@ -458,7 +474,7 @@ def two_pass_bundle(kind: str, seed: int, config, rows, summary) -> tuple[str, s
     canonical_json, checked against the plain emitter, then the CSV text on
     its own, one cell at a time."""
     columns, comment = cli.BUNDLES[kind]
-    record = records.ExperimentRecord(kind=kind, config=config, seed=seed, rows=tuple(rows), summary=summary)
+    record = records.ExperimentRecord(kind=kind, config=config, seed=seed, rows={}, summary=summary)
     document = {"kind": kind, "version": record.version, "rng": record.rng, "seed": seed, "config": config}
     document.update(rows=list(rows), summary=summary)
     json_text = records.canonical_json(document)
@@ -468,59 +484,54 @@ def two_pass_bundle(kind: str, seed: int, config, rows, summary) -> tuple[str, s
     return json_text, "\n".join(lines) + "\n"
 
 
-MIXED_ROWS = [
-    {
-        "instance": np.int64(0),
-        "dim": 3,
-        "T": np.float64(0.5),
-        "k": 1,
-        "kind": "mixing",
-        "bound_value": None,
-        "actual_value": 0.25,
-        "slack": np.float32(0.125),
-        "holds": np.bool_(True),
-        "note": 'a,b "quoted"',  # no CSV column: JSON only
-    },
-    {
-        "instance": 1,
-        "dim": np.int32(4),
-        "T": 2.0,
-        "k": np.int64(3),
-        "kind": "residual",
-        "bound_value": np.float64(1e-12),
-        "actual_value": None,
-        "slack": -0.0,
-        "holds": False,
-        "nested": {"x": np.arange(2), "y": [None, 1.5]},  # a container: the general path
-    },
-    {"instance": 2, "dim": 2, "T": 1e300, "k": 4, "kind": "subset", "bound_value": -3.0, "actual_value": 1.0, "slack": 4.0, "holds": True},
-]
+MIXED_TABLE = {
+    # the object columns keep their cells as they are: numpy scalars, None, ints and floats mixed
+    "instance": np.array([np.int64(0), 1, 2], dtype=object),
+    "dim": np.array([3, np.int32(4), 2], dtype=object),
+    "T": np.array([0.5, 2.0, 1e300]),
+    "k": np.array([1, np.int64(3), 4], dtype=object),
+    "kind": np.array(["mixing", "residual", "subset"]),
+    "bound_value": np.array([None, np.float64(1e-12), -3.0], dtype=object),
+    "actual_value": np.array([np.float32(0.25), None, 1.0], dtype=object),
+    "slack": np.array([0.125, -0.0, 4.0]),
+    "holds": np.array([np.bool_(True), False, True], dtype=object),
+    "note": np.array(['a,b "quoted"', "", None], dtype=object),  # no CSV column: JSON only
+}
 
 
 def test_write_bundle_renders_both_files_before_writing_either(tmp_path):
     # the JSON text of this row renders, its CSV cell does not
-    rows = [{"family": "a,b", "N": 3}]
+    table = {**{col: np.array([3]) for col in cli.SEARCH_COLUMNS}, "family": np.array(["a,b"])}
     with pytest.raises(ValidationError):
-        cli._write_bundle(tmp_path, "search", 1, {}, rows, {}, None, "ok")
+        cli._write_bundle(tmp_path, "search", 1, {}, table, {}, None, "ok")
     assert not any(tmp_path.iterdir())
 
 
 def test_write_bundle_writes_nothing_when_a_later_row_has_no_text(tmp_path):
-    rows = [MIXED_ROWS[2], {**MIXED_ROWS[2], "slack": float("nan")}]
-    with pytest.raises(ValidationError):
-        cli._write_bundle(tmp_path, "bounds", 1, {}, rows, {}, None, "ok")
-    assert not any(tmp_path.iterdir())
+    # a NaN slack, or a container cell, in the second row
+    last_twice = {key: column[[2, 2]] for key, column in MIXED_TABLE.items()}
+    for key, column in (("slack", np.array([4.0, float("nan")])), ("note", np.array([None, {"y": [None, 1.5]}]))):
+        with pytest.raises(ValidationError):
+            cli._write_bundle(tmp_path, "bounds", 1, {}, {**last_twice, key: column}, {}, None, "ok")
+        assert not any(tmp_path.iterdir())
 
 
 def test_write_bundle_equals_the_two_pass_oracle(tmp_path, capsys):
-    config, table, summary, failure, _ = cli._cmd_bounds({"instances": 50}, 7, 1)
-    assert failure is None
-    bundles = [(3, {"mixed": True}, MIXED_ROWS, MIXED_ROWS, {"rows": [1, None]}), (7, config, table, rows_of(table), summary)]
-    for seed, config, rows, oracle_rows, summary in bundles:
-        assert cli._write_bundle(tmp_path, "bounds", seed, config, rows, summary, None, "ok") == 0
-        json_text, csv_text = two_pass_bundle("bounds", seed, config, oracle_rows, summary)
-        assert (tmp_path / "bounds.json").read_text(encoding="utf-8") == json_text
-        assert (tmp_path / "bounds.csv").read_text(encoding="utf-8") == csv_text
+    bundles = [("bounds", 3, {"mixed": True}, MIXED_TABLE, {"rows": [1, None]})]
+    runs = {
+        "bounds": {"instances": 50},
+        "gluedtrees": {"n": [8, 16], "mc_runs": 5},
+        "search": {"families": ["complete", "cycle"], "N": [6], "epsilons": [0.2, 0.1], "shots": 500},
+    }
+    for kind, cfg in runs.items():
+        config, table, summary, failure, _ = getattr(cli, f"_cmd_{kind}")(cfg, 7, 1)
+        assert failure is None
+        bundles.append((kind, 7, config, table, summary))
+    for kind, seed, config, table, summary in bundles:
+        assert cli._write_bundle(tmp_path, kind, seed, config, table, summary, None, "ok") == 0
+        json_text, csv_text = two_pass_bundle(kind, seed, config, rows_of(table), summary)
+        assert (tmp_path / f"{kind}.json").read_text(encoding="utf-8") == json_text
+        assert (tmp_path / f"{kind}.csv").read_text(encoding="utf-8") == csv_text
 
 
 def test_write_bundle_never_holds_a_joined_text(tmp_path, capsys):
@@ -850,6 +861,70 @@ def test_cli_memory_error_exits_3(tmp_path, monkeypatch, capsys, message):
     assert not (tmp_path / "gluedtrees.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, payload, rc, message",
+    [
+        ("search", {"chains": [], "epsilons": [0.1], "shots": 2**64 + 1}, 3, "config field 'shots' must be <= "),
+        ("search", {"families": ["complete"], "N": [2**63], "epsilons": [0.1]}, 3, "chain size 9223372036854775808 is invalid"),
+        ("gluedtrees", {"n": [2**63]}, 3, "size 9223372036854775808 is invalid"),
+        ("gluedtrees", {"n": [8], "mc_runs": 2**64 + 1}, 3, "config field 'mc_runs' must be <= "),
+        ("bounds", {"instances": 2**64 + 1}, 3, "config field 'instances' must be <= "),
+        ("search", {"families": ["complete"], "N": [5], "epsilons": [0.1], "shots": 1000, "time_factor": 1e300}, 0, None),
+        ("search", {"chains": [2**63], "epsilons": [0.1]}, 3, "chain payload needs n >= 1 whose n x n arrays"),
+        ("bounds", {"instances": cli.ITEMS_MAX + 1}, 3, f"config field 'instances' must be <= {cli.ITEMS_MAX}, got "),
+        # a count numpy can index but no memory holds: 4 EiB, so nothing is allocated for real
+        ("search", {"chains": [], "epsilons": [0.1], "shots": cli.ITEMS_MAX}, 3, "out of memory: Unable to allocate"),
+        ("gluedtrees", {"n": [8], "mc_runs": cli.ITEMS_MAX}, 3, "out of memory: Unable to allocate"),
+        ("bounds", {"instances": cli.ITEMS_MAX}, 3, "out of memory: Unable to allocate"),
+    ],
+    ids=[
+        "shots-2^64+1",
+        "search-N-2^63",
+        "gluedtrees-n-2^63",
+        "mc_runs-2^64+1",
+        "instances-2^64+1",
+        "time-factor-1e300",
+        "chain-file-n-2^63",
+        "instances-past-the-bound",
+        "shots-at-the-bound",
+        "mc_runs-at-the-bound",
+        "instances-at-the-bound",
+    ],
+)
+def test_cli_count_numpy_cannot_index_exits_3(tmp_path, capsys, command, payload, rc, message):
+    # each of these once escaped cli.main as a traceback (exit 1): a count or a
+    # size whose arrays no numpy array can index, or a shot margin whose square overflowed
+    if "chains" in payload:
+        # the chain file's n: 3, or the one the test names
+        n = payload["chains"][0] if payload["chains"] else 3
+        chain = {"n": n, "format": "weighted-graph", "data": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0], [0, 0, 1.0]], "marked": 1}
+        payload = {**payload, "chains": [write_cfg(tmp_path / "chain.json", chain)]}
+    cfg, out = write_cfg(tmp_path / "c.json", {**payload, "seed": 1}), tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == rc
+    err = capsys.readouterr().err
+    if message is None:
+        assert err == ""
+    else:
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, key", [("gluedtrees", "n"), ("search", "N")])
+def test_cli_sizes_past_numpy_indexing_are_refused(tmp_path, monkeypatch, capsys, command, key):
+    # the largest size whose square numpy can index reaches the tasks, the next is refused;
+    # the tasks only raise, so nothing is allocated
+    def no_memory(worker, tasks, jobs):
+        raise MemoryError("stand-in")
+
+    monkeypatch.setattr(cli, "_run_tasks", no_memory)
+    side, step = (math.isqrt(cli.ITEMS_MAX) & ~1, 2) if command == "gluedtrees" else (math.isqrt(cli.ITEMS_MAX), 1)
+    extra = {"families": ["cycle"], "epsilons": [0.1]} if command == "search" else {}
+    for size, message in ((side, "out of memory: stand-in"), (side + step, f"size {side + step} is invalid")):
+        cfg = write_cfg(tmp_path / "c.json", {key: [size], "seed": 1, **extra})
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert message in capsys.readouterr().err
+
+
 def test_cli_inconsistency_exit_code(tmp_path, monkeypatch):
     def boom(cfg, seed, jobs):
         raise InconsistencyError("synthetic")
@@ -1034,7 +1109,7 @@ def test_stacked_exp_of_log_times_equals_the_scalar_exp_bitwise():
 def test_gluedtrees_row_solves_the_momenta_once(monkeypatch):
     decomposed = count_calls(monkeypatch, spectral, ["decompose"])
     solved = count_calls(monkeypatch, gluedtrees, ["solve_momenta"])
-    row = cli._gluedtrees_row((16, 5, 20))[0]
+    row = rows_of(cli._gluedtrees_row((16, 5, 20)))[0]
     # one closed-form column walk, shared by certification and the Monte
     # Carlo: the momenta are solved once and nothing is decomposed
     assert decomposed["decompose"] == 0
@@ -1048,7 +1123,7 @@ def test_gluedtrees_row_holds_requires_certified_slack(monkeypatch):
     monkeypatch.setattr(
         gluedtrees, "certified_hitting_times", lambda w: {**certified(w), "slack_l2": -1e-3}
     )
-    assert not cli._gluedtrees_row((16, 5, 20))[0]["holds"]
+    assert not rows_of(cli._gluedtrees_row((16, 5, 20)))[0]["holds"]
 
 
 def test_sweep_rows_screen_their_exact_averages_and_batch_their_rounds(monkeypatch):
@@ -1075,7 +1150,7 @@ def test_sweep_rows_screen_their_exact_averages_and_batch_their_rounds(monkeypat
 )
 @pytest.mark.parametrize("two_n", [16, 128])
 def test_tau_exact_minimum_lies_inside_its_grid(two_n):
-    row = cli._gluedtrees_row((two_n, 1, 1))[0]
+    row = rows_of(cli._gluedtrees_row((two_n, 1, 1)))[0]
     t_lo = 2.0 / row["delta_e_s"]
     grid = walk.geometric_grid(t_lo, 64.0 * t_lo)
     assert grid[0] < row["tau_exact_argmin_T"] < grid[-1]

@@ -318,6 +318,13 @@ def test_overlap_preconditions_wrong_point_rejected():
         search.overlap_preconditions(markov.interpolate(chain, 1, 0.1))
 
 
+def test_overlap_preconditions_say_they_need_the_half_weight_point():
+    # at s = 0 the marked weight is pi(0) = 1/4, not 1/2
+    chain = lazy_family("complete", 4)
+    with pytest.raises(ValidationError, match=r"^overlap preconditions need the half-weight point; marked weight is 0\.25$"):
+        search.overlap_preconditions(markov.interpolate(chain, 0, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # end-to-end search
 

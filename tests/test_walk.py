@@ -593,6 +593,15 @@ def test_a_shot_within_the_margin_is_decided_in_float64(evaluations):
     assert np.array_equal(hit, u < p64)
 
 
+def test_a_margin_past_the_float_range_sends_every_shot_to_float64(evaluations):
+    # near t = 1e300 eps^2 overflows: the margin is infinite, where eps**2 raised OverflowError
+    w = gluedtrees.column_walk(64)
+    ts, u = rng_stream(5).random(8) * 1e300, rng_stream(6).random(8)
+    hit = w.hits(ts, u)
+    assert [(dtype, times.tolist()) for dtype, times in evaluations] == [(np.float32, ts.tolist()), (np.float64, ts.tolist())]
+    assert np.array_equal(hit, u < w._hit_probabilities(ts, np.float64))
+
+
 def test_a_float32_error_just_inside_the_margin_decides_as_float64(monkeypatch):
     # every float32 probability off by 0.99 of the derived margin, and each u
     # 0.3 of it from its float64 probability on the same side: every shot must
