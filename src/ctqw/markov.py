@@ -1,10 +1,11 @@
 """Reversible Markov chains: validation, discriminant, interpolation, hitting times.
 
 A chain enters the quantum pipeline as a row-stochastic matrix. Validation
-establishes, in order: entries and row sums, strong connectivity, a unique
-stationary distribution, detailed balance, and (unless waived) aperiodicity.
-The diagnosis order is part of the contract: a directed 3-cycle is reported
-as irreversible, not as periodic.
+establishes, in order: entries and row sums, strong connectivity, edges in
+both directions, and detailed balance against the stationary distribution
+read off it; it records aperiodicity without requiring it. The diagnosis
+order is part of the contract: a directed 3-cycle is reported as
+irreversible, for its one-way edges.
 
 The discriminant sqrt(P o P^T) (elementwise) is symmetric for reversible
 chains and shares its top eigenvector with sqrt(pi). Interpolation toward an
@@ -50,8 +51,6 @@ __all__ = [
 ROW_SUM_TOL = 1e-12
 BALANCE_TOL = 1e-10
 STATIONARY_TOL = 1e-10
-#: linear-solve stationary vector vs discriminant top eigenvector, squared
-STATIONARY_CROSS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -67,28 +66,6 @@ class ReversibleChain:
     @property
     def n(self) -> int:
         return self.P.shape[0]
-
-
-def _stationary(p: np.ndarray) -> np.ndarray:
-    """Unique stationary row vector of an irreducible stochastic matrix.
-
-    Solves (P^T - I) pi = 0 with the normalization row appended in place of
-    the last equation; polish and residual check follow.
-    """
-    n = p.shape[0]
-    a = p.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    pi = np.linalg.solve(a, b)
-    pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
-    if np.any(pi <= 0):
-        raise InconsistencyError("stationary solve produced nonpositive mass")
-    pi /= pi.sum()
-    resid = float(np.max(np.abs(pi @ p - pi)))
-    if resid > STATIONARY_TOL:
-        raise InconsistencyError(f"stationary residual {resid:.3g} exceeds {STATIONARY_TOL:g}")
-    return pi
 
 
 def _levels(support: np.ndarray) -> np.ndarray:
@@ -126,6 +103,20 @@ def _period(support: np.ndarray, level: np.ndarray) -> int:
     return g if g > 0 else 1
 
 
+def _tree_stationary(p: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Stationary vector of a reversible chain by detailed balance along the
+    breadth-first levels: pi_v = pi_u P_uv / P_vu for the first neighbour u
+    of v one level nearer vertex 0, then normalized. Needs P_vu > 0 on every
+    edge u -> v; weights beyond float64's range come out as 0 or NaN."""
+    pi = np.ones(p.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for depth in range(1, int(level.max()) + 1):
+            near, here = np.flatnonzero(level == depth - 1), np.flatnonzero(level == depth)
+            u = near[np.argmax(p[np.ix_(near, here)] > 0, axis=0)]
+            pi[here] = pi[u] * (p[u, here] / p[here, u])
+        return pi / pi.sum()
+
+
 def _check_finite(m: np.ndarray, what: str) -> None:
     """Raise ValidationError naming the first non-finite entry of the matrix m."""
     bad = np.argwhere(~np.isfinite(m))
@@ -134,16 +125,16 @@ def _check_finite(m: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} at ({i}, {j}) is {m[i, j]}, not finite")
 
 
-def validate_chain(matrix, require_aperiodic: bool = True) -> ReversibleChain:
+def validate_chain(matrix) -> ReversibleChain:
     """Validate a row-stochastic matrix into a ReversibleChain.
 
     Checks run in a fixed diagnosis order: shape and entries (finite, then
-    nonnegative), row sums, strong connectivity (NonErgodicError), detailed
-    balance against the stationary distribution (IrreversibleChainError),
-    then aperiodicity (NonErgodicError, unless require_aperiodic=False for
-    chains that will be lazified before use). The stationary vector is
-    solved linearly and cross-checked against the squared top eigenvector of
-    the discriminant.
+    nonnegative), row sums, strong connectivity (NonErgodicError), edges in
+    both directions, then detailed balance on all pairs
+    (IrreversibleChainError). pi is read off detailed balance along the
+    breadth-first levels of the connectivity check and certified positive,
+    balanced and stationary, all in O(N^2). Aperiodicity is recorded, not
+    required: lazify makes any chain aperiodic.
     """
     p = np.asarray(matrix, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
@@ -161,31 +152,27 @@ def validate_chain(matrix, require_aperiodic: bool = True) -> ReversibleChain:
 
     support = p > 0
     level = _connected_levels(support)
+    one_way = np.argwhere(support & ~support.T)
+    if one_way.size:
+        i, j = one_way[0]
+        raise IrreversibleChainError(f"edge ({i}, {j}) is one way: P_ji = 0, but detailed balance needs both")
 
-    pi = _stationary(p)
+    pi = _tree_stationary(p, level)
+    if not np.all(pi > 0):
+        raise InconsistencyError("stationary weights span beyond float64: pi is not positive")
     flow = pi[:, None] * p
-    resid = float(np.max(np.abs(flow - flow.T)))
-    if resid > BALANCE_TOL:
-        i, j = np.unravel_index(np.argmax(np.abs(flow - flow.T)), flow.shape)
+    imbalance = np.abs(flow - flow.T)
+    resid = float(np.max(imbalance))
+    if not resid <= BALANCE_TOL:
+        i, j = np.unravel_index(np.argmax(imbalance), flow.shape)
         raise IrreversibleChainError(
             f"detailed balance fails at ({i}, {j}): "
             f"pi_i P_ij = {flow[i, j]:.6g} vs pi_j P_ji = {flow[j, i]:.6g}"
         )
-
-    # independent route to pi: for a reversible chain the discriminant's top
-    # eigenvector is sqrt(pi) entrywise
-    top = np.linalg.eigh(discriminant(p))[1][:, -1]
-    pi_disc = top**2
-    pi_disc /= pi_disc.sum()
-    cross = float(np.max(np.abs(pi_disc - pi)))
-    if cross > STATIONARY_CROSS_TOL:
-        raise InconsistencyError(
-            f"stationary solve disagrees with discriminant eigenvector by {cross:.3g}"
-        )
-
+    stat = float(np.max(np.abs(pi @ p - pi)))
+    if not stat <= STATIONARY_TOL:
+        raise InconsistencyError(f"stationary residual {stat:.3g} exceeds {STATIONARY_TOL:g}")
     aperiodic = _period(support, level) == 1
-    if require_aperiodic and not aperiodic:
-        raise NonErgodicError("chain is periodic; lazify it or pass require_aperiodic=False")
     return ReversibleChain(P=p, pi=pi, detailed_balance_residual=resid, aperiodic=aperiodic)
 
 
@@ -193,7 +180,7 @@ def lazify(chain: ReversibleChain) -> ReversibleChain:
     """Lazy version (I + P) / 2: same stationary distribution, aperiodic by
     construction, classical hitting times exactly doubled."""
     lazy = 0.5 * (np.eye(chain.n) + chain.P)
-    out = validate_chain(lazy, require_aperiodic=True)
+    out = validate_chain(lazy)
     return replace(out, lazified=True)
 
 
@@ -257,16 +244,21 @@ def classical_hitting_time(chain: ReversibleChain, marked: int) -> float:
     """Expected steps to reach the marked vertex from a stationary start.
 
     Solves (I - Q) h = 1 on the unmarked block Q and returns pi . h (the
-    marked start contributes zero)."""
+    marked start contributes zero). A singular solve, or an entry of h
+    that is not positive and finite, means a hitting time beyond float64
+    precision: InconsistencyError."""
     if not 0 <= marked < chain.n:
         raise ValidationError(f"marked vertex {marked} out of range for n={chain.n}")
     keep = [i for i in range(chain.n) if i != marked]
     if not keep:  # single-state chain: already there
         return 0.0
     q = chain.P[np.ix_(keep, keep)]
-    h = np.linalg.solve(np.eye(len(keep)) - q, np.ones(len(keep)))
-    if np.any(h <= 0):
-        raise InconsistencyError("hitting-time solve produced nonpositive entries")
+    try:
+        h = np.linalg.solve(np.eye(len(keep)) - q, np.ones(len(keep)))
+    except np.linalg.LinAlgError:
+        h = np.array([np.nan])  # singular: refused below
+    if not np.all((h > 0) & (h < np.inf)):
+        raise InconsistencyError("hitting-time solve is singular or not positive and finite: beyond float64 precision")
     return float(chain.pi[keep] @ h)
 
 
@@ -342,7 +334,7 @@ def complete_chain(n: int) -> ReversibleChain:
     if n < 2:
         raise ValidationError(f"complete chain needs n >= 2, got {n}")
     p = (np.ones((n, n)) - np.eye(n)) / (n - 1)
-    return validate_chain(p, require_aperiodic=False)
+    return validate_chain(p)
 
 
 def cycle_chain(n: int) -> ReversibleChain:
@@ -353,7 +345,7 @@ def cycle_chain(n: int) -> ReversibleChain:
     for i in range(n):
         p[i, (i + 1) % n] += 0.5
         p[i, (i - 1) % n] += 0.5
-    return validate_chain(p, require_aperiodic=False)
+    return validate_chain(p)
 
 
 def random_reversible_chain(n: int, seed: int) -> ReversibleChain:
@@ -368,7 +360,7 @@ def random_reversible_chain(n: int, seed: int) -> ReversibleChain:
     w = rng.random((n, n)) + 0.05  # bounded away from zero
     w = 0.5 * (w + w.T)
     p = w / w.sum(axis=1, keepdims=True)
-    return validate_chain(p, require_aperiodic=False)
+    return validate_chain(p)
 
 
 CHAIN_FAMILIES = ("complete", "cycle", "random-reversible")
@@ -390,8 +382,7 @@ def chain_from_payload(payload: dict) -> tuple[ReversibleChain, int]:
 
     Two formats: "dense" carries a row-stochastic matrix; "weighted-graph"
     carries undirected edges [i, j, w] (or a symmetric weight matrix) that
-    are turned into the weighted random walk. Aperiodicity is not required
-    here; callers lazify when they need it.
+    are turned into the weighted random walk.
     """
     try:
         n, marked, fmt, data = (payload[key] for key in ("n", "marked", "format", "data"))
@@ -446,4 +437,4 @@ def chain_from_payload(payload: dict) -> tuple[ReversibleChain, int]:
         raise ValidationError(f"unknown chain format {fmt!r}")
     if not 0 <= marked < n:
         raise ValidationError(f"marked vertex {marked} out of range for n={n}")
-    return validate_chain(p, require_aperiodic=False), marked
+    return validate_chain(p), marked

@@ -75,8 +75,12 @@ ZERO_ENERGY_TOL = 1e-8
 UNIT_EIGENVALUE_TOL = 1e-12
 #: certificates of the reduced walk: start-amplitude norm, marked-row Gram spectrum
 REDUCED_TOL = 1e-12
-#: the overlap preconditions: start overlap >= 1/2 - tol, marked overlap 1/2 +- tol
+#: the overlap preconditions: start overlap >= 1/2 - tol, marked weight 1/2 +- tol
 OVERLAP_TOL = 1e-9
+#: the Perron certificate max |D sqrt(pi_s) - sqrt(pi_s)| of the overlap
+#: preconditions at s*; measured at most 2.2e-14 (the complete chain at
+#: N = 2048) on the complete, cycle and random-reversible chains up to N = 2048
+PERRON_TOL = 1e-12
 
 
 def _householder_column(w: np.ndarray) -> np.ndarray:
@@ -369,50 +373,39 @@ class OverlapReport:
     marked: int
     s: float
     overlap_start: float  # |<top eigvec of D(P_s) | sqrt(base pi)>|^2
-    overlap_marked: float  # |<marked | top eigvec>|^2
-    closed_form_residual: float  # top eigvec vs entrywise sqrt(pi_s)
+    overlap_marked: float  # |<marked | top eigvec>|^2 = pi_s[marked]
+    closed_form_residual: float  # max |D sqrt(pi_s) - sqrt(pi_s)|, the Perron certificate
 
 
 def overlap_preconditions(ic: InterpolatedChain) -> OverlapReport:
     """Certify the two overlap conditions the success floor rests on.
 
-    At s*, the top discriminant eigenvector (computed numerically, then
-    matched against its closed form sqrt(pi_s)) must carry squared overlap
-    >= 1/2 with the stationary start and exactly 1/2 with the marked vertex.
-    Violations raise AssertionFailure; a closed-form mismatch raises
-    InconsistencyError.
+    At s*, the top discriminant eigenvector is sqrt(pi_s) in closed form. It
+    is certified in O(N^2) by the residual |D sqrt(pi_s) - sqrt(pi_s)| <=
+    PERRON_TOL: a positive eigenvector of a nonnegative irreducible matrix
+    belongs to its top eigenvalue (Perron-Frobenius), else
+    InconsistencyError. Its squared overlap with the stationary start must
+    be >= 1/2 (else AssertionFailure); its marked weight pi_s[m] must be 1/2
+    within OVERLAP_TOL, the half-weight point (else ValidationError).
     """
-    return _overlap_report(ic, *np.linalg.eigh(markov.discriminant(ic.P_s)))
-
-
-def _overlap_report(ic: InterpolatedChain, lam: np.ndarray, vecs: np.ndarray) -> OverlapReport:
-    """overlap_preconditions on an eigendecomposition (lam ascending, vecs
-    as columns) of the discriminant D(P_s) already at hand."""
     pv = float(ic.pi_s[ic.marked])
-    if abs(pv - 0.5) > 1e-9:
+    if not abs(pv - 0.5) <= OVERLAP_TOL:
         raise ValidationError(
             f"overlap preconditions need the half-weight point; marked weight is {pv:.12g}"
         )
-    u = vecs[:, -1].real
-    if u.sum() < 0:
-        u = -u
-    resid = float(np.max(np.abs(u - np.sqrt(ic.pi_s))))
-    if resid > 1e-8:
-        raise InconsistencyError(
-            f"top discriminant eigenvector deviates from sqrt(pi_s) by {resid:.3g}"
-        )
+    u = np.sqrt(ic.pi_s)
+    resid = float(np.max(np.abs(markov.discriminant(ic.P_s) @ u - u)))
+    if not resid <= PERRON_TOL:
+        raise InconsistencyError(f"sqrt(pi_s) is not the Perron vector of D(P_s): residual {resid:.3g}")
     overlap_start = float((u @ np.sqrt(ic.base.pi)) ** 2)
-    overlap_marked = float(u[ic.marked] ** 2)
-    if overlap_start < 0.5 - OVERLAP_TOL:
+    if not overlap_start >= 0.5 - OVERLAP_TOL:
         raise AssertionFailure(f"start overlap {overlap_start:.12g} fell below 1/2")
-    if abs(overlap_marked - 0.5) > OVERLAP_TOL:
-        raise AssertionFailure(f"marked overlap {overlap_marked:.12g} is not 1/2")
     return OverlapReport(
         n=ic.base.n,
         marked=int(ic.marked),
         s=float(ic.s),
         overlap_start=overlap_start,
-        overlap_marked=overlap_marked,
+        overlap_marked=pv,
         closed_form_residual=resid,
     )
 
@@ -492,7 +485,7 @@ def run_search(
     p_exact = reduced.probability(dist)
     floor = 0.25 - epsilon
     holds = bool(p_exact >= floor - 1e-9)
-    ov = _overlap_report(inter, d_dec.eigenvalues, d_dec.eigenvectors)
+    ov = overlap_preconditions(inter)
 
     mc_freq = mc_err = within = phases = None
     if shots > 0:

@@ -207,6 +207,36 @@ MUTANTS = (
         "ITEMS_MAX = np.iinfo(np.intp).max // 8",
         (COUNT_BOUNDS,),
     ),
+    # the stationary vector from detailed balance (markov.validate_chain) and
+    # its Perron certificate at s* (search.overlap_preconditions)
+    Mutant(
+        "D1",
+        "src/ctqw/markov.py",
+        "pi[here] = pi[u] * (p[u, here] / p[here, u])",
+        "pi[here] = pi[u] * (p[here, u] / p[u, here])",
+        ("tests/test_markov.py::test_stationary_vector_is_exact_to_rounding",),
+    ),
+    Mutant(
+        "D2",
+        "src/ctqw/markov.py",
+        "if not resid <= BALANCE_TOL:",
+        "if False:",
+        ("tests/test_markov.py::test_symmetric_support_without_detailed_balance_is_refused",),
+    ),
+    Mutant(
+        "D3",
+        "src/ctqw/markov.py",
+        "if one_way.size:",
+        "if False:",
+        ("tests/test_markov.py::test_one_way_edge_is_named",),
+    ),
+    Mutant(
+        "D4",
+        "src/ctqw/search.py",
+        "PERRON_TOL = 1e-12",
+        "PERRON_TOL = 1e-10",
+        ("tests/test_search.py::test_overlap_preconditions_refuse_a_tampered_stationary_vector",),
+    ),
     # the per-run column texts (records._per_run): the last run's cells go missing
     Mutant(
         "R1",

@@ -15,7 +15,7 @@ import pytest
 from ctqw import cli, gluedtrees, markov, records, rng, search, spectral, walk
 from ctqw.errors import InconsistencyError, ValidationError
 
-from conftest import rows_of
+from conftest import birth_death_payload, bottleneck_payload, rows_of
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +394,32 @@ def test_cli_search_floor_forgives_rounding_and_no_more(tmp_path, monkeypatch, m
     assert cli.main(["search", "--config", cfg, "--out", str(tmp_path)]) == rc
     rows = json.loads((tmp_path / "search.json").read_text())["rows"]
     assert [(row["p_exact"], row["floor_holds"]) for row in rows] == [(0.25 - 0.1 - miss, holds)]
+
+
+def run_chain_file(tmp_path, payload, shots=2000):
+    chain_file = tmp_path / "chain.json"
+    chain_file.write_text(json.dumps(payload), encoding="utf-8")
+    cfg = write_cfg(tmp_path / "s.json", {"chains": [str(chain_file)], "epsilons": [0.1], "shots": shots, "seed": 7})
+    return cli.main(["search", "--config", cfg, "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("w", [1e-5, 1e-7])
+def test_cli_search_through_a_bottleneck(tmp_path, w):
+    # two 8-cliques joined by one edge of weight w: eigh cannot resolve D's
+    # top eigenvector there, and sqrt(pi_s) needs no eigensolver
+    assert run_chain_file(tmp_path, bottleneck_payload(w)) == 0
+    (row,) = json.loads((tmp_path / "out" / "search.json").read_text())["rows"]
+    assert row["ht"] > 0.5 / w
+    assert abs(row["mc_freq"] - row["p_exact"]) <= 3.0 * math.sqrt(row["p_exact"] * (1.0 - row["p_exact"]) / 2000)
+
+
+@pytest.mark.parametrize("payload", [bottleneck_payload(1e-17), birth_death_payload(41)], ids=["bottleneck-1e-17", "birth-death-41"])
+def test_cli_search_hitting_time_beyond_float64_exits_4(tmp_path, capsys, payload):
+    # numpy's LinAlgError from the hitting-time solve becomes one line, not a traceback
+    assert run_chain_file(tmp_path, payload, shots=100) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("inconsistency: hitting-time solve is singular") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "search.json").exists()
 
 
 def test_cli_search_irreversible_chain_file(tmp_path):

@@ -167,8 +167,9 @@ def test_run_search_decomposes_the_discriminant_once(monkeypatch):
             np.linalg, name, lambda *a, _orig=orig, _name=name, **kw: calls.append(_name) or _orig(*a, **kw)
         )
     search.run_search(chain, 0, 0.1, rng_seed=3, shots=0)
-    # lazify's validate_chain, D(P_s*) itself, and the marked-row Gram certificate
-    assert calls == ["eigh", "eigh", "eigvalsh"]
+    # D(P_s*) itself and the marked-row Gram certificate; validation and the
+    # overlap preconditions take the stationary vectors in closed form
+    assert calls == ["eigh", "eigvalsh"]
 
 
 @pytest.mark.parametrize("family,kept", [(markov.cycle_chain, 3), (markov.complete_chain, 32)])
@@ -325,6 +326,17 @@ def test_overlap_preconditions_say_they_need_the_half_weight_point():
         search.overlap_preconditions(markov.interpolate(chain, 0, 0.0))
 
 
+def test_overlap_preconditions_refuse_a_tampered_stationary_vector():
+    # sqrt(pi_s) is certified as D's Perron vector by its O(N^2) residual
+    chain = lazy_family("random-reversible", 6, seed=14)
+    ic = markov.interpolate(chain, 0, markov.s_star(chain, 0))
+    assert search.overlap_preconditions(ic).closed_form_residual <= 1e-14
+    pi_s = ic.pi_s.copy()
+    pi_s[1] *= 1.0 + 1e-10  # moves sqrt(pi_s[1]) by 5e-11 of itself: a residual near 1e-11
+    with pytest.raises(InconsistencyError, match=r"^sqrt\(pi_s\) is not the Perron vector of D\(P_s\)"):
+        search.overlap_preconditions(dataclasses.replace(ic, pi_s=pi_s))
+
+
 # ---------------------------------------------------------------------------
 # end-to-end search
 
@@ -416,7 +428,7 @@ def test_run_search_overweight_marked_vertex():
     w[0, 0] = 10.0
     p = w / w.sum(axis=1, keepdims=True)
     with pytest.raises(MarkedWeightError):
-        search.run_search(markov.validate_chain(p, require_aperiodic=False), 0, 0.1, rng_seed=1, shots=0)
+        search.run_search(markov.validate_chain(p), 0, 0.1, rng_seed=1, shots=0)
 
 
 def test_run_search_reports_a_missed_floor_without_raising():
