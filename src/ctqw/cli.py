@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -96,18 +97,19 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
-def _load_config(path: str) -> dict:
+def _load_json(path: str, what: str = "config") -> dict:
+    """The JSON object in the file at path: a config, or a chain file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
     try:
-        cfg = json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    return cfg
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} {path} must be a JSON object")
+    return obj
 
 
 def _resolve_out(args, cfg: dict) -> Path:
@@ -128,22 +130,32 @@ def _resolve_out(args, cfg: dict) -> Path:
     return out
 
 
-def _reject_repeats(key: str, values: list) -> None:
-    """A repeated entry would run one row twice and fit a slope through one point."""
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ConfigError(f"config field '{key}' repeats {value!r}")
-
-
-def _as_int(cfg: dict, key: str, default=None, minimum=None, maximum=ITEMS_MAX):
+def _field(cfg: dict, echo: dict, key: str, default, ok, need: str, form=None):
+    """Config field key, default when absent: refused unless ok(value), else
+    recorded in echo, the bundle's config, as form(value), and returned so."""
     value = cfg.get(key, default)
-    if not _is_int(value):
-        raise ConfigError(f"config field '{key}' must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"config field '{key}' must be >= {minimum}, got {value}")
-    if value > maximum:
-        raise ConfigError(f"config field '{key}' must be <= {maximum}, got {value}")
-    return value
+    if not ok(value):
+        raise ConfigError(f"config field {key!r} must be {need}, got {value!r}")
+    echo[key] = value if form is None else form(value)
+    return echo[key]
+
+
+def _entries(cfg: dict, echo: dict, key: str, ok, need: str, form=None, name=None, optional=False) -> list:
+    """A list field of ok entries, nonempty unless optional, no two of one name
+    (the entry itself by default): a repeat would run one row twice."""
+    need = f"a {'' if optional else 'nonempty '}list of {need}"
+    values = _field(
+        cfg, echo, key, [] if optional else None, lambda v: isinstance(v, list) and (optional or v) and all(map(ok, v)), need, form
+    )
+    names = values if name is None else list(map(name, values))
+    for i, value in enumerate(names):
+        if value in names[:i]:
+            raise ConfigError(f"config field {key!r} repeats {value!r}")
+    return values
+
+
+def _count(cfg: dict, echo: dict, key: str, default: int, least: int, most: int = ITEMS_MAX) -> int:
+    return _field(cfg, echo, key, default, lambda v: _is_int(v) and least <= v <= most, f"an integer in [{least}, {most}]")
 
 
 def _run_tasks(worker, tasks, jobs: int) -> list:
@@ -238,16 +250,12 @@ def _gluedtrees_row(task: tuple) -> dict:
 
 
 def _cmd_gluedtrees(cfg: dict, seed: int, jobs: int) -> tuple:
-    sizes = cfg.get("n")
-    if not isinstance(sizes, list) or not sizes:
-        raise ConfigError("config field 'n' must be a nonempty list of even sizes >= 8")
-    for value in sizes:
-        if not _is_int(value) or value < 8 or value % 2 or value * value > ITEMS_MAX:
-            raise ConfigError(f"size {value!r} is invalid: sizes must be even integers >= 8 whose n x n arrays numpy can index")
-    _reject_repeats("n", sizes)
-    mc_runs = _as_int(cfg, "mc_runs", default=200, minimum=1)
+    echo = {}
+    need = "even integers >= 8 whose n x n arrays numpy can index"
+    sizes = _entries(cfg, echo, "n", lambda n: _is_int(n) and n >= 8 and n % 2 == 0 and n * n <= ITEMS_MAX, need, sorted)
+    mc_runs = _count(cfg, echo, "mc_runs", 200, 1)
 
-    tasks = [(two_n, task_seed(seed, idx), mc_runs) for idx, two_n in enumerate(sorted(sizes))]
+    tasks = [(two_n, task_seed(seed, idx), mc_runs) for idx, two_n in enumerate(sizes)]
     table = _joined(_run_tasks(_gluedtrees_row, tasks, jobs))
 
     n, holds = table["n"], table["holds"]
@@ -261,10 +269,9 @@ def _cmd_gluedtrees(cfg: dict, seed: int, jobs: int) -> tuple:
         "tau_l1_over_l2": (table["tau_l1"] / table["tau_l2"]).tolist(),
         "tau_l2_over_l3": (table["tau_l2"] / table["tau_l3"]).tolist(),
     }
-    config = {"n": sorted(sizes), "mc_runs": mc_runs}
     bad = n[~holds].tolist()
     failure = f"assertion failed for sizes {bad}" if bad else None
-    return config, table, summary, failure, f"all {len(n)} sizes certified"
+    return echo, table, summary, failure, f"all {len(n)} sizes certified"
 
 
 # ---------------------------------------------------------------------------
@@ -308,59 +315,30 @@ def _linear_fit(xs: list, ys: list) -> dict:
 
 
 def _cmd_search(cfg: dict, seed: int, jobs: int) -> tuple:
-    epsilons = cfg.get("epsilons")
-    if not isinstance(epsilons, list) or not epsilons:
-        raise ConfigError("config field 'epsilons' must be a nonempty list")
-    for eps in epsilons:
-        if not _is_real(eps) or not 0.0 < eps < 0.25:
-            raise ConfigError(f"epsilon {eps!r} is invalid: must lie strictly in (0, 1/4)")
-    _reject_repeats("epsilons", epsilons)
-    epsilons = sorted(epsilons, reverse=True)
-    shots = _as_int(cfg, "shots", default=100000, minimum=1)
-    marked = _as_int(cfg, "marked", default=0, minimum=0)
-    time_factor = cfg.get("time_factor")
-    if time_factor is not None:
-        if not _is_real(time_factor) or time_factor <= 0:
-            raise ConfigError(f"config field 'time_factor' must be a positive number, got {time_factor!r}")
-        time_factor = float(time_factor)
-
-    specs = []
-    families = cfg.get("families", [])
-    sizes = cfg.get("N", [])
-    if families or sizes:
-        if not isinstance(families, list) or not families:
-            raise ConfigError("config field 'families' must be a nonempty list when 'N' is given")
-        if not isinstance(sizes, list) or not sizes:
-            raise ConfigError("config field 'N' must be a nonempty list when 'families' is given")
-        for family in families:
-            if family not in markov.CHAIN_FAMILIES:
-                raise ConfigError(f"unknown chain family {family!r}; known: {markov.CHAIN_FAMILIES}")
-        _reject_repeats("families", families)
-        for n in sizes:
-            if not _is_int(n) or n < 2 or n * n > ITEMS_MAX:
-                raise ConfigError(f"chain size {n!r} is invalid: must be an integer >= 2 whose N x N arrays numpy can index")
-            if marked >= n:
-                raise ConfigError(f"marked vertex {marked} is out of range for size {n}")
-        _reject_repeats("N", sizes)
-        specs += [(str(family), n, marked, None) for family in families for n in sizes]
-    chain_paths = cfg.get("chains", [])
-    if chain_paths:
-        if not isinstance(chain_paths, list) or not all(isinstance(path, str) for path in chain_paths):
-            raise ConfigError("config field 'chains' must be a list of file paths")
-        # the stem names the chain in the family column of both files
-        stems = [Path(path).stem for path in chain_paths]
-        for stem in stems:
-            if any(ch in stem for ch in ',"\r\n'):
-                raise ConfigError(f"chain file stem {stem!r} may not contain commas, quotes or newlines")
-        _reject_repeats("chains", stems)
-        for path, stem in zip(chain_paths, stems):
-            try:
-                payload = json.loads(Path(path).read_text(encoding="utf-8"))
-            except OSError as exc:
-                raise ConfigError(f"cannot read chain file {path}: {exc}") from None
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"chain file {path} is not valid JSON: {exc}") from None
-            specs.append((stem, 0, 0, payload))
+    echo = {}
+    descending = partial(sorted, reverse=True)
+    epsilons = _entries(cfg, echo, "epsilons", lambda e: _is_real(e) and 0.0 < e < 0.25, "reals in (0, 1/4)", descending)
+    shots, marked = _count(cfg, echo, "shots", 100000, 1), _count(cfg, echo, "marked", 0, 0)
+    time_factor = _field(
+        cfg, echo, "time_factor", None, lambda c: c is None or _is_real(c) and c > 0, "null or a positive real",
+        form=lambda c: c if c is None else float(c),
+    )
+    # 'families' and 'N' absent or [] mean no family rows; either one alone is refused
+    unnamed = not (cfg.get("families") or cfg.get("N"))
+    families = _entries(
+        cfg, echo, "families", lambda f: f in markov.CHAIN_FAMILIES, f"chain families {markov.CHAIN_FAMILIES}", optional=unnamed
+    )
+    sizes = _entries(
+        cfg, echo, "N", lambda n: _is_int(n) and max(2, marked + 1) <= n and n * n <= ITEMS_MAX,
+        "integers >= 2 above 'marked' whose N x N arrays numpy can index", optional=unnamed,
+    )
+    # the stem names the chain in the family column of both files
+    paths = _entries(
+        cfg, echo, "chains", lambda p: isinstance(p, str) and not set(',"\r\n') & set(Path(p).stem),
+        "file paths whose stems hold no comma, quote or newline", name=lambda p: Path(p).stem, optional=True,
+    )
+    specs = [(family, n, marked, None) for family in families for n in sizes]
+    specs += [(Path(path).stem, 0, 0, _load_json(path, "chain file")) for path in paths]
     if not specs:
         raise ConfigError("search config needs 'families' + 'N', or 'chains'")
 
@@ -374,18 +352,9 @@ def _cmd_search(cfg: dict, seed: int, jobs: int) -> tuple:
         fit = _linear_fit([math.log2(1.0 / e) for e in eps[group].tolist()], table["total_time"][group])
         fits.append({"family": name, "N": size, **fit})
     summary = {"all_floor_holds": bool(holds.all()), "total_time_fits": fits}
-    config = {
-        "families": families,
-        "N": sizes,
-        "epsilons": epsilons,
-        "marked": marked,
-        "shots": shots,
-        "time_factor": time_factor,
-        "chains": chain_paths,
-    }
     bad = list(zip(*(column[~holds].tolist() for column in (family, n, eps))))
     failure = f"success floor violated for {bad}" if bad else None
-    return config, table, summary, failure, f"all {len(holds)} runs meet the 1/4 - epsilon floor"
+    return echo, table, summary, failure, f"all {len(holds)} runs meet the 1/4 - epsilon floor"
 
 
 # ---------------------------------------------------------------------------
@@ -450,25 +419,20 @@ def _bounds_block(task: tuple) -> dict:
 
 
 def _cmd_bounds(cfg: dict, seed: int, jobs: int) -> tuple:
-    instances = _as_int(cfg, "instances", default=200, minimum=1)
-    dim_max = _as_int(cfg, "dim_max", default=10, minimum=2, maximum=BOUNDS_DIM_MAX)
-    t_range = cfg.get("t_range", [0.1, 1000.0])
-    if (
-        not isinstance(t_range, list)
-        or len(t_range) != 2
-        or not all(_is_real(t) for t in t_range)
-        or not 0 < t_range[0] < t_range[1]
-    ):
-        raise ConfigError(f"config field 't_range' must be [t_lo, t_hi] with 0 < t_lo < t_hi, got {t_range!r}")
-    k_values = cfg.get("k_values", [1, 2, 3, 4])
-    if not isinstance(k_values, list) or not k_values or any(not _is_int(k) or k < 1 for k in k_values):
-        raise ConfigError(f"config field 'k_values' must be a list of integers >= 1, got {k_values!r}")
-    inject_fault = cfg.get("inject_fault", False)
-    if not isinstance(inject_fault, bool):
-        raise ConfigError(f"config field 'inject_fault' must be a boolean, got {inject_fault!r}")
+    echo = {}
+    instances, dim_max = _count(cfg, echo, "instances", 200, 1), _count(cfg, echo, "dim_max", 10, 2, BOUNDS_DIM_MAX)
+    t_lo, t_hi = _field(
+        cfg, echo, "t_range", [0.1, 1000.0], lambda t: isinstance(t, list) and len(t) == 2 and all(map(_is_real, t)) and 0 < t[0] < t[1],
+        "[lo, hi] with 0 < lo < hi", form=lambda t: [float(t[0]), float(t[1])],
+    )
+    k_values = _field(
+        cfg, echo, "k_values", [1, 2, 3, 4], lambda ks: isinstance(ks, list) and ks and all(_is_int(k) and k >= 1 for k in ks),
+        "a nonempty list of integers >= 1 (a repeated k weights its draw)",
+    )
+    inject_fault = _field(cfg, echo, "inject_fault", False, lambda v: isinstance(v, bool), "true or false")
 
     parts = min(jobs, instances)
-    common = (seed, dim_max, *map(float, t_range), tuple(k_values))
+    common = (seed, dim_max, t_lo, t_hi, tuple(k_values))
     tasks = [(instances * p // parts, instances * (p + 1) // parts, *common) for p in range(parts)]
     table = _joined(_run_tasks(_bounds_block, tasks, jobs))
 
@@ -496,15 +460,8 @@ def _cmd_bounds(cfg: dict, seed: int, jobs: int) -> tuple:
         # a non-finite bound or actual value is written as null; a non-finite slack is refused by the record
         finite = np.isfinite(table[key])
         table[key] = table[key] if finite.all() else np.where(finite, table[key], None)
-    config = {
-        "instances": instances,
-        "dim_max": dim_max,
-        "t_range": [float(t_range[0]), float(t_range[1])],
-        "k_values": list(k_values),
-        "inject_fault": inject_fault,
-    }
     failure = f"{failed} of {len(slack)} inequality rows failed" if failed else None
-    return config, table, summary, failure, f"all {len(slack)} inequality rows hold"
+    return echo, table, summary, failure, f"all {len(slack)} inequality rows hold"
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +501,7 @@ def _run(args) -> int:
     its tasks and returns (config echo, table, summary, failure or None, success)."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    cfg = _load_config(args.config)
+    cfg = _load_json(args.config)
     seed = cfg.get("seed") if args.seed is None else args.seed
     if not _is_int(seed) or seed < 0:
         raise ConfigError(f"a seed >= 0 is required: set 'seed' in the config or pass --seed, got {seed!r}")

@@ -12,8 +12,10 @@ which holds the start |pi,0> and has dimension at most 2n. Write
 D = sum_j lambda_j v_j v_j^T. For |lambda_j| < 1, with
 s_j = sqrt(1 - lambda_j^2) and |w_j> = (A - lambda_j)|v_j,0> / s_j, H maps
 |v_j,0> to i s_j |w_j> and |w_j> to -i s_j |v_j,0>, so
-(|v_j,0> +- i|w_j>)/sqrt(2) are eigenvectors with energies +-s_j. A unit
-eigenvalue leaves |v_j,0> alone at energy 0. The start amplitudes are
+(|v_j,0> +- i|w_j>)/sqrt(2) are eigenvectors with energies +-s_j. The
+Perron eigenvalue 1, simple for a lazy irreducible chain, is the one energy
+0 (|v_1,0> alone), so the subspace has dimension 2n - 1; a lambda_2 within
+n 2^-52 of 1, which eigh cannot resolve, is refused. The start amplitudes are
 <v_j|sqrt(pi)>, and the marked-register rows of these eigenvectors follow
 from row and column m of P_s, whatever completion V uses. So the exact
 average and the Monte Carlo need only the n x n discriminant: O(n^3) time
@@ -71,7 +73,7 @@ SEARCH_TIME_FACTOR = 1.0
 
 INVOLUTION_TOL = 1e-12
 ZERO_ENERGY_TOL = 1e-8
-#: a discriminant eigenvalue with |lambda| >= 1 - UNIT_EIGENVALUE_TOL has energy 0
+#: spectrum_report, the dense oracle, gives energy 0 to each |lambda| >= 1 - UNIT_EIGENVALUE_TOL
 UNIT_EIGENVALUE_TOL = 1e-12
 #: certificates of the reduced walk: start-amplitude norm, marked-row Gram spectrum
 REDUCED_TOL = 1e-12
@@ -331,7 +333,9 @@ def _discriminant_walk(
     Certified: D's decomposition reconstructs D; the amplitudes have unit
     norm, so the start lies inside the subspace; rows^dagger rows, the
     marked projector on the subspace, has its spectrum in [0, 1]. Each holds
-    within REDUCED_TOL, else InconsistencyError.
+    within REDUCED_TOL, else InconsistencyError. Only the top (Perron)
+    eigenvalue has energy 0, so a second one within dim 2^-52 of 1, closer
+    than eigh resolves, is an InconsistencyError too.
     """
     p_s, m = inter.P_s, inter.marked
     dec = spectral.decompose(spectral.hermitian(markov.discriminant(p_s)))
@@ -340,15 +344,20 @@ def _discriminant_walk(
     keep = np.flatnonzero((p_s[m] > 0) | (p_s[:, m] > 0))
     row_v = np.sqrt(p_s[m, keep])[:, None] * v[m]  # V|v_j,0> on the marked block
     row_av = np.sqrt(p_s[keep, m])[:, None] * v[keep]  # V A|v_j,0> = S V|v_j,0> on it
-    unit = np.abs(lam) >= 1.0 - UNIT_EIGENVALUE_TOL
-    pair = ~unit
-    s = np.sqrt(1.0 - lam[pair] ** 2)
-    half_v = row_v[:, pair] / math.sqrt(2.0)
-    half_iw = 1j * (row_av[:, pair] - lam[pair] * row_v[:, pair]) / (s * math.sqrt(2.0))
-    half_c = c[pair] / math.sqrt(2.0)
-    energies = np.concatenate([-s, np.zeros(int(unit.sum())), s])
-    amplitudes = np.concatenate([half_c, c[unit], half_c])
-    rows = np.hstack([half_v - half_iw, row_v[:, unit], half_v + half_iw])
+    paired = lam.shape[0] - 1  # all but the top eigenvalue, the Perron 1: its energy is 0
+    # eigh resolves the eigenvalues of this norm-1 matrix only to about dim 2^-52 (backward stability, Weyl)
+    resolved = 1.0 - lam.shape[0] * 2.0**-52
+    if not np.abs(lam[:paired]).max(initial=0.0) <= resolved:
+        raise InconsistencyError(
+            f"D's lambda_2 = {lam[-2]:.17g} lies within {lam.shape[0]} * 2^-52 of 1: its gap is beyond float64 precision"
+        )
+    s = np.sqrt(1.0 - lam[:paired] ** 2)
+    half_v = row_v[:, :paired] / math.sqrt(2.0)
+    half_iw = 1j * (row_av[:, :paired] - lam[:paired] * row_v[:, :paired]) / (s * math.sqrt(2.0))
+    half_c = c[:paired] / math.sqrt(2.0)
+    energies = np.concatenate([-s, np.zeros(lam.shape[0] - paired), s])
+    amplitudes = np.concatenate([half_c, c[paired:], half_c])
+    rows = np.hstack([half_v - half_iw, row_v[:, paired:], half_v + half_iw])
     order = np.argsort(energies, kind="stable")
     energies, amplitudes, rows = energies[order], amplitudes[order], rows[:, order]
 
@@ -437,7 +446,7 @@ class SearchRecord:
     mc_phases: int | None  # phases evaluated per shot: the distinct nonzero group |E| the start reaches
     mc_prune_bound: float  # most by which the energies the start misses move p_exact and each shot's hit probability
     rng_seed: int
-    walk_dim: int  # reduced eigenvectors before the cut to the start's reach: 2n - 1 when D's top eigenvalue is simple
+    walk_dim: int  # reduced eigenvectors before the cut to the start's reach: 2n - 1, as only the Perron eigenvalue has energy 0
 
 
 def run_search(

@@ -191,13 +191,14 @@ MUTANTS = (
         "except np.linalg.LinAlgError:\n                raise",
         (PSD_BAND, "tests/test_walk.py::test_psd_failure_in_a_stack_of_stacks_names_its_index"),
     ),
-    # the count and size bounds (cli.ITEMS_MAX): a size past them, or a count of
-    # 8-byte items at them, escapes cli.main as numpy's ValueError
+    # the config reader (cli._field, _entries, _count) and its count and size
+    # bounds (cli.ITEMS_MAX): a size past them, or a count of 8-byte items at
+    # them, escapes cli.main as numpy's ValueError; a repeat runs a row twice
     Mutant(
         "C1",
         "src/ctqw/cli.py",
-        "value % 2 or value * value > ITEMS_MAX:",
-        "value % 2:",
+        "n % 2 == 0 and n * n <= ITEMS_MAX",
+        "n % 2 == 0",
         (COUNT_BOUNDS, "tests/test_records_cli.py::test_cli_sizes_past_numpy_indexing_are_refused"),
     ),
     Mutant(
@@ -206,6 +207,13 @@ MUTANTS = (
         "ITEMS_MAX = np.iinfo(np.intp).max // 16",
         "ITEMS_MAX = np.iinfo(np.intp).max // 8",
         (COUNT_BOUNDS,),
+    ),
+    Mutant(
+        "C3",
+        "src/ctqw/cli.py",
+        "if value in names[:i]:",
+        "if False:",
+        ("tests/test_records_cli.py::test_cli_repeated_config_entry_exits_3",),
     ),
     # the stationary vector from detailed balance (markov.validate_chain) and
     # its Perron certificate at s* (search.overlap_preconditions)
@@ -236,6 +244,22 @@ MUTANTS = (
         "PERRON_TOL = 1e-12",
         "PERRON_TOL = 1e-10",
         ("tests/test_search.py::test_overlap_preconditions_refuse_a_tampered_stationary_vector",),
+    ),
+    # the energies of the reduced search walk (search._discriminant_walk): only
+    # the Perron eigenvalue has energy 0, and a gap eigh cannot resolve is refused
+    Mutant(
+        "E1",
+        "src/ctqw/search.py",
+        "paired = lam.shape[0] - 1",
+        "paired = int(np.count_nonzero(np.abs(lam) < 1.0 - 1e-12))",
+        ("tests/test_records_cli.py::test_cli_search_bottleneck_past_a_hitting_time_of_1e12",),
+    ),
+    Mutant(
+        "E2",
+        "src/ctqw/search.py",
+        "if not np.abs(lam[:paired]).max(initial=0.0) <= resolved:",
+        "if False:",
+        ("tests/test_records_cli.py::test_cli_search_gap_beyond_float64_exits_4",),
     ),
     # the per-run column texts (records._per_run): the last run's cells go missing
     Mutant(

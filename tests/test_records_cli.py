@@ -15,7 +15,7 @@ import pytest
 from ctqw import cli, gluedtrees, markov, records, rng, search, spectral, walk
 from ctqw.errors import InconsistencyError, ValidationError
 
-from conftest import birth_death_payload, bottleneck_payload, rows_of
+from conftest import birth_death_payload, bottleneck_payload, cube_quotient_payload, rows_of
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +289,17 @@ def test_cli_bad_json_config(tmp_path):
     assert cli.main(["gluedtrees", "--config", str(bad)]) == 3
 
 
+@pytest.mark.parametrize("what", ["config", "chain file"])
+def test_cli_file_not_in_utf8_exits_3(tmp_path, capsys, what):
+    # its UnicodeDecodeError once escaped cli.main as a traceback (exit 1)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    cfg = str(bad) if what == "config" else write_cfg(tmp_path / "s.json", {"chains": [str(bad)], "epsilons": [0.1], "seed": 2})
+    assert cli.main(["search", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {what} {bad}: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # CLI: search
 
@@ -413,6 +424,39 @@ def test_cli_search_through_a_bottleneck(tmp_path, w):
     assert abs(row["mc_freq"] - row["p_exact"]) <= 3.0 * math.sqrt(row["p_exact"] * (1.0 - row["p_exact"]) / 2000)
 
 
+def search_row(tmp_path, payload) -> dict:
+    tmp_path.mkdir(exist_ok=True)
+    assert run_chain_file(tmp_path, payload) == 0
+    (row,) = json.loads((tmp_path / "out" / "search.json").read_text())["rows"]
+    assert row["walk_dim"] == 2 * row["N"] - 1  # the Perron eigenvalue is the one energy 0
+    return row
+
+
+@pytest.mark.parametrize("w", [1e-11, 1e-12])
+def test_cli_search_bottleneck_past_a_hitting_time_of_1e12(tmp_path, w):
+    # 1 - lambda_2 of D(P_s*) falls below 1e-12 here, yet its energy, about 1e-6, is
+    # resolved: a lambda_2 put at energy 0 with the top eigenvalue read p_exact 0.297
+    reference = search_row(tmp_path / "ref", bottleneck_payload(1e-9))
+    row = search_row(tmp_path, bottleneck_payload(w))
+    assert row["gap_s_star"] < 1e-12 and abs(row["p_exact"] - reference["p_exact"]) <= 5e-3
+    assert abs(row["mc_freq"] - row["p_exact"]) <= 3.0 * math.sqrt(row["p_exact"] * (1.0 - row["p_exact"]) / 2000)
+
+
+@pytest.mark.parametrize("d", [40, 45])
+def test_cli_search_cube_quotient_past_a_hitting_time_of_1e12(tmp_path, d):
+    row = search_row(tmp_path, cube_quotient_payload(d))
+    assert row["ht"] > 1e12 and row["floor_holds"] and row["p_exact"] > 0.65
+
+
+@pytest.mark.parametrize("payload", [cube_quotient_payload(50), bottleneck_payload(1e-13)], ids=["cube-50", "bottleneck-1e-13"])
+def test_cli_search_gap_beyond_float64_exits_4(tmp_path, capsys, payload):
+    # lambda_2 within n 2^-52 of 1: eigh cannot tell it from the top eigenvalue
+    assert run_chain_file(tmp_path, payload, shots=100) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("inconsistency: D's lambda_2 = ") and "its gap is beyond float64 precision" in err
+    assert err.count("\n") == 1 and not (tmp_path / "out" / "search.json").exists()
+
+
 @pytest.mark.parametrize("payload", [bottleneck_payload(1e-17), birth_death_payload(41)], ids=["bottleneck-1e-17", "birth-death-41"])
 def test_cli_search_hitting_time_beyond_float64_exits_4(tmp_path, capsys, payload):
     # numpy's LinAlgError from the hitting-time solve becomes one line, not a traceback
@@ -480,8 +524,52 @@ def test_cli_chain_stem_with_comma_leaves_no_bundle(tmp_path, capsys):
     )
     out = tmp_path / "out"
     assert cli.main(["search", "--config", cfg, "--out", str(out)]) == 3
-    assert "chain file stem 'a,b'" in capsys.readouterr().err
+    assert "config field 'chains' must be a list of file paths whose stems hold no comma, quote or newline" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+SEARCH_CFG = {"families": ["complete"], "N": [8], "epsilons": [0.1]}
+#: (command, config, field, one bad value of it) for every config field of the three subcommands
+FIELD_REFUSALS = [
+    ("gluedtrees", {"n": [8]}, "n", [8, 10.5]),
+    ("gluedtrees", {"n": [8]}, "mc_runs", True),
+    ("search", SEARCH_CFG, "epsilons", [0.1, 0.25]),
+    ("search", SEARCH_CFG, "shots", 0),
+    ("search", SEARCH_CFG, "marked", -1),
+    ("search", SEARCH_CFG, "time_factor", 0),
+    ("search", SEARCH_CFG, "families", ["star"]),
+    ("search", SEARCH_CFG, "N", [8, 1]),
+    ("search", SEARCH_CFG, "chains", [5]),
+    ("bounds", {}, "instances", 2.0),
+    ("bounds", {}, "dim_max", 1),
+    ("bounds", {}, "t_range", [10, 1]),
+    ("bounds", {}, "k_values", [2, 0]),
+    ("bounds", {}, "inject_fault", "yes"),
+]
+
+
+@pytest.mark.parametrize("command, base, key, value", FIELD_REFUSALS, ids=[f"{c}-{k}" for c, _, k, _ in FIELD_REFUSALS])
+def test_cli_each_config_field_refuses_a_bad_value_in_one_line(tmp_path, capsys, command, base, key, value):
+    cfg, out = write_cfg(tmp_path / "c.json", {**base, key: value, "seed": 1}), tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field {key!r} must be ") and err.endswith(f", got {value!r}\n")
+    assert err.count("\n") == 1 and not any(out.iterdir())
+
+
+def test_cli_empty_family_lists_run_and_a_repeated_k_is_kept(tmp_path, capsys):
+    # 'families' and 'N' absent or [] mean no family rows; either one given alone is refused
+    chain = write_chain(tmp_path / "tri.json")
+    for extra, rc in (({"families": [], "N": []}, 0), ({}, 0), ({"families": ["cycle"]}, 3), ({"N": [4]}, 3)):
+        cfg = write_cfg(tmp_path / "s.json", {"chains": [chain], "epsilons": [0.1], "shots": 100, "seed": 2, **extra})
+        assert cli.main(["search", "--config", cfg, "--out", str(tmp_path / "s")]) == rc
+    assert "config field 'N' must be a nonempty list of " in capsys.readouterr().err
+    config = json.loads((tmp_path / "s" / "search.json").read_text())["config"]
+    assert (config["families"], config["N"], config["chains"]) == ([], [], [chain])
+    # a repeated k weights its draw
+    cfg = write_cfg(tmp_path / "b.json", {"instances": 5, "k_values": [2, 2, 3], "seed": 3})
+    assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert json.loads((tmp_path / "b" / "bounds.json").read_text())["config"]["k_values"] == [2, 2, 3]
 
 
 def oracle_cell(value) -> str:
@@ -863,7 +951,7 @@ def test_cli_bounds_dim_max_above_the_cap_exits_3(tmp_path, capsys, dim_max):
     # a block of same-dimension instances holds O(128 dim^2) numbers: past the cap, bad input
     cfg = write_cfg(tmp_path / "b.json", {"instances": 3, "seed": 1, "dim_max": dim_max})
     assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 3
-    assert f"config field 'dim_max' must be <= {cli.BOUNDS_DIM_MAX}, got {dim_max}" in capsys.readouterr().err
+    assert f"config field 'dim_max' must be an integer in [2, {cli.BOUNDS_DIM_MAX}], got {dim_max}" in capsys.readouterr().err
     assert not (tmp_path / "bounds.json").exists()
 
 
@@ -890,14 +978,14 @@ def test_cli_memory_error_exits_3(tmp_path, monkeypatch, capsys, message):
 @pytest.mark.parametrize(
     "command, payload, rc, message",
     [
-        ("search", {"chains": [], "epsilons": [0.1], "shots": 2**64 + 1}, 3, "config field 'shots' must be <= "),
-        ("search", {"families": ["complete"], "N": [2**63], "epsilons": [0.1]}, 3, "chain size 9223372036854775808 is invalid"),
-        ("gluedtrees", {"n": [2**63]}, 3, "size 9223372036854775808 is invalid"),
-        ("gluedtrees", {"n": [8], "mc_runs": 2**64 + 1}, 3, "config field 'mc_runs' must be <= "),
-        ("bounds", {"instances": 2**64 + 1}, 3, "config field 'instances' must be <= "),
+        ("search", {"chains": [], "epsilons": [0.1], "shots": 2**64 + 1}, 3, f"config field 'shots' must be an integer in [1, {cli.ITEMS_MAX}], got {2**64 + 1}"),
+        ("search", {"families": ["complete"], "N": [2**63], "epsilons": [0.1]}, 3, f"config field 'N' must be a nonempty list of integers >= 2 above 'marked' whose N x N arrays numpy can index, got [{2**63}]"),
+        ("gluedtrees", {"n": [2**63]}, 3, f"config field 'n' must be a nonempty list of even integers >= 8 whose n x n arrays numpy can index, got [{2**63}]"),
+        ("gluedtrees", {"n": [8], "mc_runs": 2**64 + 1}, 3, f"config field 'mc_runs' must be an integer in [1, {cli.ITEMS_MAX}], got {2**64 + 1}"),
+        ("bounds", {"instances": 2**64 + 1}, 3, f"config field 'instances' must be an integer in [1, {cli.ITEMS_MAX}], got {2**64 + 1}"),
         ("search", {"families": ["complete"], "N": [5], "epsilons": [0.1], "shots": 1000, "time_factor": 1e300}, 0, None),
         ("search", {"chains": [2**63], "epsilons": [0.1]}, 3, "chain payload needs n >= 1 whose n x n arrays"),
-        ("bounds", {"instances": cli.ITEMS_MAX + 1}, 3, f"config field 'instances' must be <= {cli.ITEMS_MAX}, got "),
+        ("bounds", {"instances": cli.ITEMS_MAX + 1}, 3, f"config field 'instances' must be an integer in [1, {cli.ITEMS_MAX}], got {cli.ITEMS_MAX + 1}"),
         # a count numpy can index but no memory holds: 4 EiB, so nothing is allocated for real
         ("search", {"chains": [], "epsilons": [0.1], "shots": cli.ITEMS_MAX}, 3, "out of memory: Unable to allocate"),
         ("gluedtrees", {"n": [8], "mc_runs": cli.ITEMS_MAX}, 3, "out of memory: Unable to allocate"),
@@ -945,7 +1033,7 @@ def test_cli_sizes_past_numpy_indexing_are_refused(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(cli, "_run_tasks", no_memory)
     side, step = (math.isqrt(cli.ITEMS_MAX) & ~1, 2) if command == "gluedtrees" else (math.isqrt(cli.ITEMS_MAX), 1)
     extra = {"families": ["cycle"], "epsilons": [0.1]} if command == "search" else {}
-    for size, message in ((side, "out of memory: stand-in"), (side + step, f"size {side + step} is invalid")):
+    for size, message in ((side, "out of memory: stand-in"), (side + step, f"whose {key} x {key} arrays numpy can index, got [{side + step}]")):
         cfg = write_cfg(tmp_path / "c.json", {key: [size], "seed": 1, **extra})
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert message in capsys.readouterr().err
