@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -296,7 +295,7 @@ def _search_rows(task: tuple) -> dict:
             shots=shots,
             time_factor=time_factor,
         )
-        row = asdict(rec)
+        row = rec._asdict()
         row["N"], row["ht"] = row.pop("n"), row.pop("hitting_time")
         rows.append(row)
     return _table(rows)

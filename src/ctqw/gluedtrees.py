@@ -20,7 +20,7 @@ test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,8 +103,7 @@ def column_walk(two_n: int) -> walk.SpectralWalk:
     return walk.reduced_walk(rep.energies, c, row[None, :])
 
 
-@dataclass(frozen=True)
-class MomentaReport:
+class MomentaReport(NamedTuple):
     """The column spectrum in ascending energy order, exactly paired
     (energies[j] = -energies[2n-1-j] bitwise). State j has amplitude
     entrance[j] > 0 on the entrance column and exit_sign[j] * entrance[j] on
@@ -250,8 +249,7 @@ def column_spectrum_check(two_n: int) -> float:
     return dev
 
 
-@dataclass(frozen=True)
-class SubspaceReport:
+class SubspaceReport(NamedTuple):
     """The middle band of minus-branch solutions and its gap structure."""
 
     two_n: int
@@ -337,8 +335,7 @@ def subspace_S(w: walk.SpectralWalk) -> SubspaceReport:
 # full-graph instances
 
 
-@dataclass(frozen=True)
-class GluedTreesInstance:
+class GluedTreesInstance(NamedTuple):
     """Label-faithful glued-trees graph.
 
     Vertex names are opaque fixed-width hex identifiers; adjacency should be
@@ -502,8 +499,7 @@ def full_hamiltonian(inst: GluedTreesInstance):
     return h, labels
 
 
-@dataclass(frozen=True)
-class EquivalenceRecord:
+class EquivalenceRecord(NamedTuple):
     depth: int
     two_n: int
     T: float

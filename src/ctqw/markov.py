@@ -16,7 +16,7 @@ available in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ __all__ = [
     "lazify",
     "discriminant",
     "interpolate",
-    "s_star",
+    "half_weight",
     "classical_hitting_time",
     "sample_hitting_time",
     "complete_chain",
@@ -53,8 +53,7 @@ BALANCE_TOL = 1e-10
 STATIONARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ReversibleChain:
+class ReversibleChain(NamedTuple):
     """Validated reversible chain with its stationary distribution."""
 
     P: np.ndarray
@@ -180,8 +179,7 @@ def lazify(chain: ReversibleChain) -> ReversibleChain:
     """Lazy version (I + P) / 2: same stationary distribution, aperiodic by
     construction, classical hitting times exactly doubled."""
     lazy = 0.5 * (np.eye(chain.n) + chain.P)
-    out = validate_chain(lazy)
-    return replace(out, lazified=True)
+    return validate_chain(lazy)._replace(lazified=True)
 
 
 def discriminant(p: np.ndarray) -> np.ndarray:
@@ -190,8 +188,7 @@ def discriminant(p: np.ndarray) -> np.ndarray:
     return np.sqrt(p * p.T)
 
 
-@dataclass(frozen=True)
-class InterpolatedChain:
+class InterpolatedChain(NamedTuple):
     """Chain with the marked row interpolated toward absorption.
 
     P_s agrees with the base chain away from the marked vertex; the marked
@@ -210,13 +207,18 @@ def interpolate(chain: ReversibleChain, marked: int, s: float) -> InterpolatedCh
         raise ValidationError(f"marked vertex {marked} out of range for n={chain.n}")
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"interpolation parameter must lie in [0, 1], got {s}")
+    return _interpolated(chain, marked, s, 1.0 - s)
+
+
+def _interpolated(chain: ReversibleChain, marked: int, s: float, r: float) -> InterpolatedChain:
+    """The chain interpolated at s, given r = 1 - s as its caller carries it."""
     p_s = chain.P.copy()
-    p_s[marked] *= 1.0 - s
+    p_s[marked] *= r
     p_s[marked, marked] += s
 
     pv = float(chain.pi[marked])
-    z = (1.0 - s) * (1.0 - pv) + pv
-    pi_s = (1.0 - s) * chain.pi / z
+    z = r * (1.0 - pv) + pv
+    pi_s = r * chain.pi / z
     pi_s[marked] = pv / z
     if s < 1.0:
         resid = float(np.max(np.abs(pi_s @ p_s - pi_s)))
@@ -225,19 +227,24 @@ def interpolate(chain: ReversibleChain, marked: int, s: float) -> InterpolatedCh
     return InterpolatedChain(base=chain, marked=marked, s=float(s), P_s=p_s, pi_s=pi_s)
 
 
-def s_star(chain: ReversibleChain, marked: int) -> float:
-    """Interpolation value where the marked stationary weight reaches 1/2.
+def half_weight(chain: ReversibleChain, marked: int) -> InterpolatedChain:
+    """The chain interpolated at s*, where the marked stationary weight reaches 1/2.
 
-    s* = 1 - pi_v / (1 - pi_v); requires pi_v <= 1/2 (MarkedWeightError
-    above that, since no s in [0, 1] can lift the weight to 1/2). At
-    pi_v = 1/2 exactly the answer is the boundary value 0.
+    s* = 1 - r for r = pi_v / (1 - pi_v), and the marked row is scaled by r
+    itself, never by 1 - s* formed again, which cancels at a tiny pi_v.
+    Requires pi_v <= 1/2 (MarkedWeightError above that, since no s in
+    [0, 1] can lift the weight to 1/2); at pi_v = 1/2 exactly s* is the
+    boundary value 0.
     """
+    if not 0 <= marked < chain.n:
+        raise ValidationError(f"marked vertex {marked} out of range for n={chain.n}")
     pv = float(chain.pi[marked])
     if pv > 0.5 + 1e-9:
         raise MarkedWeightError(
             f"marked vertex holds stationary weight {pv:.6g} > 1/2; s* is undefined"
         )
-    return max(0.0, 1.0 - pv / (1.0 - pv))
+    r = min(1.0, pv / (1.0 - pv))
+    return _interpolated(chain, marked, 1.0 - r, r)
 
 
 def classical_hitting_time(chain: ReversibleChain, marked: int) -> float:

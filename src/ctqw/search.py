@@ -39,7 +39,7 @@ the reduction is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,8 +147,7 @@ def swap_operator(base_p: np.ndarray) -> np.ndarray:
     return np.eye(n * n)[perm]
 
 
-@dataclass(frozen=True)
-class SearchOperators:
+class SearchOperators(NamedTuple):
     """Walk operators for one interpolated chain."""
 
     interpolated: InterpolatedChain
@@ -217,8 +216,7 @@ def marked_subspace_basis(n: int, marked: int) -> np.ndarray:
     return b
 
 
-@dataclass(frozen=True)
-class SearchSpectrumReport:
+class SearchSpectrumReport(NamedTuple):
     """Structure of the search generator's spectrum at one (marked, s)."""
 
     n: int
@@ -373,8 +371,7 @@ def _discriminant_walk(
     return walk.reduced_walk(energies, amplitudes, rows), dec
 
 
-@dataclass(frozen=True)
-class OverlapReport:
+class OverlapReport(NamedTuple):
     """Start-state and marked-state overlaps with the stationary eigenvector
     at the half-weight interpolation point."""
 
@@ -419,8 +416,7 @@ def overlap_preconditions(ic: InterpolatedChain) -> OverlapReport:
     )
 
 
-@dataclass(frozen=True)
-class SearchRecord:
+class SearchRecord(NamedTuple):
     """One search experiment: exact averaged success and its Monte Carlo check."""
 
     family: str
@@ -480,14 +476,13 @@ def run_search(
     work = markov.lazify(chain)
 
     n = work.n
-    sstar = markov.s_star(work, marked)
+    inter = markov.half_weight(work, marked)
     ht = markov.classical_hitting_time(work, marked)
     c = SEARCH_TIME_FACTOR if time_factor is None else float(time_factor)
     T = c * math.sqrt(ht)
     k = max(1, math.ceil(math.log2(1.0 / epsilon)))
     dist = TimeDistribution(T=T, k=k)
 
-    inter = markov.interpolate(work, marked, sstar)
     reduced, d_dec = _discriminant_walk(inter, np.sqrt(work.pi))
     # spectral gap 1 - lambda_2 of D(P_s*), off the same decomposition
     gap = 1.0 - d_dec.eigenvalues[-2]
@@ -510,7 +505,7 @@ def run_search(
         n=n,
         marked=int(marked),
         epsilon=float(epsilon),
-        s_star=float(sstar),
+        s_star=inter.s,
         gap_s_star=float(gap),
         hitting_time=float(ht),
         time_factor=float(c),

@@ -16,8 +16,7 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,23 +48,19 @@ TOL_RECON = 1e-9
 PHASE_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
+class HermitianOperator(NamedTuple):
     """A validated Hermitian matrix, or a (..., dim, dim) stack of them.
 
-    entries is the symmetrized matrix 0.5 * (H + H^dagger); construction
-    rejects input whose asymmetry exceeds TOL_HERM relative to the largest
-    entry magnitude.
+    entries is the symmetrized matrix 0.5 * (H + H^dagger); hermitian(), its
+    one constructor, rejects non-square input and input whose asymmetry
+    exceeds TOL_HERM relative to the largest entry magnitude.
     """
 
     entries: np.ndarray
-    dim: int
 
-    def __post_init__(self):
-        if self.entries.shape[-2:] != (self.dim, self.dim):
-            raise ValidationError(
-                f"entries shape {self.entries.shape} does not match dim {self.dim}"
-            )
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[-1]
 
 
 def _raise_first(bad, error: type, describe) -> None:
@@ -125,7 +120,7 @@ def hermitian(matrix: np.ndarray) -> HermitianOperator:
 
     _raise_first((scale > 0) & (worst > TOL_HERM * scale), NonHermitianError, describe)
     sym = 0.5 * (m + m.conj().swapaxes(-1, -2))
-    return HermitianOperator(entries=sym, dim=sym.shape[-1])
+    return HermitianOperator(entries=sym)
 
 
 def _as_operator(h) -> HermitianOperator:
@@ -134,8 +129,7 @@ def _as_operator(h) -> HermitianOperator:
     return hermitian(np.asarray(h))
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of H, or of
     each matrix of a stack."""
 
@@ -187,39 +181,40 @@ def _check_reconstruction(dec: SpectralDecomposition) -> None:
     _raise_first(~(err <= TOL_RECON), InconsistencyError, lambda at: f"spectral reconstruction error {err[at]:.3g} exceeds {TOL_RECON:g}")
 
 
-@dataclass(frozen=True)
-class EigenspacePartition:
+class EigenspacePartition(NamedTuple):
     """Ascending energies clustered into (near-)degenerate groups, with the
     gaps between them.
 
     Group g holds lengths[g] consecutive energies and energies[g] is their
-    mean, ascending: the energies of the snapped walk, one per group. The
-    gaps work on the group energies; they and group_of are worked out on
-    first use. With fewer than two groups the gaps are undefined and raise
-    GapUndefinedError.
+    mean, ascending: the energies of the snapped walk, one per group. stars
+    holds each group's gap to the nearest other group, on the group
+    energies, as the grouping worked it out (inf for a lone group); it is
+    read through delta_e_star, since with fewer than two groups the gaps are
+    undefined and raise GapUndefinedError.
     """
 
     lengths: tuple[int, ...]
     energies: np.ndarray
+    stars: tuple[float, ...]
 
     @property
     def n_groups(self) -> int:
         return len(self.lengths)
 
-    @cached_property
+    @property
     def group_of(self) -> np.ndarray:
         """Each energy's group index."""
         return np.repeat(np.arange(self.n_groups), self.lengths)
 
-    @cached_property
+    @property
     def delta_e_star(self) -> tuple[float, ...]:
         """Per group, the gap to the nearest other group."""
         m = self.n_groups
         if m < 2:
             raise GapUndefinedError(f"gaps undefined: spectrum has {m} eigenspace group(s), need at least 2")
-        return tuple(_gap_stars(self.energies, [m]).tolist())
+        return self.stars
 
-    @cached_property
+    @property
     def delta_e_min(self) -> float:
         """The smallest gap between any two groups."""
         return min(self.delta_e_star)
@@ -255,8 +250,8 @@ def group_eigenspaces(energies, tol_degen: float) -> EigenspacePartition:
         raise ValidationError("energies must be a non-empty ascending 1-d array of finite values")
     if not tol_degen >= 0:
         raise ValidationError(f"tol_degen must be non-negative, got {tol_degen}")
-    _, _, lengths, group_energies, _ = _group_runs(e, tol_degen)
-    return EigenspacePartition(lengths=tuple(lengths.tolist()), energies=group_energies)
+    _, _, lengths, group_energies, stars = _group_runs(e, tol_degen)
+    return EigenspacePartition(tuple(lengths.tolist()), group_energies, tuple(stars.tolist()))
 
 
 def _subset_mask(subsets, n_groups) -> np.ndarray:

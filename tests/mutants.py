@@ -245,6 +245,17 @@ MUTANTS = (
         "PERRON_TOL = 1e-10",
         ("tests/test_search.py::test_overlap_preconditions_refuse_a_tampered_stationary_vector",),
     ),
+    # the chain at s* (markov.half_weight) takes 1 - s* again, which cancels at a tiny marked weight
+    Mutant(
+        "D5",
+        "src/ctqw/markov.py",
+        "return _interpolated(chain, marked, 1.0 - r, r)",
+        "return _interpolated(chain, marked, 1.0 - r, 1.0 - (1.0 - r))",
+        (
+            "tests/test_markov.py::test_half_weight_point_of_a_tiny_marked_weight",
+            "tests/test_records_cli.py::test_cli_search_half_weight_point_of_a_tiny_marked_weight",
+        ),
+    ),
     # the energies of the reduced search walk (search._discriminant_walk): only
     # the Perron eigenvalue has energy 0, and a gap eigh cannot resolve is refused
     Mutant(

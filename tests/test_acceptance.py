@@ -146,7 +146,7 @@ def test_criterion_07_search_spectrum_structure():
     cases = [("complete", n) for n in (4, 8, 16)] + [("cycle", n) for n in (4, 8)]
     for family, n in cases:
         chain = markov.lazify(markov.chain_family(family, n))
-        for s in (0.0, markov.s_star(chain, 0)):
+        for s in (0.0, markov.half_weight(chain, 0).s):
             rep = search.spectrum_report(chain, 0, s)
             assert rep.zero_multiplicity == (n - 1) ** 2 + 1, (family, n, s)
             assert rep.pairing_residual <= 1e-8

@@ -418,7 +418,7 @@ def test_traversal_touches_adjacency_only_through_oracle():
     inst = gluedtrees.generate_instance(2, seed=21)
     spy = SpyDict(inst.adjacency)
     spy.callers = []
-    spied = dataclasses.replace(inst, adjacency=spy)
+    spied = inst._replace(adjacency=spy)
     rec = run_traversal(spied, rng_seed=4)
     assert spy.callers  # lookups did happen
     assert set(spy.callers) == {"oracle_neighbors"}

@@ -1,5 +1,4 @@
 """Reversible-chain layer: validation, interpolation, hitting times."""
-import dataclasses
 import math
 
 import re
@@ -291,27 +290,27 @@ def test_interpolated_stationary_closed_form():
 
 
 def test_s_star_values():
-    assert markov.s_star(markov.complete_chain(8), 3) == pytest.approx(1.0 - 1.0 / 7.0, rel=1e-12)
+    assert markov.half_weight(markov.complete_chain(8), 3).s == pytest.approx(1.0 - 1.0 / 7.0, rel=1e-12)
     # pi_v exactly 1/2 (star center): boundary value 0
     w = np.zeros((5, 5))
     w[0, 1:] = w[1:, 0] = 1.0
     star = markov.validate_chain(w / w.sum(axis=1, keepdims=True))
     assert star.pi[0] == pytest.approx(0.5, abs=1e-14)
-    assert markov.s_star(star, 0) == 0.0
+    assert markov.half_weight(star, 0).s == 0.0
     # vanishing marked weight pushes s* toward 1
-    assert markov.s_star(markov.complete_chain(400), 0) > 0.99
+    assert markov.half_weight(markov.complete_chain(400), 0).s > 0.99
 
 
 def test_s_star_overweight_vertex_rejected():
     chain = markov.validate_chain(star_with_heavy_center())
     assert chain.pi[0] > 0.5
     with pytest.raises(MarkedWeightError):
-        markov.s_star(chain, 0)
+        markov.half_weight(chain, 0)
 
 
 def test_marked_weight_at_s_star():
     chain = markov.complete_chain(8)
-    s = markov.s_star(chain, 1)
+    s = markov.half_weight(chain, 1).s
     ic = markov.interpolate(chain, 1, s)
     assert ic.pi_s[1] == pytest.approx(0.5, abs=1e-12)
     # top discriminant eigenvector puts weight 1/sqrt(2) on the marked vertex
@@ -337,20 +336,16 @@ def test_hitting_time_beyond_float64_is_refused():
         markov.classical_hitting_time(lazy, 0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="s_star returns s* = 1 - pi_m / (1 - pi_m), and interpolate takes 1 - s* again: at pi_m = 1.9e-10 "
-    "the cancellation leaves the marked weight 4.7e-8 off 1/2 (ROADMAP, correctness debt 8)",
-)
 def test_half_weight_point_of_a_tiny_marked_weight():
+    # pi_0 = 1.9e-10: forming 1 - s* again would leave the marked weight 4.7e-8 off 1/2
     lazy = markov.lazify(markov.chain_from_payload(birth_death_payload(21))[0])
-    ic = markov.interpolate(lazy, 0, markov.s_star(lazy, 0))
+    ic = markov.half_weight(lazy, 0)
     assert abs(ic.pi_s[0] - 0.5) <= 1e-12
 
 
 def gap_at_s_star(chain, marked):
     """(s*, 1 - lambda_2 of the interpolated discriminant at s*, HT)."""
-    s = markov.s_star(chain, marked)
+    s = markov.half_weight(chain, marked).s
     eigs = np.linalg.eigvalsh(markov.discriminant(markov.interpolate(chain, marked, s).P_s))
     return s, float(1.0 - eigs[-2]), markov.classical_hitting_time(chain, marked)
 
@@ -396,7 +391,7 @@ def test_sample_hitting_time_row_cumsum_below_one(monkeypatch):
     short = p.copy()
     short[1, 2] = 0.25 - 2.0**-52
     assert np.cumsum(short[1])[-1] == 1.0 - 2.0**-52
-    short_chain = dataclasses.replace(chain, P=short)
+    short_chain = chain._replace(P=short)
     # start at vertex 1, draw the largest uniform, then step 2 -> 0
     draws = ScriptedRng([0.5], [1.0 - 2.0**-53], [0.1])
     monkeypatch.setattr(markov, "rng_stream", lambda *path: draws)

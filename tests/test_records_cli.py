@@ -448,6 +448,13 @@ def test_cli_search_cube_quotient_past_a_hitting_time_of_1e12(tmp_path, d):
     assert row["ht"] > 1e12 and row["floor_holds"] and row["p_exact"] > 0.65
 
 
+def test_cli_search_half_weight_point_of_a_tiny_marked_weight(tmp_path):
+    # pi_0 = 1.9e-10: a chain at s* that took 1 - s* again missed the half-weight
+    # point by 4.7e-8, and the overlap preconditions refused it with exit 3
+    row = search_row(tmp_path, birth_death_payload(21))
+    assert row["overlap_marked"] == 0.5 and row["floor_holds"] and row["mc_within_3sigma"]
+
+
 @pytest.mark.parametrize("payload", [cube_quotient_payload(50), bottleneck_payload(1e-13)], ids=["cube-50", "bottleneck-1e-13"])
 def test_cli_search_gap_beyond_float64_exits_4(tmp_path, capsys, payload):
     # lambda_2 within n 2^-52 of 1: eigh cannot tell it from the top eigenvalue
@@ -692,6 +699,31 @@ def test_bounds_fault_bundle_bytes_are_pinned(tmp_path, capsys):
     assert digests == {
         "bounds.csv": "6e928d0609a2ce8932714f1e4b17d4f09f78cec49dabe9b65a081cd791da4cb5",
         "bounds.json": "0380fb672d3be4188763fb93c08dedc93def77cf3dae9ae325f731088403154f",
+    }
+
+
+def test_gluedtrees_bundle_bytes_are_pinned(tmp_path, capsys):
+    # three sizes at seed 7, Monte Carlo columns included: a last-bit move
+    # anywhere in the glued-trees pipeline changes these digests
+    cfg = write_cfg(tmp_path / "g.json", {"n": [8, 16, 32], "mc_runs": 20, "seed": 7})
+    assert cli.main(["gluedtrees", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (tmp_path / "out").iterdir()}
+    assert digests == {
+        "gluedtrees.csv": "c24b46bff261b286141e9c8416644b3bee65b22425ca080f23375771961da0fb",
+        "gluedtrees.json": "7abccbaabd119ad825d55b6050e87d5c7c13bef3e69be9be5b956e55bd53371c",
+    }
+
+
+def test_search_bundle_bytes_are_pinned(tmp_path, capsys):
+    # complete and cycle at N = 8, two epsilons, seed 7, with the chain at s*
+    # built from pi_m / (1 - pi_m) itself (markov.half_weight)
+    config = {"families": ["complete", "cycle"], "N": [8], "epsilons": [0.1, 0.05], "shots": 2000, "seed": 7}
+    cfg = write_cfg(tmp_path / "s.json", config)
+    assert cli.main(["search", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (tmp_path / "out").iterdir()}
+    assert digests == {
+        "search.csv": "a6066c680858c58f7e7d540250cb4c26e3c5518f276c1c6ace18f374a071d22f",
+        "search.json": "eba834bd87e8c778baf2c77b0765941707b1284627f793421f540086c26bf5f8",
     }
 
 

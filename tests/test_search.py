@@ -78,7 +78,7 @@ def test_generator_is_imaginary_hermitian():
 
 def test_generator_annihilates_stationary_edge_state():
     chain = lazy_family("random-reversible", 5)
-    for s in (0.0, 0.5, markov.s_star(chain, 0)):
+    for s in (0.0, 0.5, markov.half_weight(chain, 0).s):
         ic = markov.interpolate(chain, 0, s)
         ops = search.search_operators(chain, 0, s)
         vec = np.zeros(25, dtype=np.complex128)
@@ -108,7 +108,7 @@ def test_completion_invariance():
     # the randomized completion may change V arbitrarily off the pinned
     # columns; every walk observable must stay fixed
     chain = lazy_family("random-reversible", 4, seed=9)
-    marked, s = 2, markov.s_star(chain, 2)
+    marked, s = 2, markov.half_weight(chain, 2).s
     a = search.search_operators(chain, marked, s, "householder")
     b = search.search_operators(chain, marked, s, "randomized", completion_seed=123)
     psi0 = search.start_state(chain)
@@ -135,7 +135,7 @@ def test_reduced_walk_matches_dense_oracle(family, n):
     psi0 = search.start_state(chain)
     basis = search.marked_subspace_basis(n, marked)
     block = slice(marked * n, (marked + 1) * n)
-    for s in (0.0, markov.s_star(chain, marked), 0.7):
+    for s in (0.0, markov.half_weight(chain, marked).s, 0.7):
         w = reduced_walk(chain, marked, s)
         assert w.dim == 2 * n - 1  # the top eigenvalue of D is simple
         p_reduced = w.probability(dist)
@@ -175,7 +175,7 @@ def test_run_search_decomposes_the_discriminant_once(monkeypatch):
 @pytest.mark.parametrize("family,kept", [(markov.cycle_chain, 3), (markov.complete_chain, 32)])
 def test_reduced_walk_keeps_the_marked_neighbourhood(family, kept):
     chain = markov.lazify(family(32))
-    inter = markov.interpolate(chain, 5, markov.s_star(chain, 5))
+    inter = markov.half_weight(chain, 5)
     support = np.flatnonzero((inter.P_s[5] > 0) | (inter.P_s[:, 5] > 0))
     w = search._discriminant_walk(inter, np.sqrt(chain.pi))[0]
     assert support.shape[0] == w.rows.shape[0] == kept
@@ -224,12 +224,12 @@ def test_rng_stream_refuses_a_bad_seed_or_path(seed, path):
 
 def test_reduced_walk_certificates():
     chain = lazy_family("random-reversible", 6)
-    inter = markov.interpolate(chain, 2, markov.s_star(chain, 2))
+    inter = markov.half_weight(chain, 2)
     # a start outside the unit sphere cannot be a state of the subspace
     with pytest.raises(InconsistencyError):
         search._discriminant_walk(inter, 1.001 * np.sqrt(chain.pi))
     # rows from a matrix that is not stochastic give a marked "projector" above 1
-    inflated = dataclasses.replace(inter, P_s=4.0 * inter.P_s)
+    inflated = inter._replace(P_s=4.0 * inter.P_s)
     with pytest.raises(InconsistencyError):
         search._discriminant_walk(inflated, np.sqrt(chain.pi))
 
@@ -272,7 +272,7 @@ def test_spectrum_report_complete_8():
 def test_zero_multiplicity_formula_across_families():
     for fam, n in (("complete", 4), ("cycle", 5), ("random-reversible", 5)):
         chain = lazy_family(fam, n)
-        for s in (0.0, 0.3, markov.s_star(chain, 1), 0.9):
+        for s in (0.0, 0.3, markov.half_weight(chain, 1).s, 0.9):
             rep = search.spectrum_report(chain, 1, s)
             assert rep.formula_matches, (fam, n, s)
             assert rep.zero_multiplicity == (n - 1) ** 2 + 1
@@ -281,7 +281,7 @@ def test_zero_multiplicity_formula_across_families():
 def test_gap_amplification_quadratic():
     for fam, n in (("complete", 8), ("cycle", 6), ("random-reversible", 6)):
         chain = lazy_family(fam, n)
-        sstar = markov.s_star(chain, 0)
+        sstar = markov.half_weight(chain, 0).s
         rep = search.spectrum_report(chain, 0, sstar)
         assert rep.ratio_in_range
         assert rep.amplified_gap == pytest.approx(
@@ -297,7 +297,7 @@ def test_gap_amplification_quadratic():
 def test_overlap_preconditions_complete():
     for n in (4, 8, 16):
         chain = lazy_family("complete", n)
-        s = markov.s_star(chain, 1)
+        s = markov.half_weight(chain, 1).s
         rep = search.overlap_preconditions(markov.interpolate(chain, 1, s))
         assert rep.overlap_marked == pytest.approx(0.5, abs=1e-12)
         assert rep.overlap_start >= 0.5
@@ -307,7 +307,7 @@ def test_overlap_preconditions_complete():
 def test_overlap_preconditions_random_lightest_vertex():
     chain = lazy_family("random-reversible", 6, seed=14)
     marked = int(np.argmin(chain.pi))
-    s = markov.s_star(chain, marked)
+    s = markov.half_weight(chain, marked).s
     rep = search.overlap_preconditions(markov.interpolate(chain, marked, s))
     assert rep.overlap_marked == pytest.approx(0.5, abs=1e-9)
     assert rep.overlap_start >= 0.5
@@ -329,12 +329,12 @@ def test_overlap_preconditions_say_they_need_the_half_weight_point():
 def test_overlap_preconditions_refuse_a_tampered_stationary_vector():
     # sqrt(pi_s) is certified as D's Perron vector by its O(N^2) residual
     chain = lazy_family("random-reversible", 6, seed=14)
-    ic = markov.interpolate(chain, 0, markov.s_star(chain, 0))
+    ic = markov.half_weight(chain, 0)
     assert search.overlap_preconditions(ic).closed_form_residual <= 1e-14
     pi_s = ic.pi_s.copy()
     pi_s[1] *= 1.0 + 1e-10  # moves sqrt(pi_s[1]) by 5e-11 of itself: a residual near 1e-11
     with pytest.raises(InconsistencyError, match=r"^sqrt\(pi_s\) is not the Perron vector of D\(P_s\)"):
-        search.overlap_preconditions(dataclasses.replace(ic, pi_s=pi_s))
+        search.overlap_preconditions(ic._replace(pi_s=pi_s))
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_search_generator_zero_group_contains_stationary_state():
     # 4-state chain: the zero-energy eigenspace of the search generator has
     # dimension (n-1)^2 + 1 = 10 and contains the sqrt-stationary state
     chain = markov.lazify(markov.chain_family("random-reversible", 4, seed=3))
-    s = markov.s_star(chain, 0)
+    s = markov.half_weight(chain, 0).s
     ops = search.search_operators(chain, 0, s)
     dec = spectral.decompose(spectral.hermitian(ops.H))
     part = partition_of(dec)
@@ -321,12 +321,11 @@ def test_near_tie_chain_is_ambiguous():
 
 
 def test_partition_gaps_are_cached(monkeypatch):
-    # the gaps are worked out once, on first use, from the group energies alone
+    # the gaps are worked out once, by the grouping, from the group energies alone
     calls = []
     stars = spectral._gap_stars
     monkeypatch.setattr(spectral, "_gap_stars", lambda e, n_groups: calls.append(len(n_groups)) or stars(e, n_groups))
     part = spectral.group_eigenspaces(np.array([0.0, 1.0, 3.0]), 1e-8)
-    calls.clear()
     assert part.delta_e_star is part.delta_e_star
     assert part.delta_e_min == part.delta_e_min == 1.0
     assert part.subset_gap([2]) == ((2,), 2.0)

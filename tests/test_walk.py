@@ -469,7 +469,7 @@ def test_sampler_partial_chunk_counts_and_frequency():
 
 def search_reduced_walk(chain: markov.ReversibleChain) -> walk.SpectralWalk:
     lazy = markov.lazify(chain)
-    return search._discriminant_walk(markov.interpolate(lazy, 0, markov.s_star(lazy, 0)), np.sqrt(lazy.pi))[0]
+    return search._discriminant_walk(markov.interpolate(lazy, 0, markov.half_weight(lazy, 0).s), np.sqrt(lazy.pi))[0]
 
 
 def unpaired_walk() -> walk.SpectralWalk:
@@ -1027,7 +1027,7 @@ def oracle_walks():
         glued_laws = [TimeDistribution(T=T, k=k) for T in (2.0 * n, 64.0 * n) for k in (1, math.ceil(math.log2(5 * n)))]
         yield f"glued-{two_n}", gluedtrees.column_walk(two_n), glued_laws
     chain = markov.lazify(markov.complete_chain(8))
-    inter = markov.interpolate(chain, 0, markov.s_star(chain, 0))
+    inter = markov.half_weight(chain, 0)
     yield "complete-8", search._discriminant_walk(inter, np.sqrt(chain.pi))[0], laws
     rng = rng_stream(41, 99)
     energies = np.array([-1.0, -0.3, -0.3 + 2e-10, 0.4, 0.4 + 5e-10, 0.4 + 7e-10, 1.0])
@@ -1064,7 +1064,7 @@ def test_probability_keeps_no_dim_squared_array():
     w = gluedtrees.column_walk(2048)
     d = w.energies.shape[0]
     w.probability(TimeDistribution(T=64.0 * 1024, k=12))
-    arrays = [x for x in (*vars(w).values(), *vars(w.partition).values()) if isinstance(x, np.ndarray)]
+    arrays = [x for x in (*vars(w).values(), *w.partition._asdict().values()) if isinstance(x, np.ndarray)]
     assert arrays and max(x.size for x in arrays) < d * d
 
 
